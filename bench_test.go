@@ -441,6 +441,33 @@ func BenchmarkRunIteration_Sequential(b *testing.B) {
 	}
 }
 
+// BenchmarkRunIteration_SequentialArxiv is the sequential iteration at the
+// paper's regime — ogbn-arxiv, batch 512, fanouts 10/25, K searched under a
+// 12 MB device — where the layer-0 GEMMs sit around parallelFlopThreshold, so
+// the row-parallel kernel path has a tracked number.
+func BenchmarkRunIteration_SequentialArxiv(b *testing.B) {
+	st := fixtures(b)
+	s, err := train.NewSession(st.arxiv, train.Config{
+		System: train.Buffalo,
+		Model: gnn.Config{Arch: gnn.SAGE, Aggregator: gnn.Mean, Layers: 2,
+			InDim: st.arxiv.FeatDim(), Hidden: 16, OutDim: st.arxiv.NumClasses, Seed: 1},
+		Fanouts:   []int{10, 25},
+		BatchSize: 512,
+		MemBudget: 12 * device.MB,
+		Seed:      7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.RunIteration(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRunIteration_Pipelined(b *testing.B) {
 	st := fixtures(b)
 	p, err := train.NewPipelinedSession(st.cora, train.Config{

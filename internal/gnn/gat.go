@@ -214,8 +214,10 @@ func (l *gatLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matri
 	return out, cache, nil
 }
 
-// Backward implements Layer.
-func (l *gatLayer) Backward(cacheI LayerCache, dH *tensor.Matrix) (*tensor.Matrix, error) {
+// Backward implements Layer. The attention backward runs either way (W_h, a1
+// and a2 take their gradients from it); without needDX only the final
+// dZ @ W_hᵀ products and the tensor they fill are skipped.
+func (l *gatLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) (*tensor.Matrix, error) {
 	cache, ok := cacheI.(*gatCache)
 	if !ok {
 		return nil, fmt.Errorf("gat %s: wrong cache type %T", l.name, cacheI)
@@ -224,7 +226,10 @@ func (l *gatLayer) Backward(cacheI LayerCache, dH *tensor.Matrix) (*tensor.Matri
 	if l.act {
 		dPre = nn.ELUBackwardInto(l.arena.Get(dH.Rows, dH.Cols), cache.preAct, cache.outAct, dH, 1)
 	}
-	dXsrc := l.arena.Get(cache.xsrc.Rows, l.in)
+	var dXsrc *tensor.Matrix
+	if needDX {
+		dXsrc = l.arena.Get(cache.xsrc.Rows, l.in)
+	}
 	for h := 0; h < l.heads; h++ {
 		z := cache.z[h]
 		dZ := l.arena.Get(z.Rows, l.headOut)
@@ -300,7 +305,9 @@ func (l *gatLayer) Backward(cacheI LayerCache, dH *tensor.Matrix) (*tensor.Matri
 		}
 		// z = xsrc @ W_h.
 		tensor.MatMulATBInto(l.w[h].Grad, cache.xsrc, dZ, true)
-		tensor.MatMulABTInto(dXsrc, dZ, l.w[h].Value, true)
+		if needDX {
+			tensor.MatMulABTInto(dXsrc, dZ, l.w[h].Value, true)
+		}
 	}
 	return dXsrc, nil
 }

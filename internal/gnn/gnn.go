@@ -92,9 +92,11 @@ type Layer interface {
 	// representations. xsrc has one row per blk.Src entry.
 	Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matrix, LayerCache, error)
 	// Backward consumes the matching Forward's cache and the upstream
-	// gradient, accumulates parameter gradients, and returns the gradient
-	// with respect to xsrc.
-	Backward(cache LayerCache, dH *tensor.Matrix) (*tensor.Matrix, error)
+	// gradient and accumulates parameter gradients. With needDX it also
+	// returns the gradient with respect to xsrc; without, it returns nil and
+	// does none of the work only that gradient needs, while every parameter
+	// gradient stays bit-identical.
+	Backward(cache LayerCache, dH *tensor.Matrix, needDX bool) (*tensor.Matrix, error)
 	// PlannedCacheBytes reports, from tensor shapes alone, exactly the
 	// bytes the matching Forward's cache will occupy — what a CUDA
 	// framework would reserve before launching the kernels. Equal to the
@@ -213,12 +215,14 @@ func (m *Model) SetArena(a *tensor.Arena) {
 }
 
 // Backward propagates dLogits through the stack, accumulating parameter
-// gradients, and returns the gradient with respect to the input features.
+// gradients. Each layer is asked for its input gradient only when a layer
+// below consumes it: the input features are data, not parameters, so layer 0
+// computes none and the returned matrix is always nil.
 func (m *Model) Backward(res *ForwardResult, dLogits *tensor.Matrix) (*tensor.Matrix, error) {
 	d := dLogits
 	for l := len(m.Layers) - 1; l >= 0; l-- {
 		var err error
-		d, err = m.Layers[l].Backward(res.caches[l], d)
+		d, err = m.Layers[l].Backward(res.caches[l], d, l > 0)
 		if err != nil {
 			return nil, fmt.Errorf("gnn: layer %d backward: %w", l, err)
 		}

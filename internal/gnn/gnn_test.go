@@ -180,7 +180,22 @@ func TestGradCheckAllModels(t *testing.T) {
 	}
 }
 
-// TestInputGradient checks dFeatures numerically for the mean aggregator.
+// backwardWithInputGrad is Model.Backward with needDX set at every layer, so
+// layer 0 also returns the gradient with respect to the input features —
+// which Model.Backward itself never computes.
+func backwardWithInputGrad(m *Model, res *ForwardResult, dLogits *tensor.Matrix) (*tensor.Matrix, error) {
+	d := dLogits
+	for l := len(m.Layers) - 1; l >= 0; l-- {
+		var err error
+		if d, err = m.Layers[l].Backward(res.caches[l], d, true); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
+// TestInputGradient checks dFeatures numerically for the mean aggregator,
+// through the explicit needs-dX path.
 func TestInputGradient(t *testing.T) {
 	_, mb, features, labels := tinySetup(t, 13, 20, 4, 3, 3, []int{2, 2})
 	m, err := New(Config{Arch: SAGE, Aggregator: Mean, Layers: 2, InDim: 3, Hidden: 4, OutDim: 3, Seed: 5})
@@ -206,9 +221,12 @@ func TestInputGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dX, err := m.Backward(res, dLogits)
+	dX, err := backwardWithInputGrad(m, res, dLogits)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dX == nil || dX.Rows != features.Rows || dX.Cols != features.Cols {
+		t.Fatalf("input gradient %v, want %dx%d", dX, features.Rows, features.Cols)
 	}
 	const eps = 1e-2
 	for _, i := range []int{0, len(features.Data) / 3, len(features.Data) - 1} {
@@ -222,6 +240,113 @@ func TestInputGradient(t *testing.T) {
 		analytic := float64(dX.Data[i])
 		if math.Abs(numeric-analytic) > 5e-3+0.05*math.Abs(numeric) {
 			t.Errorf("dX[%d]: analytic %.6f vs numeric %.6f", i, analytic, numeric)
+		}
+	}
+}
+
+// TestParamGradsIndependentOfInputGrad: dropping layer 0's input gradient must
+// not touch a single bit of any parameter gradient. A naive early return at
+// layer 0 would zero pool.W, lstm.Wx/Wh/b and the GAT attention vectors, whose
+// gradients come out of the same aggregator backward that produces dX.
+func TestParamGradsIndependentOfInputGrad(t *testing.T) {
+	_, mb, features, labels := tinySetup(t, 19, 30, 6, 3, 3, []int{3, 2})
+	cfgs := append(modelConfigs(),
+		Config{Arch: GAT, Layers: 2, InDim: 3, Hidden: 4, OutDim: 4, Heads: 2, Seed: 6})
+	for _, cfg := range cfgs {
+		grads := func(inputGrad bool) []*tensor.Matrix {
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Forward(mb, features)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dX *tensor.Matrix
+			if inputGrad {
+				dX, err = backwardWithInputGrad(m, res, dLogits)
+			} else {
+				dX, err = m.Backward(res, dLogits)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (dX != nil) != inputGrad {
+				t.Fatalf("%v/%v: input gradient present=%v, want %v", cfg.Arch, cfg.Aggregator, dX != nil, inputGrad)
+			}
+			var out []*tensor.Matrix
+			for _, p := range m.Params.Params() {
+				if p.Grad.MaxAbs() == 0 {
+					t.Errorf("%v/%v %s: zero gradient (inputGrad=%v)", cfg.Arch, cfg.Aggregator, p.Name, inputGrad)
+				}
+				out = append(out, p.Grad)
+			}
+			return out
+		}
+		with, without := grads(true), grads(false)
+		for pi := range with {
+			for i, w := range with[pi].Data {
+				if math.Float32bits(w) != math.Float32bits(without[pi].Data[i]) {
+					t.Fatalf("%v/%v param %d grad[%d]: %v with dX, %v without",
+						cfg.Arch, cfg.Aggregator, pi, i, w, without[pi].Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBackwardSkipsLayer0InputGradTensors: Model.Backward checks out none of
+// the tensors only the layer-0 input gradient needs. For the mean aggregator
+// those are exactly dXsrc [nSrc x in], dXdst, dAggAll and one gathered dAgg
+// per non-empty degree bucket; every other model must at least shed dXsrc.
+func TestBackwardSkipsLayer0InputGradTensors(t *testing.T) {
+	_, mb, features, labels := tinySetup(t, 23, 30, 6, 3, 3, []int{3, 2})
+	for _, cfg := range modelConfigs() {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena := tensor.NewArena(tensor.NewPool())
+		m.SetArena(arena)
+		checkouts := func(inputGrad bool) int {
+			defer arena.Reset()
+			res, err := m.Forward(mb, features)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := arena.Outstanding()
+			if inputGrad {
+				_, err = backwardWithInputGrad(m, res, dLogits)
+			} else {
+				_, err = m.Backward(res, dLogits)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return arena.Outstanding() - before
+		}
+		full, lean := checkouts(true), checkouts(false)
+		if full-lean < 1 {
+			t.Errorf("%v/%v: %d backward checkouts without dX vs %d with", cfg.Arch, cfg.Aggregator, lean, full)
+		}
+		if cfg.Arch == SAGE && cfg.Aggregator == Mean {
+			want := 3
+			for _, db := range bucketizeBlock(mb.Blocks[0]) {
+				if db.degree > 0 {
+					want++
+				}
+			}
+			if full-lean != want {
+				t.Errorf("mean: backward without dX saves %d checkouts, want %d", full-lean, want)
+			}
 		}
 	}
 }

@@ -243,8 +243,11 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 	return h, cache, nil
 }
 
-// Backward implements Layer.
-func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix) (*tensor.Matrix, error) {
+// Backward implements Layer. Without needDX the self-path product, the
+// [nSrc x in] gradient tensor and the scatter into it are skipped; the
+// neighbor path still runs for Pool and LSTM, whose aggregators own
+// parameters, but not for Mean, which has none.
+func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) (*tensor.Matrix, error) {
 	cache, ok := cacheI.(*sageCache)
 	if !ok {
 		return nil, fmt.Errorf("sage %s: wrong cache type %T", l.name, cacheI)
@@ -259,12 +262,18 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix) (*tensor.Matr
 	rowSum := l.arena.Get(1, l.out)
 	dPre.SumRowsInto(rowSum)
 	l.bias.Grad.AddInPlace(rowSum)
+	if !needDX && l.agg == Mean {
+		return nil, nil
+	}
 
-	dXsrc := l.arena.Get(cache.xsrc.Rows, l.in)
-	// Self path: dst rows are the src prefix.
-	dXdst := l.arena.Get(dPre.Rows, l.in)
-	tensor.MatMulABTInto(dXdst, dPre, l.wSelf.Value, false)
-	copy(dXsrc.Data[:dXdst.Rows*l.in], dXdst.Data)
+	var dXsrc *tensor.Matrix
+	if needDX {
+		dXsrc = l.arena.Get(cache.xsrc.Rows, l.in)
+		// Self path: dst rows are the src prefix.
+		dXdst := l.arena.Get(dPre.Rows, l.in)
+		tensor.MatMulABTInto(dXdst, dPre, l.wSelf.Value, false)
+		copy(dXsrc.Data[:dXdst.Rows*l.in], dXdst.Data)
+	}
 	// Neighbor path, per bucket.
 	dAggAll := l.arena.Get(dPre.Rows, l.in)
 	tensor.MatMulABTInto(dAggAll, dPre, l.wNeigh.Value, false)
@@ -291,14 +300,24 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix) (*tensor.Matr
 			poolSum := l.arena.Get(1, l.in)
 			for t := 0; t < bc.degree; t++ {
 				dPrePool := nn.ReLUBackwardInto(l.arena.Get(len(bc.rows), l.in), bc.poolPre[t], dActs[t])
-				dx := l.arena.Get(len(bc.rows), l.in)
+				var dx *tensor.Matrix
+				if needDX {
+					dx = l.arena.Get(len(bc.rows), l.in)
+				}
 				dSteps = append(dSteps, l.pool.BackwardInto(dx, poolSum, bc.steps[t], dPrePool))
 			}
 			l.dActs = dActs[:0]
 		case LSTM:
-			dSteps = append(dSteps, l.lstm.BackwardSequence(bc.lstmCache, dAgg)...)
+			if needDX {
+				dSteps = append(dSteps, l.lstm.BackwardSequence(bc.lstmCache, dAgg)...)
+			} else {
+				l.lstm.BackwardParams(bc.lstmCache, dAgg)
+			}
 		}
 		l.dSteps = dSteps[:0]
+		if !needDX {
+			continue
+		}
 		// Scatter each position's gradient back to its source rows.
 		for t, ds := range dSteps {
 			for i, r := range bc.rows {

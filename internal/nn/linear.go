@@ -59,13 +59,16 @@ func (l *Linear) Backward(x, dy *tensor.Matrix) *tensor.Matrix {
 
 // BackwardInto is Backward with a caller-provided dx ([n x in]) and, when the
 // layer has a bias, a 1 x out rowSum scratch (overwritten; may be nil for
-// bias-free layers). Returns dx.
+// bias-free layers). Returns dx. A nil dx accumulates the parameter
+// gradients only: a caller that discards the input gradient skips its GEMM.
 func (l *Linear) BackwardInto(dx, rowSum, x, dy *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulATBInto(l.W.Grad, x, dy, true)
 	if l.B != nil {
 		dy.SumRowsInto(rowSum)
 		l.B.Grad.AddInPlace(rowSum)
 	}
-	tensor.MatMulABTInto(dx, dy, l.W.Value, false)
+	if dx != nil {
+		tensor.MatMulABTInto(dx, dy, l.W.Value, false)
+	}
 	return dx
 }

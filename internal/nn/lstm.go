@@ -123,10 +123,24 @@ func (c *LSTMCell) splitGates(z *tensor.Matrix) (i, f, g, o *tensor.Matrix) {
 // state, [n x hidden]) through the cached trajectory, accumulating weight
 // gradients and returning the gradient for each input timestep.
 func (c *LSTMCell) BackwardSequence(cache *LSTMCache, dhFinal *tensor.Matrix) []*tensor.Matrix {
+	dxs := make([]*tensor.Matrix, len(cache.steps))
+	c.backward(cache, dhFinal, dxs)
+	return dxs
+}
+
+// BackwardParams is BackwardSequence for a caller that discards the input
+// gradients: it accumulates the same weight gradients, bit for bit, and
+// skips the per-timestep dz @ Wxᵀ products.
+func (c *LSTMCell) BackwardParams(cache *LSTMCache, dhFinal *tensor.Matrix) {
+	c.backward(cache, dhFinal, nil)
+}
+
+// backward runs BPTT over the cached trajectory; a non-nil dxs (one slot per
+// timestep) receives the input gradients.
+func (c *LSTMCell) backward(cache *LSTMCache, dhFinal *tensor.Matrix, dxs []*tensor.Matrix) {
 	T := len(cache.steps)
-	dxs := make([]*tensor.Matrix, T)
 	if T == 0 {
-		return dxs
+		return
 	}
 	n := cache.n
 	dh := dhFinal.Clone()
@@ -155,12 +169,15 @@ func (c *LSTMCell) BackwardSequence(cache *LSTMCache, dhFinal *tensor.Matrix) []
 		tensor.MatMulATBInto(c.Wx.Grad, s.x, dz, true)
 		tensor.MatMulATBInto(c.Wh.Grad, s.hPrev, dz, true)
 		c.B.Grad.AddInPlace(dz.SumRows())
-		// Input and recurrent gradients.
-		dxs[t] = tensor.MatMulABT(dz, c.Wx.Value)
-		dh = tensor.MatMulABT(dz, c.Wh.Value)
+		// Input and recurrent gradients; nothing precedes step 0 to read dh.
+		if dxs != nil {
+			dxs[t] = tensor.MatMulABT(dz, c.Wx.Value)
+		}
+		if t > 0 {
+			dh = tensor.MatMulABT(dz, c.Wh.Value)
+		}
 		dc = dcPrev
 	}
-	return dxs
 }
 
 // concatGates packs four [n x h] gate gradients back into one [n x 4h] block.

@@ -49,3 +49,34 @@ func TestPoisonOnArenaReset(t *testing.T) {
 		t.Fatalf("alias survived Reset unpoisoned: %v", alias[0])
 	}
 }
+
+// TestPoisonReachesGEMMOutput: a released (poisoned) operand makes every
+// output of all three GEMMs NaN even when the other operand is all zeros —
+// post-ReLU activations are about half zeros, and a kernel that skipped zero
+// multiplicands would let a use-after-release through exactly there.
+func TestPoisonReachesGEMMOutput(t *testing.T) {
+	const m, k, n = 3, 6, 5 // k and n leave a ragged tail after the x4 unroll
+	stale := func(rows, cols int) *Matrix {
+		p := NewPool()
+		x := p.Get(rows, cols)
+		p.Put(x)
+		return x // use after release
+	}
+	for _, kern := range gemmKernels {
+		for _, poisonA := range []bool{true, false} {
+			a, b := New(m, k), New(k, n)
+			if poisonA {
+				a = stale(m, k)
+			} else {
+				b = stale(k, n)
+			}
+			out := New(m, n)
+			kern.run(out, a, b, false)
+			for i, v := range out.Data {
+				if !math.IsNaN(float64(v)) {
+					t.Fatalf("%s poisonA=%v: out[%d] = %v, want NaN", kern.name, poisonA, i, v)
+				}
+			}
+		}
+	}
+}

@@ -104,28 +104,48 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
+// The three GEMM kernels below share one accumulation contract. Every output
+// element is owned by exactly one worker (parallelRows splits output rows),
+// and is computed as a left-to-right float32 sum over the reduction index in
+// ascending order: starting from the element's prior value when accumulate is
+// set and from zero otherwise for MatMulInto/MatMulATBInto, and as a dot
+// product summed from zero and then stored (or added once) for MatMulABTInto.
+// The x4 unrolling only batches that chain; it never reassociates it. Results
+// therefore do not depend on GOMAXPROCS, on which side of
+// parallelFlopThreshold a shape falls, or on the unroll width. No term is
+// skipped for a zero operand, so NaN and Inf propagate as IEEE 754 says.
+
 // MatMulInto computes out = a @ b, or out += a @ b when accumulate is true.
-// Inner loops run in i-k-j order for cache-friendly row access; large
-// products parallelize across output rows (they are disjoint).
+// Rows of out are disjoint, so large products parallelize across them.
 func MatMulInto(out, a, b *Matrix, accumulate bool) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panicShape("matmul shapes", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols)
 	}
-	if !accumulate {
-		out.Zero()
-	}
-	parallelRows(a.Rows, int64(a.Rows)*int64(a.Cols)*int64(b.Cols), func(lo, hi int) {
+	kk, n := a.Cols, b.Cols
+	ad, bd, od := a.Data, b.Data, out.Data
+	parallelRows(a.Rows, int64(a.Rows)*int64(kk)*int64(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for k := 0; k < a.Cols; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
+			orow := od[i*n : (i+1)*n]
+			if !accumulate {
+				clear(orow)
+			}
+			arow := ad[i*kk : (i+1)*kk]
+			k := 0
+			for ; k+4 <= kk; k += 4 {
+				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+				b0 := bd[k*n : (k+1)*n][:len(orow)]
+				b1 := bd[(k+1)*n : (k+2)*n][:len(orow)]
+				b2 := bd[(k+2)*n : (k+3)*n][:len(orow)]
+				b3 := bd[(k+3)*n : (k+4)*n][:len(orow)]
+				for j, o := range orow {
+					orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 				}
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += av * brow[j]
+			}
+			for ; k < kk; k++ {
+				av := arow[k]
+				brow := bd[k*n : (k+1)*n][:len(orow)]
+				for j, o := range orow {
+					orow[j] = o + av*brow[j]
 				}
 			}
 		}
@@ -175,27 +195,42 @@ func MatMulATB(a, b *Matrix) *Matrix {
 }
 
 // MatMulATBInto computes out = aᵀ @ b, or out += aᵀ @ b when accumulate.
+// Workers own disjoint ranges of out's rows (columns of a) and each scans all
+// of a and b.
 func MatMulATBInto(out, a, b *Matrix, accumulate bool) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panicShape("matmulATB shapes", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols)
 	}
-	if !accumulate {
-		out.Zero()
-	}
-	// Parallelize over output rows (columns of a): each worker owns a
-	// disjoint slice of out and scans all of a/b.
-	parallelRows(a.Cols, int64(a.Rows)*int64(a.Cols)*int64(b.Cols), func(lo, hi int) {
-		for r := 0; r < a.Rows; r++ {
-			arow := a.Row(r)
-			brow := b.Row(r)
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
+	m, ka, n := a.Rows, a.Cols, b.Cols
+	ad, bd, od := a.Data, b.Data, out.Data
+	parallelRows(ka, int64(m)*int64(ka)*int64(n), func(lo, hi int) {
+		if !accumulate {
+			clear(od[lo*n : hi*n])
+		}
+		r := 0
+		for ; r+4 <= m; r += 4 {
+			a0 := ad[r*ka+lo : r*ka+hi]
+			a1 := ad[(r+1)*ka+lo : (r+1)*ka+hi][:len(a0)]
+			a2 := ad[(r+2)*ka+lo : (r+2)*ka+hi][:len(a0)]
+			a3 := ad[(r+3)*ka+lo : (r+3)*ka+hi][:len(a0)]
+			b0 := bd[r*n : (r+1)*n]
+			b1 := bd[(r+1)*n : (r+2)*n][:len(b0)]
+			b2 := bd[(r+2)*n : (r+3)*n][:len(b0)]
+			b3 := bd[(r+3)*n : (r+4)*n][:len(b0)]
+			for i, v0 := range a0 {
+				v1, v2, v3 := a1[i], a2[i], a3[i]
+				orow := od[(lo+i)*n : (lo+i+1)*n][:len(b0)]
+				for j, o := range orow {
+					orow[j] = o + v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
 				}
-				orow := out.Row(i)
-				for j, bv := range brow {
-					orow[j] += av * bv
+			}
+		}
+		for ; r < m; r++ {
+			brow := bd[r*n : (r+1)*n]
+			for i, av := range ad[r*ka+lo : r*ka+hi] {
+				orow := od[(lo+i)*n : (lo+i+1)*n][:len(brow)]
+				for j, o := range orow {
+					orow[j] = o + av*brow[j]
 				}
 			}
 		}
@@ -210,24 +245,47 @@ func MatMulABT(a, b *Matrix) *Matrix {
 }
 
 // MatMulABTInto computes out = a @ bᵀ, or out += a @ bᵀ when accumulate.
+// Four output columns are computed at once so the dot products' addition
+// chains overlap; each is still its own ascending sum.
 func MatMulABTInto(out, a, b *Matrix, accumulate bool) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panicShape("matmulABT shapes", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols)
 	}
-	if !accumulate {
-		out.Zero()
-	}
-	parallelRows(a.Rows, int64(a.Rows)*int64(a.Cols)*int64(b.Rows), func(lo, hi int) {
+	kk, nb := a.Cols, b.Rows
+	ad, bd, od := a.Data, b.Data, out.Data
+	parallelRows(a.Rows, int64(a.Rows)*int64(kk)*int64(nb), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Row(j)
+			arow := ad[i*kk : (i+1)*kk]
+			orow := od[i*nb : (i+1)*nb]
+			j := 0
+			for ; j+4 <= nb; j += 4 {
+				b0 := bd[j*kk : (j+1)*kk][:len(arow)]
+				b1 := bd[(j+1)*kk : (j+2)*kk][:len(arow)]
+				b2 := bd[(j+2)*kk : (j+3)*kk][:len(arow)]
+				b3 := bd[(j+3)*kk : (j+4)*kk][:len(arow)]
+				var s0, s1, s2, s3 float32
+				for k, av := range arow {
+					s0 += av * b0[k]
+					s1 += av * b1[k]
+					s2 += av * b2[k]
+					s3 += av * b3[k]
+				}
+				o := orow[j : j+4 : j+4]
+				if accumulate {
+					s0, s1, s2, s3 = o[0]+s0, o[1]+s1, o[2]+s2, o[3]+s3
+				}
+				o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+			}
+			for ; j < nb; j++ {
+				brow := bd[j*kk : (j+1)*kk][:len(arow)]
 				var s float32
 				for k, av := range arow {
 					s += av * brow[k]
 				}
-				orow[j] += s
+				if accumulate {
+					s += orow[j]
+				}
+				orow[j] = s
 			}
 		}
 	})

@@ -38,7 +38,17 @@
 #   9. serving gate    the online-inference tests (micro-batching batcher,
 #                      admission control against the ledger, shutdown
 #                      drain, forward-only session) under race
-#  10. go test -race   the full test suite under the race detector
+#  10. tensordebug     internal/tensor, internal/nn and internal/gnn under
+#                      -tags tensordebug: released pool matrices are filled
+#                      with NaN, so a use-after-release anywhere in the
+#                      layers' forward/backward poisons a checked result, and
+#                      the tag-only tests (poison reaches every GEMM's output
+#                      even against an all-zero operand) run
+#  11. bench module    go vet and the smoke test of the repository's
+#                      benchmark (bench/, a module of its own that `./...`
+#                      does not reach): every workload, both modes, tiny
+#                      sizes, metric names checked against BENCHMARK.json
+#  12. go test -race   the full test suite under the race detector
 #
 # Run from anywhere; the script cds to the repository root. Fails fast on
 # the first broken gate.
@@ -134,6 +144,15 @@ echo "== serving race gate =="
 # own before the slow full-suite pass.
 go test -race -count=1 ./internal/serve/
 go test -race -count=1 -run 'TestInfer|TestForwardOnly' ./internal/train/
+
+echo "== tensordebug gate =="
+go vet -tags tensordebug ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
+go test -tags tensordebug -count=1 ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
+
+echo "== bench module gate =="
+# bench/ replaces buffalo with ../, so this also proves every exported
+# function the benchmark calls still has the signature it was written against.
+(cd bench && go vet ./... && go test -count=1 ./...)
 
 echo "== go test -race =="
 # Race instrumentation slows the heavy suites several-fold and packages
