@@ -8,7 +8,6 @@ package bucket
 
 import (
 	"fmt"
-	"sort"
 
 	"buffalo/internal/graph"
 	"buffalo/internal/sampling"
@@ -19,6 +18,12 @@ import (
 type Bucket struct {
 	Degree int // sampled degree of every member; the cut-off bucket has Degree == F
 	Nodes  []graph.NodeID
+	// Rows[i] is Nodes[i]'s row in the batch's hop-0 adjacency (its position
+	// in Hops[0].Dst), so consumers walk a member's sampled neighbours
+	// without a map lookup. Bucketize fills it and splitting slices it; a
+	// hand-built bucket may leave it nil, and consumers then resolve rows
+	// through Hops[0].Index.
+	Rows []int32
 
 	Split bool // true when this is a micro-bucket from SplitBucket
 	Part  int  // part index within the split, 0-based
@@ -51,15 +56,15 @@ func Bucketize(batch *sampling.Batch) *Bucketing {
 }
 
 // Scratch owns the reusable storage one bucketization consumes: the
-// degree-keyed node lists (value slices are truncated, not dropped, so their
-// capacity survives), the sorted-degree index, a value slab for the buckets,
-// and the Bucketing header itself. One scratch serves one in-flight plan at
-// a time.
+// per-degree counters of the counting sort, the flat node and row arrays the
+// buckets slice, a value slab for the buckets, and the Bucketing header
+// itself. One scratch serves one in-flight plan at a time.
 type Scratch struct {
-	byDegree map[int][]graph.NodeID
-	degrees  []int
-	slab     []Bucket
-	bk       Bucketing
+	starts []int
+	nodes  []graph.NodeID
+	rows   []int32
+	slab   []Bucket
+	bk     Bucketing
 }
 
 // BucketizeInto is Bucketize reusing sc's storage; the returned Bucketing
@@ -69,36 +74,61 @@ func BucketizeInto(sc *Scratch, batch *sampling.Batch) *Bucketing {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	if sc.byDegree == nil {
-		sc.byDegree = make(map[int][]graph.NodeID)
-	} else {
-		for d, s := range sc.byDegree {
-			sc.byDegree[d] = s[:0]
-		}
-	}
+	// A counting sort by sampled degree: stable, so every bucket lists its
+	// nodes in hop-0 order.
 	hop := &batch.Hops[0]
-	for i, v := range hop.Dst {
-		d := len(hop.Nbrs[i])
-		sc.byDegree[d] = append(sc.byDegree[d], v)
-	}
-	sc.degrees = sc.degrees[:0]
-	for d, s := range sc.byDegree {
-		if len(s) > 0 {
-			sc.degrees = append(sc.degrees, d)
+	n := len(hop.Dst)
+	maxDeg := 0
+	for _, nbrs := range hop.Nbrs[:n] {
+		if len(nbrs) > maxDeg {
+			maxDeg = len(nbrs)
 		}
 	}
-	sort.Ints(sc.degrees)
-	if cap(sc.slab) < len(sc.degrees) {
-		sc.slab = make([]Bucket, len(sc.degrees))
-	} else {
-		sc.slab = sc.slab[:len(sc.degrees)]
+	// starts[d] becomes the offset of degree d's first node; while counting,
+	// degree d is tallied one slot up.
+	if cap(sc.starts) < maxDeg+2 {
+		sc.starts = make([]int, maxDeg+2)
 	}
+	starts := sc.starts[:maxDeg+2]
+	for i := range starts {
+		starts[i] = 0
+	}
+	for _, nbrs := range hop.Nbrs[:n] {
+		starts[len(nbrs)+1]++
+	}
+	nonEmpty := 0
+	for d := 0; d <= maxDeg; d++ {
+		if starts[d+1] > 0 {
+			nonEmpty++
+		}
+		starts[d+1] += starts[d]
+	}
+	if cap(sc.nodes) < n {
+		sc.nodes = make([]graph.NodeID, n)
+		sc.rows = make([]int32, n)
+	}
+	nodes, rows := sc.nodes[:n], sc.rows[:n]
+	if cap(sc.slab) < nonEmpty {
+		sc.slab = make([]Bucket, nonEmpty)
+	}
+	sc.slab = sc.slab[:nonEmpty]
 	bk := &sc.bk
 	bk.F = batch.Fanouts[0]
 	bk.Buckets = bk.Buckets[:0]
-	for i, d := range sc.degrees {
-		sc.slab[i] = Bucket{Degree: d, Nodes: sc.byDegree[d]}
-		bk.Buckets = append(bk.Buckets, &sc.slab[i])
+	for d := 0; d <= maxDeg; d++ {
+		lo, hi := starts[d], starts[d+1]
+		if lo == hi {
+			continue
+		}
+		slot := &sc.slab[len(bk.Buckets)]
+		*slot = Bucket{Degree: d, Nodes: nodes[lo:hi:hi], Rows: rows[lo:hi:hi]}
+		bk.Buckets = append(bk.Buckets, slot)
+	}
+	for i, v := range hop.Dst {
+		at := starts[len(hop.Nbrs[i])]
+		starts[len(hop.Nbrs[i])] = at + 1
+		nodes[at] = v
+		rows[at] = int32(i)
 	}
 	return bk
 }
@@ -163,18 +193,36 @@ func (bk *Bucketing) DetectExplosion(opts ExplosionOptions) (*Bucket, bool) {
 		// degree exceeds F).
 		return bk.Buckets[0], true
 	}
-	weights := make([]int, len(bk.Buckets))
+	n := len(bk.Buckets)
 	total := 0
-	for i, b := range bk.Buckets {
-		weights[i] = b.Volume() * b.Degree
-		total += weights[i]
+	for _, b := range bk.Buckets {
+		total += b.Volume() * b.Degree
 	}
-	cutoff := bk.Buckets[len(bk.Buckets)-1] // buckets are degree-sorted
-	cutoffWeight := weights[len(weights)-1]
-	sorted := append([]int(nil), weights...)
-	sort.Ints(sorted)
-	median := float64(sorted[len(sorted)/2])
-	if float64(cutoffWeight) > opts.VolumeFactor*median ||
+	cutoff := bk.Buckets[n-1] // buckets are degree-sorted
+	cutoffWeight := cutoff.Volume() * cutoff.Degree
+	// The median is sorted(weights)[n/2]: the weight with at most n/2 weights
+	// strictly below it and more than n/2 at or below it. Bucket counts are
+	// bounded by the fanout, so the quadratic scan is cheaper than a sorted
+	// copy and allocates nothing.
+	median := 0
+	for _, b := range bk.Buckets {
+		w := b.Volume() * b.Degree
+		below, atOrBelow := 0, 0
+		for _, o := range bk.Buckets {
+			ow := o.Volume() * o.Degree
+			if ow < w {
+				below++
+			}
+			if ow <= w {
+				atOrBelow++
+			}
+		}
+		if below <= n/2 && n/2 < atOrBelow {
+			median = w
+			break
+		}
+	}
+	if float64(cutoffWeight) > opts.VolumeFactor*float64(median) ||
 		float64(cutoffWeight) > opts.ShareThreshold*float64(total) {
 		return cutoff, true
 	}
@@ -188,22 +236,33 @@ func SplitBucket(b *Bucket, k int) ([]*Bucket, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("bucket: split count %d < 1", k)
 	}
-	if k > b.Volume() {
-		k = b.Volume() // never create empty micro-buckets
+	slab := AppendSplit(nil, b, k)
+	parts := make([]*Bucket, len(slab))
+	for i := range slab {
+		parts[i] = &slab[i]
 	}
-	parts := make([]*Bucket, k)
+	return parts, nil
+}
+
+// AppendSplit appends b's k micro-buckets (as SplitBucket cuts them) to dst
+// and returns the extended slab — the form for callers that keep split parts
+// in reusable storage. k above the volume is clamped so no part is empty;
+// k < 1 appends nothing.
+func AppendSplit(dst []Bucket, b *Bucket, k int) []Bucket {
 	n := b.Volume()
+	if k > n {
+		k = n
+	}
 	for i := 0; i < k; i++ {
 		lo := i * n / k
 		hi := (i + 1) * n / k
-		parts[i] = &Bucket{
-			Degree: b.Degree,
-			Nodes:  b.Nodes[lo:hi],
-			Split:  true,
-			Part:   i,
+		part := Bucket{Degree: b.Degree, Nodes: b.Nodes[lo:hi], Split: true, Part: i}
+		if len(b.Rows) == n {
+			part.Rows = b.Rows[lo:hi]
 		}
+		dst = append(dst, part)
 	}
-	return parts, nil
+	return dst
 }
 
 // ReplaceWithSplit returns a new bucket list where target is replaced by its

@@ -11,11 +11,21 @@
 // The per-bucket estimate mirrors, layer by layer and bucket by bucket, the
 // allocations internal/gnn actually makes: gathered neighbor tensors,
 // aggregator working state (LSTM trajectories are the dominant term),
-// pre-activations, and input features. Frontier sizes are predicted from
-// batch-level statistics (average sampled degree and the measured
-// deduplication ratio per hop) — no micro-batch is materialized, which is
-// what makes the model cheap enough to sit inside the scheduler's greedy
-// loop.
+// pre-activations, and input features. A group's hop-1 frontier — its output
+// nodes plus their distinct sampled neighbors — and that frontier's sampled
+// degree sum are measured exactly, as integers, off the sampled adjacency;
+// deeper frontiers are predicted from batch-level statistics (average
+// sampled degree per hop, saturating toward the parent batch's frontiers).
+// No micro-batch is materialized.
+//
+// Measurement is incremental. Once per batch the estimator numbers the hop-0
+// frontier densely (frontierIndex) and flattens the hop-0 adjacency into
+// those ids; a GroupAcc is then a bitset over that id space plus three
+// integer counters, and adding a bucket to a group costs one test-and-set
+// per sampled hop-0 edge of that bucket. GroupMem and BatchMem fill the same
+// accumulator once; the scheduler's greedy loop keeps one per group and adds
+// a bucket per placement, which is what makes the model cheap enough to sit
+// inside that loop.
 package memest
 
 import (
@@ -176,16 +186,15 @@ type Estimator struct {
 	// prices training: every layer resident simultaneously for backward.
 	ForwardOnly bool
 
-	// Reusable measurement scratch for GroupMem's per-placement group walks
-	// inside the scheduler's greedy loop. Lazily created; an estimator with
-	// warm scratch measures groups without allocating. Not safe for
-	// concurrent use — each in-flight plan owns its estimator.
-	inFrontier map[graph.NodeID]bool
-	nodes      []graph.NodeID
-	volumes    []int
-	degrees    []int
-	buckets    bucket.Scratch
-	whole      bucket.Group
+	// Reusable measurement state: the batch's dense frontier index (built on
+	// the first measurement after the estimator is bound to a batch), the
+	// accumulator GroupMem fills, and BatchMem's bucketization. An estimator
+	// with warm scratch measures without allocating. Not safe for concurrent
+	// use — each in-flight plan owns its estimator.
+	idx     frontierIndex
+	acc     GroupAcc
+	buckets bucket.Scratch
+	whole   bucket.Group
 }
 
 // New builds an estimator after validating the spec.
@@ -208,8 +217,9 @@ var (
 )
 
 // NewInto is New rebinding a recycled estimator to a fresh batch: the profile
-// is measured into the estimator's existing slices and the measurement
-// scratch stays warm. ForwardOnly resets to the training regime.
+// is measured into the estimator's existing slices, the frontier index is
+// marked stale (the next measurement rebuilds it in place) and the
+// measurement scratch stays warm. ForwardOnly resets to the training regime.
 func NewInto(est *Estimator, spec ModelSpec, b *sampling.Batch, clusteringCoef float64) error {
 	if spec.Layers < 1 {
 		return errSpecLayers
@@ -217,6 +227,7 @@ func NewInto(est *Estimator, spec ModelSpec, b *sampling.Batch, clusteringCoef f
 	if clusteringCoef <= 0 {
 		return errClusterCoef
 	}
+	est.idx.batch = nil
 	ProfileBatchInto(&est.Prof, b, clusteringCoef)
 	if len(est.Prof.AvgDeg) != spec.Layers {
 		return fmt.Errorf("memest: profile has %d hops for %d layers", len(est.Prof.AvgDeg), spec.Layers)
@@ -326,25 +337,19 @@ func (e *Estimator) BucketMem(volume, degree int) int64 {
 }
 
 // frontierBytes walks the layer stack for a micro-batch whose output layer
-// holds the given per-bucket (volume, degree) pairs and whose distinct
-// hop-0 inputs were measured as inputNodes, accumulating activation and
-// feature bytes with a saturating dedup model: at hop h, gathering n*(1+d)
-// node slots from a population bounded by the parent batch's hop-(h+1)
-// frontier P yields ~P*(1-exp(-draws/P)) distinct nodes.
-func (e *Estimator) frontierBytes(volumes, degrees []int, inputNodes int, hop1DegSum float64) int64 {
+// costs hop0 bytes (the exact per-bucket costs, summed by the accumulator)
+// and whose hop-1 frontier — outputs plus distinct hop-0 inputs — was
+// measured as frontierNodes with sampled-degree sum hop1DegSum, accumulating
+// activation and feature bytes with a saturating dedup model: at hop h,
+// gathering n*(1+d) node slots from a population bounded by the parent
+// batch's hop-(h+1) frontier P yields ~P*(1-exp(-draws/P)) distinct nodes.
+func (e *Estimator) frontierBytes(hop0 float64, frontierNodes int, hop1DegSum float64) int64 {
 	L := e.Model.Layers
 	var total float64
 	var win forwardWindow
-	outputs := 0.0
-	// Hop 0: exact per-bucket costs and the measured distinct inputs.
-	hop0 := 0.0
-	for i, v := range volumes {
-		hop0 += float64(v) * e.aggNodeBytes(L-1, float64(degrees[i]))
-		outputs += float64(v)
-	}
 	total += hop0
 	win.add(hop0)
-	frontier := outputs + float64(inputNodes)
+	frontier := float64(frontierNodes)
 	for h := 1; h < L; h++ {
 		layer := L - 1 - h
 		var draws float64
@@ -396,60 +401,184 @@ func (e *Estimator) frontierBytes(volumes, degrees []int, inputNodes int, hop1De
 	return int64(total)
 }
 
-// BucketInputs counts I_i: the distinct hop-0 neighbors of the bucket's
-// output nodes, read directly off the sampled adjacency.
-func BucketInputs(b *sampling.Batch, nodes []graph.NodeID) (int, error) {
-	inputs, _, err := GroupStats(b, nodes)
-	return inputs, err
+// frontierIndex is the batch-local dense id space of the hop-0 frontier:
+// every output node and every sampled hop-0 neighbor gets one int32 id, the
+// hop-0 adjacency is flattened into a CSR over those ids, and each id carries
+// its hop-1 sampled degree. With two or more layers the id is the node's
+// position in Hops[1].Dst (the sampler carries the outputs over and appends
+// the discovered neighbors, so that frontier is exactly this set); a node
+// Hops[1] does not know — a one-layer model, or a hand-built batch — is
+// numbered after it through extra, with degree 0. Built once per batch into
+// recycled slices, it turns group measurement into array test-and-set.
+type frontierIndex struct {
+	batch    *sampling.Batch // the batch indexed; nil marks the index stale
+	n        int             // ids in use
+	outID    []int32         // id of hop-0 row i
+	rowStart []int32         // row i's neighbor ids are nbrID[rowStart[i]:rowStart[i+1]]
+	nbrID    []int32
+	deg1     []int32 // hop-1 sampled degree per id
+	extra    map[graph.NodeID]int32
 }
 
-// GroupStats measures, in one pass over the group's sampled hop-0 edges,
-// the quantities §IV-D says are "obtained during micro-batch generation":
-// I (distinct hop-0 neighbors beyond the outputs themselves) and the exact
-// sampled-degree sum of the group's hop-1 frontier (outputs carried over
-// plus the distinct neighbors). The degree sum prices the hop-1 layer
-// exactly, which matters because bucket groups are degree-homogeneous and
-// batch-average degrees misprice them.
-func GroupStats(b *sampling.Batch, nodes []graph.NodeID) (inputs int, hop1DegSum float64, err error) {
-	return groupStatsSeen(b, nodes, make(map[graph.NodeID]bool, len(nodes)*2))
+func ensureInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
-// groupStatsSeen is GroupStats over a caller-provided (cleared) frontier
-// set, the allocation the greedy loop would otherwise repeat per placement.
-func groupStatsSeen(b *sampling.Batch, nodes []graph.NodeID, inFrontier map[graph.NodeID]bool) (inputs int, hop1DegSum float64, err error) {
+// id returns v's dense id, assigning the next free one to a node hop1 does
+// not list.
+func (ix *frontierIndex) id(hop1 *sampling.HopAdj, v graph.NodeID) int32 {
+	if hop1 != nil {
+		if i, ok := hop1.Index[v]; ok {
+			return int32(i)
+		}
+	}
+	if i, ok := ix.extra[v]; ok {
+		return i
+	}
+	if ix.extra == nil {
+		ix.extra = make(map[graph.NodeID]int32)
+	}
+	i := int32(ix.n)
+	ix.n++
+	ix.extra[v] = i
+	return i
+}
+
+func (ix *frontierIndex) build(b *sampling.Batch) {
 	hop0 := &b.Hops[0]
 	var hop1 *sampling.HopAdj
+	known := 0 // ids Hops[1] assigns
 	if len(b.Hops) > 1 {
 		hop1 = &b.Hops[1]
+		known = len(hop1.Dst)
 	}
-	addDeg := func(v graph.NodeID) {
-		if hop1 == nil {
-			return
-		}
-		if i, ok := hop1.Index[v]; ok {
-			hop1DegSum += float64(len(hop1.Nbrs[i]))
+	ix.n = known
+	clear(ix.extra)
+	nOut := len(hop0.Dst)
+	edges := 0
+	for _, nbrs := range hop0.Nbrs[:nOut] {
+		edges += len(nbrs)
+	}
+	ix.outID = ensureInt32s(ix.outID, nOut)
+	ix.rowStart = ensureInt32s(ix.rowStart, nOut+1)
+	ix.nbrID = ensureInt32s(ix.nbrID, edges)
+	at := int32(0)
+	for i, v := range hop0.Dst {
+		ix.outID[i] = ix.id(hop1, v)
+		ix.rowStart[i] = at
+		for _, u := range hop0.Nbrs[i] {
+			ix.nbrID[at] = ix.id(hop1, u)
+			at++
 		}
 	}
-	for _, v := range nodes {
-		if !inFrontier[v] {
-			inFrontier[v] = true
-			addDeg(v)
-		}
+	ix.rowStart[nOut] = at
+	ix.deg1 = ensureInt32s(ix.deg1, ix.n)
+	for i := 0; i < known; i++ {
+		ix.deg1[i] = int32(len(hop1.Nbrs[i]))
 	}
-	for _, v := range nodes {
-		idx, ok := hop0.Index[v]
-		if !ok {
-			return 0, 0, fmt.Errorf("memest: node %d is not an output of the batch", v)
-		}
-		for _, u := range hop0.Nbrs[idx] {
-			if !inFrontier[u] {
-				inFrontier[u] = true
-				inputs++
-				addDeg(u)
+	clear(ix.deg1[known:])
+	ix.batch = b
+}
+
+// GroupAcc accumulates the measured statistics of one bucket group — the
+// quantities §IV-D says are "obtained during micro-batch generation" — one
+// bucket at a time. member is the group's hop-1 frontier as a bitset over
+// the batch-local ids: its output nodes and their distinct hop-0 neighbors.
+// Buckets partition the batch's outputs, so no output is added twice, and
+// the frontier splits into outputs + inputs whichever arrived first: a node
+// first marked as another bucket's neighbor and later added as an output
+// stays one member while outputs grows, which demotes it from the input
+// count exactly as marking all outputs before any neighbor would. degSum is
+// the members' sampled hop-1 degree sum, which prices the hop-1 layer exactly
+// (bucket groups are degree-homogeneous; batch averages misprice them). All
+// three are integers, so the order buckets arrive in cannot change them.
+type GroupAcc struct {
+	member   []uint64
+	outputs  int
+	frontier int     // set bits in member
+	degSum   int64   // Σ hop-1 sampled degree over member
+	hop0     float64 // output-layer bytes, summed in arrival order
+}
+
+// Outputs reports the output nodes added so far.
+func (a *GroupAcc) Outputs() int { return a.outputs }
+
+// Inputs reports I: the group's distinct hop-0 neighbors that are not
+// themselves outputs of the group.
+func (a *GroupAcc) Inputs() int { return a.frontier - a.outputs }
+
+// Hop1DegSum reports the exact sampled-degree sum of the group's hop-1
+// frontier (outputs carried over plus the distinct inputs).
+func (a *GroupAcc) Hop1DegSum() int64 { return a.degSum }
+
+// mark adds id to the frontier if it is not a member yet.
+func (a *GroupAcc) mark(id int32, deg1 []int32) {
+	w, bit := id>>6, uint64(1)<<(uint32(id)&63)
+	if a.member[w]&bit == 0 {
+		a.member[w] |= bit
+		a.frontier++
+		a.degSum += int64(deg1[id])
+	}
+}
+
+// BeginGroup resets a to the empty group of batch b, (re)building the
+// estimator's frontier index first if it is stale.
+func (e *Estimator) BeginGroup(a *GroupAcc, b *sampling.Batch) {
+	if e.idx.batch != b {
+		e.idx.build(b)
+	}
+	words := (e.idx.n + 63) >> 6
+	if cap(a.member) < words {
+		a.member = make([]uint64, words)
+	} else {
+		a.member = a.member[:words]
+		clear(a.member)
+	}
+	a.outputs, a.frontier, a.degSum, a.hop0 = 0, 0, 0, 0
+}
+
+// AddBucket adds one bucket's output nodes and their sampled hop-0 neighbors
+// to a, which BeginGroup bound to the estimator's current batch: O(bucket
+// edges), independent of what the group already holds. It fails if a member
+// is not an output of the batch; a is then partly updated and must be
+// restarted.
+func (e *Estimator) AddBucket(a *GroupAcc, bk *bucket.Bucket) error {
+	ix := &e.idx
+	hop0 := &ix.batch.Hops[0]
+	rows := bk.Rows
+	if len(rows) != len(bk.Nodes) {
+		rows = nil
+	}
+	for i, v := range bk.Nodes {
+		var r int
+		if rows != nil {
+			r = int(rows[i])
+			if uint(r) >= uint(len(hop0.Dst)) || hop0.Dst[r] != v {
+				return fmt.Errorf("memest: node %d is not row %d of the batch's outputs", v, r)
+			}
+		} else {
+			var ok bool
+			if r, ok = hop0.Index[v]; !ok {
+				return fmt.Errorf("memest: node %d is not an output of the batch", v)
 			}
 		}
+		a.mark(ix.outID[r], ix.deg1)
+		for _, id := range ix.nbrID[ix.rowStart[r]:ix.rowStart[r+1]] {
+			a.mark(id, ix.deg1)
+		}
 	}
-	return inputs, hop1DegSum, nil
+	a.outputs += bk.Volume()
+	a.hop0 += float64(bk.Volume()) * e.aggNodeBytes(e.Model.Layers-1, float64(bk.Degree))
+	return nil
+}
+
+// AccMem is the redundancy-aware estimate (Eq. 2) of the group accumulated
+// in a: what GroupMem returns for the same buckets in the same order.
+func (e *Estimator) AccMem(a *GroupAcc) int64 {
+	return e.frontierBytes(a.hop0, a.frontier, float64(a.degSum))
 }
 
 // RGroup evaluates Eq. (1) for a bucket with I distinct input nodes, O
@@ -473,24 +602,13 @@ func (e *Estimator) RGroup(inputs, outputs, degree int) float64 {
 // paper's "obtained during micro-batch generation") and deeper hops modeled
 // by saturation toward the parent batch's frontiers.
 func (e *Estimator) GroupMem(b *sampling.Batch, g *bucket.Group) (int64, error) {
-	e.nodes = e.nodes[:0]
-	e.volumes = e.volumes[:0]
-	e.degrees = e.degrees[:0]
+	e.BeginGroup(&e.acc, b)
 	for _, bk := range g.Buckets {
-		e.nodes = append(e.nodes, bk.Nodes...)
-		e.volumes = append(e.volumes, bk.Volume())
-		e.degrees = append(e.degrees, bk.Degree)
+		if err := e.AddBucket(&e.acc, bk); err != nil {
+			return 0, err
+		}
 	}
-	if e.inFrontier == nil {
-		e.inFrontier = make(map[graph.NodeID]bool, len(e.nodes)*2)
-	} else {
-		clear(e.inFrontier)
-	}
-	inputs, degSum, err := groupStatsSeen(b, e.nodes, e.inFrontier)
-	if err != nil {
-		return 0, err
-	}
-	return e.frontierBytes(e.volumes, e.degrees, inputs, degSum), nil
+	return e.AccMem(&e.acc), nil
 }
 
 // BatchMem predicts the memory of training the whole batch as one

@@ -1,6 +1,7 @@
 package memest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"buffalo/internal/bucket"
 	"buffalo/internal/datagen"
 	"buffalo/internal/gnn"
+	"buffalo/internal/graph"
 	"buffalo/internal/sampling"
 	"buffalo/internal/tensor"
 )
@@ -131,23 +133,83 @@ func TestRGroupBounds(t *testing.T) {
 	}
 }
 
+// oracleGroupStats is the reference measurement the accumulator is checked
+// against: one pass over the group's sampled hop-0 edges through a Go map,
+// marking every output first and then counting the neighbors that are new —
+// I (distinct hop-0 neighbors beyond the outputs themselves) and the exact
+// sampled-degree sum of the group's hop-1 frontier.
+func oracleGroupStats(b *sampling.Batch, nodes []graph.NodeID) (inputs int, hop1DegSum int64, err error) {
+	inFrontier := make(map[graph.NodeID]bool, len(nodes)*2)
+	hop0 := &b.Hops[0]
+	var hop1 *sampling.HopAdj
+	if len(b.Hops) > 1 {
+		hop1 = &b.Hops[1]
+	}
+	addDeg := func(v graph.NodeID) {
+		if hop1 == nil {
+			return
+		}
+		if i, ok := hop1.Index[v]; ok {
+			hop1DegSum += int64(len(hop1.Nbrs[i]))
+		}
+	}
+	for _, v := range nodes {
+		if !inFrontier[v] {
+			inFrontier[v] = true
+			addDeg(v)
+		}
+	}
+	for _, v := range nodes {
+		idx, ok := hop0.Index[v]
+		if !ok {
+			return 0, 0, fmt.Errorf("memest: node %d is not an output of the batch", v)
+		}
+		for _, u := range hop0.Nbrs[idx] {
+			if !inFrontier[u] {
+				inFrontier[u] = true
+				inputs++
+				addDeg(u)
+			}
+		}
+	}
+	return inputs, hop1DegSum, nil
+}
+
 func TestBucketInputs(t *testing.T) {
 	_, b := arxivBatch(t, 200, []int{5, 5})
+	e, err := New(ModelSpec{Arch: gnn.SAGE, Aggregator: gnn.Mean, Layers: 2, InDim: 8, Hidden: 8, OutDim: 4}, ProfileBatch(b, 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	bk := bucket.Bucketize(b)
+	var acc GroupAcc
 	for _, bu := range bk.Buckets {
-		inputs, err := BucketInputs(b, bu.Nodes)
-		if err != nil {
+		e.BeginGroup(&acc, b)
+		if err := e.AddBucket(&acc, bu); err != nil {
 			t.Fatal(err)
 		}
+		inputs := acc.Inputs()
 		if inputs <= 0 {
 			t.Fatalf("bucket %s: no inputs", bu.Label())
 		}
 		if inputs > bu.Volume()*bu.Degree {
 			t.Fatalf("bucket %s: inputs %d exceed O*D=%d", bu.Label(), inputs, bu.Volume()*bu.Degree)
 		}
+		if want, _, err := oracleGroupStats(b, bu.Nodes); err != nil || inputs != want {
+			t.Fatalf("bucket %s: inputs %d, oracle %d (%v)", bu.Label(), inputs, want, err)
+		}
 	}
-	if _, err := BucketInputs(b, []int32{-5}); err == nil {
+	e.BeginGroup(&acc, b)
+	if err := e.AddBucket(&acc, &bucket.Bucket{Degree: 1, Nodes: []int32{-5}}); err == nil {
 		t.Error("want error for non-output node")
+	}
+	// Rows that do not name the node's own hop-0 row are rejected too.
+	seed := b.Seeds[0]
+	if err := e.AddBucket(&acc, &bucket.Bucket{Degree: 1, Nodes: []int32{seed}, Rows: []int32{int32(len(b.Seeds))}}); err == nil {
+		t.Error("want error for an out-of-range row")
+	}
+	if err := e.AddBucket(&acc, &bucket.Bucket{Degree: 1, Nodes: []int32{seed}, Rows: []int32{1}}); err == nil {
+		t.Error("want error for a row that holds another node")
 	}
 }
 
@@ -277,6 +339,256 @@ func TestSubsetEstimationAccuracy(t *testing.T) {
 		t.Logf("k=%d: est=%d actual=%d err=%.1f%%", k, est, actual, errRate*100)
 		if errRate > 0.20 {
 			t.Errorf("k=%d: subset estimation error %.1f%% too high", k, errRate*100)
+		}
+	}
+}
+
+// smallGraphBatch samples a batch over a small graph from either datagen
+// generator (model 0: clustered power law, 1: Watts-Strogatz), the seeds and
+// fanouts drawn from rng.
+func smallGraphBatch(t testing.TB, rng *rand.Rand, model, layers int) *sampling.Batch {
+	t.Helper()
+	spec := datagen.Spec{Name: "fuzz", Nodes: 150 + rng.Intn(250), FeatDim: 2, NumClasses: 2, Homophily: 0.5}
+	if model == 0 {
+		spec.Model = datagen.ClusteredPowerLaw
+		spec.KMin, spec.Alpha, spec.Locality = 1+rng.Intn(3), 2.2, 0.5+2*rng.Float64()
+	} else {
+		spec.Model = datagen.WattsStrogatz
+		spec.K, spec.Rewire = 2+2*rng.Intn(3), 0.4*rng.Float64()
+	}
+	ds, err := datagen.Generate(spec, rng.Int63())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := sampling.UniformSeeds(ds.Graph, 20+rng.Intn(80), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanouts := make([]int, layers)
+	for i := range fanouts {
+		fanouts[i] = 1 + rng.Intn(6)
+	}
+	b, err := sampling.SampleBatch(ds.Graph, seeds, fanouts, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkAccumulator adds a random subset of b's buckets (some of them split,
+// some stripped of their Rows) to one accumulator in a random order and
+// holds every prefix against the oracle and against a one-shot GroupMem. It
+// reports how many outputs arrived after the group already held them as
+// inputs — the demotion case.
+func checkAccumulator(t testing.TB, rng *rand.Rand, b *sampling.Batch, spec ModelSpec) (demoted int) {
+	t.Helper()
+	e, err := New(spec, ProfileBatch(b, 0.05+0.5*rng.Float64()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ForwardOnly = rng.Intn(4) == 0
+	var pool []bucket.Bucket
+	for _, bu := range bucket.Bucketize(b).Buckets {
+		pool = bucket.AppendSplit(pool, bu, 1+rng.Intn(4))
+	}
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	pool = pool[:1+rng.Intn(len(pool))]
+
+	var acc GroupAcc
+	var group bucket.Group
+	var nodes []graph.NodeID
+	seen := map[graph.NodeID]bool{} // outputs and neighbors added so far
+	e.BeginGroup(&acc, b)
+	for i := range pool {
+		bu := &pool[i]
+		if rng.Intn(3) == 0 {
+			bu.Rows = nil // the Hops[0].Index fallback
+		}
+		for _, v := range bu.Nodes {
+			if seen[v] {
+				demoted++
+			}
+		}
+		for _, v := range bu.Nodes {
+			seen[v] = true
+			for _, u := range b.Hops[0].Nbrs[b.Hops[0].Index[v]] {
+				seen[u] = true
+			}
+		}
+		if err := e.AddBucket(&acc, bu); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, bu.Nodes...)
+		group.Buckets = append(group.Buckets, bu)
+		inputs, degSum, err := oracleGroupStats(b, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc.Outputs() != len(nodes) || acc.Inputs() != inputs || acc.Hop1DegSum() != degSum {
+			t.Fatalf("after %d buckets: accumulator (outputs %d, inputs %d, degSum %d), oracle (%d, %d, %d)",
+				i+1, acc.Outputs(), acc.Inputs(), acc.Hop1DegSum(), len(nodes), inputs, degSum)
+		}
+		oneShot, err := e.GroupMem(b, &group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.AccMem(&acc); got != oneShot {
+			t.Fatalf("after %d buckets: incremental estimate %d, one-shot %d", i+1, got, oneShot)
+		}
+	}
+	return demoted
+}
+
+func fuzzSpec(rng *rand.Rand, layers int) ModelSpec {
+	aggs := []gnn.Aggregator{gnn.Mean, gnn.Pool, gnn.LSTM}
+	return ModelSpec{Arch: gnn.SAGE, Aggregator: aggs[rng.Intn(len(aggs))], Layers: layers,
+		InDim: 4 + rng.Intn(12), Hidden: 4 + rng.Intn(12), OutDim: 3}
+}
+
+// FuzzGroupAccumulator: on graphs from both datagen generators, for 1- to
+// 3-layer models, any subset of (split) buckets added in any order leaves
+// the accumulator with exactly the oracle's (inputs, hop1DegSum), and its
+// estimate equals the one-shot estimate of the same buckets.
+func FuzzGroupAccumulator(f *testing.F) {
+	for seed := int64(0); seed < 12; seed++ {
+		f.Add(seed, uint8(seed%2), uint8(seed%3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, model, depth uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		layers := 1 + int(depth%3)
+		b := smallGraphBatch(t, rng, int(model%2), layers)
+		checkAccumulator(t, rng, b, fuzzSpec(rng, layers))
+	})
+}
+
+// TestGroupAccumulatorMatchesOracle is the seeded form of the fuzz target,
+// wide enough that the interesting placements are known to occur: an output
+// added after the group already counted it as an input, on both generators
+// and with and without a hop-1 adjacency.
+func TestGroupAccumulatorMatchesOracle(t *testing.T) {
+	for model := 0; model < 2; model++ {
+		for layers := 1; layers <= 3; layers++ {
+			demoted := 0
+			for seed := int64(0); seed < 25; seed++ {
+				rng := rand.New(rand.NewSource(1000*int64(model) + 100*int64(layers) + seed))
+				b := smallGraphBatch(t, rng, model, layers)
+				demoted += checkAccumulator(t, rng, b, fuzzSpec(rng, layers))
+			}
+			if demoted == 0 {
+				t.Errorf("model %d, %d layers: no output was ever an earlier input; the demotion case went untested", model, layers)
+			}
+		}
+	}
+}
+
+// handBatch builds a batch by hand so the adjacency can hold what the
+// sampler never produces: a duplicate neighbor, a degree-0 output, and a
+// hop-1 adjacency that does not list every hop-0 neighbor.
+func handBatch(layers int) *sampling.Batch {
+	index := func(dst []graph.NodeID) map[graph.NodeID]int {
+		m := map[graph.NodeID]int{}
+		for i, v := range dst {
+			m[v] = i
+		}
+		return m
+	}
+	dst0 := []graph.NodeID{10, 11, 12, 13}
+	b := &sampling.Batch{
+		Seeds:   dst0,
+		Fanouts: []int{3, 2}[:layers],
+		Hops: []sampling.HopAdj{{
+			Dst:   dst0,
+			Nbrs:  [][]graph.NodeID{{11, 20, 20}, {}, {10, 21}, {20}},
+			Index: index(dst0),
+		}},
+	}
+	if layers == 2 {
+		dst1 := []graph.NodeID{10, 11, 12, 13, 20} // 21 is missing on purpose
+		b.Hops = append(b.Hops, sampling.HopAdj{
+			Dst:   dst1,
+			Nbrs:  [][]graph.NodeID{{11, 20}, {}, {30, 31}, {20}, {10, 32}},
+			Index: index(dst1),
+		})
+	}
+	return b
+}
+
+func TestGroupAccumulatorHandBuiltBatch(t *testing.T) {
+	for layers := 1; layers <= 2; layers++ {
+		b := handBatch(layers)
+		spec := ModelSpec{Arch: gnn.SAGE, Aggregator: gnn.Mean, Layers: layers, InDim: 4, Hidden: 4, OutDim: 2}
+		e, err := New(spec, ProfileBatch(b, 0.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		byDegree := map[int]*bucket.Bucket{}
+		for _, bu := range bucket.Bucketize(b).Buckets {
+			byDegree[bu.Degree] = bu
+		}
+		if len(byDegree) != 4 {
+			t.Fatalf("want one bucket per output, got %d", len(byDegree))
+		}
+		// Degree order 1, 2, 3, 0: node 10 is first an input of 12's bucket
+		// and then an output; 20 arrives three times; 11 has no neighbors.
+		var acc GroupAcc
+		var nodes []graph.NodeID
+		e.BeginGroup(&acc, b)
+		for _, d := range []int{1, 2, 3, 0} {
+			if err := e.AddBucket(&acc, byDegree[d]); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, byDegree[d].Nodes...)
+			inputs, degSum, err := oracleGroupStats(b, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acc.Inputs() != inputs || acc.Hop1DegSum() != degSum {
+				t.Fatalf("%d layers, after degree %d: accumulator (%d, %d), oracle (%d, %d)",
+					layers, d, acc.Inputs(), acc.Hop1DegSum(), inputs, degSum)
+			}
+		}
+		if acc.Outputs() != 4 || acc.Inputs() != 2 { // inputs: 20 and 21
+			t.Fatalf("%d layers: outputs %d inputs %d, want 4 and 2", layers, acc.Outputs(), acc.Inputs())
+		}
+		if want := int64([]int{0, 7}[layers-1]); acc.Hop1DegSum() != want {
+			t.Fatalf("%d layers: hop-1 degree sum %d, want %d", layers, acc.Hop1DegSum(), want)
+		}
+	}
+}
+
+// TestNewIntoRebuildsIndex: a recycled estimator and a recycled batch give
+// the same estimates as fresh ones, batch after batch.
+func TestNewIntoRebuildsIndex(t *testing.T) {
+	ds, _ := arxivBatch(t, 10, []int{5, 5})
+	spec := ModelSpec{Arch: gnn.SAGE, Aggregator: gnn.Mean, Layers: 2, InDim: 8, Hidden: 8, OutDim: 4}
+	var est Estimator
+	var batch sampling.Batch
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 4; i++ {
+		seeds, err := sampling.UniformSeeds(ds.Graph, 100+50*i, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sampling.SampleBatchInto(&batch, ds.Graph, seeds, []int{5, 5}, rng); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewInto(&est, spec, &batch, 0.3); err != nil {
+			t.Fatal(err)
+		}
+		got, err := est.BatchMem(&batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(spec, ProfileBatch(&batch, 0.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.BatchMem(&batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("batch %d: recycled estimator %d, fresh %d", i, got, want)
 		}
 	}
 }

@@ -7,7 +7,7 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"buffalo/internal/bucket"
 	"buffalo/internal/memest"
@@ -50,14 +50,19 @@ type weighted struct {
 }
 
 // Scratch owns the reusable storage one scheduling pass consumes: the
-// bucketization scratch, the weighted-item buffer, a group slab plus the
-// pointer and estimate slices handed out in the Plan, a singleton probe
-// group for the oversized-bucket check, and the Plan header itself.
+// bucketization scratch, the working bucket list of the current K attempt
+// and the slab its split micro-buckets live in, the weighted-item buffer, a
+// group slab with one estimator accumulator per group plus the pointer and
+// estimate slices handed out in the Plan, a singleton probe group for the
+// oversized-bucket check, and the Plan header itself.
 type Scratch struct {
 	buckets   bucket.Scratch
+	working   []*bucket.Bucket
+	parts     []bucket.Bucket
 	items     []weighted
 	groupSlab []bucket.Group
 	groupPtrs []*bucket.Group
+	accs      []memest.GroupAcc // accs[i] measures groupSlab[i]
 	estimates []int64
 	probe     bucket.Group
 	plan      Plan
@@ -109,6 +114,20 @@ func (p *Plan) Imbalance() float64 {
 
 var errMemLimit = fmt.Errorf("schedule: MemLimit must be positive")
 
+// search is the state of one Schedule call: its inputs, and how much
+// measurement the K-search has spent so far.
+type search struct {
+	sc   *Scratch
+	b    *sampling.Batch
+	est  *memest.Estimator
+	opts Options
+
+	attempts   int64 // K values tried, the K = 1 whole-batch check included
+	placements int64 // bucket placements measured by the grouping passes
+	probes     int64 // singleton estimates computed for the oversized check
+	reused     int64 // singleton estimates later K attempts took from the first
+}
+
 // Schedule is Algorithm 3: it searches for the smallest K whose
 // memory-balanced grouping fits the budget and returns the winning plan.
 func Schedule(b *sampling.Batch, est *memest.Estimator, opts Options) (*Plan, error) {
@@ -119,6 +138,7 @@ func Schedule(b *sampling.Batch, est *memest.Estimator, opts Options) (*Plan, er
 	if sc == nil {
 		sc = &Scratch{}
 	}
+	s := search{sc: sc, b: b, est: est, opts: opts}
 	base := bucket.BucketizeInto(&sc.buckets, b)
 	kmax := opts.KMax
 	if kmax <= 0 {
@@ -128,23 +148,22 @@ func Schedule(b *sampling.Batch, est *memest.Estimator, opts Options) (*Plan, er
 	if k < 1 {
 		k = 1
 	}
-	attempts := int64(0)
 	// K = 1 special case (Algorithm 3's "do not do anything" branch): if the
 	// whole batch fits, the original batch is the single micro-batch.
 	if k == 1 {
 		sc.ensureGroups(1)
 		whole := sc.groupPtrs[0]
 		whole.Buckets = append(whole.Buckets, base.Buckets...)
-		m, err := groupMem(est, b, whole, opts.DisableRedundancy)
+		m, err := s.groupMem(whole)
 		if err != nil {
 			return nil, err
 		}
-		attempts++
+		s.attempts++
 		if m <= opts.MemLimit {
 			sc.estimates = append(sc.estimates[:0], m)
 			plan := &sc.plan
 			*plan = Plan{K: 1, Groups: sc.groupPtrs[:1], Estimates: sc.estimates}
-			recordPlan(opts.Obs, plan, attempts)
+			s.record(plan)
 			return plan, nil
 		}
 		// No K below ceil(whole/limit) can be feasible — the total memory
@@ -155,29 +174,77 @@ func Schedule(b *sampling.Batch, est *memest.Estimator, opts Options) (*Plan, er
 			k = 2
 		}
 	}
+
+	// Only the explosion bucket's micro-buckets depend on K. Every other
+	// bucket — and whatever the oversized check splits it into — is the same
+	// at every K, so that prefix of the working list is built and probed
+	// once; each attempt truncates back to it and appends its own split.
+	target, exploded := base.DetectExplosion(opts.Explosion)
+	fixed := base.Buckets
+	if exploded {
+		// DetectExplosion only ever flags the cut-off bucket, which the
+		// degree-sorted bucketing lists last.
+		fixed = fixed[:len(fixed)-1]
+	}
+	sc.parts = sc.parts[:0]
+	sc.working = append(sc.working[:0], fixed...)
+	if err := s.splitOversized(0); err != nil {
+		return nil, err
+	}
+	fixedWorking, fixedParts, fixedProbes := len(sc.working), len(sc.parts), s.probes
 	for ; k <= kmax; k++ {
-		plan, ok, err := tryK(sc, b, base, est, k, opts)
+		s.attempts++
+		splitParts := 0
+		if exploded {
+			sc.parts = sc.parts[:fixedParts]
+			sc.working = append(sc.working[:fixedWorking], target)
+			splitParts = s.splitAt(fixedWorking, k)
+			if err := s.splitOversized(fixedWorking); err != nil {
+				return nil, err
+			}
+		}
+		groups, estimates, err := s.group(k)
 		if err != nil {
 			return nil, err
 		}
-		attempts++
-		if ok {
-			recordPlan(opts.Obs, plan, attempts)
-			return plan, nil
+		if !fits(estimates, opts.MemLimit) {
+			s.reused += fixedProbes // infeasible at this K; the next attempt probes only its own split
+			continue
 		}
+		plan := &sc.plan
+		*plan = Plan{
+			K: k, Groups: groups, Estimates: estimates,
+			Exploded: exploded, SplitParts: splitParts,
+		}
+		s.record(plan)
+		return plan, nil
 	}
 	return nil, fmt.Errorf("schedule: no feasible plan within K <= %d for budget %d bytes", kmax, opts.MemLimit)
 }
 
-// ensureGroups sizes the group slab and pointer slice to n, truncating each
-// slab entry's bucket list so its capacity survives across passes.
+func fits(estimates []int64, limit int64) bool {
+	for _, m := range estimates {
+		if m > limit {
+			return false
+		}
+	}
+	return true
+}
+
+// ensureGroups sizes the group slab, its accumulators and the pointer slice
+// to n, truncating each slab entry's bucket list so its capacity survives
+// across passes.
 func (sc *Scratch) ensureGroups(n int) {
 	if cap(sc.groupSlab) < n {
 		slab := make([]bucket.Group, n)
 		copy(slab, sc.groupSlab)
 		sc.groupSlab = slab
+		accs := make([]memest.GroupAcc, n)
+		copy(accs, sc.accs)
+		sc.accs = accs
 	}
 	sc.groupSlab = sc.groupSlab[:n]
+	sc.accs = sc.accs[:n]
 	sc.groupPtrs = sc.groupPtrs[:0]
 	for i := range sc.groupSlab {
 		sc.groupSlab[i].Buckets = sc.groupSlab[i].Buckets[:0]
@@ -185,15 +252,21 @@ func (sc *Scratch) ensureGroups(n int) {
 	}
 }
 
-// recordPlan emits the winning plan's scheduler decisions: how many K
-// values the search tried, the chosen K, whether the explosion bucket was
-// split (and into how many micro-buckets), and the plan's peak estimate.
-func recordPlan(r *obs.Recorder, plan *Plan, attempts int64) {
+// record emits the winning plan's scheduler decisions: how many K values
+// the search tried and how much measurement they cost (bucket placements
+// measured, singleton estimates computed and reused), the chosen K, whether
+// the explosion bucket was split (and into how many micro-buckets), and the
+// plan's peak estimate.
+func (s *search) record(plan *Plan) {
+	r := s.opts.Obs
 	if !r.Enabled() {
 		return
 	}
 	m := r.Metrics()
-	m.Counter("schedule/k_attempts").Add(attempts)
+	m.Counter("schedule/k_attempts").Add(s.attempts)
+	m.Counter("schedule/placements_measured").Add(s.placements)
+	m.Counter("schedule/singleton_probes").Add(s.probes)
+	m.Counter("schedule/singleton_reused").Add(s.reused)
 	m.Gauge("schedule/last_k").Set(int64(plan.K))
 	if plan.Exploded {
 		r.Event(obs.KindMark, "", "schedule/explosion_split", 0, 0, int64(plan.SplitParts))
@@ -201,70 +274,49 @@ func recordPlan(r *obs.Recorder, plan *Plan, attempts int64) {
 	r.Event(obs.KindMark, "", "schedule/plan", plan.MaxEstimate(), 0, int64(plan.K))
 }
 
-// tryK is one iteration of Algorithm 3's loop: split the explosion bucket
-// into K micro-buckets, run the memory-balanced grouping, and check the
-// budget.
-func tryK(sc *Scratch, b *sampling.Batch, base *bucket.Bucketing, est *memest.Estimator, k int, opts Options) (*Plan, bool, error) {
-	working := base
-	exploded := false
-	splitParts := 0
-	if target, ok := base.DetectExplosion(opts.Explosion); ok {
-		split, err := base.ReplaceWithSplit(target, k)
-		if err != nil {
-			return nil, false, err
-		}
-		working = split
-		exploded = true
-		splitParts = len(split.Buckets) - len(base.Buckets) + 1
+// splitAt replaces working[i] by its k micro-buckets, cut into the scratch
+// slab, and reports how many parts that made. A slab that grows moves to a
+// new array; buckets already pointed at stay where they were, unchanged.
+func (s *search) splitAt(i, k int) int {
+	sc := s.sc
+	from := len(sc.parts)
+	sc.parts = bucket.AppendSplit(sc.parts, sc.working[i], k)
+	n := len(sc.parts) - from
+	end := len(sc.working)
+	sc.working = slices.Grow(sc.working, n-1)[:end+n-1]
+	copy(sc.working[i+n:], sc.working[i+1:end])
+	for j := 0; j < n; j++ {
+		sc.working[i+j] = &sc.parts[from+j]
 	}
-	// §IV-A allows groups to hold "a portion of a large-sized degree-bucket"
-	// in general: any bucket whose own (redundancy-aware, singleton-group)
-	// estimate exceeds the budget can never fit a group, so split it into
-	// just enough micro-buckets. The check must use the same estimator the
-	// grouping feasibility check uses, or split buckets could still be
-	// rejected by every group.
-	for {
-		var oversized *bucket.Bucket
-		var parts int
-		for _, bu := range working.Buckets {
-			if bu.Volume() <= 1 {
-				continue
-			}
+	return n
+}
+
+// splitOversized walks working[from:]. §IV-A allows groups to hold "a
+// portion of a large-sized degree-bucket" in general: any bucket whose own
+// (redundancy-aware, singleton-group) estimate exceeds the budget can never
+// fit a group, so it is split into just enough micro-buckets, which are
+// checked in turn. The check must use the same estimator the grouping
+// feasibility check uses, or split buckets could still be rejected by every
+// group.
+func (s *search) splitOversized(from int) error {
+	sc := s.sc
+	for i := from; i < len(sc.working); {
+		bu := sc.working[i]
+		if bu.Volume() > 1 {
 			sc.probe.Buckets = append(sc.probe.Buckets[:0], bu)
-			m, err := groupMem(est, b, &sc.probe, opts.DisableRedundancy)
+			m, err := s.groupMem(&sc.probe)
 			if err != nil {
-				return nil, false, err
+				return err
 			}
-			if m > opts.MemLimit {
-				oversized = bu
-				parts = int(m/opts.MemLimit) + 1
-				break
+			s.probes++
+			if m > s.opts.MemLimit {
+				s.splitAt(i, int(m/s.opts.MemLimit)+1)
+				continue // re-check from the first part
 			}
 		}
-		if oversized == nil {
-			break
-		}
-		split, err := working.ReplaceWithSplit(oversized, parts)
-		if err != nil {
-			return nil, false, err
-		}
-		working = split
+		i++
 	}
-	groups, estimates, err := memBalancedGroupingInto(sc, b, working, est, k, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, m := range estimates {
-		if m > opts.MemLimit {
-			return nil, false, nil // infeasible at this K
-		}
-	}
-	plan := &sc.plan
-	*plan = Plan{
-		K: k, Groups: groups, Estimates: estimates,
-		Exploded: exploded, SplitParts: splitParts,
-	}
-	return plan, true, nil
+	return nil
 }
 
 // MemBalancedGrouping is Algorithm 4: sort buckets by estimated memory
@@ -273,23 +325,22 @@ func tryK(sc *Scratch, b *sampling.Batch, base *bucket.Bucketing, est *memest.Es
 // value = weight = estimated bucket memory). The result does not alias
 // opts.Scratch; reuse-minded callers go through Schedule.
 func MemBalancedGrouping(b *sampling.Batch, bk *bucket.Bucketing, est *memest.Estimator, k int, opts Options) ([]*bucket.Group, []int64, error) {
-	sc := &Scratch{}
-	groups, estimates, err := memBalancedGroupingInto(sc, b, bk, est, k, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return groups, estimates, nil
-}
-
-// memBalancedGroupingInto is MemBalancedGrouping building its groups and
-// estimates inside sc; the results alias the scratch.
-func memBalancedGroupingInto(sc *Scratch, b *sampling.Batch, bk *bucket.Bucketing, est *memest.Estimator, k int, opts Options) ([]*bucket.Group, []int64, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("schedule: K must be >= 1, got %d", k)
 	}
+	s := search{sc: &Scratch{working: bk.Buckets}, b: b, est: est, opts: opts}
+	return s.group(k)
+}
+
+// group runs Algorithm 4 over the scratch's working list, building its
+// groups and estimates inside the scratch. Each group keeps an estimator
+// accumulator, so a placement measures the placed bucket's sampled edges
+// only, not the group it joins.
+func (s *search) group(k int) ([]*bucket.Group, []int64, error) {
+	sc := s.sc
 	sc.items = sc.items[:0]
-	for _, bu := range bk.Buckets {
-		sc.items = append(sc.items, weighted{b: bu, m: est.BucketMem(bu.Volume(), bu.Degree)})
+	for _, bu := range sc.working {
+		sc.items = append(sc.items, weighted{b: bu, m: s.est.BucketMem(bu.Volume(), bu.Degree)})
 	}
 	sortWeightedDesc(sc.items)
 
@@ -310,12 +361,21 @@ func memBalancedGroupingInto(sc *Scratch, b *sampling.Batch, bk *bucket.Bucketin
 				best = gi
 			}
 		}
-		groups[best].Buckets = append(groups[best].Buckets, it.b)
-		m, err := groupMem(est, b, groups[best], opts.DisableRedundancy)
-		if err != nil {
+		g := groups[best]
+		g.Buckets = append(g.Buckets, it.b)
+		s.placements++
+		if s.opts.DisableRedundancy {
+			estimates[best] += it.m // R_group = 1: bucket estimates add up
+			continue
+		}
+		acc := &sc.accs[best]
+		if len(g.Buckets) == 1 {
+			s.est.BeginGroup(acc, s.b)
+		}
+		if err := s.est.AddBucket(acc, it.b); err != nil {
 			return nil, nil, err
 		}
-		estimates[best] = m
+		estimates[best] = s.est.AccMem(acc)
 	}
 	// Drop empty groups (K above the bucket count).
 	outG := groups[:0]
@@ -349,15 +409,15 @@ func sortWeightedDesc(items []weighted) {
 	}
 }
 
-// groupMem dispatches between the redundancy-aware estimator and its
-// ablation (R_group forced to 1).
-func groupMem(est *memest.Estimator, b *sampling.Batch, g *bucket.Group, disableRedundancy bool) (int64, error) {
-	if !disableRedundancy {
-		return est.GroupMem(b, g)
+// groupMem measures g in one shot, dispatching between the redundancy-aware
+// estimator and its ablation (R_group forced to 1).
+func (s *search) groupMem(g *bucket.Group) (int64, error) {
+	if !s.opts.DisableRedundancy {
+		return s.est.GroupMem(s.b, g)
 	}
 	var total int64
 	for _, bu := range g.Buckets {
-		total += est.BucketMem(bu.Volume(), bu.Degree)
+		total += s.est.BucketMem(bu.Volume(), bu.Degree)
 	}
 	return total, nil
 }
@@ -366,15 +426,11 @@ func groupMem(est *memest.Estimator, b *sampling.Batch, g *bucket.Group, disable
 // decreasing bin packing against the budget, with no balance objective. It
 // returns however many groups first-fit opens.
 func FirstFitGrouping(b *sampling.Batch, bk *bucket.Bucketing, est *memest.Estimator, memLimit int64) ([]*bucket.Group, []int64, error) {
-	type weighted struct {
-		b *bucket.Bucket
-		m int64
-	}
 	items := make([]weighted, 0, len(bk.Buckets))
 	for _, bu := range bk.Buckets {
 		items = append(items, weighted{b: bu, m: est.BucketMem(bu.Volume(), bu.Degree)})
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].m > items[j].m })
+	sortWeightedDesc(items)
 	var groups []*bucket.Group
 	var estimates []int64
 	for _, it := range items {
