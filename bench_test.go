@@ -468,6 +468,35 @@ func BenchmarkRunIteration_SequentialArxiv(b *testing.B) {
 	}
 }
 
+// BenchmarkRunIteration_SequentialLSTM is the sequential iteration on the
+// memory-wall configuration of the train-cora-lstm workload — cora, the first
+// 64 feature columns, hidden 16, batch 128, fanouts 5/5, K searched under
+// 2 MB — the one iteration that runs nn.LSTMCell. Its allocs/op is the fourth
+// number the report gate holds.
+func BenchmarkRunIteration_SequentialLSTM(b *testing.B) {
+	st := fixtures(b)
+	s, err := train.NewSession(st.cora, train.Config{
+		System: train.Buffalo,
+		Model: gnn.Config{Arch: gnn.SAGE, Aggregator: gnn.LSTM, Layers: 2,
+			InDim: 64, Hidden: 16, OutDim: st.cora.NumClasses, Seed: 1},
+		Fanouts:   []int{5, 5},
+		BatchSize: 128,
+		MemBudget: 2 * device.MB,
+		Seed:      7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.RunIteration(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRunIteration_Pipelined(b *testing.B) {
 	st := fixtures(b)
 	p, err := train.NewPipelinedSession(st.cora, train.Config{

@@ -23,19 +23,16 @@ var ShapeCheck = &Analyzer{
 // function: which argument indices hold the operands and which dims must
 // match. Given a is rows x cols:
 //
-//	MatMul:    a.Cols == b.Rows  (a @ b)
-//	MatMulATB: a.Rows == b.Rows  (aT @ b)
-//	MatMulABT: a.Cols == b.Cols  (a @ bT)
+//	MatMulInto:    a.Cols == b.Rows  (a @ b)
+//	MatMulATBInto: a.Rows == b.Rows  (aT @ b)
+//	MatMulABTInto: a.Cols == b.Cols  (a @ bT)
 var matmulShapes = map[string]struct {
 	aArg, bArg int
 	aDim, bDim int // 0 = rows, 1 = cols
 	rule       string
 }{
-	"MatMul":        {0, 1, 1, 0, "a.Cols == b.Rows"},
 	"MatMulInto":    {1, 2, 1, 0, "a.Cols == b.Rows"},
-	"MatMulATB":     {0, 1, 0, 0, "a.Rows == b.Rows"},
 	"MatMulATBInto": {1, 2, 0, 0, "a.Rows == b.Rows"},
-	"MatMulABT":     {0, 1, 1, 1, "a.Cols == b.Cols"},
 	"MatMulABTInto": {1, 2, 1, 1, "a.Cols == b.Cols"},
 }
 

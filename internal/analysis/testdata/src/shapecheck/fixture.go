@@ -21,10 +21,10 @@ func FoldedNegative() *tensor.Matrix {
 }
 
 // Mismatch multiplies 2x3 by 4x5.
-func Mismatch() *tensor.Matrix {
+func Mismatch(out *tensor.Matrix) {
 	a := tensor.New(2, 3)
 	b := tensor.New(4, 5)
-	return tensor.MatMul(a, b) // want:shapecheck
+	tensor.MatMulInto(out, a, b, false) // want:shapecheck
 }
 
 // MismatchATB violates the transpose contraction rule (a.Rows == b.Rows).
@@ -36,20 +36,20 @@ func MismatchATB() {
 }
 
 // MismatchInline checks operands built inline.
-func MismatchInline() *tensor.Matrix {
-	return tensor.MatMul(tensor.New(2, hidden), tensor.New(hidden+1, 4)) // want:shapecheck
+func MismatchInline(out *tensor.Matrix) {
+	tensor.MatMulABTInto(out, tensor.New(2, hidden), tensor.New(4, hidden+1), false) // want:shapecheck
 }
 
 // OK is a compatible product: clean.
-func OK() *tensor.Matrix {
+func OK(out *tensor.Matrix) {
 	a := tensor.New(2, hidden)
 	b := tensor.New(hidden, 5)
-	return tensor.MatMul(a, b)
+	tensor.MatMulInto(out, a, b, false)
 }
 
 // Unknown dims stay silent: clean.
-func Unknown(n int) *tensor.Matrix {
+func Unknown(n int, out *tensor.Matrix) {
 	a := tensor.New(n, 3)
 	b := tensor.New(4, 5)
-	return tensor.MatMul(a, b)
+	tensor.MatMulInto(out, a, b, false)
 }

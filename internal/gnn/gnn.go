@@ -301,6 +301,33 @@ func gatherTimesteps(dst []*tensor.Matrix, a *tensor.Arena, blk *block.Block, ro
 	return dst
 }
 
+// gatherStacked is gatherTimesteps into one matrix in nn.LSTMCell's stacked
+// layout: dst [degree*len(rows) x src.Cols] holds the neighbor positions as
+// blocks of len(rows) rows, last position first.
+func gatherStacked(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, src *tensor.Matrix) {
+	for t := 0; t < degree; t++ {
+		base := (degree - 1 - t) * len(rows)
+		for i, r := range rows {
+			copy(dst.Row(base+i), src.Row(int(blk.Adj[r][t])))
+		}
+	}
+}
+
+// scatterAddStacked is gatherStacked's backward: every row of src (stacked
+// like gatherStacked's dst) is added to the dst row it was gathered from,
+// position by position in ascending order.
+func scatterAddStacked(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, src *tensor.Matrix) {
+	for t := 0; t < degree; t++ {
+		base := (degree - 1 - t) * len(rows)
+		for i, r := range rows {
+			drow := dst.Row(int(blk.Adj[r][t]))
+			for j, v := range src.Row(base + i) {
+				drow[j] += v
+			}
+		}
+	}
+}
+
 // scatterAddRows adds each row of src into dst at the given row indices.
 func scatterAddRows(dst *tensor.Matrix, rows []int32, src *tensor.Matrix) {
 	for i, r := range rows {

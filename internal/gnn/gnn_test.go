@@ -772,3 +772,271 @@ func TestMultiHeadGAT(t *testing.T) {
 		}
 	}
 }
+
+// refSageLSTM is the SAGE-LSTM layer as it stood before the cell's input side
+// was hoisted out of the buckets: every bucket gathers its steps from xsrc and
+// runs them through the cell's per-sequence entry points (which internal/nn
+// holds, bit for bit, to the step-by-step cell they replaced), on plain
+// allocation, one projection and one input-side backward per bucket. It
+// shares the layer's parameters and accumulates into their gradients.
+type refSageLSTM struct {
+	l       *sageLayer
+	blk     *block.Block
+	xsrc    *tensor.Matrix
+	xdst    *tensor.Matrix
+	aggAll  *tensor.Matrix
+	pre     *tensor.Matrix
+	buckets []refLSTMBucket
+}
+
+type refLSTMBucket struct {
+	rows  []int32
+	cache *nn.LSTMCache
+}
+
+func refSageLSTMForward(l *sageLayer, blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matrix, *refSageLSTM) {
+	nDst := blk.NumDst()
+	st := &refSageLSTM{l: l, blk: blk, xsrc: xsrc,
+		xdst:   tensor.FromSlice(nDst, l.in, xsrc.Data[:nDst*l.in]),
+		aggAll: tensor.New(nDst, l.in)}
+	for _, db := range bucketizeBlock(blk) {
+		if db.degree == 0 {
+			continue
+		}
+		h, lc := l.lstm.RunSequence(gatherTimesteps(nil, nil, blk, db.rows, db.degree, xsrc))
+		scatterAddRows(st.aggAll, db.rows, h)
+		st.buckets = append(st.buckets, refLSTMBucket{rows: db.rows, cache: lc})
+	}
+	st.pre = tensor.New(nDst, l.out)
+	tensor.MatMulInto(st.pre, st.xdst, l.wSelf.Value, false)
+	tensor.MatMulInto(st.pre, st.aggAll, l.wNeigh.Value, true)
+	st.pre.AddRowVector(l.bias.Value)
+	if l.act {
+		return nn.ReLU(st.pre), st
+	}
+	return st.pre, st
+}
+
+func (st *refSageLSTM) backward(dH *tensor.Matrix, needDX bool) *tensor.Matrix {
+	l := st.l
+	dPre := dH
+	if l.act {
+		dPre = nn.ReLUBackward(st.pre, dH)
+	}
+	tensor.MatMulATBInto(l.wSelf.Grad, st.xdst, dPre, true)
+	tensor.MatMulATBInto(l.wNeigh.Grad, st.aggAll, dPre, true)
+	rowSum := tensor.New(1, l.out)
+	dPre.SumRowsInto(rowSum)
+	l.bias.Grad.AddInPlace(rowSum)
+	var dXsrc *tensor.Matrix
+	if needDX {
+		dXsrc = tensor.New(st.xsrc.Rows, l.in)
+		dXdst := tensor.New(dPre.Rows, l.in)
+		tensor.MatMulABTInto(dXdst, dPre, l.wSelf.Value, false)
+		copy(dXsrc.Data, dXdst.Data)
+	}
+	dAggAll := tensor.New(dPre.Rows, l.in)
+	tensor.MatMulABTInto(dAggAll, dPre, l.wNeigh.Value, false)
+	for _, bc := range st.buckets {
+		dSteps := l.lstm.BackwardSequence(bc.cache, gatherRows(nil, dAggAll, bc.rows))
+		if !needDX {
+			continue
+		}
+		for t, ds := range dSteps {
+			for i, r := range bc.rows {
+				drow := dXsrc.Row(int(st.blk.Adj[r][t]))
+				for j, v := range ds.Row(i) {
+					drow[j] += v
+				}
+			}
+		}
+	}
+	return dXsrc
+}
+
+func requireSameBits(t *testing.T, what string, got, want *tensor.Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, w := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got.Data[i], w)
+		}
+	}
+}
+
+// lstmHoistBlocks is a hand-built two-block chain (innermost first) with the
+// shapes the hoist could get wrong: a degree-0 destination in each block,
+// source rows no edge references (the last one included), a source read by
+// several edges and by several positions, and buckets of one and of two rows.
+func lstmHoistBlocks() []*block.Block {
+	ids := func(n int) []graph.NodeID {
+		out := make([]graph.NodeID, n)
+		for i := range out {
+			out[i] = graph.NodeID(i)
+		}
+		return out
+	}
+	return []*block.Block{
+		{Dst: ids(4), Src: ids(7), Adj: [][]int32{{4, 5, 1}, {4}, {}, {5, 4, 0}}},
+		{Dst: ids(2), Src: ids(4), Adj: [][]int32{{2, 3}, {}}},
+	}
+}
+
+// TestLSTMProjectionHoistBitIdentical: projecting xsrc once per layer and
+// gathering projected rows, and running Wx's gradient and the input gradient
+// once per layer over every bucket's stacked steps, gives the SAGE-LSTM layer
+// the bits of doing both per bucket on the gathered steps — output, input
+// gradient and every parameter gradient — for 1 and 2 layers, with and
+// without the bottom layer's input gradient, on plain allocation and on a
+// warm arena, over sampled and hand-built blocks.
+func TestLSTMProjectionHoistBitIdentical(t *testing.T) {
+	_, mb1, feat1, _ := tinySetup(t, 61, 40, 8, 3, 5, []int{3})
+	_, mb2, feat2, _ := tinySetup(t, 62, 40, 8, 3, 5, []int{3, 2})
+	hand := lstmHoistBlocks()
+	rng := rand.New(rand.NewSource(63))
+	featHand := tensor.New(hand[0].NumSrc(), 5)
+	for i := range featHand.Data {
+		featHand.Data[i] = rng.Float32() - 0.5
+	}
+	cases := []struct {
+		name   string
+		blocks []*block.Block
+		feats  *tensor.Matrix
+	}{
+		{"sampled-1", mb1.Blocks, feat1},
+		{"sampled-2", mb2.Blocks, feat2},
+		{"hand-1", hand[:1], featHand},
+		{"hand-2", hand, featHand},
+	}
+	for _, tc := range cases {
+		m, err := New(Config{Arch: SAGE, Aggregator: LSTM, Layers: len(tc.blocks), InDim: 5, Hidden: 6, OutDim: 3, Seed: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers := make([]*sageLayer, len(m.Layers))
+		for i, l := range m.Layers {
+			layers[i] = l.(*sageLayer)
+		}
+		top := tc.blocks[len(tc.blocks)-1]
+		dOut := tensor.New(top.NumDst(), 3)
+		for i := range dOut.Data {
+			dOut.Data[i] = rng.Float32() - 0.5
+		}
+		for _, needDX := range []bool{true, false} {
+			// Reference: per-step projections.
+			m.Params.ZeroGrad()
+			x := tc.feats
+			refs := make([]*refSageLSTM, len(layers))
+			for i, l := range layers {
+				x, refs[i] = refSageLSTMForward(l, tc.blocks[i], x)
+			}
+			wantOut := x
+			d := dOut
+			for i := len(layers) - 1; i >= 0; i-- {
+				d = refs[i].backward(d, i > 0 || needDX)
+			}
+			wantDX := d
+			var wantGrads []*tensor.Matrix
+			for _, p := range m.Params.Params() {
+				if p.Grad.MaxAbs() == 0 {
+					t.Fatalf("%s: reference left %s without gradient", tc.name, p.Name)
+				}
+				wantGrads = append(wantGrads, p.Grad.Clone())
+			}
+
+			for _, arena := range []*tensor.Arena{nil, tensor.NewArena(tensor.NewPool())} {
+				m.SetArena(arena)
+				for pass := 0; pass < 2; pass++ { // the arena's second pass runs on recycled matrices
+					m.Params.ZeroGrad()
+					x := tc.feats
+					caches := make([]LayerCache, len(layers))
+					for i, l := range layers {
+						x, caches[i], err = l.Forward(tc.blocks[i], x)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := caches[i].Bytes(), l.PlannedCacheBytes(tc.blocks[i]); got != want {
+							t.Fatalf("%s layer %d: cache bytes %d, planned %d", tc.name, i, got, want)
+						}
+					}
+					requireSameBits(t, tc.name+" output", x, wantOut)
+					d := dOut
+					for i := len(layers) - 1; i >= 0; i-- {
+						d, err = layers[i].Backward(caches[i], d, i > 0 || needDX)
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					if (d != nil) != needDX {
+						t.Fatalf("%s: input gradient present=%v, want %v", tc.name, d != nil, needDX)
+					}
+					if needDX {
+						requireSameBits(t, tc.name+" dX", d, wantDX)
+					}
+					for pi, p := range m.Params.Params() {
+						requireSameBits(t, tc.name+" grad "+p.Name, p.Grad, wantGrads[pi])
+					}
+					arena.Reset()
+				}
+			}
+		}
+	}
+}
+
+// TestLSTMWarmArenaAllocs: once the pool has seen a micro-batch's shapes, a
+// SAGE-LSTM layer's forward + backward checks out no fresh matrix, hands every
+// one back on Reset, and allocates nothing on the heap but the one closure
+// each GEMM call passes to its row splitter.
+func TestLSTMWarmArenaAllocs(t *testing.T) {
+	_, mb, features, _ := tinySetup(t, 71, 60, 12, 3, 8, []int{4})
+	blk := mb.Blocks[0]
+	m, err := New(Config{Arch: SAGE, Aggregator: LSTM, Layers: 1, InDim: 8, Hidden: 8, OutDim: 3, Seed: 72})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := tensor.NewPool()
+	arena := tensor.NewArena(pool)
+	m.SetArena(arena)
+	layer := m.Layers[0]
+	dOut := tensor.New(blk.NumDst(), 3)
+	for i := range dOut.Data {
+		dOut.Data[i] = float32(i%7) - 3
+	}
+	step := func() {
+		_, cache, err := layer.Forward(blk, features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := layer.Backward(cache, dOut, true); err != nil {
+			t.Fatal(err)
+		}
+		arena.Reset()
+	}
+	before := arena.Outstanding()
+	step()
+	cold := pool.Stats()
+	step()
+	warm := pool.Stats()
+	if warm.Misses != cold.Misses {
+		t.Errorf("warm pass missed the pool %d times", warm.Misses-cold.Misses)
+	}
+	if arena.Outstanding() != before || warm.Outstanding != 0 {
+		t.Errorf("after Reset: arena holds %d (was %d), pool outstanding %d", arena.Outstanding(), before, warm.Outstanding)
+	}
+
+	// GEMM calls: the hoisted projection, self + neighbor paths forward (3);
+	// their two weight gradients, dXdst, dAggAll, and the cell's dWx and dx
+	// backward (6); per bucket of degree d > 1: d-1 recurrent products
+	// forward, d-1 recurrent gradients and one dWh backward.
+	gemms := 9
+	for _, db := range bucketizeBlock(blk) {
+		if db.degree > 1 {
+			gemms += 2*(db.degree-1) + 1
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, step); allocs > float64(gemms) {
+		t.Errorf("warm forward+backward: %.0f allocs for %d GEMM calls", allocs, gemms)
+	}
+}

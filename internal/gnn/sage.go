@@ -65,7 +65,7 @@ func newSAGELayer(name string, agg Aggregator, in, out int, act bool, rng *rand.
 type sageBucketCache struct {
 	rows   []int32
 	degree int
-	steps  []*tensor.Matrix // gathered neighbor tensors, one per position
+	steps  []*tensor.Matrix // gathered neighbor tensors, one per position (the LSTM's are in sageCache.lstmX)
 	agg    *tensor.Matrix   // aggregated neighborhood [len(rows) x in]
 
 	// Pool aggregator state.
@@ -73,8 +73,8 @@ type sageBucketCache struct {
 	poolAct []*tensor.Matrix // post-ReLU transform per position
 	argmax  []int32          // winning position per (row, feature)
 
-	// LSTM aggregator state.
-	lstmCache *nn.LSTMCache
+	// LSTM aggregator state: the recurrence's trajectory over this bucket.
+	lstm nn.LSTMCache
 }
 
 func (c *sageBucketCache) bytes() int64 {
@@ -92,26 +92,23 @@ func (c *sageBucketCache) bytes() int64 {
 		b += s.Bytes()
 	}
 	b += int64(len(c.argmax)) * 4
-	if c.lstmCache != nil {
-		// The LSTM cache's x pointers alias c.steps; subtract to avoid
-		// double counting.
-		b += c.lstmCache.Bytes()
-		for _, s := range c.steps {
-			b -= s.Bytes()
-		}
-	}
-	return b
+	return b + c.lstm.Bytes()
 }
 
 // sageCache is one layer's forward state.
 type sageCache struct {
 	blk     *block.Block
 	xsrc    *tensor.Matrix
-	xdst    *tensor.Matrix // prefix view of xsrc, not separately allocated
+	xdst    tensor.Matrix  // prefix view of xsrc, not separately allocated
 	aggAll  *tensor.Matrix // aggregated neighborhoods for every destination
 	preAct  *tensor.Matrix
 	outAct  *tensor.Matrix // post-ReLU output (nil on the final layer)
 	buckets []*sageBucketCache
+
+	// lstmX holds the LSTM aggregator's gathered steps, one row per edge:
+	// bucket after bucket (ascending degree), each in nn.LSTMCell's stacked
+	// layout, so the cell's input-side backward is one product per layer.
+	lstmX *tensor.Matrix
 }
 
 // Bytes implements LayerCache: every tensor this layer allocated and keeps
@@ -124,6 +121,9 @@ func (c *sageCache) Bytes() int64 {
 	}
 	for _, bc := range c.buckets {
 		b += bc.bytes()
+	}
+	if c.lstmX != nil {
+		b += c.lstmX.Bytes()
 	}
 	return b
 }
@@ -148,7 +148,7 @@ func (l *sageLayer) PlannedCacheBytes(blk *block.Block) int64 {
 		case Pool:
 			b += 2*d*v*in + v*in // poolPre + poolAct + argmax (int32 == 4B)
 		case LSTM:
-			b += 8 * d * v * in // trajectory state beyond the aliased steps
+			b += 8 * d * v * in // trajectory state beyond the gathered steps
 		}
 	}
 	return b * 4
@@ -169,8 +169,18 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 	}
 	cache := &l.cache
 	*cache = sageCache{blk: blk, xsrc: xsrc, buckets: l.bcSlab[:len(dbs)]}
-	cache.xdst = tensor.FromSlice(nDst, l.in, xsrc.Data[:nDst*l.in]) // dst prefix view
+	cache.xdst = xsrc.RowRange(0, nDst) // dst prefix view
 	cache.aggAll = l.arena.Get(nDst, l.in)
+	var proj *tensor.Matrix
+	edge := 0 // first row of the current bucket in lstmX
+	if l.agg == LSTM {
+		// Every step's input is a gather of xsrc rows and the projection is
+		// row-local, so each source row is projected once here and the buckets
+		// gather the projected rows. A transient like dAggAll: not in Bytes().
+		proj = l.arena.Get(xsrc.Rows, 4*l.in)
+		l.lstm.ProjectInto(proj, xsrc)
+		cache.lstmX = l.arena.Get(int(blk.NumEdges()), l.in)
+	}
 
 	// Algorithm 1 lines 6-8: one batched aggregation per degree bucket.
 	for bi, db := range dbs {
@@ -181,13 +191,13 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 		bc.poolPre = bc.poolPre[:0]
 		bc.poolAct = bc.poolAct[:0]
 		bc.argmax = bc.argmax[:0]
-		bc.lstmCache = nil
+		bc.lstm.Reset()
 		if db.degree == 0 {
 			continue // isolated destinations aggregate nothing
 		}
-		bc.steps = gatherTimesteps(bc.steps, l.arena, blk, db.rows, db.degree, xsrc)
 		switch l.agg {
 		case Mean:
+			bc.steps = gatherTimesteps(bc.steps, l.arena, blk, db.rows, db.degree, xsrc)
 			agg := l.arena.Get(len(db.rows), l.in)
 			for _, s := range bc.steps {
 				agg.AddInPlace(s)
@@ -195,6 +205,7 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 			agg.Scale(1 / float32(db.degree))
 			bc.agg = agg
 		case Pool:
+			bc.steps = gatherTimesteps(bc.steps, l.arena, blk, db.rows, db.degree, xsrc)
 			for _, s := range bc.steps {
 				pre := l.pool.ForwardInto(l.arena.Get(s.Rows, l.in), s)
 				bc.poolPre = append(bc.poolPre, pre)
@@ -220,18 +231,19 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 			}
 			bc.agg = agg
 		case LSTM:
-			// The LSTM trajectory is the one aggregator left on plain
-			// allocation: its cache is built inside the cell and the path is
-			// cold relative to mean/pool.
-			h, lc := l.lstm.RunSequence(bc.steps)
-			bc.lstmCache = lc
-			bc.agg = h
+			m := db.degree * len(db.rows)
+			x := cache.lstmX.RowRange(edge, edge+m)
+			gatherStacked(&x, blk, db.rows, db.degree, xsrc)
+			z := l.arena.Get(m, 4*l.in)
+			gatherStacked(z, blk, db.rows, db.degree, proj)
+			bc.agg = l.lstm.Forward(&bc.lstm, l.arena, z, db.degree)
+			edge += m
 		}
 		scatterAddRows(cache.aggAll, db.rows, bc.agg)
 	}
 
 	pre := l.arena.Get(nDst, l.out)
-	tensor.MatMulInto(pre, cache.xdst, l.wSelf.Value, false)
+	tensor.MatMulInto(pre, &cache.xdst, l.wSelf.Value, false)
 	tensor.MatMulInto(pre, cache.aggAll, l.wNeigh.Value, true)
 	pre.AddRowVector(l.bias.Value)
 	cache.preAct = pre
@@ -257,7 +269,7 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 		dPre = nn.ReLUBackwardInto(l.arena.Get(dH.Rows, dH.Cols), cache.preAct, dH)
 	}
 	// preAct = xdst @ Wself + aggAll @ Wneigh + b
-	tensor.MatMulATBInto(l.wSelf.Grad, cache.xdst, dPre, true)
+	tensor.MatMulATBInto(l.wSelf.Grad, &cache.xdst, dPre, true)
 	tensor.MatMulATBInto(l.wNeigh.Grad, cache.aggAll, dPre, true)
 	rowSum := l.arena.Get(1, l.out)
 	dPre.SumRowsInto(rowSum)
@@ -277,6 +289,11 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 	// Neighbor path, per bucket.
 	dAggAll := l.arena.Get(dPre.Rows, l.in)
 	tensor.MatMulABTInto(dAggAll, dPre, l.wNeigh.Value, false)
+	var dzAll *tensor.Matrix // LSTM gate gradients, rows as in cache.lstmX
+	edge := 0
+	if l.agg == LSTM {
+		dzAll = l.arena.Get(cache.lstmX.Rows, 4*l.in)
+	}
 	for _, bc := range cache.buckets {
 		if bc.degree == 0 {
 			continue
@@ -308,11 +325,11 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 			}
 			l.dActs = dActs[:0]
 		case LSTM:
-			if needDX {
-				dSteps = append(dSteps, l.lstm.BackwardSequence(bc.lstmCache, dAgg)...)
-			} else {
-				l.lstm.BackwardParams(bc.lstmCache, dAgg)
-			}
+			m := bc.degree * len(bc.rows)
+			dz := dzAll.RowRange(edge, edge+m)
+			l.lstm.Backward(&bc.lstm, l.arena, dAgg, &dz)
+			edge += m
+			continue // the input side runs once for the layer, below
 		}
 		l.dSteps = dSteps[:0]
 		if !needDX {
@@ -327,6 +344,22 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 				for j, v := range srow {
 					drow[j] += v
 				}
+			}
+		}
+	}
+	if l.agg == LSTM {
+		var dxAll *tensor.Matrix
+		if needDX {
+			dxAll = l.arena.Get(cache.lstmX.Rows, l.in)
+		}
+		l.lstm.ProjectBackward(dxAll, cache.lstmX, dzAll)
+		if needDX {
+			edge = 0
+			for _, bc := range cache.buckets {
+				m := bc.degree * len(bc.rows)
+				dx := dxAll.RowRange(edge, edge+m)
+				scatterAddStacked(dXsrc, cache.blk, bc.rows, bc.degree, &dx)
+				edge += m
 			}
 		}
 	}

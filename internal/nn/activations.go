@@ -74,44 +74,6 @@ func LeakyReLUBackwardInto(dst, x, dy *tensor.Matrix, slope float32) *tensor.Mat
 	return dst
 }
 
-// Sigmoid computes 1/(1+e^-x) into a new matrix.
-func Sigmoid(x *tensor.Matrix) *tensor.Matrix {
-	y := x.Clone()
-	y.Apply(sigmoidScalar)
-	return y
-}
-
-// SigmoidBackwardFromOutput returns dx given the forward OUTPUT s:
-// dx = dy ⊙ s ⊙ (1-s). Taking the output avoids recomputing exp.
-func SigmoidBackwardFromOutput(s, dy *tensor.Matrix) *tensor.Matrix {
-	dx := dy.Clone()
-	for i, sv := range s.Data {
-		dx.Data[i] *= sv * (1 - sv)
-	}
-	return dx
-}
-
-// Tanh computes tanh(x) into a new matrix.
-func Tanh(x *tensor.Matrix) *tensor.Matrix {
-	y := x.Clone()
-	y.Apply(func(v float32) float32 { return float32(math.Tanh(float64(v))) })
-	return y
-}
-
-// TanhBackwardFromOutput returns dx given the forward OUTPUT t:
-// dx = dy ⊙ (1 - t²).
-func TanhBackwardFromOutput(t, dy *tensor.Matrix) *tensor.Matrix {
-	dx := dy.Clone()
-	for i, tv := range t.Data {
-		dx.Data[i] *= 1 - tv*tv
-	}
-	return dx
-}
-
-func sigmoidScalar(v float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(v))))
-}
-
 // ELU computes x for x>0 and alpha*(e^x - 1) otherwise.
 func ELU(x *tensor.Matrix, alpha float32) *tensor.Matrix {
 	return ELUInto(tensor.New(x.Rows, x.Cols), x, alpha)

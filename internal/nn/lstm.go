@@ -1,16 +1,31 @@
 package nn
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 
 	"buffalo/internal/tensor"
 )
 
 // LSTMCell is a standard LSTM with concatenated gate weights in i,f,g,o
 // order. GraphSAGE's LSTM aggregator runs the cell over a node's neighbor
-// features as a sequence and takes the final hidden state; that use is
-// exactly what RunSequence/BackwardSequence implement (full BPTT).
+// features as a sequence and takes the final hidden state (full BPTT from the
+// zero state).
+//
+// The cell is split along the one dependency it has. The input side —
+// x @ Wx forward, Wx's gradient and the input gradient backward — is
+// row-local or a plain sum over rows, so it runs outside the recurrence, once
+// for as many sequences as the caller stacks: ProjectInto and
+// ProjectBackward. Forward and Backward are the recurrence alone, over one
+// batch of n sequences of equal length.
+//
+// Stacked layout. A T-step batch of n sequences is one [T*n x w] matrix
+// holding the steps as blocks of n rows, latest step first: step t is rows
+// [(T-1-t)*n, (T-t)*n). Backward walks the steps from the last to the first,
+// so in this layout the products that sum over steps (Wx's and Wh's
+// gradients) are single GEMMs over consecutive rows, and their float32 sums
+// run in the order step-by-step calls would produce.
 type LSTMCell struct {
 	In, Hidden int
 	Wx         *Param // [in x 4h]
@@ -39,157 +54,262 @@ func NewLSTMCell(name string, in, hidden int, rng *rand.Rand) *LSTMCell {
 // Register adds the cell's parameters to ps.
 func (c *LSTMCell) Register(ps *ParamSet) { ps.MustAdd(c.Wx, c.Wh, c.B) }
 
-// lstmStep caches everything one timestep's backward pass needs.
-type lstmStep struct {
-	x          *tensor.Matrix // input at this step [n x in]
-	hPrev      *tensor.Matrix // [n x h]
-	cPrev      *tensor.Matrix // [n x h]
-	i, f, g, o *tensor.Matrix // gate activations [n x h]
-	c          *tensor.Matrix // new cell state [n x h]
-	tanhC      *tensor.Matrix // tanh(c) [n x h]
+// LSTMCache is the forward trajectory Backward consumes, every matrix in the
+// stacked layout. A zero LSTMCache is ready for Forward, and one value can be
+// reused for batch after batch. Its matrices live as long as the arena
+// Forward drew them from.
+type LSTMCache struct {
+	n, steps int
+	gates    *tensor.Matrix // activated i|f|g|o blocks [T*n x 4h], the caller's z
+	c        *tensor.Matrix // cell states [T*n x h]
+	tanhC    *tensor.Matrix // tanh(c) [T*n x h]
+	h        *tensor.Matrix // hidden states [T*n x h]
+	final    tensor.Matrix  // view of h's first block: the last step's hidden state
+	zero     []float32      // one row of the state before step 0, never written
+
+	x *tensor.Matrix // RunSequence's stacked inputs; Forward's caller keeps its own
 }
 
-// LSTMCache stores the forward trajectory RunSequence produced; pass it to
-// BackwardSequence.
-type LSTMCache struct {
-	steps []lstmStep
-	n     int
-}
+// Reset empties the cache, so Bytes reports 0 and Backward does nothing.
+func (c *LSTMCache) Reset() { c.n, c.steps, c.x = 0, 0, nil }
+
+// block returns the rows [lo, hi) step t occupies in the stacked layout; step
+// t-1's rows are the n after them.
+func (c *LSTMCache) block(t int) (lo, hi int) { return (c.steps - 1 - t) * c.n, (c.steps - t) * c.n }
 
 // Bytes reports the activation footprint of the cached trajectory — the
-// quantity the simulated GPU charges for LSTM aggregation working memory.
+// quantity the simulated GPU charges for LSTM aggregation working memory. It
+// is a function of the shapes alone: per step eight [n x h] state matrices
+// (previous h and c, four gates, c, tanh(c)), the set a framework that keeps
+// each of them as its own tensor holds for backward, plus the inputs when the
+// cache holds them (RunSequence).
 func (c *LSTMCache) Bytes() int64 {
-	var b int64
-	for _, s := range c.steps {
-		b += s.x.Bytes() + s.hPrev.Bytes() + s.cPrev.Bytes() +
-			s.i.Bytes() + s.f.Bytes() + s.g.Bytes() + s.o.Bytes() +
-			s.c.Bytes() + s.tanhC.Bytes()
+	if c.steps == 0 {
+		return 0
+	}
+	b := 8 * int64(c.steps) * int64(c.n) * int64(c.h.Cols) * 4
+	if c.x != nil {
+		b += c.x.Bytes()
 	}
 	return b
 }
 
-// RunSequence feeds xs[0..T-1] (each [n x in]) through the cell starting from
-// zero state and returns the final hidden state [n x hidden] plus the cache
-// for backward. An empty sequence returns a zero hidden state.
-func (c *LSTMCell) RunSequence(xs []*tensor.Matrix) (*tensor.Matrix, *LSTMCache) {
-	if len(xs) == 0 {
-		return tensor.New(0, c.Hidden), &LSTMCache{} //buffalo:vet-ignore shapecheck empty sequence yields an empty hidden state
+// ProjectInto writes the input projection x @ Wx into z [x.Rows x 4h], the
+// form Forward takes its inputs in. The product is row-local, so the
+// projection of gathered rows is the gathered rows of the projection: a
+// caller whose steps repeat rows of one matrix projects that matrix once.
+func (c *LSTMCell) ProjectInto(z, x *tensor.Matrix) {
+	tensor.MatMulInto(z, x, c.Wx.Value, false)
+}
+
+// ProjectBackward is ProjectInto's backward: given the gate gradients dz that
+// Backward produced for inputs x (same rows, any number of stacked batches),
+// it adds xᵀ @ dz to Wx's gradient and, with a non-nil dx [x.Rows x in],
+// writes the input gradient dz @ Wxᵀ into it.
+func (c *LSTMCell) ProjectBackward(dx, x, dz *tensor.Matrix) {
+	tensor.MatMulATBInto(c.Wx.Grad, x, dz, true)
+	if dx != nil {
+		tensor.MatMulABTInto(dx, dz, c.Wx.Value, false)
 	}
-	n := xs[0].Rows
-	h := tensor.New(n, c.Hidden)
-	cs := tensor.New(n, c.Hidden)
-	cache := &LSTMCache{n: n, steps: make([]lstmStep, 0, len(xs))}
-	for _, x := range xs {
-		if x.Rows != n || x.Cols != c.In {
-			panic(fmt.Sprintf("nn: lstm input %dx%d, want %dx%d", x.Rows, x.Cols, n, c.In))
+}
+
+// Forward runs the recurrence over a stacked batch of steps >= 1 steps from
+// the zero state and returns the last step's hidden state [n x hidden], a
+// view into cache. z holds the input projections (ProjectInto of the stacked
+// inputs); the cell adds the recurrent term and the bias to them, activates
+// them in place and keeps z in cache until Backward. Step 0 adds no h @ Wh:
+// the state before it is zero by construction, so the product is. Every
+// matrix comes from a (nil: plain allocation).
+func (c *LSTMCell) Forward(cache *LSTMCache, a *tensor.Arena, z *tensor.Matrix, steps int) *tensor.Matrix {
+	hd := c.Hidden
+	if steps < 1 || z.Rows%steps != 0 || z.Cols != 4*hd {
+		panicLSTM("projection vs [steps x 4h], rows a multiple of steps", z.Rows, z.Cols, steps, 4*hd)
+	}
+	n := z.Rows / steps
+	cache.n, cache.steps, cache.x = n, steps, nil
+	cache.gates = z
+	cache.c, cache.tanhC, cache.h = a.Get(z.Rows, hd), a.Get(z.Rows, hd), a.Get(z.Rows, hd)
+	if len(cache.zero) < hd {
+		cache.zero = make([]float32, hd)
+	}
+	for t := 0; t < steps; t++ {
+		if t > 0 {
+			lo, hi := cache.block(t)
+			zt, hPrev := z.RowRange(lo, hi), cache.h.RowRange(hi, hi+n)
+			tensor.MatMulInto(&zt, &hPrev, c.Wh.Value, true)
 		}
-		z := tensor.MatMul(x, c.Wx.Value)
-		tensor.MatMulInto(z, h, c.Wh.Value, true)
-		z.AddRowVector(c.B.Value)
-		i, f, g, o := c.splitGates(z)
-		i.Apply(sigmoidScalar)
-		f.Apply(sigmoidScalar)
-		g = Tanh(g)
-		o.Apply(sigmoidScalar)
-		newC := tensor.Hadamard(f, cs)
-		newC.AddInPlace(tensor.Hadamard(i, g))
-		tanhC := Tanh(newC)
-		newH := tensor.Hadamard(o, tanhC)
-		cache.steps = append(cache.steps, lstmStep{
-			x: x, hPrev: h, cPrev: cs,
-			i: i, f: f, g: g, o: o, c: newC, tanhC: tanhC,
-		})
-		h, cs = newH, newC
+		c.gatesForward(cache, t)
 	}
-	return h, cache
+	cache.final = cache.h.RowRange(0, n)
+	return &cache.final
 }
 
-// splitGates copies z's four gate blocks into separate [n x h] matrices
-// (i, f, g, o order). g is returned pre-activation; callers apply tanh.
-func (c *LSTMCell) splitGates(z *tensor.Matrix) (i, f, g, o *tensor.Matrix) {
-	n, h := z.Rows, c.Hidden
-	i, f, g, o = tensor.New(n, h), tensor.New(n, h), tensor.New(n, h), tensor.New(n, h)
-	for r := 0; r < n; r++ {
-		row := z.Row(r)
-		copy(i.Row(r), row[0:h])
-		copy(f.Row(r), row[h:2*h])
-		copy(g.Row(r), row[2*h:3*h])
-		copy(o.Row(r), row[3*h:4*h])
+// gatesForward turns step t's rows of cache.gates from pre-activations
+// without bias into gate activations and fills the same rows of c, tanhC and
+// h. Per element it is the unfused sequence z += b; i,f,o = σ(z),
+// g = tanh(z); c = f⊙cPrev + i⊙g; h = o⊙tanh(c), each product rounded to
+// float32 before the add.
+func (c *LSTMCell) gatesForward(cache *LSTMCache, t int) {
+	n, hd := cache.n, c.Hidden
+	bias := c.B.Value.Data
+	bi, bf, bg, bo := bias[:hd], bias[hd:2*hd], bias[2*hd:3*hd], bias[3*hd:4*hd]
+	cp := cache.zero[:hd]
+	lo, hi := cache.block(t)
+	for r := lo; r < hi; r++ {
+		z := cache.gates.Data[r*4*hd : (r+1)*4*hd]
+		zi, zf, zg, zo := z[:hd], z[hd:2*hd], z[2*hd:3*hd], z[3*hd:4*hd]
+		if t > 0 {
+			cp = cache.c.Data[(r+n)*hd : (r+n+1)*hd]
+		}
+		cn := cache.c.Data[r*hd : (r+1)*hd]
+		tc := cache.tanhC.Data[r*hd : (r+1)*hd]
+		hn := cache.h.Data[r*hd : (r+1)*hd]
+		for j := range hd {
+			ig := sigmoid32(zi[j] + bi[j])
+			fg := sigmoid32(zf[j] + bf[j])
+			gg := tanh32(zg[j] + bg[j])
+			og := sigmoid32(zo[j] + bo[j])
+			zi[j], zf[j], zg[j], zo[j] = ig, fg, gg, og
+			cv := float32(fg*cp[j]) + float32(ig*gg)
+			tv := tanh32(cv)
+			cn[j], tc[j], hn[j] = cv, tv, og*tv
+		}
 	}
-	return i, f, g, o
 }
 
-// BackwardSequence backpropagates dhFinal (gradient of the final hidden
-// state, [n x hidden]) through the cached trajectory, accumulating weight
-// gradients and returning the gradient for each input timestep.
-func (c *LSTMCell) BackwardSequence(cache *LSTMCache, dhFinal *tensor.Matrix) []*tensor.Matrix {
-	dxs := make([]*tensor.Matrix, len(cache.steps))
-	c.backward(cache, dhFinal, dxs)
-	return dxs
-}
-
-// BackwardParams is BackwardSequence for a caller that discards the input
-// gradients: it accumulates the same weight gradients, bit for bit, and
-// skips the per-timestep dz @ Wxᵀ products.
-func (c *LSTMCell) BackwardParams(cache *LSTMCache, dhFinal *tensor.Matrix) {
-	c.backward(cache, dhFinal, nil)
-}
-
-// backward runs BPTT over the cached trajectory; a non-nil dxs (one slot per
-// timestep) receives the input gradients.
-func (c *LSTMCell) backward(cache *LSTMCache, dhFinal *tensor.Matrix, dxs []*tensor.Matrix) {
-	T := len(cache.steps)
+// Backward backpropagates dhFinal (gradient of the last step's hidden state,
+// [n x hidden]) through the cached trajectory: it overwrites dz (stacked like
+// Forward's z) with the gradient of every step's gate pre-activations and
+// accumulates Wh's and the bias's gradients. The input side is the caller's:
+// ProjectBackward(dx, x, dz). Step 0 adds nothing to Wh's gradient — its
+// previous hidden state is the zero state — and nothing precedes it to read a
+// recurrent gradient. Working buffers come from a (nil: plain allocation).
+func (c *LSTMCell) Backward(cache *LSTMCache, a *tensor.Arena, dhFinal, dz *tensor.Matrix) {
+	T, n, hd := cache.steps, cache.n, c.Hidden
 	if T == 0 {
 		return
 	}
-	n := cache.n
-	dh := dhFinal.Clone()
-	dc := tensor.New(n, c.Hidden)
+	if dhFinal.Rows != n || dhFinal.Cols != hd {
+		panicLSTM("output gradient vs [n x h]", dhFinal.Rows, dhFinal.Cols, n, hd)
+	}
+	if dz.Rows != T*n || dz.Cols != 4*hd {
+		panicLSTM("gate gradient vs [steps*n x 4h]", dz.Rows, dz.Cols, T*n, 4*hd)
+	}
+	dc := a.Get(n, hd)
+	bsum := a.Get(1, 4*hd)
+	dh := dhFinal
+	var dhPrev *tensor.Matrix
+	if T > 1 {
+		dhPrev = a.Get(n, hd)
+	}
 	for t := T - 1; t >= 0; t-- {
-		s := cache.steps[t]
-		// h = o ⊙ tanh(c)
-		do := tensor.Hadamard(dh, s.tanhC)
-		dtc := tensor.Hadamard(dh, s.o)
-		// dc += dtc ⊙ (1 - tanh²(c))
-		for i2, tv := range s.tanhC.Data {
-			dc.Data[i2] += dtc.Data[i2] * (1 - tv*tv)
-		}
-		// c = f ⊙ cPrev + i ⊙ g
-		di := tensor.Hadamard(dc, s.g)
-		dg := tensor.Hadamard(dc, s.i)
-		df := tensor.Hadamard(dc, s.cPrev)
-		dcPrev := tensor.Hadamard(dc, s.f)
-		// Gate pre-activations.
-		dzi := SigmoidBackwardFromOutput(s.i, di)
-		dzf := SigmoidBackwardFromOutput(s.f, df)
-		dzg := TanhBackwardFromOutput(s.g, dg)
-		dzo := SigmoidBackwardFromOutput(s.o, do)
-		dz := c.concatGates(dzi, dzf, dzg, dzo)
-		// Parameter gradients.
-		tensor.MatMulATBInto(c.Wx.Grad, s.x, dz, true)
-		tensor.MatMulATBInto(c.Wh.Grad, s.hPrev, dz, true)
-		c.B.Grad.AddInPlace(dz.SumRows())
-		// Input and recurrent gradients; nothing precedes step 0 to read dh.
-		if dxs != nil {
-			dxs[t] = tensor.MatMulABT(dz, c.Wx.Value)
-		}
+		c.gatesBackward(cache, t, dz, bsum, dc, dh)
+		c.B.Grad.AddInPlace(bsum)
 		if t > 0 {
-			dh = tensor.MatMulABT(dz, c.Wh.Value)
+			dzt := dz.RowRange(cache.block(t))
+			tensor.MatMulABTInto(dhPrev, &dzt, c.Wh.Value, false)
+			dh = dhPrev
 		}
-		dc = dcPrev
+	}
+	if T > 1 {
+		// Wh.Grad += h_{t-1}ᵀ @ dz_t for t = T-1 .. 1: one sum over rows.
+		hPrev, dzs := cache.h.RowRange(n, T*n), dz.RowRange(0, (T-1)*n)
+		tensor.MatMulATBInto(c.Wh.Grad, &hPrev, &dzs, true)
 	}
 }
 
-// concatGates packs four [n x h] gate gradients back into one [n x 4h] block.
-func (c *LSTMCell) concatGates(i, f, g, o *tensor.Matrix) *tensor.Matrix {
-	n, h := i.Rows, c.Hidden
-	z := tensor.New(n, 4*h)
-	for r := 0; r < n; r++ {
-		row := z.Row(r)
-		copy(row[0:h], i.Row(r))
-		copy(row[h:2*h], f.Row(r))
-		copy(row[2*h:3*h], g.Row(r))
-		copy(row[3*h:4*h], o.Row(r))
+// gatesBackward overwrites step t's rows of dz with the gradient of that
+// step's gate pre-activations and bsum with their column sums (rows added in
+// ascending order), and turns dc from the gradient flowing into this step's
+// cell state from the next step into the one flowing into the previous
+// step's. Per element: do = dh⊙tanh(c), dc += dh⊙o⊙(1-tanh²(c)), di = dc⊙g,
+// dg = dc⊙i, df = dc⊙cPrev, then each through its activation's derivative
+// taken from the output.
+func (c *LSTMCell) gatesBackward(cache *LSTMCache, t int, dz, bsum, dc, dh *tensor.Matrix) {
+	n, hd := cache.n, c.Hidden
+	bs := bsum.Data[:4*hd]
+	clear(bs)
+	cp := cache.zero[:hd]
+	lo, hi := cache.block(t)
+	for r := lo; r < hi; r++ {
+		g := cache.gates.Data[r*4*hd : (r+1)*4*hd]
+		gi, gf, gg, gO := g[:hd], g[hd:2*hd], g[2*hd:3*hd], g[3*hd:4*hd]
+		d := dz.Data[r*4*hd : (r+1)*4*hd]
+		di, df, dg, dO := d[:hd], d[hd:2*hd], d[2*hd:3*hd], d[3*hd:4*hd]
+		tc := cache.tanhC.Data[r*hd : (r+1)*hd]
+		if t > 0 {
+			cp = cache.c.Data[(r+n)*hd : (r+n+1)*hd]
+		}
+		dhr := dh.Data[(r-lo)*hd : (r-lo+1)*hd]
+		dcr := dc.Data[(r-lo)*hd : (r-lo+1)*hd]
+		for j := range hd {
+			iv, fv, gv, ov, tv := gi[j], gf[j], gg[j], gO[j], tc[j]
+			dtc := dhr[j] * ov
+			dcv := dcr[j] + dtc*(1-tv*tv)
+			di[j] = (dcv * gv) * (iv * (1 - iv))
+			df[j] = (dcv * cp[j]) * (fv * (1 - fv))
+			dg[j] = (dcv * iv) * (1 - gv*gv)
+			dO[j] = (dhr[j] * tv) * (ov * (1 - ov))
+			dcr[j] = dcv * fv
+		}
+		for j, v := range d {
+			bs[j] += v
+		}
 	}
-	return z
 }
+
+// RunSequence feeds xs[0..T-1] (each [n x in]) through the cell on plain
+// allocation and returns the final hidden state [n x hidden] plus the cache
+// for BackwardSequence. An empty sequence returns an empty hidden state.
+func (c *LSTMCell) RunSequence(xs []*tensor.Matrix) (*tensor.Matrix, *LSTMCache) {
+	cache := &LSTMCache{}
+	T := len(xs)
+	if T == 0 {
+		return &tensor.Matrix{Cols: c.Hidden}, cache
+	}
+	n := xs[0].Rows
+	x := tensor.New(T*n, c.In)
+	for t, xt := range xs {
+		if xt.Rows != n || xt.Cols != c.In {
+			panicLSTM("input vs [n x in]", xt.Rows, xt.Cols, n, c.In)
+		}
+		copy(x.Data[(T-1-t)*n*c.In:], xt.Data)
+	}
+	z := tensor.New(T*n, 4*c.Hidden)
+	c.ProjectInto(z, x)
+	h := c.Forward(cache, nil, z, T)
+	cache.x = x
+	return h, cache
+}
+
+// BackwardSequence backpropagates dhFinal through RunSequence's cache,
+// accumulating the weight gradients and returning the gradient for each input
+// timestep.
+func (c *LSTMCell) BackwardSequence(cache *LSTMCache, dhFinal *tensor.Matrix) []*tensor.Matrix {
+	T, n := cache.steps, cache.n
+	dxs := make([]*tensor.Matrix, T)
+	if T == 0 {
+		return dxs
+	}
+	dz, dx := tensor.New(T*n, 4*c.Hidden), tensor.New(T*n, c.In)
+	c.Backward(cache, nil, dhFinal, dz)
+	c.ProjectBackward(dx, cache.x, dz)
+	for t := range dxs {
+		step := dx.RowRange(cache.block(t))
+		dxs[t] = &step
+	}
+	return dxs
+}
+
+// panicLSTM reports a shape violation as "what: RxC vs RxC". The fused loops
+// index raw slices, so every shape they assume is checked first; one cold
+// function keeps the message formatting off the hot-path allocation census
+// (cf. tensor's panicShape).
+func panicLSTM(what string, rows, cols, wantRows, wantCols int) {
+	panic("nn: lstm " + what + ": " + strconv.Itoa(rows) + "x" + strconv.Itoa(cols) +
+		" vs " + strconv.Itoa(wantRows) + "x" + strconv.Itoa(wantCols))
+}
+
+func sigmoid32(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
+
+func tanh32(v float32) float32 { return float32(math.Tanh(float64(v))) }

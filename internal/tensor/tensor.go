@@ -75,6 +75,13 @@ func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice view (aliasing the matrix storage).
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// RowRange returns rows [lo, hi) of m as a matrix value sharing m's storage —
+// a view for handing a block of a stacked matrix to a kernel without
+// allocating. Views are not pool citizens: never Put one.
+func (m *Matrix) RowRange(lo, hi int) Matrix {
+	return Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)
@@ -95,13 +102,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 		panicShape("CopyFrom shape", m.Rows, m.Cols, src.Rows, src.Cols)
 	}
 	copy(m.Data, src.Data)
-}
-
-// MatMul computes a @ b into a new matrix.
-func MatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b, false)
-	return out
 }
 
 // The three GEMM kernels below share one accumulation contract. Every output
@@ -187,13 +187,6 @@ func parallelRows(n int, flops int64, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// MatMulATB computes aᵀ @ b into a new matrix (used for weight gradients).
-func MatMulATB(a, b *Matrix) *Matrix {
-	out := New(a.Cols, b.Cols)
-	MatMulATBInto(out, a, b, false)
-	return out
-}
-
 // MatMulATBInto computes out = aᵀ @ b, or out += aᵀ @ b when accumulate.
 // Workers own disjoint ranges of out's rows (columns of a) and each scans all
 // of a and b.
@@ -235,13 +228,6 @@ func MatMulATBInto(out, a, b *Matrix, accumulate bool) {
 			}
 		}
 	})
-}
-
-// MatMulABT computes a @ bᵀ into a new matrix (used for input gradients).
-func MatMulABT(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
-	MatMulABTInto(out, a, b, false)
-	return out
 }
 
 // MatMulABTInto computes out = a @ bᵀ, or out += a @ bᵀ when accumulate.
@@ -334,16 +320,6 @@ func (m *Matrix) Scale(alpha float32) {
 	}
 }
 
-// Hadamard returns a ⊙ b (elementwise product).
-func Hadamard(a, b *Matrix) *Matrix {
-	checkSameShape("Hadamard", a, b)
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = v * b.Data[i]
-	}
-	return out
-}
-
 // HadamardInto computes out = a ⊙ b, or out += a ⊙ b when accumulate.
 func HadamardInto(out, a, b *Matrix, accumulate bool) {
 	checkSameShape("HadamardInto", a, b)
@@ -372,13 +348,6 @@ func (m *Matrix) AddRowVector(vec *Matrix) {
 	}
 }
 
-// SumRows returns the 1 x Cols column-wise sum of m (bias gradients).
-func (m *Matrix) SumRows() *Matrix {
-	out := New(1, m.Cols)
-	m.SumRowsInto(out)
-	return out
-}
-
 // SumRowsInto overwrites out (1 x Cols) with the column-wise sum of m.
 func (m *Matrix) SumRowsInto(out *Matrix) {
 	if out.Rows != 1 || out.Cols != m.Cols {
@@ -390,13 +359,6 @@ func (m *Matrix) SumRowsInto(out *Matrix) {
 		for j, v := range row {
 			out.Data[j] += v
 		}
-	}
-}
-
-// Apply maps f over every element in place.
-func (m *Matrix) Apply(f func(float32) float32) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
 	}
 }
 

@@ -1,8 +1,11 @@
 package train
 
 import (
+	"math"
 	"testing"
 
+	"buffalo/internal/device"
+	"buffalo/internal/gnn"
 	"buffalo/internal/graph"
 )
 
@@ -88,6 +91,51 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 				t.Fatalf("%s iteration %d: pooled loss %v != unpooled %v",
 					tc.name, i, pooled[i], plain[i])
 			}
+		}
+	}
+}
+
+// TestLSTMIterationUnderPoison: the LSTM aggregator keeps its trajectory —
+// gate blocks activated in place, c, tanh(c), h per step — in arena matrices
+// from a micro-batch's forward until its backward, and the arena is reset
+// between micro-batches. Two iterations at the train-cora-lstm shape (K > 1
+// under 2 MB, so matrices recycle within an iteration) must give the bits of
+// a session with pooling off. scripts/check.sh also runs this under -tags
+// tensordebug, where every released matrix is NaN until its next checkout
+// zeroes it and the unpooled session, which releases nothing, is the plain
+// build's arithmetic: a trajectory read after its arena's Reset poisons the
+// loss there.
+func TestLSTMIterationUnderPoison(t *testing.T) {
+	ds := loadData(t, "cora")
+	run := func(disablePooling bool) []float32 {
+		cfg := baseConfig(ds, Buffalo)
+		cfg.Model.Aggregator = gnn.LSTM
+		cfg.Model.InDim, cfg.Model.Hidden = 64, 16
+		cfg.Fanouts, cfg.BatchSize, cfg.MemBudget = []int{5, 5}, 128, 2*device.MB
+		cfg.DisablePooling = disablePooling
+		s, err := NewSession(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var out []float32
+		for i := 0; i < 2; i++ {
+			r, err := s.RunIteration()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.K < 2 {
+				t.Fatalf("iteration %d: K = %d, want the budget to force K > 1", i, r.K)
+			}
+			out = append(out, r.Loss)
+		}
+		return out
+	}
+	pooled, plain := run(false), run(true)
+	for i := range plain {
+		if math.IsNaN(float64(plain[i])) || math.Float32bits(pooled[i]) != math.Float32bits(plain[i]) {
+			t.Fatalf("iteration %d: pooled loss %v (%08x), unpooled %v (%08x)", i,
+				pooled[i], math.Float32bits(pooled[i]), plain[i], math.Float32bits(plain[i]))
 		}
 	}
 }

@@ -12,9 +12,10 @@
 #                      until it is optimized away, justified with a
 #                      //buffalo:vet-ignore, or deliberately re-baselined
 #                      with -baseline-write
-#   4. report gate     a small deterministic cora run plus the three
+#   4. report gate     a small deterministic cora run plus the four
 #                      allocation-deterministic benchmarks (sequential hot
-#                      loop, pipelined iteration, serving request),
+#                      loop, pipelined iteration, serving request, and the
+#                      sequential iteration with the LSTM aggregator),
 #                      serialized as a run manifest and gated by
 #                      buffalo-report against the committed baseline
 #                      (scripts/report_baseline.json): estimator-error
@@ -43,7 +44,10 @@
 #                      with NaN, so a use-after-release anywhere in the
 #                      layers' forward/backward poisons a checked result, and
 #                      the tag-only tests (poison reaches every GEMM's output
-#                      even against an all-zero operand) run
+#                      even against an all-zero operand) run; plus
+#                      internal/train's LSTM iteration, whose trajectory is
+#                      arena-scoped from a micro-batch's forward to its
+#                      backward while the engine resets the arena in between
 #  11. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
@@ -75,12 +79,13 @@ echo "== report gate =="
 # counts are all seeded and machine-independent, so any drift against the
 # committed baseline manifest is a real regression — in internal/memest
 # (estimator error) or on a hot path (allocs/op: the sequential iteration,
-# the pipelined iteration with its staged loader, and the serving request
-# path are each gated so pooling regressions in any mode fail here).
+# the pipelined iteration with its staged loader, the serving request path
+# and the LSTM-aggregator iteration are each gated so pooling regressions in
+# any mode fail here).
 # Wall-clock metrics ride along in the manifest but are deliberately not
 # gated here. Re-baseline a justified change with:
 #   go run ./cmd/buffalo-train -dataset cora -iters 3 -seed 7 -report scripts/report_baseline.json
-#   go test -run xxx -bench 'BenchmarkRunIteration_ObsDisabled$|BenchmarkRunIteration_Pipelined$|BenchmarkServeRequest$' \
+#   go test -run xxx -bench 'BenchmarkRunIteration_ObsDisabled$|BenchmarkRunIteration_Pipelined$|BenchmarkServeRequest$|BenchmarkRunIteration_SequentialLSTM$' \
 #       -benchtime 20x -benchmem . > /tmp/bench.txt
 #   go run ./cmd/buffalo-report merge-bench -bench /tmp/bench.txt \
 #       -manifest scripts/report_baseline.json -out scripts/report_baseline.json
@@ -88,7 +93,7 @@ reportdir=$(mktemp -d)
 trap 'rm -rf "$reportdir"' EXIT
 go run ./cmd/buffalo-train -dataset cora -iters 3 -seed 7 \
     -report "$reportdir/current.json" >/dev/null
-go test -run xxx -bench 'BenchmarkRunIteration_ObsDisabled$|BenchmarkRunIteration_Pipelined$|BenchmarkServeRequest$' \
+go test -run xxx -bench 'BenchmarkRunIteration_ObsDisabled$|BenchmarkRunIteration_Pipelined$|BenchmarkServeRequest$|BenchmarkRunIteration_SequentialLSTM$' \
     -benchtime 20x -benchmem . > "$reportdir/bench.txt"
 go run ./cmd/buffalo-report merge-bench -bench "$reportdir/bench.txt" \
     -manifest "$reportdir/current.json" -out "$reportdir/current.json" >/dev/null
@@ -148,6 +153,7 @@ go test -race -count=1 -run 'TestInfer|TestForwardOnly' ./internal/train/
 echo "== tensordebug gate =="
 go vet -tags tensordebug ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
 go test -tags tensordebug -count=1 ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
+go test -tags tensordebug -count=1 -run 'LSTM' ./internal/train
 
 echo "== bench module gate =="
 # bench/ replaces buffalo with ../, so this also proves every exported
