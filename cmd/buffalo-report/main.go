@@ -1,5 +1,5 @@
 // Command buffalo-report inspects, compares and gates run manifests written
-// by buffalo-train -report, experiments -report and scripts/bench.sh.
+// by buffalo-train -report and experiments -report.
 //
 // Usage:
 //
@@ -9,7 +9,7 @@
 //	    -est-drift-pp 1 -allocs-pct 5
 //	buffalo-report gate -baseline base.json -current run.json \
 //	    -thresholds scripts/report_thresholds.json
-//	buffalo-report merge-bench -bench bench.json -out run.json [-manifest run.json]
+//	buffalo-report merge-bench -bench bench.txt -out run.json [-manifest run.json]
 //
 // show pretty-prints one manifest. diff aligns two manifests by flattened
 // metric key and prints every changed value ("(new)"/"(gone)" for one-sided
@@ -17,8 +17,8 @@
 // percentage points, critical-path growth %, allocs/op growth %, cache
 // hit-rate drop in percentage points; a zero threshold disables that check —
 // and exits 1 with one actionable line per violation. merge-bench folds a
-// `go test -bench` text log or scripts/bench.sh JSON snapshot into a
-// manifest so benchmark ns/op and allocs/op gate alongside run metrics.
+// `go test -bench` text log into a manifest so benchmark ns/op and allocs/op
+// gate alongside run metrics.
 package main
 
 import (
@@ -170,7 +170,7 @@ func gate(args []string) error {
 
 func mergeBench(args []string) error {
 	fs := flag.NewFlagSet("merge-bench", flag.ExitOnError)
-	benchPath := fs.String("bench", "", "go test -bench text log or scripts/bench.sh JSON snapshot (required)")
+	benchPath := fs.String("bench", "", "go test -bench -benchmem text log (required)")
 	outPath := fs.String("out", "", "manifest to write (required)")
 	basePath := fs.String("manifest", "", "existing manifest to fold the benchmarks into (default: a fresh one)")
 	tool := fs.String("tool", "bench", "tool name stamped on a fresh manifest")

@@ -15,13 +15,12 @@
 //
 // Pipelined loading: -pipeline runs the session behind the async prefetch
 // pipeline (sampler → planner → prefetcher), -prefetch-depth sets how many
-// micro-batches may stage ahead of compute, -adaptive-depth lets the loader
-// tune that depth from starvation/headroom signals, and -cache-budget-mb
-// reserves device memory for the degree-aware feature cache.
+// micro-batches may stage ahead of compute, and -cache-budget-mb reserves
+// device memory for the degree-aware feature cache.
 //
 // Run manifests: -report out.json writes a versioned run manifest (config,
 // per-phase breakdown, estimator error distribution, per-device memory
-// summary, cache/pipeline state, metrics snapshot) for buffalo-report
+// summary, cache/pool state, metrics snapshot) for buffalo-report
 // show/diff/gate. -live renders a self-rewriting status line on stderr —
 // per-device live/peak memory, iteration rate, phase mix — fed by a bounded
 // recorder tap that never blocks the training hot path.
@@ -34,13 +33,13 @@
 // switches the gradient all-reduce to size-bounded buckets (-bucket-kb)
 // launched during the backward tail, reporting the exposed/hidden comm split.
 //
-// Sharded gradients: -reduce-scatter replaces each bucket's all-reduce with a
+// Sharded gradients: -zero1 replaces each bucket's all-reduce with a
 // reduce-scatter, steps the optimizer per shard, and all-gathers the updated
-// values (losses stay bit-identical to the all-reduce path); -zero1
-// additionally shards the resident gradient buffer and Adam moments 1/n per
-// replica (ZeRO stage 1), shrinking each device's fixed footprint by
-// ~(n-1)/n of the optimizer+gradient bytes. Both compose with -comm-overlap
-// and show up in the -report manifest's sharding section.
+// values (losses stay bit-identical to the all-reduce path), keeping the
+// resident gradient buffer and Adam moments 1/n per replica (ZeRO stage 1):
+// each device's fixed footprint shrinks by ~(n-1)/n of the optimizer+gradient
+// bytes. It composes with -comm-overlap and shows up in the -report
+// manifest's sharding section.
 package main
 
 import (
@@ -67,13 +66,11 @@ func main() {
 	gpus := flag.Int("gpus", 1, "simulated GPUs (data parallel, buffalo only)")
 	pipelined := flag.Bool("pipeline", false, "load via the async prefetch pipeline (overlaps H2D with compute)")
 	prefetchDepth := flag.Int("prefetch-depth", 2, "micro-batches the pipeline may stage ahead of compute")
-	adaptiveDepth := flag.Bool("adaptive-depth", false, "let the pipeline tune its depth within [1, -prefetch-depth] from starvation/headroom signals")
 	cacheBudgetMB := flag.Int64("cache-budget-mb", 0, "device MB reserved for the degree-aware feature cache (0 = off; implies -pipeline)")
 	planAhead := flag.Int("plan-ahead", 0, "planner-pool width: concurrent planner workers behind a reorder buffer (0/1 = single planner; implies -pipeline)")
 	commOverlap := flag.Bool("comm-overlap", false, "bucketed overlapped all-reduce: launch gradient buckets during the backward tail (multi-GPU)")
 	bucketKB := flag.Int64("bucket-kb", 0, "gradient bucket size in KB for -comm-overlap (0 = 32KB default)")
-	reduceScatter := flag.Bool("reduce-scatter", false, "shard the gradient combine: reduce-scatter buckets, step the optimizer per shard, all-gather values (multi-GPU; bit-identical losses)")
-	zero1 := flag.Bool("zero1", false, "ZeRO-1 optimizer sharding: -reduce-scatter plus 1/n-resident gradients and Adam moments per replica")
+	zero1 := flag.Bool("zero1", false, "ZeRO-1 optimizer sharding: reduce-scatter buckets, step the optimizer per shard, all-gather values, with 1/n-resident gradients and Adam moments per replica (multi-GPU; bit-identical losses)")
 	seed := flag.Int64("seed", 7, "seed")
 	tracePath := flag.String("trace", "", "write an execution trace to this file")
 	traceFormat := flag.String("trace-format", "chrome", "trace file format: chrome|jsonl|folded")
@@ -122,16 +119,15 @@ func main() {
 			Layers: *layers, InDim: ds.FeatDim(), Hidden: *hidden,
 			OutDim: ds.NumClasses, Seed: 1,
 		},
-		Fanouts:       fo,
-		BatchSize:     *batch,
-		MemBudget:     *budgetMB * buffalo.MB,
-		MicroBatches:  *micro,
-		Seed:          *seed,
-		CommOverlap:   *commOverlap,
-		BucketBytes:   *bucketKB << 10,
-		ReduceScatter: *reduceScatter,
-		ZeRO1:         *zero1,
-		Obs:           rec,
+		Fanouts:      fo,
+		BatchSize:    *batch,
+		MemBudget:    *budgetMB * buffalo.MB,
+		MicroBatches: *micro,
+		Seed:         *seed,
+		CommOverlap:  *commOverlap,
+		BucketBytes:  *bucketKB << 10,
+		ZeRO1:        *zero1,
+		Obs:          rec,
 	}
 	switch *system {
 	case "dgl":
@@ -168,10 +164,9 @@ func main() {
 	pcfg := buffalo.PipelineConfig{
 		Depth:       *prefetchDepth,
 		CacheBudget: *cacheBudgetMB * buffalo.MB,
-		Adaptive:    *adaptiveDepth,
 		PlanAhead:   *planAhead,
 	}
-	usePipeline := *pipelined || *cacheBudgetMB > 0 || *adaptiveDepth || *planAhead > 1
+	usePipeline := *pipelined || *cacheBudgetMB > 0 || *planAhead > 1
 
 	// Both rr and meter are nil-safe: every branch threads them without
 	// branching on whether -report/-live were given.
@@ -216,10 +211,10 @@ func main() {
 			}
 			rr.Record(&res.IterationResult)
 			if usePipeline {
-				fmt.Printf("iter %d: loss=%.4f K=%d peak=%.1fMB critical=%v (compute=%v comm=%v exposed-comm=%v hidden-comm=%v hidden=%v depth=%d)\n",
+				fmt.Printf("iter %d: loss=%.4f K=%d peak=%.1fMB critical=%v (compute=%v comm=%v exposed-comm=%v hidden-comm=%v hidden=%v)\n",
 					i, res.Loss, res.K, float64(res.Peak)/float64(buffalo.MB),
 					res.CriticalPath(), res.Phases.GPUCompute, res.Phases.Communication,
-					res.ExposedComm, res.HiddenComm, res.HiddenTransfer, dp.EffectiveDepth())
+					res.ExposedComm, res.HiddenComm, res.HiddenTransfer)
 			} else {
 				fmt.Printf("iter %d: loss=%.4f K=%d peak=%.1fMB critical=%v (compute=%v comm=%v exposed-comm=%v hidden-comm=%v)\n",
 					i, res.Loss, res.K, float64(res.Peak)/float64(buffalo.MB),

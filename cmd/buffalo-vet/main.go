@@ -27,7 +27,7 @@
 //	-baseline-write    rewrite the -baseline file from current counts
 //	                   (both growth and shrinkage) instead of gating
 //	-hotalloc-summary  print per-root reachable allocation-site totals and
-//	                   exit (used by scripts/bench.sh)
+//	                   exit
 package main
 
 import (

@@ -18,7 +18,7 @@ type HotBaseline struct {
 // RootBaseline is one hot root's budget.
 type RootBaseline struct {
 	// Total is the root's overall reachable-site count, a quick number to
-	// compare against allocs/op in BENCH_*.json.
+	// compare against the gated allocs/op (scripts/report_baseline.json).
 	Total int `json:"total"`
 	// Funcs maps reachable function names to per-kind site counts
 	// (make, new, append, lit, iface).

@@ -2,7 +2,7 @@ package report
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -11,32 +11,6 @@ import (
 	"strings"
 )
 
-// benchSnapshot mirrors the scripts/bench.sh BENCH_<date>.json layout.
-type benchSnapshot struct {
-	Date       string               `json:"date"`
-	Count      int                  `json:"count"`
-	Benchmarks map[string]Benchmark `json:"benchmarks"`
-}
-
-// MergeBenchJSON folds a scripts/bench.sh snapshot (BENCH_<date>.json) into
-// the manifest's Benchmarks map, overwriting same-named entries.
-func (m *Manifest) MergeBenchJSON(r io.Reader) error {
-	var snap benchSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("report: parsing bench snapshot: %w", err)
-	}
-	if len(snap.Benchmarks) == 0 {
-		return fmt.Errorf("report: bench snapshot holds no benchmarks")
-	}
-	if m.Benchmarks == nil {
-		m.Benchmarks = make(map[string]Benchmark, len(snap.Benchmarks))
-	}
-	for name, b := range snap.Benchmarks {
-		m.Benchmarks[name] = b
-	}
-	return nil
-}
-
 // benchLine matches one `go test -bench -benchmem` result line:
 //
 //	BenchmarkName-8   123   4567 ns/op   89 B/op   2 allocs/op
@@ -44,8 +18,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) n
 
 // MergeBenchText folds raw `go test -bench -benchmem` output into the
 // manifest's Benchmarks map, keeping the fastest ns/op sample per benchmark
-// (the floor estimator bench.sh uses: the minimum over samples is the run
-// least polluted by scheduler noise; allocation counts are deterministic).
+// (the minimum over samples is the run least polluted by scheduler noise;
+// allocation counts are deterministic).
 func (m *Manifest) MergeBenchText(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -81,16 +55,12 @@ func (m *Manifest) MergeBenchText(r io.Reader) error {
 	return nil
 }
 
-// MergeBenchFile dispatches on the file's first non-space byte: '{' parses
-// the bench.sh JSON snapshot, anything else the raw -bench text.
+// MergeBenchFile folds a `go test -bench -benchmem` text log into the
+// manifest (MergeBenchText).
 func (m *Manifest) MergeBenchFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		return m.MergeBenchJSON(strings.NewReader(trimmed))
-	}
-	return m.MergeBenchText(strings.NewReader(trimmed))
+	return m.MergeBenchText(bytes.NewReader(data))
 }

@@ -129,7 +129,7 @@ func Gate(baseline, current *Manifest, th Thresholds) []Violation {
 					Metric: "bench/" + name + "/allocs_per_op", Baseline: base, Current: cur,
 					Threshold: th.AllocsPct,
 					Message: fmt.Sprintf(
-						"benchmark %s now allocates %.0f allocs/op from an allocation-free baseline (threshold %.1f%%): a heap allocation reached a path that had none — run scripts/bench.sh and buffalo-vet -hotalloc-summary to find the site",
+						"benchmark %s now allocates %.0f allocs/op from an allocation-free baseline (threshold %.1f%%): a heap allocation reached a path that had none — run buffalo-vet -hotalloc-summary to find the site",
 						name, cur, th.AllocsPct),
 				})
 			case base > 0:

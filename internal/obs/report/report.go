@@ -2,8 +2,8 @@
 // snapshot of everything a training run knows about itself — configuration,
 // per-phase time breakdown, exposed/hidden overlap accounting, the memory
 // estimator's error distribution, per-device memory summaries, cache and
-// pipeline state, the full metrics registry, and (optionally) benchmark
-// measurements folded in from scripts/bench.sh.
+// pool state, the full metrics registry, and (optionally) benchmark
+// measurements folded in by buffalo-report merge-bench.
 //
 // Manifests exist to outlive the process: the paper's argument is
 // quantitative (predicted-vs-actual peak memory, Fig 11 phase breakdowns,
@@ -58,7 +58,6 @@ type Manifest struct {
 	Estimator *Estimator `json:"estimator,omitempty"`
 	Devices   []Device   `json:"devices,omitempty"`
 	Cache     *Cache     `json:"cache,omitempty"`
-	Pipeline  *Pipeline  `json:"pipeline,omitempty"`
 	Pooling   *Pooling   `json:"pooling,omitempty"`
 	Serving   *Serving   `json:"serving,omitempty"`
 	Sharding  *Sharding  `json:"sharding,omitempty"`
@@ -67,8 +66,8 @@ type Manifest struct {
 	// quantiles and bucket distributions).
 	Metrics []obs.MetricValue `json:"metrics,omitempty"`
 
-	// Benchmarks carries measured benchmark results (scripts/bench.sh or
-	// buffalo-report merge-bench), keyed by benchmark name.
+	// Benchmarks carries measured benchmark results (buffalo-report
+	// merge-bench), keyed by benchmark name.
 	Benchmarks map[string]Benchmark `json:"benchmarks,omitempty"`
 }
 
@@ -89,11 +88,9 @@ type Config struct {
 	Seed             int64  `json:"seed,omitempty"`
 	CommOverlap      bool   `json:"comm_overlap,omitempty"`
 	BucketBytes      int64  `json:"bucket_bytes,omitempty"`
-	ReduceScatter    bool   `json:"reduce_scatter,omitempty"`
 	ZeRO1            bool   `json:"zero1,omitempty"`
 	Pipelined        bool   `json:"pipelined,omitempty"`
 	PrefetchDepth    int    `json:"prefetch_depth,omitempty"`
-	AdaptiveDepth    bool   `json:"adaptive_depth,omitempty"`
 	CacheBudgetBytes int64  `json:"cache_budget_bytes,omitempty"`
 	PlanAhead        int    `json:"plan_ahead,omitempty"`
 }
@@ -212,8 +209,8 @@ type Serving struct {
 	QueueWaitP99Ns int64   `json:"queue_wait_p99_ns,omitempty"`
 }
 
-// Sharding is the sharded-gradient section: the ZeRO-1 / reduce-scatter
-// configuration's per-replica byte ledger and the collective breakdown the
+// Sharding is the sharded-gradient section, present for ZeRO-1 runs: the
+// per-replica byte ledger and the collective breakdown the
 // cluster accumulated over the run. ParamBytes is the fully-replicated value
 // buffer; GradShardBytes / OptimShardBytes are what one replica actually
 // holds resident under ZeRO-1 (1/n of the padded flat buffer, and two Adam
@@ -221,9 +218,7 @@ type Serving struct {
 // reduction versus unsharded training — asymptotically (n-1)/n of the
 // optimizer+gradient bytes.
 type Sharding struct {
-	Replicas      int  `json:"replicas"`
-	ZeRO1         bool `json:"zero1,omitempty"`
-	ReduceScatter bool `json:"reduce_scatter,omitempty"`
+	Replicas int `json:"replicas"`
 	// Buckets is the flat buffer's bucket count — one reduce-scatter per
 	// bucket per iteration.
 	Buckets         int   `json:"buckets,omitempty"`
@@ -243,24 +238,18 @@ type Sharding struct {
 }
 
 // Pooling is the tensor-pool section behind the zero-allocation hot path:
-// how well the shape-keyed pool and iteration arenas recycled backing
-// storage over the run. Outstanding is the final checked-out count — nonzero
-// at manifest time means a leak (every iteration and request returns its
-// buffers on completion).
+// how well the pools and iteration arenas recycled backing storage over the
+// run. Outstanding is the final checked-out count — nonzero at manifest time
+// means a leak (every iteration and request returns its buffers on
+// completion). RetainedBytes is the backing storage the pools hold released
+// at manifest time: host memory that is on no device ledger.
 type Pooling struct {
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	Resizes     int64   `json:"resizes,omitempty"`
-	Outstanding int64   `json:"outstanding,omitempty"`
-	HitRate     float64 `json:"hit_rate"`
-}
-
-// Pipeline records the async loader's state.
-type Pipeline struct {
-	EffectiveDepth  int  `json:"effective_depth,omitempty"`
-	ConfiguredDepth int  `json:"configured_depth,omitempty"`
-	Adaptive        bool `json:"adaptive,omitempty"`
-	PlanAhead       int  `json:"plan_ahead,omitempty"`
+	Hits          int64   `json:"hits"`
+	Misses        int64   `json:"misses"`
+	Resizes       int64   `json:"resizes,omitempty"`
+	Outstanding   int64   `json:"outstanding,omitempty"`
+	RetainedBytes int64   `json:"retained_bytes,omitempty"`
+	HitRate       float64 `json:"hit_rate"`
 }
 
 // Benchmark is one measured benchmark (fastest-of-N ns/op plus the
@@ -393,14 +382,12 @@ func (m *Manifest) Flatten() map[string]float64 {
 		put("cache/misses", float64(c.Misses))
 		put("cache/evictions", float64(c.Evictions))
 	}
-	if p := m.Pipeline; p != nil {
-		put("pipeline/effective_depth", float64(p.EffectiveDepth))
-	}
 	if pl := m.Pooling; pl != nil {
 		put("pooling/hits", float64(pl.Hits))
 		put("pooling/misses", float64(pl.Misses))
 		put("pooling/resizes", float64(pl.Resizes))
 		put("pooling/outstanding", float64(pl.Outstanding))
+		put("pooling/retained_bytes", float64(pl.RetainedBytes))
 		put("pooling/hit_rate", pl.HitRate)
 	}
 	if s := m.Serving; s != nil {

@@ -27,8 +27,8 @@ func WriteSummary(w io.Writer, m *Manifest) error {
 			orDash(c.System), orDash(c.Dataset), orDash(c.Arch), orDash(c.Aggregator),
 			c.Layers, c.Hidden, c.BatchSize, byteCount(c.MemBudgetBytes), c.GPUs, c.Seed)
 		if c.Pipelined {
-			p.printf("config: pipelined depth=%d adaptive=%v cache-budget=%s plan-ahead=%d\n",
-				c.PrefetchDepth, c.AdaptiveDepth, byteCount(c.CacheBudgetBytes), c.PlanAhead)
+			p.printf("config: pipelined depth=%d cache-budget=%s plan-ahead=%d\n",
+				c.PrefetchDepth, byteCount(c.CacheBudgetBytes), c.PlanAhead)
 		}
 		if c.CommOverlap {
 			p.printf("config: comm-overlap bucket=%s\n", byteCount(c.BucketBytes))
@@ -93,21 +93,13 @@ func WriteSummary(w io.Writer, m *Manifest) error {
 		p.printf("cache: %.1f%% hit rate (%d hits / %d misses), %d entries, %s used, %d evictions\n",
 			100*c.HitRate, c.Hits, c.Misses, c.Entries, byteCount(c.UsedBytes), c.Evictions)
 	}
-	if pl := m.Pipeline; pl != nil {
-		p.printf("pipeline: depth=%d/%d adaptive=%v plan-ahead=%d\n",
-			pl.EffectiveDepth, pl.ConfiguredDepth, pl.Adaptive, pl.PlanAhead)
-	}
 	if po := m.Pooling; po != nil {
-		p.printf("pooling: %.1f%% hit rate (%d hits / %d misses), %d resizes, %d outstanding\n",
-			100*po.HitRate, po.Hits, po.Misses, po.Resizes, po.Outstanding)
+		p.printf("pooling: %.1f%% hit rate (%d hits / %d misses), %d resizes, %d outstanding, %s retained\n",
+			100*po.HitRate, po.Hits, po.Misses, po.Resizes, po.Outstanding, byteCount(po.RetainedBytes))
 	}
 	if sh := m.Sharding; sh != nil {
-		mode := "reduce-scatter"
-		if sh.ZeRO1 {
-			mode = "zero-1"
-		}
-		p.printf("sharding: %s over %d replicas, %d buckets, params=%s grad-shard=%s optim-shard=%s dropped=%s padding=%s\n",
-			mode, sh.Replicas, sh.Buckets, byteCount(sh.ParamBytes),
+		p.printf("sharding: zero-1 over %d replicas, %d buckets, params=%s grad-shard=%s optim-shard=%s dropped=%s padding=%s\n",
+			sh.Replicas, sh.Buckets, byteCount(sh.ParamBytes),
 			byteCount(sh.GradShardBytes), byteCount(sh.OptimShardBytes),
 			byteCount(sh.DroppedBytes), byteCount(sh.PaddingBytes))
 		p.printf("sharding: reduce-scatter %v over %d launches, all-gather %v over %d launches\n",

@@ -48,8 +48,8 @@ func (s *Server) BuildManifest(dataset string) *report.Manifest {
 	if pst := s.sess.PoolStats(); pst.Hits+pst.Misses > 0 {
 		m.Pooling = &report.Pooling{
 			Hits: pst.Hits, Misses: pst.Misses, Resizes: pst.Resizes,
-			Outstanding: pst.Outstanding,
-			HitRate:     float64(pst.Hits) / float64(pst.Hits+pst.Misses),
+			Outstanding: pst.Outstanding, RetainedBytes: pst.RetainedBytes,
+			HitRate: float64(pst.Hits) / float64(pst.Hits+pst.Misses),
 		}
 	}
 	if c := st.Cache; c.Hits+c.Misses > 0 {

@@ -6,53 +6,47 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a shape-keyed free list of matrices with a capacity-class
-// fallback. Get first reuses a released matrix of the exact requested shape
-// (zeroed, so pooled allocation is indistinguishable from New); on an exact
-// miss it reshapes a released matrix from the smallest capacity class that
-// fits, so the varying shapes of sampled batches — no two iterations gather
-// the same frontier sizes — still reuse backing storage instead of
-// allocating every time. A single mutex guards the free lists AND every
-// matrix checkout/release transition (released, poolSeq, poison-on-release),
-// so entry validation never observes a half-released matrix; the hot paths
-// hold it for a slice scan/pop only, and the checkout pattern (one Get/Put
-// pair per staged buffer, not per element) keeps contention negligible; the
-// counters are atomics so Stats is lock-free.
+// Pool is the size-class free list of a caching allocator: released matrices
+// are kept by the ceil-log2 class of their backing capacity, and Get reshapes
+// the smallest released capacity that fits the request (zeroed, so pooled
+// allocation is indistinguishable from New). The varying shapes of sampled
+// batches — no two iterations gather the same frontier sizes — therefore
+// reuse backing storage instead of allocating every time, and a request for
+// a shape that was released before finds that very capacity.
 //
-// Every released matrix is indexed twice — under its exact shape and under
-// its capacity class — and entries are validated lazily by a per-matrix
-// generation counter: whichever index hands the matrix out first wins, and
-// the other index's entry turns stale and is dropped when next scanned.
+// Best fit, not first fit: a request must not take a larger buffer while a
+// smaller one would do, or the next request — the one the larger buffer was
+// released for — misses and the pool grows without bound on a steady shape
+// mix (a 3x3 request stealing the 5x2 buffer makes the following 5x2 request
+// allocate). The scan is over one class, newest release first, and stops at
+// an exact capacity match.
+//
+// One mutex guards the free lists AND every matrix checkout/release
+// transition (released, poison-on-release), so a matrix is in at most one
+// list slot and never handed to two owners; the hot paths hold it for a
+// slice scan/pop only, and the checkout pattern (one Get/Put pair per staged
+// buffer, not per element) keeps contention negligible. The counters are
+// atomics so Stats is lock-free.
 //
 // All methods are nil-receiver safe: a nil *Pool allocates fresh matrices
 // and discards releases, which is exactly "pooling off" — callers thread one
 // optional pool instead of branching at every site.
 type Pool struct {
 	mu      sync.Mutex
-	free    map[poolKey][]poolEntry
-	byClass [40][]poolEntry // released matrices by ceil-log2 element capacity
+	byClass [40][]*Matrix // released matrices by ceil-log2 element capacity
 
 	hits        atomic.Int64
 	misses      atomic.Int64
 	resizes     atomic.Int64
 	outstanding atomic.Int64
+	retained    atomic.Int64 // bytes of backing storage in byClass; written under mu
 }
-
-type poolKey struct{ rows, cols int }
-
-// poolEntry pins the matrix's release generation: the entry is live only
-// while m is still released AND this is its latest Put (seq matches), which
-// lets the two indexes share matrices without double-handing one out.
-type poolEntry struct {
-	m   *Matrix
-	seq uint32
-}
-
-func (e poolEntry) live() bool { return e.m.released && e.m.poolSeq == e.seq }
 
 // classOf buckets an element count into its ceil-log2 capacity class: class
 // c holds needs in (2^(c-1), 2^c], so any matrix put in a HIGHER class is
-// guaranteed to fit, and same-class entries need one capacity check.
+// guaranteed to fit, and every capacity in a class is below every capacity
+// in the next — the best fit within the first class that has one is the best
+// fit in the pool.
 func classOf(n int) int {
 	if n <= 0 {
 		return 0
@@ -66,74 +60,53 @@ func classOf(n int) int {
 
 // PoolStats is a snapshot of the pool's reuse counters.
 type PoolStats struct {
-	// Hits counts Gets served from the free lists (exact-shape or reshaped
-	// from a capacity class), Misses those that fell through to a fresh
-	// allocation.
+	// Hits counts Gets served from the free list, Misses those that fell
+	// through to a fresh allocation.
 	Hits, Misses int64
-	// Resizes counts the subset of Hits served by reshaping a different-shape
-	// matrix from a capacity class.
+	// Resizes counts the subset of Hits whose matrix was released under a
+	// different shape.
 	Resizes int64
 	// Outstanding is the live checkout gauge: Gets minus Puts.
 	Outstanding int64
+	// RetainedBytes is the backing storage the pool holds released: four
+	// bytes per element of capacity, summed over the free list.
+	RetainedBytes int64
 }
 
 // NewPool builds an empty pool.
-func NewPool() *Pool {
-	return &Pool{free: make(map[poolKey][]poolEntry)}
-}
+func NewPool() *Pool { return &Pool{} }
 
-// Get returns a zeroed rows x cols matrix, reusing a released one of the
-// same shape — or, failing that, reshaping a released one with enough
-// capacity — when available.
+// Get returns a zeroed rows x cols matrix, reshaping the smallest released
+// matrix with enough capacity when there is one.
 func (p *Pool) Get(rows, cols int) *Matrix {
 	if p == nil {
 		return New(rows, cols)
 	}
 	n := rows * cols
-	k := poolKey{rows, cols}
 	var m *Matrix
-	resized := false
 	p.mu.Lock()
-	s := p.free[k]
-	for i := len(s) - 1; i >= 0; i-- {
-		e := s[i]
-		s[i] = s[len(s)-1]
-		s[len(s)-1] = poolEntry{}
-		s = s[:len(s)-1]
-		if e.live() {
-			m = e.m
-			m.released = false // checkout under p.mu so the other index's entry goes stale atomically
-			break
-		}
-	}
-	p.free[k] = s
-	if m == nil {
-		// Exact miss: steal the first live entry with enough capacity,
-		// smallest class first. Stale entries (already handed out via the
-		// exact index) are dropped as they are scanned; live-but-small
-		// entries stay in place.
-		for c := classOf(n); c < len(p.byClass) && m == nil; c++ {
-			cs := p.byClass[c]
-			for i := len(cs) - 1; i >= 0; i-- {
-				e := cs[i]
-				if !e.live() {
-					cs[i] = cs[len(cs)-1]
-					cs[len(cs)-1] = poolEntry{}
-					cs = cs[:len(cs)-1]
-					continue
-				}
-				if cap(e.m.Data) >= n {
-					m = e.m
-					m.released = false // checkout under p.mu, see exact-shape path above
-					resized = true
-					cs[i] = cs[len(cs)-1]
-					cs[len(cs)-1] = poolEntry{}
-					cs = cs[:len(cs)-1]
-					break
-				}
+	for c := classOf(n); c < len(p.byClass) && m == nil; c++ {
+		cs := p.byClass[c]
+		best := -1
+		for i := len(cs) - 1; i >= 0; i-- {
+			k := cap(cs[i].Data)
+			if k < n || (best >= 0 && k >= cap(cs[best].Data)) {
+				continue
 			}
-			p.byClass[c] = cs
+			best = i
+			if k == n {
+				break
+			}
 		}
+		if best < 0 {
+			continue
+		}
+		m = cs[best]
+		m.released = false // checkout under p.mu: Put's double-release check reads it there
+		cs[best] = cs[len(cs)-1]
+		cs[len(cs)-1] = nil
+		p.byClass[c] = cs[:len(cs)-1]
+		p.retained.Add(-4 * int64(cap(m.Data)))
 	}
 	p.mu.Unlock()
 	p.outstanding.Add(1)
@@ -142,7 +115,7 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 		return New(rows, cols)
 	}
 	p.hits.Add(1)
-	if resized {
+	if m.Rows != rows || m.Cols != cols {
 		p.resizes.Add(1)
 		m.Rows, m.Cols = rows, cols
 		m.Data = m.Data[:n]
@@ -151,7 +124,7 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 	return m
 }
 
-// Put returns m to the pool's free lists. Releasing the same matrix twice
+// Put returns m to the pool's free list. Releasing the same matrix twice
 // panics — a double Put means two owners believe they hold the buffer, which
 // is exactly the aliasing bug pooling must not hide. Under the tensordebug
 // build tag the payload is additionally poisoned with NaN so a stale alias
@@ -161,23 +134,19 @@ func (p *Pool) Put(m *Matrix) {
 	if p == nil || m == nil {
 		return
 	}
-	k := poolKey{m.Rows, m.Cols}
 	c := classOf(cap(m.Data))
 	p.mu.Lock()
 	if m.released {
 		p.mu.Unlock()
 		panic("tensor: double release of pooled matrix")
 	}
-	// The release transition, generation bump, and poison all happen under
-	// p.mu: a concurrent Get validates entries via live() under the same
-	// mutex, so it can never observe a half-released matrix (or poison a
-	// payload it already handed out).
+	// The release transition and the poison happen under p.mu, before the
+	// matrix is visible in the free list: a concurrent Get can never take a
+	// half-released matrix (or have a payload it already holds poisoned).
 	m.released = true
-	m.poolSeq++
 	poisonOnRelease(m)
-	e := poolEntry{m: m, seq: m.poolSeq}
-	p.free[k] = append(p.free[k], e)
-	p.byClass[c] = append(p.byClass[c], e)
+	p.byClass[c] = append(p.byClass[c], m)
+	p.retained.Add(4 * int64(cap(m.Data)))
 	p.mu.Unlock()
 	p.outstanding.Add(-1)
 }
@@ -188,10 +157,11 @@ func (p *Pool) Stats() PoolStats {
 		return PoolStats{}
 	}
 	return PoolStats{
-		Hits:        p.hits.Load(),
-		Misses:      p.misses.Load(),
-		Resizes:     p.resizes.Load(),
-		Outstanding: p.outstanding.Load(),
+		Hits:          p.hits.Load(),
+		Misses:        p.misses.Load(),
+		Resizes:       p.resizes.Load(),
+		Outstanding:   p.outstanding.Load(),
+		RetainedBytes: p.retained.Load(),
 	}
 }
 

@@ -83,25 +83,24 @@ func TestPoolCapacityClassSkipsTooSmall(t *testing.T) {
 	}
 }
 
-// TestPoolStaleEntryInvalidation drives the two-index design through the
-// case both indexes hold an entry for the same matrix and one wins: the
-// loser's entry must not hand the matrix out a second time.
+// TestPoolStaleEntryInvalidation: a matrix handed out once is never handed
+// out again before its Put, whatever shapes are asked for in between, and its
+// Put makes it reusable under the shape it was last given. (Named for how the
+// pool could once fail it: a second index still listing the matrix.)
 func TestPoolStaleEntryInvalidation(t *testing.T) {
 	p := NewPool()
 	a := p.Get(4, 4)
-	p.Put(a) // indexed under exact {4,4} AND capacity class of 16
-	// Take it via the capacity class (different shape), leaving the exact
-	// {4,4} entry stale.
+	p.Put(a)
+	// Take it under a different shape of the same capacity class.
 	b := p.Get(2, 7)
 	if b != a {
 		t.Fatalf("expected capacity-class reuse")
 	}
-	// The stale exact entry must not resurface the checked-out matrix.
+	// Its original shape must not bring the checked-out matrix back.
 	c := p.Get(4, 4)
 	if c == a {
-		t.Fatalf("stale exact-shape entry handed out a checked-out matrix")
+		t.Fatalf("pool handed out a checked-out matrix")
 	}
-	// And after re-release under the new shape, the old generation stays dead.
 	p.Put(b)
 	d := p.Get(2, 7)
 	if d != a {
@@ -194,15 +193,14 @@ func TestClassOf(t *testing.T) {
 // mixing exact-shape hits, capacity-class resizes, and misses, and checks
 // that no matrix is ever handed to two owners at once: each owner stamps its
 // id into the payload and verifies every element before release. The
-// dual-index design (exact shape + capacity class) makes the checkout
-// transition the dangerous window — this is the double-handout regression
-// test for it, and it must stay clean under -race.
+// checkout transition is the dangerous window — this is the double-handout
+// regression test for it, and it must stay clean under -race.
 func TestPoolConcurrentGetPutExclusive(t *testing.T) {
 	p := NewPool()
 	const workers = 8
 	const rounds = 400
 	// A deliberately colliding shape set: same element counts and shared
-	// capacity classes so the exact and class indexes fight over entries.
+	// capacity classes so the workers fight over the same free-list entries.
 	shapes := [][2]int{{4, 8}, {8, 4}, {2, 16}, {5, 7}, {6, 6}}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

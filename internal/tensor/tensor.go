@@ -21,10 +21,6 @@ type Matrix struct {
 	// released marks a matrix currently sitting in a Pool free list; Put
 	// panics on an already-released matrix so aliasing bugs fail loudly.
 	released bool
-	// poolSeq counts Puts: pool index entries record the value at insert and
-	// go stale when it moves on, so the pool's two indexes (exact shape and
-	// capacity class) can share a matrix without handing it out twice.
-	poolSeq uint32
 }
 
 // panicShape reports a dimension violation. Every kernel panic funnels

@@ -101,19 +101,16 @@ type engine struct {
 
 	// featPool recycles host-side feature staging tensors across iterations.
 	// It is shared by the consumer goroutine (synchronous staging) and a
-	// pipelined loader's prefetch goroutine, hence pool-level locking. Nil
-	// when Config.DisablePooling is set; tensor.Pool methods degrade to plain
-	// allocation on a nil pool.
+	// pipelined loader's prefetch goroutine, hence pool-level locking.
 	featPool *tensor.Pool
-	// Pool-reuse gauges (nil when pooling or metrics are off): last-snapshot
-	// hit/miss/resize/outstanding counters across the feature pool and the
+	// Pool gauges (nil when metrics are off): last-snapshot hit/miss/resize/
+	// outstanding/retained-bytes counters across the feature pool and the
 	// arena's pool, refreshed once per iteration and per inference request.
-	poolHitsG, poolMissesG, poolResizesG, poolOutstandingG *obs.Gauge
+	poolHitsG, poolMissesG, poolResizesG, poolOutstandingG, poolRetainedG *obs.Gauge
 	// arena hands the model layers their forward/backward intermediates,
 	// reclaimed wholesale after each micro-batch's compute (and after each
 	// serving/eval forward). Micro-batches execute strictly sequentially on
-	// the consumer goroutine — replicas share the arena safely. Nil when
-	// pooling is disabled.
+	// the consumer goroutine — replicas share the arena safely.
 	arena *tensor.Arena
 
 	// scratchFree recycles iteration bundles (batch, estimator, scheduler and
@@ -180,7 +177,7 @@ func newEngine(ds *datagen.Dataset, cfg Config, replicas []replica, cluster *dev
 	}
 	n := len(replicas)
 	shards := 1
-	if cfg.shardedComm() && n > 1 {
+	if cfg.ZeRO1 && n > 1 {
 		shards = n
 	}
 	var flat0 *nn.FlatBuffer
@@ -207,19 +204,18 @@ func newEngine(ds *datagen.Dataset, cfg Config, replicas []replica, cluster *dev
 		preStats: make([]device.Stats, n),
 		compute:  make([]time.Duration, n),
 		bwdLast:  make([]time.Duration, n),
+		featPool: tensor.NewPool(),
+		arena:    tensor.NewArena(tensor.NewPool()),
 	}
-	if !cfg.DisablePooling {
-		e.featPool = tensor.NewPool()
-		e.arena = tensor.NewArena(tensor.NewPool())
-		for _, r := range replicas {
-			r.model.SetArena(e.arena)
-		}
-		if m := cfg.Obs.Metrics(); m != nil {
-			e.poolHitsG = m.Gauge("tensor/pool/hits")
-			e.poolMissesG = m.Gauge("tensor/pool/misses")
-			e.poolResizesG = m.Gauge("tensor/pool/resizes")
-			e.poolOutstandingG = m.Gauge("tensor/pool/outstanding")
-		}
+	for _, r := range replicas {
+		r.model.SetArena(e.arena)
+	}
+	if m := cfg.Obs.Metrics(); m != nil {
+		e.poolHitsG = m.Gauge("tensor/pool/hits")
+		e.poolMissesG = m.Gauge("tensor/pool/misses")
+		e.poolResizesG = m.Gauge("tensor/pool/resizes")
+		e.poolOutstandingG = m.Gauge("tensor/pool/outstanding")
+		e.poolRetainedG = m.Gauge("tensor/pool/retained_bytes")
 	}
 	if shards > 1 {
 		e.shardOpts = make([]*nn.Adam, n)
@@ -533,8 +529,7 @@ func (e *engine) fixedKMax(b *sampling.Batch) int {
 // pays the standard connection-check cost the paper's Fig 5 measures in
 // existing frameworks.
 func (e *engine) buildMicroBatch(gen *block.GenScratch, b *sampling.Batch, outputs []graph.NodeID, res *IterationResult) (*block.MicroBatch, error) {
-	naive := e.cfg.System != Buffalo || e.cfg.NaiveBlockGen
-	if naive {
+	if e.cfg.System != Buffalo {
 		mb, check, build, err := block.GenerateNaiveTimed(b, outputs)
 		res.Phases.ConnectionCheck += check
 		res.Phases.BlockGen += build
@@ -569,7 +564,7 @@ func (e *engine) labelScratch(n int) []int32 {
 
 // gatherFeatures assembles the host-side input-feature tensor of one
 // micro-batch (the staging buffer a real loader would pin for the H2D copy),
-// drawn from the engine's shape-keyed pool; the stager that consumed it
+// drawn from the engine's feature pool; the stager that consumed it
 // returns it via releaseFeats.
 func (e *engine) gatherFeatures(mb *block.MicroBatch) *tensor.Matrix {
 	inDim := e.cfg.Model.InDim
@@ -758,7 +753,7 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 	// reduce-scatter → per-shard step → all-gather sequence (ZeRO-1's data
 	// path). Otherwise: combine into replica 0 (ring all-reduce when n > 1)
 	// and step the full flat buffer there.
-	if n > 1 && e.cfg.shardedComm() {
+	if n > 1 && e.cfg.ZeRO1 {
 		if err := e.shardedCombine(res, perCompute, lastBwd); err != nil {
 			return nil, err
 		}
@@ -821,9 +816,8 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 	return res, nil
 }
 
-// poolStats aggregates the reuse counters of both hot-path pools: the
-// feature-staging pool and the compute arena's pool. Zero when pooling is
-// disabled.
+// poolStats aggregates the counters of both hot-path pools: the
+// feature-staging pool and the compute arena's pool.
 func (e *engine) poolStats() tensor.PoolStats {
 	st := e.featPool.Stats()
 	ast := e.arena.Pool().Stats()
@@ -831,11 +825,12 @@ func (e *engine) poolStats() tensor.PoolStats {
 	st.Misses += ast.Misses
 	st.Resizes += ast.Resizes
 	st.Outstanding += ast.Outstanding
+	st.RetainedBytes += ast.RetainedBytes
 	return st
 }
 
-// publishPoolStats refreshes the tensor/pool/* gauges (no-op when pooling or
-// metrics are off).
+// publishPoolStats refreshes the tensor/pool/* gauges (no-op when metrics
+// are off).
 func (e *engine) publishPoolStats() {
 	if e.poolHitsG == nil {
 		return
@@ -845,6 +840,7 @@ func (e *engine) publishPoolStats() {
 	e.poolMissesG.Set(st.Misses)
 	e.poolResizesG.Set(st.Resizes)
 	e.poolOutstandingG.Set(st.Outstanding)
+	e.poolRetainedG.Set(st.RetainedBytes)
 }
 
 // gradBuckets returns the (cached) gradient bucketization of the main

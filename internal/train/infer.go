@@ -125,7 +125,7 @@ func (s *InferenceSession) CacheStats() pipeline.CacheStats {
 }
 
 // PoolStats reports the tensor-pool reuse counters across the session's
-// feature-staging pool and compute arena (zero when pooling is disabled).
+// feature-staging pool and compute arena.
 func (s *InferenceSession) PoolStats() tensor.PoolStats { return s.eng.poolStats() }
 
 // InferBreakdown is the per-phase wall time of one Infer call, the serving

@@ -155,21 +155,12 @@ func (dp *DataParallel) RunIteration() (*MultiGPUResult, error) {
 }
 
 // PoolStats reports the tensor-pool reuse counters across the run's
-// feature-staging pool and compute arena (zero when pooling is disabled).
+// feature-staging pool and compute arena.
 func (dp *DataParallel) PoolStats() tensor.PoolStats { return dp.eng.poolStats() }
 
 // Stats snapshots every replica device's counters, cluster order.
 func (dp *DataParallel) Stats() []device.Stats {
 	return dp.Cluster.Stats()
-}
-
-// EffectiveDepth reports the loader's current prefetch-depth limit (0 for
-// the sequential configuration).
-func (dp *DataParallel) EffectiveDepth() int {
-	if dp.ld == nil {
-		return 0
-	}
-	return int(dp.ld.effDepth.Load())
 }
 
 // CacheStats aggregates the per-device feature caches (zero value when not

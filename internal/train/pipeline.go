@@ -20,19 +20,13 @@ type PipelineConfig struct {
 	// stage on-device ahead of compute (per replica lane in multi-GPU runs).
 	// Each staged micro-batch holds its feature tensor in device memory, so
 	// depth trades H2D overlap against headroom. 0 defaults to 2 (double
-	// buffering). With Adaptive set, Depth is the ceiling of the adaptive
-	// range instead of a fixed depth.
+	// buffering).
 	Depth int
 	// CacheBudget reserves this many bytes of device memory per device for
 	// the degree-aware feature cache. The reservation is charged to each
 	// ledger up front, so the scheduler's K-search sees the reduced
 	// headroom. 0 disables caching.
 	CacheBudget int64
-	// Adaptive lets the loader tune the effective prefetch depth within
-	// [1, Depth] from the observed starvation/headroom balance each
-	// iteration: consumer starvation grows it, headroom-gate pressure
-	// shrinks it (see depthController).
-	Adaptive bool
 	// PlanAhead is the planner-pool width: how many planner goroutines run
 	// K-searches and block generation concurrently, each on its own sampled
 	// batch. A sequence-number reorder buffer re-serializes finished plans,
@@ -44,8 +38,7 @@ type PipelineConfig struct {
 	PlanAhead int
 }
 
-// depth returns the configured prefetch depth (or its ceiling, when
-// adaptive) with its default.
+// depth returns the configured prefetch depth with its default.
 func (c PipelineConfig) depth() int {
 	if c.Depth < 1 {
 		return 2
@@ -99,20 +92,10 @@ type loader struct {
 	cacheAllocs []*device.Allocation
 
 	// stagedDev[i] tracks feature tensors currently alive on device i
-	// (staged or being consumed) and stagedTotal their sum; room carries a
-	// wake-up each time the consumer frees one (or the depth controller
-	// changes the limit), so the prefetcher's gates can re-check.
-	stagedDev   []atomic.Int64
-	stagedTotal atomic.Int64
-	room        chan struct{}
-
-	// Adaptive depth: depthCtl is nil for fixed-depth loaders; effDepth is
-	// the current effective limit (always the fixed depth when not
-	// adaptive) and gateWaits counts headroom-gate blocking episodes since
-	// the last observation.
-	depthCtl  *depthController
-	effDepth  atomic.Int64
-	gateWaits atomic.Int64
+	// (staged or being consumed); room carries a wake-up each time the
+	// consumer frees one, so the prefetcher's headroom gate can re-check.
+	stagedDev []atomic.Int64
+	room      chan struct{}
 
 	// windows is a ring of the last planAhead() iterations' execution spans
 	// (exposed copies + compute + exposed communication): with a pool of W
@@ -153,19 +136,12 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 	eng.budgetOverride = eng.gpu0().Capacity() - eng.gpu0().Live()
 	l.room = make(chan struct{}, 1)
 
-	depth := pcfg.depth()
-	if pcfg.Adaptive {
-		l.depthCtl = newDepthController(depth)
-		l.effDepth.Store(int64(l.depthCtl.depth))
-	} else {
-		l.effDepth.Store(int64(depth))
-	}
 	m := cfg.Obs.Metrics()
 	planners := pcfg.planAhead()
 	l.windows = make([]time.Duration, planners)
 	l.batchQ = pipeline.NewQueue[seqBatch](planners, m.Gauge("pipeline/queue/batch"))
 	l.planR = pipeline.NewReorder[*pipeIter](planners, m.Gauge("pipeline/queue/plan"))
-	l.ready = pipeline.NewFanout[*stagedMB](n, depth, m, "pipeline/queue/ready")
+	l.ready = pipeline.NewFanout[*stagedMB](n, pcfg.depth(), m, "pipeline/queue/ready")
 
 	stream := sampling.NewStream(eng.data.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed)
 	l.pipe = pipeline.New(context.Background())
@@ -284,9 +260,8 @@ func scalePlanning(ph *Phases, cpu, wall time.Duration) {
 // the on-device feature tensor, and issue one async copy for the rows the
 // cache missed.
 //
-// Two gates pace the stage. The adaptive depth limiter (when enabled) holds
-// total staged tensors at the controller's current effective depth. The
-// headroom gate keeps staging from starving the consumer: a staged tensor
+// The ready lanes bound how far staging runs ahead (Depth per lane); the
+// headroom gate here keeps it from starving the consumer: a staged tensor
 // only goes on-device while the room left on its device afterwards still
 // covers the plan's worst-case activations (which allocate concurrently with
 // this goroutine). When it does not, the stage waits for the consumer to
@@ -294,9 +269,9 @@ func scalePlanning(ph *Phases, cpu, wall time.Duration) {
 // tight budgets instead of OOMing. With nothing staged on the device it is
 // as empty as it gets, so the allocation either fits or the configuration
 // genuinely does not (systems without an estimate prefetch optimistically
-// and hit the same terminal OOM). Both waits are deadlock-free because
-// staged items are consumed in exactly the order they were staged: anything
-// already staged is what the consumer needs next.
+// and hit the same terminal OOM). The wait is deadlock-free because staged
+// items are consumed in exactly the order they were staged: anything already
+// staged is what the consumer needs next.
 func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int) (*stagedMB, error) {
 	t0 := time.Now()
 	e := l.eng
@@ -313,24 +288,12 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 			}
 		}
 	}
-	for l.depthCtl != nil && l.stagedTotal.Load() >= l.effDepth.Load() {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-l.room:
-		}
-	}
 	// The consumer's concurrent appetite is its group's activations: the
 	// worst-case group estimate minus the smallest feature tensor it could
 	// be holding (already on the ledger).
 	reserve := it.res.PredictedPeak - e.residentBase() - it.minFeat
-	waited := false
 	for reserve > 0 && l.stagedDev[dev].Load() > 0 &&
 		gpu.Capacity()-gpu.Live() < feats.Bytes()+reserve {
-		if !waited {
-			waited = true
-			l.gateWaits.Add(1)
-		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -342,7 +305,6 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 		return nil, fmt.Errorf("train: prefetching features: %w", err)
 	}
 	l.stagedDev[dev].Add(1)
-	l.stagedTotal.Add(1)
 	smb := &stagedMB{
 		iter: it, idx: idx, dev: dev, last: idx == len(it.mbs)-1,
 		mb: mb, feats: feats, featAlloc: featAlloc,
@@ -357,12 +319,11 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	return smb, nil
 }
 
-// releaseStaged returns one staged tensor's bytes to the loader: the counts
-// drop and the prefetcher's gates get a wake-up. Called wherever a staged
-// featAlloc is freed.
+// releaseStaged returns one staged tensor's bytes to the loader: the count
+// drops and the prefetcher's headroom gate gets a wake-up. Called wherever a
+// staged featAlloc is freed.
 func (l *loader) releaseStaged(dev int) {
 	l.stagedDev[dev].Add(-1)
-	l.stagedTotal.Add(-1)
 	select {
 	case l.room <- struct{}{}:
 	default:
@@ -387,7 +348,7 @@ func (l *loader) popLane(lane int) (*stagedMB, error) {
 // iteration: stage(i) pops replica lane i%n (micro-batch 0 was already
 // popped by runIteration to learn which iteration is next), accumulating the
 // wall time the consumer idled waiting; release frees the staged tensor and
-// wakes the prefetcher's gates.
+// wakes the prefetcher's headroom gate.
 type pipeStager struct {
 	l       *loader
 	first   *stagedMB
@@ -421,8 +382,7 @@ func (ps *pipeStager) release(smb *stagedMB) {
 // HiddenTransfer reports how much copy time the overlap and the caches hid;
 // ExposedPlanning reports the share of planning the previous iteration's
 // execution window could not hide, so CriticalPath reflects what the
-// training loop experienced. With adaptive depth on, the controller observes
-// this iteration's starvation/headroom balance and adjusts the limit.
+// training loop experienced.
 //
 //buffalo:hot-root train-iteration
 func (l *loader) runIteration() (*MultiGPUResult, error) {
@@ -465,15 +425,6 @@ func (l *loader) runIteration() (*MultiGPUResult, error) {
 	// reduces run concurrently with compute already counted here.
 	l.windows[l.winIdx] = res.Phases.DataLoading + res.Phases.GPUCompute + res.ExposedComm
 	l.winIdx = (l.winIdx + 1) % len(l.windows)
-	if l.depthCtl != nil {
-		l.effDepth.Store(int64(l.depthCtl.observe(starved, l.gateWaits.Swap(0))))
-		// Wake a limiter-blocked prefetcher so a raised depth takes effect
-		// without waiting for the next release.
-		select {
-		case l.room <- struct{}{}:
-		default:
-		}
-	}
 	if l.eng.cfg.Obs.Enabled() {
 		// The wall time the consumer actually idled at the ready lanes: the
 		// host-contention-dependent realization of ExposedPlanning.
@@ -541,13 +492,6 @@ func (p *PipelinedSession) RunIteration() (*IterationResult, error) {
 		return nil, err
 	}
 	return &res.IterationResult, nil
-}
-
-// EffectiveDepth reports the loader's current prefetch-depth limit: the
-// configured depth for fixed loaders, the controller's live value under
-// adaptive depth.
-func (p *PipelinedSession) EffectiveDepth() int {
-	return int(p.ld.effDepth.Load())
 }
 
 // CacheStats snapshots the feature cache (zero value when caching is off).

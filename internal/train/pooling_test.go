@@ -9,21 +9,35 @@ import (
 	"buffalo/internal/graph"
 )
 
+// unpool turns an engine's tensor reuse off: the nil pool and arena degrade
+// to plain allocation, so every tensor is fresh and nothing is ever released
+// — the reference the pooled runs are compared against. It must run before
+// any iteration, and before a loader starts staging from the feature pool.
+func (e *engine) unpool() {
+	e.featPool, e.arena = nil, nil
+	for _, r := range e.replicas {
+		r.model.SetArena(nil)
+	}
+}
+
 // TestPoolingBitIdenticalLosses is the zero-allocation hot path's safety
 // regression: pooled and arena-backed tensors are zeroed on reuse, so every
-// execution mode must produce exactly the losses of a run with pooling
-// disabled (fresh allocations everywhere). Any drift means a kernel read
-// recycled data.
+// execution mode must produce exactly the losses of a run with pooling off
+// (fresh allocations everywhere). Any drift means a kernel read recycled
+// data.
 func TestPoolingBitIdenticalLosses(t *testing.T) {
 	ds := loadData(t, "cora")
 	const iters = 3
 
-	runSeq := func(cfg Config) []float32 {
+	runSeq := func(cfg Config, pooled bool) []float32 {
 		s, err := NewSession(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		if !pooled {
+			s.eng.unpool()
+		}
 		out := make([]float32, iters)
 		for i := range out {
 			r, err := s.RunIteration()
@@ -34,11 +48,23 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 		}
 		return out
 	}
-	runPipelined := func(cfg Config) []float32 {
-		p, err := NewPipelinedSession(ds, cfg, PipelineConfig{Depth: 2, CacheBudget: 4 << 20})
+	runPipelined := func(cfg Config, pooled bool) []float32 {
+		// NewPipelinedSession in two steps, so the pools go before the
+		// prefetcher starts drawing from them.
+		s, err := NewSession(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !pooled {
+			s.eng.unpool()
+		}
+		pcfg := PipelineConfig{Depth: 2, CacheBudget: 4 << 20}
+		ld, err := newLoader(s.eng, pcfg)
+		if err != nil {
+			s.Close()
+			t.Fatal(err)
+		}
+		p := &PipelinedSession{Session: s, PCfg: pcfg, ld: ld}
 		defer p.Close()
 		out := make([]float32, iters)
 		for i := range out {
@@ -50,12 +76,15 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 		}
 		return out
 	}
-	runMultiGPU := func(cfg Config) []float32 {
+	runMultiGPU := func(cfg Config, pooled bool) []float32 {
 		dp, err := NewDataParallel(ds, cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer dp.Close()
+		if !pooled {
+			dp.eng.unpool()
+		}
 		out := make([]float32, iters)
 		for i := range out {
 			r, err := dp.RunIteration()
@@ -70,7 +99,7 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 	cases := []struct {
 		name string
 		prep func(*Config)
-		run  func(Config) []float32
+		run  func(Config, bool) []float32
 	}{
 		{"sequential", nil, runSeq},
 		{"pipelined", nil, runPipelined},
@@ -83,9 +112,7 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 		if tc.prep != nil {
 			tc.prep(&cfg)
 		}
-		pooled := tc.run(cfg)
-		cfg.DisablePooling = true
-		plain := tc.run(cfg)
+		pooled, plain := tc.run(cfg, true), tc.run(cfg, false)
 		for i := range pooled {
 			if pooled[i] != plain[i] {
 				t.Fatalf("%s iteration %d: pooled loss %v != unpooled %v",
@@ -100,24 +127,26 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 // from a micro-batch's forward until its backward, and the arena is reset
 // between micro-batches. Two iterations at the train-cora-lstm shape (K > 1
 // under 2 MB, so matrices recycle within an iteration) must give the bits of
-// a session with pooling off. scripts/check.sh also runs this under -tags
+// an unpooled session. scripts/check.sh also runs this under -tags
 // tensordebug, where every released matrix is NaN until its next checkout
 // zeroes it and the unpooled session, which releases nothing, is the plain
 // build's arithmetic: a trajectory read after its arena's Reset poisons the
 // loss there.
 func TestLSTMIterationUnderPoison(t *testing.T) {
 	ds := loadData(t, "cora")
-	run := func(disablePooling bool) []float32 {
+	run := func(pooled bool) []float32 {
 		cfg := baseConfig(ds, Buffalo)
 		cfg.Model.Aggregator = gnn.LSTM
 		cfg.Model.InDim, cfg.Model.Hidden = 64, 16
 		cfg.Fanouts, cfg.BatchSize, cfg.MemBudget = []int{5, 5}, 128, 2*device.MB
-		cfg.DisablePooling = disablePooling
 		s, err := NewSession(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		if !pooled {
+			s.eng.unpool()
+		}
 		var out []float32
 		for i := 0; i < 2; i++ {
 			r, err := s.RunIteration()
@@ -131,7 +160,7 @@ func TestLSTMIterationUnderPoison(t *testing.T) {
 		}
 		return out
 	}
-	pooled, plain := run(false), run(true)
+	pooled, plain := run(true), run(false)
 	for i := range plain {
 		if math.IsNaN(float64(plain[i])) || math.Float32bits(pooled[i]) != math.Float32bits(plain[i]) {
 			t.Fatalf("iteration %d: pooled loss %v (%08x), unpooled %v (%08x)", i,
@@ -147,14 +176,15 @@ func TestPoolingBitIdenticalServing(t *testing.T) {
 	ds := loadData(t, "cora")
 	nodes := []graph.NodeID{1, 2, 3, 5, 8, 13, 21, 34}
 
-	run := func(disable bool) []map[graph.NodeID]int32 {
-		cfg := baseConfig(ds, Buffalo)
-		cfg.DisablePooling = disable
-		s, err := NewInferenceSession(ds, cfg, 0)
+	run := func(pooled bool) []map[graph.NodeID]int32 {
+		s, err := NewInferenceSession(ds, baseConfig(ds, Buffalo), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		if !pooled {
+			s.eng.unpool()
+		}
 		var out []map[graph.NodeID]int32
 		for i := 0; i < 3; i++ {
 			r, err := s.Infer(nodes)
@@ -165,7 +195,7 @@ func TestPoolingBitIdenticalServing(t *testing.T) {
 		}
 		return out
 	}
-	pooled, plain := run(false), run(true)
+	pooled, plain := run(true), run(false)
 	for i := range pooled {
 		for id, c := range plain[i] {
 			if pooled[i][id] != c {

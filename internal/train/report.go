@@ -36,7 +36,6 @@ type RunReport struct {
 	ooms                int
 
 	pcfg     *PipelineConfig
-	effDepth int
 	cache    *report.Cache
 	pooling  *report.Pooling
 	sharding *report.Sharding
@@ -108,26 +107,24 @@ func (r *RunReport) CaptureSession(s *Session) {
 	r.pooling = poolingReport(s.PoolStats())
 }
 
-// CapturePipelined snapshots a pipelined session's device, loader depth and
-// cache state. Safe on a nil receiver.
+// CapturePipelined snapshots a pipelined session's device and cache state.
+// Safe on a nil receiver.
 func (r *RunReport) CapturePipelined(p *PipelinedSession) {
 	if r == nil {
 		return
 	}
 	r.devices = append(r.devices, p.GPU.Stats())
-	r.effDepth = p.EffectiveDepth()
 	r.cache = cacheReport(p.CacheStats(), p.CacheHitRate(), nil)
 	r.pooling = poolingReport(p.PoolStats())
 }
 
 // CaptureDataParallel snapshots every replica device plus the shared
-// loader's depth and per-device cache state. Safe on a nil receiver.
+// loader's per-device cache state. Safe on a nil receiver.
 func (r *RunReport) CaptureDataParallel(dp *DataParallel) {
 	if r == nil {
 		return
 	}
 	r.devices = append(r.devices, dp.Stats()...)
-	r.effDepth = dp.EffectiveDepth()
 	r.cache = cacheReport(dp.CacheStats(), dp.CacheHitRate(), dp.PerDeviceCacheStats())
 	r.pooling = poolingReport(dp.PoolStats())
 	r.sharding = shardingReport(dp)
@@ -136,21 +133,19 @@ func (r *RunReport) CaptureDataParallel(dp *DataParallel) {
 // shardingReport builds the manifest's sharding section from a data-parallel
 // run: the flat buffer's shard geometry, the per-replica byte ledger, and the
 // cluster's collective breakdown. Nil when the run is unsharded (single
-// replica, or neither ReduceScatter nor ZeRO1 set) — the section's absence is
-// the signal that the all-reduce combine ran.
+// replica, or ZeRO1 not set) — the section's absence is the signal that the
+// all-reduce combine ran.
 func shardingReport(dp *DataParallel) *report.Sharding {
 	n := len(dp.eng.replicas)
-	if n < 2 || !dp.Cfg.UsesShardedComm() {
+	if n < 2 || !dp.Cfg.ZeRO1 {
 		return nil
 	}
 	fb := dp.eng.flat0
 	params := dp.eng.replicas[0].model.Params
 	shard := fb.ShardBytes()
 	bd := dp.Cluster.Collectives()
-	sh := &report.Sharding{
+	return &report.Sharding{
 		Replicas:           n,
-		ZeRO1:              dp.Cfg.ZeRO1,
-		ReduceScatter:      true, // ZeRO1 implies the sharded collectives
 		Buckets:            len(fb.Buckets()),
 		ParamBytes:         params.ValueBytes(),
 		GradShardBytes:     shard,
@@ -160,15 +155,12 @@ func shardingReport(dp *DataParallel) *report.Sharding {
 		ReduceScatterCount: bd.ReduceScatterCount,
 		AllGatherNs:        int64(bd.AllGatherTime),
 		AllGatherCount:     bd.AllGatherCount,
-	}
-	if dp.Cfg.ZeRO1 {
 		// The per-replica fixed-footprint drop the ledger shows: unsharded
 		// training holds params+grads+two moments (4V); ZeRO-1 holds the
 		// values plus three shard-sized buffers.
-		sh.DroppedBytes = memest.TrainFixedBytes(params.Bytes()) -
-			memest.ZeRO1FixedBytes(params.ValueBytes(), shard)
+		DroppedBytes: memest.TrainFixedBytes(params.Bytes()) -
+			memest.ZeRO1FixedBytes(params.ValueBytes(), shard),
 	}
-	return sh
 }
 
 // poolingReport converts tensor-pool stats into the manifest form; a pool
@@ -179,8 +171,8 @@ func poolingReport(st tensor.PoolStats) *report.Pooling {
 	}
 	return &report.Pooling{
 		Hits: st.Hits, Misses: st.Misses, Resizes: st.Resizes,
-		Outstanding: st.Outstanding,
-		HitRate:     float64(st.Hits) / float64(st.Hits+st.Misses),
+		Outstanding: st.Outstanding, RetainedBytes: st.RetainedBytes,
+		HitRate: float64(st.Hits) / float64(st.Hits+st.Misses),
 	}
 }
 
@@ -222,7 +214,6 @@ func (r *RunReport) Build(rec *obs.Recorder) *report.Manifest {
 		GPUs:           r.gpus,
 		Seed:           r.cfg.Seed,
 		CommOverlap:    r.cfg.CommOverlap,
-		ReduceScatter:  r.cfg.ReduceScatter,
 		ZeRO1:          r.cfg.ZeRO1,
 	}
 	if r.cfg.CommOverlap {
@@ -231,15 +222,8 @@ func (r *RunReport) Build(rec *obs.Recorder) *report.Manifest {
 	if r.pcfg != nil {
 		m.Config.Pipelined = true
 		m.Config.PrefetchDepth = r.pcfg.Depth
-		m.Config.AdaptiveDepth = r.pcfg.Adaptive
 		m.Config.CacheBudgetBytes = r.pcfg.CacheBudget
 		m.Config.PlanAhead = r.pcfg.PlanAhead
-		m.Pipeline = &report.Pipeline{
-			EffectiveDepth:  r.effDepth,
-			ConfiguredDepth: r.pcfg.Depth,
-			Adaptive:        r.pcfg.Adaptive,
-			PlanAhead:       r.pcfg.PlanAhead,
-		}
 	}
 	m.Run = report.Run{
 		Iterations:         r.iters,

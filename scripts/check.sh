@@ -116,7 +116,7 @@ echo "== pipeline race gate =="
 # primitives and shutdown/cancellation tests must stay race-clean on their
 # own before the slow full-suite pass.
 go test -race -count=1 ./internal/pipeline/...
-go test -race -count=1 -run 'TestPipelined|TestDataLoading|TestMultiGPUPipelined|TestAdaptiveDepth|TestFixedDepth' ./internal/train/
+go test -race -count=1 -run 'TestPipelined|TestDataLoading|TestMultiGPUPipelined' ./internal/train/
 
 echo "== scaleout race gate =="
 # The N-GPU scale-out path: the plan-ahead pool runs several K-search
