@@ -7,10 +7,16 @@
 //
 // Two generators produce bit-identical blocks:
 //
-//   - Generate is Buffalo's fast path (§IV-E): it reads the per-hop sampled
-//     adjacency the sampler recorded (CSR-style, in sampling order), so each
-//     destination's neighbors are a direct lookup, and it renumbers
-//     destinations in parallel at node level.
+//   - GenerateInto is Buffalo's fast path (§IV-E). The sampler already gave
+//     every sampled neighbor its position in the batch's next frontier
+//     (sampling.HopAdj.NbrPos) and a frontier node keeps its position from
+//     one hop to the next, so a micro-batch frontier travels as positions: a
+//     destination's neighbors are the array read NbrPos[p], and renumbering
+//     them into the block's Src is a stamped table over that position space
+//     (DESIGN.md §7, "Positions"). No node id is hashed per node or per
+//     edge, and a warm GenScratch builds a micro-batch without allocating.
+//     It is single-threaded on purpose: what used to be fanned out across
+//     cores was a map lookup per node, and is now a slice index.
 //   - GenerateNaive is the Betty/DGL-style baseline: it flattens the batch
 //     into one merged adjacency, then for every micro-batch layer rebuilds
 //     per-hop membership sets from the FULL batch and rediscovers each
@@ -21,13 +27,12 @@ package block
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"buffalo/internal/graph"
 	"buffalo/internal/obs"
 	"buffalo/internal/sampling"
+	"buffalo/internal/stamp"
 )
 
 // Block is one layer's bipartite message-flow graph.
@@ -42,7 +47,7 @@ type Block struct {
 	Adj [][]int32
 
 	// adjFlat is the reused flat backing GenerateInto carves Adj[i] views
-	// from; unused by the allocating generators.
+	// from; unused by GenerateNaive.
 	adjFlat []int32
 }
 
@@ -101,78 +106,33 @@ func (m *MicroBatch) NumNodes() int64 {
 // Buffalo's sampling-order fast path. Outputs must each be one of the
 // batch's seeds.
 func Generate(batch *sampling.Batch, outputs []graph.NodeID) (*MicroBatch, error) {
-	return generate(batch, outputs, true, nil)
+	return GenerateInto(new(GenScratch), batch, outputs, nil)
+}
+
+// GenerateTraced is Generate with GenerateInto's observability. A nil
+// recorder makes it identical to Generate.
+func GenerateTraced(batch *sampling.Batch, outputs []graph.NodeID, rec *obs.Recorder) (*MicroBatch, error) {
+	return GenerateInto(new(GenScratch), batch, outputs, rec)
 }
 
 // GenScratch owns the storage one micro-batch generation consumes — the
-// MicroBatch itself, a value slab for its blocks, the per-destination gather
-// headers, the renumbering map, and each block's flat Src/Adj backing — so a
-// warm GenerateInto builds blocks without allocating. One scratch serves one
-// in-flight micro-batch at a time; the iteration engine keeps K of them per
-// checked-out iteration.
+// MicroBatch itself, a value slab for its blocks, each block's flat Src/Adj
+// backing, the frontier's positions (current hop and next), and the
+// renumbering table — so a warm GenerateInto builds blocks without
+// allocating. One scratch serves one in-flight micro-batch at a time; the
+// iteration engine keeps K of them per checked-out iteration. The zero value
+// is ready.
 type GenScratch struct {
-	mb       MicroBatch
-	blocks   []Block
-	gathered [][]graph.NodeID
-	local    map[graph.NodeID]int32
-	seen     map[graph.NodeID]bool
-	gs       gatherScratch
-}
-
-// gatherScratch carries the parallel gather's shared state as fields instead
-// of captured locals: forEachChunkGather hands chunks straight to its run
-// method, so a warm gather spawns no closure and forces nothing to escape.
-type gatherScratch struct {
-	mu       sync.Mutex
-	err      error
-	frontier []graph.NodeID
-	gathered [][]graph.NodeID
-	hop      *sampling.HopAdj
-	h        int
-}
-
-func (g *gatherScratch) run(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		idx, ok := g.hop.Index[g.frontier[i]]
-		if !ok {
-			g.mu.Lock()
-			g.err = fmt.Errorf("block: node %d missing from hop %d", g.frontier[i], g.h)
-			g.mu.Unlock()
-			return
-		}
-		g.gathered[i] = g.hop.Nbrs[idx]
-	}
-}
-
-// forEachChunkGather is forEachChunk without the func parameter: chunks call
-// g.run directly, so the sequential small-frontier path is allocation-free.
-func forEachChunkGather(n int, parallel bool, g *gatherScratch) {
-	if !parallel || n < 256 {
-		g.run(0, n)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			g.run(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	mb     MicroBatch
+	blocks []Block
+	// pos[i] is the position of the current frontier's i-th node in the
+	// batch frontier of the hop being built (and, being a prefix of it, of
+	// the next one); nextPos collects the same for the block's Src.
+	pos, nextPos []int32
+	// local maps a position in the batch's next frontier to the node's local
+	// index in the block's Src; before hop 0 it doubles as the duplicate
+	// check over seed rows.
+	local stamp.Table
 }
 
 // The single-make growth helpers keep the hot-path allocation census to one
@@ -180,13 +140,6 @@ func forEachChunkGather(n int, parallel bool, g *gatherScratch) {
 func ensureIDs(s []graph.NodeID, n int) []graph.NodeID {
 	if cap(s) < n {
 		return make([]graph.NodeID, n)
-	}
-	return s[:n]
-}
-
-func ensureNbrs(s [][]graph.NodeID, n int) [][]graph.NodeID {
-	if cap(s) < n {
-		return make([][]graph.NodeID, n)
 	}
 	return s[:n]
 }
@@ -205,20 +158,26 @@ func ensureInt32s(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// GenerateInto is GenerateTraced reusing sc's storage: the returned
-// MicroBatch (always &sc.mb) is valid until the next GenerateInto on the
-// same scratch. A nil scratch falls back to a fresh Generate. The produced
-// blocks are bit-identical to Generate's.
+// GenerateInto builds the micro-batch of outputs in sc's storage: the
+// returned MicroBatch (always &sc.mb) is valid until the next GenerateInto on
+// the same scratch; a nil scratch gets a fresh one. Concurrent calls over one
+// batch are safe with a scratch each — the batch is only read.
+//
+// With a recorder it emits one KindFanout span per hop (the hop's gather and
+// renumbering, Bytes the frontier size, Aux the worker count, always 1) and
+// adds the call's totals to the counters block/src_nodes and block/edges.
 func GenerateInto(sc *GenScratch, batch *sampling.Batch, outputs []graph.NodeID, rec *obs.Recorder) (*MicroBatch, error) {
 	if sc == nil {
-		return generate(batch, outputs, true, rec)
+		sc = new(GenScratch)
 	}
-	if sc.seen == nil {
-		sc.seen = make(map[graph.NodeID]bool, len(outputs))
-	} else {
-		clear(sc.seen)
+	for h := range batch.Hops {
+		if hop := &batch.Hops[h]; len(hop.NbrPos) != len(hop.Dst) {
+			return nil, fmt.Errorf("block: hop %d lists %d destinations but positions for %d (a hand-built batch needs AssignPositions)",
+				h, len(hop.Dst), len(hop.NbrPos))
+		}
 	}
-	if err := validateOutputsSeen(batch, outputs, sc.seen); err != nil {
+	sc.pos = ensureInt32s(sc.pos, len(outputs))
+	if err := outputRows(&sc.local, batch, outputs, sc.pos); err != nil {
 		return nil, err
 	}
 	L := batch.Layers()
@@ -240,63 +199,75 @@ func GenerateInto(sc *GenScratch, batch *sampling.Batch, outputs []graph.NodeID,
 	for i := range sc.blocks {
 		mb.Blocks[i] = &sc.blocks[i]
 	}
-	if sc.local == nil {
-		sc.local = make(map[graph.NodeID]int32, len(outputs)*2)
-	}
-	frontier := mb.Outputs
+	var srcNodes, edges int64
+	frontier, pos := mb.Outputs, sc.pos
 	for h := 0; h < L; h++ {
-		hop := &batch.Hops[h]
-		tGather := time.Now()
-		sc.gathered = ensureNbrs(sc.gathered, len(frontier))
-		gs := &sc.gs
-		gs.hop, gs.h, gs.frontier, gs.gathered, gs.err = hop, h, frontier, sc.gathered, nil
-		forEachChunkGather(len(frontier), true, gs)
-		if gs.err != nil {
-			return nil, gs.err
-		}
-		gathered := sc.gathered
+		var t0 time.Time
 		if rec.Enabled() {
-			rec.Span(obs.KindFanout, "", hopGatherName(h),
-				time.Since(tGather), int64(len(frontier)), int64(chunkWorkers(len(frontier), true)))
+			t0 = time.Now()
 		}
-		// Sequential renumbering into the reused block. The flat Adj backing
-		// is pre-counted to the hop's full gather total before the first
-		// subslice is carved, so appends never reallocate under earlier
-		// views; Src is bounded by the frontier plus every gathered
-		// neighbor.
+		hop := &batch.Hops[h]
+		next := batch.Frontier(h + 1)
+		// Every frontier node already has a place in the next frontier (its
+		// own position), so the table starts out mapping pos[i] -> i.
+		cells, ep := sc.local.Begin(len(next))
 		total := 0
-		for i := range frontier {
-			total += len(gathered[i])
+		for i, p := range pos {
+			if int(p) >= len(cells) {
+				return nil, errPosition(h, p, len(next))
+			}
+			cells[p] = stamp.Cell{Epoch: ep, Val: int32(i)}
+			total += len(hop.NbrPos[p])
 		}
+		// The flat Adj backing is sized to the hop's full gather total before
+		// the first row is carved from it; Src holds the frontier plus at
+		// most one node per gathered edge, and never more than the batch's
+		// next frontier.
+		bound := min(len(frontier)+total, len(next))
 		blk := &sc.blocks[L-1-h]
 		blk.Dst = frontier
 		blk.adjFlat = ensureInt32s(blk.adjFlat, total)
-		blk.Src = ensureIDs(blk.Src, len(frontier)+total)[:0]
-		blk.Src = append(blk.Src, frontier...)
-		clear(sc.local)
-		for i, v := range frontier {
-			sc.local[v] = int32(i)
-		}
 		blk.Adj = ensureAdjHeaders(blk.Adj, len(frontier))
+		src := append(ensureIDs(blk.Src, bound)[:0], frontier...)
+		npos := append(ensureInt32s(sc.nextPos, bound)[:0], pos...)
 		used := 0
-		for i := range frontier {
-			adj := blk.adjFlat[used : used : used+len(gathered[i])]
-			for _, u := range gathered[i] {
-				li, seen := sc.local[u]
-				if !seen {
-					li = int32(len(blk.Src))
-					sc.local[u] = li
-					blk.Src = append(blk.Src, u)
+		for i, p := range pos {
+			row := hop.NbrPos[p]
+			adj := blk.adjFlat[used : used+len(row)]
+			for j, q := range row {
+				if uint(q) >= uint(len(cells)) {
+					return nil, errPosition(h, q, len(next))
 				}
-				adj = append(adj, li)
+				c := &cells[q]
+				if c.Epoch != ep {
+					*c = stamp.Cell{Epoch: ep, Val: int32(len(src))}
+					src = append(src, next[q])
+					npos = append(npos, q)
+				}
+				adj[j] = c.Val
 			}
 			blk.Adj[i] = adj
-			used += len(adj)
+			used += len(row)
 		}
-		frontier = blk.Src
+		blk.Src = src
+		sc.pos, sc.nextPos = npos, pos
+		frontier, pos = src, npos
+		srcNodes += int64(len(src))
+		edges += int64(total)
+		if rec.Enabled() {
+			rec.Span(obs.KindFanout, "", hopGatherName(h), time.Since(t0), int64(len(blk.Dst)), 1)
+		}
 	}
 	reverseShareCheck(mb)
+	if m := rec.Metrics(); m != nil {
+		m.Counter("block/src_nodes").Add(srcNodes)
+		m.Counter("block/edges").Add(edges)
+	}
 	return mb, nil
+}
+
+func errPosition(h int, p int32, n int) error {
+	return fmt.Errorf("block: hop %d position %d is outside the next frontier (%d nodes)", h, p, n)
 }
 
 // hopGatherName labels a hop's fan-out span without per-call formatting.
@@ -312,14 +283,6 @@ var hopGatherNames = [...]string{
 	"gather/hop4", "gather/hop5", "gather/hop6", "gather/hop7",
 }
 
-// GenerateTraced is Generate with per-hop fan-out observability: each hop's
-// parallel gather is recorded as a KindFanout span carrying the frontier
-// size and the worker count it fanned out across. A nil recorder makes it
-// identical to Generate.
-func GenerateTraced(batch *sampling.Batch, outputs []graph.NodeID, rec *obs.Recorder) (*MicroBatch, error) {
-	return generate(batch, outputs, true, rec)
-}
-
 // GenerateNaive builds the same micro-batch with the connection-check
 // baseline; see the package comment. The result is identical to Generate's.
 func GenerateNaive(batch *sampling.Batch, outputs []graph.NodeID) (*MicroBatch, error) {
@@ -332,7 +295,7 @@ func GenerateNaive(batch *sampling.Batch, outputs []graph.NodeID) (*MicroBatch, 
 // rebuilding per-hop membership sets, repeated per micro-batch) and
 // buildTime covers block assembly (renumbering and adjacency construction).
 func GenerateNaiveTimed(batch *sampling.Batch, outputs []graph.NodeID) (mb *MicroBatch, checkTime, buildTime time.Duration, err error) {
-	if err := validateOutputs(batch, outputs); err != nil {
+	if err := outputRows(new(stamp.Table), batch, outputs, make([]int32, len(outputs))); err != nil {
 		return nil, 0, 0, err
 	}
 	L := batch.Layers()
@@ -397,92 +360,25 @@ func GenerateNaiveTimed(batch *sampling.Batch, outputs []graph.NodeID) (mb *Micr
 	return mb, checkTime, buildTime, nil
 }
 
-// generate is the fast path: direct per-hop lookups, node-parallel gather.
-func generate(batch *sampling.Batch, outputs []graph.NodeID, parallel bool, rec *obs.Recorder) (*MicroBatch, error) {
-	if err := validateOutputs(batch, outputs); err != nil {
-		return nil, err
-	}
-	L := batch.Layers()
-	mb := &MicroBatch{
-		Outputs: append([]graph.NodeID(nil), outputs...),
-		Blocks:  make([]*Block, L),
-	}
-	frontier := mb.Outputs
-	for h := 0; h < L; h++ {
-		hop := &batch.Hops[h]
-		// Parallel node-level gather of each destination's sampled
-		// neighbor list (a direct slice lookup in sampling order).
-		tGather := time.Now()
-		gathered := make([][]graph.NodeID, len(frontier))
-		var errMu sync.Mutex
-		var gatherErr error
-		forEachChunk(len(frontier), parallel, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				idx, ok := hop.Index[frontier[i]]
-				if !ok {
-					errMu.Lock()
-					gatherErr = fmt.Errorf("block: node %d missing from hop %d", frontier[i], h)
-					errMu.Unlock()
-					return
-				}
-				gathered[i] = hop.Nbrs[idx]
-			}
-		})
-		if gatherErr != nil {
-			return nil, gatherErr
-		}
-		if rec.Enabled() {
-			rec.Span(obs.KindFanout, "", fmt.Sprintf("gather/hop%d", h),
-				time.Since(tGather), int64(len(frontier)), int64(chunkWorkers(len(frontier), parallel)))
-		}
-		// Sequential renumbering (order-dependent), then the block.
-		blk := &Block{Dst: frontier}
-		local := make(map[graph.NodeID]int32, len(frontier)*2)
-		blk.Src = append(blk.Src, frontier...)
-		for i, v := range frontier {
-			local[v] = int32(i)
-		}
-		blk.Adj = make([][]int32, len(frontier))
-		for i := range frontier {
-			adj := make([]int32, 0, len(gathered[i]))
-			for _, u := range gathered[i] {
-				li, seen := local[u]
-				if !seen {
-					li = int32(len(blk.Src))
-					local[u] = li
-					blk.Src = append(blk.Src, u)
-				}
-				adj = append(adj, li)
-			}
-			blk.Adj[i] = adj
-		}
-		mb.Blocks[L-1-h] = blk
-		frontier = blk.Src
-	}
-	reverseShareCheck(mb)
-	return mb, nil
-}
-
-// validateOutputs checks outputs are distinct seeds of the batch.
-func validateOutputs(batch *sampling.Batch, outputs []graph.NodeID) error {
-	return validateOutputsSeen(batch, outputs, make(map[graph.NodeID]bool, len(outputs)))
-}
-
-// validateOutputsSeen is validateOutputs over a caller-provided (cleared)
-// dedup map, so scratch-backed generation validates without allocating.
-func validateOutputsSeen(batch *sampling.Batch, outputs []graph.NodeID, seen map[graph.NodeID]bool) error {
+// outputRows checks that outputs are distinct seeds of the batch and writes
+// each one's row in hop 0 (its position in Frontier(0)) to rows. seen is
+// emptied first and holds the duplicate check.
+func outputRows(seen *stamp.Table, batch *sampling.Batch, outputs []graph.NodeID, rows []int32) error {
 	if len(outputs) == 0 {
 		return fmt.Errorf("block: micro-batch needs at least one output node")
 	}
-	seedSet := batch.Hops[0].Index
-	for _, v := range outputs {
-		if _, ok := seedSet[v]; !ok {
+	seedRow := batch.Hops[0].Index
+	cells, ep := seen.Begin(len(batch.Hops[0].Dst))
+	for i, v := range outputs {
+		r, ok := seedRow[v]
+		if !ok || uint(r) >= uint(len(cells)) {
 			return fmt.Errorf("block: output %d is not a seed of the batch", v)
 		}
-		if seen[v] {
+		if cells[r].Epoch == ep {
 			return fmt.Errorf("block: duplicate output %d", v)
 		}
-		seen[v] = true
+		cells[r].Epoch = ep
+		rows[i] = int32(r)
 	}
 	return nil
 }
@@ -511,47 +407,4 @@ func containsSorted(s []graph.NodeID, v graph.NodeID) bool {
 		}
 	}
 	return lo < len(s) && s[lo] == v
-}
-
-// chunkWorkers reports the fan-out width forEachChunk uses for n items.
-func chunkWorkers(n int, parallel bool) int {
-	if !parallel || n < 256 {
-		return 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	return workers
-}
-
-// forEachChunk runs fn over [0,n) either in one call (sequential) or split
-// across GOMAXPROCS goroutines.
-func forEachChunk(n int, parallel bool, fn func(lo, hi int)) {
-	if !parallel || n < 256 {
-		fn(0, n)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"buffalo/internal/graph"
+	"buffalo/internal/obs"
 	"buffalo/internal/sampling"
 )
 
@@ -117,7 +118,7 @@ func TestNaiveMatchesFast(t *testing.T) {
 	}
 }
 
-func assertEqualMicroBatches(t *testing.T, a, b *MicroBatch) {
+func assertEqualMicroBatches(t testing.TB, a, b *MicroBatch) {
 	t.Helper()
 	if len(a.Blocks) != len(b.Blocks) {
 		t.Fatalf("block counts %d vs %d", len(a.Blocks), len(b.Blocks))
@@ -170,6 +171,51 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, err := GenerateNaive(b, []graph.NodeID{notSeed}); err == nil {
 		t.Error("want error for non-seed output (naive)")
+	}
+	if _, err := GenerateNaive(b, []graph.NodeID{b.Seeds[1], b.Seeds[1]}); err == nil {
+		t.Error("want error for duplicate outputs (naive)")
+	}
+
+	// A hand-built batch: neighbors but no positions is an error, not a
+	// panic and not a slower second path; AssignPositions makes it usable.
+	index := func(dst []graph.NodeID) map[graph.NodeID]int {
+		m := map[graph.NodeID]int{}
+		for i, v := range dst {
+			m[v] = i
+		}
+		return m
+	}
+	dst0 := []graph.NodeID{10, 11, 12}
+	hand := &sampling.Batch{
+		Seeds:   dst0,
+		Fanouts: []int{2},
+		Hops: []sampling.HopAdj{{
+			Dst:   dst0,
+			Nbrs:  [][]graph.NodeID{{11, 20}, {}, {20, 21}},
+			Index: index(dst0),
+		}},
+	}
+	if _, err := Generate(hand, dst0); err == nil {
+		t.Error("want error for a batch with Nbrs but no NbrPos")
+	}
+	if err := hand.AssignPositions(); err != nil {
+		t.Fatal(err)
+	}
+	fast, err := Generate(hand, dst0[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := GenerateNaive(hand, dst0[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEqualMicroBatches(t, fast, naive)
+	// A position past the next frontier (5 nodes: 10 11 12 20 21).
+	for _, bad := range []int32{5, -1} {
+		hand.Hops[0].NbrPos[2][1] = bad
+		if _, err := Generate(hand, dst0); err == nil {
+			t.Errorf("want error for neighbor position %d out of range", bad)
+		}
 	}
 }
 
@@ -246,8 +292,8 @@ func TestQuickFastNaiveEquivalence(t *testing.T) {
 	}
 }
 
-// The fast generator must exercise its parallel path on large frontiers and
-// still match the naive result.
+// The fast generator must match the naive result on frontiers of thousands
+// of nodes too (the size at which it used to fan its gather out).
 func TestParallelPathLargeFrontier(t *testing.T) {
 	b := randomBatch(t, 9, 3000, 600, []int{5, 5})
 	fast, err := Generate(b, b.Seeds)
@@ -259,4 +305,37 @@ func TestParallelPathLargeFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEqualMicroBatches(t, fast, naive)
+}
+
+// With a recorder, one KindFanout span per hop and the call's totals on the
+// block/src_nodes and block/edges counters.
+func TestGenerateTracedSpansAndCounters(t *testing.T) {
+	b := randomBatch(t, 6, 80, 10, []int{4, 3})
+	m := obs.NewMetrics()
+	rec := obs.NewRecorder(obs.NewTrace(), m)
+	var srcNodes, edges int64
+	for _, outputs := range [][]graph.NodeID{b.Seeds[:4], b.Seeds[4:]} {
+		mb, err := GenerateTraced(b, outputs, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, blk := range mb.Blocks {
+			srcNodes += int64(blk.NumSrc())
+			edges += blk.NumEdges()
+		}
+	}
+	if got := m.Counter("fanout/count").Value(); got != 4 {
+		t.Fatalf("fanout spans = %d, want one per hop per call (4)", got)
+	}
+	for _, ev := range rec.Trace().Events() {
+		if ev.Kind == obs.KindFanout && ev.Aux != 1 {
+			t.Fatalf("fanout span %q reports %d workers, want 1", ev.Name, ev.Aux)
+		}
+	}
+	if got := m.Counter("block/src_nodes").Value(); got != srcNodes {
+		t.Fatalf("block/src_nodes = %d, want %d", got, srcNodes)
+	}
+	if got := m.Counter("block/edges").Value(); got != edges {
+		t.Fatalf("block/edges = %d, want %d", got, edges)
+	}
 }

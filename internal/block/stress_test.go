@@ -6,15 +6,12 @@ import (
 	"testing"
 )
 
-// TestGenerateConcurrentStress hammers the parallel block generator from
-// many goroutines over one shared batch. Generate fans each call out
-// across GOMAXPROCS workers (forEachChunk), so under -race this exercises
-// both the intra-call parallelism and the batch's supposedly read-only
-// shared state, while the result comparison proves every interleaving
-// produces bit-identical blocks.
+// TestGenerateConcurrentStress hammers the block generator from many
+// goroutines over one shared batch, a scratch each. Under -race this
+// exercises the batch's supposedly read-only shared state (positions,
+// frontiers, the hop-0 index), while the result comparison proves every
+// interleaving produces bit-identical blocks.
 func TestGenerateConcurrentStress(t *testing.T) {
-	// Large enough that forEachChunk actually goes parallel (needs >= 256
-	// frontier nodes at some hop).
 	b := randomBatch(t, 42, 4000, 512, []int{8, 4})
 	ref, err := Generate(b, b.Seeds)
 	if err != nil {

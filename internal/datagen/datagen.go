@@ -282,8 +282,11 @@ func clusteredPowerLaw(rng *rand.Rand, n, kmin int, alpha, locality float64) (*g
 				}
 				u := (v + dir*off%n + n) % n
 				// Scan outward from u (both rotations) for free stubs.
-				for scan := 0; scan < 64; scan++ {
-					cand := graph.NodeID((int(u) + scan*dir + n) % n)
+				// scan can exceed n on a tiny ring, so lift by maxScan rings
+				// (not one) to keep the dividend non-negative.
+				const maxScan = 64
+				for scan := 0; scan < maxScan; scan++ {
+					cand := graph.NodeID((int(u) + scan*dir + maxScan*n) % n)
 					if int(cand) != v && rem[cand] > 0 && !hasEdge(graph.NodeID(v), cand) {
 						connect(graph.NodeID(v), cand)
 						matched = true

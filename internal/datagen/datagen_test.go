@@ -221,3 +221,20 @@ func TestGenerateValidation(t *testing.T) {
 		}
 	}
 }
+
+// A ring smaller than the stub matcher's 64-step scan used to index rem[]
+// with a negative candidate.
+func TestClusteredPowerLawTinyRing(t *testing.T) {
+	for n := 8; n < 64; n += 5 {
+		for seed := int64(0); seed < 20; seed++ {
+			spec := Spec{Name: "tiny", Model: ClusteredPowerLaw, Nodes: n, FeatDim: 1, NumClasses: 2, KMin: 1 + int(seed%2), Alpha: 2.2, Locality: 0.5}
+			ds, err := Generate(spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds.Graph.NumNodes() != n {
+				t.Fatalf("n=%d seed=%d: %d nodes", n, seed, ds.Graph.NumNodes())
+			}
+		}
+	}
+}

@@ -58,8 +58,9 @@ const (
 	KindEstimate
 	// KindBlockGen is a block-generation span for one micro-batch.
 	KindBlockGen
-	// KindFanout is one hop of the parallel block generator's gather:
-	// Bytes is the frontier size, Aux the worker count.
+	// KindFanout is one hop of the block generator (gather + renumbering):
+	// Bytes is the frontier size, Aux the worker count (1 since the gather
+	// became an array read).
 	KindFanout
 	// KindMicroBatch is one micro-batch's end-to-end execution span: Bytes
 	// the micro-batch's features+activations footprint, Aux its index.

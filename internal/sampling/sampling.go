@@ -12,19 +12,30 @@ package sampling
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"buffalo/internal/graph"
+	"buffalo/internal/stamp"
 )
 
 // HopAdj is the sampled adjacency of one hop: Dst[i] aggregates from Nbrs[i]
 // (all IDs are original-graph IDs). Dst at hop h are the nodes at distance h
 // from the seeds; their sampled neighbors are at distance h+1 (or closer,
 // when the graph has short cycles — distance here means discovery hop).
+//
+// NbrPos gives every sampled neighbor its position in the batch's next
+// frontier: Frontier(h+1)[NbrPos[i][j]] == Nbrs[i][j], and because
+// Frontier(h+1)[:len(Dst)] == Dst a destination keeps its own position from
+// one hop to the next. The sampler assigns positions where it deduplicates
+// neighbors into that frontier; block.GenerateInto renumbers over them
+// instead of hashing node ids. A batch built by hand gets them from
+// AssignPositions.
 type HopAdj struct {
-	Dst   []graph.NodeID
-	Nbrs  [][]graph.NodeID
-	Index map[graph.NodeID]int // Dst value -> position
+	Dst    []graph.NodeID
+	Nbrs   [][]graph.NodeID
+	NbrPos [][]int32
+	Index  map[graph.NodeID]int // Dst value -> position
 }
 
 // Degree returns the sampled degree of dst, or -1 if dst is not in this hop.
@@ -46,15 +57,18 @@ type Batch struct {
 	// frontier; Hops[0].Dst == Seeds. len(Hops) == len(Fanouts).
 	Hops []HopAdj
 
-	// Reused backing storage for SampleBatchInto: per-hop flat neighbor
-	// arrays (each hop's Nbrs[i] are subslices of hopFlat[h]), per-hop
-	// next-frontier arrays (hop h+1's Dst aliases hopNext[h]), the
-	// Fisher-Yates scratch, and the dedup maps. inner caches the innermost
-	// frontier (Frontier(Layers())) the sampling loop discovers for free.
+	// Reused backing storage for SampleBatchInto: per-hop flat neighbor and
+	// position arrays (each hop's Nbrs[i] and NbrPos[i] are subslices of
+	// hopFlat[h] and posFlat[h]), per-hop next-frontier arrays (hop h+1's
+	// Dst aliases hopNext[h]), the Fisher-Yates scratch, and the dedup
+	// table: one cell per graph node holding its position in the frontier
+	// being built. inner caches the innermost frontier (Frontier(Layers()))
+	// the sampling loop discovers for free.
 	hopFlat  [][]graph.NodeID
+	posFlat  [][]int32
 	hopNext  [][]graph.NodeID
 	fyPool   []graph.NodeID
-	seedSeen map[graph.NodeID]bool
+	seen     stamp.Table
 	inner    []graph.NodeID
 	hasInner bool
 }
@@ -83,6 +97,20 @@ func ensureNbrs(s [][]graph.NodeID, n int) [][]graph.NodeID {
 	return s[:n]
 }
 
+func ensureInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func ensurePos(s [][]int32, n int) [][]int32 {
+	if cap(s) < n {
+		return make([][]int32, n)
+	}
+	return s[:n]
+}
+
 // Layers reports the aggregation depth L.
 func (b *Batch) Layers() int { return len(b.Fanouts) }
 
@@ -98,8 +126,13 @@ func (b *Batch) Frontier(h int) []graph.NodeID {
 	if b.hasInner {
 		return b.inner
 	}
-	// Innermost frontier: the last hop's destinations followed by the
-	// distinct neighbors the last hop sampled.
+	return b.innerFrontier()
+}
+
+// innerFrontier derives the innermost frontier of a batch the sampler did not
+// fill: the last hop's destinations followed by the distinct neighbors the
+// last hop lists.
+func (b *Batch) innerFrontier() []graph.NodeID {
 	last := &b.Hops[len(b.Hops)-1]
 	seen := make(map[graph.NodeID]bool, len(last.Dst))
 	out := append([]graph.NodeID(nil), last.Dst...)
@@ -115,6 +148,41 @@ func (b *Batch) Frontier(h int) []graph.NodeID {
 		}
 	}
 	return out
+}
+
+// AssignPositions derives every hop's NbrPos (and the cached innermost
+// frontier) from Dst and Nbrs, for a batch assembled by hand rather than by
+// SampleBatchInto. It fails when the batch cannot carry positions: a hop whose
+// destinations are not a prefix of the next hop's, or a neighbor the next
+// hop's Dst does not list.
+func (b *Batch) AssignPositions() error {
+	b.inner, b.hasInner = b.innerFrontier(), true
+	for h := range b.Hops {
+		hop := &b.Hops[h]
+		next := b.Frontier(h + 1)
+		if len(hop.Nbrs) != len(hop.Dst) {
+			return fmt.Errorf("sampling: hop %d has %d destinations but %d neighbor lists", h, len(hop.Dst), len(hop.Nbrs))
+		}
+		if len(next) < len(hop.Dst) || !slices.Equal(next[:len(hop.Dst)], hop.Dst) {
+			return fmt.Errorf("sampling: hop %d destinations are not a prefix of the next frontier", h)
+		}
+		posOf := make(map[graph.NodeID]int32, len(next))
+		for p, v := range next {
+			posOf[v] = int32(p)
+		}
+		hop.NbrPos = make([][]int32, len(hop.Nbrs))
+		for i, nbrs := range hop.Nbrs {
+			hop.NbrPos[i] = make([]int32, len(nbrs))
+			for j, u := range nbrs {
+				p, ok := posOf[u]
+				if !ok {
+					return fmt.Errorf("sampling: hop %d neighbor %d of node %d is absent from the next frontier", h, u, hop.Dst[i])
+				}
+				hop.NbrPos[i][j] = p
+			}
+		}
+	}
+	return nil
 }
 
 // AllNodes returns the distinct nodes appearing anywhere in the batch.
@@ -208,19 +276,17 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 	if len(seeds) == 0 {
 		return errNoSeeds
 	}
-	if b.seedSeen == nil {
-		b.seedSeen = make(map[graph.NodeID]bool, len(seeds))
-	} else {
-		clear(b.seedSeen)
-	}
-	for _, s := range seeds {
-		if s < 0 || int(s) >= g.NumNodes() {
+	// One pass validates the seeds and leaves the table holding hop 0's
+	// dedup state: every seed stamped with its position in Frontier(1).
+	cells, ep := b.seen.Begin(g.NumNodes())
+	for i, s := range seeds {
+		if s < 0 || int(s) >= len(cells) {
 			return fmt.Errorf("sampling: seed %d out of range", s)
 		}
-		if b.seedSeen[s] {
+		if cells[s].Epoch == ep {
 			return fmt.Errorf("sampling: duplicate seed %d", s)
 		}
-		b.seedSeen[s] = true
+		cells[s] = stamp.Cell{Epoch: ep, Val: int32(i)}
 	}
 	b.Graph = g
 	b.Seeds = ensureIDs(b.Seeds, len(seeds))
@@ -235,6 +301,7 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 		b.Hops = b.Hops[:len(fanouts)]
 	}
 	b.hopFlat = ensureNbrs(b.hopFlat, len(fanouts))
+	b.posFlat = ensurePos(b.posFlat, len(fanouts))
 	b.hopNext = ensureNbrs(b.hopNext, len(fanouts))
 
 	frontier := b.Seeds
@@ -242,6 +309,7 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 		hop := &b.Hops[h]
 		hop.Dst = frontier
 		hop.Nbrs = ensureNbrs(hop.Nbrs, len(frontier))
+		hop.NbrPos = ensurePos(hop.NbrPos, len(frontier))
 		if hop.Index == nil {
 			hop.Index = make(map[graph.NodeID]int, len(frontier))
 		} else {
@@ -260,7 +328,8 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 			total += d
 		}
 		b.hopFlat[h] = ensureIDs(b.hopFlat[h], total)
-		flat := b.hopFlat[h]
+		b.posFlat[h] = ensureInt32s(b.posFlat[h], total)
+		flat, posFlat := b.hopFlat[h], b.posFlat[h]
 		// The next frontier carries the current destinations first (GNN
 		// layers need each node's own previous-layer state — DGL's "dst
 		// nodes are a prefix of src nodes" convention) followed by newly
@@ -268,25 +337,27 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 		b.hopNext[h] = ensureIDs(b.hopNext[h], len(frontier)+total)
 		next := b.hopNext[h][:len(frontier)]
 		copy(next, frontier)
-		nextSeen := b.seedSeen // validated seeds double as hop-0 dedup state
 		if h > 0 {
-			clear(nextSeen)
-			for _, v := range frontier {
-				nextSeen[v] = true
+			cells, ep = b.seen.Begin(g.NumNodes())
+			for i, v := range frontier {
+				cells[v] = stamp.Cell{Epoch: ep, Val: int32(i)}
 			}
 		}
 		used := 0
 		for i, v := range frontier {
 			hop.Index[v] = i
 			nb := b.sampleNeighborsInto(flat[used:used], g, v, fanout, rng)
-			hop.Nbrs[i] = nb
-			used += len(nb)
-			for _, u := range nb {
-				if !nextSeen[u] {
-					nextSeen[u] = true
+			pos := posFlat[used : used+len(nb)]
+			for j, u := range nb {
+				c := &cells[u]
+				if c.Epoch != ep {
+					*c = stamp.Cell{Epoch: ep, Val: int32(len(next))}
 					next = append(next, u)
 				}
+				pos[j] = c.Val
 			}
+			hop.Nbrs[i], hop.NbrPos[i] = nb, pos
+			used += len(nb)
 		}
 		b.hopNext[h] = next // next aliases the pre-sized backing; keep its length
 		frontier = next
@@ -324,6 +395,27 @@ func (b *Batch) sampleNeighborsInto(dst []graph.NodeID, g *graph.Graph, v graph.
 	dst = dst[:fanout]
 	copy(dst, pool[:fanout])
 	return dst
+}
+
+// UniformSeedsInto is UniformSeeds drawing into buf's storage: the returned
+// seeds are the first count entries of a |V|-node permutation kept in buf
+// (regrown when too small), so the caller passes the result back in next time
+// and a warm draw allocates nothing. It consumes rng exactly as rand.Perm
+// does — including the draw at i = 0 that cannot move anything — so the seeds
+// and every later draw equal UniformSeeds'. The seeds are overwritten by the
+// next draw into the same storage; SampleBatchInto copies them.
+func UniformSeedsInto(buf []graph.NodeID, g *graph.Graph, count int, rng *rand.Rand) ([]graph.NodeID, error) {
+	n := g.NumNodes()
+	if count < 1 || count > n {
+		return nil, fmt.Errorf("sampling: seed count %d out of range [1,%d]", count, n)
+	}
+	perm := ensureIDs(buf, n)
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = graph.NodeID(i)
+	}
+	return perm[:count], nil
 }
 
 // UniformSeeds draws count distinct nodes uniformly from g as seeds.

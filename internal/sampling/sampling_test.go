@@ -1,10 +1,13 @@
 package sampling
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"buffalo/internal/datagen"
 	"buffalo/internal/graph"
 )
 
@@ -232,6 +235,7 @@ func TestQuickSamplingInvariants(t *testing.T) {
 				}
 			}
 		}
+		checkPositions(t, b)
 		// Frontier propagation: hop1 destinations == hop0 destinations
 		// plus distinct hop0 neighbors.
 		want := map[graph.NodeID]bool{}
@@ -256,4 +260,175 @@ func TestQuickSamplingInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkPositions holds NbrPos's two invariants on every hop of b.
+func checkPositions(t *testing.T, b *Batch) {
+	t.Helper()
+	for h := range b.Hops {
+		hop, next := &b.Hops[h], b.Frontier(h+1)
+		for i, v := range hop.Dst {
+			if next[i] != v {
+				t.Fatalf("hop %d: Frontier(%d)[%d] = %d, Dst[%d] = %d", h, h+1, i, next[i], i, v)
+			}
+			if len(hop.NbrPos[i]) != len(hop.Nbrs[i]) {
+				t.Fatalf("hop %d row %d: %d positions for %d neighbors", h, i, len(hop.NbrPos[i]), len(hop.Nbrs[i]))
+			}
+			for j, u := range hop.Nbrs[i] {
+				if q := hop.NbrPos[i][j]; next[q] != u {
+					t.Fatalf("hop %d row %d: Frontier(%d)[%d] = %d, neighbor %d", h, i, h+1, q, next[q], u)
+				}
+			}
+		}
+	}
+}
+
+func TestAssignPositions(t *testing.T) {
+	index := func(dst []graph.NodeID) map[graph.NodeID]int {
+		m := map[graph.NodeID]int{}
+		for i, v := range dst {
+			m[v] = i
+		}
+		return m
+	}
+	dst0 := []graph.NodeID{10, 11, 12}
+	dst1 := []graph.NodeID{10, 11, 12, 20, 21}
+	build := func() *Batch {
+		return &Batch{
+			Seeds:   dst0,
+			Fanouts: []int{2, 2},
+			Hops: []HopAdj{
+				{Dst: dst0, Nbrs: [][]graph.NodeID{{11, 20}, {}, {20, 21}}, Index: index(dst0)},
+				{Dst: dst1, Nbrs: [][]graph.NodeID{{11}, {30}, {}, {30, 10}, {31}}, Index: index(dst1)},
+			},
+		}
+	}
+	b := build()
+	if err := b.AssignPositions(); err != nil {
+		t.Fatal(err)
+	}
+	checkPositions(t, b)
+	want := []graph.NodeID{10, 11, 12, 20, 21, 30, 31}
+	if got := b.Frontier(2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("innermost frontier %v, want %v", got, want)
+	}
+
+	b = build()
+	b.Hops[0].Nbrs[0][1] = 22 // hop 1 does not list it
+	if err := b.AssignPositions(); err == nil {
+		t.Error("want error for a neighbor absent from the next hop's Dst")
+	}
+	b = build()
+	b.Hops[1].Dst = []graph.NodeID{11, 10, 12, 20, 21} // not Dst-first
+	if err := b.AssignPositions(); err == nil {
+		t.Error("want error when a hop's destinations are not a prefix of the next hop's")
+	}
+}
+
+// UniformSeedsInto must consume the RNG exactly as UniformSeeds (rand.Perm)
+// does: same seeds, and the same next draw, batch after batch — every seeded
+// loss and K sequence in the repository rests on it.
+func TestUniformSeedsIntoMatchesUniformSeeds(t *testing.T) {
+	g := ring(t, 257, 2)
+	ref := rand.New(rand.NewSource(11))
+	rng := rand.New(rand.NewSource(11))
+	var buf []graph.NodeID
+	for batch := 0; batch < 100; batch++ {
+		count := 1 + batch%64
+		want, err := UniformSeeds(g, count, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UniformSeedsInto(buf, g, count, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = got
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d: seeds %v, want %v", batch, got, want)
+		}
+		if a, b := rng.Int63(), ref.Int63(); a != b {
+			t.Fatalf("batch %d: RNG streams diverged after the draw", batch)
+		}
+	}
+	if _, err := UniformSeedsInto(buf, g, 0, rng); err == nil {
+		t.Error("want error for count 0")
+	}
+	if _, err := UniformSeedsInto(buf, g, 258, rng); err == nil {
+		t.Error("want error for count > n")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		buf, _ = UniformSeedsInto(buf, g, 32, rng)
+	}); allocs != 0 {
+		t.Fatalf("warm UniformSeedsInto allocates %v times per run, want 0", allocs)
+	}
+}
+
+// A Batch recycled across graphs of different size must not read a stamp an
+// earlier fill left in its dedup table, including across the epoch
+// wrap-around: alternate a large and a small graph through one Batch with the
+// epoch parked just below the wrap and hold each fill against a fresh one.
+func TestSampleBatchIntoStaleBatch(t *testing.T) {
+	graphs := []*graph.Graph{ring(t, 500, 6), ring(t, 30, 2)}
+	var recycled Batch
+	recycled.seen.Epoch = math.MaxUint32 - 2
+	for round := 0; round < 6; round++ {
+		for gi, g := range graphs {
+			seed := int64(10*round + gi)
+			rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			seeds, err := UniformSeeds(g, 5+3*gi+round, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Perm(g.NumNodes())
+			fanouts := []int{3, 2 + gi}
+			if err := SampleBatchInto(&recycled, g, seeds, fanouts, rng); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := SampleBatch(g, seeds, fanouts, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := range fresh.Hops {
+				got, want := &recycled.Hops[h], &fresh.Hops[h]
+				if !reflect.DeepEqual(got.Dst, want.Dst) || !reflect.DeepEqual(got.Nbrs, want.Nbrs) ||
+					!reflect.DeepEqual(got.NbrPos, want.NbrPos) || !reflect.DeepEqual(got.Index, want.Index) {
+					t.Fatalf("round %d graph %d hop %d: recycled fill differs from a fresh one", round, gi, h)
+				}
+			}
+			checkPositions(t, &recycled)
+		}
+	}
+	if recycled.seen.Epoch > 100 {
+		t.Fatalf("epoch %d: the rounds should have crossed the wrap-around", recycled.seen.Epoch)
+	}
+}
+
+func TestSampleBatchIntoWarmZeroAllocs(t *testing.T) {
+	ds, err := datagen.Load("ogbn-arxiv", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStream(ds.Graph, 1024, []int{10, 25}, 7)
+	var b Batch
+	// Frontier sizes vary batch to batch; a few fills grow every backing
+	// array (and the hop indexes) to the shape's ceiling.
+	for i := 0; i < 30; i++ {
+		if err := s.NextInto(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Refill with one fixed batch so no fill can be a new record size.
+	seeds := append([]graph.NodeID(nil), b.Seeds...)
+	rng := rand.New(rand.NewSource(3))
+	allocs := testing.AllocsPerRun(10, func() {
+		rng.Seed(3)
+		if err := SampleBatchInto(&b, ds.Graph, seeds, []int{10, 25}, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm SampleBatchInto allocates %v times per run, want 0", allocs)
+	}
+	checkPositions(t, &b)
 }

@@ -21,6 +21,7 @@ type Stream struct {
 	size    int
 	fanouts []int
 	rng     *rand.Rand
+	seeds   []graph.NodeID // UniformSeedsInto's recycled permutation
 }
 
 // NewStream builds a batch stream over g drawing size seeds per batch with
@@ -38,19 +39,20 @@ func NewStream(g *graph.Graph, size int, fanouts []int, seed int64) *Stream {
 // both from the stream's private RNG in the same order a sequential
 // session's SampleBatch consumes randomness.
 func (s *Stream) Next() (*Batch, error) {
-	seeds, err := UniformSeeds(s.g, s.size, s.rng)
-	if err != nil {
+	b := &Batch{}
+	if err := s.NextInto(b); err != nil {
 		return nil, err
 	}
-	return SampleBatch(s.g, seeds, s.fanouts, s.rng)
+	return b, nil
 }
 
 // NextInto refills b with the stream's next batch, reusing b's backing
 // storage (see SampleBatchInto). The RNG consumption matches Next exactly.
 func (s *Stream) NextInto(b *Batch) error {
-	seeds, err := UniformSeeds(s.g, s.size, s.rng)
+	seeds, err := UniformSeedsInto(s.seeds, s.g, s.size, s.rng)
 	if err != nil {
 		return err
 	}
+	s.seeds = seeds
 	return SampleBatchInto(b, s.g, seeds, s.fanouts, s.rng)
 }

@@ -43,6 +43,7 @@ type engine struct {
 	cfg      Config
 	data     *datagen.Dataset
 	rng      *rand.Rand
+	seedBuf  []graph.NodeID // sampleBatch's recycled seed permutation
 	clusterC float64
 	rowBytes int64
 
@@ -269,10 +270,11 @@ func (e *engine) residentBase() int64 {
 // the RNG draw sequence is identical to a fresh SampleBatch.
 func (e *engine) sampleBatch(sc *iterScratch) (*sampling.Batch, error) {
 	t0 := time.Now()
-	seeds, err := sampling.UniformSeeds(e.data.Graph, e.cfg.BatchSize, e.rng)
+	seeds, err := sampling.UniformSeedsInto(e.seedBuf, e.data.Graph, e.cfg.BatchSize, e.rng)
 	if err != nil {
 		return nil, err
 	}
+	e.seedBuf = seeds
 	b := &sc.batch
 	err = sampling.SampleBatchInto(b, e.data.Graph, seeds, e.cfg.Fanouts, e.rng)
 	if err != nil {

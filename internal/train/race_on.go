@@ -8,6 +8,6 @@ package train
 // while their hot loops are single-goroutine GEMM/backward passes that
 // race detection cannot say anything about. The concurrent paths stay
 // race-covered: the data-parallel trainer tests run under race here, and
-// the GPU ledger and parallel block generator have dedicated stress
-// tests in internal/device and internal/block.
+// the GPU ledger and concurrent block generation over one batch have
+// dedicated stress tests in internal/device and internal/block.
 const raceEnabled = true

@@ -48,11 +48,17 @@
 #                      internal/train's LSTM iteration, whose trajectory is
 #                      arena-scoped from a micro-batch's forward to its
 #                      backward while the engine resets the arena in between
-#  11. bench module    go vet and the smoke test of the repository's
+#  11. fuzz smoke      the three native fuzz targets for 5 s each, beyond the
+#                      seed corpora tier-1 already runs: block.GenerateInto
+#                      against GenerateNaive (with the sampler's position
+#                      invariants), the tensor pool against its multiset
+#                      model, the memest group accumulator against the map
+#                      oracle
+#  12. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
 #                      sizes, metric names checked against BENCHMARK.json
-#  12. go test -race   the full test suite under the race detector
+#  13. go test -race   the full test suite under the race detector
 #
 # Run from anywhere; the script cds to the repository root. Fails fast on
 # the first broken gate.
@@ -154,6 +160,13 @@ echo "== tensordebug gate =="
 go vet -tags tensordebug ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
 go test -tags tensordebug -count=1 ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
 go test -tags tensordebug -count=1 -run 'LSTM' ./internal/train
+
+echo "== fuzz smoke =="
+# go test accepts one -fuzz target in one package per run. A failing input
+# is written under the package's testdata/fuzz/ — commit it with the fix.
+go test -run '^$' -fuzz '^FuzzGenerateInto$' -fuzztime 5s ./internal/block
+go test -run '^$' -fuzz '^FuzzPoolModel$' -fuzztime 5s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzGroupAccumulator$' -fuzztime 5s ./internal/memest
 
 echo "== bench module gate =="
 # bench/ replaces buffalo with ../, so this also proves every exported
