@@ -14,6 +14,7 @@ package betty
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"buffalo/internal/graph"
@@ -43,24 +44,38 @@ const regPairCap = 128
 // BuildREG constructs the redundancy-embedded graph over the batch's output
 // nodes: weight(u, v) = number of shared sampled 1-hop neighbors, computed
 // via an inverted index from input node to the output nodes that sampled it.
+// The index is an array over Frontier(1) positions walked in position order,
+// so the REG's edge order — which METIS's result depends on — is a function
+// of the batch alone.
 func BuildREG(b *sampling.Batch) *partition.WGraph {
-	// Inverted index: input node -> output nodes that sampled it.
-	sampledBy := make(map[graph.NodeID][]int32)
+	// Inverted index in CSR form: outs[start[q]:start[q+1]] are the output
+	// rows that sampled the node at position q, in row order.
 	hop := &b.Hops[0]
-	for i := range hop.Dst {
-		for _, u := range hop.Nbrs[i] {
-			sampledBy[u] = append(sampledBy[u], int32(i))
+	start := make([]int32, len(b.Frontier(1))+1)
+	edges := 0
+	for _, row := range hop.NbrPos {
+		for _, q := range row {
+			start[q+1]++
+		}
+		edges += len(row)
+	}
+	for q := 1; q < len(start); q++ {
+		start[q] += start[q-1]
+	}
+	outs, fill := make([]int32, edges), slices.Clone(start)
+	for i, row := range hop.NbrPos {
+		for _, q := range row {
+			outs[fill[q]] = int32(i)
+			fill[q]++
 		}
 	}
 	reg := partition.NewWGraph(len(b.Seeds))
-	for _, outs := range sampledBy {
-		limit := len(outs)
-		if limit > regPairCap {
-			limit = regPairCap
-		}
-		for i := 0; i < limit; i++ {
-			for j := i + 1; j < limit; j++ {
-				reg.AddEdge(outs[i], outs[j], 1)
+	for q := 0; q+1 < len(start); q++ {
+		by := outs[start[q]:start[q+1]]
+		by = by[:min(len(by), regPairCap)]
+		for i := range by {
+			for _, o := range by[i+1:] {
+				reg.AddEdge(by[i], o, 1)
 			}
 		}
 	}
@@ -103,11 +118,15 @@ func Partition(b *sampling.Batch, k int, seed int64) (*Plan, error) {
 // EstimatePart is Betty's linear memory model: the sum of per-bucket
 // estimates over the part's output nodes, with no redundancy correction.
 func EstimatePart(b *sampling.Batch, est *memest.Estimator, part []graph.NodeID) int64 {
-	byDeg := map[int]int{}
 	hop := &b.Hops[0]
+	var byDeg []int // output count per sampled hop-0 degree
 	for _, v := range part {
-		if i, ok := hop.Index[v]; ok {
-			byDeg[len(hop.Nbrs[i])]++
+		if r, ok := b.Position(v); ok && int(r) < len(hop.Dst) {
+			d := len(hop.Nbrs[r])
+			for d >= len(byDeg) {
+				byDeg = append(byDeg, 0)
+			}
+			byDeg[d]++
 		}
 	}
 	var total int64

@@ -2,6 +2,7 @@ package betty
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"buffalo/internal/datagen"
@@ -162,5 +163,41 @@ func TestFindPlan(t *testing.T) {
 	}
 	if _, err := FindPlan(b, est, 1, 4, 1); err == nil {
 		t.Error("want infeasible error for 1-byte budget")
+	}
+}
+
+// Betty must be a pure function of (batch, k, seed): the REG's edges reach
+// METIS in position order, not in a map's.
+func TestPartitionDeterministic(t *testing.T) {
+	for _, c := range []struct {
+		dataset string
+		seeds   int
+		fanouts []int
+		k       int
+	}{
+		{"cora", 256, []int{10, 25}, 4},
+		{"ogbn-arxiv", 1024, []int{10, 25}, 8},
+	} {
+		ds, err := datagen.Load(c.dataset, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sampling.NewStream(ds.Graph, c.seeds, c.fanouts, 5).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := Partition(b, c.k, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run < 5; run++ {
+			again, err := Partition(b, c.k, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again.Parts, first.Parts) {
+				t.Fatalf("%s: run %d partitions the same batch differently", c.dataset, run)
+			}
+		}
 	}
 }

@@ -13,7 +13,7 @@
 //     one hop to the next, so a micro-batch frontier travels as positions: a
 //     destination's neighbors are the array read NbrPos[p], and renumbering
 //     them into the block's Src is a stamped table over that position space
-//     (DESIGN.md §7, "Positions"). No node id is hashed per node or per
+//     (DESIGN.md §7, "One numbering"). No node id is hashed per node or per
 //     edge, and a warm GenScratch builds a micro-batch without allocating.
 //     It is single-threaded on purpose: what used to be fanned out across
 //     cores was a map lookup per node, and is now a slice index.
@@ -312,8 +312,10 @@ func GenerateNaiveTimed(batch *sampling.Batch, outputs []graph.NodeID) (mb *Micr
 		// Rebuild the hop's membership sets from the full batch, per
 		// micro-batch: the redundant work the baseline repeats K times.
 		tC := time.Now()
+		rowOf := make(map[graph.NodeID]int, len(hop.Dst))
 		sampledSet := make(map[graph.NodeID]map[graph.NodeID]bool, len(hop.Dst))
 		for i, d := range hop.Dst {
+			rowOf[d] = i
 			set := make(map[graph.NodeID]bool, len(hop.Nbrs[i]))
 			for _, u := range hop.Nbrs[i] {
 				set[u] = true
@@ -333,7 +335,7 @@ func GenerateNaiveTimed(batch *sampling.Batch, outputs []graph.NodeID) (mb *Micr
 			set := sampledSet[v]
 			// Connection check: walk the merged candidates in order and keep
 			// those the hop actually sampled, preserving sampling order.
-			idx, ok := hop.Index[v]
+			idx, ok := rowOf[v]
 			if !ok {
 				return nil, 0, 0, fmt.Errorf("block: node %d missing from hop %d", v, h)
 			}
@@ -361,24 +363,23 @@ func GenerateNaiveTimed(batch *sampling.Batch, outputs []graph.NodeID) (mb *Micr
 }
 
 // outputRows checks that outputs are distinct seeds of the batch and writes
-// each one's row in hop 0 (its position in Frontier(0)) to rows. seen is
-// emptied first and holds the duplicate check.
+// each one's row in hop 0 (its position, below len(Frontier(0))) to rows.
+// seen is emptied first and holds the duplicate check.
 func outputRows(seen *stamp.Table, batch *sampling.Batch, outputs []graph.NodeID, rows []int32) error {
 	if len(outputs) == 0 {
 		return fmt.Errorf("block: micro-batch needs at least one output node")
 	}
-	seedRow := batch.Hops[0].Index
 	cells, ep := seen.Begin(len(batch.Hops[0].Dst))
 	for i, v := range outputs {
-		r, ok := seedRow[v]
-		if !ok || uint(r) >= uint(len(cells)) {
+		r, ok := batch.Position(v)
+		if !ok || int(r) >= len(cells) {
 			return fmt.Errorf("block: output %d is not a seed of the batch", v)
 		}
 		if cells[r].Epoch == ep {
 			return fmt.Errorf("block: duplicate output %d", v)
 		}
 		cells[r].Epoch = ep
-		rows[i] = int32(r)
+		rows[i] = r
 	}
 	return nil
 }

@@ -93,7 +93,11 @@ func TestGenerateDegreeRespectsSampling(t *testing.T) {
 	// The output block (hop 0) degrees equal the batch's sampled degrees.
 	out := mb.Blocks[len(mb.Blocks)-1]
 	for i, d := range out.Dst {
-		if got, want := len(out.Adj[i]), b.Hops[0].Degree(d); got != want {
+		r, ok := b.Position(d)
+		if !ok {
+			t.Fatalf("output %d has no position in the batch", d)
+		}
+		if got, want := len(out.Adj[i]), len(b.Hops[0].Nbrs[r]); got != want {
 			t.Fatalf("degree of %d: %d, want %d", d, got, want)
 		}
 	}
@@ -178,21 +182,13 @@ func TestGenerateErrors(t *testing.T) {
 
 	// A hand-built batch: neighbors but no positions is an error, not a
 	// panic and not a slower second path; AssignPositions makes it usable.
-	index := func(dst []graph.NodeID) map[graph.NodeID]int {
-		m := map[graph.NodeID]int{}
-		for i, v := range dst {
-			m[v] = i
-		}
-		return m
-	}
 	dst0 := []graph.NodeID{10, 11, 12}
 	hand := &sampling.Batch{
 		Seeds:   dst0,
 		Fanouts: []int{2},
 		Hops: []sampling.HopAdj{{
-			Dst:   dst0,
-			Nbrs:  [][]graph.NodeID{{11, 20}, {}, {20, 21}},
-			Index: index(dst0),
+			Dst:  dst0,
+			Nbrs: [][]graph.NodeID{{11, 20}, {}, {20, 21}},
 		}},
 	}
 	if _, err := Generate(hand, dst0); err == nil {

@@ -35,10 +35,17 @@ func datagenBatch(t testing.TB, b *sampling.Batch, rng *rand.Rand, model, nodes,
 	}
 }
 
-// checkPositions holds the two invariants GenerateInto builds on, on every
-// hop of b.
+// checkPositions holds what GenerateInto builds on, on every hop of b:
+// NbrPos's two invariants and Position(Frontier(h)[p]) == p.
 func checkPositions(t testing.TB, b *sampling.Batch) {
 	t.Helper()
+	for h := 0; h <= b.Layers(); h++ {
+		for p, v := range b.Frontier(h) {
+			if got, ok := b.Position(v); !ok || int(got) != p {
+				t.Fatalf("Position(Frontier(%d)[%d] = %d) = %d, %v", h, p, v, got, ok)
+			}
+		}
+	}
 	for h := range b.Hops {
 		hop, next := &b.Hops[h], b.Frontier(h+1)
 		if len(next) < len(hop.Dst) {

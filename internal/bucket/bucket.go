@@ -18,11 +18,10 @@ import (
 type Bucket struct {
 	Degree int // sampled degree of every member; the cut-off bucket has Degree == F
 	Nodes  []graph.NodeID
-	// Rows[i] is Nodes[i]'s row in the batch's hop-0 adjacency (its position
-	// in Hops[0].Dst), so consumers walk a member's sampled neighbours
-	// without a map lookup. Bucketize fills it and splitting slices it; a
-	// hand-built bucket may leave it nil, and consumers then resolve rows
-	// through Hops[0].Index.
+	// Rows[i] is Nodes[i]'s row in the batch's hop-0 adjacency — its
+	// Batch.Position — so consumers walk a member's sampled neighbours by
+	// index. Bucketize fills it and splitting slices it; a bucket built by
+	// hand fills it from Position, and the estimator rejects one without.
 	Rows []int32
 
 	Split bool // true when this is a micro-bucket from SplitBucket
@@ -257,7 +256,7 @@ func AppendSplit(dst []Bucket, b *Bucket, k int) []Bucket {
 		lo := i * n / k
 		hi := (i + 1) * n / k
 		part := Bucket{Degree: b.Degree, Nodes: b.Nodes[lo:hi], Split: true, Part: i}
-		if len(b.Rows) == n {
+		if len(b.Rows) == n { // a bucket without rows splits into parts without
 			part.Rows = b.Rows[lo:hi]
 		}
 		dst = append(dst, part)

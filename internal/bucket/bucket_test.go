@@ -45,12 +45,16 @@ func TestBucketizePartitionsOutputs(t *testing.T) {
 		if bucket.Degree < 1 || bucket.Degree > 10 {
 			t.Fatalf("bucket degree %d outside [1,10]", bucket.Degree)
 		}
-		for _, v := range bucket.Nodes {
+		for i, v := range bucket.Nodes {
 			if seen[v] {
 				t.Fatalf("node %d in two buckets", v)
 			}
 			seen[v] = true
-			if d := b.Hops[0].Degree(v); d != bucket.Degree {
+			r, ok := b.Position(v)
+			if !ok || r != bucket.Rows[i] {
+				t.Fatalf("node %d: row %d, Position %d (%v)", v, bucket.Rows[i], r, ok)
+			}
+			if d := len(b.Hops[0].Nbrs[r]); d != bucket.Degree {
 				t.Fatalf("node %d sampled degree %d in bucket %d", v, d, bucket.Degree)
 			}
 		}

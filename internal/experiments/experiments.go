@@ -1050,19 +1050,27 @@ func strategyMinK(b *sampling.Batch, est *memest.Estimator, sys train.System, bu
 }
 
 // groupFromNodes buckets an arbitrary output-node set by sampled degree so
-// the group estimator can price it.
+// the group estimator can price it. Buckets come out in ascending degree.
 func groupFromNodes(b *sampling.Batch, nodes []graph.NodeID) (*bucket.Group, error) {
-	byDeg := map[int][]graph.NodeID{}
+	hop := &b.Hops[0]
+	var byDeg []*bucket.Bucket
 	for _, v := range nodes {
-		d := b.Hops[0].Degree(v)
-		if d < 0 {
+		r, ok := b.Position(v)
+		if !ok || int(r) >= len(hop.Dst) {
 			return nil, fmt.Errorf("experiments: node %d not an output", v)
 		}
-		byDeg[d] = append(byDeg[d], v)
+		d := len(hop.Nbrs[r])
+		for d >= len(byDeg) {
+			byDeg = append(byDeg, &bucket.Bucket{Degree: len(byDeg)})
+		}
+		byDeg[d].Nodes = append(byDeg[d].Nodes, v)
+		byDeg[d].Rows = append(byDeg[d].Rows, r)
 	}
 	g := &bucket.Group{}
-	for d, ns := range byDeg {
-		g.Buckets = append(g.Buckets, &bucket.Bucket{Degree: d, Nodes: ns})
+	for _, bu := range byDeg {
+		if bu.Volume() > 0 {
+			g.Buckets = append(g.Buckets, bu)
+		}
 	}
 	return g, nil
 }

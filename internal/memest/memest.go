@@ -18,14 +18,15 @@
 // sampled degree per hop, saturating toward the parent batch's frontiers).
 // No micro-batch is materialized.
 //
-// Measurement is incremental. Once per batch the estimator numbers the hop-0
-// frontier densely (frontierIndex) and flattens the hop-0 adjacency into
-// those ids; a GroupAcc is then a bitset over that id space plus three
-// integer counters, and adding a bucket to a group costs one test-and-set
-// per sampled hop-0 edge of that bucket. GroupMem and BatchMem fill the same
-// accumulator once; the scheduler's greedy loop keeps one per group and adds
-// a bucket per placement, which is what makes the model cheap enough to sit
-// inside that loop.
+// Measurement is incremental and works in the batch's own numbering
+// (sampling.Batch.Position): a hop-1 frontier node is its position in
+// Frontier(1), which is what the sampler wrote into Hops[0].NbrPos. A GroupAcc
+// is a bitset over those positions plus three integer counters, and adding a
+// bucket to a group costs one test-and-set per sampled hop-0 edge of that
+// bucket. GroupMem and BatchMem fill the same accumulator once; the
+// scheduler's greedy loop keeps one per group and adds a bucket per
+// placement, which is what makes the model cheap enough to sit inside that
+// loop.
 package memest
 
 import (
@@ -151,14 +152,14 @@ func ProfileBatchInto(p *Profile, b *sampling.Batch, clusteringCoef float64) {
 		p.AvgDeg[h] = float64(edges) / float64(nDst)
 		if h >= 1 {
 			// Weight each hop-h destination's sampled degree by how many
-			// times it appeared as a hop-(h-1) neighbor.
-			prev := &b.Hops[h-1]
+			// times it appeared as a hop-(h-1) neighbor; those neighbors'
+			// positions are their rows in this hop.
 			var wsum, dsum float64
-			for _, nbrs := range prev.Nbrs {
-				for _, u := range nbrs {
-					if i, ok := hop.Index[u]; ok {
+			for _, row := range b.Hops[h-1].NbrPos {
+				for _, q := range row {
+					if uint(q) < uint(len(hop.Nbrs)) {
 						wsum++
-						dsum += float64(len(hop.Nbrs[i]))
+						dsum += float64(len(hop.Nbrs[q]))
 					}
 				}
 			}
@@ -186,12 +187,12 @@ type Estimator struct {
 	// prices training: every layer resident simultaneously for backward.
 	ForwardOnly bool
 
-	// Reusable measurement state: the batch's dense frontier index (built on
-	// the first measurement after the estimator is bound to a batch), the
-	// accumulator GroupMem fills, and BatchMem's bucketization. An estimator
-	// with warm scratch measures without allocating. Not safe for concurrent
-	// use — each in-flight plan owns its estimator.
-	idx     frontierIndex
+	// Reusable measurement state: the batch the estimator is bound to (bind;
+	// nil until the first measurement after New or NewInto), the accumulator
+	// GroupMem fills, and BatchMem's bucketization. An estimator with warm
+	// scratch measures without allocating. Not safe for concurrent use — each
+	// in-flight plan owns its estimator.
+	batch   *sampling.Batch
 	acc     GroupAcc
 	buckets bucket.Scratch
 	whole   bucket.Group
@@ -214,12 +215,14 @@ func New(spec ModelSpec, prof Profile) (*Estimator, error) {
 var (
 	errSpecLayers  = fmt.Errorf("memest: spec needs >= 1 layer")
 	errClusterCoef = fmt.Errorf("memest: clustering coefficient must be positive")
+	errPositions   = fmt.Errorf("memest: a hop-0 row of the batch has no positions (a hand-built batch needs AssignPositions)")
+	errBucketRows  = fmt.Errorf("memest: bucket without a hop-0 row per node (a hand-built bucket fills Rows from Batch.Position)")
 )
 
 // NewInto is New rebinding a recycled estimator to a fresh batch: the profile
-// is measured into the estimator's existing slices, the frontier index is
-// marked stale (the next measurement rebuilds it in place) and the
-// measurement scratch stays warm. ForwardOnly resets to the training regime.
+// is measured into the estimator's existing slices, the estimator is unbound
+// (the next measurement binds it to b) and the measurement scratch stays
+// warm. ForwardOnly resets to the training regime.
 func NewInto(est *Estimator, spec ModelSpec, b *sampling.Batch, clusteringCoef float64) error {
 	if spec.Layers < 1 {
 		return errSpecLayers
@@ -227,7 +230,7 @@ func NewInto(est *Estimator, spec ModelSpec, b *sampling.Batch, clusteringCoef f
 	if clusteringCoef <= 0 {
 		return errClusterCoef
 	}
-	est.idx.batch = nil
+	est.batch = nil
 	ProfileBatchInto(&est.Prof, b, clusteringCoef)
 	if len(est.Prof.AvgDeg) != spec.Layers {
 		return fmt.Errorf("memest: profile has %d hops for %d layers", len(est.Prof.AvgDeg), spec.Layers)
@@ -401,92 +404,33 @@ func (e *Estimator) frontierBytes(hop0 float64, frontierNodes int, hop1DegSum fl
 	return int64(total)
 }
 
-// frontierIndex is the batch-local dense id space of the hop-0 frontier:
-// every output node and every sampled hop-0 neighbor gets one int32 id, the
-// hop-0 adjacency is flattened into a CSR over those ids, and each id carries
-// its hop-1 sampled degree. With two or more layers the id is the node's
-// position in Hops[1].Dst (the sampler carries the outputs over and appends
-// the discovered neighbors, so that frontier is exactly this set); a node
-// Hops[1] does not know — a one-layer model, or a hand-built batch — is
-// numbered after it through extra, with degree 0. Built once per batch into
-// recycled slices, it turns group measurement into array test-and-set.
-type frontierIndex struct {
-	batch    *sampling.Batch // the batch indexed; nil marks the index stale
-	n        int             // ids in use
-	outID    []int32         // id of hop-0 row i
-	rowStart []int32         // row i's neighbor ids are nbrID[rowStart[i]:rowStart[i+1]]
-	nbrID    []int32
-	deg1     []int32 // hop-1 sampled degree per id
-	extra    map[graph.NodeID]int32
-}
-
-func ensureInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+// bind makes b the batch AddBucket measures, after checking once what
+// AddBucket then relies on per edge: every hop-0 row has its positions and
+// each names a node of Frontier(1), the group's id space (for a one-layer
+// model that is the innermost frontier; NbrPos indexes it all the same).
+func (e *Estimator) bind(b *sampling.Batch) error {
+	hop0, n := &b.Hops[0], len(b.Frontier(1))
+	if len(hop0.NbrPos) != len(hop0.Dst) || len(hop0.Nbrs) != len(hop0.Dst) || n < len(hop0.Dst) {
+		return errPositions
 	}
-	return s[:n]
-}
-
-// id returns v's dense id, assigning the next free one to a node hop1 does
-// not list.
-func (ix *frontierIndex) id(hop1 *sampling.HopAdj, v graph.NodeID) int32 {
-	if hop1 != nil {
-		if i, ok := hop1.Index[v]; ok {
-			return int32(i)
+	for i, row := range hop0.NbrPos {
+		if len(row) != len(hop0.Nbrs[i]) {
+			return errPositions
+		}
+		for _, q := range row {
+			if uint(q) >= uint(n) {
+				return fmt.Errorf("memest: neighbor position %d is outside the hop-1 frontier (%d nodes)", q, n)
+			}
 		}
 	}
-	if i, ok := ix.extra[v]; ok {
-		return i
-	}
-	if ix.extra == nil {
-		ix.extra = make(map[graph.NodeID]int32)
-	}
-	i := int32(ix.n)
-	ix.n++
-	ix.extra[v] = i
-	return i
-}
-
-func (ix *frontierIndex) build(b *sampling.Batch) {
-	hop0 := &b.Hops[0]
-	var hop1 *sampling.HopAdj
-	known := 0 // ids Hops[1] assigns
-	if len(b.Hops) > 1 {
-		hop1 = &b.Hops[1]
-		known = len(hop1.Dst)
-	}
-	ix.n = known
-	clear(ix.extra)
-	nOut := len(hop0.Dst)
-	edges := 0
-	for _, nbrs := range hop0.Nbrs[:nOut] {
-		edges += len(nbrs)
-	}
-	ix.outID = ensureInt32s(ix.outID, nOut)
-	ix.rowStart = ensureInt32s(ix.rowStart, nOut+1)
-	ix.nbrID = ensureInt32s(ix.nbrID, edges)
-	at := int32(0)
-	for i, v := range hop0.Dst {
-		ix.outID[i] = ix.id(hop1, v)
-		ix.rowStart[i] = at
-		for _, u := range hop0.Nbrs[i] {
-			ix.nbrID[at] = ix.id(hop1, u)
-			at++
-		}
-	}
-	ix.rowStart[nOut] = at
-	ix.deg1 = ensureInt32s(ix.deg1, ix.n)
-	for i := 0; i < known; i++ {
-		ix.deg1[i] = int32(len(hop1.Nbrs[i]))
-	}
-	clear(ix.deg1[known:])
-	ix.batch = b
+	e.batch = b
+	return nil
 }
 
 // GroupAcc accumulates the measured statistics of one bucket group — the
 // quantities §IV-D says are "obtained during micro-batch generation" — one
 // bucket at a time. member is the group's hop-1 frontier as a bitset over
-// the batch-local ids: its output nodes and their distinct hop-0 neighbors.
+// Frontier(1) positions: its output nodes and their distinct hop-0 neighbors.
 // Buckets partition the batch's outputs, so no output is added twice, and
 // the frontier splits into outputs + inputs whichever arrived first: a node
 // first marked as another bucket's neighbor and later added as an output
@@ -514,23 +458,30 @@ func (a *GroupAcc) Inputs() int { return a.frontier - a.outputs }
 // frontier (outputs carried over plus the distinct inputs).
 func (a *GroupAcc) Hop1DegSum() int64 { return a.degSum }
 
-// mark adds id to the frontier if it is not a member yet.
-func (a *GroupAcc) mark(id int32, deg1 []int32) {
-	w, bit := id>>6, uint64(1)<<(uint32(id)&63)
+// mark adds position p to the frontier if it is not a member yet. hop1 is
+// Hops[1].Nbrs, whose row p is the node's hop-1 adjacency; a one-layer model
+// has none and every degree is 0.
+func (a *GroupAcc) mark(p int32, hop1 [][]graph.NodeID) {
+	w, bit := p>>6, uint64(1)<<(uint32(p)&63)
 	if a.member[w]&bit == 0 {
 		a.member[w] |= bit
 		a.frontier++
-		a.degSum += int64(deg1[id])
+		if int(p) < len(hop1) {
+			a.degSum += int64(len(hop1[p]))
+		}
 	}
 }
 
-// BeginGroup resets a to the empty group of batch b, (re)building the
-// estimator's frontier index first if it is stale.
-func (e *Estimator) BeginGroup(a *GroupAcc, b *sampling.Batch) {
-	if e.idx.batch != b {
-		e.idx.build(b)
+// BeginGroup resets a to the empty group of batch b, binding the estimator
+// to b first if it is not yet. It fails on a batch whose hop-0 positions are
+// missing or out of range.
+func (e *Estimator) BeginGroup(a *GroupAcc, b *sampling.Batch) error {
+	if e.batch != b {
+		if err := e.bind(b); err != nil {
+			return err
+		}
 	}
-	words := (e.idx.n + 63) >> 6
+	words := (len(b.Frontier(1)) + 63) >> 6
 	if cap(a.member) < words {
 		a.member = make([]uint64, words)
 	} else {
@@ -538,36 +489,31 @@ func (e *Estimator) BeginGroup(a *GroupAcc, b *sampling.Batch) {
 		clear(a.member)
 	}
 	a.outputs, a.frontier, a.degSum, a.hop0 = 0, 0, 0, 0
+	return nil
 }
 
 // AddBucket adds one bucket's output nodes and their sampled hop-0 neighbors
 // to a, which BeginGroup bound to the estimator's current batch: O(bucket
 // edges), independent of what the group already holds. It fails if a member
-// is not an output of the batch; a is then partly updated and must be
+// is not the output its row names; a is then partly updated and must be
 // restarted.
 func (e *Estimator) AddBucket(a *GroupAcc, bk *bucket.Bucket) error {
-	ix := &e.idx
-	hop0 := &ix.batch.Hops[0]
-	rows := bk.Rows
-	if len(rows) != len(bk.Nodes) {
-		rows = nil
+	hop0 := &e.batch.Hops[0]
+	var hop1 [][]graph.NodeID
+	if len(e.batch.Hops) > 1 {
+		hop1 = e.batch.Hops[1].Nbrs
+	}
+	if len(bk.Rows) != len(bk.Nodes) {
+		return errBucketRows
 	}
 	for i, v := range bk.Nodes {
-		var r int
-		if rows != nil {
-			r = int(rows[i])
-			if uint(r) >= uint(len(hop0.Dst)) || hop0.Dst[r] != v {
-				return fmt.Errorf("memest: node %d is not row %d of the batch's outputs", v, r)
-			}
-		} else {
-			var ok bool
-			if r, ok = hop0.Index[v]; !ok {
-				return fmt.Errorf("memest: node %d is not an output of the batch", v)
-			}
+		r := bk.Rows[i]
+		if uint(r) >= uint(len(hop0.Dst)) || hop0.Dst[r] != v {
+			return fmt.Errorf("memest: node %d is not row %d of the batch's outputs", v, r)
 		}
-		a.mark(ix.outID[r], ix.deg1)
-		for _, id := range ix.nbrID[ix.rowStart[r]:ix.rowStart[r+1]] {
-			a.mark(id, ix.deg1)
+		a.mark(r, hop1)
+		for _, q := range hop0.NbrPos[r] {
+			a.mark(q, hop1)
 		}
 	}
 	a.outputs += bk.Volume()
@@ -602,7 +548,9 @@ func (e *Estimator) RGroup(inputs, outputs, degree int) float64 {
 // paper's "obtained during micro-batch generation") and deeper hops modeled
 // by saturation toward the parent batch's frontiers.
 func (e *Estimator) GroupMem(b *sampling.Batch, g *bucket.Group) (int64, error) {
-	e.BeginGroup(&e.acc, b)
+	if err := e.BeginGroup(&e.acc, b); err != nil {
+		return 0, err
+	}
 	for _, bk := range g.Buckets {
 		if err := e.AddBucket(&e.acc, bk); err != nil {
 			return 0, err

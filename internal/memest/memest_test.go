@@ -133,23 +133,33 @@ func TestRGroupBounds(t *testing.T) {
 	}
 }
 
+// rowIndex maps each destination of a hop to its row, from Dst alone.
+func rowIndex(hop *sampling.HopAdj) map[graph.NodeID]int {
+	m := make(map[graph.NodeID]int, len(hop.Dst))
+	for i, v := range hop.Dst {
+		m[v] = i
+	}
+	return m
+}
+
 // oracleGroupStats is the reference measurement the accumulator is checked
-// against: one pass over the group's sampled hop-0 edges through a Go map,
-// marking every output first and then counting the neighbors that are new —
-// I (distinct hop-0 neighbors beyond the outputs themselves) and the exact
+// against: one pass over the group's sampled hop-0 edges through Go maps it
+// builds itself from Dst and Nbrs (nothing of the batch's positions), marking
+// every output first and then counting the neighbors that are new — I
+// (distinct hop-0 neighbors beyond the outputs themselves) and the exact
 // sampled-degree sum of the group's hop-1 frontier.
 func oracleGroupStats(b *sampling.Batch, nodes []graph.NodeID) (inputs int, hop1DegSum int64, err error) {
 	inFrontier := make(map[graph.NodeID]bool, len(nodes)*2)
 	hop0 := &b.Hops[0]
+	row0 := rowIndex(hop0)
 	var hop1 *sampling.HopAdj
+	var row1 map[graph.NodeID]int
 	if len(b.Hops) > 1 {
 		hop1 = &b.Hops[1]
+		row1 = rowIndex(hop1)
 	}
 	addDeg := func(v graph.NodeID) {
-		if hop1 == nil {
-			return
-		}
-		if i, ok := hop1.Index[v]; ok {
+		if i, ok := row1[v]; ok {
 			hop1DegSum += int64(len(hop1.Nbrs[i]))
 		}
 	}
@@ -160,7 +170,7 @@ func oracleGroupStats(b *sampling.Batch, nodes []graph.NodeID) (inputs int, hop1
 		}
 	}
 	for _, v := range nodes {
-		idx, ok := hop0.Index[v]
+		idx, ok := row0[v]
 		if !ok {
 			return 0, 0, fmt.Errorf("memest: node %d is not an output of the batch", v)
 		}
@@ -184,7 +194,9 @@ func TestBucketInputs(t *testing.T) {
 	bk := bucket.Bucketize(b)
 	var acc GroupAcc
 	for _, bu := range bk.Buckets {
-		e.BeginGroup(&acc, b)
+		if err := e.BeginGroup(&acc, b); err != nil {
+			t.Fatal(err)
+		}
 		if err := e.AddBucket(&acc, bu); err != nil {
 			t.Fatal(err)
 		}
@@ -199,12 +211,18 @@ func TestBucketInputs(t *testing.T) {
 			t.Fatalf("bucket %s: inputs %d, oracle %d (%v)", bu.Label(), inputs, want, err)
 		}
 	}
-	e.BeginGroup(&acc, b)
-	if err := e.AddBucket(&acc, &bucket.Bucket{Degree: 1, Nodes: []int32{-5}}); err == nil {
+	if err := e.BeginGroup(&acc, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddBucket(&acc, &bucket.Bucket{Degree: 1, Nodes: []int32{-5}, Rows: []int32{0}}); err == nil {
 		t.Error("want error for non-output node")
 	}
-	// Rows that do not name the node's own hop-0 row are rejected too.
+	// Rows are mandatory, and rows that do not name the node's own hop-0 row
+	// are rejected too.
 	seed := b.Seeds[0]
+	if err := e.AddBucket(&acc, &bucket.Bucket{Degree: 1, Nodes: []int32{seed}}); err == nil {
+		t.Error("want error for a bucket without rows")
+	}
 	if err := e.AddBucket(&acc, &bucket.Bucket{Degree: 1, Nodes: []int32{seed}, Rows: []int32{int32(len(b.Seeds))}}); err == nil {
 		t.Error("want error for an out-of-range row")
 	}
@@ -297,9 +315,66 @@ func TestGroupMemErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badGroup := &bucket.Group{Buckets: []*bucket.Bucket{{Degree: 3, Nodes: []int32{-1}}}}
+	badGroup := &bucket.Group{Buckets: []*bucket.Bucket{{Degree: 3, Nodes: []int32{-1}, Rows: []int32{0}}}}
 	if _, err := e.GroupMem(b, badGroup); err == nil {
 		t.Error("want error for group containing non-output nodes")
+	}
+
+	// Malformed positions are an error where the estimator binds to the
+	// batch — from GroupMem, BatchMem and BeginGroup alike — never a panic,
+	// and a bind that failed is retried, not remembered.
+	whole := &bucket.Group{Buckets: bucket.Bucketize(b).Buckets}
+	want, err := e.GroupMem(b, whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop0 := &b.Hops[0]
+	row := 0
+	for len(hop0.NbrPos[row]) == 0 {
+		row++
+	}
+	good := hop0.NbrPos[row][0]
+	mustFail := func(what string) {
+		t.Helper()
+		var acc GroupAcc
+		fresh, err := New(SpecFromConfig(cfg), ProfileBatch(b, 0.3)) // the profile reads positions too
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.GroupMem(b, whole); err == nil {
+			t.Errorf("%s: want error from GroupMem", what)
+		}
+		if _, err := fresh.BatchMem(b); err == nil {
+			t.Errorf("%s: want error from BatchMem", what)
+		}
+		if err := fresh.BeginGroup(&acc, b); err == nil {
+			t.Errorf("%s: want error from BeginGroup", what)
+		}
+		if err := NewInto(e, SpecFromConfig(cfg), b, 0.3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.GroupMem(b, whole); err == nil {
+			t.Errorf("%s: want error from a rebound estimator", what)
+		}
+	}
+	for _, bad := range []int32{int32(len(b.Frontier(1))), -1, 1 << 30} {
+		hop0.NbrPos[row][0] = bad
+		mustFail(fmt.Sprintf("position %d", bad))
+	}
+	hop0.NbrPos[row][0] = good
+	short := hop0.NbrPos[row]
+	hop0.NbrPos[row] = short[:len(short)-1]
+	mustFail("a row with fewer positions than neighbors")
+	hop0.NbrPos[row] = short
+	all := hop0.NbrPos
+	hop0.NbrPos = nil
+	mustFail("no positions at all")
+	hop0.NbrPos = all
+	if err := NewInto(e, SpecFromConfig(cfg), b, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := e.GroupMem(b, whole); err != nil || got != want {
+		t.Fatalf("restored batch: estimate %d (%v), want %d", got, err, want)
 	}
 }
 
@@ -314,22 +389,26 @@ func TestSubsetEstimationAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk := bucket.Bucketize(b)
 	for _, k := range []int{2, 4, 8} {
 		// Take every k-th bucket slice as a pseudo-group of ~1/k of nodes.
 		n := len(b.Seeds) / k
 		nodes := b.Seeds[:n]
 		// Build a group matching those nodes' buckets.
-		byDeg := map[int][]int32{}
-		for _, v := range nodes {
-			d := b.Hops[0].Degree(v)
-			byDeg[d] = append(byDeg[d], v)
-		}
+		byDeg := map[int]*bucket.Bucket{}
 		var g bucket.Group
-		for d, ns := range byDeg {
-			g.Buckets = append(g.Buckets, &bucket.Bucket{Degree: d, Nodes: ns})
+		for _, v := range nodes {
+			r, ok := b.Position(v)
+			if !ok {
+				t.Fatalf("seed %d has no position", v)
+			}
+			d := len(b.Hops[0].Nbrs[r])
+			if byDeg[d] == nil {
+				byDeg[d] = &bucket.Bucket{Degree: d}
+				g.Buckets = append(g.Buckets, byDeg[d])
+			}
+			byDeg[d].Nodes = append(byDeg[d].Nodes, v)
+			byDeg[d].Rows = append(byDeg[d].Rows, r)
 		}
-		_ = bk
 		est, err := e.GroupMem(b, &g)
 		if err != nil {
 			t.Fatal(err)
@@ -375,13 +454,26 @@ func smallGraphBatch(t testing.TB, rng *rand.Rand, model, layers int) *sampling.
 	return b
 }
 
-// checkAccumulator adds a random subset of b's buckets (some of them split,
-// some stripped of their Rows) to one accumulator in a random order and
-// holds every prefix against the oracle and against a one-shot GroupMem. It
-// reports how many outputs arrived after the group already held them as
-// inputs — the demotion case.
+// checkNumbering holds the batch's one numbering: every frontier node's
+// Position is its index there.
+func checkNumbering(t testing.TB, b *sampling.Batch) {
+	t.Helper()
+	for h := 0; h <= b.Layers(); h++ {
+		for p, v := range b.Frontier(h) {
+			if got, ok := b.Position(v); !ok || int(got) != p {
+				t.Fatalf("Position(Frontier(%d)[%d] = %d) = %d, %v", h, p, v, got, ok)
+			}
+		}
+	}
+}
+
+// checkAccumulator adds a random subset of b's buckets (some of them split)
+// to one accumulator in a random order and holds every prefix against the
+// oracle and against a one-shot GroupMem. It reports how many outputs
+// arrived after the group already held them as inputs — the demotion case.
 func checkAccumulator(t testing.TB, rng *rand.Rand, b *sampling.Batch, spec ModelSpec) (demoted int) {
 	t.Helper()
+	checkNumbering(t, b)
 	e, err := New(spec, ProfileBatch(b, 0.05+0.5*rng.Float64()))
 	if err != nil {
 		t.Fatal(err)
@@ -398,20 +490,19 @@ func checkAccumulator(t testing.TB, rng *rand.Rand, b *sampling.Batch, spec Mode
 	var group bucket.Group
 	var nodes []graph.NodeID
 	seen := map[graph.NodeID]bool{} // outputs and neighbors added so far
-	e.BeginGroup(&acc, b)
+	if err := e.BeginGroup(&acc, b); err != nil {
+		t.Fatal(err)
+	}
 	for i := range pool {
 		bu := &pool[i]
-		if rng.Intn(3) == 0 {
-			bu.Rows = nil // the Hops[0].Index fallback
-		}
 		for _, v := range bu.Nodes {
 			if seen[v] {
 				demoted++
 			}
 		}
-		for _, v := range bu.Nodes {
+		for j, v := range bu.Nodes {
 			seen[v] = true
-			for _, u := range b.Hops[0].Nbrs[b.Hops[0].Index[v]] {
+			for _, u := range b.Hops[0].Nbrs[bu.Rows[j]] {
 				seen[u] = true
 			}
 		}
@@ -482,41 +573,48 @@ func TestGroupAccumulatorMatchesOracle(t *testing.T) {
 }
 
 // handBatch builds a batch by hand so the adjacency can hold what the
-// sampler never produces: a duplicate neighbor, a degree-0 output, and a
-// hop-1 adjacency that does not list every hop-0 neighbor.
-func handBatch(layers int) *sampling.Batch {
-	index := func(dst []graph.NodeID) map[graph.NodeID]int {
-		m := map[graph.NodeID]int{}
-		for i, v := range dst {
-			m[v] = i
-		}
-		return m
-	}
+// sampler never produces: a duplicate neighbor and a degree-0 output. With
+// hole set, the hop-1 adjacency does not list hop-0 neighbor 21.
+func handBatch(layers int, hole bool) *sampling.Batch {
 	dst0 := []graph.NodeID{10, 11, 12, 13}
 	b := &sampling.Batch{
 		Seeds:   dst0,
 		Fanouts: []int{3, 2}[:layers],
 		Hops: []sampling.HopAdj{{
-			Dst:   dst0,
-			Nbrs:  [][]graph.NodeID{{11, 20, 20}, {}, {10, 21}, {20}},
-			Index: index(dst0),
+			Dst:  dst0,
+			Nbrs: [][]graph.NodeID{{11, 20, 20}, {}, {10, 21}, {20}},
 		}},
 	}
 	if layers == 2 {
-		dst1 := []graph.NodeID{10, 11, 12, 13, 20} // 21 is missing on purpose
 		b.Hops = append(b.Hops, sampling.HopAdj{
-			Dst:   dst1,
-			Nbrs:  [][]graph.NodeID{{11, 20}, {}, {30, 31}, {20}, {10, 32}},
-			Index: index(dst1),
+			Dst:  []graph.NodeID{10, 11, 12, 13, 20, 21},
+			Nbrs: [][]graph.NodeID{{11, 20}, {}, {30, 31}, {20}, {10, 32}, {}},
 		})
+		if hole {
+			b.Hops[1].Dst, b.Hops[1].Nbrs = b.Hops[1].Dst[:5], b.Hops[1].Nbrs[:5]
+		}
 	}
 	return b
 }
 
 func TestGroupAccumulatorHandBuiltBatch(t *testing.T) {
+	// A hop-1 adjacency that misses a hop-0 neighbor cannot be numbered, and
+	// a batch that was not numbered is an error where the estimator binds.
+	holed := handBatch(2, true)
+	if err := holed.AssignPositions(); err == nil {
+		t.Error("want AssignPositions to reject a hop-1 adjacency that misses a hop-0 neighbor")
+	}
 	for layers := 1; layers <= 2; layers++ {
-		b := handBatch(layers)
+		b := handBatch(layers, false)
 		spec := ModelSpec{Arch: gnn.SAGE, Aggregator: gnn.Mean, Layers: layers, InDim: 4, Hidden: 4, OutDim: 2}
+		var acc GroupAcc
+		if err := new(Estimator).BeginGroup(&acc, b); err == nil {
+			t.Fatalf("%d layers: want error for a hand-built batch without positions", layers)
+		}
+		if err := b.AssignPositions(); err != nil {
+			t.Fatal(err)
+		}
+		checkNumbering(t, b)
 		e, err := New(spec, ProfileBatch(b, 0.3))
 		if err != nil {
 			t.Fatal(err)
@@ -530,9 +628,10 @@ func TestGroupAccumulatorHandBuiltBatch(t *testing.T) {
 		}
 		// Degree order 1, 2, 3, 0: node 10 is first an input of 12's bucket
 		// and then an output; 20 arrives three times; 11 has no neighbors.
-		var acc GroupAcc
 		var nodes []graph.NodeID
-		e.BeginGroup(&acc, b)
+		if err := e.BeginGroup(&acc, b); err != nil {
+			t.Fatal(err)
+		}
 		for _, d := range []int{1, 2, 3, 0} {
 			if err := e.AddBucket(&acc, byDegree[d]); err != nil {
 				t.Fatal(err)

@@ -25,26 +25,15 @@ import (
 // when the graph has short cycles — distance here means discovery hop).
 //
 // NbrPos gives every sampled neighbor its position in the batch's next
-// frontier: Frontier(h+1)[NbrPos[i][j]] == Nbrs[i][j], and because
-// Frontier(h+1)[:len(Dst)] == Dst a destination keeps its own position from
-// one hop to the next. The sampler assigns positions where it deduplicates
-// neighbors into that frontier; block.GenerateInto renumbers over them
-// instead of hashing node ids. A batch built by hand gets them from
-// AssignPositions.
+// frontier: Frontier(h+1)[NbrPos[i][j]] == Nbrs[i][j]. Positions are the
+// batch's one numbering (see Batch.Position): the sampler assigns them where
+// it deduplicates neighbors, and the estimator, the block generator and the
+// baselines index arrays with them instead of hashing node ids. A batch built
+// by hand gets them from AssignPositions.
 type HopAdj struct {
 	Dst    []graph.NodeID
 	Nbrs   [][]graph.NodeID
 	NbrPos [][]int32
-	Index  map[graph.NodeID]int // Dst value -> position
-}
-
-// Degree returns the sampled degree of dst, or -1 if dst is not in this hop.
-func (h *HopAdj) Degree(dst graph.NodeID) int {
-	i, ok := h.Index[dst]
-	if !ok {
-		return -1
-	}
-	return len(h.Nbrs[i])
 }
 
 // Batch is one training iteration's sampling subgraph.
@@ -60,17 +49,17 @@ type Batch struct {
 	// Reused backing storage for SampleBatchInto: per-hop flat neighbor and
 	// position arrays (each hop's Nbrs[i] and NbrPos[i] are subslices of
 	// hopFlat[h] and posFlat[h]), per-hop next-frontier arrays (hop h+1's
-	// Dst aliases hopNext[h]), the Fisher-Yates scratch, and the dedup
-	// table: one cell per graph node holding its position in the frontier
-	// being built. inner caches the innermost frontier (Frontier(Layers()))
-	// the sampling loop discovers for free.
-	hopFlat  [][]graph.NodeID
-	posFlat  [][]int32
-	hopNext  [][]graph.NodeID
-	fyPool   []graph.NodeID
-	seen     stamp.Table
-	inner    []graph.NodeID
-	hasInner bool
+	// Dst aliases hopNext[h]) and the Fisher-Yates scratch.
+	hopFlat [][]graph.NodeID
+	posFlat [][]int32
+	hopNext [][]graph.NodeID
+	fyPool  []graph.NodeID
+	// inner is Frontier(Layers()), and seen — the table neighbors are
+	// deduplicated through — holds every batch node's position in it once the
+	// last hop is sampled. A fill that fails partway leaves seen, and so the
+	// batch, unusable until the next fill that succeeds.
+	inner []graph.NodeID
+	seen  stamp.Table
 }
 
 // ensureIDs returns s resized to length n, reusing capacity when possible.
@@ -118,45 +107,67 @@ func (b *Batch) Layers() int { return len(b.Fanouts) }
 func (b *Batch) NumOutputNodes() int { return len(b.Seeds) }
 
 // Frontier returns the distinct nodes at hop h (h = 0 are the seeds;
-// h = Layers() is the innermost input frontier).
+// h = Layers() is the innermost input frontier). Frontiers nest:
+// Frontier(h+1)[:len(Frontier(h))] == Frontier(h).
 func (b *Batch) Frontier(h int) []graph.NodeID {
 	if h < len(b.Hops) {
 		return b.Hops[h].Dst
 	}
-	if b.hasInner {
-		return b.inner
-	}
-	return b.innerFrontier()
+	return b.inner
 }
 
-// innerFrontier derives the innermost frontier of a batch the sampler did not
-// fill: the last hop's destinations followed by the distinct neighbors the
-// last hop lists.
-func (b *Batch) innerFrontier() []graph.NodeID {
+// Position is the batch's one node numbering: v's index in the innermost
+// frontier, and — frontiers being nested prefixes — in every frontier that
+// holds v, so p < len(Frontier(h)) exactly when v is a hop-h node, and then
+// p is v's row in Hops[h]. A node outside the batch is absent. It only reads
+// the batch, so concurrent consumers of one fill may all call it.
+func (b *Batch) Position(v graph.NodeID) (int32, bool) {
+	return b.seen.Get(int(v))
+}
+
+// AssignPositions numbers a batch assembled by hand rather than by
+// SampleBatchInto: it derives the innermost frontier, the Position table and
+// every hop's NbrPos from Dst and Nbrs. It fails when the batch cannot carry
+// positions: a negative or repeated destination, a hop whose destinations are
+// not a prefix of the next hop's, or a neighbor the next hop's Dst does not
+// list.
+func (b *Batch) AssignPositions() error {
+	if len(b.Hops) == 0 {
+		return errNoFanouts
+	}
+	// Number the innermost frontier as the sampler does: the last hop's
+	// destinations, then its neighbors in order of first appearance.
 	last := &b.Hops[len(b.Hops)-1]
-	seen := make(map[graph.NodeID]bool, len(last.Dst))
-	out := append([]graph.NodeID(nil), last.Dst...)
+	maxID := graph.NodeID(-1)
 	for _, d := range last.Dst {
-		seen[d] = true
+		maxID = max(maxID, d)
 	}
 	for _, nbrs := range last.Nbrs {
 		for _, u := range nbrs {
-			if !seen[u] {
-				seen[u] = true
-				out = append(out, u)
+			maxID = max(maxID, u)
+		}
+	}
+	cells, ep := b.seen.Begin(int(maxID) + 1)
+	inner := make([]graph.NodeID, 0, len(last.Dst))
+	for _, d := range last.Dst {
+		if d < 0 || cells[d].Epoch == ep {
+			return fmt.Errorf("sampling: destination %d is negative or listed twice", d)
+		}
+		cells[d] = stamp.Cell{Epoch: ep, Val: int32(len(inner))}
+		inner = append(inner, d)
+	}
+	for _, nbrs := range last.Nbrs {
+		for _, u := range nbrs {
+			if u < 0 {
+				return fmt.Errorf("sampling: negative neighbor %d", u)
+			}
+			if cells[u].Epoch != ep {
+				cells[u] = stamp.Cell{Epoch: ep, Val: int32(len(inner))}
+				inner = append(inner, u)
 			}
 		}
 	}
-	return out
-}
-
-// AssignPositions derives every hop's NbrPos (and the cached innermost
-// frontier) from Dst and Nbrs, for a batch assembled by hand rather than by
-// SampleBatchInto. It fails when the batch cannot carry positions: a hop whose
-// destinations are not a prefix of the next hop's, or a neighbor the next
-// hop's Dst does not list.
-func (b *Batch) AssignPositions() error {
-	b.inner, b.hasInner = b.innerFrontier(), true
+	b.inner = inner
 	for h := range b.Hops {
 		hop := &b.Hops[h]
 		next := b.Frontier(h + 1)
@@ -166,16 +177,12 @@ func (b *Batch) AssignPositions() error {
 		if len(next) < len(hop.Dst) || !slices.Equal(next[:len(hop.Dst)], hop.Dst) {
 			return fmt.Errorf("sampling: hop %d destinations are not a prefix of the next frontier", h)
 		}
-		posOf := make(map[graph.NodeID]int32, len(next))
-		for p, v := range next {
-			posOf[v] = int32(p)
-		}
 		hop.NbrPos = make([][]int32, len(hop.Nbrs))
 		for i, nbrs := range hop.Nbrs {
 			hop.NbrPos[i] = make([]int32, len(nbrs))
 			for j, u := range nbrs {
-				p, ok := posOf[u]
-				if !ok {
+				p, ok := b.Position(u)
+				if !ok || int(p) >= len(next) {
 					return fmt.Errorf("sampling: hop %d neighbor %d of node %d is absent from the next frontier", h, u, hop.Dst[i])
 				}
 				hop.NbrPos[i][j] = p
@@ -185,25 +192,10 @@ func (b *Batch) AssignPositions() error {
 	return nil
 }
 
-// AllNodes returns the distinct nodes appearing anywhere in the batch.
+// AllNodes returns the distinct nodes appearing anywhere in the batch, sorted.
 func (b *Batch) AllNodes() []graph.NodeID {
-	seen := make(map[graph.NodeID]bool)
-	var out []graph.NodeID
-	add := func(v graph.NodeID) {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for h := range b.Hops {
-		for i, d := range b.Hops[h].Dst {
-			add(d)
-			for _, u := range b.Hops[h].Nbrs[i] {
-				add(u)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(b.Frontier(b.Layers()))
+	slices.Sort(out)
 	return out
 }
 
@@ -263,7 +255,9 @@ func SampleBatch(g *graph.Graph, seeds []graph.NodeID, fanouts []int, rng *rand.
 // SampleBatch's, which keeps pooled and unpooled runs batch-identical. The
 // caller must not refill b while any consumer still reads the previous fill
 // — iteration scratch recycling (internal/train) guarantees that by checking
-// batches out of a free list for the lifetime of the iteration.
+// batches out of a free list for the lifetime of the iteration. A refill that
+// fails on its seeds has already overwritten b's Position table: b is then
+// unusable until a refill succeeds.
 func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []int, rng *rand.Rand) error {
 	if len(fanouts) == 0 {
 		return errNoFanouts
@@ -276,8 +270,10 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 	if len(seeds) == 0 {
 		return errNoSeeds
 	}
-	// One pass validates the seeds and leaves the table holding hop 0's
-	// dedup state: every seed stamped with its position in Frontier(1).
+	// One pass validates the seeds and starts the table every hop dedups
+	// through: a node is stamped with its position when it first enters a
+	// frontier and, frontiers being nested, keeps it in every later one, so
+	// hop h finds the table holding exactly Frontier(h).
 	cells, ep := b.seen.Begin(g.NumNodes())
 	for i, s := range seeds {
 		if s < 0 || int(s) >= len(cells) {
@@ -295,7 +291,7 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 	copy(b.Fanouts, fanouts)
 	if cap(b.Hops) < len(fanouts) {
 		hops := make([]HopAdj, len(fanouts))
-		copy(hops, b.Hops) // keep already-built maps/backing for reuse
+		copy(hops, b.Hops) // keep already-built backing for reuse
 		b.Hops = hops
 	} else {
 		b.Hops = b.Hops[:len(fanouts)]
@@ -310,11 +306,6 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 		hop.Dst = frontier
 		hop.Nbrs = ensureNbrs(hop.Nbrs, len(frontier))
 		hop.NbrPos = ensurePos(hop.NbrPos, len(frontier))
-		if hop.Index == nil {
-			hop.Index = make(map[graph.NodeID]int, len(frontier))
-		} else {
-			clear(hop.Index)
-		}
 		// Pre-count the hop's sampled-degree total so the flat neighbor
 		// backing is fully sized before the first subslice is taken from it
 		// (growing it mid-hop would strand earlier Nbrs views on the old
@@ -337,15 +328,8 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 		b.hopNext[h] = ensureIDs(b.hopNext[h], len(frontier)+total)
 		next := b.hopNext[h][:len(frontier)]
 		copy(next, frontier)
-		if h > 0 {
-			cells, ep = b.seen.Begin(g.NumNodes())
-			for i, v := range frontier {
-				cells[v] = stamp.Cell{Epoch: ep, Val: int32(i)}
-			}
-		}
 		used := 0
 		for i, v := range frontier {
-			hop.Index[v] = i
 			nb := b.sampleNeighborsInto(flat[used:used], g, v, fanout, rng)
 			pos := posFlat[used : used+len(nb)]
 			for j, u := range nb {
@@ -363,7 +347,6 @@ func SampleBatchInto(b *Batch, g *graph.Graph, seeds []graph.NodeID, fanouts []i
 		frontier = next
 	}
 	b.inner = frontier
-	b.hasInner = true
 	return nil
 }
 

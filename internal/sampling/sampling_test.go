@@ -47,7 +47,7 @@ func TestSampleBatchStructure(t *testing.T) {
 		if b.Hops[0].Dst[i] != s {
 			t.Fatalf("hop0 dst[%d] = %d, want %d", i, b.Hops[0].Dst[i], s)
 		}
-		if d := b.Hops[0].Degree(s); d > 3 || d < 1 {
+		if d := len(b.Hops[0].Nbrs[i]); d > 3 || d < 1 {
 			t.Fatalf("sampled degree %d outside [1,3]", d)
 		}
 	}
@@ -80,11 +80,16 @@ func TestSampleBatchFullDegreeKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := b.Hops[0].Degree(0); d != 4 {
+	if d := len(b.Hops[0].Nbrs[0]); d != 4 {
 		t.Fatalf("fanout above degree must keep all 4 neighbors, got %d", d)
 	}
-	if b.Hops[0].Degree(99) != -1 {
-		t.Fatal("Degree of absent node should be -1")
+	if p, ok := b.Position(0); !ok || p != 0 {
+		t.Fatalf("Position(seed) = %d, %v; want row 0", p, ok)
+	}
+	for _, v := range []graph.NodeID{5, 99, -1} { // unsampled, beyond the graph, negative
+		if p, ok := b.Position(v); ok {
+			t.Fatalf("Position(%d) = %d for a node outside the batch", v, p)
+		}
 	}
 }
 
@@ -262,9 +267,17 @@ func TestQuickSamplingInvariants(t *testing.T) {
 	}
 }
 
-// checkPositions holds NbrPos's two invariants on every hop of b.
+// checkPositions holds the batch's numbering on every hop of b: NbrPos's two
+// invariants, and Position(Frontier(h)[p]) == p for every frontier.
 func checkPositions(t *testing.T, b *Batch) {
 	t.Helper()
+	for h := 0; h <= b.Layers(); h++ {
+		for p, v := range b.Frontier(h) {
+			if got, ok := b.Position(v); !ok || int(got) != p {
+				t.Fatalf("Position(Frontier(%d)[%d] = %d) = %d, %v", h, p, v, got, ok)
+			}
+		}
+	}
 	for h := range b.Hops {
 		hop, next := &b.Hops[h], b.Frontier(h+1)
 		for i, v := range hop.Dst {
@@ -284,13 +297,6 @@ func checkPositions(t *testing.T, b *Batch) {
 }
 
 func TestAssignPositions(t *testing.T) {
-	index := func(dst []graph.NodeID) map[graph.NodeID]int {
-		m := map[graph.NodeID]int{}
-		for i, v := range dst {
-			m[v] = i
-		}
-		return m
-	}
 	dst0 := []graph.NodeID{10, 11, 12}
 	dst1 := []graph.NodeID{10, 11, 12, 20, 21}
 	build := func() *Batch {
@@ -298,8 +304,8 @@ func TestAssignPositions(t *testing.T) {
 			Seeds:   dst0,
 			Fanouts: []int{2, 2},
 			Hops: []HopAdj{
-				{Dst: dst0, Nbrs: [][]graph.NodeID{{11, 20}, {}, {20, 21}}, Index: index(dst0)},
-				{Dst: dst1, Nbrs: [][]graph.NodeID{{11}, {30}, {}, {30, 10}, {31}}, Index: index(dst1)},
+				{Dst: dst0, Nbrs: [][]graph.NodeID{{11, 20}, {}, {20, 21}}},
+				{Dst: dst1, Nbrs: [][]graph.NodeID{{11}, {30}, {}, {30, 10}, {31}}},
 			},
 		}
 	}
@@ -313,10 +319,31 @@ func TestAssignPositions(t *testing.T) {
 		t.Fatalf("innermost frontier %v, want %v", got, want)
 	}
 
+	for _, v := range []graph.NodeID{13, 32, -1} {
+		if p, ok := b.Position(v); ok {
+			t.Fatalf("Position(%d) = %d for a node outside the batch", v, p)
+		}
+	}
+
 	b = build()
 	b.Hops[0].Nbrs[0][1] = 22 // hop 1 does not list it
 	if err := b.AssignPositions(); err == nil {
 		t.Error("want error for a neighbor absent from the next hop's Dst")
+	}
+	b = build()
+	b.Hops[0].Nbrs[0][1] = 30 // in the batch, but only from the innermost frontier on
+	if err := b.AssignPositions(); err == nil {
+		t.Error("want error for a hop-0 neighbor that only a deeper frontier lists")
+	}
+	b = build()
+	b.Hops[1].Dst = []graph.NodeID{10, 11, 12, 20, 20}
+	if err := b.AssignPositions(); err == nil {
+		t.Error("want error for a destination listed twice")
+	}
+	b = build()
+	b.Hops[1].Nbrs[4][0] = -3
+	if err := b.AssignPositions(); err == nil {
+		t.Error("want error for a negative neighbor")
 	}
 	b = build()
 	b.Hops[1].Dst = []graph.NodeID{11, 10, 12, 20, 21} // not Dst-first
@@ -371,7 +398,7 @@ func TestUniformSeedsIntoMatchesUniformSeeds(t *testing.T) {
 func TestSampleBatchIntoStaleBatch(t *testing.T) {
 	graphs := []*graph.Graph{ring(t, 500, 6), ring(t, 30, 2)}
 	var recycled Batch
-	recycled.seen.Epoch = math.MaxUint32 - 2
+	recycled.seen.Epoch = math.MaxUint32 - 1
 	for round := 0; round < 6; round++ {
 		for gi, g := range graphs {
 			seed := int64(10*round + gi)
@@ -392,11 +419,21 @@ func TestSampleBatchIntoStaleBatch(t *testing.T) {
 			for h := range fresh.Hops {
 				got, want := &recycled.Hops[h], &fresh.Hops[h]
 				if !reflect.DeepEqual(got.Dst, want.Dst) || !reflect.DeepEqual(got.Nbrs, want.Nbrs) ||
-					!reflect.DeepEqual(got.NbrPos, want.NbrPos) || !reflect.DeepEqual(got.Index, want.Index) {
+					!reflect.DeepEqual(got.NbrPos, want.NbrPos) {
 					t.Fatalf("round %d graph %d hop %d: recycled fill differs from a fresh one", round, gi, h)
 				}
 			}
 			checkPositions(t, &recycled)
+			// Every node of the larger graph and one past each end: a fill on
+			// the small graph must not see what the large one's left, inside
+			// or beyond its own range.
+			for v := graph.NodeID(-1); int(v) <= graphs[0].NumNodes(); v++ {
+				got, gotOK := recycled.Position(v)
+				want, wantOK := fresh.Position(v)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("round %d graph %d: recycled Position(%d) = %d, %v; fresh %d, %v", round, gi, v, got, gotOK, want, wantOK)
+				}
+			}
 		}
 	}
 	if recycled.seen.Epoch > 100 {

@@ -370,7 +370,9 @@ func (s *search) group(k int) ([]*bucket.Group, []int64, error) {
 		}
 		acc := &sc.accs[best]
 		if len(g.Buckets) == 1 {
-			s.est.BeginGroup(acc, s.b)
+			if err := s.est.BeginGroup(acc, s.b); err != nil {
+				return nil, nil, err
+			}
 		}
 		if err := s.est.AddBucket(acc, it.b); err != nil {
 			return nil, nil, err

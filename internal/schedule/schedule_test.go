@@ -569,8 +569,8 @@ func (e *sweepEnv) plan(rec *obs.Recorder) (attempts int64, err error) {
 	return e.replan(rec)
 }
 
-// replan binds the estimator to the current batch again — which rebuilds its
-// frontier index — and runs the three searches.
+// replan binds the estimator to the current batch again — which checks its
+// hop-0 positions again — and runs the three searches.
 func (e *sweepEnv) replan(rec *obs.Recorder) (attempts int64, err error) {
 	b := &e.batch
 	if err := memest.NewInto(&e.est, e.spec, b, e.clusterC); err != nil {
@@ -678,4 +678,35 @@ func BenchmarkScheduleArxivSweep(b *testing.B) {
 	b.ReportMetric(sec*1e3/float64(attempts), "ms/k-attempt")
 	b.ReportMetric(float64(attempts)/sec, "k-attempts/s")
 	b.ReportMetric(float64(attempts)/float64(b.N), "k-attempts/op")
+}
+
+// BenchmarkSampleAndBindArxiv is the seam between the sampler and the
+// planner on the plan-arxiv-sweep shape: one op draws a 1024-seed batch,
+// re-profiles it and binds the estimator, up to an empty group ready for its
+// first bucket.
+func BenchmarkSampleAndBindArxiv(b *testing.B) {
+	e := newSweepEnv(b)
+	var acc memest.GroupAcc
+	op := func() {
+		if err := e.stream.NextInto(&e.batch); err != nil {
+			b.Fatal(err)
+		}
+		if err := memest.NewInto(&e.est, e.spec, &e.batch, e.clusterC); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.est.BeginGroup(&acc, &e.batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ { // grow every recycled array to the shape's ceiling
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var edges int64
+	for i := 0; i < b.N; i++ {
+		op()
+		edges += e.batch.NumEdges()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
 }

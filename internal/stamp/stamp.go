@@ -40,3 +40,12 @@ func (t *Table) Begin(n int) ([]Cell, uint32) {
 	}
 	return t.cells[:n], t.Epoch
 }
+
+// Get reads key k as the fill since the last Begin left it: its value if that
+// fill set it; any other key, in or out of the fill's range, is absent.
+func (t *Table) Get(k int) (int32, bool) {
+	if uint(k) >= uint(len(t.cells)) || t.cells[k].Epoch != t.Epoch {
+		return 0, false
+	}
+	return t.cells[k].Val, true
+}

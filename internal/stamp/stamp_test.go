@@ -64,3 +64,24 @@ func TestBeginWrapClearsEveryCell(t *testing.T) {
 		t.Fatal("a cell stamped 1 before the wrap reads as set after it")
 	}
 }
+
+func TestGetReadsOnlyTheLastFill(t *testing.T) {
+	var tb Table
+	if _, ok := tb.Get(0); ok {
+		t.Fatal("the zero table holds a key")
+	}
+	cells, ep := tb.Begin(8)
+	cells[3] = Cell{Epoch: ep, Val: 7}
+	if v, ok := tb.Get(3); !ok || v != 7 {
+		t.Fatalf("Get(3) = %d, %v; want 7", v, ok)
+	}
+	for _, k := range []int{-1, 2, 8, 1 << 40} {
+		if _, ok := tb.Get(k); ok {
+			t.Fatalf("Get(%d) reads as set", k)
+		}
+	}
+	tb.Begin(2) // a smaller key space: key 3 is out of range but its cell remains
+	if _, ok := tb.Get(3); ok {
+		t.Fatal("a key of the previous fill reads as set after Begin")
+	}
+}

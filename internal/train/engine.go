@@ -448,12 +448,11 @@ func (e *engine) plan(sc *iterScratch, b *sampling.Batch, res *IterationResult) 
 			kStart = kw - 1
 		}
 		plan, err := schedule.Schedule(b, est, schedule.Options{
-			MemLimit:          limit,
-			KStart:            kStart,
-			KMax:              e.fixedKMax(b),
-			DisableRedundancy: e.cfg.DisableRedundancy,
-			Obs:               e.cfg.Obs,
-			Scratch:           &sc.sched,
+			MemLimit: limit,
+			KStart:   kStart,
+			KMax:     e.fixedKMax(b),
+			Obs:      e.cfg.Obs,
+			Scratch:  &sc.sched,
 		})
 		dt := time.Since(t0)
 		res.Phases.Scheduling += dt

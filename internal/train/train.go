@@ -158,10 +158,6 @@ type Config struct {
 	// point). Single-GPU runs ignore it.
 	ZeRO1 bool
 
-	// DisableRedundancy is the estimator ablation: Buffalo plans with
-	// R_group = 1.
-	DisableRedundancy bool
-
 	// Obs optionally attaches an observability recorder (see internal/obs):
 	// the session's GPU ledger, the scheduler, block generation and every
 	// iteration phase report to it. Nil disables recording at zero cost.
