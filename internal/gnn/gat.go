@@ -112,7 +112,10 @@ func (c *gatCache) Bytes() int64 {
 }
 
 // PlannedCacheBytes implements Layer: the exact footprint Forward's cache
-// will report, computed from the block's degree buckets and the layer dims.
+// will report. Per head, a bucket of v rows at degree d holds (d+1)*v*headOut
+// of candidates and 2*v*(d+1) of scores and alpha; summed over every bucket
+// (isolated destinations keep their self candidate) d+1 totals edges + n, so
+// no bucketize — and no refill of the scratch a live forward cache aliases.
 func (l *gatLayer) PlannedCacheBytes(blk *block.Block) int64 {
 	n, nsrc := int64(blk.NumDst()), int64(blk.NumSrc())
 	out, headOut, heads := int64(l.out), int64(l.headOut), int64(l.heads)
@@ -120,11 +123,7 @@ func (l *gatLayer) PlannedCacheBytes(blk *block.Block) int64 {
 	if l.act {
 		b += n * out // outAct
 	}
-	for _, db := range l.bsc.bucketize(blk) {
-		v, d := int64(len(db.rows)), int64(db.degree)
-		b += heads * (d + 1) * v * headOut // candidates
-		b += heads * 2 * v * (d + 1)       // scores + alpha
-	}
+	b += heads * (headOut + 2) * (blk.NumEdges() + n)
 	return b * 4
 }
 

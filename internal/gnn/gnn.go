@@ -3,12 +3,16 @@
 // (message-flow-graph) representation.
 //
 // Layers execute Algorithm 1's inner loop: destinations are grouped into
-// degree buckets within each block, each bucket's neighbors are gathered
-// into fixed-shape (padding-free, since every member shares the degree)
-// tensors, and the aggregator runs batched per bucket. Every layer's
-// forward returns a cache whose Bytes() enumerates the activations a CUDA
-// framework would keep resident for the backward pass — the quantity the
-// simulated GPU charges and Buffalo's analytical model estimates.
+// degree buckets within each block and the aggregator runs batched per
+// bucket. Pool, LSTM and GAT gather each bucket's neighbors into fixed-shape
+// (padding-free, since every member shares the degree) tensors; the mean
+// aggregator, whose backward never reads them, accumulates neighbor rows
+// straight into the aggregate (meanAggregate). Every layer's forward returns
+// a cache whose Bytes() enumerates the activations a CUDA framework would
+// keep resident for the backward pass — the quantity the simulated GPU
+// charges and Buffalo's analytical model estimates. For the mean aggregator
+// that footprint is modelled: the gathered tensors a device kernel
+// materialises are charged although the host holds none of them.
 package gnn
 
 import (
@@ -82,7 +86,9 @@ func (c Config) Validate() error {
 
 // LayerCache is the retained state of one layer's forward pass.
 type LayerCache interface {
-	// Bytes reports the activation footprint held for backward.
+	// Bytes reports the activation footprint a device holds for backward.
+	// For the SAGE mean aggregator the per-bucket gathered tensors in it are
+	// modelled, not host memory.
 	Bytes() int64
 }
 
@@ -99,8 +105,10 @@ type Layer interface {
 	Backward(cache LayerCache, dH *tensor.Matrix, needDX bool) (*tensor.Matrix, error)
 	// PlannedCacheBytes reports, from tensor shapes alone, exactly the
 	// bytes the matching Forward's cache will occupy — what a CUDA
-	// framework would reserve before launching the kernels. Equal to the
-	// cache's Bytes().
+	// framework would reserve before launching the kernels (modelled, for
+	// the mean aggregator's gathered tensors). Equal to the cache's Bytes().
+	// A pure function of the block and the layer dims: safe to call between
+	// a Forward and its Backward.
 	PlannedCacheBytes(blk *block.Block) int64
 }
 
@@ -311,6 +319,76 @@ func gatherStacked(dst *tensor.Matrix, blk *block.Block, rows []int32, degree in
 			copy(dst.Row(base+i), src.Row(int(blk.Adj[r][t])))
 		}
 	}
+}
+
+// meanAggregate is the mean aggregator's forward over one degree bucket,
+// fused: each of the bucket's rows of dst — zero on entry — receives its
+// neighbors' src rows added left to right and is then scaled by 1/degree. No
+// gathered [len(rows) x degree x dim] tensor exists on the host; every
+// neighbor row is read once, straight into the destination row. Per element
+// the float32 chain is 0 + x0 + x1 + … , × 1/degree, 0 + · — what gathering the
+// positions, summing them with AddInPlace, Scale and scatterAddRows compute,
+// so the result has their bits (the closing 0 + · turns an underflowed -0 into
+// the +0 the scatter would have left). Neighbors are consumed four at a time
+// with the sum still written left-associated. Single-threaded by design.
+func meanAggregate(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, src *tensor.Matrix) {
+	scale := 1 / float32(degree)
+	for _, r := range rows {
+		nbrs := blk.Adj[r][:degree]
+		out := dst.Row(int(r))
+		n := len(out)
+		t := 0
+		for ; t+4 <= degree; t += 4 {
+			a, b := src.Row(int(nbrs[t]))[:n], src.Row(int(nbrs[t+1]))[:n]
+			c, d := src.Row(int(nbrs[t+2]))[:n], src.Row(int(nbrs[t+3]))[:n]
+			for j := range out {
+				out[j] = out[j] + a[j] + b[j] + c[j] + d[j]
+			}
+		}
+		for ; t < degree; t++ {
+			a := src.Row(int(nbrs[t]))[:n]
+			for j := range out {
+				out[j] += a[j]
+			}
+		}
+		for j, v := range out {
+			out[j] = 0 + float32(v*scale) // the conversion forbids fusing the two
+		}
+	}
+}
+
+// scatterAddMean is meanAggregate's backward over one degree bucket: each of
+// the bucket's rows of dAgg is scaled by 1/degree in place — buckets partition
+// the rows, so none is scaled twice — and added to every src row it averaged,
+// position by position in ascending order.
+func scatterAddMean(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, dAgg *tensor.Matrix) {
+	scale := 1 / float32(degree)
+	for _, r := range rows {
+		row := dAgg.Row(int(r))
+		for j := range row {
+			row[j] *= scale
+		}
+	}
+	for t := 0; t < degree; t++ {
+		for _, r := range rows {
+			drow := dst.Row(int(blk.Adj[r][t]))
+			for j, v := range dAgg.Row(int(r)) {
+				drow[j] += v
+			}
+		}
+	}
+}
+
+// edgeCounts scans a block once for the two sums every layer's footprint is
+// linear in: its edges and its non-isolated destinations.
+func edgeCounts(blk *block.Block) (edges, nonIsolated int64) {
+	for _, nbrs := range blk.Adj {
+		if len(nbrs) > 0 {
+			edges += int64(len(nbrs))
+			nonIsolated++
+		}
+	}
+	return edges, nonIsolated
 }
 
 // scatterAddStacked is gatherStacked's backward: every row of src (stacked

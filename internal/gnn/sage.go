@@ -65,8 +65,12 @@ func newSAGELayer(name string, agg Aggregator, in, out int, act bool, rng *rand.
 type sageBucketCache struct {
 	rows   []int32
 	degree int
-	steps  []*tensor.Matrix // gathered neighbor tensors, one per position (the LSTM's are in sageCache.lstmX)
-	agg    *tensor.Matrix   // aggregated neighborhood [len(rows) x in]
+	steps  []*tensor.Matrix // Pool: gathered neighbor tensors, one per position (the LSTM's are in sageCache.lstmX)
+	agg    *tensor.Matrix   // Pool, LSTM: aggregated neighborhood [len(rows) x in]
+
+	// Mean keeps neither on the host (meanAggregate writes aggAll directly);
+	// modelled is the bytes of the steps and agg a device kernel would hold.
+	modelled int64
 
 	// Pool aggregator state.
 	poolPre []*tensor.Matrix // pre-activation transform per position
@@ -78,7 +82,7 @@ type sageBucketCache struct {
 }
 
 func (c *sageBucketCache) bytes() int64 {
-	var b int64
+	b := c.modelled
 	for _, s := range c.steps {
 		b += s.Bytes()
 	}
@@ -112,8 +116,9 @@ type sageCache struct {
 }
 
 // Bytes implements LayerCache: every tensor this layer allocated and keeps
-// for backward. xsrc belongs to the previous layer and xdst is a view, so
-// neither is counted.
+// for backward — for Mean, the modelled per-bucket tensors in place of host
+// ones. xsrc belongs to the previous layer and xdst is a view, so neither is
+// counted.
 func (c *sageCache) Bytes() int64 {
 	b := c.aggAll.Bytes() + c.preAct.Bytes()
 	if c.outAct != nil {
@@ -129,7 +134,11 @@ func (c *sageCache) Bytes() int64 {
 }
 
 // PlannedCacheBytes implements Layer: the exact footprint Forward's cache
-// will report, computed from the block's degree buckets and the layer dims.
+// will report. A bucket of v rows at degree d holds d*v*in of gathered steps
+// and v*in of agg, plus 2*d*v*in + v*in for Pool (poolPre, poolAct, argmax)
+// or 8*d*v*in for LSTM (the trajectory): every term is linear in d, so the
+// sum over buckets needs only the block's edge and non-isolated counts — and
+// touches no bucketize scratch a live forward cache aliases.
 func (l *sageLayer) PlannedCacheBytes(blk *block.Block) int64 {
 	n := int64(blk.NumDst())
 	in, out := int64(l.in), int64(l.out)
@@ -137,19 +146,14 @@ func (l *sageLayer) PlannedCacheBytes(blk *block.Block) int64 {
 	if l.act {
 		b += n * out // outAct
 	}
-	for _, db := range l.bsc.bucketize(blk) {
-		if db.degree == 0 {
-			continue
-		}
-		v, d := int64(len(db.rows)), int64(db.degree)
-		b += d * v * in // gathered steps
-		b += v * in     // agg
-		switch l.agg {
-		case Pool:
-			b += 2*d*v*in + v*in // poolPre + poolAct + argmax (int32 == 4B)
-		case LSTM:
-			b += 8 * d * v * in // trajectory state beyond the gathered steps
-		}
+	edges, nonIsolated := edgeCounts(blk)
+	switch l.agg {
+	case Mean:
+		b += in * (edges + nonIsolated)
+	case Pool:
+		b += in * (3*edges + 2*nonIsolated)
+	case LSTM:
+		b += in * (9*edges + nonIsolated)
 	}
 	return b * 4
 }
@@ -187,7 +191,7 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 		bc := cache.buckets[bi]
 		bc.rows, bc.degree = db.rows, db.degree
 		bc.steps = bc.steps[:0]
-		bc.agg = nil
+		bc.agg, bc.modelled = nil, 0
 		bc.poolPre = bc.poolPre[:0]
 		bc.poolAct = bc.poolAct[:0]
 		bc.argmax = bc.argmax[:0]
@@ -197,13 +201,9 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 		}
 		switch l.agg {
 		case Mean:
-			bc.steps = gatherTimesteps(bc.steps, l.arena, blk, db.rows, db.degree, xsrc)
-			agg := l.arena.Get(len(db.rows), l.in)
-			for _, s := range bc.steps {
-				agg.AddInPlace(s)
-			}
-			agg.Scale(1 / float32(db.degree))
-			bc.agg = agg
+			meanAggregate(cache.aggAll, blk, db.rows, db.degree, xsrc)
+			bc.modelled = int64(db.degree+1) * int64(len(db.rows)) * int64(l.in) * 4
+			continue
 		case Pool:
 			bc.steps = gatherTimesteps(bc.steps, l.arena, blk, db.rows, db.degree, xsrc)
 			for _, s := range bc.steps {
@@ -298,14 +298,13 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 		if bc.degree == 0 {
 			continue
 		}
+		if l.agg == Mean { // needDX holds: the same gradient flows to every position
+			scatterAddMean(dXsrc, cache.blk, bc.rows, bc.degree, dAggAll)
+			continue
+		}
 		dAgg := gatherRows(l.arena, dAggAll, bc.rows)
 		dSteps := l.dSteps[:0]
 		switch l.agg {
-		case Mean:
-			dAgg.Scale(1 / float32(bc.degree))
-			for t := 0; t < bc.degree; t++ {
-				dSteps = append(dSteps, dAgg) // same gradient flows to every position
-			}
 		case Pool:
 			dActs := l.dActs[:0]
 			for t := 0; t < bc.degree; t++ {
