@@ -107,7 +107,8 @@ const (
 	SystemMetis   = train.MetisP
 )
 
-// Session is a single-GPU training run.
+// Session is a single-GPU training run, sequential (NewSession) or behind
+// the pipelined loader (NewPipelinedSession).
 type Session = train.Session
 
 // IterationResult reports one training iteration (loss, micro-batch count,
@@ -123,12 +124,6 @@ func NewSession(ds *Dataset, cfg TrainConfig) (*Session, error) {
 	return train.NewSession(ds, cfg)
 }
 
-// PipelinedSession runs a Session behind an asynchronous three-stage loader
-// (sampler → planner → prefetcher) with an optional degree-aware GPU feature
-// cache. It reproduces the sequential session's exact batch sequence for a
-// given seed; only the timing model (transfer overlap, cache hits) differs.
-type PipelinedSession = train.PipelinedSession
-
 // PipelineConfig tunes the async loader: prefetch depth and the device bytes
 // reserved for the feature cache.
 type PipelineConfig = train.PipelineConfig
@@ -136,10 +131,14 @@ type PipelineConfig = train.PipelineConfig
 // CacheStats summarizes the feature cache's effectiveness.
 type CacheStats = pipeline.CacheStats
 
-// NewPipelinedSession builds a training session behind the async prefetch
-// pipeline. The cache budget (if any) is charged to the device ledger up
-// front, so the micro-batch planner sees the reduced headroom.
-func NewPipelinedSession(ds *Dataset, cfg TrainConfig, pcfg PipelineConfig) (*PipelinedSession, error) {
+// NewPipelinedSession builds a training session behind an asynchronous
+// three-stage loader (sampler → planner → prefetcher) with an optional
+// degree-aware GPU feature cache. It reproduces the sequential session's
+// exact batch sequence for a given seed; only the timing model (transfer
+// overlap, cache hits) differs. The cache budget (if any) is charged to the
+// device ledger up front, so the micro-batch planner sees the reduced
+// headroom.
+func NewPipelinedSession(ds *Dataset, cfg TrainConfig, pcfg PipelineConfig) (*Session, error) {
 	return train.NewPipelinedSession(ds, cfg, pcfg)
 }
 

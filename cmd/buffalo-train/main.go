@@ -239,54 +239,41 @@ func main() {
 		writeManifest(rr, rec, *reportPath)
 		return
 	}
+	var s *buffalo.Session
+	oomHint := "try -system buffalo or a larger budget"
 	if usePipeline {
-		p, err := buffalo.NewPipelinedSession(ds, cfg, pcfg)
-		if err != nil {
-			fail(err)
-		}
-		// Stage failures already surface through RunIteration; the shutdown
-		// error adds nothing at exit.
-		defer func() { _ = p.Close() }()
-		for i := 0; i < *iters; i++ {
-			res, err := p.RunIteration()
-			if err != nil {
-				if buffalo.IsOOM(err) {
-					exitOOM("iter %d: OOM under %dMB budget — shrink -cache-budget-mb or -prefetch-depth, or grow -budget-mb\n", i, *budgetMB)
-				}
-				fail(err)
-			}
-			rr.Record(res)
-			fmt.Printf("iter %d: loss=%.4f K=%d peak=%.1fMB total=%v (loading=%v hidden=%v exposed-plan=%v)\n",
-				i, res.Loss, res.K, float64(res.Peak)/float64(buffalo.MB),
-				res.CriticalPath(), res.Phases.DataLoading, res.HiddenTransfer, res.ExposedPlanning)
-		}
-		if *cacheBudgetMB > 0 {
-			st := p.CacheStats()
-			fmt.Printf("cache: %d entries, %d hits / %d misses (%.0f%% hit rate), %d evictions\n",
-				st.Entries, st.Hits, st.Misses, 100*p.CacheHitRate(), st.Evictions)
-		}
-		rr.CapturePipelined(p)
-		meter.Stop()
-		report(rec, trace, *tracePath, *traceFormat, *metrics, []string{string(cfg.System)})
-		writeManifest(rr, rec, *reportPath)
-		return
+		s, err = buffalo.NewPipelinedSession(ds, cfg, pcfg)
+		oomHint = "shrink -cache-budget-mb or -prefetch-depth, or grow -budget-mb"
+	} else {
+		s, err = buffalo.NewSession(ds, cfg)
 	}
-	s, err := buffalo.NewSession(ds, cfg)
 	if err != nil {
 		fail(err)
 	}
+	// Stage failures already surface through RunIteration; the shutdown
+	// error adds nothing at exit.
 	defer s.Close()
 	for i := 0; i < *iters; i++ {
 		res, err := s.RunIteration()
 		if err != nil {
 			if buffalo.IsOOM(err) {
-				exitOOM("iter %d: OOM under %dMB budget — try -system buffalo or a larger budget\n", i, *budgetMB)
+				exitOOM("iter %d: OOM under %dMB budget — %s\n", i, *budgetMB, oomHint)
 			}
 			fail(err)
 		}
 		rr.Record(res)
-		fmt.Printf("iter %d: loss=%.4f acc=%.3f K=%d peak=%.1fMB total=%v\n",
-			i, res.Loss, res.Accuracy, res.K, float64(res.Peak)/float64(buffalo.MB), res.Phases.Total())
+		fmt.Printf("iter %d: loss=%.4f acc=%.3f K=%d peak=%.1fMB total=%v",
+			i, res.Loss, res.Accuracy, res.K, float64(res.Peak)/float64(buffalo.MB), res.CriticalPath())
+		if usePipeline {
+			fmt.Printf(" (loading=%v hidden=%v exposed-plan=%v)",
+				res.Phases.DataLoading, res.HiddenTransfer, res.ExposedPlanning)
+		}
+		fmt.Println()
+	}
+	if *cacheBudgetMB > 0 {
+		st := s.CacheStats()
+		fmt.Printf("cache: %d entries, %d hits / %d misses (%.0f%% hit rate), %d evictions\n",
+			st.Entries, st.Hits, st.Misses, 100*s.CacheHitRate(), st.Evictions)
 	}
 	rr.CaptureSession(s)
 	meter.Stop()

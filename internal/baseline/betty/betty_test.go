@@ -182,8 +182,8 @@ func TestPartitionDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := sampling.NewStream(ds.Graph, c.seeds, c.fanouts, 5).Next()
-		if err != nil {
+		b := &sampling.Batch{}
+		if err := sampling.NewStream(ds.Graph, c.seeds, c.fanouts, 5).NextInto(b); err != nil {
 			t.Fatal(err)
 		}
 		first, err := Partition(b, c.k, 9)

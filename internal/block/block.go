@@ -109,12 +109,6 @@ func Generate(batch *sampling.Batch, outputs []graph.NodeID) (*MicroBatch, error
 	return GenerateInto(new(GenScratch), batch, outputs, nil)
 }
 
-// GenerateTraced is Generate with GenerateInto's observability. A nil
-// recorder makes it identical to Generate.
-func GenerateTraced(batch *sampling.Batch, outputs []graph.NodeID, rec *obs.Recorder) (*MicroBatch, error) {
-	return GenerateInto(new(GenScratch), batch, outputs, rec)
-}
-
 // GenScratch owns the storage one micro-batch generation consumes — the
 // MicroBatch itself, a value slab for its blocks, each block's flat Src/Adj
 // backing, the frontier's positions (current hop and next), and the

@@ -311,7 +311,7 @@ func TestGenerateTracedSpansAndCounters(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewTrace(), m)
 	var srcNodes, edges int64
 	for _, outputs := range [][]graph.NodeID{b.Seeds[:4], b.Seeds[4:]} {
-		mb, err := GenerateTraced(b, outputs, rec)
+		mb, err := GenerateInto(new(GenScratch), b, outputs, rec)
 		if err != nil {
 			t.Fatal(err)
 		}

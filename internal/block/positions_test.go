@@ -165,8 +165,8 @@ func arxivBatch(t testing.TB) *sampling.Batch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sampling.NewStream(ds.Graph, 1024, []int{10, 25}, 7).Next()
-	if err != nil {
+	b := &sampling.Batch{}
+	if err := sampling.NewStream(ds.Graph, 1024, []int{10, 25}, 7).NextInto(b); err != nil {
 		t.Fatal(err)
 	}
 	return b

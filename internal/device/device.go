@@ -348,8 +348,11 @@ func (g *GPU) ResetClocks() {
 // Reset combines ResetPeak and ResetClocks in one critical section: the peak
 // watermark drops to the current live bytes and the transfer/compute clocks
 // zero atomically, so a concurrent observer can never see a reset watermark
-// paired with a stale clock (or vice versa). Trainers call this at iteration
-// start.
+// paired with a stale clock (or vice versa). For callers that own an idle
+// device (nothing in flight — see ResetClocks). The training engine does not
+// call it: it rebases only the watermark (ResetPeak) each iteration and reads
+// phases as clock deltas, since a clock reset would corrupt a prefetcher's
+// in-flight copies.
 func (g *GPU) Reset() {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -46,49 +46,35 @@ func PipelineOverlap(opts Options) (*Table, error) {
 			Obs:       opts.Obs,
 		}
 
-		// Sequential baseline: every copy is exposed. The first iteration is
-		// an uncounted warm-up in every mode: it pays one-off costs (cache
-		// warming, pipeline fill) that amortize to nothing over a real
-		// training run, so the rows report steady-state iterations.
-		s, err := train.NewSession(ds, cfg)
-		if err != nil {
-			return nil, err
-		}
-		var seq phaseAccum
-		for i := 0; i <= iters; i++ {
-			res, err := s.RunIteration()
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			if i > 0 {
-				seq.Add(res)
-			}
-		}
-		s.Close()
-		t.AddRow(name, "sequential", seq.K, seq.Loading, time.Duration(0),
-			seq.Compute, seq.Total, mb(seq.Peak), "-")
-		seqTotal += seq.Total
-
-		// Pipelined, with and without the feature cache. The cache budget is
-		// an eighth of the device: enough for the hub rows, small enough that
-		// the K-search still sees most of its headroom.
+		// Sequential baseline (every copy is exposed), then pipelined with
+		// and without the feature cache. The cache budget is an eighth of the
+		// device: enough for the hub rows, small enough that the K-search
+		// still sees most of its headroom. The first iteration is an uncounted
+		// warm-up in every mode: it pays one-off costs (cache warming,
+		// pipeline fill) that amortize to nothing over a real training run,
+		// so the rows report steady-state iterations.
 		for _, mode := range []struct {
 			label string
-			pcfg  train.PipelineConfig
+			pcfg  *train.PipelineConfig
 		}{
-			{"pipelined", train.PipelineConfig{Depth: 2}},
-			{"pipelined+cache", train.PipelineConfig{Depth: 2, CacheBudget: p.budget / 8}},
+			{"sequential", nil},
+			{"pipelined", &train.PipelineConfig{Depth: 2}},
+			{"pipelined+cache", &train.PipelineConfig{Depth: 2, CacheBudget: p.budget / 8}},
 		} {
-			ps, err := train.NewPipelinedSession(ds, cfg, mode.pcfg)
+			var s *train.Session
+			if mode.pcfg == nil {
+				s, err = train.NewSession(ds, cfg)
+			} else {
+				s, err = train.NewPipelinedSession(ds, cfg, *mode.pcfg)
+			}
 			if err != nil {
 				return nil, err
 			}
 			var acc phaseAccum
 			for i := 0; i <= iters; i++ {
-				res, err := ps.RunIteration()
+				res, err := s.RunIteration()
 				if err != nil {
-					_ = ps.Close() // the iteration error is the one to report
+					s.Close() // the iteration error is the one to report
 					return nil, err
 				}
 				if i > 0 {
@@ -96,15 +82,18 @@ func PipelineOverlap(opts Options) (*Table, error) {
 				}
 			}
 			hit := "-"
-			if mode.pcfg.CacheBudget > 0 {
-				hit = fmt.Sprintf("%.0f%%", 100*ps.CacheHitRate())
+			if mode.pcfg != nil && mode.pcfg.CacheBudget > 0 {
+				hit = fmt.Sprintf("%.0f%%", 100*s.CacheHitRate())
 			}
-			if err := ps.Close(); err != nil {
+			if err := s.Shutdown(); err != nil {
 				return nil, err
 			}
 			t.AddRow(name, mode.label, acc.K, acc.Loading, acc.Hidden,
 				acc.Compute, acc.Total, mb(acc.Peak), hit)
-			if mode.pcfg.CacheBudget == 0 {
+			switch mode.label {
+			case "sequential":
+				seqTotal += acc.Total
+			case "pipelined":
 				pipeTotal += acc.Total
 			}
 		}

@@ -23,15 +23,17 @@ var (
 // it — each bucket one contiguous slice, each slice evenly divisible into
 // per-replica shards.
 //
-// The layout is the gradient-production (backward) order GradBuckets already
-// uses: the LAST registered parameter sits first, so an overlapped reducer
-// walking buckets front to back launches each one as early in the backward
-// pass as possible. Buckets are closed when adding the next parameter would
-// exceed the guide size, then padded up to a multiple of the shard count —
-// padding lives only at bucket tails (= shard boundaries), never between
-// parameters, and its elements stay zero on both buffers forever (zero
-// values, zero gradients; accumulating or stepping over them is an exact
-// no-op).
+// The layout is the gradient-production (backward) order: the LAST registered
+// parameter sits first, since backward passes produce gradients for the
+// output layers before the input layers, and an overlapped reducer walking
+// buckets front to back wants each one ready as early in the backward pass as
+// possible. Buckets are closed when adding the next parameter would exceed
+// the guide size (a parameter whose gradient alone exceeds it gets its own
+// bucket: a reduce cannot split one tensor), then padded up to a multiple of
+// the shard count — padding lives only at bucket tails (= shard boundaries),
+// never between parameters, and its elements stay zero on both buffers
+// forever (zero values, zero gradients; accumulating or stepping over them is
+// an exact no-op).
 //
 // A flat layout buys three things at once: the sharded collectives
 // (reduce-scatter moves bucket slices, not per-parameter tensors), a ZeRO-1
@@ -59,7 +61,7 @@ type FlatItem struct {
 // gradients are copied into the flat buffers and every Param.Value/Param.Grad
 // is rebound as a view, so all existing layer wiring keeps working on the
 // same Matrix objects. bucketBytes bounds each bucket's gradient payload
-// exactly like GradBuckets (<= 0 means one monolithic bucket); shards is the
+// (<= 0 means one monolithic bucket, the monolithic reduce); shards is the
 // replica count the buckets must split evenly across (each bucket is padded
 // to a multiple of it; 1 means no padding). Flattening twice is an error —
 // the views would otherwise silently detach from the first buffer.
@@ -74,9 +76,9 @@ func (ps *ParamSet) Flatten(bucketBytes int64, shards int) (*FlatBuffer, error) 
 		shards = 1
 	}
 	fb := &FlatBuffer{shards: shards, guide: bucketBytes}
-	// Pass 1: bucket membership in backward order, same close rule as
-	// GradBuckets so the partition (and therefore every reduce's payload
-	// accounting) is identical whether or not the set is flat.
+	// Pass 1: bucket membership in backward order. The close rule counts
+	// payload bytes, never padding, so the partition (and every reduce's
+	// payload accounting) does not depend on the shard count.
 	total := 0
 	cur := GradBucket{}
 	closeBucket := func() {

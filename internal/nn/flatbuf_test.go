@@ -84,44 +84,6 @@ func TestFlattenIndexInvariants(t *testing.T) {
 	}
 }
 
-// TestFlattenBucketsMatchGradBuckets: the flatten-time partition (membership
-// and payload bytes) is exactly what GradBuckets produces over unflattened
-// storage for the same guide size — so a flat set prices its reduces
-// identically to the per-tensor path.
-func TestFlattenBucketsMatchGradBuckets(t *testing.T) {
-	for _, bucketBytes := range []int64{0, 1, 300, 600, 1 << 20} {
-		ref := flatSet(t, 1)
-		want := ref.GradBuckets(bucketBytes)
-		ps := flatSet(t, 1)
-		fb, err := ps.Flatten(bucketBytes, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fb.Buckets()
-		if len(got) != len(want) {
-			t.Fatalf("bucketBytes=%d: %d flat buckets, GradBuckets gives %d", bucketBytes, len(got), len(want))
-		}
-		for bi := range got {
-			if got[bi].Bytes != want[bi].Bytes {
-				t.Fatalf("bucketBytes=%d: bucket %d payload %d, want %d", bucketBytes, bi, got[bi].Bytes, want[bi].Bytes)
-			}
-			if len(got[bi].Indices) != len(want[bi].Indices) {
-				t.Fatalf("bucketBytes=%d: bucket %d has %d params, want %d", bucketBytes, bi, len(got[bi].Indices), len(want[bi].Indices))
-			}
-			for k := range got[bi].Indices {
-				if got[bi].Indices[k] != want[bi].Indices[k] {
-					t.Fatalf("bucketBytes=%d: bucket %d membership differs at %d", bucketBytes, bi, k)
-				}
-			}
-		}
-		// And the flattened set's own GradBuckets now serves the flat index.
-		after := ps.GradBuckets(bucketBytes)
-		if len(after) != len(got) || after[0].Len == 0 {
-			t.Fatalf("flattened GradBuckets must return the flat index (got %d buckets, Len[0]=%d)", len(after), after[0].Len)
-		}
-	}
-}
-
 // TestFlattenViewsAlias: Param.Value/Param.Grad are zero-copy views — writes
 // through the parameter tensors land in the flat buffers and vice versa, and
 // flattening preserves the pre-flatten contents bit for bit.
@@ -217,7 +179,7 @@ func TestFlatAccumulateBitIdentical(t *testing.T) {
 	if _, err := bSrc.Flatten(300, 4); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range bDst.GradBuckets(300) {
+	for _, b := range bDst.Flat().Buckets() {
 		if err := bDst.AddGradsFromBucket(bSrc, b); err != nil {
 			t.Fatal(err)
 		}

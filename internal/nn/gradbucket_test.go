@@ -29,53 +29,58 @@ func TestGradBytesIsHalfOfBytes(t *testing.T) {
 	}
 }
 
-// TestGradBucketsPartition: every parameter appears exactly once, buckets
-// respect the byte bound (except unavoidable single-param buckets), order is
-// backward (last registered first), and byte sums match the parameters.
+// TestGradBucketsPartition: the close rule Flatten partitions by, whatever the
+// shard count — every parameter appears exactly once, buckets respect the
+// byte bound (except unavoidable single-param buckets), order is backward
+// (last registered first), and byte sums match the parameters.
 func TestGradBucketsPartition(t *testing.T) {
-	ps := bucketSet(t)
-	for _, maxBytes := range []int64{0, 1, 300, 600, 1 << 20} {
-		buckets := ps.GradBuckets(maxBytes)
-		seen := make(map[int]bool)
-		prev := len(ps.Params())
-		var total int64
-		for bi, b := range buckets {
-			if len(b.Indices) == 0 {
-				t.Fatalf("maxBytes=%d: bucket %d is empty", maxBytes, bi)
+	for _, shards := range []int{1, 3, 4} {
+		for _, maxBytes := range []int64{0, 1, 300, 600, 1 << 20} {
+			ps := bucketSet(t)
+			fb, err := ps.Flatten(maxBytes, shards)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var sum int64
-			for _, i := range b.Indices {
-				if seen[i] {
-					t.Fatalf("maxBytes=%d: param %d in two buckets", maxBytes, i)
+			buckets := fb.Buckets()
+			seen := make(map[int]bool)
+			prev := len(ps.Params())
+			var total int64
+			for bi, b := range buckets {
+				if len(b.Indices) == 0 {
+					t.Fatalf("maxBytes=%d: bucket %d is empty", maxBytes, bi)
 				}
-				seen[i] = true
-				if i >= prev {
-					t.Fatalf("maxBytes=%d: indices not in backward order (%d after %d)", maxBytes, i, prev)
+				var sum int64
+				for _, i := range b.Indices {
+					if seen[i] {
+						t.Fatalf("maxBytes=%d: param %d in two buckets", maxBytes, i)
+					}
+					seen[i] = true
+					if i >= prev {
+						t.Fatalf("maxBytes=%d: indices not in backward order (%d after %d)", maxBytes, i, prev)
+					}
+					prev = i
+					sum += ps.Params()[i].GradBytes()
 				}
-				prev = i
-				sum += ps.Params()[i].GradBytes()
+				if sum != b.Bytes {
+					t.Fatalf("maxBytes=%d: bucket %d reports %d bytes, params sum to %d", maxBytes, bi, b.Bytes, sum)
+				}
+				if maxBytes > 0 && len(b.Indices) > 1 && b.Bytes > maxBytes {
+					t.Fatalf("maxBytes=%d: multi-param bucket %d holds %d bytes", maxBytes, bi, b.Bytes)
+				}
+				total += b.Bytes
 			}
-			if sum != b.Bytes {
-				t.Fatalf("maxBytes=%d: bucket %d reports %d bytes, params sum to %d", maxBytes, bi, b.Bytes, sum)
+			if len(seen) != len(ps.Params()) {
+				t.Fatalf("maxBytes=%d: %d of %d params bucketed", maxBytes, len(seen), len(ps.Params()))
 			}
-			if maxBytes > 0 && len(b.Indices) > 1 && b.Bytes > maxBytes {
-				t.Fatalf("maxBytes=%d: multi-param bucket %d holds %d bytes", maxBytes, bi, b.Bytes)
+			if total != ps.GradBytes() {
+				t.Fatalf("maxBytes=%d: buckets carry %d bytes, set has %d", maxBytes, total, ps.GradBytes())
 			}
-			total += b.Bytes
+			// 0 is the monolithic bucket; a bound below every parameter gives
+			// one bucket per parameter.
+			if want := map[int64]int{0: 1, 1: len(ps.Params())}[maxBytes]; want != 0 && len(buckets) != want {
+				t.Fatalf("shards=%d maxBytes=%d: %d buckets, want %d", shards, maxBytes, len(buckets), want)
+			}
 		}
-		if len(seen) != len(ps.Params()) {
-			t.Fatalf("maxBytes=%d: %d of %d params bucketed", maxBytes, len(seen), len(ps.Params()))
-		}
-		if total != ps.GradBytes() {
-			t.Fatalf("maxBytes=%d: buckets carry %d bytes, set has %d", maxBytes, total, ps.GradBytes())
-		}
-	}
-	if got := len(ps.GradBuckets(0)); got != 1 {
-		t.Fatalf("maxBytes=0 must produce the monolithic bucket, got %d", got)
-	}
-	// maxBytes below every parameter: one bucket per parameter.
-	if got := len(ps.GradBuckets(1)); got != len(ps.Params()) {
-		t.Fatalf("maxBytes=1: want %d singleton buckets, got %d", len(ps.Params()), got)
 	}
 }
 
@@ -101,7 +106,13 @@ func TestAddGradsFromBucketMatchesWholeSweep(t *testing.T) {
 		for pi, p := range bucketed.Params() {
 			copy(p.Grad.Data, whole.Params()[pi].Grad.Data)
 		}
-		for _, b := range bucketed.GradBuckets(maxBytes) {
+		// The partition of an identically shaped flattened set; bucketed and
+		// src stay unflattened, so the per-tensor accumulation runs.
+		fb, err := bucketSet(t).Flatten(maxBytes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range fb.Buckets() {
 			if err := bucketed.AddGradsFromBucket(src, b); err != nil {
 				t.Fatal(err)
 			}

@@ -32,12 +32,8 @@ func (l *Linear) Register(ps *ParamSet) {
 	ps.MustAdd(l.W)
 }
 
-// Forward computes x @ W (+ b). x is [n x in]; the result is [n x out].
-func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
-	return l.ForwardInto(tensor.New(x.Rows, l.W.Value.Cols), x)
-}
-
-// ForwardInto is Forward with a caller-provided y ([n x out]). Returns y.
+// ForwardInto computes y = x @ W (+ b) into the caller's y. x is [n x in],
+// y [n x out]. Returns y.
 func (l *Linear) ForwardInto(y, x *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulInto(y, x, l.W.Value, false)
 	if l.B != nil {
@@ -46,21 +42,12 @@ func (l *Linear) ForwardInto(y, x *tensor.Matrix) *tensor.Matrix {
 	return y
 }
 
-// Backward accumulates dW (and db) from upstream gradient dy and returns
-// dx = dy @ Wᵀ. x must be the same matrix passed to the matching Forward.
-func (l *Linear) Backward(x, dy *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.New(dy.Rows, l.W.Value.Rows)
-	var rowSum *tensor.Matrix
-	if l.B != nil {
-		rowSum = tensor.New(1, l.W.Value.Cols)
-	}
-	return l.BackwardInto(dx, rowSum, x, dy)
-}
-
-// BackwardInto is Backward with a caller-provided dx ([n x in]) and, when the
-// layer has a bias, a 1 x out rowSum scratch (overwritten; may be nil for
-// bias-free layers). Returns dx. A nil dx accumulates the parameter
-// gradients only: a caller that discards the input gradient skips its GEMM.
+// BackwardInto accumulates dW (and db) from upstream gradient dy and writes
+// dx = dy @ Wᵀ into the caller's dx ([n x in]); x must be the matrix passed to
+// the matching ForwardInto. A layer with a bias needs a 1 x out rowSum scratch
+// (overwritten; may be nil for bias-free layers). Returns dx. A nil dx
+// accumulates the parameter gradients only: a caller that discards the input
+// gradient skips its GEMM.
 func (l *Linear) BackwardInto(dx, rowSum, x, dy *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulATBInto(l.W.Grad, x, dy, true)
 	if l.B != nil {

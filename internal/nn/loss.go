@@ -53,11 +53,10 @@ func CrossEntropyInto(probs, logits *tensor.Matrix, labels []int32, scale float3
 	return float32(loss) * scale, grad, nil
 }
 
-// Accuracy reports the fraction of rows whose argmax matches the label.
-func Accuracy(logits *tensor.Matrix, labels []int32) float64 {
-	if logits.Rows == 0 {
-		return 0
-	}
+// Correct counts the rows whose argmax matches the label. Callers that sum
+// over micro-batches add these counts: a fraction multiplied back by its row
+// count can truncate below the count it came from.
+func Correct(logits *tensor.Matrix, labels []int32) int {
 	correct := 0
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)
@@ -71,5 +70,13 @@ func Accuracy(logits *tensor.Matrix, labels []int32) float64 {
 			correct++
 		}
 	}
-	return float64(correct) / float64(logits.Rows)
+	return correct
+}
+
+// Accuracy reports the fraction of rows whose argmax matches the label.
+func Accuracy(logits *tensor.Matrix, labels []int32) float64 {
+	if logits.Rows == 0 {
+		return 0
+	}
+	return float64(Correct(logits, labels)) / float64(logits.Rows)
 }

@@ -121,7 +121,7 @@ func TestLinearForwardShapeAndBias(t *testing.T) {
 	l := NewLinear("fc", 3, 2, true, rng)
 	l.B.Value.Data[0] = 1
 	x := randMat(rng, 4, 3)
-	y := l.Forward(x)
+	y := l.ForwardInto(tensor.New(4, 2), x)
 	if y.Rows != 4 || y.Cols != 2 {
 		t.Fatalf("shape %dx%d", y.Rows, y.Cols)
 	}
@@ -143,11 +143,9 @@ func TestLinearGradients(t *testing.T) {
 	l.Register(&ps)
 	x := randMat(rng, 5, 3)
 	r := randMat(rng, 5, 2) // random upstream direction
-	loss := func() float64 { return dot(l.Forward(x), r) }
+	loss := func() float64 { return dot(l.ForwardInto(tensor.New(5, 2), x), r) }
 	ps.ZeroGrad()
-	y := l.Forward(x)
-	_ = y
-	dx := l.Backward(x, r)
+	dx := l.BackwardInto(tensor.New(5, 3), tensor.New(1, 2), x, r)
 	checkGrad(t, "W", l.W.Value, l.W.Grad, loss)
 	checkGrad(t, "b", l.B.Value, l.B.Grad, loss)
 	// Input gradient: perturb x.
@@ -303,29 +301,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	var ps ParamSet
-	p := NewParam("w", 1, 1)
-	p.Value.Data[0] = 1
-	p.Grad.Data[0] = 0.5
-	ps.MustAdd(p)
-	opt := NewSGD(0.1, 0)
-	opt.Step(&ps)
-	if math.Abs(float64(p.Value.Data[0]-0.95)) > 1e-6 {
-		t.Fatalf("sgd step got %v", p.Value.Data[0])
-	}
-	if opt.StateBytes() != 0 {
-		t.Fatal("plain SGD should have no state")
-	}
-	// Momentum accumulates velocity.
-	optM := NewSGD(0.1, 0.9)
-	optM.Step(&ps)
-	optM.Step(&ps)
-	if optM.StateBytes() == 0 {
-		t.Fatal("momentum SGD should track state bytes")
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w - 3)^2; gradient = 2(w-3).
 	var ps ParamSet
@@ -357,24 +332,24 @@ func TestGradientAccumulationEqualsFullBatch(t *testing.T) {
 
 	// Full batch.
 	ps.ZeroGrad()
-	y := l.Forward(x)
+	y := l.ForwardInto(tensor.New(6, 4), x)
 	_, dy, err := CrossEntropy(y, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Backward(x, dy)
+	l.BackwardInto(nil, tensor.New(1, 4), x, dy)
 	full := l.W.Grad.Clone()
 
 	// Two micro-batches with scale |micro|/|batch| = 0.5.
 	ps.ZeroGrad()
 	for _, half := range [][2]int{{0, 3}, {3, 6}} {
 		sub := tensor.FromSlice(3, 3, x.Data[half[0]*3:half[1]*3])
-		suby := l.Forward(sub)
+		suby := l.ForwardInto(tensor.New(3, 4), sub)
 		_, dsub, err := CrossEntropy(suby, labels[half[0]:half[1]], 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.Backward(sub, dsub)
+		l.BackwardInto(nil, tensor.New(1, 4), sub, dsub)
 	}
 	for i := range full.Data {
 		if math.Abs(float64(full.Data[i]-l.W.Grad.Data[i])) > 1e-5 {
@@ -394,81 +369,6 @@ func TestELUGradient(t *testing.T) {
 	pos := ELU(tensor.FromSlice(1, 2, []float32{1, 2}), 1)
 	if pos.Data[0] != 1 || pos.Data[1] != 2 {
 		t.Fatalf("ELU positive identity broken: %v", pos.Data)
-	}
-}
-
-func TestDropoutValidation(t *testing.T) {
-	if _, err := NewDropout(-0.1, 1); err == nil {
-		t.Error("want error for negative P")
-	}
-	if _, err := NewDropout(1.0, 1); err == nil {
-		t.Error("want error for P = 1")
-	}
-}
-
-func TestDropoutForwardStatistics(t *testing.T) {
-	d, err := NewDropout(0.4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.New(100, 100)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	y, mask := d.Forward(x, true)
-	if mask == nil {
-		t.Fatal("training forward must return a mask")
-	}
-	zeros := 0
-	var sum float64
-	for _, v := range y.Data {
-		if v == 0 {
-			zeros++
-		}
-		sum += float64(v)
-	}
-	frac := float64(zeros) / float64(len(y.Data))
-	if frac < 0.35 || frac > 0.45 {
-		t.Fatalf("dropped fraction %.3f, want ~0.4", frac)
-	}
-	// Inverted scaling keeps the expectation: mean ~ 1.
-	if mean := sum / float64(len(y.Data)); mean < 0.95 || mean > 1.05 {
-		t.Fatalf("post-dropout mean %.3f, want ~1", mean)
-	}
-	// Inference is identity.
-	yi, mi := d.Forward(x, false)
-	if mi != nil || yi != x {
-		t.Fatal("inference must be a no-op")
-	}
-	if mask.Bytes() != 100*100 {
-		t.Fatalf("mask bytes = %d", mask.Bytes())
-	}
-}
-
-func TestDropoutBackwardMatchesMask(t *testing.T) {
-	d, err := NewDropout(0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	x := randMat(rng, 6, 5)
-	y, mask := d.Forward(x, true)
-	dy := randMat(rng, 6, 5)
-	dx := d.Backward(mask, dy)
-	for i := range x.Data {
-		if y.Data[i] == 0 && x.Data[i] != 0 {
-			if dx.Data[i] != 0 {
-				t.Fatalf("gradient leaked through dropped element %d", i)
-			}
-		} else if x.Data[i] != 0 {
-			want := dy.Data[i] * 2 // scale = 1/(1-0.5)
-			if math.Abs(float64(dx.Data[i]-want)) > 1e-6 {
-				t.Fatalf("dx[%d] = %v, want %v", i, dx.Data[i], want)
-			}
-		}
-	}
-	if got := d.Backward(nil, dy); got != dy {
-		t.Fatal("nil mask must pass through")
 	}
 }
 

@@ -6,56 +6,6 @@ import (
 	"buffalo/internal/tensor"
 )
 
-// Optimizer updates a ParamSet from its accumulated gradients.
-type Optimizer interface {
-	// Step applies one update from the current gradients. It does NOT zero
-	// them; callers control accumulation explicitly.
-	Step(ps *ParamSet)
-	// StateBytes reports the optimizer-state footprint (momentum buffers
-	// etc.), which the simulated GPU charges alongside parameters.
-	StateBytes() int64
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(ps *ParamSet) {
-	for _, p := range ps.Params() {
-		if s.Momentum == 0 {
-			p.Value.AddScaled(p.Grad, -s.LR)
-			continue
-		}
-		v, ok := s.velocity[p]
-		if !ok {
-			v = tensor.New(p.Value.Rows, p.Value.Cols)
-			s.velocity[p] = v
-		}
-		v.Scale(s.Momentum)
-		v.AddScaled(p.Grad, 1)
-		p.Value.AddScaled(v, -s.LR)
-	}
-}
-
-// StateBytes implements Optimizer.
-func (s *SGD) StateBytes() int64 {
-	var b int64
-	for _, v := range s.velocity {
-		b += v.Bytes()
-	}
-	return b
-}
-
 // Adam is the Adam optimizer with bias correction. It runs in one of two
 // storage modes: the map-backed Step over per-parameter tensors, or — built
 // via NewAdamShard — the flat StepFlat over one contiguous element range of a
@@ -124,7 +74,10 @@ func (a *Adam) StepFlat(fb *FlatBuffer) {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update from the current gradients over per-parameter
+// tensors. It does NOT zero them; callers control accumulation explicitly.
+// The engine steps flat buffers (StepFlat); Step stays as the reference
+// StepFlat's bit-identity test compares against.
 func (a *Adam) Step(ps *ParamSet) {
 	a.t++
 	c1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
@@ -147,7 +100,8 @@ func (a *Adam) Step(ps *ParamSet) {
 	}
 }
 
-// StateBytes implements Optimizer.
+// StateBytes reports the optimizer-state footprint (both moment buffers),
+// which the simulated GPU charges alongside parameters.
 func (a *Adam) StateBytes() int64 {
 	var b int64
 	for _, m := range a.m {

@@ -1,7 +1,8 @@
 // Package nn implements the neural-network stack the GNN layers are built
 // from: parameters with gradient buffers, fully connected layers, pointwise
 // activations, an LSTM cell with full backpropagation through time, the
-// softmax cross-entropy loss, and SGD/Adam optimizers.
+// softmax cross-entropy loss, and the Adam optimizer over flat parameter
+// buffers.
 //
 // There is no autograd tape: every layer exposes an explicit
 // Forward/Backward pair with the caller responsible for threading gradients.
@@ -141,73 +142,17 @@ func (ps *ParamSet) ValueBytes() int64 {
 	return b
 }
 
-// GradBucket is one size-bounded slice of a ParamSet's gradients: the unit a
-// bucketed all-reduce launches as soon as backward has produced every
-// gradient in it. Indices index into Params() and stay in backward order
-// within and across buckets.
-//
-// For a flattened set the bucket is additionally a pure slice of the flat
-// gradient buffer: [Off, Off+Len) elements, Len padded to a multiple of the
-// shard count so reduce-scatter splits it evenly. Off/Len are zero for
-// buckets built over unflattened storage.
+// GradBucket is one size-bounded slice of a flattened ParamSet's gradients
+// (see Flatten, which builds the partition): the unit a bucketed all-reduce
+// launches as soon as backward has produced every gradient in it. Indices
+// index into Params() and stay in backward order within and across buckets;
+// [Off, Off+Len) is the bucket's slice of the flat gradient buffer, Len padded
+// to a multiple of the shard count so reduce-scatter splits it evenly.
 type GradBucket struct {
 	Indices []int
 	Bytes   int64 // summed gradient payload of the bucket
-	Off     int   // element offset into the flat grad buffer (flat sets only)
-	Len     int   // padded element length in the flat grad buffer (flat sets only)
-}
-
-// GradBuckets partitions the set's gradients into buckets of at most
-// maxBytes gradient payload each, in backward order: the LAST registered
-// parameter first, since backward passes produce gradients for the output
-// layers before the input layers, and an overlapped reducer wants each
-// bucket ready as early in the backward pass as possible. A parameter whose
-// gradient alone exceeds maxBytes gets its own bucket (a reduce cannot split
-// one tensor). maxBytes <= 0 returns a single bucket holding everything —
-// the monolithic reduce.
-func (ps *ParamSet) GradBuckets(maxBytes int64) []GradBucket {
-	return ps.GradBucketsInto(nil, maxBytes)
-}
-
-// GradBucketsInto is GradBuckets appending into dst[:0], reusing dst's bucket
-// headers AND their Indices backing, so a caller re-deriving the partition
-// (the engine does after every flatten-mode change) pays no steady-state
-// allocation. Flattened sets return the flat index itself — the caller's
-// scratch is not involved, matching GradBuckets.
-func (ps *ParamSet) GradBucketsInto(dst []GradBucket, maxBytes int64) []GradBucket {
-	if len(ps.params) == 0 {
-		return nil
-	}
-	if ps.flat != nil {
-		// A flattened set's bucketization is fixed at Flatten time (the
-		// physical layout IS the bucket index); callers get those buckets —
-		// pure slices of the flat buffer — regardless of maxBytes.
-		return ps.flat.Buckets()
-	}
-	// nextBucket recycles dst's retained headers past the current length: the
-	// old Indices backing is truncated and refilled, never reallocated while
-	// it still fits.
-	out := dst[:0]
-	nextBucket := func() *GradBucket {
-		if len(out) < cap(out) {
-			out = out[: len(out)+1 : cap(out)]
-			b := &out[len(out)-1]
-			*b = GradBucket{Indices: b.Indices[:0]}
-			return b
-		}
-		out = append(out, GradBucket{})
-		return &out[len(out)-1]
-	}
-	cur := nextBucket()
-	for i := len(ps.params) - 1; i >= 0; i-- {
-		g := ps.params[i].GradBytes()
-		if maxBytes > 0 && len(cur.Indices) > 0 && cur.Bytes+g > maxBytes {
-			cur = nextBucket()
-		}
-		cur.Indices = append(cur.Indices, i)
-		cur.Bytes += g
-	}
-	return out
+	Off     int   // element offset into the flat grad buffer
+	Len     int   // padded element length in the flat grad buffer
 }
 
 // AddGradsFromBucket accumulates src's gradients into ps for exactly the

@@ -193,11 +193,9 @@ func (c *FeatureCache) Stats() CacheStats {
 }
 
 // HitRate reports hits / (hits + misses), or 0 before any lookups.
-func (c *FeatureCache) HitRate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hits+c.misses == 0 {
+func (s CacheStats) HitRate() float64 {
+	if s.Hits+s.Misses == 0 {
 		return 0
 	}
-	return float64(c.hits) / float64(c.hits+c.misses)
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }

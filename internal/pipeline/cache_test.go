@@ -73,7 +73,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if !c.Lookup(7) || !c.Lookup(7) {
 		t.Fatal("resident node missed")
 	}
-	if got := c.HitRate(); got != 2.0/3.0 {
+	if got := c.Stats().HitRate(); got != 2.0/3.0 {
 		t.Fatalf("hit rate = %v, want 2/3", got)
 	}
 	if m.Counter("pipeline/cache/hits").Value() != 2 ||

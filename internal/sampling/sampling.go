@@ -380,13 +380,14 @@ func (b *Batch) sampleNeighborsInto(dst []graph.NodeID, g *graph.Graph, v graph.
 	return dst
 }
 
-// UniformSeedsInto is UniformSeeds drawing into buf's storage: the returned
-// seeds are the first count entries of a |V|-node permutation kept in buf
-// (regrown when too small), so the caller passes the result back in next time
-// and a warm draw allocates nothing. It consumes rng exactly as rand.Perm
-// does — including the draw at i = 0 that cannot move anything — so the seeds
-// and every later draw equal UniformSeeds'. The seeds are overwritten by the
-// next draw into the same storage; SampleBatchInto copies them.
+// UniformSeedsInto draws count distinct nodes uniformly from g as seeds, into
+// buf's storage: the returned seeds are the first count entries of a |V|-node
+// permutation kept in buf (regrown when too small), so the caller passes the
+// result back in next time and a warm draw allocates nothing. It consumes rng
+// exactly as rand.Perm does — including the draw at i = 0 that cannot move
+// anything — which every seeded loss and K sequence in the repository rests
+// on. The seeds are overwritten by the next draw into the same storage;
+// SampleBatchInto copies them.
 func UniformSeedsInto(buf []graph.NodeID, g *graph.Graph, count int, rng *rand.Rand) ([]graph.NodeID, error) {
 	n := g.NumNodes()
 	if count < 1 || count > n {
@@ -401,16 +402,7 @@ func UniformSeedsInto(buf []graph.NodeID, g *graph.Graph, count int, rng *rand.R
 	return perm[:count], nil
 }
 
-// UniformSeeds draws count distinct nodes uniformly from g as seeds.
+// UniformSeeds is UniformSeedsInto into fresh storage the caller owns.
 func UniformSeeds(g *graph.Graph, count int, rng *rand.Rand) ([]graph.NodeID, error) {
-	n := g.NumNodes()
-	if count < 1 || count > n {
-		return nil, fmt.Errorf("sampling: seed count %d out of range [1,%d]", count, n)
-	}
-	perm := rng.Perm(n)[:count]
-	seeds := make([]graph.NodeID, count)
-	for i, p := range perm {
-		seeds[i] = graph.NodeID(p)
-	}
-	return seeds, nil
+	return UniformSeedsInto(nil, g, count, rng)
 }

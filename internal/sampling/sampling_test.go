@@ -352,9 +352,9 @@ func TestAssignPositions(t *testing.T) {
 	}
 }
 
-// UniformSeedsInto must consume the RNG exactly as UniformSeeds (rand.Perm)
-// does: same seeds, and the same next draw, batch after batch — every seeded
-// loss and K sequence in the repository rests on it.
+// UniformSeedsInto must consume the RNG exactly as rand.Perm does: same
+// seeds, and the same next draw, batch after batch — every seeded loss and K
+// sequence in the repository rests on it.
 func TestUniformSeedsIntoMatchesUniformSeeds(t *testing.T) {
 	g := ring(t, 257, 2)
 	ref := rand.New(rand.NewSource(11))
@@ -362,9 +362,9 @@ func TestUniformSeedsIntoMatchesUniformSeeds(t *testing.T) {
 	var buf []graph.NodeID
 	for batch := 0; batch < 100; batch++ {
 		count := 1 + batch%64
-		want, err := UniformSeeds(g, count, ref)
-		if err != nil {
-			t.Fatal(err)
+		var want []graph.NodeID
+		for _, p := range ref.Perm(g.NumNodes())[:count] {
+			want = append(want, graph.NodeID(p))
 		}
 		got, err := UniformSeedsInto(buf, g, count, rng)
 		if err != nil {

@@ -319,23 +319,13 @@ func (s *search) splitOversized(from int) error {
 	return nil
 }
 
-// MemBalancedGrouping is Algorithm 4: sort buckets by estimated memory
-// descending, then place each into the group with the lowest
+// group is Algorithm 4 over the scratch's working list: sort buckets by
+// estimated memory descending, then place each into the group with the lowest
 // redundancy-aware estimate so far (greedy load-balanced bin packing with
-// value = weight = estimated bucket memory). The result does not alias
-// opts.Scratch; reuse-minded callers go through Schedule.
-func MemBalancedGrouping(b *sampling.Batch, bk *bucket.Bucketing, est *memest.Estimator, k int, opts Options) ([]*bucket.Group, []int64, error) {
-	if k < 1 {
-		return nil, nil, fmt.Errorf("schedule: K must be >= 1, got %d", k)
-	}
-	s := search{sc: &Scratch{working: bk.Buckets}, b: b, est: est, opts: opts}
-	return s.group(k)
-}
-
-// group runs Algorithm 4 over the scratch's working list, building its
-// groups and estimates inside the scratch. Each group keeps an estimator
-// accumulator, so a placement measures the placed bucket's sampled edges
-// only, not the group it joins.
+// value = weight = estimated bucket memory). Groups and estimates are built
+// inside the scratch; each group keeps an estimator accumulator, so a
+// placement measures the placed bucket's sampled edges only, not the group it
+// joins.
 func (s *search) group(k int) ([]*bucket.Group, []int64, error) {
 	sc := s.sc
 	sc.items = sc.items[:0]

@@ -177,11 +177,9 @@ func TestScheduleKStart(t *testing.T) {
 func TestMemBalancedGroupingErrors(t *testing.T) {
 	b, est := setup(t, "cora", 100, []int{5, 5}, gnn.Mean)
 	bk := bucket.Bucketize(b)
-	if _, _, err := MemBalancedGrouping(b, bk, est, 0, Options{}); err == nil {
-		t.Fatal("want error for K=0")
-	}
 	// K above bucket count: empty groups dropped.
-	groups, ests, err := MemBalancedGrouping(b, bk, est, len(bk.Buckets)+5, Options{})
+	s := search{sc: &Scratch{working: bk.Buckets}, b: b, est: est}
+	groups, ests, err := s.group(len(bk.Buckets) + 5)
 	if err != nil {
 		t.Fatal(err)
 	}

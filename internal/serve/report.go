@@ -53,11 +53,10 @@ func (s *Server) BuildManifest(dataset string) *report.Manifest {
 		}
 	}
 	if c := st.Cache; c.Hits+c.Misses > 0 {
-		hitRate := float64(c.Hits) / float64(c.Hits+c.Misses)
 		m.Cache = &report.Cache{
 			Entries: c.Entries, UsedBytes: c.UsedBytes,
 			Hits: c.Hits, Misses: c.Misses, Evictions: c.Evictions,
-			HitRate: hitRate,
+			HitRate: c.HitRate(),
 		}
 	}
 	dst := s.sess.GPU.Stats()

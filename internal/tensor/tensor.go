@@ -285,14 +285,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// Add returns a + b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	checkSameShape("Add", a, b)
-	out := a.Clone()
-	out.AddInPlace(b)
-	return out
-}
-
 // AddInPlace computes m += other elementwise.
 func (m *Matrix) AddInPlace(other *Matrix) {
 	checkSameShape("AddInPlace", m, other)
@@ -313,21 +305,6 @@ func (m *Matrix) AddScaled(other *Matrix, alpha float32) {
 func (m *Matrix) Scale(alpha float32) {
 	for i := range m.Data {
 		m.Data[i] *= alpha
-	}
-}
-
-// HadamardInto computes out = a ⊙ b, or out += a ⊙ b when accumulate.
-func HadamardInto(out, a, b *Matrix, accumulate bool) {
-	checkSameShape("HadamardInto", a, b)
-	checkSameShape("HadamardInto out", out, a)
-	if accumulate {
-		for i, v := range a.Data {
-			out.Data[i] += v * b.Data[i]
-		}
-		return
-	}
-	for i, v := range a.Data {
-		out.Data[i] = v * b.Data[i]
 	}
 }
 
@@ -372,14 +349,8 @@ func (m *Matrix) MaxAbs() float32 {
 	return mx
 }
 
-// SoftmaxRows computes a numerically stable row-wise softmax into a new matrix.
-func SoftmaxRows(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	SoftmaxRowsInto(out, m)
-	return out
-}
-
-// SoftmaxRowsInto writes the row-wise softmax of m into out (same shape).
+// SoftmaxRowsInto writes the numerically stable row-wise softmax of m into
+// out (same shape).
 func SoftmaxRowsInto(out, m *Matrix) {
 	checkSameShape("SoftmaxRowsInto", out, m)
 	for i := 0; i < m.Rows; i++ {

@@ -135,19 +135,14 @@ func TestMatMulShapePanics(t *testing.T) {
 func TestElementwise(t *testing.T) {
 	a := FromSlice(1, 3, []float32{1, 2, 3})
 	b := FromSlice(1, 3, []float32{10, 20, 30})
-	sum := Add(a, b)
+	sum := a.Clone()
+	sum.AddInPlace(b)
 	if sum.Data[2] != 33 {
-		t.Fatalf("Add = %v", sum.Data)
+		t.Fatalf("AddInPlace = %v", sum.Data)
 	}
 	a.AddScaled(b, 0.5)
 	if a.Data[0] != 6 {
 		t.Fatalf("AddScaled = %v", a.Data)
-	}
-	out := New(1, 3)
-	HadamardInto(out, b, b, false)
-	HadamardInto(out, b, b, true)
-	if out.Data[0] != 200 {
-		t.Fatalf("HadamardInto acc = %v", out.Data)
 	}
 	b.Scale(0.1)
 	if !almostEq(b.Data[2], 3) {
@@ -196,7 +191,8 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	m := FromSlice(2, 3, []float32{1, 1, 1, 1000, 0, -1000})
-	s := SoftmaxRows(m)
+	s := New(2, 3)
+	SoftmaxRowsInto(s, m)
 	for j := 0; j < 3; j++ {
 		if !almostEq(s.At(0, j), 1.0/3) {
 			t.Fatalf("uniform softmax wrong: %v", s.Row(0))

@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -31,27 +30,27 @@ type replica struct {
 	model *gnn.Model
 }
 
-// engine is the iteration spine every execution path drives: the sequential
-// Session, the PipelinedSession, and DataParallel (sequential or pipelined)
-// all share this one copy of planning (system switch + Buffalo K-search),
-// memory estimation, micro-batch construction, feature gathering, charged
-// compute, and phase/obs accounting. The paths differ only in where plans
-// come from (inline vs a background planner stage) and how features reach
-// the device (synchronous copies vs prefetched async copies), which is the
-// stager interface.
+// engine is the iteration spine every execution path drives: Session and
+// DataParallel, each sequential or behind the pipelined loader, and the
+// forward-only InferenceSession all share this one copy of sampling, planning
+// (system switch + Buffalo K-search), memory estimation, micro-batch
+// construction, feature gathering, charged compute, and phase/obs accounting.
+// The paths differ only in where plans come from (inline vs a background
+// planner stage) and how features reach the device (synchronous copies vs
+// prefetched async copies), which is the stager interface.
 type engine struct {
-	cfg      Config
-	data     *datagen.Dataset
-	rng      *rand.Rand
-	seedBuf  []graph.NodeID // sampleBatch's recycled seed permutation
+	cfg  Config
+	data *datagen.Dataset
+	// stream is the consumer goroutine's batch source: inline iterations,
+	// SampleBatch, Evaluate and Infer all draw from its one generator, in call
+	// order. A pipelined loader samples in its own goroutine from a second
+	// stream with the same seed (see newLoader).
+	stream   *sampling.Stream
 	clusterC float64
 	rowBytes int64
 
-	// opt is the full-range flat Adam the non-sharded paths step (also the
-	// optimizer single-GPU sessions expose); nil when ZeRO-style sharding is
-	// on and shardOpts replaces it. Held concrete so the hot path calls
-	// StepFlat directly instead of fanning out through the Optimizer
-	// interface.
+	// opt is the full-range flat Adam the non-sharded paths step; nil when
+	// ZeRO-style sharding is on and shardOpts replaces it.
 	opt *nn.Adam
 	// shardOpts is the ZeRO-1 optimizer: one Adam per replica, each owning
 	// one contiguous 1/n shard of the flat buffer and holding moment state
@@ -89,12 +88,6 @@ type engine struct {
 	// and publish it concurrently, hence the atomic. Only consulted when
 	// budgetOverride is set.
 	kWarm atomic.Int64
-
-	// buckets caches the gradient bucketization for the overlapped reducer:
-	// parameter shapes are fixed for a session, so the partition is computed
-	// once on first use. Only the consumer goroutine (executeIteration)
-	// touches it.
-	buckets []nn.GradBucket
 
 	// spec is the memory model's view of the configured model, fixed for the
 	// session (validated once in newEngine via memest.New).
@@ -196,7 +189,7 @@ func newEngine(ds *datagen.Dataset, cfg Config, replicas []replica, cluster *dev
 		cfg:      cfg,
 		data:     ds,
 		flat0:    flat0,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		stream:   sampling.NewStream(ds.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed),
 		clusterC: ds.Graph.ApproxClusteringCoefficient(cfg.Seed, 2000),
 		rowBytes: spec.FeatureRowBytes(),
 		spec:     spec,
@@ -264,25 +257,45 @@ func (e *engine) residentBase() int64 {
 	return e.gpu0().Live()
 }
 
-// sampleBatch draws the next iteration's batch from the engine's RNG in the
-// canonical order (seeds, then fanout sampling) that sampling.Stream mirrors
-// for background samplers. The batch refills the scratch bundle's storage;
-// the RNG draw sequence is identical to a fresh SampleBatch.
-func (e *engine) sampleBatch(sc *iterScratch) (*sampling.Batch, error) {
+// sample refills b with st's next batch and records the sampling span: the
+// engine's own stream for inline iterations, the loader's for its sampler
+// stage.
+func (e *engine) sample(st *sampling.Stream, b *sampling.Batch) error {
 	t0 := time.Now()
-	seeds, err := sampling.UniformSeedsInto(e.seedBuf, e.data.Graph, e.cfg.BatchSize, e.rng)
-	if err != nil {
-		return nil, err
-	}
-	e.seedBuf = seeds
-	b := &sc.batch
-	err = sampling.SampleBatchInto(b, e.data.Graph, seeds, e.cfg.Fanouts, e.rng)
-	if err != nil {
-		return nil, err
+	if err := st.NextInto(b); err != nil {
+		return err
 	}
 	e.cfg.Obs.Span(obs.KindSample, "", "batch", time.Since(t0),
-		int64(len(seeds)), int64(len(e.cfg.Fanouts)))
-	return b, nil
+		int64(len(b.Seeds)), int64(len(e.cfg.Fanouts)))
+	return nil
+}
+
+// runIteration executes the next iteration: from the loader when one is
+// attached, otherwise sampled here and run inline.
+func (e *engine) runIteration(ld *loader) (*MultiGPUResult, error) {
+	if ld != nil {
+		return ld.runIteration()
+	}
+	sc := e.getIterScratch()
+	if err := e.sample(e.stream, &sc.batch); err != nil {
+		return nil, err
+	}
+	return e.runIterationOn(sc, &sc.batch)
+}
+
+// runIterationOn is the inline iteration over batch b: plan → execute with
+// synchronous staging → recycle the scratch bundle.
+func (e *engine) runIterationOn(sc *iterScratch, b *sampling.Batch) (*MultiGPUResult, error) {
+	it, err := e.planIteration(sc, b)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.executeIteration(it, seqStager{e: e}, false)
+	if err != nil {
+		return nil, err
+	}
+	e.putIterScratch(sc)
+	return res, nil
 }
 
 // estimator builds the analytical memory model for a batch.
@@ -627,19 +640,23 @@ func (e *engine) addCompute(dev int, d time.Duration, kind obs.Kind) time.Durati
 }
 
 // computeMicroBatch runs the device-side math of one micro-batch on replica
-// dev, whose input features are already resident: charged forward, loss,
-// backward. The caller owns the feature allocation; layer activations are
-// charged and released here. Scaled compute time accrues on perCompute[dev];
-// lastBwd[dev] records this micro-batch's backward duration — after the
-// iteration's final micro-batch it is the window the overlapped reducer's
-// bucket-readiness model spreads gradient completion over.
-func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBatch, feats *tensor.Matrix, perCompute, lastBwd []time.Duration) (loss float32, acc float64, microBytes int64, err error) {
+// dev, whose input features are already resident: charged forward, loss, and
+// — unless forwardOnly (evaluation) — backward. The caller owns the feature
+// allocation; layer activations are charged and released here. correct is the
+// number of outputs classified right. Scaled compute time accrues on
+// perCompute[dev]; lastBwd[dev] records this micro-batch's backward duration
+// — after the iteration's final micro-batch it is the window the overlapped
+// reducer's bucket-readiness model spreads gradient completion over.
+func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBatch, feats *tensor.Matrix, perCompute, lastBwd []time.Duration, forwardOnly bool) (loss float32, correct int, microBytes int64, err error) {
 	r := e.replicas[dev]
 	var layerAllocs []*device.Allocation
+	// Everything the forward and backward passes materialize is dead once the
+	// scalars are out — reclaim the whole micro-batch's intermediates at once.
 	defer func() {
 		for _, a := range layerAllocs {
 			a.Free()
 		}
+		e.arena.Reset()
 	}()
 	tFwd := time.Now()
 	fwd, err := r.model.ForwardWithHook(mb, feats, func(layer int, plannedBytes int64) error {
@@ -651,7 +668,6 @@ func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBa
 		return nil
 	})
 	if err != nil {
-		e.arena.Reset()
 		return 0, 0, 0, fmt.Errorf("train: forward: %w", err)
 	}
 	labels := e.labelScratch(len(mb.Outputs))
@@ -662,25 +678,19 @@ func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBa
 	probs := e.arena.Get(fwd.Logits.Rows, fwd.Logits.Cols)
 	mLoss, dLogits, err := nn.CrossEntropyInto(probs, fwd.Logits, labels, scale)
 	if err != nil {
-		e.arena.Reset()
 		return 0, 0, 0, err
 	}
 	perCompute[dev] += e.addCompute(dev, time.Since(tFwd), obs.KindForward)
-	tBwd := time.Now()
-	if _, err := r.model.Backward(fwd, dLogits); err != nil {
-		e.arena.Reset()
-		return 0, 0, 0, err
+	if !forwardOnly {
+		tBwd := time.Now()
+		if _, err := r.model.Backward(fwd, dLogits); err != nil {
+			return 0, 0, 0, err
+		}
+		bwd := e.addCompute(dev, time.Since(tBwd), obs.KindBackward)
+		perCompute[dev] += bwd
+		lastBwd[dev] = bwd
 	}
-	bwd := e.addCompute(dev, time.Since(tBwd), obs.KindBackward)
-	perCompute[dev] += bwd
-	lastBwd[dev] = bwd
-
-	acc = nn.Accuracy(fwd.Logits, labels)
-	microBytes = feats.Bytes() + fwd.ActivationBytes()
-	// Everything the forward and backward passes materialized is dead now —
-	// reclaim the whole micro-batch's intermediates at once.
-	e.arena.Reset()
-	return mLoss, acc, microBytes, nil
+	return mLoss, nn.Correct(fwd.Logits, labels), feats.Bytes() + fwd.ActivationBytes(), nil
 }
 
 // executeIteration drives the execute half of one planned iteration through
@@ -736,13 +746,13 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 		if async && smb.hasCopy {
 			gpu.WaitTransfer(smb.done)
 		}
-		mLoss, mAcc, bytes, cErr := e.computeMicroBatch(smb.dev, it.b, smb.mb, smb.feats, perCompute, lastBwd)
+		mLoss, mCorrect, bytes, cErr := e.computeMicroBatch(smb.dev, it.b, smb.mb, smb.feats, perCompute, lastBwd, false)
 		ex.release(smb)
 		if cErr != nil {
 			return nil, cErr
 		}
 		lossSum += mLoss
-		correct += int(mAcc * float64(len(smb.mb.Outputs)))
+		correct += mCorrect
 		counted += len(smb.mb.Outputs)
 		res.PerMicroBytes = append(res.PerMicroBytes, bytes)
 		res.TotalNodes += smb.mb.NumNodes()
@@ -844,15 +854,6 @@ func (e *engine) publishPoolStats() {
 	e.poolRetainedG.Set(st.RetainedBytes)
 }
 
-// gradBuckets returns the (cached) gradient bucketization of the main
-// replica's parameter set for the overlapped reducer.
-func (e *engine) gradBuckets() []nn.GradBucket {
-	if e.buckets == nil {
-		e.buckets = e.replicas[0].model.Params.GradBucketsInto(e.buckets, e.cfg.bucketBytes())
-	}
-	return e.buckets
-}
-
 // reduceGradients combines every replica's gradients into replica 0 and
 // charges the simulated interconnect, filling in Communication (interconnect
 // busy time) plus the ExposedComm/HiddenComm split.
@@ -887,7 +888,7 @@ func (e *engine) reduceGradients(res *MultiGPUResult, perCompute, lastBwd []time
 		res.ExposedComm += d
 		return nil
 	}
-	buckets := e.gradBuckets()
+	buckets := e.flat0.Buckets()
 	m := len(buckets)
 	var maxCompute time.Duration
 	for _, c := range perCompute {
@@ -936,7 +937,7 @@ func (e *engine) reduceGradients(res *MultiGPUResult, perCompute, lastBwd []time
 func (e *engine) shardedCombine(res *MultiGPUResult, perCompute, lastBwd []time.Duration) error {
 	main := e.replicas[0].model
 	n := len(e.replicas)
-	buckets := e.gradBuckets()
+	buckets := e.flat0.Buckets()
 	m := len(buckets)
 	var maxCompute time.Duration
 	for _, c := range perCompute {

@@ -12,7 +12,6 @@ import (
 	"buffalo/internal/memest"
 	"buffalo/internal/obs"
 	"buffalo/internal/pipeline"
-	"buffalo/internal/sampling"
 	"buffalo/internal/schedule"
 	"buffalo/internal/tensor"
 )
@@ -189,7 +188,7 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 
 	tS := time.Now()
 	b := &s.sc.batch
-	if err := sampling.SampleBatchInto(b, s.Data.Graph, seeds, s.Cfg.Fanouts, s.eng.rng); err != nil {
+	if err := s.eng.stream.SampleInto(b, seeds); err != nil {
 		return nil, err
 	}
 	res.Breakdown.Sample = time.Since(tS)

@@ -45,12 +45,8 @@ func TestForwardOnlyEstimateNotAboveTraining(t *testing.T) {
 	}
 	defer sess.Close()
 
-	seeds, err := sampling.UniformSeeds(ds.Graph, 64, sess.eng.rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sampling.SampleBatch(ds.Graph, seeds, cfg.Fanouts, sess.eng.rng)
-	if err != nil {
+	b := &sampling.Batch{}
+	if err := sess.eng.stream.NextInto(b); err != nil {
 		t.Fatal(err)
 	}
 	est, err := sess.eng.estimator(b)

@@ -134,24 +134,7 @@ func newDataParallel(ds *datagen.Dataset, cfg Config, gpus int, pcfg *PipelineCo
 // pipelined, otherwise sample → plan → execute inline with synchronous
 // staging.
 func (dp *DataParallel) RunIteration() (*MultiGPUResult, error) {
-	if dp.ld != nil {
-		return dp.ld.runIteration()
-	}
-	sc := dp.eng.getIterScratch()
-	b, err := dp.eng.sampleBatch(sc)
-	if err != nil {
-		return nil, err
-	}
-	it, err := dp.eng.planIteration(sc, b)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dp.eng.executeIteration(it, seqStager{e: dp.eng}, false)
-	if err != nil {
-		return nil, err
-	}
-	dp.eng.putIterScratch(sc)
-	return res, nil
+	return dp.eng.runIteration(dp.ld)
 }
 
 // PoolStats reports the tensor-pool reuse counters across the run's
@@ -165,30 +148,17 @@ func (dp *DataParallel) Stats() []device.Stats {
 
 // CacheStats aggregates the per-device feature caches (zero value when not
 // pipelined or caching is off).
-func (dp *DataParallel) CacheStats() pipeline.CacheStats {
-	if dp.ld == nil || dp.ld.caches == nil {
-		return pipeline.CacheStats{}
-	}
-	return dp.ld.caches.Stats()
-}
+func (dp *DataParallel) CacheStats() pipeline.CacheStats { return dp.ld.cacheStats() }
 
 // PerDeviceCacheStats snapshots each device's feature cache, index-aligned
 // with the cluster (nil when not pipelined or caching is off).
 func (dp *DataParallel) PerDeviceCacheStats() []pipeline.CacheStats {
-	if dp.ld == nil || dp.ld.caches == nil {
-		return nil
-	}
-	return dp.ld.caches.PerDevice()
+	return dp.ld.perDeviceCacheStats()
 }
 
 // CacheHitRate reports the aggregate cache hit rate across devices (0 when
 // not pipelined or caching is off).
-func (dp *DataParallel) CacheHitRate() float64 {
-	if dp.ld == nil || dp.ld.caches == nil {
-		return 0
-	}
-	return dp.ld.caches.HitRate()
-}
+func (dp *DataParallel) CacheHitRate() float64 { return dp.ld.cacheStats().HitRate() }
 
 // Shutdown stops the loader (when pipelined), waits for its stages to
 // unwind, and releases every device allocation. Idempotent; returns the

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
-	"buffalo/internal/datagen"
 	"buffalo/internal/device"
 	"buffalo/internal/obs"
 	"buffalo/internal/pipeline"
@@ -62,17 +62,16 @@ type seqBatch struct {
 	sc  *iterScratch
 }
 
-// loader is the asynchronous three-stage front-end shared by
-// PipelinedSession (one replica) and the pipelined DataParallel (one loader
-// feeding the whole cluster): a sampler goroutine draws batches, a pool of
-// PlanAhead planner goroutines schedules them and generates blocks (finished
-// plans re-serialized by a sequence-number reorder buffer), and a prefetcher
+// loader is the asynchronous three-stage front-end shared by the pipelined
+// Session (one replica) and the pipelined DataParallel (one loader feeding the
+// whole cluster): a sampler goroutine draws batches, a pool of PlanAhead
+// planner goroutines schedules them and generates blocks (finished plans
+// re-serialized by a sequence-number reorder buffer), and a prefetcher
 // goroutine stages each micro-batch's features on its round-robin target
 // device with an async copy, pushing the staged handle onto that replica's
-// lane of a bounded fan-out. By the time the consumer's compute reaches a
-// micro-batch, its transfer has (partly or fully) hidden behind earlier
-// compute; per-device degree-aware caches skip the copy for resident rows
-// entirely.
+// bounded lane. By the time the consumer's compute reaches a micro-batch, its
+// transfer has (partly or fully) hidden behind earlier compute; per-device
+// degree-aware caches skip the copy for resident rows entirely.
 //
 // The loader reproduces the sequential paths' exact batch sequence for a
 // given Config.Seed — whatever the pool width, since the reorder buffer
@@ -86,9 +85,20 @@ type loader struct {
 	pipe   *pipeline.Pipeline
 	batchQ *pipeline.Queue[seqBatch]
 	planR  *pipeline.Reorder[*pipeIter]
-	ready  *pipeline.Fanout[*stagedMB]
+	// ready[i] is replica i's lane of staged micro-batches: per-lane FIFO
+	// preserves the prefetcher's dispatch order, so a consumer draining lanes
+	// round-robin sees exactly the planned sequence. Each lane has its own
+	// depth gauge ("pipeline/queue/ready/<i>"), so traces show which replica
+	// the pipeline starves.
+	ready []*pipeline.Queue[*stagedMB]
 
-	caches      *pipeline.CacheSet // nil when caching is off
+	// caches[i] is replica i's feature cache (nil slice when caching is off),
+	// each with its own budget and residency: a replica only ever sees the
+	// micro-batches dispatched to it, so its cache converges on the hubs of
+	// its own traffic with no cross-device coherence to maintain. All report
+	// into one metrics registry, whose "pipeline/cache/*" counters therefore
+	// aggregate cluster-wide traffic.
+	caches      []*pipeline.FeatureCache
 	cacheAllocs []*device.Allocation
 
 	// stagedDev[i] tracks feature tensors currently alive on device i
@@ -126,8 +136,8 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 				return nil, fmt.Errorf("train: reserving feature cache: %w", err)
 			}
 			l.cacheAllocs = append(l.cacheAllocs, a)
+			l.caches = append(l.caches, pipeline.NewFeatureCache(pcfg.CacheBudget, eng.rowBytes, cfg.Obs.Metrics()))
 		}
-		l.caches = pipeline.NewCacheSet(n, pcfg.CacheBudget, eng.rowBytes, cfg.Obs.Metrics())
 	}
 	// Freeze the activation budget after the cache reservations: every plan
 	// sees the same headroom no matter what transients are live when the
@@ -141,20 +151,19 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 	l.windows = make([]time.Duration, planners)
 	l.batchQ = pipeline.NewQueue[seqBatch](planners, m.Gauge("pipeline/queue/batch"))
 	l.planR = pipeline.NewReorder[*pipeIter](planners, m.Gauge("pipeline/queue/plan"))
-	l.ready = pipeline.NewFanout[*stagedMB](n, pcfg.depth(), m, "pipeline/queue/ready")
+	for i := 0; i < n; i++ {
+		l.ready = append(l.ready, pipeline.NewQueue[*stagedMB](pcfg.depth(), m.Gauge("pipeline/queue/ready/"+strconv.Itoa(i))))
+	}
 
 	stream := sampling.NewStream(eng.data.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed)
 	l.pipe = pipeline.New(context.Background())
 	//buffalo:hot-root pipeline-stages
 	l.pipe.Go("sampler", func(ctx context.Context) error {
 		for seq := uint64(0); ; seq++ {
-			t0 := time.Now()
 			sc := eng.getIterScratch()
-			if err := stream.NextInto(&sc.batch); err != nil {
+			if err := eng.sample(stream, &sc.batch); err != nil {
 				return err
 			}
-			cfg.Obs.Span(obs.KindSample, "", "batch", time.Since(t0),
-				int64(len(sc.batch.Seeds)), int64(len(cfg.Fanouts)))
 			if err := l.batchQ.Push(ctx, seqBatch{seq: seq, sc: sc}); err != nil {
 				return err
 			}
@@ -199,7 +208,7 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 				}
 				cfg.Obs.Event(obs.KindDispatch, eng.replicas[dev].gpu.Name(), "",
 					smb.feats.Bytes(), 0, int64(dev))
-				if err := l.ready.Push(ctx, dev, smb); err != nil {
+				if err := l.ready[dev].Push(ctx, smb); err != nil {
 					smb.featAlloc.Free()
 					eng.releaseFeats(smb.feats)
 					l.releaseStaged(dev)
@@ -281,10 +290,11 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	missBytes := feats.Bytes()
 	if l.caches != nil {
 		missBytes = 0
+		cache := l.caches[dev]
 		for _, v := range mb.InputNodes() {
-			if !l.caches.Lookup(dev, v) {
+			if !cache.Lookup(v) {
 				missBytes += e.rowBytes
-				l.caches.Admit(dev, v, it.b.Graph.Degree(v))
+				cache.Admit(v, it.b.Graph.Degree(v))
 			}
 		}
 	}
@@ -334,7 +344,7 @@ func (l *loader) releaseStaged(dev int) {
 // translating a cancellation caused by a stage failure into that stage's
 // error.
 func (l *loader) popLane(lane int) (*stagedMB, error) {
-	smb, err := l.ready.Pop(l.pipe.Context(), lane)
+	smb, err := l.ready[lane].Pop(l.pipe.Context())
 	if err != nil {
 		if perr := l.pipe.Err(); perr != nil {
 			return nil, perr
@@ -362,7 +372,7 @@ func (ps *pipeStager) stage(it *pipeIter, i int) (*stagedMB, error) {
 		return smb, nil
 	}
 	tWait := time.Now()
-	smb, err := ps.l.popLane(i % ps.l.ready.Lanes())
+	smb, err := ps.l.popLane(i % len(ps.l.ready))
 	if err != nil {
 		return nil, err
 	}
@@ -438,9 +448,9 @@ func (l *loader) runIteration() (*MultiGPUResult, error) {
 // first stage failure, if any (a clean shutdown returns nil).
 func (l *loader) close() error {
 	err := l.pipe.Close()
-	for lane := 0; lane < l.ready.Lanes(); lane++ {
+	for _, lane := range l.ready {
 		for {
-			smb, ok := l.ready.TryPop(lane)
+			smb, ok := lane.TryPop()
 			if !ok {
 				break
 			}
@@ -456,67 +466,29 @@ func (l *loader) close() error {
 	return err
 }
 
-// PipelinedSession runs a Session behind the asynchronous loader. It
-// reproduces the sequential session's exact batch sequence for a given
-// Config.Seed, so results are comparable batch for batch; only the timing
-// model (overlap, cache hits) differs. RunIteration must be called from one
-// goroutine.
-type PipelinedSession struct {
-	*Session
-	PCfg PipelineConfig
-
-	ld *loader
+// perDeviceCacheStats snapshots each device's feature cache, index-aligned
+// with the replicas; nil when there is no loader or caching is off.
+func (l *loader) perDeviceCacheStats() []pipeline.CacheStats {
+	if l == nil || l.caches == nil {
+		return nil
+	}
+	out := make([]pipeline.CacheStats, len(l.caches))
+	for i, c := range l.caches {
+		out[i] = c.Stats()
+	}
+	return out
 }
 
-// NewPipelinedSession builds a session and starts its loader stages. The
-// cache budget (if any) is charged to the device ledger immediately; a
-// budget the device cannot hold is an OOM error. Close shuts the stages
-// down and releases everything.
-func NewPipelinedSession(ds *datagen.Dataset, cfg Config, pcfg PipelineConfig) (*PipelinedSession, error) {
-	s, err := NewSession(ds, cfg)
-	if err != nil {
-		return nil, err
+// cacheStats sums the per-device feature caches (zero value when there is no
+// loader or caching is off).
+func (l *loader) cacheStats() pipeline.CacheStats {
+	var agg pipeline.CacheStats
+	for _, st := range l.perDeviceCacheStats() {
+		agg.Entries += st.Entries
+		agg.UsedBytes += st.UsedBytes
+		agg.Hits += st.Hits
+		agg.Misses += st.Misses
+		agg.Evictions += st.Evictions
 	}
-	ld, err := newLoader(s.eng, pcfg)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	return &PipelinedSession{Session: s, PCfg: pcfg, ld: ld}, nil
-}
-
-// RunIteration consumes the next planned iteration from the pipeline.
-func (p *PipelinedSession) RunIteration() (*IterationResult, error) {
-	res, err := p.ld.runIteration()
-	if err != nil {
-		return nil, err
-	}
-	return &res.IterationResult, nil
-}
-
-// CacheStats snapshots the feature cache (zero value when caching is off).
-func (p *PipelinedSession) CacheStats() pipeline.CacheStats {
-	if p.ld.caches == nil {
-		return pipeline.CacheStats{}
-	}
-	return p.ld.caches.Stats()
-}
-
-// CacheHitRate reports the feature cache's lifetime hit rate (0 when
-// caching is off).
-func (p *PipelinedSession) CacheHitRate() float64 {
-	if p.ld.caches == nil {
-		return 0
-	}
-	return p.ld.caches.HitRate()
-}
-
-// Close stops the loader stages, waits for them to unwind, releases every
-// staged feature tensor and the cache reservation, and closes the
-// underlying session. Idempotent; returns the first stage failure, if any
-// (a clean shutdown returns nil).
-func (p *PipelinedSession) Close() error {
-	err := p.ld.close()
-	p.Session.Close()
-	return err
+	return agg
 }

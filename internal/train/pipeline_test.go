@@ -209,7 +209,7 @@ func TestPipelinedCancelMidPrefetch(t *testing.T) {
 	}
 	// Give the stages a moment to fill the queues and block on backpressure.
 	time.Sleep(20 * time.Millisecond)
-	if err := p.Close(); err != nil {
+	if err := p.Shutdown(); err != nil {
 		t.Fatalf("close of healthy mid-flight pipeline: %v", err)
 	}
 	if live := p.GPU.Live(); live != 0 {
@@ -237,8 +237,8 @@ func TestPipelinedOOMDuringPrefetch(t *testing.T) {
 	if !device.IsOOM(err) {
 		t.Fatalf("want OOM error through the pipeline, got %v", err)
 	}
-	if err := p.Close(); !device.IsOOM(err) {
-		t.Fatalf("Close should report the stage OOM, got %v", err)
+	if err := p.Shutdown(); !device.IsOOM(err) {
+		t.Fatalf("Shutdown should report the stage OOM, got %v", err)
 	}
 	if live := p.GPU.Live(); live != 0 {
 		t.Fatalf("OOM shutdown leaked %d device bytes", live)
@@ -258,10 +258,10 @@ func TestPipelinedCloseIdempotent(t *testing.T) {
 	if _, err := p.RunIteration(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Close(); err != nil {
+	if err := p.Shutdown(); err != nil {
 		t.Fatalf("first close: %v", err)
 	}
-	if err := p.Close(); err != nil {
+	if err := p.Shutdown(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
 	if live := p.GPU.Live(); live != 0 {

@@ -58,17 +58,13 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 		if !pooled {
 			s.eng.unpool()
 		}
-		pcfg := PipelineConfig{Depth: 2, CacheBudget: 4 << 20}
-		ld, err := newLoader(s.eng, pcfg)
-		if err != nil {
-			s.Close()
+		defer s.Close()
+		if s.ld, err = newLoader(s.eng, PipelineConfig{Depth: 2, CacheBudget: 4 << 20}); err != nil {
 			t.Fatal(err)
 		}
-		p := &PipelinedSession{Session: s, PCfg: pcfg, ld: ld}
-		defer p.Close()
 		out := make([]float32, iters)
 		for i := range out {
-			r, err := p.RunIteration()
+			r, err := s.RunIteration()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -97,25 +97,15 @@ func (r *RunReport) RecordOOM() {
 	r.ooms++
 }
 
-// CaptureSession snapshots a sequential session's device state. Safe on a
-// nil receiver.
+// CaptureSession snapshots a single-GPU session's device state, plus its
+// cache state when pipelined. Safe on a nil receiver.
 func (r *RunReport) CaptureSession(s *Session) {
 	if r == nil {
 		return
 	}
 	r.devices = append(r.devices, s.GPU.Stats())
+	r.cache = cacheReport(s.CacheStats(), nil)
 	r.pooling = poolingReport(s.PoolStats())
-}
-
-// CapturePipelined snapshots a pipelined session's device and cache state.
-// Safe on a nil receiver.
-func (r *RunReport) CapturePipelined(p *PipelinedSession) {
-	if r == nil {
-		return
-	}
-	r.devices = append(r.devices, p.GPU.Stats())
-	r.cache = cacheReport(p.CacheStats(), p.CacheHitRate(), nil)
-	r.pooling = poolingReport(p.PoolStats())
 }
 
 // CaptureDataParallel snapshots every replica device plus the shared
@@ -125,7 +115,7 @@ func (r *RunReport) CaptureDataParallel(dp *DataParallel) {
 		return
 	}
 	r.devices = append(r.devices, dp.Stats()...)
-	r.cache = cacheReport(dp.CacheStats(), dp.CacheHitRate(), dp.PerDeviceCacheStats())
+	r.cache = cacheReport(dp.CacheStats(), dp.PerDeviceCacheStats())
 	r.pooling = poolingReport(dp.PoolStats())
 	r.sharding = shardingReport(dp)
 }
@@ -178,14 +168,14 @@ func poolingReport(st tensor.PoolStats) *report.Pooling {
 
 // cacheReport converts pipeline cache stats into the manifest form; a cache
 // that never saw a lookup reports nil (caching off).
-func cacheReport(st pipeline.CacheStats, hitRate float64, perDevice []pipeline.CacheStats) *report.Cache {
+func cacheReport(st pipeline.CacheStats, perDevice []pipeline.CacheStats) *report.Cache {
 	if st.Hits+st.Misses == 0 {
 		return nil
 	}
 	c := &report.Cache{
 		Entries: st.Entries, UsedBytes: st.UsedBytes,
 		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-		HitRate: hitRate,
+		HitRate: st.HitRate(),
 	}
 	for _, d := range perDevice {
 		c.PerDevice = append(c.PerDevice, report.CacheDevice{Entries: d.Entries, Hits: d.Hits, Misses: d.Misses})

@@ -228,7 +228,7 @@ func TestRunReportManifestPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = p.Close() }()
+	defer p.Close()
 
 	rr := NewRunReport("test", "cora", cfg, 1)
 	rr.SetPipeline(pcfg)
@@ -239,7 +239,7 @@ func TestRunReportManifestPipelined(t *testing.T) {
 		}
 		rr.Record(res)
 	}
-	rr.CapturePipelined(p)
+	rr.CaptureSession(p)
 	m := rr.Build(nil)
 
 	if !m.Config.Pipelined || m.Config.PrefetchDepth != 2 || m.Config.CacheBudgetBytes != 8<<20 {

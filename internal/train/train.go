@@ -11,11 +11,11 @@
 // exactly where a CUDA allocation would fail). Phase timings follow Fig 11's
 // component breakdown.
 //
-// All execution paths — the sequential Session, the PipelinedSession, and
-// DataParallel with or without the pipelined loader — drive one shared
-// iteration engine (engine.go); they differ only in their stager (how
-// features reach the device) and in whether planning runs inline or in a
-// background stage (loader in pipeline.go).
+// All execution paths — Session on one GPU and DataParallel across several,
+// each with or without the pipelined loader — drive one shared iteration
+// engine (engine.go); they differ only in their stager (how features reach
+// the device) and in whether planning runs inline or in a background stage
+// (loader in pipeline.go).
 package train
 
 import (
@@ -29,8 +29,8 @@ import (
 	"buffalo/internal/gnn"
 	"buffalo/internal/graph"
 	"buffalo/internal/memest"
-	"buffalo/internal/nn"
 	"buffalo/internal/obs"
+	"buffalo/internal/pipeline"
 	"buffalo/internal/sampling"
 	"buffalo/internal/schedule"
 	"buffalo/internal/tensor"
@@ -293,15 +293,19 @@ func (r *IterationResult) CriticalPath() time.Duration {
 }
 
 // Session is a live training run on one simulated GPU: the iteration engine
-// over a single replica with inline planning and synchronous staging.
+// over a single replica. NewSession plans inline and stages synchronously;
+// NewPipelinedSession puts the asynchronous loader in front, which reproduces
+// the sequential batch sequence for a given Config.Seed, so results are
+// comparable batch for batch and only the timing model (overlap, cache hits)
+// differs. RunIteration must be called from one goroutine.
 type Session struct {
 	Cfg   Config
 	Data  *datagen.Dataset
 	Model *gnn.Model
-	Opt   nn.Optimizer
 	GPU   *device.GPU
 
 	eng        *engine
+	ld         *loader            // nil for the sequential session
 	fixedAlloc *device.Allocation // params + grads + optimizer state
 }
 
@@ -328,58 +332,88 @@ func NewSession(ds *datagen.Dataset, cfg Config) (*Session, error) {
 		alloc.Free()
 		return nil, err
 	}
-	s := &Session{
-		Cfg: cfg, Data: ds, Model: model, Opt: eng.opt, GPU: gpu,
-		eng:        eng,
-		fixedAlloc: alloc,
+	return &Session{Cfg: cfg, Data: ds, Model: model, GPU: gpu, eng: eng, fixedAlloc: alloc}, nil
+}
+
+// NewPipelinedSession is NewSession with the asynchronous loader in front:
+// sampler, planner and prefetcher stages run ahead of compute. The cache
+// budget (if any) is charged to the device ledger immediately; a budget the
+// device cannot hold is an OOM error. Shutdown (or Close) stops the stages
+// and releases everything.
+func NewPipelinedSession(ds *datagen.Dataset, cfg Config, pcfg PipelineConfig) (*Session, error) {
+	s, err := NewSession(ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.ld, err = newLoader(s.eng, pcfg); err != nil {
+		s.Close()
+		return nil, err
 	}
 	return s, nil
 }
 
-// Close releases the session's fixed device allocation.
-func (s *Session) Close() {
+// Shutdown stops the loader (when pipelined), waits for its stages to unwind,
+// releases every staged feature tensor, the cache reservation and the fixed
+// device allocation. Idempotent; returns the loader's first stage failure, if
+// any (a clean shutdown, and every sequential one, returns nil).
+func (s *Session) Shutdown() error {
+	var err error
+	if s.ld != nil {
+		err = s.ld.close()
+	}
 	if s.fixedAlloc != nil {
 		s.fixedAlloc.Free()
 		s.fixedAlloc = nil
 	}
+	return err
 }
 
-// SampleBatch draws the next iteration's batch. The returned batch owns its
+// Close is Shutdown for callers that do not need the loader's shutdown error
+// (any stage failure already surfaced through RunIteration).
+func (s *Session) Close() {
+	_ = s.Shutdown() // error already surfaced via RunIteration
+}
+
+// SampleBatch draws the next batch of the session's inline stream — the one
+// RunIteration of a sequential session consumes. The returned batch owns its
 // storage (callers hold batches across iterations), unlike the recycled
-// bundles RunIteration draws internally — the RNG sequence is identical.
+// bundles RunIteration draws internally.
 func (s *Session) SampleBatch() (*sampling.Batch, error) {
-	return s.eng.sampleBatch(&iterScratch{})
+	b := &sampling.Batch{}
+	if err := s.eng.sample(s.eng.stream, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // RunIteration executes one full training iteration: sample, plan, execute
-// every micro-batch with gradient accumulation, and step the optimizer.
+// every micro-batch with gradient accumulation, and step the optimizer —
+// inline, or consuming the next iteration the loader planned and staged.
 func (s *Session) RunIteration() (*IterationResult, error) {
-	sc := s.eng.getIterScratch()
-	b, err := s.eng.sampleBatch(sc)
-	if err != nil {
-		return nil, err
-	}
-	return s.runIterationOn(sc, b)
+	return iterationResult(s.eng.runIteration(s.ld))
 }
 
-// RunIterationOn is RunIteration against a pre-sampled batch (used by
-// experiments that compare systems on identical batches).
+// RunIterationOn is the inline RunIteration against a pre-sampled batch (used
+// by experiments that compare systems on identical batches).
 func (s *Session) RunIterationOn(b *sampling.Batch) (*IterationResult, error) {
-	return s.runIterationOn(s.eng.getIterScratch(), b)
+	return iterationResult(s.eng.runIterationOn(s.eng.getIterScratch(), b))
 }
 
-func (s *Session) runIterationOn(sc *iterScratch, b *sampling.Batch) (*IterationResult, error) {
-	it, err := s.eng.planIteration(sc, b)
+// iterationResult narrows the engine's result to the single-GPU view.
+func iterationResult(res *MultiGPUResult, err error) (*IterationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.eng.executeIteration(it, seqStager{e: s.eng}, false)
-	if err != nil {
-		return nil, err
-	}
-	s.eng.putIterScratch(sc)
 	return &res.IterationResult, nil
 }
+
+// CacheStats snapshots the feature cache (zero value when not pipelined or
+// caching is off).
+func (s *Session) CacheStats() pipeline.CacheStats { return s.ld.cacheStats() }
+
+// CacheHitRate reports the feature cache's lifetime hit rate (0 when not
+// pipelined or caching is off).
+func (s *Session) CacheHitRate() float64 { return s.ld.cacheStats().HitRate() }
 
 // EpochResult summarizes one pass of TrainEpochs.
 type EpochResult struct {
@@ -421,79 +455,39 @@ func (s *Session) Evaluate(nodes []graph.NodeID) (loss float32, acc float64, err
 	if len(nodes) == 0 {
 		return 0, 0, fmt.Errorf("train: Evaluate needs at least one node")
 	}
-	b, err := sampling.SampleBatch(s.Data.Graph, nodes, s.Cfg.Fanouts, s.eng.rng)
+	e := s.eng
+	b := &sampling.Batch{}
+	if err := e.stream.SampleInto(b, nodes); err != nil {
+		return 0, 0, err
+	}
+	est, err := e.estimator(b)
 	if err != nil {
 		return 0, 0, err
 	}
-	est, err := s.eng.estimator(b)
+	plan, err := schedule.Schedule(b, est, schedule.Options{MemLimit: e.activationBudget() * 9 / 10})
 	if err != nil {
 		return 0, 0, err
 	}
-	plan, err := schedule.Schedule(b, est, schedule.Options{MemLimit: s.eng.activationBudget() * 9 / 10})
-	if err != nil {
-		return 0, 0, err
+	it := &pipeIter{b: b, mbs: make([]*block.MicroBatch, len(plan.Groups))}
+	for i, g := range plan.Groups {
+		if it.mbs[i], err = block.Generate(b, g.Nodes()); err != nil {
+			return 0, 0, err
+		}
 	}
-	correct, counted := 0, 0
-	for _, g := range plan.Groups {
-		mb, err := block.Generate(b, g.Nodes())
+	st := seqStager{e: e}
+	correct := 0
+	for i := range it.mbs {
+		smb, err := st.stage(it, i)
 		if err != nil {
 			return 0, 0, err
 		}
-		mLoss, mAcc, err := s.executeEval(b, mb)
+		mLoss, mCorrect, _, err := e.computeMicroBatch(smb.dev, b, smb.mb, smb.feats, e.compute, nil, true)
+		st.release(smb)
 		if err != nil {
 			return 0, 0, err
 		}
 		loss += mLoss
-		correct += int(mAcc * float64(len(mb.Outputs)))
-		counted += len(mb.Outputs)
+		correct += mCorrect
 	}
-	return loss, float64(correct) / float64(counted), nil
-}
-
-// executeEval is one forward-only micro-batch (no backward pass). The model
-// draws its intermediates from the engine arena; everything is dead once the
-// loss and accuracy scalars are out, so the arena resets on exit.
-func (s *Session) executeEval(b *sampling.Batch, mb *block.MicroBatch) (loss float32, acc float64, err error) {
-	defer s.eng.arena.Reset()
-	inDim := s.Cfg.Model.InDim
-	inputs := mb.InputNodes()
-	feats := tensor.New(len(inputs), inDim)
-	for i, v := range inputs {
-		copy(feats.Row(i), s.Data.FeatureRow(v)[:inDim])
-	}
-	featAlloc, err := s.GPU.Alloc("eval/features", feats.Bytes())
-	if err != nil {
-		return 0, 0, err
-	}
-	defer featAlloc.Free()
-	s.GPU.TransferH2D(feats.Bytes())
-	var allocs []*device.Allocation
-	defer func() {
-		for _, a := range allocs {
-			a.Free()
-		}
-	}()
-	t0 := time.Now()
-	fwd, err := s.Model.ForwardWithHook(mb, feats, func(layer int, planned int64) error {
-		a, err := s.GPU.Alloc(fmt.Sprintf("eval/activations/layer%d", layer), planned)
-		if err != nil {
-			return err
-		}
-		allocs = append(allocs, a)
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	labels := make([]int32, len(mb.Outputs))
-	for i, v := range mb.Outputs {
-		labels[i] = s.Data.Labels[v]
-	}
-	scale := float32(len(mb.Outputs)) / float32(b.NumOutputNodes())
-	mLoss, _, err := nn.CrossEntropy(fwd.Logits, labels, scale)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.eng.addCompute(0, time.Since(t0), obs.KindForward)
-	return mLoss, nn.Accuracy(fwd.Logits, labels), nil
+	return loss, float64(correct) / float64(b.NumOutputNodes()), nil
 }

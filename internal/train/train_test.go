@@ -581,6 +581,53 @@ func TestAllSystemsLossParity(t *testing.T) {
 	}
 }
 
+// TestAccuracyCountsEveryCorrectPrediction: a K>1 iteration reports the summed
+// per-micro-batch correct count over the batch size — the count a K=1 run of
+// the same batch from the same weights reports. Rebuilding each micro-batch's
+// count as int(fraction × n) truncates below it for some (count, n) pairs
+// (first: 15/22 → 14), losing up to one correct prediction per micro-batch.
+// The batch size is a power of two, so the K=1 fraction converts back exactly.
+func TestAccuracyCountsEveryCorrectPrediction(t *testing.T) {
+	ds := loadData(t, "cora")
+	for seed := int64(7); seed <= 14; seed++ {
+		cfg := baseConfig(ds, Buffalo)
+		cfg.BatchSize = 512
+		cfg.Seed = seed
+		cfg.Model.Seed = seed
+		whole, err := NewSession(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight := cfg
+		tight.MemBudget = 4 * device.MB
+		split, err := NewSession(ds, tight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := whole.SampleBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, err := whole.RunIterationOn(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rk, err := split.RunIterationOn(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole.Close()
+		split.Close()
+		if r1.K != 1 || rk.K < 2 {
+			t.Fatalf("seed %d: K = %d and %d, want 1 and > 1", seed, r1.K, rk.K)
+		}
+		count := math.Round(r1.Accuracy * float64(cfg.BatchSize))
+		if got := rk.Accuracy * float64(cfg.BatchSize); got != count {
+			t.Errorf("seed %d: K=%d run counts %v correct of %d, the K=1 run %v", seed, rk.K, got, cfg.BatchSize, count)
+		}
+	}
+}
+
 func TestEvaluateHeldOut(t *testing.T) {
 	ds := loadData(t, "cora")
 	trainNodes, evalNodes := ds.Split(5, 0.8)

@@ -90,7 +90,7 @@ func TestZeRO1ShardedCollectiveAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dp.Close()
-	buckets := dp.eng.gradBuckets()
+	buckets := dp.eng.flat0.Buckets()
 	var wantBusy int64
 	for i := 0; i < iters; i++ {
 		r, err := dp.RunIteration()

@@ -21,25 +21,7 @@
 #                      (scripts/report_baseline.json): estimator-error
 #                      drift and allocs/op growth fail here before they
 #                      can creep into the paper's artifacts
-#   5. obs race gate   the observability tests (recorder, ledger events,
-#                      timeline reconstruction, streaming tap/meter) under
-#                      the race detector — a fast, focused pass so
-#                      trace/ledger coherence regressions surface before
-#                      the full suite
-#   6. pipeline gate   the async-loader tests (bounded queues, fan-out
-#                      lanes, prefetch shutdown/cancellation, feature
-#                      cache, multi-GPU pipelined loading) under race
-#   7. scaleout gate   the N-GPU scale-out tests (plan-ahead planner pool,
-#                      reorder buffer, comm-engine clock, bucketed
-#                      overlapped reduce) under race
-#   8. sharded gate    the ZeRO-1 sharded-training tests (reduce-scatter/
-#                      all-gather collectives on the comm clock, per-shard
-#                      optimizer steps over the shared flat buffer,
-#                      bit-identity and ledger accounting) under race
-#   9. serving gate    the online-inference tests (micro-batching batcher,
-#                      admission control against the ledger, shutdown
-#                      drain, forward-only session) under race
-#  10. tensordebug     internal/tensor, internal/nn and internal/gnn under
+#   5. tensordebug     internal/tensor, internal/nn and internal/gnn under
 #                      -tags tensordebug: released pool matrices are filled
 #                      with NaN, so a use-after-release anywhere in the
 #                      layers' forward/backward poisons a checked result, and
@@ -48,17 +30,22 @@
 #                      internal/train's LSTM iteration, whose trajectory is
 #                      arena-scoped from a micro-batch's forward to its
 #                      backward while the engine resets the arena in between
-#  11. fuzz smoke      the three native fuzz targets for 5 s each, beyond the
+#   6. fuzz smoke      the three native fuzz targets for 5 s each, beyond the
 #                      seed corpora tier-1 already runs: block.GenerateInto
 #                      against GenerateNaive (with the sampler's position
 #                      invariants), the tensor pool against its multiset
 #                      model, the memest group accumulator against the map
 #                      oracle
-#  12. bench module    go vet and the smoke test of the repository's
+#   7. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
 #                      sizes, metric names checked against BENCHMARK.json
-#  13. go test -race   the full test suite under the race detector
+#   8. go test -race   the full test suite under the race detector — the
+#                      only race pass: the concurrent paths (obs recorder under
+#                      the ledger mutex, the async loader's stages and
+#                      shutdown, the plan-ahead pool and reorder buffer, the
+#                      comm-engine clock, ZeRO-1 shard steps, the serving
+#                      batcher) are all tests of packages under ./...
 #
 # Run from anywhere; the script cds to the repository root. Fails fast on
 # the first broken gate.
@@ -106,55 +93,6 @@ go run ./cmd/buffalo-report merge-bench -bench "$reportdir/bench.txt" \
 go run ./cmd/buffalo-report gate \
     -baseline scripts/report_baseline.json -current "$reportdir/current.json" \
     -est-drift-pp 1 -allocs-pct 5
-
-echo "== observability race gate =="
-# The recorder is fed from under the GPU ledger mutex and from concurrent
-# block-generation workers; these tests assert trace/ledger coherence (the
-# reconstructed timeline peak must equal the ledger peak) and must stay
-# race-clean on their own before the slow full-suite pass below.
-go test -race -run Obs -count=1 ./internal/obs/... ./internal/device/... ./internal/train/...
-
-echo "== pipeline race gate =="
-# The async loader runs three stage goroutines against one consumer over
-# bounded queues, with a headroom gate between the prefetcher and the
-# consumer's allocations; in the multi-GPU configuration one shared loader
-# feeds per-replica fan-out lanes and per-device caches. Its queue
-# primitives and shutdown/cancellation tests must stay race-clean on their
-# own before the slow full-suite pass.
-go test -race -count=1 ./internal/pipeline/...
-go test -race -count=1 -run 'TestPipelined|TestDataLoading|TestMultiGPUPipelined' ./internal/train/
-
-echo "== scaleout race gate =="
-# The N-GPU scale-out path: the plan-ahead pool runs several K-search
-# workers against one sequence-number reorder buffer (ordered delivery,
-# bounded window, shutdown/OOM unwinding), while the bucketed reduce books
-# interconnect time on the cluster's comm-engine clock from the consumer as
-# replicas finish backward. Both must stay race-clean on their own — the
-# reorder buffer and comm clock are the two pieces of shared mutable state
-# this path adds.
-go test -race -count=1 -run 'TestReorder' ./internal/pipeline/
-go test -race -count=1 -run 'TestRingReduce|TestAllReduceAsync|TestWaitReduce|TestCommClock' ./internal/device/
-go test -race -count=1 -run 'TestCommOverlap|TestPlanAhead' ./internal/train/
-
-echo "== sharded training race gate =="
-# The ZeRO-1 data path: per-bucket reduce-scatters and the closing value
-# all-gather book time on the same comm-engine clock the bucketed all-reduce
-# uses, and the per-shard optimizer steps touch disjoint ranges of replica
-# 0's shared flat buffer while per-replica device clocks advance. The
-# sharded collectives and the bit-identity/accounting/ledger tests must stay
-# race-clean on their own before the slow full-suite pass.
-go test -race -count=1 -run 'TestShardedCollectives' ./internal/device/
-go test -race -count=1 -run 'TestZeRO1' ./internal/train/
-
-echo "== serving race gate =="
-# The serving layer runs concurrent Infer callers against two goroutines —
-# the coalescing batcher and the executing consumer — over the intake and
-# execution channels, with the admission controller charging reservations
-# to the same ledger the executor allocates from. Batch seal/shed/drain and
-# the forward-only session's ledger hygiene must stay race-clean on their
-# own before the slow full-suite pass.
-go test -race -count=1 ./internal/serve/
-go test -race -count=1 -run 'TestInfer|TestForwardOnly' ./internal/train/
 
 echo "== tensordebug gate =="
 go vet -tags tensordebug ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
