@@ -11,7 +11,11 @@ import (
 // 5/5, K=4) and an ogbn-arxiv run (128-wide, batch 512, fanouts 10/25, 12 MB):
 // per layer, activations [m x k] against weights [k x n]. Forward calls
 // MatMulInto(x, W), backward MatMulATBInto(x, dY) and MatMulABTInto(dY, W).
-// cora/l0-large is the one shape above parallelFlopThreshold.
+// The cora-lstm pair is the LSTM aggregator's layer 0 at inDim 64 (gates 256
+// wide): the hoisted projection x·Wx over a micro-batch's source rows, and one
+// degree bucket's recurrence step (h·Wh forward, dz·Whᵀ backward).
+// cora/l0-large and cora-lstm/proj are above parallelFlopThreshold, which only
+// the portable loops consult.
 var gemmShapes = []struct {
 	name    string
 	m, k, n int
@@ -21,6 +25,8 @@ var gemmShapes = []struct {
 	{"cora/l1", 60, 16, 7},
 	{"arxiv/l0", 618, 128, 16},
 	{"arxiv/l1", 143, 16, 40},
+	{"cora-lstm/proj", 280, 64, 256},
+	{"cora-lstm/step", 30, 64, 256},
 }
 
 func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
@@ -32,10 +38,12 @@ func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 }
 
 // benchGEMM times call at every shape and reports GFLOP/s (2·m·k·n computed,
-// not counted).
+// not counted): one row on the path the build dispatches to and, where that is
+// the vector kernels, a /portable row for the Go loops beside it.
 func benchGEMM(b *testing.B, call func(x, w, dy, y, dw, dx *Matrix)) {
 	for _, s := range gemmShapes {
-		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.name, s.m, s.k, s.n), func(b *testing.B) {
+		name := fmt.Sprintf("%s_%dx%dx%d", s.name, s.m, s.k, s.n)
+		run := func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			x, w, dy := randMatrix(rng, s.m, s.k), randMatrix(rng, s.k, s.n), randMatrix(rng, s.m, s.n)
 			y, dw, dx := New(s.m, s.n), New(s.k, s.n), New(s.m, s.k)
@@ -45,7 +53,11 @@ func benchGEMM(b *testing.B, call func(x, w, dy, y, dw, dx *Matrix)) {
 			}
 			flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
 			b.ReportMetric(flops/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
-		})
+		}
+		b.Run(name, run)
+		if haveVector {
+			b.Run(name+"/portable", func(b *testing.B) { withPath(false, func() { run(b) }) })
+		}
 	}
 }
 

@@ -1,0 +1,16 @@
+//go:build !amd64 || race
+
+package tensor
+
+// useVector is never set in a build without the vector kernels (other
+// architectures; -race, whose detector cannot see assembly loads and stores):
+// the Go loops in tensor.go are the only path.
+var useVector = false
+
+func gemmVector(out, a, b []float32, m, k, n, ars, aks int, accumulate bool) {
+	panic("tensor: no vector kernels in this build")
+}
+
+func gemmABTVector(out, a, b []float32, m, k, nb int, accumulate bool) bool {
+	panic("tensor: no vector kernels in this build")
+}

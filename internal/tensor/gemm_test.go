@@ -8,17 +8,55 @@ import (
 	"testing"
 )
 
-// gemmKernels drives the three products through one logical problem,
-// out[m x n] (+)= A[m x k] · B[k x n]: each entry lays A and B out the way its
-// kernel reads them.
-var gemmKernels = []struct {
+type gemmKernel struct {
 	name string
 	run  func(out, a, b *Matrix, accumulate bool)
-}{
+}
+
+// gemmOps drives the three products through one logical problem,
+// out[m x n] (+)= A[m x k] · B[k x n]: each entry lays A and B out the way its
+// kernel reads them.
+var gemmOps = []gemmKernel{
 	{"AB", MatMulInto},
 	{"ATB", func(out, a, b *Matrix, acc bool) { MatMulATBInto(out, a.Transpose(), b, acc) }},
 	{"ABT", func(out, a, b *Matrix, acc bool) { MatMulABTInto(out, a, b.Transpose(), acc) }},
 }
+
+// haveVector: this build has the vector kernels and this CPU runs them.
+var haveVector = useVector
+
+// gemmPaths is useVector's every value this build can run.
+var gemmPaths = func() []bool {
+	if haveVector {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}()
+
+// withPath runs f with the GEMMs pinned to the vector kernels or to the
+// portable loops.
+func withPath(vector bool, f func()) {
+	defer func(was bool) { useVector = was }(useVector)
+	useVector = vector
+	f()
+}
+
+// gemmKernels is every product on every path this build has, so a test that
+// ranges over it holds both paths to the same property: each product as the
+// build dispatches it and, where that is the vector kernels, a /portable entry
+// pinned to the Go loops.
+var gemmKernels = func() []gemmKernel {
+	var ks []gemmKernel
+	for _, op := range gemmOps {
+		ks = append(ks, op)
+		if haveVector {
+			ks = append(ks, gemmKernel{op.name + "/portable", func(out, a, b *Matrix, acc bool) {
+				withPath(false, func() { op.run(out, a, b, acc) })
+			}})
+		}
+	}
+	return ks
+}()
 
 // gemmTestShapes covers empty and unit dims, reduction and output widths on
 // both sides of every multiple of the unroll width, the layer widths the

@@ -110,6 +110,26 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // therefore do not depend on GOMAXPROCS, on which side of
 // parallelFlopThreshold a shape falls, or on the unroll width. No term is
 // skipped for a zero operand, so NaN and Inf propagate as IEEE 754 says.
+//
+// Where the build has them and the CPU runs them (useVector), the AVX2 kernels
+// of gemm_amd64.s compute the same chains, one output element per vector lane;
+// the Go loops below are the portable path and the oracle the vector kernels
+// are tested against. The two agree in every bit of every non-NaN result; which
+// of two NaN operands' payloads a sum keeps is the one thing neither fixes.
+//
+// out must not share storage with a or b: every kernel reads its operands
+// while it writes out.
+
+// checkGEMM panics unless every operand's Data holds the Rows*Cols elements
+// its shape promises. Matrix's fields are exported, and the vector kernels
+// index by shape alone, with no bounds check behind them.
+func checkGEMM(op string, out, a, b *Matrix) {
+	for _, m := range [...]*Matrix{out, a, b} {
+		if m.Rows < 0 || m.Cols < 0 || (m.Cols > 0 && m.Rows > len(m.Data)/m.Cols) {
+			panicShape(op+" data len", len(m.Data), 1, m.Rows, m.Cols)
+		}
+	}
+}
 
 // MatMulInto computes out = a @ b, or out += a @ b when accumulate is true.
 // Rows of out are disjoint, so large products parallelize across them.
@@ -117,8 +137,13 @@ func MatMulInto(out, a, b *Matrix, accumulate bool) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panicShape("matmul shapes", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols)
 	}
+	checkGEMM("matmul", out, a, b)
 	kk, n := a.Cols, b.Cols
 	ad, bd, od := a.Data, b.Data, out.Data
+	if useVector && a.Rows > 0 && kk > 0 && n > 0 {
+		gemmVector(od, ad, bd, a.Rows, kk, n, kk, 1, accumulate)
+		return
+	}
 	parallelRows(a.Rows, int64(a.Rows)*int64(kk)*int64(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			orow := od[i*n : (i+1)*n]
@@ -190,8 +215,13 @@ func MatMulATBInto(out, a, b *Matrix, accumulate bool) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panicShape("matmulATB shapes", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols)
 	}
+	checkGEMM("matmulATB", out, a, b)
 	m, ka, n := a.Rows, a.Cols, b.Cols
 	ad, bd, od := a.Data, b.Data, out.Data
+	if useVector && m > 0 && ka > 0 && n > 0 {
+		gemmVector(od, ad, bd, ka, m, n, 1, ka, accumulate)
+		return
+	}
 	parallelRows(ka, int64(m)*int64(ka)*int64(n), func(lo, hi int) {
 		if !accumulate {
 			clear(od[lo*n : hi*n])
@@ -233,8 +263,12 @@ func MatMulABTInto(out, a, b *Matrix, accumulate bool) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panicShape("matmulABT shapes", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols)
 	}
+	checkGEMM("matmulABT", out, a, b)
 	kk, nb := a.Cols, b.Rows
 	ad, bd, od := a.Data, b.Data, out.Data
+	if useVector && a.Rows > 0 && kk > 0 && nb > 0 && gemmABTVector(od, ad, bd, a.Rows, kk, nb, accumulate) {
+		return
+	}
 	parallelRows(a.Rows, int64(a.Rows)*int64(kk)*int64(nb), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := ad[i*kk : (i+1)*kk]

@@ -2,7 +2,11 @@
 # Extended verify tier for the Buffalo reproduction (see ROADMAP.md):
 #
 #   1. gofmt -l        every tracked Go file is formatted
-#   2. go vet          the stock toolchain analyzers
+#   2. go vet          the stock toolchain analyzers (asmdecl holds
+#                      internal/tensor/gemm_amd64.s to its Go declarations),
+#                      then a GOARCH=arm64 build of everything and vet of
+#                      internal/tensor: the portable GEMM path is the only one
+#                      there, and no amd64 run would notice it stop compiling
 #   3. buffalo-vet     the domain-aware suite (allocfree, errcheck, hotalloc,
 #                      leaksafe, locksafe, shapecheck) over every module
 #                      package, with stale-suppression detection on and the
@@ -30,11 +34,12 @@
 #                      internal/train's LSTM iteration, whose trajectory is
 #                      arena-scoped from a micro-batch's forward to its
 #                      backward while the engine resets the arena in between
-#   6. fuzz smoke      the three native fuzz targets for 5 s each, beyond the
+#   6. fuzz smoke      the four native fuzz targets for 5 s each, beyond the
 #                      seed corpora tier-1 already runs: block.GenerateInto
 #                      against GenerateNaive (with the sampler's position
 #                      invariants), the tensor pool against its multiset
-#                      model, the memest group accumulator against the map
+#                      model, the vector GEMM kernels against the portable
+#                      loops, the memest group accumulator against the map
 #                      oracle
 #   7. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
@@ -62,6 +67,8 @@ fi
 
 echo "== go vet =="
 go vet ./...
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor
 
 echo "== buffalo-vet =="
 go run ./cmd/buffalo-vet -stale-ignores -timing \
@@ -104,6 +111,7 @@ echo "== fuzz smoke =="
 # is written under the package's testdata/fuzz/ — commit it with the fix.
 go test -run '^$' -fuzz '^FuzzGenerateInto$' -fuzztime 5s ./internal/block
 go test -run '^$' -fuzz '^FuzzPoolModel$' -fuzztime 5s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzGEMMVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGroupAccumulator$' -fuzztime 5s ./internal/memest
 
 echo "== bench module gate =="
