@@ -322,38 +322,16 @@ func gatherStacked(dst *tensor.Matrix, blk *block.Block, rows []int32, degree in
 }
 
 // meanAggregate is the mean aggregator's forward over one degree bucket,
-// fused: each of the bucket's rows of dst — zero on entry — receives its
-// neighbors' src rows added left to right and is then scaled by 1/degree. No
-// gathered [len(rows) x degree x dim] tensor exists on the host; every
-// neighbor row is read once, straight into the destination row. Per element
-// the float32 chain is 0 + x0 + x1 + … , × 1/degree, 0 + · — what gathering the
-// positions, summing them with AddInPlace, Scale and scatterAddRows compute,
-// so the result has their bits (the closing 0 + · turns an underflowed -0 into
-// the +0 the scatter would have left). Neighbors are consumed four at a time
-// with the sum still written left-associated. Single-threaded by design.
+// fused: each of the bucket's rows of dst becomes the mean of its neighbors'
+// src rows (tensor.MeanRowsInto, which fixes the float32 chain and runs it at
+// vector width where it can). No gathered [len(rows) x degree x dim] tensor
+// exists on the host; every neighbor row is read once, straight into the
+// destination row, and the result has the bits gathering the positions,
+// summing them with AddInPlace, Scale and scatterAddRows into a zeroed dst
+// produce. Single-threaded by design.
 func meanAggregate(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, src *tensor.Matrix) {
-	scale := 1 / float32(degree)
 	for _, r := range rows {
-		nbrs := blk.Adj[r][:degree]
-		out := dst.Row(int(r))
-		n := len(out)
-		t := 0
-		for ; t+4 <= degree; t += 4 {
-			a, b := src.Row(int(nbrs[t]))[:n], src.Row(int(nbrs[t+1]))[:n]
-			c, d := src.Row(int(nbrs[t+2]))[:n], src.Row(int(nbrs[t+3]))[:n]
-			for j := range out {
-				out[j] = out[j] + a[j] + b[j] + c[j] + d[j]
-			}
-		}
-		for ; t < degree; t++ {
-			a := src.Row(int(nbrs[t]))[:n]
-			for j := range out {
-				out[j] += a[j]
-			}
-		}
-		for j, v := range out {
-			out[j] = 0 + float32(v*scale) // the conversion forbids fusing the two
-		}
+		tensor.MeanRowsInto(dst.Row(int(r)), src, blk.Adj[r][:degree])
 	}
 }
 

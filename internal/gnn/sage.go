@@ -242,14 +242,14 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 		scatterAddRows(cache.aggAll, db.rows, bc.agg)
 	}
 
-	pre := l.arena.Get(nDst, l.out)
+	pre := l.arena.GetUninit(nDst, l.out) // written in full by the non-accumulating MatMulInto below
 	tensor.MatMulInto(pre, &cache.xdst, l.wSelf.Value, false)
 	tensor.MatMulInto(pre, cache.aggAll, l.wNeigh.Value, true)
 	pre.AddRowVector(l.bias.Value)
 	cache.preAct = pre
 	h := pre
 	if l.act {
-		h = nn.ReLUInto(l.arena.Get(nDst, l.out), pre)
+		h = nn.ReLUInto(l.arena.GetUninit(nDst, l.out), pre) // ReLUInto's CopyFrom writes it in full
 		cache.outAct = h
 	}
 	return h, cache, nil
@@ -266,7 +266,8 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 	}
 	dPre := dH
 	if l.act {
-		dPre = nn.ReLUBackwardInto(l.arena.Get(dH.Rows, dH.Cols), cache.preAct, dH)
+		// ReLUBackwardInto's CopyFrom writes the destination in full.
+		dPre = nn.ReLUBackwardInto(l.arena.GetUninit(dH.Rows, dH.Cols), cache.preAct, dH)
 	}
 	// preAct = xdst @ Wself + aggAll @ Wneigh + b
 	tensor.MatMulATBInto(l.wSelf.Grad, &cache.xdst, dPre, true)
@@ -282,12 +283,12 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 	if needDX {
 		dXsrc = l.arena.Get(cache.xsrc.Rows, l.in)
 		// Self path: dst rows are the src prefix.
-		dXdst := l.arena.Get(dPre.Rows, l.in)
+		dXdst := l.arena.GetUninit(dPre.Rows, l.in) // written in full by the non-accumulating MatMulABTInto below
 		tensor.MatMulABTInto(dXdst, dPre, l.wSelf.Value, false)
 		copy(dXsrc.Data[:dXdst.Rows*l.in], dXdst.Data)
 	}
 	// Neighbor path, per bucket.
-	dAggAll := l.arena.Get(dPre.Rows, l.in)
+	dAggAll := l.arena.GetUninit(dPre.Rows, l.in) // written in full by the non-accumulating MatMulABTInto below
 	tensor.MatMulABTInto(dAggAll, dPre, l.wNeigh.Value, false)
 	var dzAll *tensor.Matrix // LSTM gate gradients, rows as in cache.lstmX
 	edge := 0

@@ -2,11 +2,11 @@
 
 package tensor
 
-// useVector routes the three GEMMs through the AVX2 kernels in gemm_amd64.s.
-// It is set once, here, from the CPU probe; only the tests write it, to run
-// every GEMM test against both paths. Builds without the kernels (other
-// architectures, and -race, whose detector cannot see assembly loads and
-// stores) take gemm_portable.go's false instead.
+// useVector routes the three GEMMs and MeanRowsInto through the AVX2 kernels
+// in gemm_amd64.s and rows_amd64.s. It is set once, here, from the CPU probe;
+// only the tests write it, to run every kernel test against both paths. Builds
+// without the kernels (other architectures, and -race, whose detector cannot
+// see assembly loads and stores) take gemm_portable.go's false instead.
 var useVector = cpuHasAVX2()
 
 // The kernel's three ways of treating the prior output (gemm_amd64.s).
@@ -18,6 +18,9 @@ const (
 
 //go:noescape
 func gemmAVX2(out, a, b *float32, m, k, n, ldo, ars, aks, ldb, mode int)
+
+//go:noescape
+func meanRowsAVX2(out, src *float32, idx *int32, n, cols int, scale float32)
 
 func cpuHasAVX2() bool
 

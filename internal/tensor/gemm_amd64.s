@@ -7,16 +7,17 @@
 // VMULPS and sums VADDPS (never an FMA), so every element is the float32
 // chain the Go kernels in tensor.go compute. See DESIGN.md §6.
 
-// gemmMask<> + 32 - 4r is a mask selecting the low r lanes of eight.
-DATA gemmMask<>+0(SB)/8, $0xffffffffffffffff
-DATA gemmMask<>+8(SB)/8, $0xffffffffffffffff
-DATA gemmMask<>+16(SB)/8, $0xffffffffffffffff
-DATA gemmMask<>+24(SB)/8, $0xffffffffffffffff
-DATA gemmMask<>+32(SB)/8, $0
-DATA gemmMask<>+40(SB)/8, $0
-DATA gemmMask<>+48(SB)/8, $0
-DATA gemmMask<>+56(SB)/8, $0
-GLOBL gemmMask<>(SB), RODATA|NOPTR, $64
+// ·gemmMask + 32 - 4r is a mask selecting the low r lanes of eight (shared
+// with rows_amd64.s).
+DATA ·gemmMask+0(SB)/8, $0xffffffffffffffff
+DATA ·gemmMask+8(SB)/8, $0xffffffffffffffff
+DATA ·gemmMask+16(SB)/8, $0xffffffffffffffff
+DATA ·gemmMask+24(SB)/8, $0xffffffffffffffff
+DATA ·gemmMask+32(SB)/8, $0
+DATA ·gemmMask+40(SB)/8, $0
+DATA ·gemmMask+48(SB)/8, $0
+DATA ·gemmMask+56(SB)/8, $0
+GLOBL ·gemmMask(SB), RODATA|NOPTR, $64
 
 // Register roles throughout gemmAVX2 (strides in bytes):
 //   R8 ars   R9 aks   R10 ldb   R11 ldo   R12 3*ars
@@ -181,7 +182,7 @@ cols8:
 	CMPQ R14, AX
 	CMOVQLT R14, AX
 	NEGQ AX
-	LEAQ gemmMask<>(SB), CX
+	LEAQ ·gemmMask(SB), CX
 	VMOVDQU 32(CX)(AX*4), Y15
 	MOVQ R13, DI
 	MOVQ a+8(FP), SI

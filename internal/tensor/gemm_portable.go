@@ -14,3 +14,7 @@ func gemmVector(out, a, b []float32, m, k, n, ars, aks int, accumulate bool) {
 func gemmABTVector(out, a, b []float32, m, k, nb int, accumulate bool) bool {
 	panic("tensor: no vector kernels in this build")
 }
+
+func meanRowsAVX2(out, src *float32, idx *int32, n, cols int, scale float32) {
+	panic("tensor: no vector kernels in this build")
+}

@@ -4,11 +4,12 @@ package tensor
 
 import "math"
 
-// poisonOnRelease fills a released matrix with NaN. Get re-zeroes matrices
-// it hands back out, so the only way NaN reaches arithmetic is through a
-// stale alias used after its Put/Reset — the exact bug class pooling could
-// otherwise hide as silently recycled data.
-func poisonOnRelease(m *Matrix) {
+// poison fills a matrix with NaN: at release, so a stale alias used after its
+// Put/Reset reads NaN rather than silently recycled data, and at an uncleared
+// checkout of a fresh buffer (a recycled one still holds its release poison),
+// so a GetUninit consumer that reads before it writes does too. Get re-zeroes
+// what it hands out, so neither reaches a correct program's arithmetic.
+func poison(m *Matrix) {
 	nan := float32(math.NaN())
 	for i := range m.Data {
 		m.Data[i] = nan

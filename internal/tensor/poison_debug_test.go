@@ -39,6 +39,56 @@ func TestPoisonOnReleaseCatchesUseAfterFree(t *testing.T) {
 	}
 }
 
+// TestUninitCheckoutIsPoisoned: an uncleared checkout reads NaN whichever way
+// the pool served it — a fresh allocation (the miss path), a recycled buffer
+// its last holder had written, a recycled capacity reshaped larger than its
+// last shape — so a GetUninit consumer that reads an element before writing it
+// is loud; Get over the same buffers is still zeroed, and a nil pool or arena
+// is still New (the unpooled reference runs plain arithmetic under the tag).
+func TestUninitCheckoutIsPoisoned(t *testing.T) {
+	allNaN := func(what string, m *Matrix) {
+		t.Helper()
+		for i, v := range m.Data {
+			if !math.IsNaN(float64(v)) {
+				t.Fatalf("%s: payload[%d] = %v, want NaN poison", what, i, v)
+			}
+		}
+	}
+	dirty := func(m *Matrix) {
+		for i := range m.Data {
+			m.Data[i] = 7
+		}
+	}
+	p := NewPool()
+	a := NewArena(p)
+	m := p.GetUninit(4, 4)
+	allNaN("pool miss", m)
+	dirty(m)
+	p.Put(m)
+	h := p.GetUninit(2, 3)
+	if h != m {
+		t.Fatal("GetUninit did not reuse the released matrix")
+	}
+	allNaN("pool hit", h)
+	dirty(h)
+	p.Put(h)
+	h = a.GetUninit(4, 4) // back to the full capacity, past the last holder's shape
+	if h != m {
+		t.Fatal("arena GetUninit did not reuse the released matrix")
+	}
+	allNaN("arena hit, reshaped larger", h)
+	dirty(h)
+	allNaN("arena miss", a.GetUninit(3, 3))
+	a.Reset()
+	for _, z := range []*Matrix{p.Get(4, 4), (*Pool)(nil).GetUninit(2, 2), (*Arena)(nil).GetUninit(2, 2)} {
+		for i, v := range z.Data {
+			if v != 0 {
+				t.Fatalf("Get / nil-receiver GetUninit after uncleared checkouts: payload[%d] = %v, want 0", i, v)
+			}
+		}
+	}
+}
+
 // TestPoisonOnArenaReset: the same guarantee through the arena path.
 func TestPoisonOnArenaReset(t *testing.T) {
 	a := NewArena(NewPool())

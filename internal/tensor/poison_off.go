@@ -2,6 +2,7 @@
 
 package tensor
 
-// poisonOnRelease is a no-op in normal builds. Build with -tags tensordebug
-// to fill released matrices with NaN so use-after-release reads fail loudly.
-func poisonOnRelease(*Matrix) {}
+// poison is a no-op in normal builds. Build with -tags tensordebug to fill
+// released matrices and uncleared checkouts with NaN, so a use-after-release
+// or a read-before-write fails loudly.
+func poison(*Matrix) {}

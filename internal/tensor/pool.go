@@ -82,8 +82,35 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 	if p == nil {
 		return New(rows, cols)
 	}
+	m, recycled := p.take(rows, cols)
+	if recycled {
+		m.Zero()
+	}
+	return m
+}
+
+// GetUninit is Get without the clear, for a consumer that writes every
+// element before it reads any (a gather, a non-accumulating GEMM, a copy): the
+// payload is whatever the buffer's last holder left. Under the tensordebug
+// build tag it is NaN instead — a recycled buffer was poisoned at its release
+// and a fresh one is poisoned here — so a read before the write is loud. A nil
+// pool still degrades to New: the unpooled reference stays plain arithmetic.
+func (p *Pool) GetUninit(rows, cols int) *Matrix {
+	if p == nil {
+		return New(rows, cols)
+	}
+	m, recycled := p.take(rows, cols)
+	if !recycled {
+		poison(m)
+	}
+	return m
+}
+
+// take checks a rows x cols matrix out: the smallest released capacity that
+// fits, reshaped and with its last holder's payload (recycled), or a fresh
+// zeroed one.
+func (p *Pool) take(rows, cols int) (m *Matrix, recycled bool) {
 	n := rows * cols
-	var m *Matrix
 	p.mu.Lock()
 	for c := classOf(n); c < len(p.byClass) && m == nil; c++ {
 		cs := p.byClass[c]
@@ -112,7 +139,7 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 	p.outstanding.Add(1)
 	if m == nil {
 		p.misses.Add(1)
-		return New(rows, cols)
+		return New(rows, cols), false
 	}
 	p.hits.Add(1)
 	if m.Rows != rows || m.Cols != cols {
@@ -120,8 +147,7 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 		m.Rows, m.Cols = rows, cols
 		m.Data = m.Data[:n]
 	}
-	m.Zero()
-	return m
+	return m, true
 }
 
 // Put returns m to the pool's free list. Releasing the same matrix twice
@@ -144,7 +170,7 @@ func (p *Pool) Put(m *Matrix) {
 	// matrix is visible in the free list: a concurrent Get can never take a
 	// half-released matrix (or have a payload it already holds poisoned).
 	m.released = true
-	poisonOnRelease(m)
+	poison(m)
 	p.byClass[c] = append(p.byClass[c], m)
 	p.retained.Add(4 * int64(cap(m.Data)))
 	p.mu.Unlock()
@@ -192,6 +218,17 @@ func (a *Arena) Get(rows, cols int) *Matrix {
 		return New(rows, cols)
 	}
 	m := a.pool.Get(rows, cols)
+	a.taken = append(a.taken, m)
+	return m
+}
+
+// GetUninit is Get without the clear (see Pool.GetUninit): for a matrix whose
+// every element the caller writes before reading any.
+func (a *Arena) GetUninit(rows, cols int) *Matrix {
+	if a == nil {
+		return New(rows, cols)
+	}
+	m := a.pool.GetUninit(rows, cols)
 	a.taken = append(a.taken, m)
 	return m
 }

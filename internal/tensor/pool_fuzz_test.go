@@ -8,12 +8,14 @@ import "testing"
 // kind, then two shape bytes (0..8 each, so requests collide within and
 // across the small capacity classes).
 //
-// Checked on every Get: the matrix has the requested shape and is all zero;
-// neither it nor its backing array is held by anyone else; it is a miss iff
-// the model holds no released capacity >= n (the single index loses no hit a
-// second index could have served); on a hit the capacity is the smallest one
-// >= n — classes order capacities, so the minimum of the first class that
-// fits is the minimum of the pool, which is what first fit gets wrong.
+// Checked on every Get and GetUninit: the matrix has the requested shape and is
+// all zero (Get; GetUninit's payload is unspecified, and all NaN where the
+// build poisons); neither it nor its backing array is held by anyone else; it
+// is a miss iff the model holds no released capacity >= n (the single index
+// loses no hit a second index could have served); on a hit the capacity is the
+// smallest one >= n — classes order capacities, so the minimum of the first
+// class that fits is the minimum of the pool, which is what first fit gets
+// wrong.
 // Checked after every op: Outstanding and RetainedBytes equal the model's.
 // A second Put of a released matrix panics and changes nothing.
 func FuzzPoolModel(f *testing.F) {
@@ -23,6 +25,8 @@ func FuzzPoolModel(f *testing.F) {
 		opArenaGet
 		opArenaReset
 		opDoublePut
+		opGetUninit
+		opArenaGetUninit
 		numOps
 	)
 	// The arena round trip first fit breaks: the 3x3 request takes the 5x2
@@ -35,6 +39,12 @@ func FuzzPoolModel(f *testing.F) {
 	f.Add([]byte{opGet, 0, 5, opGet, 1, 1, opPut, 1, 0, opPut, 0, 0, opGet, 1, 1, opGet, 0, 0, opGet, 8, 8, opPut, 0, 0, opGet, 7, 7})
 	// Arena and direct holders interleaved across a class boundary.
 	f.Add([]byte{opArenaGet, 8, 8, opGet, 8, 4, opArenaGet, 4, 8, opPut, 0, 0, opArenaReset, 0, 0, opGet, 3, 7, opGet, 5, 7, opArenaGet, 6, 6, opDoublePut, 1, 0})
+	// Cleared and uncleared checkouts trading the same dirtied capacities.
+	f.Add([]byte{opGetUninit, 4, 4, opArenaGetUninit, 2, 8, opPut, 0, 0, opArenaReset, 0, 0, opGet, 4, 4, opGetUninit, 8, 2, opPut, 1, 0, opArenaGet, 3, 5, opGetUninit, 6, 6})
+
+	probe := New(1, 1)
+	poison(probe)
+	poisons := probe.Data[0] != probe.Data[0] // the tensordebug build
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		p := NewPool()
@@ -53,15 +63,18 @@ func FuzzPoolModel(f *testing.F) {
 			free = append(free, m)
 		}
 		var misses int64
-		checkGet := func(m *Matrix, rows, cols int) {
+		checkGet := func(m *Matrix, rows, cols int, zeroed bool) {
 			t.Helper()
 			n := rows * cols
 			if m.Rows != rows || m.Cols != cols || len(m.Data) != n {
 				t.Fatalf("Get(%d,%d) returned %dx%d len %d", rows, cols, m.Rows, m.Cols, len(m.Data))
 			}
 			for i, v := range m.Data {
-				if v != 0 {
+				if zeroed && v != 0 {
 					t.Fatalf("Get(%d,%d) not zeroed at %d: %v", rows, cols, i, v)
+				}
+				if !zeroed && poisons && v == v {
+					t.Fatalf("GetUninit(%d,%d) not poisoned at %d: %v", rows, cols, i, v)
 				}
 				m.Data[i] = 1 // dirty it, so a later Get that skips the clear shows
 			}
@@ -105,7 +118,11 @@ func FuzzPoolModel(f *testing.F) {
 			switch ops[0] % numOps {
 			case opGet:
 				m := p.Get(x%9, y%9)
-				checkGet(m, x%9, y%9)
+				checkGet(m, x%9, y%9, true)
+				held = append(held, m)
+			case opGetUninit:
+				m := p.GetUninit(x%9, y%9)
+				checkGet(m, x%9, y%9, false)
 				held = append(held, m)
 			case opPut:
 				if len(held) == 0 {
@@ -116,7 +133,9 @@ func FuzzPoolModel(f *testing.F) {
 				release(held[i])
 				held = append(held[:i], held[i+1:]...)
 			case opArenaGet:
-				checkGet(a.Get(x%9, y%9), x%9, y%9)
+				checkGet(a.Get(x%9, y%9), x%9, y%9, true)
+			case opArenaGetUninit:
+				checkGet(a.GetUninit(x%9, y%9), x%9, y%9, false)
 			case opArenaReset:
 				for _, m := range a.taken {
 					release(m)

@@ -172,6 +172,36 @@ func TestNilArenaDegradesToNew(t *testing.T) {
 	}
 }
 
+// TestGetUninitIsGetWithoutTheClear: an uncleared checkout is served, counted
+// and reclaimed exactly like a cleared one — same best fit, same reshape, same
+// hit/miss/outstanding accounting, arena-owned until Reset — and degrades to
+// New on a nil pool or arena; only the payload is left as it was.
+func TestGetUninitIsGetWithoutTheClear(t *testing.T) {
+	p := NewPool()
+	a := NewArena(p)
+	m := p.GetUninit(3, 4)
+	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
+		t.Fatalf("GetUninit(3,4) returned %dx%d len %d", m.Rows, m.Cols, len(m.Data))
+	}
+	p.Put(m)
+	r := a.GetUninit(2, 5)
+	if r != m || r.Rows != 2 || r.Cols != 5 || len(r.Data) != 10 {
+		t.Fatalf("arena GetUninit(2,5) did not reshape the released 3x4: %p %dx%d len %d", r, r.Rows, r.Cols, len(r.Data))
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 || st.Resizes != 1 || st.Outstanding != 1 || a.Outstanding() != 1 {
+		t.Fatalf("stats = %+v, arena holds %d; want 1 hit / 1 miss / 1 resize / 1 outstanding", st, a.Outstanding())
+	}
+	a.Reset()
+	if st := p.Stats(); st.Outstanding != 0 || st.RetainedBytes != 48 {
+		t.Fatalf("after Reset: %+v, want 0 outstanding / 48 retained bytes", st)
+	}
+	for _, n := range []*Matrix{(*Pool)(nil).GetUninit(2, 2), (*Arena)(nil).GetUninit(2, 2)} {
+		if n.Rows != 2 || n.Cols != 2 || len(n.Data) != 4 {
+			t.Fatalf("nil receiver GetUninit(2,2) returned %dx%d len %d", n.Rows, n.Cols, len(n.Data))
+		}
+	}
+}
+
 func TestClassOf(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 64: 6, 65: 7}
 	for n, want := range cases {
@@ -236,5 +266,36 @@ func TestPoolConcurrentGetPutExclusive(t *testing.T) {
 	}
 	if got := p.Stats().Outstanding; got != 0 {
 		t.Fatalf("outstanding after all workers done = %d, want 0", got)
+	}
+}
+
+// BenchmarkPoolGet times one warm checkout + release, cleared (Get) and
+// uncleared (GetUninit), at the two shapes where the clear is the cost: the
+// feature tensor of a train-arxiv-tight micro-batch and a hidden layer's
+// pre-activation.
+func BenchmarkPoolGet(b *testing.B) {
+	for _, s := range []struct {
+		name       string
+		rows, cols int
+	}{
+		{"arxiv-feats", 6000, 128},
+		{"hidden-pre", 618, 16},
+	} {
+		for _, get := range []struct {
+			name string
+			call func(*Pool, int, int) *Matrix
+		}{
+			{"Get", (*Pool).Get},
+			{"GetUninit", (*Pool).GetUninit},
+		} {
+			b.Run(fmt.Sprintf("%s_%dx%d/%s", s.name, s.rows, s.cols, get.name), func(b *testing.B) {
+				p := NewPool()
+				p.Put(p.Get(s.rows, s.cols))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Put(get.call(p, s.rows, s.cols))
+				}
+			})
+		}
 	}
 }

@@ -307,6 +307,62 @@ func MatMulABTInto(out, a, b *Matrix, accumulate bool) {
 	})
 }
 
+// MeanRowsInto writes into out the mean of the rows of src that idx names,
+// repeats included. Per element the float32 chain is 0 + x0 + x1 + … over idx
+// in ascending position, × 1/len(idx), then 0 + · — what gathering the rows,
+// summing them with AddInPlace, Scale and an add into a zeroed row compute
+// (the closing 0 + · turns an underflowed -0 into +0; the product goes through
+// an explicit float32() so nothing may fuse it). Rows are consumed four at a
+// time with the sum still written left-associated. out's prior content is not
+// read, and out must not share storage with src.
+//
+// Where the build has it and the CPU runs it (useVector), the AVX2 kernel of
+// rows_amd64.s computes the same chain, one element per vector lane; the Go
+// loop is the portable path and the kernel's oracle, under the GEMMs'
+// contract: every bit of every non-NaN result, NaN where NaN. The kernel
+// indexes src by idx alone with no bounds check behind it, so every index is
+// range-checked here first, before either path writes anything.
+func MeanRowsInto(out []float32, src *Matrix, idx []int32) {
+	n := len(out)
+	if src.Cols != n || len(idx) == 0 {
+		panicShape("MeanRowsInto shape", len(idx), n, src.Rows, src.Cols)
+	}
+	if src.Rows < 0 || (n > 0 && src.Rows > len(src.Data)/n) {
+		panicShape("MeanRowsInto data len", len(src.Data), 1, src.Rows, src.Cols)
+	}
+	for _, r := range idx {
+		if uint(r) >= uint(src.Rows) { // negative indices wrap above any row count
+			panicShape("MeanRowsInto index", int(r), 1, src.Rows, src.Cols)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	scale := 1 / float32(len(idx))
+	if useVector {
+		meanRowsAVX2(&out[0], &src.Data[0], &idx[0], len(idx), n, scale)
+		return
+	}
+	clear(out)
+	t := 0
+	for ; t+4 <= len(idx); t += 4 {
+		a, b := src.Row(int(idx[t]))[:n], src.Row(int(idx[t+1]))[:n]
+		c, d := src.Row(int(idx[t+2]))[:n], src.Row(int(idx[t+3]))[:n]
+		for j := range out {
+			out[j] = out[j] + a[j] + b[j] + c[j] + d[j]
+		}
+	}
+	for ; t < len(idx); t++ {
+		a := src.Row(int(idx[t]))[:n]
+		for j := range out {
+			out[j] += a[j]
+		}
+	}
+	for j, v := range out {
+		out[j] = 0 + float32(v*scale) // the conversion forbids fusing the two
+	}
+}
+
 // Transpose returns a new matrix mᵀ.
 func (m *Matrix) Transpose() *Matrix {
 	t := New(m.Cols, m.Rows)

@@ -583,7 +583,7 @@ func (e *engine) labelScratch(n int) []int32 {
 func (e *engine) gatherFeatures(mb *block.MicroBatch) *tensor.Matrix {
 	inDim := e.cfg.Model.InDim
 	inputs := mb.InputNodes()
-	feats := e.featPool.Get(len(inputs), inDim)
+	feats := e.featPool.GetUninit(len(inputs), inDim) // every row is written in full by the copy below
 	for i, v := range inputs {
 		copy(feats.Row(i), e.data.FeatureRow(v)[:inDim])
 	}
@@ -675,7 +675,7 @@ func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBa
 		labels[i] = e.data.Labels[v]
 	}
 	scale := float32(len(mb.Outputs)) / float32(b.NumOutputNodes())
-	probs := e.arena.Get(fwd.Logits.Rows, fwd.Logits.Cols)
+	probs := e.arena.GetUninit(fwd.Logits.Rows, fwd.Logits.Cols) // written in full by CrossEntropyInto's SoftmaxRowsInto
 	mLoss, dLogits, err := nn.CrossEntropyInto(probs, fwd.Logits, labels, scale)
 	if err != nil {
 		return 0, 0, 0, err

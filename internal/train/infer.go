@@ -251,21 +251,18 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 // activations are released once the next layer has consumed them, the
 // features once layer 0 has), then argmax the logits into res.Classes.
 func (s *InferenceSession) executeInfer(mb *block.MicroBatch, res *InferResult) error {
-	inDim := s.Cfg.Model.InDim
-	inputs := mb.InputNodes()
 	tG := time.Now()
-	feats := s.eng.featPool.Get(len(inputs), inDim)
+	feats := s.eng.gatherFeatures(mb)
 	defer s.eng.releaseFeats(feats)
 	defer s.eng.arena.Reset()
-	var missBytes int64
-	for i, v := range inputs {
-		copy(feats.Row(i), s.Data.FeatureRow(v)[:inDim])
-		if s.cache != nil && s.cache.Lookup(v) {
-			continue
-		}
-		missBytes += s.eng.rowBytes
-		if s.cache != nil {
-			s.cache.Admit(v, s.Data.Graph.Degree(v))
+	missBytes := feats.Bytes()
+	if s.cache != nil {
+		missBytes = 0
+		for _, v := range mb.InputNodes() {
+			if !s.cache.Lookup(v) {
+				missBytes += s.eng.rowBytes
+				s.cache.Admit(v, s.Data.Graph.Degree(v))
+			}
 		}
 	}
 	res.Breakdown.Gather += time.Since(tG)

@@ -151,6 +151,12 @@ func TestMultiGPUPipelinedCacheStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Quiesce first: the depth-2 prefetcher is still admitting rows for the
+	// next iterations, and the two snapshots below are two calls. The caches
+	// outlive the loader.
+	if err := dp.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
 	per := dp.PerDeviceCacheStats()
 	if len(per) != 2 {
 		t.Fatalf("want 2 per-device cache snapshots, got %d", len(per))

@@ -21,10 +21,14 @@ func (e *engine) unpool() {
 }
 
 // TestPoolingBitIdenticalLosses is the zero-allocation hot path's safety
-// regression: pooled and arena-backed tensors are zeroed on reuse, so every
-// execution mode must produce exactly the losses of a run with pooling off
-// (fresh allocations everywhere). Any drift means a kernel read recycled
-// data.
+// regression: pooled and arena-backed tensors are zeroed on reuse, or checked
+// out uncleared (GetUninit) by a consumer that writes every element first, so
+// every execution mode must produce exactly the losses of a run with pooling
+// off (fresh allocations everywhere). Any drift means a kernel read recycled
+// data. scripts/check.sh also runs this and the serving twin below under
+// -tags tensordebug, where an uncleared checkout is NaN until written and the
+// unpooled run is the plain build's arithmetic: a feature tensor, probs or
+// layer buffer read before its write makes the pooled loss NaN there.
 func TestPoolingBitIdenticalLosses(t *testing.T) {
 	ds := loadData(t, "cora")
 	const iters = 3

@@ -3,10 +3,11 @@
 #
 #   1. gofmt -l        every tracked Go file is formatted
 #   2. go vet          the stock toolchain analyzers (asmdecl holds
-#                      internal/tensor/gemm_amd64.s to its Go declarations),
-#                      then a GOARCH=arm64 build of everything and vet of
-#                      internal/tensor: the portable GEMM path is the only one
-#                      there, and no amd64 run would notice it stop compiling
+#                      internal/tensor/{gemm,rows}_amd64.s to their Go
+#                      declarations), then a GOARCH=arm64 build of everything
+#                      and vet of internal/tensor: the portable GEMM and row
+#                      loops are the only path there, and no amd64 run would
+#                      notice them stop compiling
 #   3. buffalo-vet     the domain-aware suite (allocfree, errcheck, hotalloc,
 #                      leaksafe, locksafe, shapecheck) over every module
 #                      package, with stale-suppression detection on and the
@@ -26,21 +27,25 @@
 #                      drift and allocs/op growth fail here before they
 #                      can creep into the paper's artifacts
 #   5. tensordebug     internal/tensor, internal/nn and internal/gnn under
-#                      -tags tensordebug: released pool matrices are filled
-#                      with NaN, so a use-after-release anywhere in the
-#                      layers' forward/backward poisons a checked result, and
-#                      the tag-only tests (poison reaches every GEMM's output
-#                      even against an all-zero operand) run; plus
-#                      internal/train's LSTM iteration, whose trajectory is
-#                      arena-scoped from a micro-batch's forward to its
-#                      backward while the engine resets the arena in between
-#   6. fuzz smoke      the four native fuzz targets for 5 s each, beyond the
+#                      -tags tensordebug: released pool matrices and uncleared
+#                      checkouts (GetUninit) are filled with NaN, so a
+#                      use-after-release or a read-before-write anywhere in
+#                      the layers' forward/backward poisons a checked result,
+#                      and the tag-only tests (poison reaches every GEMM's
+#                      output even against an all-zero operand) run; plus
+#                      internal/train's pooled-vs-unpooled iterations: the
+#                      LSTM one, whose trajectory is arena-scoped from a
+#                      micro-batch's forward to its backward while the engine
+#                      resets the arena in between, and the mean ones
+#                      (sequential, pipelined, 2-GPU, ZeRO-1, Infer), which
+#                      cover the engine's uncleared feature tensor and probs
+#   6. fuzz smoke      the five native fuzz targets for 5 s each, beyond the
 #                      seed corpora tier-1 already runs: block.GenerateInto
 #                      against GenerateNaive (with the sampler's position
 #                      invariants), the tensor pool against its multiset
-#                      model, the vector GEMM kernels against the portable
-#                      loops, the memest group accumulator against the map
-#                      oracle
+#                      model, the vector GEMM kernels and the vector row
+#                      kernel against the portable loops, the memest group
+#                      accumulator against the map oracle
 #   7. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
@@ -104,7 +109,7 @@ go run ./cmd/buffalo-report gate \
 echo "== tensordebug gate =="
 go vet -tags tensordebug ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
 go test -tags tensordebug -count=1 ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
-go test -tags tensordebug -count=1 -run 'LSTM' ./internal/train
+go test -tags tensordebug -count=1 -run 'LSTM|PoolingBitIdentical' ./internal/train
 
 echo "== fuzz smoke =="
 # go test accepts one -fuzz target in one package per run. A failing input
@@ -112,6 +117,7 @@ echo "== fuzz smoke =="
 go test -run '^$' -fuzz '^FuzzGenerateInto$' -fuzztime 5s ./internal/block
 go test -run '^$' -fuzz '^FuzzPoolModel$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGEMMVectorVsPortable$' -fuzztime 5s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzMeanRowsVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGroupAccumulator$' -fuzztime 5s ./internal/memest
 
 echo "== bench module gate =="
