@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"strconv"
 
@@ -148,31 +147,41 @@ func (c *LSTMCell) Forward(cache *LSTMCache, a *tensor.Arena, z *tensor.Matrix, 
 // without bias into gate activations and fills the same rows of c, tanhC and
 // h. Per element it is the unfused sequence z += b; i,f,o = σ(z),
 // g = tanh(z); c = f⊙cPrev + i⊙g; h = o⊙tanh(c), each product rounded to
-// float32 before the add.
+// float32 before the add. σ and tanh are tensor.SigmoidInto and
+// tensor.TanhInto: math's float64 functions on the widened float32, rounded
+// once.
 func (c *LSTMCell) gatesForward(cache *LSTMCache, t int) {
 	n, hd := cache.n, c.Hidden
-	bias := c.B.Value.Data
-	bi, bf, bg, bo := bias[:hd], bias[hd:2*hd], bias[2*hd:3*hd], bias[3*hd:4*hd]
-	cp := cache.zero[:hd]
+	bias := c.B.Value.Data[:4*hd]
 	lo, hi := cache.block(t)
 	for r := lo; r < hi; r++ {
+		z := cache.gates.Data[r*4*hd : (r+1)*4*hd][:len(bias)]
+		for j, b := range bias {
+			z[j] += b
+		}
+		tensor.SigmoidInto(z[:2*hd], z[:2*hd]) // i|f
+		tensor.TanhInto(z[2*hd:3*hd], z[2*hd:3*hd])
+		tensor.SigmoidInto(z[3*hd:], z[3*hd:])
+	}
+	cp := cache.zero[:hd]
+	for r := lo; r < hi; r++ {
 		z := cache.gates.Data[r*4*hd : (r+1)*4*hd]
-		zi, zf, zg, zo := z[:hd], z[hd:2*hd], z[2*hd:3*hd], z[3*hd:4*hd]
+		zi, zf, zg := z[:hd], z[hd:2*hd], z[2*hd:3*hd]
 		if t > 0 {
 			cp = cache.c.Data[(r+n)*hd : (r+n+1)*hd]
 		}
 		cn := cache.c.Data[r*hd : (r+1)*hd]
+		for j := range cn {
+			cn[j] = float32(zf[j]*cp[j]) + float32(zi[j]*zg[j])
+		}
+	}
+	tensor.TanhInto(cache.tanhC.Data[lo*hd:hi*hd], cache.c.Data[lo*hd:hi*hd])
+	for r := lo; r < hi; r++ {
+		zo := cache.gates.Data[r*4*hd+3*hd : (r+1)*4*hd]
 		tc := cache.tanhC.Data[r*hd : (r+1)*hd]
 		hn := cache.h.Data[r*hd : (r+1)*hd]
-		for j := range hd {
-			ig := sigmoid32(zi[j] + bi[j])
-			fg := sigmoid32(zf[j] + bf[j])
-			gg := tanh32(zg[j] + bg[j])
-			og := sigmoid32(zo[j] + bo[j])
-			zi[j], zf[j], zg[j], zo[j] = ig, fg, gg, og
-			cv := float32(fg*cp[j]) + float32(ig*gg)
-			tv := tanh32(cv)
-			cn[j], tc[j], hn[j] = cv, tv, og*tv
+		for j, tv := range tc {
+			hn[j] = zo[j] * tv
 		}
 	}
 }
@@ -198,16 +207,21 @@ func (c *LSTMCell) Backward(cache *LSTMCache, a *tensor.Arena, dhFinal, dz *tens
 	dc := a.Get(n, hd)
 	bsum := a.Get(1, 4*hd)
 	dh := dhFinal
-	var dhPrev *tensor.Matrix
+	var dhPrev, whT *tensor.Matrix
 	if T > 1 {
 		dhPrev = a.Get(n, hd)
+		// Whᵀ packed once for every step's dz @ Whᵀ: the same products summed
+		// from +0 over ascending k as MatMulABTInto's, without its per-call
+		// repack.
+		whT = a.GetUninit(4*hd, hd)
+		tensor.TransposeInto(whT, c.Wh.Value)
 	}
 	for t := T - 1; t >= 0; t-- {
 		c.gatesBackward(cache, t, dz, bsum, dc, dh)
 		c.B.Grad.AddInPlace(bsum)
 		if t > 0 {
 			dzt := dz.RowRange(cache.block(t))
-			tensor.MatMulABTInto(dhPrev, &dzt, c.Wh.Value, false)
+			tensor.MatMulInto(dhPrev, &dzt, whT, false)
 			dh = dhPrev
 		}
 	}
@@ -309,7 +323,3 @@ func panicLSTM(what string, rows, cols, wantRows, wantCols int) {
 	panic("nn: lstm " + what + ": " + strconv.Itoa(rows) + "x" + strconv.Itoa(cols) +
 		" vs " + strconv.Itoa(wantRows) + "x" + strconv.Itoa(wantCols))
 }
-
-func sigmoid32(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
-
-func tanh32(v float32) float32 { return float32(math.Tanh(float64(v))) }

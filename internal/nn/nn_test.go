@@ -26,6 +26,13 @@ func mapped(x *tensor.Matrix, f func(float32) float32) *tensor.Matrix {
 	return y
 }
 
+// sigmoid32 and tanh32 are the gate activations' definitions, which
+// tensor.SigmoidInto and tensor.TanhInto hold on every path: the reference
+// cell below applies them one element at a time.
+func sigmoid32(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
+
+func tanh32(v float32) float32 { return float32(math.Tanh(float64(v))) }
+
 // dot computes sum(a ⊙ b): the scalar "loss" used in gradient checks.
 func dot(a, b *tensor.Matrix) float64 {
 	var s float64

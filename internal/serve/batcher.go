@@ -107,7 +107,7 @@ func (s *Server) seal(batch []*pending) {
 	reserve := int64(len(live)) * s.reservePerReq
 	ref, ok := s.admit(reserve)
 	if !ok {
-		s.shedBatch(live, reserve)
+		s.shedBatch(live, reserve, s.mShedAdmission)
 		return
 	}
 	sb := &sealed{reqs: append([]*pending(nil), live...), reserve: ref}
@@ -120,7 +120,7 @@ func (s *Server) seal(batch []*pending) {
 		// this one's latency is lost either way — shed it and release its
 		// reservation.
 		ref.release()
-		s.shedBatch(live, reserve)
+		s.shedBatch(live, reserve, s.mShedQueue)
 	}
 }
 
@@ -144,10 +144,12 @@ func (s *Server) admit(reserve int64) (*allocRef, bool) {
 	return &allocRef{alloc: a}, true
 }
 
-// shedBatch answers every request in a refused batch with ErrOverloaded.
-func (s *Server) shedBatch(batch []*pending, reserve int64) {
+// shedBatch answers every request in a refused batch with ErrOverloaded and
+// counts them against the gate that refused it.
+func (s *Server) shedBatch(batch []*pending, reserve int64, gate *obs.Counter) {
 	s.shed.Add(int64(len(batch)))
 	s.mShed.Add(int64(len(batch)))
+	gate.Add(int64(len(batch)))
 	s.rec.Event(obs.KindMark, "serve", "shed", reserve, 0, int64(len(batch)))
 	for _, p := range batch {
 		p.resp <- response{err: ErrOverloaded}

@@ -13,8 +13,11 @@
 // micro-batches instead of failing. One executor goroutine owns the
 // session; the batcher goroutine owns coalescing and admission. Requests
 // flow intake channel → batcher → bounded executor queue, with shedding at
-// two gates: a full intake channel (per-request backlog) and the ledger
-// reservation at batch-seal time (memory backlog).
+// three gates, each counted apart (serve/shed/{intake,admission,queue}, whose
+// sum is serve/shed): a full intake channel (per-request backlog), the ledger
+// reservation at batch-seal time (memory backlog; a reservation that loses a
+// race with the executor's allocations counts here too), and a full executor
+// queue.
 package serve
 
 import (
@@ -137,7 +140,9 @@ type Server struct {
 	requests, responses, shed, canceled, batches, execErrors atomic.Int64
 
 	mRequests, mResponses, mShed, mCanceled, mBatches *obs.Counter
-	hLatency, hQueueWait, hAssembly, hH2D, hCompute   *obs.Histogram
+	// Shed requests by gate; mShed is their sum.
+	mShedIntake, mShedAdmission, mShedQueue         *obs.Counter
+	hLatency, hQueueWait, hAssembly, hH2D, hCompute *obs.Histogram
 }
 
 // NewServer wires a server over the session and starts its batcher and
@@ -145,6 +150,17 @@ type Server struct {
 // of BatchSize requests calibrates the admission charge (and warms the
 // session's caches); its traffic is not counted in the server's stats.
 func NewServer(sess *train.InferenceSession, cfg Config) (*Server, error) {
+	s, err := newServer(sess, cfg)
+	if err != nil {
+		return nil, err
+	}
+	go s.batcher()
+	go s.executor()
+	return s, nil
+}
+
+// newServer is NewServer without the goroutines.
+func newServer(sess *train.InferenceSession, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:  cfg,
@@ -162,6 +178,9 @@ func NewServer(sess *train.InferenceSession, cfg Config) (*Server, error) {
 		s.mRequests = reg.Counter("serve/requests")
 		s.mResponses = reg.Counter("serve/responses")
 		s.mShed = reg.Counter("serve/shed")
+		s.mShedIntake = reg.Counter("serve/shed/intake")
+		s.mShedAdmission = reg.Counter("serve/shed/admission")
+		s.mShedQueue = reg.Counter("serve/shed/queue")
 		s.mCanceled = reg.Counter("serve/canceled")
 		s.mBatches = reg.Counter("serve/batches")
 		s.hLatency = reg.Histogram("serve/latency_ns", obs.LatencyBuckets)
@@ -178,8 +197,6 @@ func NewServer(sess *train.InferenceSession, cfg Config) (*Server, error) {
 	}
 	s.margin = s.reservePerReq * int64(cfg.BatchSize)
 	s.started = time.Now()
-	go s.batcher()
-	go s.executor()
 	return s, nil
 }
 
@@ -231,6 +248,7 @@ func (s *Server) Infer(ctx context.Context, node graph.NodeID) (Prediction, erro
 		// the door beats queueing latency the SLO cannot recover.
 		s.shed.Add(1)
 		s.mShed.Add(1)
+		s.mShedIntake.Add(1)
 		return Prediction{}, ErrOverloaded
 	}
 	select {

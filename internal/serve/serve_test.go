@@ -274,3 +274,64 @@ func TestStatsQuantiles(t *testing.T) {
 		t.Error("ThroughputRPS not populated")
 	}
 }
+
+// TestShedCountersByReason: each shedding gate counts its refusals under its
+// own name, and serve/shed (and Stats().Shed) stays their sum. The server
+// runs without its goroutines, so the test plays batcher and executor and
+// every gate fires deterministically: a full intake channel, a full executor
+// queue behind a successful admission (whose reservation must be released),
+// and a ledger with no admissible headroom.
+func TestShedCountersByReason(t *testing.T) {
+	sess := testSession(t, 16*device.MB, 0)
+	s, err := newServer(sess, Config{BatchSize: 2, QueueLimit: 1, ReservePerRequest: device.MB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPending := func() *pending {
+		return &pending{ctx: context.Background(), enq: time.Now(), resp: make(chan response, 1)}
+	}
+	expectShed := func(gate string, batch []*pending) {
+		t.Helper()
+		for i, p := range batch {
+			if r := <-p.resp; !errors.Is(r.err, ErrOverloaded) {
+				t.Fatalf("%s: request %d answered %v, want ErrOverloaded", gate, i, r.err)
+			}
+		}
+	}
+	resident := sess.GPU.Live()
+
+	for len(s.reqs) < cap(s.reqs) {
+		s.reqs <- newPending()
+	}
+	if _, err := s.Infer(context.Background(), 1); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("intake: Infer on a full intake channel returned %v, want ErrOverloaded", err)
+	}
+
+	s.execQ <- &sealed{}
+	queued := []*pending{newPending(), newPending()}
+	s.seal(queued)
+	expectShed("queue", queued)
+	if live := sess.GPU.Live(); live != resident {
+		t.Fatalf("queue: ledger live %d after the shed, want %d (admission reservation leaked)", live, resident)
+	}
+
+	pressure, err := sess.GPU.Alloc("test/pressure", sess.GPU.Capacity()-resident-2*device.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pressure.Free()
+	refused := []*pending{newPending()}
+	s.seal(refused)
+	expectShed("admission", refused)
+
+	reg := sess.Cfg.Obs.Metrics()
+	want := map[string]int64{"serve/shed/intake": 1, "serve/shed/queue": 2, "serve/shed/admission": 1, "serve/shed": 4}
+	for name, n := range want {
+		if got := reg.Counter(name).Value(); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+	if got := s.Stats().Shed; got != 4 {
+		t.Errorf("Stats().Shed = %d, want 4", got)
+	}
+}

@@ -3,11 +3,18 @@
 package tensor
 
 // useVector routes the three GEMMs and MeanRowsInto through the AVX2 kernels
-// in gemm_amd64.s and rows_amd64.s. It is set once, here, from the CPU probe;
+// in gemm_amd64.s and rows_amd64.s (and, with haveFMA, the transcendental
+// maps through trans_amd64.s). It is set once, here, from the CPU probe;
 // only the tests write it, to run every kernel test against both paths. Builds
 // without the kernels (other architectures, and -race, whose detector cannot
 // see assembly loads and stores) take gemm_portable.go's false instead.
 var useVector = cpuHasAVX2()
+
+// haveFMA additionally lets useVector route exp, SigmoidInto and TanhInto
+// through trans_amd64.s, which replays math.archExp's FMA branch: math takes
+// that branch when the CPU has AVX and FMA, so the kernel runs only where the
+// scalar exp fuses the same operations. Probed once; nothing writes it.
+var haveFMA = cpuHasFMA()
 
 // The kernel's three ways of treating the prior output (gemm_amd64.s).
 const (
@@ -22,7 +29,12 @@ func gemmAVX2(out, a, b *float32, m, k, n, ldo, ars, aks, ldb, mode int)
 //go:noescape
 func meanRowsAVX2(out, src *float32, idx *int32, n, cols int, scale float32)
 
+//go:noescape
+func transAVX2(dst, src *float32, n, f int) int
+
 func cpuHasAVX2() bool
+
+func cpuHasFMA() bool
 
 // gemmReduceBlock is how many reduction steps one kernel call takes.
 // MatMulATBInto's reduction walks down a column of a, one cache line per step,

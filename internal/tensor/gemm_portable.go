@@ -7,6 +7,8 @@ package tensor
 // the Go loops in tensor.go are the only path.
 var useVector = false
 
+const haveFMA = false
+
 func gemmVector(out, a, b []float32, m, k, n, ars, aks int, accumulate bool) {
 	panic("tensor: no vector kernels in this build")
 }
@@ -16,5 +18,9 @@ func gemmABTVector(out, a, b []float32, m, k, nb int, accumulate bool) bool {
 }
 
 func meanRowsAVX2(out, src *float32, idx *int32, n, cols int, scale float32) {
+	panic("tensor: no vector kernels in this build")
+}
+
+func transAVX2(dst, src *float32, n, f int) int {
 	panic("tensor: no vector kernels in this build")
 }

@@ -366,13 +366,28 @@ func MeanRowsInto(out []float32, src *Matrix, idx []int32) {
 // Transpose returns a new matrix mᵀ.
 func (m *Matrix) Transpose() *Matrix {
 	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
+	TransposeInto(t, m)
+	return t
+}
+
+// TransposeInto writes srcᵀ into dst [src.Cols x src.Rows]. It walks src in
+// strips of 16 rows, so every dst row takes 16 consecutive floats at a time:
+// one element per dst row would stride a whole row per write, and at a
+// 256-float row that stride maps every write to a quarter of L1's sets.
+func TransposeInto(dst, src *Matrix) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panicShape("TransposeInto shapes", src.Rows, src.Cols, dst.Rows, dst.Cols)
+	}
+	const strip = 16
+	for i0 := 0; i0 < src.Rows; i0 += strip {
+		i1 := min(i0+strip, src.Rows)
+		for j := 0; j < src.Cols; j++ {
+			drow := dst.Data[j*dst.Cols+i0 : j*dst.Cols+i1]
+			for i := range drow {
+				drow[i] = src.Data[(i0+i)*src.Cols+j]
+			}
 		}
 	}
-	return t
 }
 
 // AddInPlace computes m += other elementwise.
@@ -440,7 +455,9 @@ func (m *Matrix) MaxAbs() float32 {
 }
 
 // SoftmaxRowsInto writes the numerically stable row-wise softmax of m into
-// out (same shape).
+// out (same shape): per row, e_j = float32(math.Exp(float64(v_j - max)))
+// (trans.go's exp, vector where the build has it), their left-to-right float32
+// sum, and each e_j times 1/sum.
 func SoftmaxRowsInto(out, m *Matrix) {
 	checkSameShape("SoftmaxRowsInto", out, m)
 	for i := 0; i < m.Rows; i++ {
@@ -452,10 +469,12 @@ func SoftmaxRowsInto(out, m *Matrix) {
 				mx = v
 			}
 		}
-		var sum float32
 		for j, v := range row {
-			e := float32(math.Exp(float64(v - mx)))
-			orow[j] = e
+			orow[j] = v - mx
+		}
+		expInto(orow, orow)
+		var sum float32
+		for _, e := range orow {
 			sum += e
 		}
 		inv := 1 / sum

@@ -3,11 +3,11 @@
 #
 #   1. gofmt -l        every tracked Go file is formatted
 #   2. go vet          the stock toolchain analyzers (asmdecl holds
-#                      internal/tensor/{gemm,rows}_amd64.s to their Go
+#                      internal/tensor/{gemm,rows,trans}_amd64.s to their Go
 #                      declarations), then a GOARCH=arm64 build of everything
-#                      and vet of internal/tensor: the portable GEMM and row
-#                      loops are the only path there, and no amd64 run would
-#                      notice them stop compiling
+#                      and vet of internal/tensor: the portable GEMM, row and
+#                      transcendental loops are the only path there, and no
+#                      amd64 run would notice them stop compiling
 #   3. buffalo-vet     the domain-aware suite (allocfree, errcheck, hotalloc,
 #                      leaksafe, locksafe, shapecheck) over every module
 #                      package, with stale-suppression detection on and the
@@ -39,13 +39,14 @@
 #                      resets the arena in between, and the mean ones
 #                      (sequential, pipelined, 2-GPU, ZeRO-1, Infer), which
 #                      cover the engine's uncleared feature tensor and probs
-#   6. fuzz smoke      the five native fuzz targets for 5 s each, beyond the
+#   6. fuzz smoke      the six native fuzz targets for 5 s each, beyond the
 #                      seed corpora tier-1 already runs: block.GenerateInto
 #                      against GenerateNaive (with the sampler's position
 #                      invariants), the tensor pool against its multiset
-#                      model, the vector GEMM kernels and the vector row
-#                      kernel against the portable loops, the memest group
-#                      accumulator against the map oracle
+#                      model, the vector GEMM kernels, the vector row kernel
+#                      and the vector exp/sigmoid/tanh kernel against the
+#                      portable loops, the memest group accumulator against
+#                      the map oracle
 #   7. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
@@ -118,6 +119,7 @@ go test -run '^$' -fuzz '^FuzzGenerateInto$' -fuzztime 5s ./internal/block
 go test -run '^$' -fuzz '^FuzzPoolModel$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGEMMVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzMeanRowsVectorVsPortable$' -fuzztime 5s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzTransVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGroupAccumulator$' -fuzztime 5s ./internal/memest
 
 echo "== bench module gate =="
