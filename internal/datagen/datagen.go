@@ -28,6 +28,7 @@ import (
 	"sort"
 
 	"buffalo/internal/graph"
+	"buffalo/internal/tensor"
 )
 
 // Model selects the random-graph family used by a Spec.
@@ -104,6 +105,25 @@ func (d *Dataset) NumNodes() int { return d.Graph.NumNodes() }
 func (d *Dataset) FeatureRow(v graph.NodeID) []float32 {
 	dim := d.Spec.FeatDim
 	return d.Features[int(v)*dim : int(v)*dim+dim]
+}
+
+// FeatureTable returns the [nodes x cols] feature matrix a model with cols
+// input columns reads: a view of Features (not copied, so the caller must not
+// write it) when cols is the full width, otherwise a copy of each row's first
+// cols values. Panics unless 0 < cols <= FeatDim.
+func (d *Dataset) FeatureTable(cols int) *tensor.Matrix {
+	dim := d.Spec.FeatDim
+	if cols < 1 || cols > dim {
+		panic("datagen: FeatureTable cols outside [1, FeatDim]")
+	}
+	if cols == dim {
+		return tensor.FromSlice(len(d.Features)/dim, dim, d.Features)
+	}
+	t := tensor.New(len(d.Features)/dim, cols)
+	for v := 0; v < t.Rows; v++ {
+		copy(t.Row(v), d.Features[v*dim:v*dim+cols])
+	}
+	return t
 }
 
 // Specs returns the registry of the six Table II datasets at their reduced

@@ -24,6 +24,7 @@ import (
 	"buffalo/internal/partition"
 	"buffalo/internal/sampling"
 	"buffalo/internal/schedule"
+	"buffalo/internal/tensor"
 	"buffalo/internal/train"
 )
 
@@ -1181,13 +1182,14 @@ func Table3EstimationError(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			table := ds.FeatureTable(cfg.InDim)
 			var sumErr, maxErr float64
 			for gi, g := range plan.Groups {
 				mbch, err := block.Generate(b, g.Nodes())
 				if err != nil {
 					return nil, err
 				}
-				actual, err := measureMicroBytes(ds, model, mbch, cfg.InDim)
+				actual, err := measureMicroBytes(table, model, mbch)
 				if err != nil {
 					return nil, err
 				}
@@ -1212,19 +1214,16 @@ func absF(v float64) float64 {
 	return v
 }
 
-// measureMicroBytes runs a real forward pass and reports features +
-// activation bytes (Table III's ground truth).
-func measureMicroBytes(ds *datagen.Dataset, model *gnn.Model, mbch *block.MicroBatch, inDim int) (int64, error) {
-	feats := make([]float32, len(mbch.InputNodes())*inDim)
-	for i, v := range mbch.InputNodes() {
-		copy(feats[i*inDim:(i+1)*inDim], ds.FeatureRow(v)[:inDim])
-	}
-	fm := tensorFrom(len(mbch.InputNodes()), inDim, feats)
-	res, err := model.Forward(mbch, fm)
+// measureMicroBytes runs a real forward pass, layer 0 reading the feature
+// table through the micro-batch's input list, and reports the features
+// tensor's device bytes (one table row per input node) + activation bytes
+// (Table III's ground truth).
+func measureMicroBytes(table *tensor.Matrix, model *gnn.Model, mbch *block.MicroBatch) (int64, error) {
+	res, err := model.ForwardTable(mbch, table, nil)
 	if err != nil {
 		return 0, err
 	}
-	return res.ActivationBytes() + fm.Bytes(), nil
+	return res.ActivationBytes() + int64(len(mbch.InputNodes()))*int64(table.Cols)*4, nil
 }
 
 // ---- Table IV ---------------------------------------------------------------

@@ -88,6 +88,7 @@ func (c *gatBucketCache) bytes() int64 {
 type gatCache struct {
 	blk     *block.Block
 	xsrc    *tensor.Matrix
+	idx     []int32             // the layer input's index into xsrc (nil: identity)
 	z       []*tensor.Matrix    // per head [numSrc x headOut]
 	preAct  *tensor.Matrix      // concatenated heads [numDst x out]
 	outAct  *tensor.Matrix      // post-ELU output (nil when act is false)
@@ -128,12 +129,9 @@ func (l *gatLayer) PlannedCacheBytes(blk *block.Block) int64 {
 }
 
 // Forward implements Layer.
-func (l *gatLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matrix, LayerCache, error) {
-	if xsrc.Cols != l.in {
-		return nil, nil, fmt.Errorf("gat %s: input dim %d, want %d", l.name, xsrc.Cols, l.in)
-	}
-	if xsrc.Rows != blk.NumSrc() {
-		return nil, nil, fmt.Errorf("gat %s: %d feature rows for %d src nodes", l.name, xsrc.Rows, blk.NumSrc())
+func (l *gatLayer) Forward(blk *block.Block, xsrc *tensor.Matrix, idx []int32) (*tensor.Matrix, LayerCache, error) {
+	if err := checkInput("gat", l.name, l.in, blk, xsrc, idx); err != nil {
+		return nil, nil, err
 	}
 	nDst := blk.NumDst()
 	degBuckets := l.bsc.bucketize(blk)
@@ -143,11 +141,11 @@ func (l *gatLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matri
 	}
 	cache := &l.cache
 	zBuf := cache.z[:0]
-	*cache = gatCache{blk: blk, xsrc: xsrc, z: zBuf, buckets: l.views[:l.heads]}
+	*cache = gatCache{blk: blk, xsrc: xsrc, idx: idx, z: zBuf, buckets: l.views[:l.heads]}
 	cache.preAct = l.arena.Get(nDst, l.out)
 	for h := 0; h < l.heads; h++ {
-		z := l.arena.Get(xsrc.Rows, l.headOut)
-		tensor.MatMulInto(z, xsrc, l.w[h].Value, false)
+		z := l.arena.Get(blk.NumSrc(), l.headOut)
+		tensor.MatMulRowsInto(z, xsrc, idx, l.w[h].Value, false)
 		cache.z = append(cache.z, z)
 		a1 := l.a1[h].Value.Row(0)
 		a2 := l.a2[h].Value.Row(0)
@@ -227,7 +225,7 @@ func (l *gatLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) (
 	}
 	var dXsrc *tensor.Matrix
 	if needDX {
-		dXsrc = l.arena.Get(cache.xsrc.Rows, l.in)
+		dXsrc = l.arena.Get(cache.blk.NumSrc(), l.in)
 	}
 	for h := 0; h < l.heads; h++ {
 		z := cache.z[h]
@@ -302,8 +300,8 @@ func (l *gatLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) (
 				}
 			}
 		}
-		// z = xsrc @ W_h.
-		tensor.MatMulATBInto(l.w[h].Grad, cache.xsrc, dZ, true)
+		// z = xsrc[idx] @ W_h.
+		tensor.MatMulRowsATBInto(l.w[h].Grad, cache.xsrc, cache.idx, dZ, true)
 		if needDX {
 			tensor.MatMulABTInto(dXsrc, dZ, l.w[h].Value, true)
 		}

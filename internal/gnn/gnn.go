@@ -95,8 +95,10 @@ type LayerCache interface {
 // Layer is one GNN layer operating on a block.
 type Layer interface {
 	// Forward computes destination representations from source
-	// representations. xsrc has one row per blk.Src entry.
-	Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matrix, LayerCache, error)
+	// representations. With a nil idx, xsrc has one row per blk.Src entry;
+	// otherwise xsrc is a table and source s is its row idx[s] (layer 0 reads
+	// the feature table this way). The cache keeps xsrc and idx for Backward.
+	Forward(blk *block.Block, xsrc *tensor.Matrix, idx []int32) (*tensor.Matrix, LayerCache, error)
 	// Backward consumes the matching Forward's cache and the upstream
 	// gradient and accumulates parameter gradients. With needDX it also
 	// returns the gradient with respect to xsrc; without, it returns nil and
@@ -168,7 +170,8 @@ func (r *ForwardResult) ActivationBytes() int64 {
 }
 
 // Forward runs the model over a micro-batch. features holds one row per
-// mb.InputNodes() entry (the innermost source frontier).
+// mb.InputNodes() entry (the innermost source frontier); ForwardTable reads
+// the same rows from a whole feature table instead.
 func (m *Model) Forward(mb *block.MicroBatch, features *tensor.Matrix) (*ForwardResult, error) {
 	return m.ForwardWithHook(mb, features, nil)
 }
@@ -188,20 +191,47 @@ func (m *Model) ForwardWithHook(mb *block.MicroBatch, features *tensor.Matrix,
 		return nil, fmt.Errorf("gnn: features %dx%d, want %dx%d",
 			features.Rows, features.Cols, mb.Blocks[0].NumSrc(), m.Cfg.InDim)
 	}
+	return m.forward(mb, features, nil, hook)
+}
+
+// ForwardTable is ForwardWithHook reading layer 0's inputs in place: table
+// holds one feature row per graph node ([nodes x InDim]), and the micro-batch's
+// input nodes index it, so no [len(InputNodes()) x InDim] copy is made. The
+// result has the bits ForwardWithHook gives for the gathered rows.
+func (m *Model) ForwardTable(mb *block.MicroBatch, table *tensor.Matrix,
+	hook func(layer int, plannedBytes int64) error) (*ForwardResult, error) {
+	if len(mb.Blocks) != len(m.Layers) {
+		return nil, fmt.Errorf("gnn: micro-batch has %d blocks for %d layers", len(mb.Blocks), len(m.Layers))
+	}
+	if table.Cols != m.Cfg.InDim {
+		return nil, fmt.Errorf("gnn: feature table is %d wide, want %d", table.Cols, m.Cfg.InDim)
+	}
+	inputs := mb.InputNodes()
+	for _, v := range inputs {
+		if uint(v) >= uint(table.Rows) {
+			return nil, fmt.Errorf("gnn: input node %d outside the %d-row feature table", v, table.Rows)
+		}
+	}
+	return m.forward(mb, table, inputs, hook)
+}
+
+// forward runs the layers: layer 0 reads x through idx (nil: x's rows are the
+// inputs themselves), every later layer its predecessor's output.
+func (m *Model) forward(mb *block.MicroBatch, x *tensor.Matrix, idx []int32,
+	hook func(layer int, plannedBytes int64) error) (*ForwardResult, error) {
 	res := &ForwardResult{caches: make([]LayerCache, len(m.Layers))}
-	x := features
 	for l, layer := range m.Layers {
 		if hook != nil {
 			if err := hook(l, layer.PlannedCacheBytes(mb.Blocks[l])); err != nil {
 				return nil, err
 			}
 		}
-		h, cache, err := layer.Forward(mb.Blocks[l], x)
+		h, cache, err := layer.Forward(mb.Blocks[l], x, idx)
 		if err != nil {
 			return nil, fmt.Errorf("gnn: layer %d: %w", l, err)
 		}
 		res.caches[l] = cache
-		x = h
+		x, idx = h, nil
 	}
 	res.Logits = x
 	return res, nil
@@ -292,17 +322,44 @@ func (sc *blockBuckets) bucketize(blk *block.Block) []degreeBucket {
 	return sc.slab
 }
 
+// checkInput validates a layer's input against its block: in columns, and one
+// row per source — xsrc's own rows, or as many idx entries into a table (whose
+// range the kernels and ForwardTable check).
+func checkInput(kind, name string, in int, blk *block.Block, xsrc *tensor.Matrix, idx []int32) error {
+	if xsrc.Cols != in {
+		return fmt.Errorf("%s %s: input dim %d, want %d", kind, name, xsrc.Cols, in)
+	}
+	rows := xsrc.Rows
+	if idx != nil {
+		rows = len(idx)
+	}
+	if rows != blk.NumSrc() {
+		return fmt.Errorf("%s %s: %d feature rows for %d src nodes", kind, name, rows, blk.NumSrc())
+	}
+	return nil
+}
+
+// srcRow is the row of src that holds block source s: s itself, or idx[s]
+// when src is a table idx indexes.
+func srcRow(idx []int32, s int32) int {
+	if idx == nil {
+		return int(s)
+	}
+	return int(idx[s])
+}
+
 // gatherTimesteps appends the bucket's neighbor tensors to dst: one
 // [len(rows) x dim] matrix per neighbor position t, where row i holds the
-// features of the t-th sampled neighbor of destination rows[i]. Shared shape
-// within a bucket is what makes degree bucketing padding-free. Matrices come
-// from the arena (nil-safe: falls back to fresh allocation).
-func gatherTimesteps(dst []*tensor.Matrix, a *tensor.Arena, blk *block.Block, rows []int32, degree int, xsrc *tensor.Matrix) []*tensor.Matrix {
+// features of the t-th sampled neighbor of destination rows[i] (read through
+// idx when xsrc is a table, see srcRow). Shared shape within a bucket is what
+// makes degree bucketing padding-free. Matrices come from the arena (nil-safe:
+// falls back to fresh allocation).
+func gatherTimesteps(dst []*tensor.Matrix, a *tensor.Arena, blk *block.Block, rows []int32, degree int, xsrc *tensor.Matrix, idx []int32) []*tensor.Matrix {
 	dim := xsrc.Cols
 	for t := 0; t < degree; t++ {
 		m := a.Get(len(rows), dim)
 		for i, r := range rows {
-			copy(m.Row(i), xsrc.Row(int(blk.Adj[r][t])))
+			copy(m.Row(i), xsrc.Row(srcRow(idx, blk.Adj[r][t])))
 		}
 		dst = append(dst, m)
 	}
@@ -312,11 +369,11 @@ func gatherTimesteps(dst []*tensor.Matrix, a *tensor.Arena, blk *block.Block, ro
 // gatherStacked is gatherTimesteps into one matrix in nn.LSTMCell's stacked
 // layout: dst [degree*len(rows) x src.Cols] holds the neighbor positions as
 // blocks of len(rows) rows, last position first.
-func gatherStacked(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, src *tensor.Matrix) {
+func gatherStacked(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, src *tensor.Matrix, idx []int32) {
 	for t := 0; t < degree; t++ {
 		base := (degree - 1 - t) * len(rows)
 		for i, r := range rows {
-			copy(dst.Row(base+i), src.Row(int(blk.Adj[r][t])))
+			copy(dst.Row(base+i), src.Row(srcRow(idx, blk.Adj[r][t])))
 		}
 	}
 }
@@ -328,10 +385,21 @@ func gatherStacked(dst *tensor.Matrix, blk *block.Block, rows []int32, degree in
 // exists on the host; every neighbor row is read once, straight into the
 // destination row, and the result has the bits gathering the positions,
 // summing them with AddInPlace, Scale and scatterAddRows into a zeroed dst
-// produce. Single-threaded by design.
-func meanAggregate(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, src *tensor.Matrix) {
+// produce. When src is a table idx indexes, each destination's neighbor list
+// is first composed through idx into nbr (at least degree long), position by
+// position, and MeanRowsInto's range check guards the composed rows.
+// Single-threaded by design.
+func meanAggregate(dst *tensor.Matrix, blk *block.Block, rows []int32, degree int, src *tensor.Matrix, idx, nbr []int32) {
 	for _, r := range rows {
-		tensor.MeanRowsInto(dst.Row(int(r)), src, blk.Adj[r][:degree])
+		list := blk.Adj[r][:degree]
+		if idx != nil {
+			comp := nbr[:degree]
+			for t, s := range list {
+				comp[t] = idx[s]
+			}
+			list = comp
+		}
+		tensor.MeanRowsInto(dst.Row(int(r)), src, list)
 	}
 }
 

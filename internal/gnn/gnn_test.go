@@ -513,11 +513,11 @@ func TestLSTMAggregatorUsesNeighborOrder(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.Float32()
 	}
-	h1, _, err := layer.Forward(blk, x)
+	h1, _, err := layer.Forward(blk, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, _, err := layer.Forward(blkSwapped, x)
+	h2, _, err := layer.Forward(blkSwapped, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,11 +543,11 @@ func TestMeanAggregatorOrderInvariant(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.Float32()
 	}
-	h1, _, err := layer.Forward(blk, x)
+	h1, _, err := layer.Forward(blk, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, _, err := layer.Forward(blkSwapped, x)
+	h2, _, err := layer.Forward(blkSwapped, x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,7 +796,7 @@ func refSageLSTMForward(l *sageLayer, blk *block.Block, xsrc *tensor.Matrix) (*t
 		if db.degree == 0 {
 			continue
 		}
-		h, lc := l.lstm.RunSequence(gatherTimesteps(nil, nil, blk, db.rows, db.degree, xsrc))
+		h, lc := l.lstm.RunSequence(gatherTimesteps(nil, nil, blk, db.rows, db.degree, xsrc, nil))
 		scatterAddRows(st.aggAll, db.rows, h)
 		st.buckets = append(st.buckets, refLSTMBucket{rows: db.rows, cache: lc})
 	}
@@ -948,7 +948,7 @@ func TestLSTMProjectionHoistBitIdentical(t *testing.T) {
 					x := tc.feats
 					caches := make([]LayerCache, len(layers))
 					for i, l := range layers {
-						x, caches[i], err = l.Forward(tc.blocks[i], x)
+						x, caches[i], err = l.Forward(tc.blocks[i], x, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -1000,7 +1000,7 @@ func TestLSTMWarmArenaAllocs(t *testing.T) {
 		dOut.Data[i] = float32(i%7) - 3
 	}
 	step := func() {
-		_, cache, err := layer.Forward(blk, features)
+		_, cache, err := layer.Forward(blk, features, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

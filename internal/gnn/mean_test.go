@@ -22,7 +22,7 @@ func meanReference(blk *block.Block, xsrc *tensor.Matrix) *tensor.Matrix {
 			continue
 		}
 		agg := tensor.New(len(db.rows), xsrc.Cols)
-		for _, s := range gatherTimesteps(nil, nil, blk, db.rows, db.degree, xsrc) {
+		for _, s := range gatherTimesteps(nil, nil, blk, db.rows, db.degree, xsrc, nil) {
 			agg.AddInPlace(s)
 		}
 		agg.Scale(1 / float32(db.degree))
@@ -31,11 +31,13 @@ func meanReference(blk *block.Block, xsrc *tensor.Matrix) *tensor.Matrix {
 	return aggAll
 }
 
-// meanFused runs the kernel over a block the way sageLayer.Forward does.
-func meanFused(aggAll *tensor.Matrix, dbs []degreeBucket, blk *block.Block, xsrc *tensor.Matrix) {
+// meanFused runs the kernel over a block the way sageLayer.Forward does:
+// reading xsrc's rows, or the rows of the table xsrc that idx names (nbr at
+// least the widest degree long).
+func meanFused(aggAll *tensor.Matrix, dbs []degreeBucket, blk *block.Block, xsrc *tensor.Matrix, idx, nbr []int32) {
 	for _, db := range dbs {
 		if db.degree > 0 {
-			meanAggregate(aggAll, blk, db.rows, db.degree, xsrc)
+			meanAggregate(aggAll, blk, db.rows, db.degree, xsrc, idx, nbr)
 		}
 	}
 }
@@ -123,7 +125,7 @@ func TestMeanAggregateMatchesReference(t *testing.T) {
 	check := func(name string, blk *block.Block, xsrc *tensor.Matrix) *tensor.Matrix {
 		t.Helper()
 		got := tensor.New(blk.NumDst(), xsrc.Cols)
-		meanFused(got, bucketizeBlock(blk), blk, xsrc)
+		meanFused(got, bucketizeBlock(blk), blk, xsrc, nil, nil)
 		requireSameBits(t, name, got, meanReference(blk, xsrc))
 		return got
 	}
@@ -164,7 +166,7 @@ func TestMeanAggregateWarmZeroAllocs(t *testing.T) {
 	blk := mb.Blocks[0]
 	dbs := bucketizeBlock(blk)
 	aggAll := tensor.New(blk.NumDst(), features.Cols)
-	if allocs := testing.AllocsPerRun(20, func() { meanFused(aggAll, dbs, blk, features) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { meanFused(aggAll, dbs, blk, features, nil, nil) }); allocs != 0 {
 		t.Errorf("meanAggregate: %.0f allocs per block", allocs)
 	}
 }
@@ -299,7 +301,7 @@ func TestMeanLayerBitIdenticalToMaterialised(t *testing.T) {
 					x := tc.feats
 					caches := make([]LayerCache, len(layers))
 					for i, l := range layers {
-						x, caches[i], err = l.Forward(tc.blocks[i], x)
+						x, caches[i], err = l.Forward(tc.blocks[i], x, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -357,7 +359,7 @@ func TestPlannedCacheBytesBetweenForwardAndBackward(t *testing.T) {
 		}
 		run := func(interleave bool) (dX *tensor.Matrix, grads []*tensor.Matrix) {
 			m.Params.ZeroGrad()
-			_, cache, err := layer.Forward(blk, features)
+			_, cache, err := layer.Forward(blk, features, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,6 +36,7 @@ type sageLayer struct {
 	bcSlab []*sageBucketCache
 	dSteps []*tensor.Matrix // backward per-bucket position gradients
 	dActs  []*tensor.Matrix // Pool backward per-position activation grads
+	nbr    []int32          // Mean's composed neighbor list when reading a table
 }
 
 func (l *sageLayer) setArena(a *tensor.Arena) { l.arena = a }
@@ -101,9 +102,14 @@ func (c *sageBucketCache) bytes() int64 {
 
 // sageCache is one layer's forward state.
 type sageCache struct {
-	blk     *block.Block
-	xsrc    *tensor.Matrix
-	xdst    tensor.Matrix  // prefix view of xsrc, not separately allocated
+	blk  *block.Block
+	xsrc *tensor.Matrix
+	// xdst holds the destinations' own rows: a prefix view of xsrc (dst rows
+	// are the src prefix), or, when dstIdx is set, the table xsrc whose rows
+	// dstIdx (the layer input's index, cut to the destinations) names. Not
+	// separately allocated either way.
+	xdst    tensor.Matrix
+	dstIdx  []int32
 	aggAll  *tensor.Matrix // aggregated neighborhoods for every destination
 	preAct  *tensor.Matrix
 	outAct  *tensor.Matrix // post-ReLU output (nil on the final layer)
@@ -117,8 +123,9 @@ type sageCache struct {
 
 // Bytes implements LayerCache: every tensor this layer allocated and keeps
 // for backward — for Mean, the modelled per-bucket tensors in place of host
-// ones. xsrc belongs to the previous layer and xdst is a view, so neither is
-// counted.
+// ones. xsrc belongs to the previous layer (or is the feature table, whose
+// rows the device copy is charged for on its own) and xdst is a view, so
+// neither is counted.
 func (c *sageCache) Bytes() int64 {
 	b := c.aggAll.Bytes() + c.preAct.Bytes()
 	if c.outAct != nil {
@@ -159,30 +166,36 @@ func (l *sageLayer) PlannedCacheBytes(blk *block.Block) int64 {
 }
 
 // Forward implements Layer.
-func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matrix, LayerCache, error) {
-	if xsrc.Cols != l.in {
-		return nil, nil, fmt.Errorf("sage %s: input dim %d, want %d", l.name, xsrc.Cols, l.in)
+func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix, idx []int32) (*tensor.Matrix, LayerCache, error) {
+	if err := checkInput("sage", l.name, l.in, blk, xsrc, idx); err != nil {
+		return nil, nil, err
 	}
-	if xsrc.Rows != blk.NumSrc() {
-		return nil, nil, fmt.Errorf("sage %s: %d feature rows for %d src nodes", l.name, xsrc.Rows, blk.NumSrc())
-	}
-	nDst := blk.NumDst()
+	nDst, nSrc := blk.NumDst(), blk.NumSrc()
 	dbs := l.bsc.bucketize(blk)
 	for len(l.bcSlab) < len(dbs) {
 		l.bcSlab = append(l.bcSlab, &sageBucketCache{})
 	}
 	cache := &l.cache
 	*cache = sageCache{blk: blk, xsrc: xsrc, buckets: l.bcSlab[:len(dbs)]}
-	cache.xdst = xsrc.RowRange(0, nDst) // dst prefix view
+	if idx == nil {
+		cache.xdst = xsrc.RowRange(0, nDst) // dst prefix view
+	} else {
+		cache.xdst, cache.dstIdx = *xsrc, idx[:nDst]
+	}
 	cache.aggAll = l.arena.Get(nDst, l.in)
 	var proj *tensor.Matrix
 	edge := 0 // first row of the current bucket in lstmX
-	if l.agg == LSTM {
-		// Every step's input is a gather of xsrc rows and the projection is
+	switch l.agg {
+	case Mean:
+		if n := len(dbs); idx != nil && n > 0 && len(l.nbr) < dbs[n-1].degree {
+			l.nbr = make([]int32, dbs[n-1].degree) // buckets ascend: the last is the widest
+		}
+	case LSTM:
+		// Every step's input is a gather of source rows and the projection is
 		// row-local, so each source row is projected once here and the buckets
 		// gather the projected rows. A transient like dAggAll: not in Bytes().
-		proj = l.arena.Get(xsrc.Rows, 4*l.in)
-		l.lstm.ProjectInto(proj, xsrc)
+		proj = l.arena.Get(nSrc, 4*l.in)
+		l.lstm.ProjectInto(proj, xsrc, idx)
 		cache.lstmX = l.arena.Get(int(blk.NumEdges()), l.in)
 	}
 
@@ -201,11 +214,11 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 		}
 		switch l.agg {
 		case Mean:
-			meanAggregate(cache.aggAll, blk, db.rows, db.degree, xsrc)
+			meanAggregate(cache.aggAll, blk, db.rows, db.degree, xsrc, idx, l.nbr)
 			bc.modelled = int64(db.degree+1) * int64(len(db.rows)) * int64(l.in) * 4
 			continue
 		case Pool:
-			bc.steps = gatherTimesteps(bc.steps, l.arena, blk, db.rows, db.degree, xsrc)
+			bc.steps = gatherTimesteps(bc.steps, l.arena, blk, db.rows, db.degree, xsrc, idx)
 			for _, s := range bc.steps {
 				pre := l.pool.ForwardInto(l.arena.Get(s.Rows, l.in), s)
 				bc.poolPre = append(bc.poolPre, pre)
@@ -233,17 +246,17 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix) (*tensor.Matr
 		case LSTM:
 			m := db.degree * len(db.rows)
 			x := cache.lstmX.RowRange(edge, edge+m)
-			gatherStacked(&x, blk, db.rows, db.degree, xsrc)
+			gatherStacked(&x, blk, db.rows, db.degree, xsrc, idx)
 			z := l.arena.Get(m, 4*l.in)
-			gatherStacked(z, blk, db.rows, db.degree, proj)
+			gatherStacked(z, blk, db.rows, db.degree, proj, nil)
 			bc.agg = l.lstm.Forward(&bc.lstm, l.arena, z, db.degree)
 			edge += m
 		}
 		scatterAddRows(cache.aggAll, db.rows, bc.agg)
 	}
 
-	pre := l.arena.GetUninit(nDst, l.out) // written in full by the non-accumulating MatMulInto below
-	tensor.MatMulInto(pre, &cache.xdst, l.wSelf.Value, false)
+	pre := l.arena.GetUninit(nDst, l.out) // written in full by the non-accumulating MatMulRowsInto below
+	tensor.MatMulRowsInto(pre, &cache.xdst, cache.dstIdx, l.wSelf.Value, false)
 	tensor.MatMulInto(pre, cache.aggAll, l.wNeigh.Value, true)
 	pre.AddRowVector(l.bias.Value)
 	cache.preAct = pre
@@ -270,7 +283,7 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 		dPre = nn.ReLUBackwardInto(l.arena.GetUninit(dH.Rows, dH.Cols), cache.preAct, dH)
 	}
 	// preAct = xdst @ Wself + aggAll @ Wneigh + b
-	tensor.MatMulATBInto(l.wSelf.Grad, &cache.xdst, dPre, true)
+	tensor.MatMulRowsATBInto(l.wSelf.Grad, &cache.xdst, cache.dstIdx, dPre, true)
 	tensor.MatMulATBInto(l.wNeigh.Grad, cache.aggAll, dPre, true)
 	rowSum := l.arena.Get(1, l.out)
 	dPre.SumRowsInto(rowSum)
@@ -281,7 +294,7 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 
 	var dXsrc *tensor.Matrix
 	if needDX {
-		dXsrc = l.arena.Get(cache.xsrc.Rows, l.in)
+		dXsrc = l.arena.Get(cache.blk.NumSrc(), l.in)
 		// Self path: dst rows are the src prefix.
 		dXdst := l.arena.GetUninit(dPre.Rows, l.in) // written in full by the non-accumulating MatMulABTInto below
 		tensor.MatMulABTInto(dXdst, dPre, l.wSelf.Value, false)

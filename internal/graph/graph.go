@@ -183,30 +183,3 @@ func (g *Graph) DegreeHistogram() []int64 {
 	}
 	return counts
 }
-
-// Induce builds the subgraph induced by nodes. The result uses dense IDs
-// 0..len(nodes)-1 in the order given; origID maps new IDs back to g's IDs.
-// Edges whose both endpoints are in nodes are kept. Duplicate input nodes are
-// an error.
-func (g *Graph) Induce(nodes []NodeID) (sub *Graph, origID []NodeID, err error) {
-	remap := make(map[NodeID]NodeID, len(nodes))
-	for i, v := range nodes {
-		if v < 0 || int(v) >= g.NumNodes() {
-			return nil, nil, fmt.Errorf("graph: induce node %d out of range", v)
-		}
-		if _, dup := remap[v]; dup {
-			return nil, nil, fmt.Errorf("graph: induce duplicate node %d", v)
-		}
-		remap[v] = NodeID(i)
-	}
-	lists := make([][]NodeID, len(nodes))
-	for i, v := range nodes {
-		for _, u := range g.Neighbors(v) {
-			if nu, ok := remap[u]; ok {
-				lists[i] = append(lists[i], nu)
-			}
-		}
-	}
-	origID = append([]NodeID(nil), nodes...)
-	return FromAdjacency(lists), origID, nil
-}

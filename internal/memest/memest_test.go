@@ -12,7 +12,6 @@ import (
 	"buffalo/internal/gnn"
 	"buffalo/internal/graph"
 	"buffalo/internal/sampling"
-	"buffalo/internal/tensor"
 )
 
 func arxivBatch(t testing.TB, seeds int, fanouts []int) (*datagen.Dataset, *sampling.Batch) {
@@ -239,19 +238,15 @@ func measureActual(t *testing.T, ds *datagen.Dataset, b *sampling.Batch, cfg gnn
 	if err != nil {
 		t.Fatal(err)
 	}
-	feats := tensor.New(len(mb.InputNodes()), cfg.InDim)
-	for i, v := range mb.InputNodes() {
-		copy(feats.Row(i), ds.FeatureRow(v)[:cfg.InDim])
-	}
 	m, err := gnn.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Forward(mb, feats)
+	res, err := m.ForwardTable(mb, ds.FeatureTable(cfg.InDim), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.ActivationBytes() + feats.Bytes()
+	return res.ActivationBytes() + int64(len(mb.InputNodes()))*int64(cfg.InDim)*4
 }
 
 // TestEstimationAccuracy is the package-level version of Table III: the

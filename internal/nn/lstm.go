@@ -93,12 +93,14 @@ func (c *LSTMCache) Bytes() int64 {
 	return b
 }
 
-// ProjectInto writes the input projection x @ Wx into z [x.Rows x 4h], the
-// form Forward takes its inputs in. The product is row-local, so the
-// projection of gathered rows is the gathered rows of the projection: a
-// caller whose steps repeat rows of one matrix projects that matrix once.
-func (c *LSTMCell) ProjectInto(z, x *tensor.Matrix) {
-	tensor.MatMulInto(z, x, c.Wx.Value, false)
+// ProjectInto writes the input projection x[idx] @ Wx into z [len(idx) x 4h]
+// (x @ Wx into [x.Rows x 4h] for a nil idx), the form Forward takes its inputs
+// in. The product is row-local, so the projection of gathered rows is the
+// gathered rows of the projection: a caller whose steps repeat rows of one
+// matrix projects that matrix once, and rows a table holds need not be copied
+// out of it first (tensor.MatMulRowsInto).
+func (c *LSTMCell) ProjectInto(z, x *tensor.Matrix, idx []int32) {
+	tensor.MatMulRowsInto(z, x, idx, c.Wx.Value, false)
 }
 
 // ProjectBackward is ProjectInto's backward: given the gate gradients dz that
@@ -290,7 +292,7 @@ func (c *LSTMCell) RunSequence(xs []*tensor.Matrix) (*tensor.Matrix, *LSTMCache)
 		copy(x.Data[(T-1-t)*n*c.In:], xt.Data)
 	}
 	z := tensor.New(T*n, 4*c.Hidden)
-	c.ProjectInto(z, x)
+	c.ProjectInto(z, x, nil)
 	h := c.Forward(cache, nil, z, T)
 	cache.x = x
 	return h, cache

@@ -608,14 +608,14 @@ func TestLSTMMatchesReferenceCell(t *testing.T) {
 						z := arena.Get(T*n, 4*hidden)
 						if hoist {
 							proj := arena.Get(src.Rows, 4*hidden)
-							cell.ProjectInto(proj, src)
+							cell.ProjectInto(proj, src, nil)
 							for s := 0; s < T; s++ {
 								for r := 0; r < n; r++ {
 									copy(z.Row((T-1-s)*n+r), proj.Row(idx[s][r]))
 								}
 							}
 						} else {
-							cell.ProjectInto(z, x)
+							cell.ProjectInto(z, x, nil)
 						}
 						h := cell.Forward(&cache, arena, z, T)
 						sameBits(t, name+" h", h, wantH)

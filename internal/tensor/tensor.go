@@ -145,32 +145,38 @@ func MatMulInto(out, a, b *Matrix, accumulate bool) {
 		return
 	}
 	parallelRows(a.Rows, int64(a.Rows)*int64(kk)*int64(n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := od[i*n : (i+1)*n]
-			if !accumulate {
-				clear(orow)
-			}
-			arow := ad[i*kk : (i+1)*kk]
-			k := 0
-			for ; k+4 <= kk; k += 4 {
-				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				b0 := bd[k*n : (k+1)*n][:len(orow)]
-				b1 := bd[(k+1)*n : (k+2)*n][:len(orow)]
-				b2 := bd[(k+2)*n : (k+3)*n][:len(orow)]
-				b3 := bd[(k+3)*n : (k+4)*n][:len(orow)]
-				for j, o := range orow {
-					orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; k < kk; k++ {
-				av := arow[k]
-				brow := bd[k*n : (k+1)*n][:len(orow)]
-				for j, o := range orow {
-					orow[j] = o + av*brow[j]
-				}
+		matMulRange(od, ad, bd, lo, hi, kk, n, accumulate)
+	})
+}
+
+// matMulRange is MatMulInto's portable loop over out's rows [lo, hi): out is
+// [· x n], a [· x kk] and b [kk x n], all row-major.
+func matMulRange(od, ad, bd []float32, lo, hi, kk, n int, accumulate bool) {
+	for i := lo; i < hi; i++ {
+		orow := od[i*n : (i+1)*n]
+		if !accumulate {
+			clear(orow)
+		}
+		arow := ad[i*kk : (i+1)*kk]
+		k := 0
+		for ; k+4 <= kk; k += 4 {
+			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+			b0 := bd[k*n : (k+1)*n][:len(orow)]
+			b1 := bd[(k+1)*n : (k+2)*n][:len(orow)]
+			b2 := bd[(k+2)*n : (k+3)*n][:len(orow)]
+			b3 := bd[(k+3)*n : (k+4)*n][:len(orow)]
+			for j, o := range orow {
+				orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 			}
 		}
-	})
+		for ; k < kk; k++ {
+			av := arow[k]
+			brow := bd[k*n : (k+1)*n][:len(orow)]
+			for j, o := range orow {
+				orow[j] = o + av*brow[j]
+			}
+		}
+	}
 }
 
 // parallelFlopThreshold is the scalar-multiply count above which the GEMM
@@ -223,37 +229,162 @@ func MatMulATBInto(out, a, b *Matrix, accumulate bool) {
 		return
 	}
 	parallelRows(ka, int64(m)*int64(ka)*int64(n), func(lo, hi int) {
-		if !accumulate {
-			clear(od[lo*n : hi*n])
-		}
-		r := 0
-		for ; r+4 <= m; r += 4 {
-			a0 := ad[r*ka+lo : r*ka+hi]
-			a1 := ad[(r+1)*ka+lo : (r+1)*ka+hi][:len(a0)]
-			a2 := ad[(r+2)*ka+lo : (r+2)*ka+hi][:len(a0)]
-			a3 := ad[(r+3)*ka+lo : (r+3)*ka+hi][:len(a0)]
-			b0 := bd[r*n : (r+1)*n]
-			b1 := bd[(r+1)*n : (r+2)*n][:len(b0)]
-			b2 := bd[(r+2)*n : (r+3)*n][:len(b0)]
-			b3 := bd[(r+3)*n : (r+4)*n][:len(b0)]
-			for i, v0 := range a0 {
-				v1, v2, v3 := a1[i], a2[i], a3[i]
-				orow := od[(lo+i)*n : (lo+i+1)*n][:len(b0)]
-				for j, o := range orow {
-					orow[j] = o + v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
-				}
-			}
-		}
-		for ; r < m; r++ {
-			brow := bd[r*n : (r+1)*n]
-			for i, av := range ad[r*ka+lo : r*ka+hi] {
-				orow := od[(lo+i)*n : (lo+i+1)*n][:len(brow)]
-				for j, o := range orow {
-					orow[j] = o + av*brow[j]
-				}
-			}
-		}
+		matMulATBRange(od, ad, bd, lo, hi, m, ka, n, accumulate)
 	})
+}
+
+// matMulATBRange is MatMulATBInto's portable loop over out's rows [lo, hi)
+// (columns of a): out is [ka x n], a [m x ka] and b [m x n], all row-major.
+func matMulATBRange(od, ad, bd []float32, lo, hi, m, ka, n int, accumulate bool) {
+	if !accumulate {
+		clear(od[lo*n : hi*n])
+	}
+	r := 0
+	for ; r+4 <= m; r += 4 {
+		a0 := ad[r*ka+lo : r*ka+hi]
+		a1 := ad[(r+1)*ka+lo : (r+1)*ka+hi][:len(a0)]
+		a2 := ad[(r+2)*ka+lo : (r+2)*ka+hi][:len(a0)]
+		a3 := ad[(r+3)*ka+lo : (r+3)*ka+hi][:len(a0)]
+		b0 := bd[r*n : (r+1)*n]
+		b1 := bd[(r+1)*n : (r+2)*n][:len(b0)]
+		b2 := bd[(r+2)*n : (r+3)*n][:len(b0)]
+		b3 := bd[(r+3)*n : (r+4)*n][:len(b0)]
+		for i, v0 := range a0 {
+			v1, v2, v3 := a1[i], a2[i], a3[i]
+			orow := od[(lo+i)*n : (lo+i+1)*n][:len(b0)]
+			for j, o := range orow {
+				orow[j] = o + v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
+			}
+		}
+	}
+	for ; r < m; r++ {
+		brow := bd[r*n : (r+1)*n]
+		for i, av := range ad[r*ka+lo : r*ka+hi] {
+			orow := od[(lo+i)*n : (lo+i+1)*n][:len(brow)]
+			for j, o := range orow {
+				orow[j] = o + av*brow[j]
+			}
+		}
+	}
+}
+
+// rowPanelFloats sizes the stack panel MatMulRowsInto and MatMulRowsATBInto
+// copy a's indexed rows into: 64 rows of 128-wide features, 32 of 256-wide,
+// in 32 KB.
+const rowPanelFloats = 8192
+
+// checkRowIndex panics unless every entry of idx names a row of a. The GEMM
+// kernels index by shape alone, so this runs before anything is written.
+func checkRowIndex(op string, a *Matrix, idx []int32) {
+	for _, r := range idx {
+		if uint(r) >= uint(a.Rows) { // negative indices wrap above any row count
+			panicShape(op+" index", int(r), 1, a.Rows, a.Cols)
+		}
+	}
+}
+
+// MatMulRowsInto computes out = a[idx] @ b, or out += a[idx] @ b when
+// accumulate: row i of the product reads row idx[i] of a, so a is a table
+// looked up by idx (repeats allowed) and out has len(idx) rows. A nil idx is
+// the identity, MatMulInto(out, a, b, accumulate). Otherwise the named rows are
+// copied into a stack panel, as many as it holds at a time, and each panel is
+// multiplied by the kernel MatMulInto dispatches to. Output rows are
+// independent chains, so every element has the bits MatMulInto gives for the
+// gathered matrix. A row too wide for the panel is multiplied where it lies.
+func MatMulRowsInto(out, a *Matrix, idx []int32, b *Matrix, accumulate bool) {
+	if idx == nil {
+		MatMulInto(out, a, b, accumulate)
+		return
+	}
+	if a.Cols != b.Rows || out.Rows != len(idx) || out.Cols != b.Cols {
+		panicShape("matmulRows shapes", len(idx), a.Cols, b.Rows, b.Cols, out.Rows, out.Cols)
+	}
+	checkGEMM("matmulRows", out, a, b)
+	checkRowIndex("matmulRows", a, idx)
+	kk, n := a.Cols, b.Cols
+	switch {
+	case len(idx) == 0 || n == 0:
+		return
+	case kk == 0:
+		if !accumulate {
+			clear(out.Data[:len(idx)*n])
+		}
+		return
+	case kk > rowPanelFloats:
+		for i, r := range idx {
+			ar, or := a.RowRange(int(r), int(r)+1), out.RowRange(i, i+1)
+			MatMulInto(&or, &ar, b, accumulate)
+		}
+		return
+	}
+	var pack [rowPanelFloats]float32
+	rows := rowPanelFloats / kk
+	for i0 := 0; i0 < len(idx); i0 += rows {
+		m := min(rows, len(idx)-i0)
+		p := pack[:m*kk]
+		for i, r := range idx[i0 : i0+m] {
+			copy(p[i*kk:(i+1)*kk], a.Data[int(r)*kk:(int(r)+1)*kk])
+		}
+		o := out.Data[i0*n : (i0+m)*n]
+		if useVector {
+			gemmVector(o, p, b.Data, m, kk, n, kk, 1, accumulate)
+		} else {
+			matMulRange(o, p, b.Data, 0, m, kk, n, accumulate)
+		}
+	}
+}
+
+// MatMulRowsATBInto computes out = a[idx]ᵀ @ b, or out += a[idx]ᵀ @ b when
+// accumulate: row i of b pairs with row idx[i] of a. A nil idx is the
+// identity, MatMulATBInto(out, a, b, accumulate). Otherwise the named rows are
+// copied into a stack panel as MatMulRowsInto does, and each panel's product
+// continues every element's chain from the value the previous panel stored
+// (the first panel starts it as MatMulATBInto would), so the sum runs over the
+// rows in ascending order with the bits MatMulATBInto gives for the gathered
+// matrix.
+func MatMulRowsATBInto(out, a *Matrix, idx []int32, b *Matrix, accumulate bool) {
+	if idx == nil {
+		MatMulATBInto(out, a, b, accumulate)
+		return
+	}
+	if len(idx) != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
+		panicShape("matmulRowsATB shapes", len(idx), a.Cols, b.Rows, b.Cols, out.Rows, out.Cols)
+	}
+	checkGEMM("matmulRowsATB", out, a, b)
+	checkRowIndex("matmulRowsATB", a, idx)
+	ka, n := a.Cols, b.Cols
+	switch {
+	case ka == 0 || n == 0:
+		return
+	case len(idx) == 0:
+		if !accumulate {
+			clear(out.Data[:ka*n])
+		}
+		return
+	case ka > rowPanelFloats:
+		for i, r := range idx {
+			ar, br := a.RowRange(int(r), int(r)+1), b.RowRange(i, i+1)
+			MatMulATBInto(out, &ar, &br, accumulate || i > 0)
+		}
+		return
+	}
+	var pack [rowPanelFloats]float32
+	rows := rowPanelFloats / ka
+	od := out.Data[:ka*n]
+	for i0 := 0; i0 < len(idx); i0 += rows {
+		m := min(rows, len(idx)-i0)
+		p := pack[:m*ka]
+		for i, r := range idx[i0 : i0+m] {
+			copy(p[i*ka:(i+1)*ka], a.Data[int(r)*ka:(int(r)+1)*ka])
+		}
+		bp := b.Data[i0*n : (i0+m)*n]
+		acc := accumulate || i0 > 0
+		if useVector {
+			gemmVector(od, p, bp, ka, m, n, 1, ka, acc)
+		} else {
+			matMulATBRange(od, p, bp, 0, ka, m, ka, n, acc)
+		}
+	}
 }
 
 // MatMulABTInto computes out = a @ bᵀ, or out += a @ bᵀ when accumulate.

@@ -34,13 +34,19 @@ type replica struct {
 // DataParallel, each sequential or behind the pipelined loader, and the
 // forward-only InferenceSession all share this one copy of sampling, planning
 // (system switch + Buffalo K-search), memory estimation, micro-batch
-// construction, feature gathering, charged compute, and phase/obs accounting.
+// construction, feature staging, charged compute, and phase/obs accounting.
 // The paths differ only in where plans come from (inline vs a background
 // planner stage) and how features reach the device (synchronous copies vs
 // prefetched async copies), which is the stager interface.
 type engine struct {
 	cfg  Config
 	data *datagen.Dataset
+	// table is the [nodes x InDim] feature matrix layer 0 reads through each
+	// micro-batch's input list (gnn.Model.ForwardTable): a view of the
+	// dataset's features at full width, a narrowed copy made once otherwise.
+	// Read-only and shared by every goroutine and replica; no host copy of a
+	// micro-batch's input rows is ever made.
+	table *tensor.Matrix
 	// stream is the consumer goroutine's batch source: inline iterations,
 	// SampleBatch, Evaluate and Infer all draw from its one generator, in call
 	// order. A pipelined loader samples in its own goroutine from a second
@@ -93,13 +99,9 @@ type engine struct {
 	// session (validated once in newEngine via memest.New).
 	spec memest.ModelSpec
 
-	// featPool recycles host-side feature staging tensors across iterations.
-	// It is shared by the consumer goroutine (synchronous staging) and a
-	// pipelined loader's prefetch goroutine, hence pool-level locking.
-	featPool *tensor.Pool
 	// Pool gauges (nil when metrics are off): last-snapshot hit/miss/resize/
-	// outstanding/retained-bytes counters across the feature pool and the
-	// arena's pool, refreshed once per iteration and per inference request.
+	// outstanding/retained-bytes counters of the arena's pool, refreshed once
+	// per iteration and per inference request.
 	poolHitsG, poolMissesG, poolResizesG, poolOutstandingG, poolRetainedG *obs.Gauge
 	// arena hands the model layers their forward/backward intermediates,
 	// reclaimed wholesale after each micro-batch's compute (and after each
@@ -188,6 +190,7 @@ func newEngine(ds *datagen.Dataset, cfg Config, replicas []replica, cluster *dev
 	e := &engine{
 		cfg:      cfg,
 		data:     ds,
+		table:    ds.FeatureTable(cfg.Model.InDim),
 		flat0:    flat0,
 		stream:   sampling.NewStream(ds.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed),
 		clusterC: ds.Graph.ApproxClusteringCoefficient(cfg.Seed, 2000),
@@ -198,7 +201,6 @@ func newEngine(ds *datagen.Dataset, cfg Config, replicas []replica, cluster *dev
 		preStats: make([]device.Stats, n),
 		compute:  make([]time.Duration, n),
 		bwdLast:  make([]time.Duration, n),
-		featPool: tensor.NewPool(),
 		arena:    tensor.NewArena(tensor.NewPool()),
 	}
 	for _, r := range replicas {
@@ -326,54 +328,52 @@ type pipeIter struct {
 	minFeat int64
 }
 
-// stagedMB is one staged micro-batch: features gathered host-side, device
-// bytes reserved on replica dev, and (for async stagers, on a cache miss) an
-// H2D copy in flight.
+// stagedMB is one staged micro-batch: its input-feature tensor's device bytes
+// reserved on replica dev and (for async stagers, on a cache miss) an H2D copy
+// in flight. The host side needs nothing staged: layer 0 reads the engine's
+// feature table through the micro-batch's input list.
 type stagedMB struct {
 	iter      *pipeIter
 	idx       int
 	dev       int // replica the micro-batch executes on
 	last      bool
 	mb        *block.MicroBatch
-	feats     *tensor.Matrix
 	featAlloc *device.Allocation
 	done      time.Duration // async copy completion position on the sim timeline
 	hasCopy   bool          // false when synchronous or fully cache-resident
 }
 
-// stager supplies executeIteration with staged micro-batches: features
-// gathered host-side, device bytes reserved on the target replica, and the
-// H2D transfer either already paid (synchronous staging) or issued (async,
-// with done carrying the completion position the engine waits on).
+// stager supplies executeIteration with staged micro-batches: the feature
+// tensor's device bytes reserved on the target replica, and the H2D transfer
+// either already paid (synchronous staging) or issued (async, with done
+// carrying the completion position the engine waits on).
 type stager interface {
 	stage(it *pipeIter, i int) (*stagedMB, error)
 	release(smb *stagedMB)
 }
 
-// seqStager stages micro-batches inline: gather, reserve on the round-robin
-// target replica, and pay the synchronous copy immediately — the sequential
-// loading model of both Session and the non-pipelined DataParallel.
+// seqStager stages micro-batches inline: reserve the feature tensor on the
+// round-robin target replica and pay the synchronous copy immediately — the
+// sequential loading model of both Session and the non-pipelined
+// DataParallel.
 type seqStager struct{ e *engine }
 
 func (s seqStager) stage(it *pipeIter, i int) (*stagedMB, error) {
 	dev := i % len(s.e.replicas)
 	gpu := s.e.replicas[dev].gpu
-	feats := s.e.gatherFeatures(it.mbs[i])
-	featAlloc, err := gpu.Alloc("features", feats.Bytes())
+	bytes := s.e.featBytes(it.mbs[i])
+	featAlloc, err := gpu.Alloc("features", bytes)
 	if err != nil {
 		return nil, fmt.Errorf("train: loading features: %w", err)
 	}
-	gpu.TransferH2D(feats.Bytes())
+	gpu.TransferH2D(bytes)
 	return &stagedMB{
 		iter: it, idx: i, dev: dev, last: i == len(it.mbs)-1,
-		mb: it.mbs[i], feats: feats, featAlloc: featAlloc,
+		mb: it.mbs[i], featAlloc: featAlloc,
 	}, nil
 }
 
-func (s seqStager) release(smb *stagedMB) {
-	smb.featAlloc.Free()
-	s.e.releaseFeats(smb.feats)
-}
+func (s seqStager) release(smb *stagedMB) { smb.featAlloc.Free() }
 
 // planIteration runs the planning half of an iteration — the system plan
 // (Buffalo's K-search for buffalo) plus block generation for every group —
@@ -404,7 +404,7 @@ func (e *engine) planIteration(sc *iterScratch, b *sampling.Batch) (*pipeIter, e
 			return nil, err
 		}
 		it.mbs[i] = mb
-		if feat := int64(len(mb.InputNodes())) * e.rowBytes; i == 0 || feat < it.minFeat {
+		if feat := e.featBytes(mb); i == 0 || feat < it.minFeat {
 			it.minFeat = feat
 		}
 	}
@@ -576,22 +576,12 @@ func (e *engine) labelScratch(n int) []int32 {
 	return e.labels[:n]
 }
 
-// gatherFeatures assembles the host-side input-feature tensor of one
-// micro-batch (the staging buffer a real loader would pin for the H2D copy),
-// drawn from the engine's feature pool; the stager that consumed it
-// returns it via releaseFeats.
-func (e *engine) gatherFeatures(mb *block.MicroBatch) *tensor.Matrix {
-	inDim := e.cfg.Model.InDim
-	inputs := mb.InputNodes()
-	feats := e.featPool.GetUninit(len(inputs), inDim) // every row is written in full by the copy below
-	for i, v := range inputs {
-		copy(feats.Row(i), e.data.FeatureRow(v)[:inDim])
-	}
-	return feats
+// featBytes is the device footprint of one micro-batch's input-feature tensor,
+// [len(InputNodes()) x InDim]: what staging reserves and copies to the device.
+// The host reads those rows from the feature table in place.
+func (e *engine) featBytes(mb *block.MicroBatch) int64 {
+	return int64(len(mb.InputNodes())) * e.rowBytes
 }
-
-// releaseFeats recycles a staging tensor gatherFeatures handed out.
-func (e *engine) releaseFeats(m *tensor.Matrix) { e.featPool.Put(m) }
 
 // layerTags / mbTags precompute the hot allocation and span tags; Sprintf
 // only runs past the precomputed range (deeper than any evaluated model).
@@ -640,14 +630,15 @@ func (e *engine) addCompute(dev int, d time.Duration, kind obs.Kind) time.Durati
 }
 
 // computeMicroBatch runs the device-side math of one micro-batch on replica
-// dev, whose input features are already resident: charged forward, loss, and
-// — unless forwardOnly (evaluation) — backward. The caller owns the feature
+// dev, whose input features are already resident: charged forward (layer 0
+// reading the feature table through mb's input list), loss, and — unless
+// forwardOnly (evaluation) — backward. The caller owns the feature
 // allocation; layer activations are charged and released here. correct is the
 // number of outputs classified right. Scaled compute time accrues on
 // perCompute[dev]; lastBwd[dev] records this micro-batch's backward duration
 // — after the iteration's final micro-batch it is the window the overlapped
 // reducer's bucket-readiness model spreads gradient completion over.
-func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBatch, feats *tensor.Matrix, perCompute, lastBwd []time.Duration, forwardOnly bool) (loss float32, correct int, microBytes int64, err error) {
+func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBatch, perCompute, lastBwd []time.Duration, forwardOnly bool) (loss float32, correct int, microBytes int64, err error) {
 	r := e.replicas[dev]
 	var layerAllocs []*device.Allocation
 	// Everything the forward and backward passes materialize is dead once the
@@ -659,7 +650,7 @@ func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBa
 		e.arena.Reset()
 	}()
 	tFwd := time.Now()
-	fwd, err := r.model.ForwardWithHook(mb, feats, func(layer int, plannedBytes int64) error {
+	fwd, err := r.model.ForwardTable(mb, e.table, func(layer int, plannedBytes int64) error {
 		a, err := r.gpu.Alloc(layerTag(layer), plannedBytes)
 		if err != nil {
 			return err
@@ -690,7 +681,7 @@ func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBa
 		perCompute[dev] += bwd
 		lastBwd[dev] = bwd
 	}
-	return mLoss, nn.Correct(fwd.Logits, labels), feats.Bytes() + fwd.ActivationBytes(), nil
+	return mLoss, nn.Correct(fwd.Logits, labels), e.featBytes(mb) + fwd.ActivationBytes(), nil
 }
 
 // executeIteration drives the execute half of one planned iteration through
@@ -746,7 +737,7 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 		if async && smb.hasCopy {
 			gpu.WaitTransfer(smb.done)
 		}
-		mLoss, mCorrect, bytes, cErr := e.computeMicroBatch(smb.dev, it.b, smb.mb, smb.feats, perCompute, lastBwd, false)
+		mLoss, mCorrect, bytes, cErr := e.computeMicroBatch(smb.dev, it.b, smb.mb, perCompute, lastBwd, false)
 		ex.release(smb)
 		if cErr != nil {
 			return nil, cErr
@@ -827,18 +818,9 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 	return res, nil
 }
 
-// poolStats aggregates the counters of both hot-path pools: the
-// feature-staging pool and the compute arena's pool.
-func (e *engine) poolStats() tensor.PoolStats {
-	st := e.featPool.Stats()
-	ast := e.arena.Pool().Stats()
-	st.Hits += ast.Hits
-	st.Misses += ast.Misses
-	st.Resizes += ast.Resizes
-	st.Outstanding += ast.Outstanding
-	st.RetainedBytes += ast.RetainedBytes
-	return st
-}
+// poolStats reports the counters of the hot path's one pool, the compute
+// arena's.
+func (e *engine) poolStats() tensor.PoolStats { return e.arena.Pool().Stats() }
 
 // publishPoolStats refreshes the tensor/pool/* gauges (no-op when metrics
 // are off).

@@ -123,18 +123,19 @@ func (s *InferenceSession) CacheStats() pipeline.CacheStats {
 	return s.cache.Stats()
 }
 
-// PoolStats reports the tensor-pool reuse counters across the session's
-// feature-staging pool and compute arena.
+// PoolStats reports the tensor-pool reuse counters of the session's compute
+// arena.
 func (s *InferenceSession) PoolStats() tensor.PoolStats { return s.eng.poolStats() }
 
 // InferBreakdown is the per-phase wall time of one Infer call, the serving
 // analogue of Phases: host-side assembly (sample + plan + block gen +
-// gather), then the simulated device clocks (H2D stalls, scaled compute).
+// feature staging), then the simulated device clocks (H2D stalls, scaled
+// compute).
 type InferBreakdown struct {
 	Sample   time.Duration
 	Plan     time.Duration
 	BlockGen time.Duration
-	Gather   time.Duration
+	Gather   time.Duration // feature staging: the cache probe; no host rows are copied
 	H2D      time.Duration
 	Compute  time.Duration
 }
@@ -244,18 +245,17 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 	return res, nil
 }
 
-// executeInfer stages and computes one forward-only micro-batch: gather
-// (through the cache when present — hits are already device-resident under
-// the cache reservation and pay no H2D), charge, forward with the
-// early-free schedule the ForwardOnly estimator prices (a layer's
-// activations are released once the next layer has consumed them, the
-// features once layer 0 has), then argmax the logits into res.Classes.
+// executeInfer stages and computes one forward-only micro-batch: probe the
+// cache when present (hits are already device-resident under the cache
+// reservation and pay no H2D), charge the missed rows, forward with layer 0
+// reading the feature table in place and the early-free schedule the
+// ForwardOnly estimator prices (a layer's activations are released once the
+// next layer has consumed them, the features once layer 0 has), then argmax
+// the logits into res.Classes.
 func (s *InferenceSession) executeInfer(mb *block.MicroBatch, res *InferResult) error {
 	tG := time.Now()
-	feats := s.eng.gatherFeatures(mb)
-	defer s.eng.releaseFeats(feats)
 	defer s.eng.arena.Reset()
-	missBytes := feats.Bytes()
+	missBytes := s.eng.featBytes(mb)
 	if s.cache != nil {
 		missBytes = 0
 		for _, v := range mb.InputNodes() {
@@ -297,7 +297,7 @@ func (s *InferenceSession) executeInfer(mb *block.MicroBatch, res *InferResult) 
 	}()
 
 	tFwd := time.Now()
-	fwd, err := s.Model.ForwardWithHook(mb, feats, func(layer int, planned int64) error {
+	fwd, err := s.Model.ForwardTable(mb, s.eng.table, func(layer int, planned int64) error {
 		// Release what this layer no longer needs before charging it: the
 		// input features once layer 0 has run, layer l-2's activations once
 		// layer l-1 has. Freeing first keeps the ledger's peak equal to the

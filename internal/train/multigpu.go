@@ -137,8 +137,8 @@ func (dp *DataParallel) RunIteration() (*MultiGPUResult, error) {
 	return dp.eng.runIteration(dp.ld)
 }
 
-// PoolStats reports the tensor-pool reuse counters across the run's
-// feature-staging pool and compute arena.
+// PoolStats reports the tensor-pool reuse counters of the run's compute
+// arena.
 func (dp *DataParallel) PoolStats() tensor.PoolStats { return dp.eng.poolStats() }
 
 // Stats snapshots every replica device's counters, cluster order.

@@ -207,10 +207,9 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 					return err
 				}
 				cfg.Obs.Event(obs.KindDispatch, eng.replicas[dev].gpu.Name(), "",
-					smb.feats.Bytes(), 0, int64(dev))
+					eng.featBytes(smb.mb), 0, int64(dev))
 				if err := l.ready[dev].Push(ctx, smb); err != nil {
 					smb.featAlloc.Free()
-					eng.releaseFeats(smb.feats)
 					l.releaseStaged(dev)
 					return err
 				}
@@ -264,10 +263,10 @@ func scalePlanning(ph *Phases, cpu, wall time.Duration) {
 	ph.BlockGen = scale(ph.BlockGen)
 }
 
-// stageMicroBatch prefetches micro-batch idx onto replica dev: gather the
-// feature rows host-side, probe that device's cache per input node, reserve
-// the on-device feature tensor, and issue one async copy for the rows the
-// cache missed.
+// stageMicroBatch prefetches micro-batch idx onto replica dev: probe that
+// device's cache per input node, reserve the on-device feature tensor, and
+// issue one async copy for the rows the cache missed. Nothing is gathered on
+// the host: the consumer's layer 0 reads the feature table in place.
 //
 // The ready lanes bound how far staging runs ahead (Depth per lane); the
 // headroom gate here keeps it from starving the consumer: a staged tensor
@@ -286,8 +285,8 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	e := l.eng
 	gpu := e.replicas[dev].gpu
 	mb := it.mbs[idx]
-	feats := e.gatherFeatures(mb)
-	missBytes := feats.Bytes()
+	featBytes := e.featBytes(mb)
+	missBytes := featBytes
 	if l.caches != nil {
 		missBytes = 0
 		cache := l.caches[dev]
@@ -303,21 +302,21 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	// be holding (already on the ledger).
 	reserve := it.res.PredictedPeak - e.residentBase() - it.minFeat
 	for reserve > 0 && l.stagedDev[dev].Load() > 0 &&
-		gpu.Capacity()-gpu.Live() < feats.Bytes()+reserve {
+		gpu.Capacity()-gpu.Live() < featBytes+reserve {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-l.room:
 		}
 	}
-	featAlloc, err := gpu.Alloc("features", feats.Bytes())
+	featAlloc, err := gpu.Alloc("features", featBytes)
 	if err != nil {
 		return nil, fmt.Errorf("train: prefetching features: %w", err)
 	}
 	l.stagedDev[dev].Add(1)
 	smb := &stagedMB{
 		iter: it, idx: idx, dev: dev, last: idx == len(it.mbs)-1,
-		mb: mb, feats: feats, featAlloc: featAlloc,
+		mb: mb, featAlloc: featAlloc,
 	}
 	if missBytes > 0 {
 		smb.done = gpu.TransferH2DAsync(missBytes)
@@ -325,7 +324,7 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 		it.transfer += gpu.TransferDuration(missBytes)
 	}
 	e.cfg.Obs.Span(obs.KindPrefetch, gpu.Name(), mbTag(idx),
-		time.Since(t0), feats.Bytes(), missBytes)
+		time.Since(t0), featBytes, missBytes)
 	return smb, nil
 }
 
@@ -382,7 +381,6 @@ func (ps *pipeStager) stage(it *pipeIter, i int) (*stagedMB, error) {
 
 func (ps *pipeStager) release(smb *stagedMB) {
 	smb.featAlloc.Free()
-	ps.l.eng.releaseFeats(smb.feats)
 	ps.l.releaseStaged(smb.dev)
 }
 
@@ -455,7 +453,6 @@ func (l *loader) close() error {
 				break
 			}
 			smb.featAlloc.Free()
-			l.eng.releaseFeats(smb.feats)
 			l.releaseStaged(smb.dev)
 		}
 	}

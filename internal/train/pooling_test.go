@@ -9,12 +9,12 @@ import (
 	"buffalo/internal/graph"
 )
 
-// unpool turns an engine's tensor reuse off: the nil pool and arena degrade
-// to plain allocation, so every tensor is fresh and nothing is ever released
-// — the reference the pooled runs are compared against. It must run before
-// any iteration, and before a loader starts staging from the feature pool.
+// unpool turns an engine's tensor reuse off: the nil arena degrades to plain
+// allocation, so every tensor is fresh and nothing is ever released — the
+// reference the pooled runs are compared against. It must run before any
+// iteration.
 func (e *engine) unpool() {
-	e.featPool, e.arena = nil, nil
+	e.arena = nil
 	for _, r := range e.replicas {
 		r.model.SetArena(nil)
 	}
@@ -27,8 +27,9 @@ func (e *engine) unpool() {
 // off (fresh allocations everywhere). Any drift means a kernel read recycled
 // data. scripts/check.sh also runs this and the serving twin below under
 // -tags tensordebug, where an uncleared checkout is NaN until written and the
-// unpooled run is the plain build's arithmetic: a feature tensor, probs or
-// layer buffer read before its write makes the pooled loss NaN there.
+// unpooled run is the plain build's arithmetic: probs or a layer buffer read
+// before its write makes the pooled loss NaN there. Layer 0's inputs are not a
+// checkout at all: it reads the dataset's feature table in place.
 func TestPoolingBitIdenticalLosses(t *testing.T) {
 	ds := loadData(t, "cora")
 	const iters = 3
@@ -205,10 +206,10 @@ func TestPoolingBitIdenticalServing(t *testing.T) {
 	}
 }
 
-// TestPoolingPipelineStress drives the pipelined loader's lanes hard enough
-// that the prefetch goroutine and the consumer contend on the shared feature
-// pool (run under -race in CI), then verifies the stages unwind without
-// leaking goroutines and the pools come back with nothing checked out.
+// TestPoolingPipelineStress drives the pipelined loader's lanes hard (run
+// under -race in CI) while the consumer recycles the arena, then verifies the
+// stages unwind without leaking goroutines and the arena's pool comes back
+// with nothing checked out.
 func TestPoolingPipelineStress(t *testing.T) {
 	baseline := pipelineGoroutineBaseline()
 	ds := loadData(t, "cora")

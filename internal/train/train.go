@@ -441,8 +441,8 @@ func BucketVolumes(b *sampling.Batch) []int {
 	return bucket.Bucketize(b).Volumes()
 }
 
-// PoolStats reports the tensor-pool reuse counters across the session's
-// feature-staging pool and compute arena.
+// PoolStats reports the tensor-pool reuse counters of the session's compute
+// arena.
 func (s *Session) PoolStats() tensor.PoolStats { return s.eng.poolStats() }
 
 // Evaluate runs inference (forward only, no gradients, no optimizer step)
@@ -481,7 +481,7 @@ func (s *Session) Evaluate(nodes []graph.NodeID) (loss float32, acc float64, err
 		if err != nil {
 			return 0, 0, err
 		}
-		mLoss, mCorrect, _, err := e.computeMicroBatch(smb.dev, b, smb.mb, smb.feats, e.compute, nil, true)
+		mLoss, mCorrect, _, err := e.computeMicroBatch(smb.dev, b, smb.mb, e.compute, nil, true)
 		st.release(smb)
 		if err != nil {
 			return 0, 0, err

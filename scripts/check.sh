@@ -38,15 +38,18 @@
 #                      micro-batch's forward to its backward while the engine
 #                      resets the arena in between, and the mean ones
 #                      (sequential, pipelined, 2-GPU, ZeRO-1, Infer), which
-#                      cover the engine's uncleared feature tensor and probs
-#   6. fuzz smoke      the six native fuzz targets for 5 s each, beyond the
+#                      cover the engine's uncleared probs; and the golden
+#                      bit-identity matrix (TestGoldenBits), whose every
+#                      number must survive the poison unchanged
+#   6. fuzz smoke      the seven native fuzz targets for 5 s each, beyond the
 #                      seed corpora tier-1 already runs: block.GenerateInto
 #                      against GenerateNaive (with the sampler's position
 #                      invariants), the tensor pool against its multiset
 #                      model, the vector GEMM kernels, the vector row kernel
 #                      and the vector exp/sigmoid/tanh kernel against the
-#                      portable loops, the memest group accumulator against
-#                      the map oracle
+#                      portable loops, the row-indexed GEMMs against the
+#                      gathered products, the memest group accumulator
+#                      against the map oracle
 #   7. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
@@ -110,7 +113,7 @@ go run ./cmd/buffalo-report gate \
 echo "== tensordebug gate =="
 go vet -tags tensordebug ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
 go test -tags tensordebug -count=1 ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
-go test -tags tensordebug -count=1 -run 'LSTM|PoolingBitIdentical' ./internal/train
+go test -tags tensordebug -count=1 -run 'LSTM|PoolingBitIdentical|GoldenBits' ./internal/train
 
 echo "== fuzz smoke =="
 # go test accepts one -fuzz target in one package per run. A failing input
@@ -120,6 +123,7 @@ go test -run '^$' -fuzz '^FuzzPoolModel$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGEMMVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzMeanRowsVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzTransVectorVsPortable$' -fuzztime 5s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzMatMulRowsVsGathered$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGroupAccumulator$' -fuzztime 5s ./internal/memest
 
 echo "== bench module gate =="
