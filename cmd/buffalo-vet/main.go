@@ -1,8 +1,9 @@
 // Command buffalo-vet runs the repository's domain-aware static analyzers
-// (see internal/analysis) over the module: allocfree, errcheck, hotalloc,
-// leaksafe, locksafe, and shapecheck. It is stdlib-only and loads packages
-// with go/parser + go/types against the source importer; the
-// interprocedural analyzers share one whole-module call graph.
+// (see internal/analysis) over the module: errcheck and locksafe. It is
+// stdlib-only and loads packages with go/parser + go/types against the
+// source importer; locksafe follows calls through one whole-module call
+// graph. A //buffalo:vet-ignore directive that suppresses nothing is itself
+// a finding.
 //
 // Usage:
 //
@@ -16,18 +17,10 @@
 // Flags:
 //
 //	-analyzers a,b     run only the named analyzers (default: all)
-//	-disable a,b       run all analyzers except the named ones
 //	-json              emit diagnostics as a JSON array
 //	-list              list available analyzers and exit
 //	-C dir             module root to analyze (default: ascend from cwd)
-//	-stale-ignores     also report //buffalo:vet-ignore directives that
-//	                   suppress nothing
 //	-timing            print per-analyzer wall time to stderr
-//	-baseline file     gate hotalloc against the committed baseline file
-//	-baseline-write    rewrite the -baseline file from current counts
-//	                   (both growth and shrinkage) instead of gating
-//	-hotalloc-summary  print per-root reachable allocation-site totals and
-//	                   exit
 package main
 
 import (
@@ -51,15 +44,10 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("buffalo-vet", flag.ContinueOnError)
 	var (
 		analyzerList = fs.String("analyzers", "", "comma-separated analyzers to run (default: all)")
-		disableList  = fs.String("disable", "", "comma-separated analyzers to skip")
 		jsonOut      = fs.Bool("json", false, "emit diagnostics as JSON")
 		list         = fs.Bool("list", false, "list available analyzers and exit")
 		chdir        = fs.String("C", "", "module root to analyze (default: ascend from cwd)")
-		staleIgnores = fs.Bool("stale-ignores", false, "report vet-ignore directives that suppress nothing")
 		timing       = fs.Bool("timing", false, "print per-analyzer wall time to stderr")
-		baselinePath = fs.String("baseline", "", "hotalloc baseline file to gate against")
-		baselineW    = fs.Bool("baseline-write", false, "rewrite the -baseline file from current counts")
-		hotSummary   = fs.Bool("hotalloc-summary", false, "print per-root allocation-site totals and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -70,12 +58,8 @@ func run(args []string) int {
 		}
 		return 0
 	}
-	if *baselineW && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "buffalo-vet: -baseline-write requires -baseline <file>")
-		return 2
-	}
 
-	analyzers, err := selectAnalyzers(*analyzerList, *disableList)
+	analyzers, err := selectAnalyzers(*analyzerList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "buffalo-vet:", err)
 		return 2
@@ -101,45 +85,12 @@ func run(args []string) int {
 		return 2
 	}
 
-	opts := &analysis.RunOptions{StaleIgnores: *staleIgnores}
+	var times map[string]time.Duration
 	if *timing {
-		opts.Timing = make(map[string]time.Duration)
+		times = make(map[string]time.Duration)
 	}
-	if *hotSummary || *baselineW {
-		// Recording runs need the counts, not the gate.
-		opts.RecordHotSites = true
-	} else if *baselinePath != "" {
-		base, err := analysis.ReadHotBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "buffalo-vet:", err)
-			return 2
-		}
-		opts.HotBaseline = base
-	}
-
-	diags := analysis.RunOpts(prog, pkgs, analyzers, opts)
-	printTiming(opts)
-
-	if *hotSummary {
-		printHotSummary(opts.HotSites)
-		return 0
-	}
-	if *baselineW {
-		sites := opts.HotSites
-		if sites == nil {
-			sites = analysis.NewHotBaseline()
-		}
-		if err := sites.WriteFile(*baselinePath); err != nil {
-			fmt.Fprintln(os.Stderr, "buffalo-vet:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "buffalo-vet: wrote hotalloc baseline for %d root(s) to %s\n",
-			len(sites.Roots), *baselinePath)
-		return 0
-	}
-	for _, line := range opts.Shrunk {
-		fmt.Fprintln(os.Stderr, "buffalo-vet: baseline slack:", line)
-	}
+	diags := analysis.Run(prog, pkgs, analyzers, times)
+	printTiming(times)
 
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -174,68 +125,30 @@ func run(args []string) int {
 }
 
 // printTiming reports per-analyzer wall time (plus the shared call-graph
-// construction) to stderr, slowest first.
-func printTiming(opts *analysis.RunOptions) {
-	if opts.Timing == nil {
-		return
-	}
-	names := make([]string, 0, len(opts.Timing))
-	for name := range opts.Timing {
+// construction) to stderr, slowest first. A nil map prints nothing.
+func printTiming(times map[string]time.Duration) {
+	names := make([]string, 0, len(times))
+	for name := range times {
 		names = append(names, name)
 	}
 	sort.Slice(names, func(i, j int) bool {
-		if opts.Timing[names[i]] != opts.Timing[names[j]] {
-			return opts.Timing[names[i]] > opts.Timing[names[j]]
+		if times[names[i]] != times[names[j]] {
+			return times[names[i]] > times[names[j]]
 		}
 		return names[i] < names[j]
 	})
 	for _, name := range names {
 		fmt.Fprintf(os.Stderr, "buffalo-vet: timing %-12s %8.1fms\n",
-			name, float64(opts.Timing[name].Microseconds())/1000)
+			name, float64(times[name].Microseconds())/1000)
 	}
 }
 
-// printHotSummary emits one "<root> <total>" line per hot root, sorted.
-func printHotSummary(sites *analysis.HotBaseline) {
-	if sites == nil {
-		return
+// selectAnalyzers resolves the -analyzers flag: every analyzer when empty.
+func selectAnalyzers(enable string) ([]*analysis.Analyzer, error) {
+	if enable == "" {
+		return analysis.All(), nil
 	}
-	roots := make([]string, 0, len(sites.Roots))
-	for name := range sites.Roots {
-		roots = append(roots, name)
-	}
-	sort.Strings(roots)
-	for _, name := range roots {
-		fmt.Printf("%s %d\n", name, sites.Roots[name].Total)
-	}
-}
-
-// selectAnalyzers resolves the -analyzers / -disable flags.
-func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, error) {
-	if enable != "" && disable != "" {
-		return nil, fmt.Errorf("-analyzers and -disable are mutually exclusive")
-	}
-	if enable != "" {
-		return analysis.ByName(splitNames(enable))
-	}
-	all := analysis.All()
-	if disable == "" {
-		return all, nil
-	}
-	skip := make(map[string]bool)
-	for _, n := range splitNames(disable) {
-		if _, err := analysis.ByName([]string{n}); err != nil {
-			return nil, err
-		}
-		skip[n] = true
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		if !skip[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out, nil
+	return analysis.ByName(splitNames(enable))
 }
 
 func splitNames(s string) []string {

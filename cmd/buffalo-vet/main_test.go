@@ -29,27 +29,15 @@ func TestMatchPattern(t *testing.T) {
 }
 
 func TestSelectAnalyzersFlags(t *testing.T) {
-	all, err := selectAnalyzers("", "")
-	if err != nil || len(all) != 6 {
+	all, err := selectAnalyzers("")
+	if err != nil || len(all) != 2 {
 		t.Fatalf("default selection: %v, %d analyzers", err, len(all))
 	}
-	only, err := selectAnalyzers("allocfree, locksafe", "")
-	if err != nil || len(only) != 2 {
-		t.Fatalf("-analyzers selection: %v, %d analyzers", err, len(only))
+	only, err := selectAnalyzers(" locksafe, ")
+	if err != nil || len(only) != 1 || only[0].Name != "locksafe" {
+		t.Fatalf("-analyzers selection: %v, %v", err, only)
 	}
-	without, err := selectAnalyzers("", "errcheck")
-	if err != nil || len(without) != 5 {
-		t.Fatalf("-disable selection: %v, %d analyzers", err, len(without))
-	}
-	for _, a := range without {
-		if a.Name == "errcheck" {
-			t.Fatal("-disable left errcheck enabled")
-		}
-	}
-	if _, err := selectAnalyzers("allocfree", "errcheck"); err == nil {
-		t.Fatal("want error for -analyzers with -disable")
-	}
-	if _, err := selectAnalyzers("bogus", ""); err == nil {
+	if _, err := selectAnalyzers("bogus"); err == nil {
 		t.Fatal("want error for unknown analyzer")
 	}
 }

@@ -4,25 +4,21 @@
 // each analyzer walks the typed ASTs looking for violations of the
 // invariants Buffalo's memory-discipline results depend on:
 //
-//   - allocfree: simulated-GPU allocations must be freed or escape to an
-//     owner, or the ledger's peak-memory curves silently corrupt.
 //   - errcheck: error results must not be discarded; the memory estimator
 //     and scheduler communicate OOM through errors.
-//   - hotalloc: allocation sites reachable from declared hot roots (train
-//     iteration, pipeline stage bodies, tensor/nn kernels) are counted per
-//     root and gated against a committed baseline, so the zero-allocation
-//     hot-path budget is enforced before benchmarks move.
-//   - leaksafe: every spawned goroutine must be able to terminate — an
-//     unconditional loop it reaches needs an exit or a termination signal
-//     (select, channel receive/range, or a call that reaches one).
 //   - locksafe: no simulated-transfer, I/O, or ledger Alloc calls while a
 //     sync.Mutex is held (deadlock and latency hazards under concurrency).
 //     The check is interprocedural: a call under a lock is flagged when any
 //     function reachable from it blocks, with the chain in the diagnostic.
-//   - shapecheck: literally visible tensor dimensions must be positive and
-//     matmul-compatible.
 //
-// The interprocedural analyzers share one whole-module call graph (see
+// The rest of the contract — every ledger allocation released, every
+// goroutine stopped, no new hot-path allocation, positive matmul-compatible
+// shapes — is held by runtime tests (Live()==0 after Close, the shutdown
+// tests, the golden ledger peaks, the warm allocs/iteration ceilings, and
+// the tensor package's shape panics), which catch those defects where a
+// syntactic check could not.
+//
+// locksafe's interprocedural hop uses a whole-module call graph (see
 // internal/analysis/callgraph) built lazily per run.
 //
 // A diagnostic can be suppressed with a line directive:
@@ -31,8 +27,7 @@
 //
 // placed either at the end of the offending line or alone on the line
 // directly above it. An empty analyzer list suppresses every analyzer.
-// Directives that no longer suppress anything are themselves reported when
-// a run asks for stale-ignore detection.
+// Directives that no longer suppress anything are themselves reported.
 package analysis
 
 import (
@@ -64,20 +59,16 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer is one named, independently enableable check. Per-package
-// analyzers set Run; module-scoped analyzers (which need every package's
-// findings merged before they can judge, like the hotalloc budget) set
-// RunModule instead.
+// Analyzer is one named, independently enableable per-package check.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass)
-	RunModule func(*ModulePass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{AllocFree, ErrCheck, HotAlloc, LeakSafe, LockSafe, ShapeCheck}
+	return []*Analyzer{ErrCheck, LockSafe}
 }
 
 // ByName resolves analyzer names (comma- or space-separated) against the
@@ -121,17 +112,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ReportChain records a diagnostic carrying an interprocedural call chain.
 func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
-	report(p.Fset, p.ignores, p.diags, p.Analyzer.Name, pos, chain, format, args...)
-}
-
-func report(fset *token.FileSet, ignores ignoreIndex, diags *[]Diagnostic,
-	analyzer string, pos token.Pos, chain []string, format string, args ...any) {
-	position := fset.Position(pos)
-	if ignores.suppressed(analyzer, position) {
+	position := p.Fset.Position(pos)
+	if p.ignores.suppressed(p.Analyzer.Name, position) {
 		return
 	}
-	*diags = append(*diags, Diagnostic{
-		Analyzer: analyzer,
+	*p.diags = append(*p.diags, Diagnostic{
+		Analyzer: p.Analyzer.Name,
 		File:     position.Filename,
 		Line:     position.Line,
 		Column:   position.Column,
@@ -140,114 +126,35 @@ func report(fset *token.FileSet, ignores ignoreIndex, diags *[]Diagnostic,
 	})
 }
 
-// TypeOf returns the type of expr, or nil.
-func (p *Pass) TypeOf(expr ast.Expr) types.Type {
-	if tv, ok := p.Info.Types[expr]; ok {
-		return tv.Type
-	}
-	if id, ok := expr.(*ast.Ident); ok {
-		if obj := p.Info.ObjectOf(id); obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
-// ModulePass carries a module-scoped analyzer's view of the whole run.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-	// Pkgs are the packages selected for this run (fixtures included);
-	// diagnostics should be confined to them, though the call graph spans
-	// the whole module.
-	Pkgs []*Package
-
-	state   *runState
-	opts    *RunOptions
-	ignores ignoreIndex
-	diags   *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos unless an ignore directive suppresses
-// it.
-func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	report(mp.state.fset, mp.ignores, mp.diags, mp.Analyzer.Name, pos, nil, format, args...)
-}
-
-// RunOptions tunes RunOpts beyond plain diagnostics. The zero value matches
-// Run. Timing, HotSites, and Shrunk are outputs, filled when requested.
-type RunOptions struct {
-	// StaleIgnores appends a "vet-ignore" diagnostic for every suppression
-	// directive that suppressed nothing, provided every analyzer it names
-	// actually ran (an empty-list directive requires the full suite).
-	StaleIgnores bool
-	// HotBaseline, when set, gates the hotalloc analyzer: allocation counts
-	// above the baseline become diagnostics, counts below it are collected
-	// into Shrunk as advisories.
-	HotBaseline *HotBaseline
-	// RecordHotSites asks hotalloc to fill HotSites with the current
-	// per-root allocation counts (used by -baseline write and summaries).
-	RecordHotSites bool
-	// Timing, when non-nil, accumulates wall time per analyzer, plus a
-	// "callgraph" pseudo-entry for the shared graph construction.
-	Timing map[string]time.Duration
-
-	// HotSites receives the current hotalloc counts when RecordHotSites is
-	// set (or a baseline gate runs).
-	HotSites *HotBaseline
-	// Shrunk receives one line per baseline entry the module no longer
-	// reaches, advising a baseline rewrite.
-	Shrunk []string
-}
-
 // Run executes the given analyzers over the given packages and returns the
-// merged diagnostics sorted by position.
-func Run(prog *Program, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunOpts(prog, pkgs, analyzers, nil)
-}
-
-// RunOpts is Run with options: stale-ignore detection, the hotalloc
-// baseline gate, and per-analyzer timing.
-func RunOpts(prog *Program, pkgs []*Package, analyzers []*Analyzer, opts *RunOptions) []Diagnostic {
-	if opts == nil {
-		opts = &RunOptions{}
-	}
+// merged diagnostics sorted by position, plus a "vet-ignore" diagnostic for
+// every suppression directive that suppressed nothing, provided every
+// analyzer it names ran (an empty-list directive requires the full suite).
+// A non-nil timing map accumulates wall time per analyzer, plus a
+// "callgraph" entry for the shared graph construction.
+func Run(prog *Program, pkgs []*Package, analyzers []*Analyzer, timing map[string]time.Duration) []Diagnostic {
 	var diags []Diagnostic
 	ignores := buildIgnoreIndex(prog.Fset, allFiles(pkgs))
-	state := newRunState(prog, pkgs, opts)
+	state := &runState{prog: prog, pkgs: pkgs, timing: timing}
 	for _, a := range analyzers {
 		start := time.Now()
-		if a.RunModule != nil {
-			a.RunModule(&ModulePass{
+		for _, pkg := range pkgs {
+			a.Run(&Pass{
 				Analyzer: a,
-				Prog:     prog,
-				Pkgs:     pkgs,
+				Fset:     prog.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
 				state:    state,
-				opts:     opts,
 				ignores:  ignores,
 				diags:    &diags,
 			})
-		} else {
-			for _, pkg := range pkgs {
-				a.Run(&Pass{
-					Analyzer: a,
-					Fset:     prog.Fset,
-					Files:    pkg.Files,
-					Pkg:      pkg.Types,
-					Info:     pkg.Info,
-					state:    state,
-					ignores:  ignores,
-					diags:    &diags,
-				})
-			}
 		}
-		if opts.Timing != nil {
-			opts.Timing[a.Name] += time.Since(start)
+		if timing != nil {
+			timing[a.Name] += time.Since(start)
 		}
 	}
-	if opts.StaleIgnores {
-		reportStaleIgnores(prog.Fset, ignores, analyzers, &diags)
-	}
+	reportStaleIgnores(prog.Fset, ignores, analyzers, &diags)
 	sortDiagnostics(diags)
 	return diags
 }

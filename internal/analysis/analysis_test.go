@@ -90,7 +90,7 @@ func checkFixture(t *testing.T, analyzer *Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", analyzer.Name)
 	p, pkg := loadFixture(t, analyzer.Name)
-	diags := Run(p, []*Package{pkg}, []*Analyzer{analyzer})
+	diags := Run(p, []*Package{pkg}, []*Analyzer{analyzer}, nil)
 	want := wantLines(t, dir, analyzer.Name)
 	got := gotLines(diags)
 	if len(want) == 0 {
@@ -115,11 +115,8 @@ func checkFixture(t *testing.T, analyzer *Analyzer) {
 	}
 }
 
-func TestAllocFreeFixture(t *testing.T)  { checkFixture(t, AllocFree) }
-func TestErrCheckFixture(t *testing.T)   { checkFixture(t, ErrCheck) }
-func TestLockSafeFixture(t *testing.T)   { checkFixture(t, LockSafe) }
-func TestLeakSafeFixture(t *testing.T)   { checkFixture(t, LeakSafe) }
-func TestShapeCheckFixture(t *testing.T) { checkFixture(t, ShapeCheck) }
+func TestErrCheckFixture(t *testing.T) { checkFixture(t, ErrCheck) }
+func TestLockSafeFixture(t *testing.T) { checkFixture(t, LockSafe) }
 
 // TestLockSafeTransitiveRequired proves the interprocedural extension is
 // doing work the old analyzer could not: with the call-graph hop disabled,
@@ -133,7 +130,7 @@ func TestLockSafeTransitiveRequired(t *testing.T) {
 	p, pkg := loadFixture(t, "locksafe")
 	locksafeTransitive = false
 	defer func() { locksafeTransitive = true }()
-	got := gotLines(Run(p, []*Package{pkg}, []*Analyzer{LockSafe}))
+	got := gotLines(Run(p, []*Package{pkg}, []*Analyzer{LockSafe}, nil))
 	for k := range transWant {
 		if got[k] {
 			t.Errorf("intraprocedural locksafe unexpectedly caught %s", k)
@@ -145,7 +142,7 @@ func TestLockSafeTransitiveRequired(t *testing.T) {
 // call chain down to the classified blocking operation.
 func TestLockSafeChain(t *testing.T) {
 	p, pkg := loadFixture(t, "locksafe")
-	diags := Run(p, []*Package{pkg}, []*Analyzer{LockSafe})
+	diags := Run(p, []*Package{pkg}, []*Analyzer{LockSafe}, nil)
 	found := false
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "reserve") || len(d.Chain) == 0 {
@@ -162,101 +159,12 @@ func TestLockSafeChain(t *testing.T) {
 	}
 }
 
-// TestHotAllocRecordAndGate drives the baseline lifecycle on the hotalloc
-// fixture: record the census, gate cleanly against it, then prove the gate
-// fails when the baseline forgets one site and advises when it over-budgets.
-func TestHotAllocRecordAndGate(t *testing.T) {
-	p, pkg := loadFixture(t, "hotalloc")
-	rec := &RunOptions{RecordHotSites: true}
-	if diags := RunOpts(p, []*Package{pkg}, []*Analyzer{HotAlloc}, rec); len(diags) != 0 {
-		t.Fatalf("recording run reported %d diagnostics", len(diags))
-	}
-	sites := rec.HotSites
-	if sites == nil {
-		t.Fatal("recording run produced no sites")
-	}
-	root := sites.Roots["fixture-kernel"]
-	if root == nil {
-		t.Fatalf("missing fixture-kernel root; have %v", rootNames(sites))
-	}
-	if root.Total != 5 {
-		t.Errorf("fixture-kernel total = %d, want 5", root.Total)
-	}
-	kernel := root.Funcs["fixture/hotalloc.Kernel"]
-	if kernel["make"] != 1 || kernel["append"] != 1 {
-		t.Errorf("Kernel census = %v, want make:1 append:1", kernel)
-	}
-	scale := root.Funcs["fixture/hotalloc.scale"]
-	if scale["new"] != 1 || scale["lit"] != 1 || scale["iface"] != 1 {
-		t.Errorf("scale census = %v, want new:1 lit:1 iface:1", scale)
-	}
-	if _, cold := root.Funcs["fixture/hotalloc.Cold"]; cold {
-		t.Error("unreachable Cold counted against the hot root")
-	}
-
-	// Gating against the recorded census is clean.
-	gate := &RunOptions{HotBaseline: sites}
-	if diags := RunOpts(p, []*Package{pkg}, []*Analyzer{HotAlloc}, gate); len(diags) != 0 {
-		t.Fatalf("self-gate reported %d diagnostics: %v", len(diags), diags)
-	}
-	if len(gate.Shrunk) != 0 {
-		t.Fatalf("self-gate reported slack: %v", gate.Shrunk)
-	}
-
-	// A baseline that forgot the make site must fail on exactly it — the
-	// "new hot-path allocation" acceptance case.
-	tight := copyBaseline(sites)
-	tight.Roots["fixture-kernel"].Funcs["fixture/hotalloc.Kernel"]["make"] = 0
-	fail := &RunOptions{HotBaseline: tight}
-	diags := RunOpts(p, []*Package{pkg}, []*Analyzer{HotAlloc}, fail)
-	if len(diags) != 1 {
-		t.Fatalf("tightened gate reported %d diagnostics, want 1: %v", len(diags), diags)
-	}
-	if d := diags[0]; d.Analyzer != "hotalloc" || !strings.Contains(d.Message, "make") {
-		t.Errorf("unexpected gate diagnostic: %s", d)
-	}
-
-	// A baseline with slack produces an advisory, not a diagnostic.
-	loose := copyBaseline(sites)
-	loose.Roots["fixture-kernel"].Funcs["fixture/hotalloc.Kernel"]["make"] = 3
-	slack := &RunOptions{HotBaseline: loose}
-	if diags := RunOpts(p, []*Package{pkg}, []*Analyzer{HotAlloc}, slack); len(diags) != 0 {
-		t.Fatalf("loose gate reported %d diagnostics", len(diags))
-	}
-	if len(slack.Shrunk) != 1 || !strings.Contains(slack.Shrunk[0], "make") {
-		t.Errorf("loose gate slack = %v, want one make advisory", slack.Shrunk)
-	}
-}
-
-func copyBaseline(b *HotBaseline) *HotBaseline {
-	out := NewHotBaseline()
-	for root, rb := range b.Roots {
-		for fn, kinds := range rb.Funcs {
-			for kind, count := range kinds {
-				out.Add(root, fn, kind, count)
-			}
-		}
-	}
-	return out
-}
-
-func rootNames(b *HotBaseline) []string {
-	out := make([]string, 0, len(b.Roots))
-	for k := range b.Roots {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestStaleIgnores runs the full suite with stale detection over the
-// directive fixture: the two directives that suppress nothing (one naming
-// the wrong analyzer, one on a clean line) are reported, the working ones
-// are not.
+// TestStaleIgnores runs the full suite over the directive fixture: the two
+// directives that suppress nothing (one naming the wrong analyzer, one on a
+// clean line) are reported, the working ones are not.
 func TestStaleIgnores(t *testing.T) {
 	p, pkg := loadFixture(t, "ignored")
-	opts := &RunOptions{StaleIgnores: true}
-	diags := RunOpts(p, []*Package{pkg}, All(), opts)
+	diags := Run(p, []*Package{pkg}, All(), nil)
 	want := wantLines(t, filepath.Join("testdata", "src", "ignored"), "vet-ignore")
 	got := make(map[string]bool)
 	for _, d := range diags {
@@ -286,9 +194,9 @@ func TestStaleIgnores(t *testing.T) {
 // position-sorted, regardless of package order or analyzer interleaving.
 func TestDeterministicOrder(t *testing.T) {
 	p, pkgA := loadFixture(t, "locksafe")
-	_, pkgB := loadFixture(t, "leaksafe")
-	d1 := Run(p, []*Package{pkgA, pkgB}, All())
-	d2 := Run(p, []*Package{pkgB, pkgA}, All())
+	_, pkgB := loadFixture(t, "errcheck")
+	d1 := Run(p, []*Package{pkgA, pkgB}, All(), nil)
+	d2 := Run(p, []*Package{pkgB, pkgA}, All(), nil)
 	if len(d1) == 0 {
 		t.Fatal("expected findings from the fixture packages")
 	}
@@ -308,8 +216,13 @@ func TestDeterministicOrder(t *testing.T) {
 // directive naming a different analyzer does not suppress.
 func TestIgnoreDirective(t *testing.T) {
 	p, pkg := loadFixture(t, "ignored")
-	diags := Run(p, []*Package{pkg}, []*Analyzer{ShapeCheck})
-	want := wantLines(t, filepath.Join("testdata", "src", "ignored"), "shapecheck")
+	var diags []Diagnostic
+	for _, d := range Run(p, []*Package{pkg}, []*Analyzer{ErrCheck}, nil) {
+		if d.Analyzer == ErrCheck.Name {
+			diags = append(diags, d)
+		}
+	}
+	want := wantLines(t, filepath.Join("testdata", "src", "ignored"), "errcheck")
 	got := gotLines(diags)
 	if len(got) != len(want) {
 		t.Errorf("got %d findings, want %d (only the wrong-analyzer directive line)", len(got), len(want))
@@ -325,10 +238,11 @@ func TestIgnoreDirective(t *testing.T) {
 }
 
 // TestModuleClean is the acceptance gate: the repository's own packages
-// must produce zero diagnostics under the full suite.
+// must produce zero diagnostics, stale suppressions included, under the
+// full suite.
 func TestModuleClean(t *testing.T) {
 	p := moduleProgram(t)
-	diags := Run(p, p.Packages, All())
+	diags := Run(p, p.Packages, All(), nil)
 	for _, d := range diags {
 		t.Errorf("repository finding: %s", d)
 	}
@@ -336,7 +250,7 @@ func TestModuleClean(t *testing.T) {
 
 // TestByName covers analyzer selection.
 func TestByName(t *testing.T) {
-	got, err := ByName([]string{"allocfree", "shapecheck"})
+	got, err := ByName([]string{"locksafe", "errcheck"})
 	if err != nil || len(got) != 2 {
 		t.Fatalf("ByName: %v, %d analyzers", err, len(got))
 	}

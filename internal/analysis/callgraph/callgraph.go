@@ -1,9 +1,7 @@
 // Package callgraph builds a whole-module call graph over the typed ASTs
-// the analysis loader produces, so buffalo-vet's analyzers can reason
+// the analysis loader produces, so buffalo-vet's locksafe analyzer can reason
 // interprocedurally: a ledger allocation reached through two helpers is as
-// hazardous under a mutex as a direct one, an allocation site is hot if any
-// hot root reaches it, and a spawned goroutine leaks no matter how many
-// layers of closures sit between the `go` statement and the spin loop.
+// hazardous under a mutex as a direct one.
 //
 // The graph is CHA-style (class-hierarchy analysis) and deliberately simple:
 //
@@ -14,13 +12,11 @@
 //     are leaves classified by the consumer).
 //   - Function literals are first-class nodes. An immediately invoked
 //     literal gets a LitCall edge, a literal passed as a call argument gets
-//     an ArgLit edge (possibly-synchronous callback), any other reference
-//     (assigned, returned, stored) a Ref edge. References to declared
-//     functions by value (method values, function arguments) also get Ref
-//     edges.
-//   - `go` statements become Spawn edges, tagged so consumers can choose
-//     whether concurrency crosses their invariant (it does for goroutine
-//     leaks, it does not for blocking-under-lock).
+//     an ArgLit edge (possibly-synchronous callback). Any other reference to
+//     a function value (assigned, returned, stored, a method value) gets no
+//     edge: it runs later, if at all, and not as part of this call.
+//   - `go` statements become Spawn edges, tagged so a consumer can exclude
+//     them: work handed to another goroutine does not block the caller.
 //
 // Each consumer picks the edge kinds that model its invariant via a Reach,
 // a memoized transitive attribute computed cycle-safely by fixpoint, with
@@ -30,7 +26,6 @@ package callgraph
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -57,64 +52,25 @@ const (
 	// ArgLit marks a function literal passed as a call argument: the callee
 	// may invoke it synchronously (hooks, callbacks) or never.
 	ArgLit
-	// Ref marks a function value referenced without being called here:
-	// assigned, returned, stored, or a declared function passed by value.
-	Ref
 	// Spawn is a go-statement edge: the callee runs on a new goroutine.
 	Spawn
 )
 
-func (k EdgeKind) String() string {
-	switch k {
-	case Static:
-		return "static"
-	case Dynamic:
-		return "dynamic"
-	case LitCall:
-		return "litcall"
-	case ArgLit:
-		return "arglit"
-	case Ref:
-		return "ref"
-	case Spawn:
-		return "spawn"
-	}
-	return "?"
-}
-
-// Edge is one possible control transfer.
+// Edge is one possible control transfer out of a node.
 type Edge struct {
 	Kind   EdgeKind
-	Caller *Node
 	Callee *Node
-	// Site is the enclosing *ast.CallExpr (calls and spawned calls alike) or
-	// nil for Ref edges outside calls.
-	Site *ast.CallExpr
-	Pos  token.Pos
 }
 
-// Node is one function body: a declared function or method (Func set) or a
-// function literal (Lit set).
+// Node is one function body: a declared function or method, or a function
+// literal.
 type Node struct {
-	Func *types.Func
-	Lit  *ast.FuncLit
-	Decl *ast.FuncDecl // nil for literals
 	Body *ast.BlockStmt
 	Pkg  *Package
 	// Name is a stable human-readable identity: "path.Fn",
 	// "path.(*T).Method", literals as "<owner>$<n>" in source order.
 	Name string
-	// Encl is the directly enclosing node for literals, nil for declared
-	// functions.
-	Encl *Node
 	Out  []*Edge
-	In   []*Edge
-	// Params holds the declared parameter objects in signature order.
-	Params []types.Object
-	// SpawnerParams[i] is true when calling this function hands parameter i
-	// to a goroutine (directly via `go p()` or inside a literal the function
-	// spawns), transitively through other spawners.
-	SpawnerParams []bool
 }
 
 // Graph is the whole-module call graph.
@@ -145,9 +101,6 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 	return g.byFunc[fn.Origin()]
 }
 
-// NodeOfLit returns the node of a function literal, or nil.
-func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // EdgesAt returns every edge resolved at one call expression (including the
 // call of a go statement), in deterministic order.
 func (g *Graph) EdgesAt(call *ast.CallExpr) []*Edge { return g.bySite[call] }
@@ -175,11 +128,7 @@ func Build(pkgs []*Package) *Graph {
 				if fn == nil {
 					continue
 				}
-				n := &Node{
-					Func: fn, Decl: fd, Body: fd.Body, Pkg: pkg,
-					Name:   b.unique(declName(pkg.Path, fn)),
-					Params: paramObjs(pkg.Info, fd.Type),
-				}
+				n := &Node{Body: fd.Body, Pkg: pkg, Name: b.unique(declName(pkg.Path, fn))}
 				g.Nodes = append(g.Nodes, n)
 				g.byFunc[fn.Origin()] = n
 			}
@@ -192,7 +141,6 @@ func Build(pkgs []*Package) *Graph {
 		b.pkg = n.Pkg
 		b.walk(n, n.Body)
 	}
-	g.computeSpawners()
 	return g
 }
 
@@ -286,50 +234,25 @@ func declName(path string, fn *types.Func) string {
 	return path + "." + fn.Name()
 }
 
-// paramObjs resolves the declared parameter objects of a function type.
-func paramObjs(info *types.Info, ft *ast.FuncType) []types.Object {
-	var objs []types.Object
-	if ft.Params == nil {
-		return nil
-	}
-	for _, field := range ft.Params.List {
-		if len(field.Names) == 0 {
-			objs = append(objs, nil) // unnamed parameter still occupies a slot
-			continue
-		}
-		for _, name := range field.Names {
-			objs = append(objs, info.Defs[name])
-		}
-	}
-	return objs
-}
-
 // litNode creates (or returns) the node of a function literal owned by encl.
 func (b *builder) litNode(encl *Node, lit *ast.FuncLit) *Node {
 	if n := b.g.byLit[lit]; n != nil {
 		return n
 	}
-	n := &Node{
-		Lit: lit, Body: lit.Body, Pkg: b.pkg, Encl: encl,
-		Name:   b.unique(encl.Name + "$"),
-		Params: paramObjs(b.pkg.Info, lit.Type),
-	}
+	n := &Node{Body: lit.Body, Pkg: b.pkg, Name: b.unique(encl.Name + "$")}
 	b.g.Nodes = append(b.g.Nodes, n)
 	b.g.byLit[lit] = n
 	return n
 }
 
-func (b *builder) edge(caller, callee *Node, kind EdgeKind, site *ast.CallExpr, pos token.Pos) {
-	e := &Edge{Kind: kind, Caller: caller, Callee: callee, Site: site, Pos: pos}
+func (b *builder) edge(caller, callee *Node, kind EdgeKind, site *ast.CallExpr) {
+	e := &Edge{Kind: kind, Callee: callee}
 	caller.Out = append(caller.Out, e)
-	callee.In = append(callee.In, e)
-	if site != nil {
-		b.g.bySite[site] = append(b.g.bySite[site], e)
-	}
+	b.g.bySite[site] = append(b.g.bySite[site], e)
 }
 
-// walk attributes every call, spawn, and function-value reference under root
-// to owner, descending into function literals under their own nodes.
+// walk attributes every call and spawn under root to owner, descending into
+// function literals under their own nodes.
 func (b *builder) walk(owner *Node, root ast.Node) {
 	if root == nil {
 		return
@@ -343,27 +266,11 @@ func (b *builder) walk(owner *Node, root ast.Node) {
 			b.call(owner, v, false)
 			return false
 		case *ast.FuncLit:
-			lit := b.litNode(owner, v)
-			b.edge(owner, lit, Ref, nil, v.Pos())
-			b.walk(lit, v.Body)
+			b.walk(b.litNode(owner, v), v.Body)
 			return false
-		case *ast.Ident:
-			b.funcRef(owner, v)
 		}
 		return true
 	})
-}
-
-// funcRef records a Ref edge for a declared function mentioned by value
-// (method value, function argument, assignment).
-func (b *builder) funcRef(owner *Node, id *ast.Ident) {
-	fn, ok := b.pkg.Info.Uses[id].(*types.Func)
-	if !ok {
-		return
-	}
-	if callee := b.g.NodeOf(fn); callee != nil {
-		b.edge(owner, callee, Ref, nil, id.Pos())
-	}
 }
 
 // call resolves one call expression (spawned when part of a go statement):
@@ -378,9 +285,9 @@ func (b *builder) call(owner *Node, call *ast.CallExpr, spawn bool) {
 	case *ast.FuncLit:
 		lit := b.litNode(owner, fun)
 		if spawn {
-			b.edge(owner, lit, Spawn, call, call.Pos())
+			b.edge(owner, lit, Spawn, call)
 		} else {
-			b.edge(owner, lit, LitCall, call, call.Pos())
+			b.edge(owner, lit, LitCall, call)
 		}
 		b.walk(lit, fun.Body)
 	case *ast.Ident:
@@ -406,7 +313,7 @@ func (b *builder) call(owner *Node, call *ast.CallExpr, spawn bool) {
 	for _, arg := range call.Args {
 		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 			litNode := b.litNode(owner, lit)
-			b.edge(owner, litNode, ArgLit, call, arg.Pos())
+			b.edge(owner, litNode, ArgLit, call)
 			b.walk(litNode, lit.Body)
 			continue
 		}
@@ -429,134 +336,13 @@ func (b *builder) resolve(owner *Node, call *ast.CallExpr, id *ast.Ident, kind E
 			dyn = Spawn
 		}
 		for _, callee := range b.g.implementers(sig.Recv().Type(), fn.Name(), fn.Pkg()) {
-			b.edge(owner, callee, dyn, call, call.Pos())
+			b.edge(owner, callee, dyn, call)
 		}
 		return
 	}
 	if callee := b.g.NodeOf(fn); callee != nil {
-		b.edge(owner, callee, kind, call, call.Pos())
+		b.edge(owner, callee, kind, call)
 	}
-}
-
-// computeSpawners fills SpawnerParams by fixpoint: the base case marks
-// parameters a function hands to its own goroutines (go p(...), or p(...)
-// inside a literal it spawns); propagation marks parameters forwarded to
-// another spawner's spawning position.
-func (g *Graph) computeSpawners() {
-	for _, n := range g.Nodes {
-		n.SpawnerParams = make([]bool, len(n.Params))
-		g.baseSpawners(n)
-	}
-	nested := g.nestedLits()
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			if len(n.Params) == 0 {
-				continue
-			}
-			scan := append([]*Node{n}, nested[n]...)
-			for _, body := range scan {
-				for _, e := range body.Out {
-					if e.Site == nil || e.Callee == nil {
-						continue
-					}
-					if g.forwardSpawn(n, e) {
-						changed = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// forwardSpawn marks n's parameters that edge e forwards into a spawning
-// position of its callee, reporting whether anything changed.
-func (g *Graph) forwardSpawn(n *Node, e *Edge) bool {
-	callee := e.Callee
-	if len(callee.SpawnerParams) == 0 {
-		return false
-	}
-	changed := false
-	for j, arg := range e.Site.Args {
-		pj := j
-		if pj >= len(callee.SpawnerParams) {
-			pj = len(callee.SpawnerParams) - 1 // variadic tail
-		}
-		if pj < 0 || !callee.SpawnerParams[pj] {
-			continue
-		}
-		obj := argObject(n.Pkg.Info, arg)
-		if obj == nil {
-			continue
-		}
-		for i, p := range n.Params {
-			if p != nil && p == obj && !n.SpawnerParams[i] {
-				n.SpawnerParams[i] = true
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// argObject resolves the object a plain identifier or selector argument
-// refers to, or nil.
-func argObject(info *types.Info, arg ast.Expr) types.Object {
-	switch v := ast.Unparen(arg).(type) {
-	case *ast.Ident:
-		return info.Uses[v]
-	case *ast.SelectorExpr:
-		return info.Uses[v.Sel]
-	}
-	return nil
-}
-
-// baseSpawners scans n's full syntactic body (literals included — their
-// calls of n's parameters still execute on n's goroutines) for parameters
-// spawned directly or invoked inside a spawned literal.
-func (g *Graph) baseSpawners(n *Node) {
-	if len(n.Params) == 0 || n.Body == nil {
-		return
-	}
-	mark := func(obj types.Object) {
-		for i, p := range n.Params {
-			if p != nil && p == obj {
-				n.SpawnerParams[i] = true
-			}
-		}
-	}
-	ast.Inspect(n.Body, func(node ast.Node) bool {
-		gs, ok := node.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		switch fun := ast.Unparen(gs.Call.Fun).(type) {
-		case *ast.Ident:
-			mark(n.Pkg.Info.Uses[fun])
-		case *ast.FuncLit:
-			ast.Inspect(fun.Body, func(inner ast.Node) bool {
-				if c, ok := inner.(*ast.CallExpr); ok {
-					if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok {
-						mark(n.Pkg.Info.Uses[id])
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-}
-
-// nestedLits maps each declared node to every literal node syntactically
-// inside it (transitively).
-func (g *Graph) nestedLits() map[*Node][]*Node {
-	out := make(map[*Node][]*Node)
-	for _, n := range g.Nodes {
-		for e := n.Encl; e != nil; e = e.Encl {
-			out[e] = append(out[e], n)
-		}
-	}
-	return out
 }
 
 // Reach is a memoized transitive attribute over the graph: Reaches(n)
@@ -602,9 +388,6 @@ func NewReach(g *Graph, local func(*Node) bool, follow func(*Edge) bool) *Reach 
 
 // Reaches reports the transitive attribute for n (false for nil).
 func (r *Reach) Reaches(n *Node) bool { return n != nil && r.attr[n] }
-
-// Local reports whether the predicate held on n itself.
-func (r *Reach) Local(n *Node) bool { return n != nil && r.local[n] }
 
 // Path returns a shortest followed-edge path from n to the nearest node
 // where the local predicate holds. It is nil when n itself satisfies the

@@ -11,15 +11,14 @@ import (
 	"buffalo/internal/analysis/callgraph"
 )
 
-// runState is the machinery one RunOpts invocation shares between
-// interprocedural analyzers: the whole-module call graph and the memoized
-// reachability attributes computed over it. Everything is built lazily so
-// runs restricted to intraprocedural analyzers pay nothing.
+// runState is the machinery one Run invocation hands locksafe: the
+// whole-module call graph and the memoized "reaches a blocking operation"
+// attribute computed over it. Both are built lazily so runs without locksafe
+// pay nothing.
 type runState struct {
-	prog *Program
-	pkgs []*Package // selected packages (may include fixtures outside prog)
-	opts *RunOptions
-	fset *token.FileSet
+	prog   *Program
+	pkgs   []*Package // selected packages (may include fixtures outside prog)
+	timing map[string]time.Duration
 
 	graph *callgraph.Graph
 
@@ -27,21 +26,12 @@ type runState struct {
 	// the first such call, for locksafe chain terminals.
 	blockLocal map[*callgraph.Node]blockSite
 	blocking   *callgraph.Reach
-
-	// signal marks nodes that reach a termination signal (select, channel
-	// receive/range); forever marks nodes that reach an inescapable loop.
-	signal  *callgraph.Reach
-	forever *callgraph.Reach
 }
 
 // blockSite is one directly blocking call inside a node's own body.
 type blockSite struct {
 	reason string
 	pos    token.Pos
-}
-
-func newRunState(prog *Program, pkgs []*Package, opts *RunOptions) *runState {
-	return &runState{prog: prog, pkgs: pkgs, opts: opts, fset: prog.Fset}
 }
 
 // Graph builds (once) the call graph over the union of the module's
@@ -71,8 +61,8 @@ func (s *runState) Graph() *callgraph.Graph {
 		}
 	}
 	s.graph = callgraph.Build(cgPkgs)
-	if s.opts.Timing != nil {
-		s.opts.Timing["callgraph"] += time.Since(start)
+	if s.timing != nil {
+		s.timing["callgraph"] += time.Since(start)
 	}
 	return s.graph
 }
@@ -167,13 +157,6 @@ func syncEdge(e *callgraph.Edge) bool {
 	return false
 }
 
-// BlockReason returns the first directly blocking call in n's own body.
-func (s *runState) BlockReason(n *callgraph.Node) (blockSite, bool) {
-	s.Blocking()
-	site, ok := s.blockLocal[n]
-	return site, ok
-}
-
 // BlockChain renders the call path from (but excluding) the node behind
 // start down to the blocking operation, one entry per hop, ending with the
 // classified reason.
@@ -201,224 +184,6 @@ func (s *runState) BlockChain(start *callgraph.Node) []string {
 	return chain
 }
 
-// Signal returns the memoized "reaches a termination signal" attribute. A
-// node signals locally when its own body contains a select statement, a
-// channel receive, or a range over a channel — the shapes shutdown takes in
-// this repo (ctx.Done selects, closed done channels, bounded work queues).
-func (s *runState) Signal() *callgraph.Reach {
-	if s.signal != nil {
-		return s.signal
-	}
-	g := s.Graph()
-	s.signal = callgraph.NewReach(g, func(n *callgraph.Node) bool {
-		return hasLocalSignal(n)
-	}, syncEdge)
-	return s.signal
-}
-
-func hasLocalSignal(n *callgraph.Node) bool {
-	found := false
-	inspectOwnBody(n, func(node ast.Node) bool {
-		if found {
-			return false
-		}
-		switch v := node.(type) {
-		case *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if t := n.Pkg.Info.TypeOf(v.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// Forever returns the memoized "reaches an inescapable loop" attribute: a
-// node is locally forever when its own body contains a condition-less for
-// loop with no exit (return, matching break, goto, panic) and no
-// termination signal — directly or through a synchronous call that reaches
-// one.
-func (s *runState) Forever() *callgraph.Reach {
-	if s.forever != nil {
-		return s.forever
-	}
-	g := s.Graph()
-	signal := s.Signal()
-	s.forever = callgraph.NewReach(g, func(n *callgraph.Node) bool {
-		return hasInescapableLoop(n, signal, g)
-	}, syncEdge)
-	return s.forever
-}
-
-// ForeverChain renders the path from start to the node holding the
-// inescapable loop.
-func (s *runState) ForeverChain(start *callgraph.Node) []string {
-	r := s.Forever()
-	if !r.Reaches(start) {
-		return nil
-	}
-	chain := []string{s.describeNode(start)}
-	for _, e := range r.Path(start) {
-		chain = append(chain, s.describeNode(e.Callee))
-	}
-	chain[len(chain)-1] += " (unconditional loop, no exit or termination signal)"
-	return chain
-}
-
-// hasInescapableLoop scans n's own body for `for { ... }` loops that can
-// neither exit nor observe a termination signal.
-func hasInescapableLoop(n *callgraph.Node, signal *callgraph.Reach, g *callgraph.Graph) bool {
-	found := false
-	inspectOwnBody(n, func(node ast.Node) bool {
-		if found {
-			return false
-		}
-		loop, ok := node.(*ast.ForStmt)
-		if !ok || loop.Cond != nil {
-			return true
-		}
-		if !loopEscapes(n, loop, signal, g) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// loopEscapes reports whether a condition-less for loop has any way out:
-// a return, a break that targets it, a goto, a panic, or a termination
-// signal (select / receive / channel range / a synchronous call reaching
-// one) that makes blocking forever impossible.
-func loopEscapes(n *callgraph.Node, loop *ast.ForStmt, signal *callgraph.Reach, g *callgraph.Graph) bool {
-	escapes := false
-	var label string
-	// A labeled loop can be exited by `break label` from arbitrary nesting.
-	// The loop's label, if any, is on the enclosing LabeledStmt; find it by
-	// scanning the node body once.
-	inspectOwnBody(n, func(node ast.Node) bool {
-		if ls, ok := node.(*ast.LabeledStmt); ok && ls.Stmt == loop {
-			label = ls.Label.Name
-			return false
-		}
-		return true
-	})
-	// depth counts break-consuming constructs (for/range/switch/select)
-	// between the loop body and the statement under inspection, so an
-	// unlabeled break inside a nested select belongs to the select, not to
-	// the loop. Statements inside nested function literals never affect the
-	// loop.
-	var walk func(node ast.Node, depth int)
-	walk = func(node ast.Node, depth int) {
-		if node == nil || escapes {
-			return
-		}
-		switch v := node.(type) {
-		case *ast.FuncLit:
-			return
-		case *ast.ReturnStmt:
-			escapes = true
-		case *ast.BranchStmt:
-			switch v.Tok {
-			case token.GOTO:
-				escapes = true // approximation: assume the target leaves the loop
-			case token.BREAK:
-				if v.Label != nil {
-					if label != "" && v.Label.Name == label {
-						escapes = true
-					}
-				} else if depth == 0 {
-					escapes = true
-				}
-			}
-		case *ast.SelectStmt:
-			// A select is a termination signal by itself (every stage loop
-			// here selects on ctx.Done); its clauses still get scanned for
-			// returns with break-depth bumped.
-			escapes = true
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				escapes = true // channel receive: unblocked by close/send
-			}
-			walk(v.X, depth)
-		case *ast.RangeStmt:
-			if t := n.Pkg.Info.TypeOf(v.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					escapes = true
-					return
-				}
-			}
-			walk(v.X, depth)
-			walk(v.Body, depth+1)
-		case *ast.ForStmt:
-			walk(v.Init, depth)
-			walk(v.Cond, depth)
-			walk(v.Post, depth)
-			walk(v.Body, depth+1)
-		case *ast.SwitchStmt:
-			walk(v.Init, depth)
-			walk(v.Tag, depth)
-			walk(v.Body, depth+1)
-		case *ast.TypeSwitchStmt:
-			walk(v.Init, depth)
-			walk(v.Assign, depth)
-			walk(v.Body, depth+1)
-		case *ast.CallExpr:
-			if isPanicCall(n.Pkg.Info, v) {
-				escapes = true
-				return
-			}
-			for _, e := range g.EdgesAt(v) {
-				if syncEdge(e) && signal.Reaches(e.Callee) {
-					escapes = true
-					return
-				}
-			}
-			for _, arg := range v.Args {
-				walk(arg, depth)
-			}
-			walk(v.Fun, depth)
-		default:
-			walkChildren(node, func(child ast.Node) { walk(child, depth) })
-		}
-	}
-	walk(loop.Body, 0)
-	return escapes
-}
-
-// walkChildren visits node's direct children once each.
-func walkChildren(node ast.Node, visit func(ast.Node)) {
-	first := true
-	ast.Inspect(node, func(child ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if child != nil {
-			visit(child)
-		}
-		return false
-	})
-}
-
-// isPanicCall recognizes the builtin panic.
-func isPanicCall(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
-	}
-	_, isBuiltin := info.ObjectOf(id).(*types.Builtin)
-	return isBuiltin
-}
-
 // describeNode renders a node for a diagnostic chain: its stable name plus
 // the short position of its body.
 func (s *runState) describeNode(n *callgraph.Node) string {
@@ -427,6 +192,6 @@ func (s *runState) describeNode(n *callgraph.Node) string {
 
 // shortPos renders pos as base-filename:line.
 func (s *runState) shortPos(pos token.Pos) string {
-	p := s.fset.Position(pos)
+	p := s.prog.Fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

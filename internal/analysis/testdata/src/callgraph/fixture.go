@@ -1,7 +1,7 @@
 // Package fixture exercises the call-graph builder: recursion, mutual
-// recursion, interface dispatch, method values, function literals, go
-// statements, and spawner-parameter propagation. The builder test walks
-// this package's graph by node name; keep names stable.
+// recursion, interface dispatch, method values, function literals, and go
+// statements. TestCallGraphEdges walks this package's graph by node name; keep
+// names stable.
 package fixture
 
 // speaker is dispatched through CHA: a call of Speak on the interface must
@@ -41,7 +41,7 @@ func Pong(n int) {
 	}
 }
 
-// MethodValue references a method without calling it: a Ref edge.
+// MethodValue references a method without calling it: no edge.
 func MethodValue(d dog) func() string {
 	f := d.Speak
 	return f
@@ -71,18 +71,3 @@ func TakeHook(fn func() int) int { return fn() }
 func UseHook() int {
 	return TakeHook(func() int { return 7 })
 }
-
-// Launch hands its parameter to a goroutine: spawner base case.
-func Launch(fn func()) {
-	go fn()
-}
-
-// Relaunch forwards its parameter to Launch: spawner by propagation.
-func Relaunch(fn func()) { Launch(fn) }
-
-// WrapLaunch spawns a literal that invokes the parameter: still a spawner.
-func WrapLaunch(fn func()) {
-	go func() { fn() }()
-}
-
-func UseLaunch() { Launch(worker) }

@@ -1,32 +1,32 @@
 // Package fixture exercises the //buffalo:vet-ignore directive.
 package fixture
 
-import "buffalo/internal/tensor"
+import "os"
 
 // SuppressedInline carries the directive at the end of the offending line.
-func SuppressedInline() *tensor.Matrix {
-	return tensor.New(3, -3) //buffalo:vet-ignore shapecheck seeded for the directive test
+func SuppressedInline() {
+	os.Remove("/tmp/buffalo-vet-fixture") //buffalo:vet-ignore errcheck seeded for the directive test
 }
 
 // SuppressedAbove carries the directive alone on the preceding line.
-func SuppressedAbove() *tensor.Matrix {
-	//buffalo:vet-ignore shapecheck
-	return tensor.New(-2, 3)
+func SuppressedAbove() {
+	//buffalo:vet-ignore errcheck
+	os.Remove("/tmp/buffalo-vet-fixture")
 }
 
 // SuppressedAll uses a bare directive, which silences every analyzer.
-func SuppressedAll() *tensor.Matrix {
-	return tensor.New(0, 0) //buffalo:vet-ignore
+func SuppressedAll() {
+	os.Remove("/tmp/buffalo-vet-fixture") //buffalo:vet-ignore
 }
 
-// WrongAnalyzer names a different analyzer, so shapecheck still fires —
-// and once allocfree also runs, the directive is provably stale.
-func WrongAnalyzer() *tensor.Matrix {
-	return tensor.New(-1, 1) //buffalo:vet-ignore allocfree -- want:shapecheck and want:vet-ignore
+// WrongAnalyzer names a different analyzer, so errcheck still fires — and
+// once locksafe also runs, the directive is provably stale.
+func WrongAnalyzer() {
+	os.Remove("/tmp/buffalo-vet-fixture") //buffalo:vet-ignore locksafe -- want:errcheck and want:vet-ignore
 }
 
-// StaleDirective suppresses nothing: the dimensions are fine, so a
-// stale-ignores run must flag the directive itself.
-func StaleDirective() *tensor.Matrix {
-	return tensor.New(2, 3) //buffalo:vet-ignore shapecheck stale by design; want:vet-ignore
+// StaleDirective suppresses nothing: the error is handled, so the directive
+// itself is reported.
+func StaleDirective() error {
+	return os.Remove("/tmp/buffalo-vet-fixture") //buffalo:vet-ignore errcheck stale by design; want:vet-ignore
 }

@@ -181,8 +181,8 @@ func (l *ledger) BadHookTransfer() {
 }
 
 // GoodSpawnUnderLock hands the blocking work to another goroutine: the
-// critical section itself never blocks (the spawned body is leaksafe's
-// jurisdiction, not locksafe's).
+// critical section itself never blocks (the spawned body runs on its own
+// goroutine, outside the lock's jurisdiction).
 func (l *ledger) GoodSpawnUnderLock(done chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 
 	"buffalo/internal/block"
 	"buffalo/internal/datagen"
-	"buffalo/internal/nn"
 	"buffalo/internal/sampling"
 	"buffalo/internal/tensor"
 )
@@ -125,7 +124,7 @@ func BenchmarkSAGEBackward(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+				_, dLogits, err := crossEntropy(res.Logits, labels, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -94,7 +94,7 @@ func TestForwardShapesAllModels(t *testing.T) {
 		if res.ActivationBytes() <= 0 {
 			t.Fatalf("%v activation bytes must be positive", cfg.Arch)
 		}
-		loss, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+		loss, dLogits, err := crossEntropy(res.Logits, labels, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestGradCheckAllModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, _, err := nn.CrossEntropy(res.Logits, labels, 1)
+			l, _, err := crossEntropy(res.Logits, labels, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestGradCheckAllModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+		_, dLogits, err := crossEntropy(res.Logits, labels, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,6 +194,12 @@ func backwardWithInputGrad(m *Model, res *ForwardResult, dLogits *tensor.Matrix)
 	return d, nil
 }
 
+// crossEntropy is nn.CrossEntropyInto into a fresh gradient, so a test's
+// logits and every gradient it keeps stay independent of one another.
+func crossEntropy(logits *tensor.Matrix, labels []int32, scale float32) (float32, *tensor.Matrix, error) {
+	return nn.CrossEntropyInto(tensor.New(logits.Rows, logits.Cols), logits, labels, scale)
+}
+
 // TestInputGradient checks dFeatures numerically for the mean aggregator,
 // through the explicit needs-dX path.
 func TestInputGradient(t *testing.T) {
@@ -207,7 +213,7 @@ func TestInputGradient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, _, err := nn.CrossEntropy(res.Logits, labels, 1)
+		l, _, err := crossEntropy(res.Logits, labels, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +223,7 @@ func TestInputGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+	_, dLogits, err := crossEntropy(res.Logits, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +268,7 @@ func TestParamGradsIndependentOfInputGrad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+			_, dLogits, err := crossEntropy(res.Logits, labels, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +325,7 @@ func TestBackwardSkipsLayer0InputGradTensors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+			_, dLogits, err := crossEntropy(res.Logits, labels, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,7 +384,7 @@ func TestMicroBatchGradEqualsFullBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+		_, dLogits, err := crossEntropy(res.Logits, labels, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +413,7 @@ func TestMicroBatchGradEqualsFullBatch(t *testing.T) {
 				subLabels[i] = labelOf[v]
 			}
 			scale := float32(len(outputs)) / float32(len(b.Seeds))
-			_, dSub, err := nn.CrossEntropy(sub.Logits, subLabels, scale)
+			_, dSub, err := crossEntropy(sub.Logits, subLabels, scale)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -453,7 +459,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loss, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+			loss, dLogits, err := crossEntropy(res.Logits, labels, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -637,7 +643,7 @@ func TestThreeLayerMicroBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dl, err := nn.CrossEntropy(res.Logits, labels, 1)
+	_, dl, err := crossEntropy(res.Logits, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +670,7 @@ func TestThreeLayerMicroBatchEquivalence(t *testing.T) {
 		for i, v := range outputs {
 			subLabels[i] = labelOf[v]
 		}
-		_, dsub, err := nn.CrossEntropy(sub.Logits, subLabels, float32(len(outputs))/float32(len(b.Seeds)))
+		_, dsub, err := crossEntropy(sub.Logits, subLabels, float32(len(outputs))/float32(len(b.Seeds)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -707,7 +713,7 @@ func TestMultiHeadGAT(t *testing.T) {
 		t.Fatalf("logits %dx%d", res.Logits.Rows, res.Logits.Cols)
 	}
 	m.Params.ZeroGrad()
-	_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+	_, dLogits, err := crossEntropy(res.Logits, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -729,7 +735,7 @@ func TestMultiHeadGAT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, _, err := nn.CrossEntropy(r.Logits, labels, 1)
+		l, _, err := crossEntropy(r.Logits, labels, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -805,7 +811,7 @@ func refSageLSTMForward(l *sageLayer, blk *block.Block, xsrc *tensor.Matrix) (*t
 	tensor.MatMulInto(st.pre, st.aggAll, l.wNeigh.Value, true)
 	st.pre.AddRowVector(l.bias.Value)
 	if l.act {
-		return nn.ReLU(st.pre), st
+		return nn.ReLUInto(tensor.New(nDst, l.out), st.pre), st
 	}
 	return st.pre, st
 }
@@ -814,7 +820,7 @@ func (st *refSageLSTM) backward(dH *tensor.Matrix, needDX bool) *tensor.Matrix {
 	l := st.l
 	dPre := dH
 	if l.act {
-		dPre = nn.ReLUBackward(st.pre, dH)
+		dPre = nn.ReLUBackwardInto(tensor.New(dH.Rows, dH.Cols), st.pre, dH)
 	}
 	tensor.MatMulATBInto(l.wSelf.Grad, st.xdst, dPre, true)
 	tensor.MatMulATBInto(l.wNeigh.Grad, st.aggAll, dPre, true)

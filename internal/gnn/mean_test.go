@@ -194,7 +194,7 @@ func refSageMeanForward(l *sageLayer, blk *block.Block, xsrc *tensor.Matrix) (*t
 	tensor.MatMulInto(st.pre, st.aggAll, l.wNeigh.Value, true)
 	st.pre.AddRowVector(l.bias.Value)
 	if l.act {
-		return nn.ReLU(st.pre), st
+		return nn.ReLUInto(tensor.New(nDst, l.out), st.pre), st
 	}
 	return st.pre, st
 }
@@ -203,7 +203,7 @@ func (st *refSageMean) backward(dH *tensor.Matrix, needDX bool) *tensor.Matrix {
 	l := st.l
 	dPre := dH
 	if l.act {
-		dPre = nn.ReLUBackward(st.pre, dH)
+		dPre = nn.ReLUBackwardInto(tensor.New(dH.Rows, dH.Cols), st.pre, dH)
 	}
 	tensor.MatMulATBInto(l.wSelf.Grad, st.xdst, dPre, true)
 	tensor.MatMulATBInto(l.wNeigh.Grad, st.aggAll, dPre, true)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"buffalo/internal/block"
-	"buffalo/internal/nn"
 	"buffalo/internal/tensor"
 )
 
@@ -38,7 +37,7 @@ func runTableModel(t *testing.T, cfg Config, mb *block.MicroBatch, labels []int3
 		t.Fatal(err)
 	}
 	r.act, r.logits = res.ActivationBytes(), res.Logits.Clone()
-	_, dLogits, err := nn.CrossEntropy(res.Logits, labels, 1)
+	_, dLogits, err := crossEntropy(res.Logits, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,6 @@ import (
 	"buffalo/internal/tensor"
 )
 
-// ReLU computes max(0, x) into a new matrix.
-func ReLU(x *tensor.Matrix) *tensor.Matrix {
-	return ReLUInto(tensor.New(x.Rows, x.Cols), x)
-}
-
 // ReLUInto writes max(0, x) into dst (same shape) and returns dst. The hot
 // paths pass an arena-backed dst so steady-state training allocates nothing.
 func ReLUInto(dst, x *tensor.Matrix) *tensor.Matrix {
@@ -23,14 +18,8 @@ func ReLUInto(dst, x *tensor.Matrix) *tensor.Matrix {
 	return dst
 }
 
-// ReLUBackward returns dy masked by the forward input's sign:
-// dx = dy ⊙ 1[x > 0].
-func ReLUBackward(x, dy *tensor.Matrix) *tensor.Matrix {
-	return ReLUBackwardInto(tensor.New(dy.Rows, dy.Cols), x, dy)
-}
-
-// ReLUBackwardInto is ReLUBackward with a caller-provided dst (same shape as
-// dy). Returns dst.
+// ReLUBackwardInto writes dy masked by the forward input's sign,
+// dx = dy ⊙ 1[x > 0], into dst (same shape as dy) and returns dst.
 func ReLUBackwardInto(dst, x, dy *tensor.Matrix) *tensor.Matrix {
 	dst.CopyFrom(dy)
 	for i, v := range x.Data {
@@ -41,12 +30,8 @@ func ReLUBackwardInto(dst, x, dy *tensor.Matrix) *tensor.Matrix {
 	return dst
 }
 
-// LeakyReLU computes x for x>0 and slope*x otherwise.
-func LeakyReLU(x *tensor.Matrix, slope float32) *tensor.Matrix {
-	return LeakyReLUInto(tensor.New(x.Rows, x.Cols), x, slope)
-}
-
-// LeakyReLUInto is LeakyReLU with a caller-provided dst. Returns dst.
+// LeakyReLUInto writes x for x>0 and slope*x otherwise into dst and returns
+// dst.
 func LeakyReLUInto(dst, x *tensor.Matrix, slope float32) *tensor.Matrix {
 	dst.CopyFrom(x)
 	for i, v := range dst.Data {
@@ -57,13 +42,8 @@ func LeakyReLUInto(dst, x *tensor.Matrix, slope float32) *tensor.Matrix {
 	return dst
 }
 
-// LeakyReLUBackward returns dy scaled by the forward slope at each element.
-func LeakyReLUBackward(x, dy *tensor.Matrix, slope float32) *tensor.Matrix {
-	return LeakyReLUBackwardInto(tensor.New(dy.Rows, dy.Cols), x, dy, slope)
-}
-
-// LeakyReLUBackwardInto is LeakyReLUBackward with a caller-provided dst.
-// Returns dst.
+// LeakyReLUBackwardInto writes dy scaled by the forward slope at each
+// element into dst and returns dst.
 func LeakyReLUBackwardInto(dst, x, dy *tensor.Matrix, slope float32) *tensor.Matrix {
 	dst.CopyFrom(dy)
 	for i, v := range x.Data {
@@ -74,12 +54,8 @@ func LeakyReLUBackwardInto(dst, x, dy *tensor.Matrix, slope float32) *tensor.Mat
 	return dst
 }
 
-// ELU computes x for x>0 and alpha*(e^x - 1) otherwise.
-func ELU(x *tensor.Matrix, alpha float32) *tensor.Matrix {
-	return ELUInto(tensor.New(x.Rows, x.Cols), x, alpha)
-}
-
-// ELUInto is ELU with a caller-provided dst. Returns dst.
+// ELUInto writes x for x>0 and alpha*(e^x - 1) otherwise into dst and
+// returns dst.
 func ELUInto(dst, x *tensor.Matrix, alpha float32) *tensor.Matrix {
 	dst.CopyFrom(x)
 	for i, v := range dst.Data {
@@ -90,13 +66,8 @@ func ELUInto(dst, x *tensor.Matrix, alpha float32) *tensor.Matrix {
 	return dst
 }
 
-// ELUBackward returns dx given the forward INPUT x and OUTPUT y:
-// dx = dy for x>0, dy*(y+alpha) otherwise.
-func ELUBackward(x, y, dy *tensor.Matrix, alpha float32) *tensor.Matrix {
-	return ELUBackwardInto(tensor.New(dy.Rows, dy.Cols), x, y, dy, alpha)
-}
-
-// ELUBackwardInto is ELUBackward with a caller-provided dst. Returns dst.
+// ELUBackwardInto writes dx given the forward INPUT x and OUTPUT y,
+// dx = dy for x>0 and dy*(y+alpha) otherwise, into dst and returns dst.
 func ELUBackwardInto(dst, x, y, dy *tensor.Matrix, alpha float32) *tensor.Matrix {
 	dst.CopyFrom(dy)
 	for i, v := range x.Data {

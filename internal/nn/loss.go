@@ -7,18 +7,14 @@ import (
 	"buffalo/internal/tensor"
 )
 
-// CrossEntropy computes the mean softmax cross-entropy loss of logits
+// CrossEntropyInto computes the mean softmax cross-entropy loss of logits
 // [n x classes] against integer labels, and the gradient w.r.t. the logits
 // (already divided by n, ready to backpropagate). scale multiplies both the
 // loss and the gradient: micro-batch training passes |micro|/|batch| so that
-// accumulated micro-batch gradients equal the full-batch gradient.
-func CrossEntropy(logits *tensor.Matrix, labels []int32, scale float32) (float32, *tensor.Matrix, error) {
-	return CrossEntropyInto(tensor.New(logits.Rows, logits.Cols), logits, labels, scale)
-}
-
-// CrossEntropyInto is CrossEntropy with a caller-provided probs scratch of
-// the logits' shape; the returned gradient IS probs (overwritten in place),
-// so the hot paths pass an arena-backed matrix and allocate nothing.
+// accumulated micro-batch gradients equal the full-batch gradient. probs is
+// a caller-provided scratch of the logits' shape; the returned gradient IS
+// probs (overwritten in place), so the hot paths pass an arena-backed matrix
+// and allocate nothing.
 func CrossEntropyInto(probs, logits *tensor.Matrix, labels []int32, scale float32) (float32, *tensor.Matrix, error) {
 	n := logits.Rows
 	if len(labels) != n {

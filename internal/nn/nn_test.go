@@ -164,11 +164,11 @@ func TestActivationGradients(t *testing.T) {
 	x := randMat(rng, 3, 4)
 	r := randMat(rng, 3, 4)
 
-	dx := ReLUBackward(x, r)
-	checkGrad(t, "relu.x", x, dx, func() float64 { return dot(ReLU(x), r) })
+	dx := ReLUBackwardInto(tensor.New(3, 4), x, r)
+	checkGrad(t, "relu.x", x, dx, func() float64 { return dot(ReLUInto(tensor.New(3, 4), x), r) })
 
-	dx = LeakyReLUBackward(x, r, 0.2)
-	checkGrad(t, "lrelu.x", x, dx, func() float64 { return dot(LeakyReLU(x, 0.2), r) })
+	dx = LeakyReLUBackwardInto(tensor.New(3, 4), x, r, 0.2)
+	checkGrad(t, "lrelu.x", x, dx, func() float64 { return dot(LeakyReLUInto(tensor.New(3, 4), x, 0.2), r) })
 
 	// The LSTM gates' scalar activations, differentiated from their outputs
 	// the way the cell does it.
@@ -234,7 +234,7 @@ func TestLSTMGradients(t *testing.T) {
 func TestCrossEntropy(t *testing.T) {
 	logits := tensor.FromSlice(2, 3, []float32{10, 0, 0, 0, 10, 0})
 	labels := []int32{0, 1}
-	loss, grad, err := CrossEntropy(logits, labels, 1)
+	loss, grad, err := CrossEntropyInto(tensor.New(2, 3), logits, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestCrossEntropy(t *testing.T) {
 		t.Fatalf("grad shape %dx%d", grad.Rows, grad.Cols)
 	}
 	// Wrong labels give high loss.
-	lossWrong, _, err := CrossEntropy(tensor.FromSlice(1, 2, []float32{10, 0}), []int32{1}, 1)
+	lossWrong, _, err := CrossEntropyInto(tensor.New(1, 2), tensor.FromSlice(1, 2, []float32{10, 0}), []int32{1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,12 @@ func TestCrossEntropyGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	logits := randMat(rng, 4, 3)
 	labels := []int32{0, 2, 1, 2}
-	_, grad, err := CrossEntropy(logits, labels, 1)
+	_, grad, err := CrossEntropyInto(tensor.New(4, 3), logits, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	loss := func() float64 {
-		l, _, err := CrossEntropy(logits, labels, 1)
+		l, _, err := CrossEntropyInto(tensor.New(4, 3), logits, labels, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,8 +276,8 @@ func TestCrossEntropyScaleLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	logits := randMat(rng, 3, 4)
 	labels := []int32{1, 2, 3}
-	l1, g1, _ := CrossEntropy(logits, labels, 1)
-	l2, g2, _ := CrossEntropy(logits, labels, 0.25)
+	l1, g1, _ := CrossEntropyInto(tensor.New(3, 4), logits, labels, 1)
+	l2, g2, _ := CrossEntropyInto(tensor.New(3, 4), logits, labels, 0.25)
 	if math.Abs(float64(l1*0.25-l2)) > 1e-5 {
 		t.Fatalf("loss scaling wrong: %v vs %v", l1*0.25, l2)
 	}
@@ -290,10 +290,10 @@ func TestCrossEntropyScaleLinearity(t *testing.T) {
 
 func TestCrossEntropyErrors(t *testing.T) {
 	logits := tensor.New(2, 3)
-	if _, _, err := CrossEntropy(logits, []int32{0}, 1); err == nil {
+	if _, _, err := CrossEntropyInto(tensor.New(2, 3), logits, []int32{0}, 1); err == nil {
 		t.Error("want length mismatch error")
 	}
-	if _, _, err := CrossEntropy(logits, []int32{0, 5}, 1); err == nil {
+	if _, _, err := CrossEntropyInto(tensor.New(2, 3), logits, []int32{0, 5}, 1); err == nil {
 		t.Error("want label range error")
 	}
 }
@@ -340,7 +340,7 @@ func TestGradientAccumulationEqualsFullBatch(t *testing.T) {
 	// Full batch.
 	ps.ZeroGrad()
 	y := l.ForwardInto(tensor.New(6, 4), x)
-	_, dy, err := CrossEntropy(y, labels, 1)
+	_, dy, err := CrossEntropyInto(tensor.New(6, 4), y, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestGradientAccumulationEqualsFullBatch(t *testing.T) {
 	for _, half := range [][2]int{{0, 3}, {3, 6}} {
 		sub := tensor.FromSlice(3, 3, x.Data[half[0]*3:half[1]*3])
 		suby := l.ForwardInto(tensor.New(3, 4), sub)
-		_, dsub, err := CrossEntropy(suby, labels[half[0]:half[1]], 0.5)
+		_, dsub, err := CrossEntropyInto(tensor.New(3, 4), suby, labels[half[0]:half[1]], 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,11 +369,11 @@ func TestELUGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := randMat(rng, 3, 4)
 	r := randMat(rng, 3, 4)
-	y := ELU(x, 1.0)
-	dx := ELUBackward(x, y, r, 1.0)
-	checkGrad(t, "elu.x", x, dx, func() float64 { return dot(ELU(x, 1.0), r) })
+	y := ELUInto(tensor.New(3, 4), x, 1.0)
+	dx := ELUBackwardInto(tensor.New(3, 4), x, y, r, 1.0)
+	checkGrad(t, "elu.x", x, dx, func() float64 { return dot(ELUInto(tensor.New(3, 4), x, 1.0), r) })
 	// Positive side passes through unchanged.
-	pos := ELU(tensor.FromSlice(1, 2, []float32{1, 2}), 1)
+	pos := ELUInto(tensor.New(1, 2), tensor.FromSlice(1, 2, []float32{1, 2}), 1)
 	if pos.Data[0] != 1 || pos.Data[1] != 2 {
 		t.Fatalf("ELU positive identity broken: %v", pos.Data)
 	}

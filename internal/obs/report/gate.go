@@ -129,7 +129,7 @@ func Gate(baseline, current *Manifest, th Thresholds) []Violation {
 					Metric: "bench/" + name + "/allocs_per_op", Baseline: base, Current: cur,
 					Threshold: th.AllocsPct,
 					Message: fmt.Sprintf(
-						"benchmark %s now allocates %.0f allocs/op from an allocation-free baseline (threshold %.1f%%): a heap allocation reached a path that had none — run buffalo-vet -hotalloc-summary to find the site",
+						"benchmark %s now allocates %.0f allocs/op from an allocation-free baseline (threshold %.1f%%): a heap allocation reached a path that had none — run the benchmark with -memprofile to find the site",
 						name, cur, th.AllocsPct),
 				})
 			case base > 0:
@@ -139,7 +139,7 @@ func Gate(baseline, current *Manifest, th Thresholds) []Violation {
 						Metric: "bench/" + name + "/allocs_per_op", Baseline: base, Current: cur,
 						Threshold: th.AllocsPct,
 						Message: fmt.Sprintf(
-							"benchmark %s allocs/op grew +%.1f%% (baseline %.0f -> current %.0f), over the %.1f%% threshold: the hot path gained allocations — run buffalo-vet -hotalloc-summary to locate the new sites",
+							"benchmark %s allocs/op grew +%.1f%% (baseline %.0f -> current %.0f), over the %.1f%% threshold: the hot path gained allocations — run the benchmark with -memprofile to locate the new sites",
 							name, growth, base, cur, th.AllocsPct),
 					})
 				}

@@ -186,7 +186,7 @@ func TestReportGateAllocsBump(t *testing.T) {
 	if v.Metric != "bench/RunIteration_Pipelined/allocs_per_op" {
 		t.Errorf("metric = %q", v.Metric)
 	}
-	for _, want := range []string{"RunIteration_Pipelined", "+20.0%", "5.0%", "hotalloc"} {
+	for _, want := range []string{"RunIteration_Pipelined", "+20.0%", "5.0%", "-memprofile"} {
 		if !strings.Contains(v.Message, want) {
 			t.Errorf("message missing %q: %s", want, v.Message)
 		}

@@ -381,8 +381,6 @@ func (s seqStager) release(smb *stagedMB) { smb.featAlloc.Free() }
 // by the inline sequential path and the background planner stage (which
 // additionally pins its OS thread and rescales the recorded phases, see
 // loader.planPinned).
-//
-//buffalo:hot-root train-iteration
 func (e *engine) planIteration(sc *iterScratch, b *sampling.Batch) (*pipeIter, error) {
 	sc.res = IterationResult{}
 	res := &sc.res
@@ -696,8 +694,6 @@ func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBa
 // Devices run concurrently in the simulation: compute is tracked per replica
 // and the GPUCompute phase costs the slowest one; Peak and DataLoading are
 // likewise maxima across devices.
-//
-//buffalo:hot-root train-iteration
 func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGPUResult, error) {
 	tIter := time.Now()
 	res := &MultiGPUResult{IterationResult: *it.res}

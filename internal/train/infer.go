@@ -170,8 +170,6 @@ type InferResult struct {
 // span kinds as a training iteration — including KindIteration, so the -live
 // meter's batch rate and phase mix work unchanged — plus the estimator's
 // predicted-vs-actual error.
-//
-//buffalo:hot-root serve-request
 func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("train: Infer needs at least one node")

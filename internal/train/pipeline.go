@@ -157,7 +157,6 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 
 	stream := sampling.NewStream(eng.data.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed)
 	l.pipe = pipeline.New(context.Background())
-	//buffalo:hot-root pipeline-stages
 	l.pipe.Go("sampler", func(ctx context.Context) error {
 		for seq := uint64(0); ; seq++ {
 			sc := eng.getIterScratch()
@@ -176,7 +175,6 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 	// run unboundedly ahead; the in-order plan is always admitted, so the
 	// pool cannot deadlock (see pipeline.Reorder).
 	for w := 0; w < planners; w++ {
-		//buffalo:hot-root pipeline-stages
 		l.pipe.Go(fmt.Sprintf("planner/%d", w), func(ctx context.Context) error {
 			for {
 				sb, err := l.batchQ.Pop(ctx)
@@ -193,7 +191,6 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 			}
 		})
 	}
-	//buffalo:hot-root pipeline-stages
 	l.pipe.Go("prefetch", func(ctx context.Context) error {
 		for {
 			it, err := l.planR.Pop(ctx)
@@ -391,8 +388,6 @@ func (ps *pipeStager) release(smb *stagedMB) {
 // ExposedPlanning reports the share of planning the previous iteration's
 // execution window could not hide, so CriticalPath reflects what the
 // training loop experienced.
-//
-//buffalo:hot-root train-iteration
 func (l *loader) runIteration() (*MultiGPUResult, error) {
 	tWait := time.Now()
 	first, err := l.popLane(0)
