@@ -1,10 +1,11 @@
 package buffalo
 
-// The iteration and serving benchmarks the gates read: scripts/check.sh
-// holds the allocs/op of ObsDisabled, Pipelined, ServeRequest and
-// SequentialLSTM against scripts/report_baseline.json, and the
-// ObsDisabled/ObsEnabled and Pipelined/PipelinedTap pairs bound the
-// observability tax. Throughput and per-layer numbers are the bench/
+// The iteration and serving benchmarks. The ObsDisabled/ObsEnabled and
+// Pipelined/PipelinedTap pairs bound the observability tax. The warm
+// allocation counts of the ObsDisabled, SequentialLSTM, Pipelined and
+// ServeRequest configurations are tier-1 tests in internal/train
+// (TestRunIterationWarmAllocs, TestServeRequestWarmAllocs), exact per
+// iteration or request. Throughput and per-layer numbers are the bench/
 // module's job (BENCHMARK.json); each paper artifact regenerates with
 // `go run ./cmd/experiments -run <id>`.
 
@@ -155,8 +156,7 @@ func BenchmarkRunIteration_SequentialArxiv(b *testing.B) {
 // BenchmarkRunIteration_SequentialLSTM is the sequential iteration on the
 // memory-wall configuration of the train-cora-lstm workload — cora, the first
 // 64 feature columns, hidden 16, batch 128, fanouts 5/5, K searched under
-// 2 MB — the one iteration that runs nn.LSTMCell. Its allocs/op is the fourth
-// number the report gate holds.
+// 2 MB — the one iteration that runs nn.LSTMCell.
 func BenchmarkRunIteration_SequentialLSTM(b *testing.B) {
 	st := fixtures(b)
 	s, err := train.NewSession(st.cora, train.Config{

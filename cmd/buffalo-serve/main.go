@@ -23,7 +23,7 @@
 // Observability: -metrics prints the registry (request counters, latency/
 // queue-wait/assembly histograms) after the run; -report out.json writes a
 // run manifest with a serving section (p50/p90/p99 latency, throughput, shed
-// and batch counters) for buffalo-report show/diff/gate; -live renders the
+// and batch counters) for buffalo-report show/diff; -live renders the
 // live status line on stderr while the load runs.
 package main
 

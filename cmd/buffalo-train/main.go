@@ -21,7 +21,7 @@
 // Run manifests: -report out.json writes a versioned run manifest (config,
 // per-phase breakdown, estimator error distribution, per-device memory
 // summary, cache/pool state, metrics snapshot) for buffalo-report
-// show/diff/gate. -live renders a self-rewriting status line on stderr —
+// show/diff. -live renders a self-rewriting status line on stderr —
 // per-device live/peak memory, iteration rate, phase mix — fed by a bounded
 // recorder tap that never blocks the training hot path.
 //

@@ -10,7 +10,7 @@
 // Observability: -metrics appends a per-experiment metrics summary to each
 // table; -report out.json accumulates one metrics registry across the whole
 // sweep and writes a run manifest (metrics snapshot + estimator error
-// distribution) for buffalo-report show/diff/gate; -live renders a live
+// distribution) for buffalo-report show/diff; -live renders a live
 // status line on stderr while the sweep runs.
 package main
 

@@ -27,9 +27,10 @@ var (
 		int64(time.Millisecond), int64(10 * time.Millisecond), int64(100 * time.Millisecond),
 		int64(time.Second), int64(10 * time.Second), int64(100 * time.Second),
 	}
-	// PercentBuckets is for relative errors (the memory estimator's
-	// predicted-vs-actual deviation, in percent).
-	PercentBuckets = []int64{1, 2, 5, 10, 15, 25, 50, 100}
+	// BasisPointBuckets is for relative errors (the memory estimator's
+	// predicted-vs-actual deviation) in basis points, hundredths of a
+	// percent, so errors under 1% keep their size: 1% .. 100%.
+	BasisPointBuckets = []int64{100, 200, 500, 1000, 1500, 2500, 5000, 10000}
 	// LatencyBuckets resolves serving SLO quantiles, in nanoseconds: decade
 	// buckets are too coarse to read a p99 off, so the serving range
 	// (100µs..10s) gets 1-2-5 steps per decade.

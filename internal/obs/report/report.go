@@ -2,16 +2,13 @@
 // snapshot of everything a training run knows about itself — configuration,
 // per-phase time breakdown, exposed/hidden overlap accounting, the memory
 // estimator's error distribution, per-device memory summaries, cache and
-// pool state, the full metrics registry, and (optionally) benchmark
-// measurements folded in by buffalo-report merge-bench.
+// pool state, and the full metrics registry.
 //
 // Manifests exist to outlive the process: the paper's argument is
 // quantitative (predicted-vs-actual peak memory, Fig 11 phase breakdowns,
 // exposed-vs-hidden transfer time), so its numbers must be comparable across
 // runs, not just printed once. Two manifests diff by flattened metric key
-// (Flatten), and Gate applies configurable regression thresholds against a
-// committed baseline — the make-check wiring that catches estimator drift or
-// hot-path allocation growth before it merges.
+// (Flatten, Diff); buffalo-report shows and diffs them.
 //
 // Serialization is deterministic: struct fields emit in declaration order,
 // maps sort by key (encoding/json), metric rows arrive pre-sorted from
@@ -65,10 +62,6 @@ type Manifest struct {
 	// Metrics is the full registry snapshot (sorted by name, histograms with
 	// quantiles and bucket distributions).
 	Metrics []obs.MetricValue `json:"metrics,omitempty"`
-
-	// Benchmarks carries measured benchmark results (buffalo-report
-	// merge-bench), keyed by benchmark name.
-	Benchmarks map[string]Benchmark `json:"benchmarks,omitempty"`
 }
 
 // Config records the run's resolved configuration — enough to tell whether
@@ -122,8 +115,9 @@ type Overlap struct {
 }
 
 // Estimator is the memory estimator's predicted-vs-actual error
-// distribution (the estimate/error_pct histogram): Table III's live
-// counterpart, percentage points of |predicted - actual| / actual.
+// distribution (the estimate/error_bp histogram, converted to percent):
+// Table III's live counterpart, percentage points of |predicted - actual| /
+// actual.
 type Estimator struct {
 	Count   int64             `json:"count"`
 	MeanPct float64           `json:"mean_pct"`
@@ -252,37 +246,37 @@ type Pooling struct {
 	HitRate       float64 `json:"hit_rate"`
 }
 
-// Benchmark is one measured benchmark (fastest-of-N ns/op plus the
-// deterministic allocation count).
-type Benchmark struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
 // New returns an empty manifest at the current schema version.
 func New(tool string) *Manifest {
 	return &Manifest{Schema: SchemaVersion, Tool: tool}
 }
 
 // EstimatorFromMetrics extracts the memory estimator's error distribution
-// from a registry's estimate/error_pct histogram (the instrument
-// internal/memest records predicted-vs-actual deviations into). Returns nil
-// when the registry is absent or the histogram never observed anything.
+// from a registry's estimate/error_bp histogram (the instrument
+// internal/memest records predicted-vs-actual deviations into, in basis
+// points) and reports it in percent. Returns nil when the registry is absent
+// or the histogram never observed anything.
 func EstimatorFromMetrics(reg *obs.Metrics) *Estimator {
 	if reg == nil {
 		return nil
 	}
-	h := reg.Histogram("estimate/error_pct", obs.PercentBuckets)
+	h := reg.Histogram("estimate/error_bp", obs.BasisPointBuckets)
 	if h.Count() == 0 {
 		return nil
 	}
+	buckets := h.Buckets()
+	for i := range buckets {
+		if buckets[i].LE > 0 { // the overflow bucket keeps LE = -1
+			buckets[i].LE /= 100
+		}
+	}
 	return &Estimator{
 		Count:   h.Count(),
-		MeanPct: h.Mean(),
-		P50:     h.Quantile(0.50),
-		P90:     h.Quantile(0.90),
-		P99:     h.Quantile(0.99),
-		Buckets: h.Buckets(),
+		MeanPct: h.Mean() / 100,
+		P50:     h.Quantile(0.50) / 100,
+		P90:     h.Quantile(0.90) / 100,
+		P99:     h.Quantile(0.99) / 100,
+		Buckets: buckets,
 	}
 }
 
@@ -340,7 +334,7 @@ func ReadFile(path string) (*Manifest, error) {
 }
 
 // Flatten projects the manifest's comparable numbers onto stable string
-// keys — the alignment space Diff and Gate operate in. Stamps, config, and
+// keys — the alignment space Diff operates in. Stamps, config, and
 // raw bucket distributions are excluded; everything with a meaningful
 // magnitude is included.
 func (m *Manifest) Flatten() map[string]float64 {
@@ -425,10 +419,6 @@ func (m *Manifest) Flatten() map[string]float64 {
 			put("metric/"+mv.Name+"/p50", mv.P50)
 			put("metric/"+mv.Name+"/p99", mv.P99)
 		}
-	}
-	for name, b := range m.Benchmarks {
-		put("bench/"+name+"/ns_per_op", b.NsPerOp)
-		put("bench/"+name+"/allocs_per_op", b.AllocsPerOp)
 	}
 	return out
 }

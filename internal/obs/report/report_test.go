@@ -57,9 +57,6 @@ func sampleManifest() *Manifest {
 		{Name: "alloc/count", Type: "counter", Value: 42},
 		{Name: "forward/duration_ns", Type: "histogram", Value: 12, Sum: 360, Mean: 30, P50: 28, P90: 40, P99: 44},
 	}
-	m.Benchmarks = map[string]Benchmark{
-		"RunIteration_Pipelined": {NsPerOp: 1_000_000, AllocsPerOp: 250},
-	}
 	return m
 }
 
@@ -89,6 +86,12 @@ func TestReportRoundTrip(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatal("serialization is not deterministic across a round trip")
 	}
+	// Schema-1 manifests written while they still carried a benchmarks
+	// section read as they always did, the section ignored.
+	old, err := Read(strings.NewReader(`{"schema": 1, "run": {"k": 4}, "benchmarks": {"RunIteration_Pipelined": {"ns_per_op": 1, "allocs_per_op": 250}}}`))
+	if err != nil || old.Run.K != 4 {
+		t.Fatalf("schema-1 manifest with a benchmarks section: %+v, %v", old, err)
+	}
 }
 
 func TestReportVersionMismatchRejected(t *testing.T) {
@@ -114,115 +117,20 @@ func TestReportVersionMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestReportSameConfigZeroRegressions is the acceptance criterion: two
-// manifests from the same run gate clean under every threshold, and their
-// diff is empty.
+// TestReportSameConfigZeroRegressions: two manifests from the same run have
+// an empty diff, and it renders as such.
 func TestReportSameConfigZeroRegressions(t *testing.T) {
 	a, b := sampleManifest(), sampleManifest()
-	th := Thresholds{
-		EstimatorErrorDriftPP: 0.5, CriticalPathPct: 5,
-		AllocsPct: 1, CacheHitRateDropPP: 1,
-	}
-	if vs := Gate(a, b, th); len(vs) != 0 {
-		t.Fatalf("identical manifests produced violations: %+v", vs)
-	}
-	if ds := Diff(a, b); len(ds) != 0 {
+	ds := Diff(a, b)
+	if len(ds) != 0 {
 		t.Fatalf("identical manifests produced deltas: %+v", ds)
 	}
 	var buf bytes.Buffer
-	if err := WriteViolations(&buf, nil); err != nil {
+	if err := WriteDiff(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "ok") {
-		t.Fatalf("pass output: %q", buf.String())
-	}
-}
-
-// TestReportGateEstimatorDrift injects synthetic estimator-error drift and
-// requires an actionable violation naming the metric and threshold.
-func TestReportGateEstimatorDrift(t *testing.T) {
-	base, cur := sampleManifest(), sampleManifest()
-	cur.Estimator.MeanPct = base.Estimator.MeanPct + 4 // +4pp over a 1pp threshold
-	th := Thresholds{EstimatorErrorDriftPP: 1}
-	vs := Gate(base, cur, th)
-	if len(vs) != 1 {
-		t.Fatalf("got %d violations, want 1: %+v", len(vs), vs)
-	}
-	v := vs[0]
-	if v.Metric != "estimator/error_pct/mean" {
-		t.Errorf("metric = %q", v.Metric)
-	}
-	for _, want := range []string{"estimator", "drifted", "1.00pp", "6.50%", "memest"} {
-		if !strings.Contains(v.Message, want) {
-			t.Errorf("message missing %q: %s", want, v.Message)
-		}
-	}
-	// p99 drift alone also trips.
-	cur2 := sampleManifest()
-	cur2.Estimator.P99 = base.Estimator.P99 + 2
-	if vs := Gate(base, cur2, th); len(vs) != 1 || vs[0].Metric != "estimator/error_pct/p99" {
-		t.Fatalf("p99 drift: %+v", vs)
-	}
-	// Improvement never trips.
-	cur3 := sampleManifest()
-	cur3.Estimator.MeanPct = 0.5
-	cur3.Estimator.P99 = 1
-	if vs := Gate(base, cur3, th); len(vs) != 0 {
-		t.Fatalf("improvement flagged: %+v", vs)
-	}
-}
-
-// TestReportGateAllocsBump injects a synthetic allocs/op bump and requires
-// an actionable violation naming the benchmark and threshold.
-func TestReportGateAllocsBump(t *testing.T) {
-	base, cur := sampleManifest(), sampleManifest()
-	cur.Benchmarks["RunIteration_Pipelined"] = Benchmark{NsPerOp: 1_000_000, AllocsPerOp: 300} // +20%
-	th := Thresholds{AllocsPct: 5}
-	vs := Gate(base, cur, th)
-	if len(vs) != 1 {
-		t.Fatalf("got %d violations, want 1: %+v", len(vs), vs)
-	}
-	v := vs[0]
-	if v.Metric != "bench/RunIteration_Pipelined/allocs_per_op" {
-		t.Errorf("metric = %q", v.Metric)
-	}
-	for _, want := range []string{"RunIteration_Pipelined", "+20.0%", "5.0%", "-memprofile"} {
-		if !strings.Contains(v.Message, want) {
-			t.Errorf("message missing %q: %s", want, v.Message)
-		}
-	}
-	// Zero-baseline growth always fails regardless of percentage.
-	base.Benchmarks["ZeroAlloc"] = Benchmark{NsPerOp: 100}
-	cur.Benchmarks["ZeroAlloc"] = Benchmark{NsPerOp: 100, AllocsPerOp: 1}
-	vs = Gate(base, cur, th)
-	if len(vs) != 2 {
-		t.Fatalf("zero-baseline bump not flagged: %+v", vs)
-	}
-	if !strings.Contains(vs[1].Message, "allocation-free baseline") {
-		t.Errorf("zero-baseline message: %s", vs[1].Message)
-	}
-	// Benchmarks only present on one side are ignored, not gated.
-	delete(base.Benchmarks, "ZeroAlloc")
-	if vs := Gate(base, cur, th); len(vs) != 1 {
-		t.Fatalf("one-sided benchmark gated: %+v", vs)
-	}
-}
-
-func TestReportGateCriticalPathAndCache(t *testing.T) {
-	base, cur := sampleManifest(), sampleManifest()
-	cur.Run.CriticalPathNs = base.Run.CriticalPathNs * 2
-	cur.Cache.HitRate = 0.7 // -20pp
-	th := Thresholds{CriticalPathPct: 10, CacheHitRateDropPP: 5}
-	vs := Gate(base, cur, th)
-	if len(vs) != 2 {
-		t.Fatalf("got %d violations, want 2: %+v", len(vs), vs)
-	}
-	if vs[0].Metric != "cache/hit_rate" || vs[1].Metric != "run/critical_path_ns" {
-		t.Fatalf("violations: %+v", vs)
-	}
-	// Zero thresholds disable both gates.
-	if vs := Gate(base, cur, Thresholds{}); len(vs) != 0 {
-		t.Fatalf("zero thresholds still gated: %+v", vs)
+	if !strings.Contains(buf.String(), "identical") {
+		t.Fatalf("empty diff output: %q", buf.String())
 	}
 }
 
@@ -269,37 +177,6 @@ func TestReportDiffAlignsByKey(t *testing.T) {
 	}
 }
 
-func TestReportThresholdsFile(t *testing.T) {
-	th, err := ReadThresholds(strings.NewReader(`{"estimator_error_drift_pp": 2, "allocs_pct": 10}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th.EstimatorErrorDriftPP != 2 || th.AllocsPct != 10 || th.CriticalPathPct != 0 {
-		t.Fatalf("thresholds: %+v", th)
-	}
-	if _, err := ReadThresholds(strings.NewReader(`{"alocs_pct": 10}`)); err == nil {
-		t.Fatal("typoed threshold field accepted")
-	}
-}
-
-func TestReportMergeBench(t *testing.T) {
-	m := New("bench")
-	text := `goos: linux
-BenchmarkRunIteration_Pipelined-8   	     100	   9876543 ns/op	  512000 B/op	     321 allocs/op
-BenchmarkRunIteration_Pipelined-8   	     100	   9000000 ns/op	  512000 B/op	     321 allocs/op
-PASS`
-	if err := m.MergeBenchText(strings.NewReader(text)); err != nil {
-		t.Fatal(err)
-	}
-	// Fastest sample wins.
-	if b := m.Benchmarks["RunIteration_Pipelined"]; b.NsPerOp != 9000000 || b.AllocsPerOp != 321 {
-		t.Fatalf("merged text: %+v", m.Benchmarks)
-	}
-	if err := m.MergeBenchText(strings.NewReader("no benchmarks here")); err == nil {
-		t.Fatal("empty bench text accepted")
-	}
-}
-
 func TestReportWriteSummary(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSummary(&buf, sampleManifest()); err != nil {
@@ -308,7 +185,7 @@ func TestReportWriteSummary(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"schema 1", "buffalo-train", "cora", "3 iterations", "gpu_compute",
-		"estimator error", "p99=5.00%", "cache: 90.0% hit rate", "RunIteration_Pipelined",
+		"estimator error", "p99=5.00%", "cache: 90.0% hit rate",
 		"sharding: zero-1 over 4 replicas",
 	} {
 		if !strings.Contains(out, want) {
@@ -318,7 +195,7 @@ func TestReportWriteSummary(t *testing.T) {
 }
 
 // TestReportShardingFlatten pins the sharding section's flatten contract:
-// every byte-ledger and collective key a gate or diff can reference is
+// every byte-ledger and collective key a diff can reference is
 // present, and a manifest without a sharding section emits no sharding/ keys
 // at all.
 func TestReportShardingFlatten(t *testing.T) {
@@ -355,47 +232,8 @@ func TestReportShardingFlatten(t *testing.T) {
 	}
 }
 
-// TestReportGateShardingPadding pins the padding gate: marginal padding
-// passes, bloated padding fails with an actionable message, a zero threshold
-// and a missing section both disable the gate.
-func TestReportGateShardingPadding(t *testing.T) {
-	base, cur := sampleManifest(), sampleManifest()
-	th := Thresholds{ShardingPaddingPct: 1}
-	if vs := Gate(base, cur, th); len(vs) != 0 {
-		t.Fatalf("marginal padding gated: %+v", vs)
-	}
-	cur.Sharding.PaddingBytes = cur.Sharding.ParamBytes / 10 // 10% over a 1% threshold
-	vs := Gate(base, cur, th)
-	if len(vs) != 1 {
-		t.Fatalf("got %d violations, want 1: %+v", len(vs), vs)
-	}
-	v := vs[0]
-	if v.Metric != "sharding/padding_bytes" {
-		t.Errorf("metric = %q", v.Metric)
-	}
-	for _, want := range []string{"padding", "10.00%", "1.00%", "Flatten"} {
-		if !strings.Contains(v.Message, want) {
-			t.Errorf("message missing %q: %s", want, v.Message)
-		}
-	}
-	// The gate is absolute: it fires even when the baseline has no sharding
-	// section (a run newly switched to ZeRO-1 still must not waste space).
-	base.Sharding = nil
-	if vs := Gate(base, cur, th); len(vs) != 1 {
-		t.Fatalf("sharding-less baseline disabled the gate: %+v", vs)
-	}
-	// Zero threshold / missing current section disable it.
-	if vs := Gate(base, cur, Thresholds{}); len(vs) != 0 {
-		t.Fatalf("zero threshold still gated: %+v", vs)
-	}
-	cur.Sharding = nil
-	if vs := Gate(base, cur, th); len(vs) != 0 {
-		t.Fatalf("sharding-less current gated: %+v", vs)
-	}
-}
-
 // TestReportServingFlatten pins the serving section's flatten contract: every
-// SLO and lifecycle key a gate can reference is present, the policy knobs
+// SLO and lifecycle key a diff can reference is present, the policy knobs
 // (batch_size, max_wait_ns) are deliberately config-shaped and NOT flattened,
 // and a manifest without a serving section emits no serving/ keys at all.
 func TestReportServingFlatten(t *testing.T) {
@@ -428,7 +266,7 @@ func TestReportServingFlatten(t *testing.T) {
 	}
 	for _, k := range []string{"serving/batch_size", "serving/max_wait_ns"} {
 		if _, ok := flat[k]; ok {
-			t.Errorf("policy knob %q leaked into flatten; gates must not diff config", k)
+			t.Errorf("policy knob %q leaked into flatten; diffs must not compare config", k)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -107,22 +108,54 @@ func WriteSummary(w io.Writer, m *Manifest) error {
 			time.Duration(sh.AllGatherNs), sh.AllGatherCount)
 	}
 
-	if len(m.Benchmarks) > 0 {
-		names := make([]string, 0, len(m.Benchmarks))
-		for name := range m.Benchmarks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		p.printf("benchmarks:\n")
-		for _, name := range names {
-			b := m.Benchmarks[name]
-			p.printf("  %-40s %12.0f ns/op %8.0f allocs/op\n", name, b.NsPerOp, b.AllocsPerOp)
-		}
-	}
 	if len(m.Metrics) > 0 {
 		p.printf("metrics: %d instruments recorded (see the manifest JSON for the full snapshot)\n", len(m.Metrics))
 	}
 	return p.err
+}
+
+// WriteDiff renders a Diff result as an aligned, human-readable table.
+// Deltas print with signed absolute and percentage change; keys present on
+// one side only are marked. Write errors propagate.
+func WriteDiff(w io.Writer, deltas []Delta) error {
+	if len(deltas) == 0 {
+		_, err := fmt.Fprintln(w, "manifests are identical on every compared key")
+		return err
+	}
+	keyW := len("key")
+	for _, d := range deltas {
+		if len(d.Key) > keyW {
+			keyW = len(d.Key)
+		}
+	}
+	if _, err := fmt.Fprintf(w, "%-*s  %15s  %15s  %s\n", keyW, "key", "base", "current", "change"); err != nil {
+		return err
+	}
+	for _, d := range deltas {
+		var change string
+		switch {
+		case !d.HasBase:
+			change = "(new)"
+		case !d.HasCur:
+			change = "(gone)"
+		default:
+			change = fmt.Sprintf("%+.4g (%+.1f%%)", d.Cur-d.Base, d.PctChange())
+		}
+		if _, err := fmt.Fprintf(w, "%-*s  %15s  %15s  %s\n",
+			keyW, d.Key, fmtNum(d.Base, d.HasBase), fmtNum(d.Cur, d.HasCur), change); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func fmtNum(v float64, present bool) string {
+	if !present {
+		return "-"
+	}
+	s := fmt.Sprintf("%.4f", v)
+	s = strings.TrimRight(s, "0")
+	return strings.TrimSuffix(s, ".")
 }
 
 // printer remembers the first write error and drops everything after it.

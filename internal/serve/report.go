@@ -9,7 +9,7 @@ import (
 // batching policy, the serving section (SLO quantiles, shed/batch counters),
 // the device's ledger summary (with the reconstructed peak set when a
 // complete trace exists), cache state, and the metrics snapshot with the
-// estimator's inference-regime error distribution. Diff/gate-compatible
+// estimator's inference-regime error distribution. Diff-compatible
 // with training manifests — shared keys align, serving keys extend.
 func (s *Server) BuildManifest(dataset string) *report.Manifest {
 	m := report.New("buffalo-serve")

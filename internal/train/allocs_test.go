@@ -1,41 +1,57 @@
 package train
 
 import (
+	"sort"
 	"testing"
 
 	"buffalo/internal/device"
 	"buffalo/internal/gnn"
 )
 
-// TestRunIterationWarmAllocs holds a warm sequential iteration's heap
-// allocations to the counts measured when the ceilings were set, on the
-// configurations of the root BenchmarkRunIteration_ObsDisabled (cora, mean, K
-// fixed at 4 under 1 GB) and BenchmarkRunIteration_SequentialLSTM (cora, LSTM,
-// K searched under 2 MB). Those benchmarks report 57 and 91 allocs/op with the
-// cold first iteration amortized in, and the report gate allows them 5%, so
-// one new allocation per iteration (57 → 58) passes it; this test fails on
-// it. A count below a ceiling passes: lower the ceiling in the change that
-// earns it.
+// RaceEnabled lets the package's external tests (serve_allocs_test.go) skip
+// under -race as the ones here do.
+const RaceEnabled = raceEnabled
+
+// TestRunIterationWarmAllocs holds a warm iteration's heap allocations to the
+// counts measured when the ceilings were set, on the configurations of the
+// root BenchmarkRunIteration_ObsDisabled (cora, mean, K fixed at 4 under
+// 1 GB), BenchmarkRunIteration_SequentialLSTM (cora, LSTM, K searched under
+// 2 MB) and BenchmarkRunIteration_Pipelined (the mean configuration behind
+// the loader: prefetch depth 2, an 8 MB feature cache). One new allocation
+// per iteration fails it. A count below a ceiling passes: lower the ceiling in
+// the change that earns it.
+//
+// The sequential counts are exact after three iterations. The pipelined count
+// only settles about 700 iterations in, and the loader's goroutines run on
+// either side of a window's edges, so that session first runs 800 iterations
+// and takes the median of five 20-iteration windows: a window then reads 40,
+// or 39 in about one session in ten, and the median read 40 in 70 of 70
+// sessions (idle, loaded, -cpu 1 and 4). One new allocation per iteration
+// moves every window.
 func TestRunIterationWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
 	}
 	ds := loadData(t, "cora")
 	cases := []struct {
-		name   string
-		agg    gnn.Aggregator
-		inDim  int
-		batch  int
-		budget int64
-		micro  int
-		max    float64
+		name    string
+		agg     gnn.Aggregator
+		inDim   int
+		batch   int
+		budget  int64
+		micro   int
+		pipe    bool
+		warm    int
+		windows int
+		max     float64
 	}{
-		{"mean", gnn.Mean, ds.FeatDim(), 256, device.GB, 4, 41},
-		{"lstm", gnn.LSTM, 64, 128, 2 * device.MB, 0, 61},
+		{"mean", gnn.Mean, ds.FeatDim(), 256, device.GB, 4, false, 3, 1, 41},
+		{"lstm", gnn.LSTM, 64, 128, 2 * device.MB, 0, false, 3, 1, 61},
+		{"pipelined", gnn.Mean, ds.FeatDim(), 256, device.GB, 4, true, 800, 5, 40},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSession(ds, Config{
+			cfg := Config{
 				System: Buffalo,
 				Model: gnn.Config{Arch: gnn.SAGE, Aggregator: tc.agg, Layers: 2,
 					InDim: tc.inDim, Hidden: 16, OutDim: ds.NumClasses, Seed: 1},
@@ -44,26 +60,38 @@ func TestRunIterationWarmAllocs(t *testing.T) {
 				MemBudget:    tc.budget,
 				MicroBatches: tc.micro,
 				Seed:         7,
-			})
+			}
+			var s *Session
+			var err error
+			if tc.pipe {
+				s, err = NewPipelinedSession(ds, cfg, PipelineConfig{Depth: 2, CacheBudget: 8 * device.MB})
+			} else {
+				s, err = NewSession(ds, cfg)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			for i := 0; i < 3; i++ {
+			for i := 0; i < tc.warm; i++ {
 				if _, err := s.RunIteration(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if _, iterErr := s.RunIteration(); iterErr != nil && err == nil {
-					err = iterErr
-				}
-			})
+			windows := make([]float64, tc.windows)
+			for w := range windows {
+				windows[w] = testing.AllocsPerRun(20, func() {
+					if _, iterErr := s.RunIteration(); iterErr != nil && err == nil {
+						err = iterErr
+					}
+				})
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			sort.Float64s(windows)
+			allocs := windows[len(windows)/2]
 			if allocs > tc.max {
-				t.Errorf("warm iteration allocates %v times, ceiling %v", allocs, tc.max)
+				t.Errorf("warm iteration allocates %v times (windows %v), ceiling %v", allocs, windows, tc.max)
 			} else if allocs < tc.max {
 				t.Logf("warm iteration allocates %v times, below its ceiling %v: lower the ceiling", allocs, tc.max)
 			}

@@ -126,7 +126,7 @@ func TestObsPhaseTotalsMatchSpanDurations(t *testing.T) {
 	if res.PredictedPeak <= 0 {
 		t.Fatal("buffalo iteration did not record a predicted peak")
 	}
-	if n := rec.Metrics().Histogram("estimate/error_pct", obs.PercentBuckets).Count(); n != 1 {
-		t.Fatalf("estimate/error_pct has %d observations, want 1", n)
+	if n := rec.Metrics().Histogram("estimate/error_bp", obs.BasisPointBuckets).Count(); n != 1 {
+		t.Fatalf("estimate/error_bp has %d observations, want 1", n)
 	}
 }

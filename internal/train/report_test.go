@@ -103,12 +103,8 @@ func TestRunReportManifestSession(t *testing.T) {
 		t.Fatal("manifest round trip changed the run report")
 	}
 
-	// Two manifests built from the same accumulated state gate clean under
-	// every deterministic threshold.
+	// Two manifests built from the same accumulated state do not differ.
 	m2 := rr.Build(rec)
-	if vs := report.Gate(m, m2, report.Thresholds{EstimatorErrorDriftPP: 0.01, AllocsPct: 0.1, CacheHitRateDropPP: 0.1}); len(vs) != 0 {
-		t.Fatalf("same-state manifests gated: %+v", vs)
-	}
 	if ds := report.Diff(m, m2); len(ds) != 0 {
 		t.Fatalf("same-state manifests diff: %+v", ds)
 	}
@@ -193,8 +189,8 @@ func TestRunReportManifestSharding(t *testing.T) {
 	if flat["sharding/dropped_bytes"] != float64(wantDrop) || flat["sharding/replicas"] != gpus {
 		t.Fatalf("flatten: %v", flat)
 	}
-	if vs := report.Gate(m, m, report.Thresholds{ShardingPaddingPct: 1}); len(vs) != 0 {
-		t.Fatalf("marginal padding gated: %+v", vs)
+	if 100*sh.PaddingBytes > sh.ParamBytes {
+		t.Fatalf("padding %d bytes is over 1%% of the %d parameter bytes", sh.PaddingBytes, sh.ParamBytes)
 	}
 
 	// An unsharded run of the same shape carries no section.

@@ -84,7 +84,7 @@ func NewLiveMeter(r *Recorder) *Meter {
 // config, phase breakdown, estimator error distribution, device memory
 // summaries, cache/pipeline state and the metrics snapshot, serialized as
 // deterministic JSON. Produced by RunReport.Build, consumed by the
-// buffalo-report CLI (show / diff / gate).
+// buffalo-report CLI (show / diff).
 type RunManifest = report.Manifest
 
 // RunReport accumulates per-iteration results into a RunManifest; see

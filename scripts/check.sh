@@ -13,18 +13,12 @@
 #                      suppresses nothing fails here too. The same command
 #                      as `make vet`. Leaked ledger allocations, stuck
 #                      goroutines, new hot-path allocations and bad shapes
-#                      are runtime properties: the tier-1 tests and the
-#                      gates below catch them
-#   4. report gate     a small deterministic cora run plus the four
-#                      allocation-deterministic benchmarks (sequential hot
-#                      loop, pipelined iteration, serving request, and the
-#                      sequential iteration with the LSTM aggregator),
-#                      serialized as a run manifest and gated by
-#                      buffalo-report against the committed baseline
-#                      (scripts/report_baseline.json): estimator-error
-#                      drift and allocs/op growth fail here before they
-#                      can creep into the paper's artifacts
-#   5. tensordebug     internal/tensor, internal/nn and internal/gnn under
+#                      are runtime properties the tier-1 tests catch
+#                      (TestRunIterationWarmAllocs and
+#                      TestServeRequestWarmAllocs hold the warm allocation
+#                      counts, TestGoldenBits the estimator's predicted
+#                      peaks bit for bit)
+#   4. tensordebug     internal/tensor, internal/nn and internal/gnn under
 #                      -tags tensordebug: released pool matrices and uncleared
 #                      checkouts (GetUninit) are filled with NaN, so a
 #                      use-after-release or a read-before-write anywhere in
@@ -39,7 +33,7 @@
 #                      cover the engine's uncleared probs; and the golden
 #                      bit-identity matrix (TestGoldenBits), whose every
 #                      number must survive the poison unchanged
-#   6. fuzz smoke      the seven native fuzz targets for 5 s each, beyond the
+#   5. fuzz smoke      the seven native fuzz targets for 5 s each, beyond the
 #                      seed corpora tier-1 already runs: block.GenerateInto
 #                      against GenerateNaive (with the sampler's position
 #                      invariants), the tensor pool against its multiset
@@ -48,11 +42,11 @@
 #                      portable loops, the row-indexed GEMMs against the
 #                      gathered products, the memest group accumulator
 #                      against the map oracle
-#   7. bench module    go vet and the smoke test of the repository's
+#   6. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
 #                      sizes, metric names checked against BENCHMARK.json
-#   8. go test -race   the full test suite under the race detector — the
+#   7. go test -race   the full test suite under the race detector — the
 #                      only race pass: the concurrent paths (obs recorder under
 #                      the ledger mutex, the async loader's stages and
 #                      shutdown, the plan-ahead pool and reorder buffer, the
@@ -79,33 +73,6 @@ GOARCH=arm64 go vet ./internal/tensor
 
 echo "== buffalo-vet =="
 go run ./cmd/buffalo-vet -timing ./...
-
-echo "== report gate =="
-# The run's schedule, memory estimator and the hot loops' allocation
-# counts are all seeded and machine-independent, so any drift against the
-# committed baseline manifest is a real regression — in internal/memest
-# (estimator error) or on a hot path (allocs/op: the sequential iteration,
-# the pipelined iteration with its staged loader, the serving request path
-# and the LSTM-aggregator iteration are each gated so pooling regressions in
-# any mode fail here).
-# Wall-clock metrics ride along in the manifest but are deliberately not
-# gated here. Re-baseline a justified change with:
-#   go run ./cmd/buffalo-train -dataset cora -iters 3 -seed 7 -report scripts/report_baseline.json
-#   go test -run xxx -bench 'BenchmarkRunIteration_ObsDisabled$|BenchmarkRunIteration_Pipelined$|BenchmarkServeRequest$|BenchmarkRunIteration_SequentialLSTM$' \
-#       -benchtime 20x -benchmem . > /tmp/bench.txt
-#   go run ./cmd/buffalo-report merge-bench -bench /tmp/bench.txt \
-#       -manifest scripts/report_baseline.json -out scripts/report_baseline.json
-reportdir=$(mktemp -d)
-trap 'rm -rf "$reportdir"' EXIT
-go run ./cmd/buffalo-train -dataset cora -iters 3 -seed 7 \
-    -report "$reportdir/current.json" >/dev/null
-go test -run xxx -bench 'BenchmarkRunIteration_ObsDisabled$|BenchmarkRunIteration_Pipelined$|BenchmarkServeRequest$|BenchmarkRunIteration_SequentialLSTM$' \
-    -benchtime 20x -benchmem . > "$reportdir/bench.txt"
-go run ./cmd/buffalo-report merge-bench -bench "$reportdir/bench.txt" \
-    -manifest "$reportdir/current.json" -out "$reportdir/current.json" >/dev/null
-go run ./cmd/buffalo-report gate \
-    -baseline scripts/report_baseline.json -current "$reportdir/current.json" \
-    -est-drift-pp 1 -allocs-pct 5
 
 echo "== tensordebug gate =="
 go vet -tags tensordebug ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
