@@ -1,7 +1,7 @@
 package pipeline
 
 import (
-	"container/heap"
+	"math/bits"
 	"sync"
 
 	"buffalo/internal/graph"
@@ -14,11 +14,19 @@ import (
 // nodes recur in almost every sampled batch, so pinning their feature rows
 // converts the heaviest share of H2D traffic into cache hits.
 //
-// Eviction is LRU refined by degree: the victim is the entry with the
-// lowest (degree, last-use) rank, and a candidate may only displace victims
-// of equal or lower degree. Low-degree churn therefore cannot evict a hub,
-// while among equal-degree entries the cache degrades to plain LRU. All
-// ordering ties break on node ID, so a run's hit sequence is deterministic.
+// Eviction is LRU refined by degree: the victim is the least recently used
+// entry of the lowest resident degree, and a candidate may only displace
+// victims of equal or lower degree. Low-degree churn therefore cannot evict
+// a hub, while among equal-degree entries the cache degrades to plain LRU.
+// An entry keeps the degree it was first admitted with. Every access is a
+// distinct instant, so no two entries share a last use and the order needs
+// no tie-break: a run's hit sequence is deterministic.
+//
+// Every access costs O(1) per row. Entries live in a slab of at most
+// budget/rowBytes slots; a dense node→slot table finds them; each degree
+// keeps its entries on an intrusive doubly-linked list in last-use order
+// (oldest at the head), and a bitset of non-empty degrees finds the lowest.
+// The victim is the head of that degree's list.
 //
 // The cache tracks occupancy in bytes against a fixed budget; the caller is
 // expected to charge that budget to the device ledger once, up front, so
@@ -28,14 +36,14 @@ import (
 // only — no device-ledger call ever happens under it.
 type FeatureCache struct {
 	mu       sync.Mutex
-	budget   int64
 	rowBytes int64
+	capacity int // rows the budget holds; 0 when nothing can be admitted
 
-	entries map[graph.NodeID]*cacheEntry
-	pq      victimHeap
-	free    []*cacheEntry // evicted entry structs, recycled by Admit
-	used    int64
-	tick    int64 // logical clock for last-use ordering
+	slots      []cacheSlot // resident entries: len(slots) is the entry count
+	where      []int32     // where[id] is node id's slot + 1; 0 when not resident
+	head, tail []int32     // per degree: its list's oldest and newest slot
+	nonEmpty   []uint64    // bit d is set iff degree d's list is non-empty
+	low        int         // no word of nonEmpty below this index is non-zero
 
 	hits, misses, evictions int64
 
@@ -44,55 +52,21 @@ type FeatureCache struct {
 	entriesG, usedG            *obs.Gauge
 }
 
-type cacheEntry struct {
-	id      graph.NodeID
-	degree  int
-	lastUse int64
-	index   int // heap position
-}
-
-// victimHeap orders entries by eviction priority: lowest degree first, then
-// least recently used, then lowest node ID. The root is always the next
-// victim.
-type victimHeap []*cacheEntry
-
-func (h victimHeap) Len() int { return len(h) }
-func (h victimHeap) Less(i, j int) bool {
-	if h[i].degree != h[j].degree {
-		return h[i].degree < h[j].degree
-	}
-	if h[i].lastUse != h[j].lastUse {
-		return h[i].lastUse < h[j].lastUse
-	}
-	return h[i].id < h[j].id
-}
-func (h victimHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *victimHeap) Push(x any) {
-	e := x.(*cacheEntry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *victimHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// cacheSlot is one resident entry, linked into its degree's list by slot
+// index (-1 ends the list).
+type cacheSlot struct {
+	id         graph.NodeID
+	degree     int32
+	prev, next int32
 }
 
 // NewFeatureCache builds a cache over feature rows of rowBytes bytes each,
 // holding at most budget bytes. A nil metrics registry disables counters. A
 // budget smaller than one row yields a valid cache that never admits.
 func NewFeatureCache(budget, rowBytes int64, m *obs.Metrics) *FeatureCache {
-	c := &FeatureCache{
-		budget:   budget,
-		rowBytes: rowBytes,
-		entries:  make(map[graph.NodeID]*cacheEntry),
+	c := &FeatureCache{rowBytes: rowBytes}
+	if rowBytes > 0 && rowBytes <= budget {
+		c.capacity = int(budget / rowBytes)
 	}
 	if m != nil {
 		c.hitsC = m.Counter("pipeline/cache/hits")
@@ -109,10 +83,8 @@ func NewFeatureCache(budget, rowBytes int64, m *obs.Metrics) *FeatureCache {
 func (c *FeatureCache) Lookup(id graph.NodeID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tick++
-	if e, ok := c.entries[id]; ok {
-		e.lastUse = c.tick
-		heap.Fix(&c.pq, e.index)
+	if s := c.slotOf(id); s >= 0 {
+		c.touch(s)
 		c.hits++
 		c.hitsC.Add(1)
 		return true
@@ -123,51 +95,159 @@ func (c *FeatureCache) Lookup(id graph.NodeID) bool {
 }
 
 // Admit offers node id (with the given graph degree) for residency after a
-// miss, evicting as many equal-or-lower-degree victims as its row needs. It
-// reports whether the row was admitted; admission fails when the row cannot
-// fit without displacing a strictly higher-degree entry, preserving hubs
-// against churn. Admitting an already-resident node only refreshes it.
+// miss, evicting the lowest-degree least recently used entry if the cache
+// is full. It reports whether the row was admitted; admission fails when the
+// row cannot fit without displacing a strictly higher-degree entry,
+// preserving hubs against churn. Admitting an already-resident node only
+// refreshes it.
 func (c *FeatureCache) Admit(id graph.NodeID, degree int) bool {
-	if c.rowBytes <= 0 || c.rowBytes > c.budget {
+	if c.capacity == 0 {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tick++
-	if e, ok := c.entries[id]; ok {
-		e.lastUse = c.tick
-		heap.Fix(&c.pq, e.index)
+	if s := c.slotOf(id); s >= 0 {
+		c.touch(s)
 		return true
 	}
-	for c.used+c.rowBytes > c.budget {
-		victim := c.pq[0]
-		if victim.degree > degree {
+	ev := c.evictions
+	if !c.insert(id, degree) {
+		return false
+	}
+	c.publish(0, 0, c.evictions-ev)
+	return true
+}
+
+// Probe stages one micro-batch's input rows: each id is looked up and, on a
+// miss, offered for admission with its degree in g — Lookup then Admit per
+// row, in order — under one lock acquisition, with the registry updated once
+// per call. It returns the number of misses, the rows that must be copied.
+func (c *FeatureCache) Probe(ids []graph.NodeID, g *graph.Graph) (misses int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ev := c.evictions
+	for _, id := range ids {
+		if s := c.slotOf(id); s >= 0 {
+			c.touch(s)
+			continue
+		}
+		misses++
+		if c.capacity > 0 {
+			c.insert(id, g.Degree(id))
+		}
+	}
+	hits := int64(len(ids)) - misses
+	c.hits += hits
+	c.misses += misses
+	c.publish(hits, misses, c.evictions-ev)
+	return misses
+}
+
+// publish mirrors counter deltas and the occupancy gauges into the
+// registry. Callers hold c.mu, so the gauges never go stale.
+func (c *FeatureCache) publish(hits, misses, evictions int64) {
+	c.hitsC.Add(hits)
+	c.missesC.Add(misses)
+	c.evictionsC.Add(evictions)
+	c.entriesG.Set(int64(len(c.slots)))
+	c.usedG.Set(int64(len(c.slots)) * c.rowBytes)
+}
+
+// slotOf returns node id's slot, or -1 when it is not resident.
+func (c *FeatureCache) slotOf(id graph.NodeID) int32 {
+	if uint(id) < uint(len(c.where)) {
+		return c.where[id] - 1
+	}
+	return -1
+}
+
+// insert admits a non-resident node (c.capacity > 0), evicting the head of
+// the lowest non-empty degree list when the cache is full, unless that
+// victim's degree exceeds the candidate's.
+func (c *FeatureCache) insert(id graph.NodeID, degree int) bool {
+	var s int32
+	if len(c.slots) < c.capacity {
+		s = int32(len(c.slots))
+		c.slots = append(c.slots, cacheSlot{})
+	} else {
+		d := c.lowestDegree()
+		if d > degree {
 			return false
 		}
-		heap.Pop(&c.pq)
-		delete(c.entries, victim.id)
-		c.free = append(c.free, victim)
-		c.used -= c.rowBytes
+		s = c.head[d]
+		c.unlink(s)
+		c.where[c.slots[s].id] = 0
 		c.evictions++
-		c.evictionsC.Add(1)
-		c.entriesG.Set(int64(len(c.entries)))
-		c.usedG.Set(c.used)
 	}
-	var e *cacheEntry
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		*e = cacheEntry{id: id, degree: degree, lastUse: c.tick}
-	} else {
-		e = &cacheEntry{id: id, degree: degree, lastUse: c.tick}
+	c.slots[s] = cacheSlot{id: id, degree: int32(degree)}
+	if int(id) >= len(c.where) {
+		c.where = append(c.where, make([]int32, int(id)+1-len(c.where))...)
 	}
-	heap.Push(&c.pq, e)
-	c.entries[id] = e
-	c.used += c.rowBytes
-	c.entriesG.Set(int64(len(c.entries)))
-	c.usedG.Set(c.used)
+	c.where[id] = s + 1
+	c.pushTail(s)
 	return true
+}
+
+// touch makes slot s the most recently used entry of its degree.
+func (c *FeatureCache) touch(s int32) {
+	if c.tail[c.slots[s].degree] != s {
+		c.unlink(s)
+		c.pushTail(s)
+	}
+}
+
+// pushTail appends slot s to its degree's list as the newest entry.
+func (c *FeatureCache) pushTail(s int32) {
+	d := int(c.slots[s].degree)
+	if d >= len(c.head) {
+		c.head = append(c.head, make([]int32, d+1-len(c.head))...)
+		c.tail = append(c.tail, make([]int32, d+1-len(c.tail))...)
+	}
+	w := d >> 6
+	if w >= len(c.nonEmpty) {
+		c.nonEmpty = append(c.nonEmpty, make([]uint64, w+1-len(c.nonEmpty))...)
+	}
+	e := &c.slots[s]
+	e.next = -1
+	if c.nonEmpty[w]&(1<<(d&63)) == 0 {
+		e.prev = -1
+		c.head[d] = s
+		c.nonEmpty[w] |= 1 << (d & 63)
+		c.low = min(c.low, w)
+	} else {
+		e.prev = c.tail[d]
+		c.slots[e.prev].next = s
+	}
+	c.tail[d] = s
+}
+
+// unlink removes slot s from its degree's list, clearing the degree's bit
+// when the list empties.
+func (c *FeatureCache) unlink(s int32) {
+	e := &c.slots[s]
+	d := int(e.degree)
+	if e.prev >= 0 {
+		c.slots[e.prev].next = e.next
+	} else {
+		c.head[d] = e.next
+	}
+	if e.next >= 0 {
+		c.slots[e.next].prev = e.prev
+	} else {
+		c.tail[d] = e.prev
+	}
+	if c.head[d] < 0 {
+		c.nonEmpty[d>>6] &^= 1 << (d & 63)
+	}
+}
+
+// lowestDegree returns the lowest degree with a resident entry; the cache
+// must not be empty.
+func (c *FeatureCache) lowestDegree() int {
+	for c.nonEmpty[c.low] == 0 {
+		c.low++
+	}
+	return c.low<<6 | bits.TrailingZeros64(c.nonEmpty[c.low])
 }
 
 // CacheStats is a point-in-time summary of cache effectiveness.
@@ -184,8 +264,8 @@ func (c *FeatureCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:   len(c.entries),
-		UsedBytes: c.used,
+		Entries:   len(c.slots),
+		UsedBytes: int64(len(c.slots)) * c.rowBytes,
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"sync"
 	"testing"
 
+	"buffalo/internal/graph"
 	"buffalo/internal/obs"
 )
 
@@ -41,8 +43,8 @@ func TestCacheDegreeAwareAdmission(t *testing.T) {
 }
 
 // TestCacheLRUWithinDegreeTier: among equal-degree entries the cache is
-// plain LRU, and ties in recency break on node ID — the whole ordering is
-// deterministic.
+// plain LRU. Every access is a distinct instant, so recency never ties and
+// the whole ordering is deterministic.
 func TestCacheLRUWithinDegreeTier(t *testing.T) {
 	c := NewFeatureCache(3*8, 8, nil)
 	for _, id := range []int32{1, 2, 3} {
@@ -112,5 +114,63 @@ func TestCacheReadmitRefreshes(t *testing.T) {
 	}
 	if !c.Lookup(1) {
 		t.Fatal("refreshed node evicted")
+	}
+}
+
+// TestFeatureCacheProbeWarmAllocs: once the slab, the node→slot table and
+// the degree lists have grown, a Probe allocates nothing, admissions and
+// evictions included. The input churns 100 nodes through 64 rows, so every
+// warm call evicts.
+func TestFeatureCacheProbeWarmAllocs(t *testing.T) {
+	g := fuzzGraph()
+	var ids []graph.NodeID
+	for v := 0; v < 100; v++ {
+		ids = append(ids, graph.NodeID(v), graph.NodeID(v%3))
+	}
+	c := NewFeatureCache(64*16, 16, obs.NewMetrics())
+	c.Probe(ids, g)
+	c.Probe(ids, g)
+	before := c.Stats().Evictions
+	if allocs := testing.AllocsPerRun(100, func() { c.Probe(ids, g) }); allocs != 0 {
+		t.Fatalf("warm Probe allocates %v times per call, want 0", allocs)
+	}
+	if c.Stats().Evictions == before {
+		t.Fatal("warm Probes evicted nothing; the test would not cover admission")
+	}
+}
+
+// TestFeatureCacheConcurrentProbes: probes, lookups and admissions from
+// several goroutines (the prefetch stage and the stats readers) keep the
+// counters whole and the registry equal to Stats.
+func TestFeatureCacheConcurrentProbes(t *testing.T) {
+	g := fuzzGraph()
+	m := obs.NewMetrics()
+	c := NewFeatureCache(32*16, 16, m)
+	const workers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ids := make([]graph.NodeID, 20)
+			for r := 0; r < rounds; r++ {
+				for i := range ids {
+					ids[i] = graph.NodeID((w*7 + r*3 + i*5) % nearIDs)
+				}
+				c.Probe(ids, g)
+				if !c.Lookup(ids[0]) {
+					c.Admit(ids[0], g.Degree(ids[0]))
+				}
+				c.Stats()
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if got, want := st.Hits+st.Misses, int64(workers*rounds*21); got != want {
+		t.Fatalf("hits+misses = %d, want %d accesses", got, want)
+	}
+	if reg := registryStats(m); reg != st {
+		t.Fatalf("registry %+v, Stats %+v", reg, st)
 	}
 }

@@ -182,25 +182,41 @@ var goldenModes = []struct {
 // got). Under -race the build has no vector kernels, so there the same file is
 // the portable path's comparison. Regenerate with -update only for a change
 // that means to move numbers, and say why in CHANGES.md.
+//
+// The matrix rows are independent, so they run as parallel subtests; the
+// file is assembled in matrix order once all of them are done.
 func TestGoldenBits(t *testing.T) {
-	var buf bytes.Buffer
 	loaded := map[string]*datagen.Dataset{}
 	for _, m := range goldenModels {
-		ds := loaded[m.ds]
-		if ds == nil {
-			ds = loadData(t, m.ds)
-			loaded[m.ds] = ds
+		if loaded[m.ds] == nil {
+			loaded[m.ds] = loadData(t, m.ds)
 		}
-		cfg := goldenConfig(ds, m)
-		for _, mode := range goldenModes {
-			var rows bytes.Buffer
-			mode.run(t, ds, cfg, &rows)
-			for _, line := range strings.SplitAfter(rows.String(), "\n") {
-				if line != "" {
-					buf.WriteString(m.name() + " " + line)
+	}
+	rows := make([]bytes.Buffer, len(goldenModels))
+	t.Run("matrix", func(t *testing.T) {
+		for i, m := range goldenModels {
+			t.Run(m.name(), func(t *testing.T) {
+				t.Parallel()
+				ds := loaded[m.ds]
+				cfg := goldenConfig(ds, m)
+				for _, mode := range goldenModes {
+					var out bytes.Buffer
+					mode.run(t, ds, cfg, &out)
+					for _, line := range strings.SplitAfter(out.String(), "\n") {
+						if line != "" {
+							rows[i].WriteString(m.name() + " " + line)
+						}
+					}
 				}
-			}
+			})
 		}
+	})
+	if t.Failed() {
+		return
+	}
+	var buf bytes.Buffer
+	for i := range rows {
+		buf.Write(rows[i].Bytes())
 	}
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {

@@ -177,12 +177,6 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 	seeds := s.dedupInto(nodes)
 	t0 := time.Now()
 	s.GPU.ResetPeak()
-	pre := s.cache != nil
-	var preHits, preMisses int64
-	if pre {
-		st := s.cache.Stats()
-		preHits, preMisses = st.Hits, st.Misses
-	}
 	res := &InferResult{Classes: make(map[graph.NodeID]int32, len(seeds))}
 
 	tS := time.Now()
@@ -230,10 +224,6 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 	}
 
 	res.Peak = s.GPU.Stats().Peak
-	if pre {
-		st := s.cache.Stats()
-		res.CacheHits, res.CacheMisses = st.Hits-preHits, st.Misses-preMisses
-	}
 	if s.Cfg.Obs.Enabled() {
 		s.Cfg.Obs.Span(obs.KindIteration, s.GPU.Name(), "serve",
 			time.Since(t0), res.Peak, int64(res.K))
@@ -255,13 +245,11 @@ func (s *InferenceSession) executeInfer(mb *block.MicroBatch, res *InferResult) 
 	defer s.eng.arena.Reset()
 	missBytes := s.eng.featBytes(mb)
 	if s.cache != nil {
-		missBytes = 0
-		for _, v := range mb.InputNodes() {
-			if !s.cache.Lookup(v) {
-				missBytes += s.eng.rowBytes
-				s.cache.Admit(v, s.Data.Graph.Degree(v))
-			}
-		}
+		inputs := mb.InputNodes()
+		misses := s.cache.Probe(inputs, s.Data.Graph)
+		res.CacheHits += int64(len(inputs)) - misses
+		res.CacheMisses += misses
+		missBytes = misses * s.eng.rowBytes
 	}
 	res.Breakdown.Gather += time.Since(tG)
 

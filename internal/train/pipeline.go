@@ -261,7 +261,7 @@ func scalePlanning(ph *Phases, cpu, wall time.Duration) {
 }
 
 // stageMicroBatch prefetches micro-batch idx onto replica dev: probe that
-// device's cache per input node, reserve the on-device feature tensor, and
+// device's cache with the input nodes, reserve the on-device feature tensor, and
 // issue one async copy for the rows the cache missed. Nothing is gathered on
 // the host: the consumer's layer 0 reads the feature table in place.
 //
@@ -285,14 +285,7 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	featBytes := e.featBytes(mb)
 	missBytes := featBytes
 	if l.caches != nil {
-		missBytes = 0
-		cache := l.caches[dev]
-		for _, v := range mb.InputNodes() {
-			if !cache.Lookup(v) {
-				missBytes += e.rowBytes
-				cache.Admit(v, it.b.Graph.Degree(v))
-			}
-		}
+		missBytes = l.caches[dev].Probe(mb.InputNodes(), it.b.Graph) * e.rowBytes
 	}
 	// The consumer's concurrent appetite is its group's activations: the
 	// worst-case group estimate minus the smallest feature tensor it could

@@ -125,16 +125,22 @@ func TestPyGComputePenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := dglS.RunIterationOn(b)
-	if err != nil {
-		t.Fatal(err)
+	// The phase is host time, which a cold first iteration or a preempted one
+	// inflates: compare the least of five interleaved iterations per system.
+	dgl, pyg := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 5; i++ {
+		r1, err := dglS.RunIterationOn(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := pygS.RunIterationOn(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dgl, pyg = min(dgl, r1.Phases.GPUCompute), min(pyg, r2.Phases.GPUCompute)
 	}
-	r2, err := pygS.RunIterationOn(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Phases.GPUCompute <= r1.Phases.GPUCompute {
-		t.Fatalf("PyG compute (%v) should exceed DGL (%v)", r2.Phases.GPUCompute, r1.Phases.GPUCompute)
+	if pyg <= dgl {
+		t.Fatalf("PyG compute (%v) should exceed DGL (%v)", pyg, dgl)
 	}
 }
 

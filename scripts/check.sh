@@ -33,7 +33,7 @@
 #                      cover the engine's uncleared probs; and the golden
 #                      bit-identity matrix (TestGoldenBits), whose every
 #                      number must survive the poison unchanged
-#   5. fuzz smoke      the seven native fuzz targets for 5 s each, beyond the
+#   5. fuzz smoke      the eight native fuzz targets for 5 s each, beyond the
 #                      seed corpora tier-1 already runs: block.GenerateInto
 #                      against GenerateNaive (with the sampler's position
 #                      invariants), the tensor pool against its multiset
@@ -41,7 +41,8 @@
 #                      and the vector exp/sigmoid/tanh kernel against the
 #                      portable loops, the row-indexed GEMMs against the
 #                      gathered products, the memest group accumulator
-#                      against the map oracle
+#                      against the map oracle, the feature cache against
+#                      its heap oracle
 #   6. bench module    go vet and the smoke test of the repository's
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
@@ -89,6 +90,7 @@ go test -run '^$' -fuzz '^FuzzMeanRowsVectorVsPortable$' -fuzztime 5s ./internal
 go test -run '^$' -fuzz '^FuzzTransVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzMatMulRowsVsGathered$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGroupAccumulator$' -fuzztime 5s ./internal/memest
+go test -run '^$' -fuzz '^FuzzFeatureCacheModel$' -fuzztime 5s ./internal/pipeline
 
 echo "== bench module gate =="
 # bench/ replaces buffalo with ../, so this also proves every exported
