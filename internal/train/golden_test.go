@@ -93,10 +93,42 @@ func goldenIter(w io.Writer, tag string, i int, r *IterationResult, peak bool) {
 	fmt.Fprintln(w)
 }
 
+// goldenComm writes one data-parallel iteration's simulated interconnect
+// time in ns: the busy total always, the exposed/hidden split only where it
+// does not depend on measured compute (no overlap).
+func goldenComm(w io.Writer, tag string, i int, r *MultiGPUResult, split bool) {
+	fmt.Fprintf(w, "%s comm%d busy=%d", tag, i, int64(r.Phases.Communication))
+	if split {
+		fmt.Fprintf(w, " exposed=%d hidden=%d", int64(r.ExposedComm), int64(r.HiddenComm))
+	}
+	fmt.Fprintln(w)
+}
+
+// runDataParallel runs goldenIters iterations of a 2-GPU run at K = 4 on a
+// roomy budget and records each one's fields and interconnect time.
+func runDataParallel(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer, tag string, overlap bool) {
+	cfg.MemBudget *= 4
+	cfg.MicroBatches = 4
+	dp, err := NewDataParallel(ds, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Close()
+	for i := 0; i < goldenIters; i++ {
+		r, err := dp.RunIteration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenIter(w, tag, i, &r.IterationResult, !overlap)
+		goldenComm(w, tag, i, r, !overlap)
+	}
+}
+
 // goldenModes are the execution paths each matrix row runs: the sequential
 // session with Evaluate after every iteration, the pipelined session with a
-// feature cache, a 2-GPU ZeRO-1 run with overlapped collectives, and two
-// identical Infer requests on a cached serving session (the second one hits).
+// feature cache, a 2-GPU run with one whole-set all-reduce, a 2-GPU ZeRO-1
+// run with overlapped collectives, and two identical Infer requests on a
+// cached serving session (the second one hits).
 var goldenModes = []struct {
 	name string
 	run  func(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer)
@@ -136,22 +168,12 @@ var goldenModes = []struct {
 			goldenIter(w, "pipe", i, r, false)
 		}
 	}},
+	{"allreduce", func(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer) {
+		runDataParallel(t, ds, cfg, w, "allreduce", false)
+	}},
 	{"zero1", func(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer) {
-		cfg.MemBudget *= 4
-		cfg.MicroBatches = 4
 		cfg.ZeRO1, cfg.CommOverlap = true, true
-		dp, err := NewDataParallel(ds, cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dp.Close()
-		for i := 0; i < goldenIters; i++ {
-			r, err := dp.RunIteration()
-			if err != nil {
-				t.Fatal(err)
-			}
-			goldenIter(w, "zero1", i, &r.IterationResult, false)
-		}
+		runDataParallel(t, ds, cfg, w, "zero1", true)
 	}},
 	{"infer", func(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer) {
 		s, err := NewInferenceSession(ds, cfg, cfg.MemBudget/8)
