@@ -245,9 +245,6 @@ func blockingCallReason(info *types.Info, call *ast.CallExpr) string {
 	if isDeviceMethod(fn, "GPU", "WaitTransfer") {
 		return "simulated stall GPU.WaitTransfer"
 	}
-	if isDeviceMethod(fn, "Cluster", "AllReduce") {
-		return "simulated collective Cluster.AllReduce"
-	}
 	if isDeviceMethod(fn, "Cluster", "AllReduceAsync") {
 		// Async launch still books interconnect time under the cluster's
 		// comm-engine clock; holding a mutex across it serializes every

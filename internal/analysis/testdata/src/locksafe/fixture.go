@@ -274,12 +274,14 @@ func (r *reducer) BadWaitReduceUnderLock(done time.Duration) {
 	r.mu.Unlock()
 }
 
-// BadSyncReduceUnderDefer runs the monolithic synchronous collective while
-// the deferred unlock keeps the mutex held.
-func (r *reducer) BadSyncReduceUnderDefer() {
+// BadExposedReduceUnderDefer launches the whole gradient payload's
+// all-reduce at the compute tail and waits for it while the deferred unlock
+// keeps the mutex held.
+func (r *reducer) BadExposedReduceUnderDefer(size int64, tail time.Duration) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cluster.AllReduce(1 << 20) // want:locksafe
+	r.cluster.AllReduceAsync(size, tail) // want:locksafe
+	return r.cluster.WaitReduce(tail)    // want:locksafe
 }
 
 // GoodReduceShape is the engine's discipline: read the bucket size under the

@@ -13,11 +13,11 @@ import (
 // gradient all-reduce the data-parallel trainer performs each iteration.
 //
 // Like the per-GPU copy engine, the interconnect is its own engine on the
-// simulated timeline: a reduce launched while compute tails are still
-// running (AllReduceAsync) charges the iteration only for the share the
-// training step actually had to wait for (WaitReduce), with the hidden
-// remainder reported separately. The synchronous AllReduce keeps the fully
-// exposed model for trainers that combine gradients after all compute.
+// simulated timeline, and every collective is booked on it: one launched
+// while compute tails are still running charges the iteration only for the
+// share the training step actually had to wait for (WaitReduce), with the
+// hidden remainder reported separately. A collective launched at the compute
+// tail is exposed in full.
 type Cluster struct {
 	gpus []*GPU
 
@@ -26,7 +26,7 @@ type Cluster struct {
 	linkLatency   time.Duration
 
 	// mu guards the comm clocks: the trainer's consumer goroutine accumulates
-	// them via AllReduce/AllReduceAsync/WaitReduce while observers (experiment
+	// them via the *Async launches and WaitReduce while observers (experiment
 	// reports, tests) may read them concurrently through CommTime and
 	// ExposedCommTime.
 	mu       sync.Mutex
@@ -43,14 +43,10 @@ type Cluster struct {
 	exposedComm time.Duration
 	// bucketSeq numbers the async reduces of the current window for traces.
 	bucketSeq int64
-	// Per-collective breakdown of commTime: how much interconnect busy time
-	// each collective family contributed (all-reduce time is commTime minus
-	// the two below), for the manifest's sharding section.
-	rsTime  time.Duration
-	agTime  time.Duration
-	rsCount int64
-	agCount int64
-	rec     *obs.Recorder
+	// coll is the sharded collectives' share of commTime (all-reduce time is
+	// commTime minus both), for the manifest's sharding section.
+	coll CollectiveBreakdown
+	rec  *obs.Recorder
 }
 
 // NewCluster builds n identical GPUs named base-0..base-(n-1).
@@ -115,67 +111,43 @@ func (c *Cluster) RingReduceDuration(size int64) time.Duration {
 	return c.halfRingDuration(size) + c.halfRingDuration(size)
 }
 
-// AllReduce models a synchronous ring all-reduce of size bytes across the
-// cluster and returns the simulated duration (see RingReduceDuration). The
-// caller's training step waits for it in full, so the whole duration is
-// exposed. Single-GPU clusters take no time.
-func (c *Cluster) AllReduce(size int64) time.Duration {
-	d := c.RingReduceDuration(size)
-	if d == 0 {
-		return 0
-	}
-	c.mu.Lock()
-	c.commTime += d
-	c.exposedComm += d
-	c.mu.Unlock()
-	c.rec.Span(obs.KindAllReduce, "", "allreduce", d, size, int64(len(c.gpus)))
-	return d
-}
-
-// AllReduceAsync launches one gradient bucket's ring reduce on the comm
+// AllReduceAsync launches one ring all-reduce of size bytes on the comm
 // engine: the reduce starts as soon as both the interconnect is free and the
-// bucket's gradients are ready (the position on the iteration timeline the
-// trainer passes — a bucket produced mid-backward cannot reduce before the
-// backward pass reaches it). It returns the reduce's completion position;
-// the full ring duration accrues on the comm clock (the interconnect is busy
-// that long), and how much of it was hidden behind compute is decided at
+// gradients are ready (the position on the iteration timeline the trainer
+// passes — a bucket produced mid-backward cannot reduce before the backward
+// pass reaches it). It returns the reduce's completion position; the full
+// ring duration accrues on the comm clock (the interconnect is busy that
+// long), and how much of it was hidden behind compute is decided at
 // WaitReduce time. Single-GPU clusters return ready unchanged at no cost.
 func (c *Cluster) AllReduceAsync(size int64, ready time.Duration) time.Duration {
-	d := c.RingReduceDuration(size)
+	return c.bookAsync(obs.KindBucketReduce, "bucket", size, c.RingReduceDuration(size), ready)
+}
+
+// bookAsync places one collective of duration d on the comm engine after
+// both the engine is free and the payload is ready, records its span with
+// the window launch index, and returns the completion position. A
+// collective that takes no time (single-GPU clusters) returns ready at no
+// cost. Callers hold no lock.
+func (c *Cluster) bookAsync(kind obs.Kind, name string, size int64, d, ready time.Duration) time.Duration {
 	if d == 0 {
 		return ready
 	}
 	c.mu.Lock()
-	start := c.commFront
-	if ready > start {
-		start = ready
-	}
-	c.commFront = start + d
+	c.commFront = max(c.commFront, ready) + d
 	c.commTime += d
-	done := c.commFront
-	seq := c.bucketSeq
+	switch kind {
+	case obs.KindReduceScatter:
+		c.coll.ReduceScatterTime += d
+		c.coll.ReduceScatterCount++
+	case obs.KindAllGather:
+		c.coll.AllGatherTime += d
+		c.coll.AllGatherCount++
+	}
+	done, seq := c.commFront, c.bucketSeq
 	c.bucketSeq++
 	c.mu.Unlock()
-	c.rec.Span(obs.KindBucketReduce, "", "bucket", d, size, seq)
+	c.rec.Span(kind, "", name, d, size, seq)
 	return done
-}
-
-// bookAsync places one collective of duration d on the comm engine after
-// both the engine is free and the payload is ready, and returns the
-// completion position plus the window launch index. Callers hold no lock.
-func (c *Cluster) bookAsync(d, ready time.Duration) (done time.Duration, seq int64) {
-	c.mu.Lock()
-	start := c.commFront
-	if ready > start {
-		start = ready
-	}
-	c.commFront = start + d
-	c.commTime += d
-	done = c.commFront
-	seq = c.bucketSeq
-	c.bucketSeq++
-	c.mu.Unlock()
-	return done, seq
 }
 
 // ReduceScatterAsync launches one gradient bucket's ring reduce-scatter on
@@ -186,17 +158,7 @@ func (c *Cluster) bookAsync(d, ready time.Duration) (done time.Duration, seq int
 // full duration accrues on the comm clock; WaitReduce decides how much was
 // hidden. Single-GPU clusters return ready unchanged at no cost.
 func (c *Cluster) ReduceScatterAsync(size int64, ready time.Duration) time.Duration {
-	d := c.ReduceScatterDuration(size)
-	if d == 0 {
-		return ready
-	}
-	done, seq := c.bookAsync(d, ready)
-	c.mu.Lock()
-	c.rsTime += d
-	c.rsCount++
-	c.mu.Unlock()
-	c.rec.Span(obs.KindReduceScatter, "", "reducescatter", d, size, seq)
-	return done
+	return c.bookAsync(obs.KindReduceScatter, "reducescatter", size, c.ReduceScatterDuration(size), ready)
 }
 
 // AllGatherAsync launches a ring all-gather of size bytes (the total
@@ -204,17 +166,7 @@ func (c *Cluster) ReduceScatterAsync(size int64, ready time.Duration) time.Durat
 // stepped its own shard) on the comm engine, starting once the interconnect
 // is free and the shards are ready. Accounting mirrors ReduceScatterAsync.
 func (c *Cluster) AllGatherAsync(size int64, ready time.Duration) time.Duration {
-	d := c.AllGatherDuration(size)
-	if d == 0 {
-		return ready
-	}
-	done, seq := c.bookAsync(d, ready)
-	c.mu.Lock()
-	c.agTime += d
-	c.agCount++
-	c.mu.Unlock()
-	c.rec.Span(obs.KindAllGather, "", "allgather", d, size, seq)
-	return done
+	return c.bookAsync(obs.KindAllGather, "allgather", size, c.AllGatherDuration(size), ready)
 }
 
 // WaitReduce ends the current iteration's reduce window: the training step
@@ -240,8 +192,8 @@ func (c *Cluster) WaitReduce(at time.Duration) time.Duration {
 	return stall
 }
 
-// CommTime reports the accumulated all-reduce time: the interconnect's total
-// busy time across synchronous and bucketed reduces.
+// CommTime reports the interconnect's total busy time across every
+// collective launched.
 func (c *Cluster) CommTime() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,8 +201,8 @@ func (c *Cluster) CommTime() time.Duration {
 }
 
 // ExposedCommTime reports the share of CommTime the training step waited
-// for: synchronous reduces in full plus the WaitReduce stalls of bucketed
-// windows. CommTime minus ExposedCommTime is what overlap hid.
+// for: the sum of the WaitReduce stalls. CommTime minus ExposedCommTime is
+// what overlap hid.
 func (c *Cluster) ExposedCommTime() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -271,12 +223,7 @@ type CollectiveBreakdown struct {
 func (c *Cluster) Collectives() CollectiveBreakdown {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CollectiveBreakdown{
-		ReduceScatterTime:  c.rsTime,
-		AllGatherTime:      c.agTime,
-		ReduceScatterCount: c.rsCount,
-		AllGatherCount:     c.agCount,
-	}
+	return c.coll
 }
 
 // Stats snapshots every device's counters, cluster order. The reporting
@@ -289,52 +236,16 @@ func (c *Cluster) Stats() []Stats {
 	return out
 }
 
-// ResetPeaks drops every device's peak watermark to its current live bytes,
-// leaving all clocks — device and interconnect — untouched. This is the
-// per-iteration rebase a pipelined trainer needs: phases are computed as
-// before/after clock deltas, so the clocks must stay cumulative while a
-// shared prefetcher may have async transfers in flight on any device.
-func (c *Cluster) ResetPeaks() {
-	for _, g := range c.gpus {
-		g.ResetPeak()
-	}
-}
-
 // ResetClocks zeroes every device clock and the interconnect clocks (busy,
-// exposed, and the reduce-window front). Like GPU.ResetClocks it leaves peak
-// watermarks alone; Reset does both. Unsafe while any device has an async
-// transfer in flight or a reduce window is open (see GPU.ResetClocks) —
-// pipelined callers should rely on ResetPeaks plus clock deltas instead.
+// exposed, the reduce-window front and the per-collective breakdown), leaving
+// peak watermarks alone. Unsafe while any device has an async transfer in
+// flight or a reduce window is open (see GPU.ResetClocks).
 func (c *Cluster) ResetClocks() {
 	c.mu.Lock()
-	c.zeroCommClocksLocked()
+	c.commTime, c.exposedComm, c.commFront, c.bucketSeq = 0, 0, 0, 0
+	c.coll = CollectiveBreakdown{}
 	c.mu.Unlock()
 	for _, g := range c.gpus {
 		g.ResetClocks()
-	}
-}
-
-// zeroCommClocksLocked clears every interconnect clock and counter; callers
-// hold mu.
-func (c *Cluster) zeroCommClocksLocked() {
-	c.commTime = 0
-	c.exposedComm = 0
-	c.commFront = 0
-	c.bucketSeq = 0
-	c.rsTime = 0
-	c.agTime = 0
-	c.rsCount = 0
-	c.agCount = 0
-}
-
-// Reset zeroes the interconnect clocks and atomically resets every device's
-// peak watermark and clocks (GPU.Reset per device). Like ResetClocks it must
-// not run while async transfers are pending on any device.
-func (c *Cluster) Reset() {
-	c.mu.Lock()
-	c.zeroCommClocksLocked()
-	c.mu.Unlock()
-	for _, g := range c.gpus {
-		g.Reset()
 	}
 }

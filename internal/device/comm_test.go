@@ -9,8 +9,9 @@ import (
 // TestRingReduceDurationPinned pins the ring all-reduce cost model to the
 // formula the paper's interconnect analysis uses: 2(n-1) exchange steps,
 // each moving one size/n chunk over the slowest link plus the per-message
-// latency. Both the synchronous and the bucketed reduce paths price through
-// this one function, so this test guards the volume accounting for both.
+// latency. Every all-reduce launch prices through this one function, so this
+// test guards the volume accounting for the whole-payload and the bucketed
+// reduce alike.
 func TestRingReduceDurationPinned(t *testing.T) {
 	c, err := NewCluster("gpu", 4, GB)
 	if err != nil {
@@ -25,12 +26,13 @@ func TestRingReduceDurationPinned(t *testing.T) {
 	if got := c.RingReduceDuration(size); got != want {
 		t.Fatalf("RingReduceDuration(%d) = %v, want %v", size, got, want)
 	}
-	// The synchronous path charges exactly the formula, fully exposed.
-	if got := c.AllReduce(size); got != want {
-		t.Fatalf("AllReduce(%d) = %v, want %v", size, got, want)
+	// A reduce with nothing to hide behind charges exactly the formula,
+	// fully exposed.
+	if got := syncReduce(c, size); got != want {
+		t.Fatalf("exposed all-reduce of %d = %v, want %v", size, got, want)
 	}
 	if c.CommTime() != want || c.ExposedCommTime() != want {
-		t.Fatalf("clocks after sync reduce: busy %v exposed %v, want both %v",
+		t.Fatalf("clocks after an exposed reduce: busy %v exposed %v, want both %v",
 			c.CommTime(), c.ExposedCommTime(), want)
 	}
 }
@@ -122,8 +124,8 @@ func TestRingReduceSingleGPU(t *testing.T) {
 	if d := c.RingReduceDuration(1 << 20); d != 0 {
 		t.Fatalf("single-GPU ring duration = %v, want 0", d)
 	}
-	if d := c.AllReduce(1 << 20); d != 0 {
-		t.Fatalf("single-GPU AllReduce = %v, want 0", d)
+	if d := syncReduce(c, 1<<20); d != 0 {
+		t.Fatalf("single-GPU exposed all-reduce = %v, want 0", d)
 	}
 	if done := c.AllReduceAsync(1<<20, 5*time.Millisecond); done != 5*time.Millisecond {
 		t.Fatalf("single-GPU AllReduceAsync must pass ready through, got %v", done)

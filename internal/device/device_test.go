@@ -178,18 +178,25 @@ func TestClusterBasics(t *testing.T) {
 	}
 }
 
+// syncReduce books one all-reduce launched at the window origin and closes
+// the window there: nothing hides it, so it is exposed in full.
+func syncReduce(c *Cluster, size int64) time.Duration {
+	c.AllReduceAsync(size, 0)
+	return c.WaitReduce(0)
+}
+
 func TestAllReduce(t *testing.T) {
 	single, _ := NewCluster("s", 1, GB)
-	if d := single.AllReduce(1 << 20); d != 0 {
+	if d := syncReduce(single, 1<<20); d != 0 {
 		t.Fatalf("single-GPU all-reduce should be free, got %v", d)
 	}
 	dual, _ := NewCluster("d", 2, GB)
-	d2 := dual.AllReduce(1 << 20)
+	d2 := syncReduce(dual, 1<<20)
 	if d2 <= 0 {
 		t.Fatal("dual-GPU all-reduce must take time")
 	}
 	quad, _ := NewCluster("q", 4, GB)
-	d4 := quad.AllReduce(1 << 20)
+	d4 := syncReduce(quad, 1<<20)
 	if d4 <= d2 {
 		t.Fatalf("4-GPU ring (%v) should cost more than 2-GPU (%v) for same bytes", d4, d2)
 	}

@@ -155,11 +155,11 @@ func TestObsClusterAllReduceRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.AllReduce(1<<20) <= 0 {
+	if syncReduce(c, 1<<20) <= 0 {
 		t.Fatal("no all-reduce time")
 	}
-	if got := m.Counter("allreduce/count").Value(); got != 1 {
-		t.Fatalf("allreduce/count = %d", got)
+	if got := m.Counter("bucketreduce/count").Value(); got != 1 {
+		t.Fatalf("bucketreduce/count = %d", got)
 	}
 }
 

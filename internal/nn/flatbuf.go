@@ -1,20 +1,6 @@
 package nn
 
-import (
-	"errors"
-	"fmt"
-)
-
-// Sentinel errors for the flat-buffer hot path. The combine methods run once
-// per bucket per replica per micro-batch; fmt.Errorf would box its arguments
-// on every call site the compiler cannot prove cold, so the hot sweeps return
-// these preallocated values instead. They all indicate the same programming
-// error — parameter sets flattened with different arguments — which the
-// engine rules out at construction.
-var (
-	errFlatLenMismatch = errors.New("nn: flat buffer length mismatch (sets flattened with different arguments)")
-	errBucketRange     = errors.New("nn: gradient bucket slice out of the flat buffer's range")
-)
+import "fmt"
 
 // FlatBuffer packs a ParamSet's values and gradients into two contiguous
 // float32 buffers, the storage refactor Megatron's data-parallel buffer
@@ -182,48 +168,4 @@ func (fb *FlatBuffer) ZeroGrad() {
 	for i := range fb.grads {
 		fb.grads[i] = 0
 	}
-}
-
-// AccumulateGrads adds src's flat gradients into fb elementwise. Layouts
-// must match (same parameters flattened with the same arguments); padding
-// elements are zero on both sides, so including them is an exact no-op.
-func (fb *FlatBuffer) AccumulateGrads(src *FlatBuffer) error {
-	if len(src.grads) != len(fb.grads) {
-		return errFlatLenMismatch
-	}
-	dst, sg := fb.grads, src.grads
-	for i := range dst {
-		dst[i] += sg[i]
-	}
-	return nil
-}
-
-// AccumulateGradBucket adds src's gradients into fb for one bucket's slice.
-// The per-element additions are the same as a per-parameter AddGradsFrom
-// sweep restricted to the bucket — element order does not matter, only the
-// per-element replica order, which the caller fixes — so bucketed combines
-// stay bit-identical to the whole-set sweep.
-func (fb *FlatBuffer) AccumulateGradBucket(src *FlatBuffer, b GradBucket) error {
-	if len(src.grads) != len(fb.grads) {
-		return errFlatLenMismatch
-	}
-	if b.Off < 0 || b.Len < 0 || b.Off+b.Len > len(fb.grads) {
-		return errBucketRange
-	}
-	dst := fb.grads[b.Off : b.Off+b.Len]
-	sg := src.grads[b.Off : b.Off+b.Len]
-	for i := range dst {
-		dst[i] += sg[i]
-	}
-	return nil
-}
-
-// CopyValuesFrom copies src's whole flat value buffer into fb (replicating a
-// model onto another device in one sweep).
-func (fb *FlatBuffer) CopyValuesFrom(src *FlatBuffer) error {
-	if len(src.values) != len(fb.values) {
-		return errFlatLenMismatch
-	}
-	copy(fb.values, src.values)
-	return nil
 }

@@ -145,14 +145,12 @@ func TestFlattenErrors(t *testing.T) {
 	}
 }
 
-// TestFlatAccumulateBitIdentical: the flat fast paths of AddGradsFrom /
-// AddGradsFromBucket / CopyValuesFrom produce bit-identical tensors to the
-// per-parameter loops, and padding elements stay zero throughout.
+// TestFlatAccumulateBitIdentical: bucketed accumulation over the flat index
+// and CopyValuesFrom produce bit-identical tensors to the per-parameter
+// reference loops, and padding elements stay zero throughout.
 func TestFlatAccumulateBitIdentical(t *testing.T) {
 	refDst, refSrc := flatSet(t, 4), flatSet(t, 5)
-	if err := refDst.AddGradsFrom(refSrc); err != nil {
-		t.Fatal(err)
-	}
+	addGradsRef(refDst, refSrc)
 	flatDst, flatSrc := flatSet(t, 4), flatSet(t, 5)
 	fbDst, err := flatDst.Flatten(300, 4)
 	if err != nil {
@@ -161,30 +159,12 @@ func TestFlatAccumulateBitIdentical(t *testing.T) {
 	if _, err := flatSrc.Flatten(300, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := flatDst.AddGradsFrom(flatSrc); err != nil {
-		t.Fatal(err)
-	}
-	for pi, p := range flatDst.Params() {
-		for i, g := range p.Grad.Data {
-			if g != refDst.Params()[pi].Grad.Data[i] {
-				t.Fatalf("param %d grad[%d]: flat %v, per-tensor %v", pi, i, g, refDst.Params()[pi].Grad.Data[i])
-			}
-		}
-	}
-	// Bucketed accumulation over the flat index matches too.
-	bDst, bSrc := flatSet(t, 4), flatSet(t, 5)
-	if _, err := bDst.Flatten(300, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bSrc.Flatten(300, 4); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range bDst.Flat().Buckets() {
-		if err := bDst.AddGradsFromBucket(bSrc, b); err != nil {
+	for _, b := range fbDst.Buckets() {
+		if err := flatDst.AddGradsFromBucket(flatSrc, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for pi, p := range bDst.Params() {
+	for pi, p := range flatDst.Params() {
 		for i, g := range p.Grad.Data {
 			if g != refDst.Params()[pi].Grad.Data[i] {
 				t.Fatalf("param %d grad[%d]: flat bucketed %v, per-tensor %v", pi, i, g, refDst.Params()[pi].Grad.Data[i])
@@ -203,7 +183,7 @@ func TestFlatAccumulateBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	// CopyValuesFrom flat path replicates values exactly.
+	// CopyValuesFrom replicates values exactly.
 	cpy := flatSet(t, 6)
 	if _, err := cpy.Flatten(300, 4); err != nil {
 		t.Fatal(err)
@@ -214,7 +194,7 @@ func TestFlatAccumulateBitIdentical(t *testing.T) {
 	for pi, p := range cpy.Params() {
 		for i, v := range p.Value.Data {
 			if v != flatSrc.Params()[pi].Value.Data[i] {
-				t.Fatalf("param %d value[%d] differs after flat CopyValuesFrom", pi, i)
+				t.Fatalf("param %d value[%d] differs after CopyValuesFrom", pi, i)
 			}
 		}
 	}

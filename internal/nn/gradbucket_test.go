@@ -84,8 +84,16 @@ func TestGradBucketsPartition(t *testing.T) {
 	}
 }
 
+// addGradsRef is the per-parameter reference the flat combine is held to:
+// dst's gradients += src's, tensor by tensor in registration order.
+func addGradsRef(dst, src *ParamSet) {
+	for i, p := range dst.Params() {
+		p.Grad.AddInPlace(src.Params()[i].Grad)
+	}
+}
+
 // TestAddGradsFromBucketMatchesWholeSweep: accumulating bucket by bucket
-// performs exactly the per-parameter additions of one AddGradsFrom sweep —
+// performs exactly the per-parameter additions of one whole-set sweep —
 // results are bit-identical, whatever the bucket size.
 func TestAddGradsFromBucketMatchesWholeSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -100,29 +108,29 @@ func TestAddGradsFromBucketMatchesWholeSweep(t *testing.T) {
 	fill(src)
 	whole := bucketSet(t)
 	fill(whole)
+	want := bucketSet(t)
+	for pi, p := range want.Params() {
+		copy(p.Grad.Data, whole.Params()[pi].Grad.Data)
+	}
+	addGradsRef(want, src)
 	for _, maxBytes := range []int64{0, 300, 1} {
-		bucketed := bucketSet(t)
-		// Same starting grads as the whole-sweep set.
+		bucketed, flatSrc := bucketSet(t), bucketSet(t)
+		// Same starting grads as the reference.
 		for pi, p := range bucketed.Params() {
 			copy(p.Grad.Data, whole.Params()[pi].Grad.Data)
+			copy(flatSrc.Params()[pi].Grad.Data, src.Params()[pi].Grad.Data)
 		}
-		// The partition of an identically shaped flattened set; bucketed and
-		// src stay unflattened, so the per-tensor accumulation runs.
-		fb, err := bucketSet(t).Flatten(maxBytes, 1)
+		fb, err := bucketed.Flatten(maxBytes, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := flatSrc.Flatten(maxBytes, 1); err != nil {
+			t.Fatal(err)
+		}
 		for _, b := range fb.Buckets() {
-			if err := bucketed.AddGradsFromBucket(src, b); err != nil {
+			if err := bucketed.AddGradsFromBucket(flatSrc, b); err != nil {
 				t.Fatal(err)
 			}
-		}
-		want := bucketSet(t)
-		for pi, p := range want.Params() {
-			copy(p.Grad.Data, whole.Params()[pi].Grad.Data)
-		}
-		if err := want.AddGradsFrom(src); err != nil {
-			t.Fatal(err)
 		}
 		for pi, p := range bucketed.Params() {
 			for i, v := range p.Grad.Data {
@@ -134,14 +142,33 @@ func TestAddGradsFromBucketMatchesWholeSweep(t *testing.T) {
 	}
 }
 
+// TestAddGradsFromBucketMismatch: the combine refuses an unflattened set on
+// either side, sets of different layouts, and a bucket outside the buffer.
 func TestAddGradsFromBucketMismatch(t *testing.T) {
-	ps := bucketSet(t)
+	flat := func(ps *ParamSet) *ParamSet {
+		t.Helper()
+		if _, err := ps.Flatten(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	ps := flat(bucketSet(t))
+	b := ps.Flat().Buckets()[0]
 	other := &ParamSet{}
 	other.MustAdd(NewParam("w0", 8, 8))
-	if err := ps.AddGradsFromBucket(other, GradBucket{Indices: []int{0}}); err == nil {
-		t.Fatal("want param-count mismatch error")
+	cases := []struct {
+		name     string
+		dst, src *ParamSet
+		b        GradBucket
+	}{
+		{"unflattened src", ps, bucketSet(t), b},
+		{"unflattened dst", bucketSet(t), ps, b},
+		{"param count", ps, flat(other), b},
+		{"bucket range", ps, flat(bucketSet(t)), GradBucket{Off: b.Len, Len: 1}},
 	}
-	if err := ps.AddGradsFromBucket(bucketSet(t), GradBucket{Indices: []int{99}}); err == nil {
-		t.Fatal("want out-of-range index error")
+	for _, c := range cases {
+		if err := c.dst.AddGradsFromBucket(c.src, c.b); err == nil {
+			t.Errorf("%s: want an error", c.name)
+		}
 	}
 }

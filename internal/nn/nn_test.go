@@ -94,12 +94,23 @@ func TestParamSetZeroGradAndBytes(t *testing.T) {
 
 func TestParamSetCopyAndReduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var a, b ParamSet
+	var a, b, ref ParamSet
 	pa := NewParam("w", 2, 2)
 	pb := NewParam("w", 2, 2)
+	pr := NewParam("w", 2, 2)
 	pa.InitXavier(rng)
 	a.MustAdd(pa)
 	b.MustAdd(pb)
+	ref.MustAdd(pr)
+	// The combine needs flat sets: unflattened, it refuses.
+	if err := b.CopyValuesFrom(&a); err == nil {
+		t.Fatal("want an error copying between unflattened sets")
+	}
+	for _, ps := range []*ParamSet{&a, &b} {
+		if _, err := ps.Flatten(0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := b.CopyValuesFrom(&a); err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +119,24 @@ func TestParamSetCopyAndReduce(t *testing.T) {
 	}
 	pa.Grad.Data[0] = 1
 	pb.Grad.Data[0] = 2
-	if err := a.AddGradsFrom(&b); err != nil {
-		t.Fatal(err)
+	pr.Grad.Data[0] = 1
+	addGradsRef(&ref, &b)
+	for _, bk := range a.Flat().Buckets() {
+		if err := a.AddGradsFromBucket(&b, bk); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if pa.Grad.Data[0] != 3 {
-		t.Fatalf("AddGradsFrom got %v", pa.Grad.Data[0])
+	if pa.Grad.Data[0] != pr.Grad.Data[0] || pa.Grad.Data[0] != 3 {
+		t.Fatalf("AddGradsFromBucket got %v, reference %v", pa.Grad.Data[0], pr.Grad.Data[0])
 	}
 	if a.GradMaxAbs() != 3 {
 		t.Fatalf("GradMaxAbs = %v", a.GradMaxAbs())
 	}
 	var c ParamSet
+	c.MustAdd(NewParam("w", 2, 2), NewParam("v", 1, 1))
+	if _, err := c.Flatten(0, 1); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.CopyValuesFrom(&a); err == nil {
 		t.Fatal("want count mismatch error")
 	}

@@ -54,22 +54,21 @@ func (p *Param) Bytes() int64 { return p.Value.Bytes() + p.Grad.Bytes() }
 // never reduced).
 func (p *Param) GradBytes() int64 { return p.Grad.Bytes() }
 
-// Sentinel errors for the per-iteration bulk operations below. They flag the
-// same programming error — combining sets built from different models — so
-// they carry no per-call detail, and the hot path pays no fmt boxing for
-// checks that never fire in a correctly wired trainer.
+// Sentinel errors for the per-iteration combine operations below. They flag
+// programming errors that never fire in a correctly wired trainer, so they
+// carry no per-call detail and the hot path pays no fmt boxing for them.
 var (
-	errParamCountMismatch = errors.New("nn: parameter count mismatch (sets built from different models)")
-	errParamShapeMismatch = errors.New("nn: parameter shape mismatch (sets built from different models)")
-	errBucketIndexRange   = errors.New("nn: gradient bucket index out of the parameter set's range")
+	errNotFlat     = errors.New("nn: parameter set is not flattened (call Flatten first)")
+	errFlatShape   = errors.New("nn: flat layouts differ (sets built or flattened differently)")
+	errBucketRange = errors.New("nn: gradient bucket slice out of the flat buffer's range")
 )
 
 // ParamSet is an ordered collection of parameters, the unit optimizers and
 // gradient bookkeeping operate on. After Flatten the set's storage lives in
-// one FlatBuffer and the bulk operations below (ZeroGrad, CopyValuesFrom,
-// AddGradsFrom, AddGradsFromBucket) run as single contiguous sweeps instead
-// of per-parameter loops; the numerics are bit-identical either way because
-// every one of them is elementwise.
+// one FlatBuffer and the bulk operations below run as contiguous sweeps over
+// it. The combine operations (CopyValuesFrom, AddGradsFromBucket) need both
+// sets flattened; ZeroGrad also clears an unflattened set, tensor by tensor,
+// for models trained outside the engine.
 type ParamSet struct {
 	params []*Param
 	flat   *FlatBuffer
@@ -155,58 +154,45 @@ type GradBucket struct {
 	Len     int   // padded element length in the flat grad buffer
 }
 
-// AddGradsFromBucket accumulates src's gradients into ps for exactly the
-// parameters of one bucket. Accumulating bucket by bucket in any bucket
-// order, with a fixed replica order inside each bucket, performs the same
-// per-parameter float additions in the same order as one whole-set
-// AddGradsFrom sweep — which is what keeps a bucketed all-reduce bit-
-// identical to the sequential combine.
+// AddGradsFromBucket accumulates src's gradients into ps for one bucket's
+// slice of the flat buffers. Every element lives in exactly one bucket, so
+// accumulating bucket by bucket in any bucket order, with a fixed replica
+// order inside each bucket, performs the same per-element float additions in
+// the same order whatever the bucket bound — which keeps every combine mode
+// bit-identical. Padding elements are zero on both sides, an exact no-op.
 func (ps *ParamSet) AddGradsFromBucket(src *ParamSet, b GradBucket) error {
-	if len(ps.params) != len(src.params) {
-		return errParamCountMismatch
+	if err := ps.sameLayout(src); err != nil {
+		return err
 	}
-	if ps.flat != nil && src.flat != nil && b.Len > 0 {
-		return ps.flat.AccumulateGradBucket(src.flat, b)
+	if b.Off < 0 || b.Len < 0 || b.Off+b.Len > len(ps.flat.grads) {
+		return errBucketRange
 	}
-	for _, i := range b.Indices {
-		if i < 0 || i >= len(ps.params) {
-			return errBucketIndexRange
-		}
-		ps.params[i].Grad.AddInPlace(src.params[i].Grad)
+	dst := ps.flat.grads[b.Off : b.Off+b.Len]
+	sg := src.flat.grads[b.Off : b.Off+b.Len]
+	for i := range dst {
+		dst[i] += sg[i]
 	}
 	return nil
 }
 
-// CopyValuesFrom copies parameter values from src (matched by order); used by
-// the data-parallel trainer to replicate a model onto several devices.
+// CopyValuesFrom copies src's parameter values into ps in one sweep of the
+// flat buffers; used to replicate a model onto several devices.
 func (ps *ParamSet) CopyValuesFrom(src *ParamSet) error {
-	if len(ps.params) != len(src.params) {
-		return errParamCountMismatch
+	if err := ps.sameLayout(src); err != nil {
+		return err
 	}
-	if ps.flat != nil && src.flat != nil {
-		return ps.flat.CopyValuesFrom(src.flat)
-	}
-	for i, p := range ps.params {
-		s := src.params[i]
-		if p.Value.Rows != s.Value.Rows || p.Value.Cols != s.Value.Cols {
-			return errParamShapeMismatch
-		}
-		p.Value.CopyFrom(s.Value)
-	}
+	copy(ps.flat.values, src.flat.values)
 	return nil
 }
 
-// AddGradsFrom accumulates src's gradients into ps (all-reduce step of the
-// data-parallel trainer).
-func (ps *ParamSet) AddGradsFrom(src *ParamSet) error {
-	if len(ps.params) != len(src.params) {
-		return errParamCountMismatch
+// sameLayout returns an error unless ps and src are flattened sets whose flat
+// buffers line up element for element.
+func (ps *ParamSet) sameLayout(src *ParamSet) error {
+	if ps.flat == nil || src.flat == nil {
+		return errNotFlat
 	}
-	if ps.flat != nil && src.flat != nil {
-		return ps.flat.AccumulateGrads(src.flat)
-	}
-	for i, p := range ps.params {
-		p.Grad.AddInPlace(src.params[i].Grad)
+	if len(ps.params) != len(src.params) || len(ps.flat.grads) != len(src.flat.grads) {
+		return errFlatShape
 	}
 	return nil
 }

@@ -130,8 +130,10 @@ func (m *Meter) ingest(ev Event) {
 }
 
 // phaseMixKinds are the span kinds the meter attributes time to, in display
-// order — the same coarse phases the paper's Fig 11 breakdown uses.
-var phaseMixKinds = []Kind{KindSample, KindBlockGen, KindTransferH2D, KindForward, KindBackward, KindOptStep, KindAllReduce}
+// order — the same coarse phases the paper's Fig 11 breakdown uses, with the
+// interconnect's busy time split by collective.
+var phaseMixKinds = []Kind{KindSample, KindBlockGen, KindTransferH2D, KindForward, KindBackward, KindOptStep,
+	KindBucketReduce, KindReduceScatter, KindAllGather}
 
 func (m *Meter) render(final bool) {
 	m.mu.Lock()

@@ -40,11 +40,10 @@ const (
 	KindTransferH2D
 	// KindCompute is simulated kernel time accrued on a device clock.
 	KindCompute
-	// KindAllReduce is a simulated ring all-reduce span across a cluster.
-	KindAllReduce
-	// KindBucketReduce is one gradient bucket's asynchronous ring reduce,
-	// launched behind backward compute: Bytes is the bucket's gradient
-	// payload, Aux its launch index within the iteration's reduce window.
+	// KindBucketReduce is one asynchronous ring all-reduce of gradients (one
+	// bucket's, or the whole payload's at the compute tail): Bytes is the
+	// reduced payload, Aux its launch index within the iteration's reduce
+	// window.
 	KindBucketReduce
 	// KindSample is a batch-sampling span: Bytes is the seed count, Aux the
 	// layer count.
@@ -106,7 +105,6 @@ var kindNames = [numKinds]string{
 	KindOOM:           "oom",
 	KindTransferH2D:   "h2d",
 	KindCompute:       "compute",
-	KindAllReduce:     "allreduce",
 	KindBucketReduce:  "bucketreduce",
 	KindSample:        "sample",
 	KindPlan:          "plan",

@@ -158,12 +158,16 @@ func TestObsMeterRendersAndStops(t *testing.T) {
 	r.Event(KindAlloc, "gpu-1", "model", 1<<20, 1<<20, 0)
 	r.Span(KindForward, "gpu-0", "fwd", 3*time.Millisecond, 0, 0)
 	r.Span(KindBackward, "gpu-0", "bwd", time.Millisecond, 0, 0)
+	r.Span(KindBucketReduce, "", "bucket", time.Millisecond, 4096, 0)
+	r.Span(KindReduceScatter, "", "reducescatter", time.Millisecond, 4096, 1)
+	r.Span(KindAllGather, "", "allgather", time.Millisecond, 4096, 2)
 	r.Span(KindIteration, "gpu-0", "iter", 5*time.Millisecond, 4096, 1)
 	m.Stop()
 	m.Stop() // idempotent
 
 	out := buf.String()
-	for _, want := range []string{"gpu-0", "gpu-1", "1.0MB", "it/s", "forward"} {
+	for _, want := range []string{"gpu-0", "gpu-1", "1.0MB", "it/s", "forward",
+		"bucketreduce", "reducescatter", "allgather"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("meter output missing %q:\n%q", want, out)
 		}

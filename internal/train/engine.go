@@ -55,15 +55,12 @@ type engine struct {
 	clusterC float64
 	rowBytes int64
 
-	// opt is the full-range flat Adam the non-sharded paths step; nil when
-	// ZeRO-style sharding is on and shardOpts replaces it.
-	opt *nn.Adam
-	// shardOpts is the ZeRO-1 optimizer: one Adam per replica, each owning
-	// one contiguous 1/n shard of the flat buffer and holding moment state
-	// for it alone. All step replica 0's buffer — the authoritative one the
-	// reduce-scatter leaves fully combined — and real replicas run their
-	// shard concurrently, so the step's wall cost is the slowest shard.
-	shardOpts []*nn.Adam
+	// opts steps replica 0's flat buffer, the one the combine leaves fully
+	// reduced: one full-range Adam, or under ZeRO-1 one Adam per replica,
+	// each owning one contiguous 1/n shard of the buffer and holding moment
+	// state for it alone. Shard r's step is charged to replica r, so the
+	// step's wall cost is the slowest shard.
+	opts []*nn.Adam
 	// flat0 is replica 0's flat parameter buffer: every Param.Value/Grad of
 	// every replica is a zero-copy view into its replica's buffer (see
 	// nn.ParamSet.Flatten in newEngine), and the combine/step path operates
@@ -213,14 +210,9 @@ func newEngine(ds *datagen.Dataset, cfg Config, replicas []replica, cluster *dev
 		e.poolOutstandingG = m.Gauge("tensor/pool/outstanding")
 		e.poolRetainedG = m.Gauge("tensor/pool/retained_bytes")
 	}
-	if shards > 1 {
-		e.shardOpts = make([]*nn.Adam, n)
-		for r := range e.shardOpts {
-			lo, hi := flat0.ShardRange(r)
-			e.shardOpts[r] = nn.NewAdamShard(lr, lo, hi)
-		}
-	} else {
-		e.opt = nn.NewAdamShard(lr, 0, flat0.TotalElems())
+	for r := range shards {
+		lo, hi := flat0.ShardRange(r)
+		e.opts = append(e.opts, nn.NewAdamShard(lr, lo, hi))
 	}
 	return e, nil
 }
@@ -247,6 +239,12 @@ func (e *engine) activationBudget() int64 {
 	}
 	return e.gpu0().Capacity() - e.gpu0().Live()
 }
+
+// planLimit is the memory cap every K-search plans against: 10% headroom
+// under the activation budget, because the analytical estimate carries a
+// few percent of error and transient buffers (loss, logits gradient) ride
+// on top of the activations.
+func (e *engine) planLimit() int64 { return e.activationBudget() * 9 / 10 }
 
 // residentBase is the stable device-resident footprint plans ride on top of:
 // the live ledger for the sequential path, the frozen complement of the
@@ -435,15 +433,12 @@ func (e *engine) plan(sc *iterScratch, b *sampling.Batch, res *IterationResult) 
 			return nil, err
 		}
 		t0 := time.Now()
-		// Keep 10% headroom under the remaining device memory: the
-		// analytical estimate carries a few percent of error and transient
-		// buffers (loss, logits gradient) ride on top of the activations.
-		// The pipelined sessions additionally scale the per-group cap down
-		// by the batch's feature share, so one prefetched feature tensor can
-		// sit on-device next to the group compute is consuming; the
+		// The pipelined sessions scale the per-group cap down by the
+		// batch's feature share, so one prefetched feature tensor can sit
+		// on-device next to the group compute is consuming; the
 		// prefetcher's headroom gate (stageMicroBatch) enforces the actual
 		// safety condition at staging time.
-		limit := e.activationBudget() * 9 / 10
+		limit := e.planLimit()
 		if e.budgetOverride > 0 {
 			whole, memErr := est.BatchMem(b)
 			if memErr != nil {
@@ -685,8 +680,7 @@ func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBa
 // executeIteration drives the execute half of one planned iteration through
 // the stager: per micro-batch, stage → wait for its copy (async stagers) →
 // compute on its replica → release; then combine gradients across replicas
-// (ring all-reduce when there is more than one) and step the optimizer on
-// replica 0. async selects the loading model the DataLoading phase charges:
+// and step the optimizer (combineAndStep). async selects the loading model the DataLoading phase charges:
 // synchronous stagers pay every copy in full (TransferTime delta), async
 // ones only the exposed stalls (StallTime delta), with the hidden remainder
 // reported as HiddenTransfer.
@@ -747,23 +741,8 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 			time.Since(tMB), bytes, int64(i))
 	}
 
-	// Combine gradients and step. Multi-GPU with sharded collectives: the
-	// reduce-scatter → per-shard step → all-gather sequence (ZeRO-1's data
-	// path). Otherwise: combine into replica 0 (ring all-reduce when n > 1)
-	// and step the full flat buffer there.
-	if n > 1 && e.cfg.ZeRO1 {
-		if err := e.shardedCombine(res, perCompute, lastBwd); err != nil {
-			return nil, err
-		}
-	} else {
-		if n > 1 {
-			if err := e.reduceGradients(res, perCompute, lastBwd); err != nil {
-				return nil, err
-			}
-		}
-		tStep := time.Now()
-		e.opt.StepFlat(e.flat0)
-		perCompute[0] += e.addCompute(0, time.Since(tStep), obs.KindOptStep)
+	if err := e.combineAndStep(res, perCompute, lastBwd); err != nil {
+		return nil, err
 	}
 
 	res.K = len(it.mbs)
@@ -832,138 +811,90 @@ func (e *engine) publishPoolStats() {
 	e.poolRetainedG.Set(st.RetainedBytes)
 }
 
-// reduceGradients combines every replica's gradients into replica 0 and
-// charges the simulated interconnect, filling in Communication (interconnect
-// busy time) plus the ExposedComm/HiddenComm split.
+// combineAndStep combines every replica's gradients into replica 0, books
+// the collectives on the cluster's comm engine, and steps e.opts, filling in
+// Communication (interconnect busy time) plus the ExposedComm/HiddenComm
+// split.
 //
-// Sequential path (CommOverlap off): one whole-set accumulation sweep, then a
-// monolithic synchronous ring priced on the full gradient payload
-// (Params.GradBytes) — fully exposed, since nothing else runs while it does.
+// The numeric combine is the same for every mode: bucket by bucket, replicas
+// 1..n-1 in fixed order inside each bucket. Every element lives in exactly
+// one bucket, so each sees the same float additions in the same order
+// whatever the bucket bound or collective, and the shard steps tile the flat
+// buffer elementwise-identically to one full-range step (nn.Adam.StepFlat):
+// losses are bit-identical across all modes.
 //
-// Overlapped path: the gradient set is split into size-bounded buckets in
-// backward order and each bucket's ring reduce is launched on the cluster's
-// comm engine at the bucket's modeled ready time. Gradients accumulate across
-// micro-batches, so a bucket is final only during the last backward pass of
-// its replica; bucket j of m is modeled ready a (j+1)/m fraction into each
-// replica's final backward window, and the launch waits for the slowest
-// replica. The optimizer step then waits for the reduce window (WaitReduce at
-// the slowest replica's compute-tail end), exposing only what spilled past
-// compute. The numeric combine is the same per-parameter additions in the
-// same order as the sequential sweep (each parameter lives in exactly one
-// bucket, replica order 1..n-1 fixed inside each), so losses stay
-// bit-identical — see nn.AddGradsFromBucket.
-func (e *engine) reduceGradients(res *MultiGPUResult, perCompute, lastBwd []time.Duration) error {
-	main := e.replicas[0].model
+// The timing model differs by mode. Bucket j of m is modeled ready a
+// (j+1)/m fraction into each replica's final backward window, taken at the
+// slowest replica (bucketReady); without CommOverlap everything waits for
+// the slowest compute tail.
+//   - All-reduce with CommOverlap: one ring all-reduce per bucket, launched
+//     when the bucket is ready.
+//   - All-reduce without it: one ring all-reduce of the whole gradient
+//     payload at the compute tail, so it is exposed in full.
+//   - ZeRO-1: one reduce-scatter per bucket (half the ring), then every
+//     replica steps its shard, then one all-gather of the updated values.
+//     The all-gather runs with no compute left to hide behind, so it is
+//     fully exposed: the honest floor of the model, since the engine does
+//     not overlap collectives across iteration boundaries.
+func (e *engine) combineAndStep(res *MultiGPUResult, perCompute, lastBwd []time.Duration) error {
 	n := len(e.replicas)
-	if !e.cfg.CommOverlap {
-		for i := 1; i < n; i++ {
-			if err := main.Params.AddGradsFrom(e.replicas[i].model.Params); err != nil {
-				return err
-			}
-		}
-		d := e.cluster.AllReduce(main.Params.GradBytes())
-		res.Phases.Communication += d
-		res.ExposedComm += d
-		return nil
-	}
-	buckets := e.flat0.Buckets()
-	m := len(buckets)
-	var maxCompute time.Duration
+	var maxCompute, busy, exposed time.Duration
 	for _, c := range perCompute {
-		if c > maxCompute {
-			maxCompute = c
-		}
+		maxCompute = max(maxCompute, c)
 	}
-	var busy time.Duration
-	for j, b := range buckets {
-		for i := 1; i < n; i++ {
-			if err := main.Params.AddGradsFromBucket(e.replicas[i].model.Params, b); err != nil {
-				return err
+	if n > 1 {
+		main := e.replicas[0].model.Params
+		buckets := e.flat0.Buckets()
+		for j, b := range buckets {
+			for i := 1; i < n; i++ {
+				if err := main.AddGradsFromBucket(e.replicas[i].model.Params, b); err != nil {
+					return err
+				}
+			}
+			ready := maxCompute
+			if e.cfg.CommOverlap {
+				ready = bucketReady(j, len(buckets), perCompute, lastBwd)
+			}
+			switch {
+			case e.cfg.ZeRO1:
+				e.cluster.ReduceScatterAsync(b.Bytes, ready)
+				busy += e.cluster.ReduceScatterDuration(b.Bytes)
+			case e.cfg.CommOverlap:
+				e.cluster.AllReduceAsync(b.Bytes, ready)
+				busy += e.cluster.RingReduceDuration(b.Bytes)
+			case j == len(buckets)-1: // one reduce of the whole payload
+				gb := main.GradBytes()
+				e.cluster.AllReduceAsync(gb, ready)
+				busy += e.cluster.RingReduceDuration(gb)
 			}
 		}
-		ready := bucketReady(j, m, perCompute, lastBwd)
-		e.cluster.AllReduceAsync(b.Bytes, ready)
-		busy += e.cluster.RingReduceDuration(b.Bytes)
+		exposed = e.cluster.WaitReduce(maxCompute)
 	}
-	exposed := e.cluster.WaitReduce(maxCompute)
-	res.Phases.Communication += busy
-	res.ExposedComm += exposed
-	res.HiddenComm += busy - exposed
-	return nil
-}
 
-// shardedCombine is the ZeRO-style gradient combine: per-bucket ring
-// reduce-scatters, a per-shard optimizer step on every replica concurrently,
-// and one ring all-gather of the updated parameter values.
-//
-// Numerically it performs exactly the all-reduce path's work: the same
-// bucket-by-bucket accumulation into replica 0 with the same fixed replica
-// order (1..n-1), then a full Adam step — executed as n shard steps that
-// tile the flat buffer, which is elementwise-identical to one full-range
-// step (see nn.Adam.StepFlat). Losses therefore stay bit-identical to both
-// the monolithic and the bucketed all-reduce paths.
-//
-// The timing model differs: each bucket's reduce-scatter costs half the
-// all-reduce ring (the (n-1)/n·size + (n-1)·latency half), launched either
-// at the bucket's backward ready time (CommOverlap) or after the slowest
-// replica's compute tail (the monolithic comparison). The optimizer step is
-// sharded n ways, so its wall cost is the slowest shard rather than the
-// whole buffer. The closing all-gather — one launch over the full parameter
-// values — necessarily runs after the shard steps with no compute left to
-// hide behind, so it is fully exposed: the honest floor of the model, since
-// the engine does not overlap collectives across iteration boundaries.
-func (e *engine) shardedCombine(res *MultiGPUResult, perCompute, lastBwd []time.Duration) error {
-	main := e.replicas[0].model
-	n := len(e.replicas)
-	buckets := e.flat0.Buckets()
-	m := len(buckets)
-	var maxCompute time.Duration
-	for _, c := range perCompute {
-		if c > maxCompute {
-			maxCompute = c
-		}
-	}
-	var busy time.Duration
-	for j, b := range buckets {
-		for i := 1; i < n; i++ {
-			if err := main.Params.AddGradsFromBucket(e.replicas[i].model.Params, b); err != nil {
-				return err
-			}
-		}
-		ready := maxCompute
-		if e.cfg.CommOverlap {
-			ready = bucketReady(j, m, perCompute, lastBwd)
-		}
-		e.cluster.ReduceScatterAsync(b.Bytes, ready)
-		busy += e.cluster.ReduceScatterDuration(b.Bytes)
-	}
-	rsExposed := e.cluster.WaitReduce(maxCompute)
-
-	// Every replica steps its own shard of replica 0's fully combined
-	// buffer; devices run concurrently, so the step extends the iteration by
-	// the slowest shard (the per-replica clocks each record their own).
+	// Replicas step concurrently, so the step extends the iteration by the
+	// slowest shard (the per-replica clocks each record their own).
 	var maxStep time.Duration
-	for r, o := range e.shardOpts {
+	for r, o := range e.opts {
 		t0 := time.Now()
 		o.StepFlat(e.flat0)
 		d := e.addCompute(r, time.Since(t0), obs.KindOptStep)
 		perCompute[r] += d
-		if d > maxStep {
-			maxStep = d
-		}
+		maxStep = max(maxStep, d)
 	}
 
-	// One all-gather broadcasts the updated values (each replica owns 1/n
-	// and collects the rest); priced on the value payload, positioned after
-	// the reduce-scatter window and the slowest shard step.
-	gatherReady := maxCompute + rsExposed + maxStep
-	vb := main.Params.ValueBytes()
-	e.cluster.AllGatherAsync(vb, gatherReady)
-	agExposed := e.cluster.WaitReduce(gatherReady)
-	busy += e.cluster.AllGatherDuration(vb)
+	if n > 1 && e.cfg.ZeRO1 {
+		// One all-gather broadcasts the updated values (each replica owns
+		// 1/n and collects the rest), positioned after the reduce-scatter
+		// window and the slowest shard step.
+		gatherReady := maxCompute + exposed + maxStep
+		vb := e.replicas[0].model.Params.ValueBytes()
+		e.cluster.AllGatherAsync(vb, gatherReady)
+		exposed += e.cluster.WaitReduce(gatherReady)
+		busy += e.cluster.AllGatherDuration(vb)
+	}
 	res.Phases.Communication += busy
-	res.ExposedComm += rsExposed + agExposed
-	res.HiddenComm += busy - rsExposed - agExposed
+	res.ExposedComm += exposed
+	res.HiddenComm += busy - exposed
 	return nil
 }
 

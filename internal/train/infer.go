@@ -193,12 +193,9 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 		return nil, err
 	}
 	est.ForwardOnly = true
+	opts := schedule.Options{MemLimit: s.eng.planLimit(), Obs: s.Cfg.Obs, Scratch: &s.sc.sched}
 	tP := time.Now()
-	plan, err := schedule.Schedule(b, est, schedule.Options{
-		MemLimit: s.eng.activationBudget() * 9 / 10,
-		Obs:      s.Cfg.Obs,
-		Scratch:  &s.sc.sched,
-	})
+	plan, err := schedule.Schedule(b, est, opts)
 	res.Breakdown.Plan = time.Since(tP)
 	if err != nil {
 		return nil, err

@@ -464,7 +464,7 @@ func (s *Session) Evaluate(nodes []graph.NodeID) (loss float32, acc float64, err
 	if err != nil {
 		return 0, 0, err
 	}
-	plan, err := schedule.Schedule(b, est, schedule.Options{MemLimit: e.activationBudget() * 9 / 10})
+	plan, err := schedule.Schedule(b, est, schedule.Options{MemLimit: e.planLimit()})
 	if err != nil {
 		return 0, 0, err
 	}
