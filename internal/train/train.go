@@ -129,11 +129,11 @@ type Config struct {
 	// runs: gradients are split into size-bounded buckets (BucketBytes) and
 	// each bucket's ring reduce launches as its gradients become ready in
 	// backward order, hiding behind the compute tails still running. Losses
-	// are bit-identical to the sequential combine (fixed bucket→replica
+	// are bit-identical either way (one combine, fixed bucket→replica
 	// accumulation order); only the timing model changes — Communication
 	// still records the interconnect's busy time, but only ExposedComm
-	// extends the iteration. Off, the reduce is one monolithic synchronous
-	// ring charged after the slowest replica finishes.
+	// extends the iteration. Off, one ring all-reduce of the whole payload
+	// launches when the slowest replica finishes, so it is exposed in full.
 	CommOverlap bool
 	// BucketBytes bounds each gradient bucket's payload under CommOverlap.
 	// 0 defaults to 32 KB — the DDP-style 25 MB bucket mapped through the
