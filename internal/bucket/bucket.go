@@ -8,6 +8,7 @@ package bucket
 
 import (
 	"fmt"
+	"slices"
 
 	"buffalo/internal/graph"
 	"buffalo/internal/sampling"
@@ -56,14 +57,16 @@ func Bucketize(batch *sampling.Batch) *Bucketing {
 
 // Scratch owns the reusable storage one bucketization consumes: the
 // per-degree counters of the counting sort, the flat node and row arrays the
-// buckets slice, a value slab for the buckets, and the Bucketing header
-// itself. One scratch serves one in-flight plan at a time.
+// buckets slice, a value slab for the buckets, the Bucketing header itself,
+// and the sort keys AppendSplit orders a bucket by. One scratch serves one
+// in-flight plan at a time.
 type Scratch struct {
 	starts []int
 	nodes  []graph.NodeID
 	rows   []int32
 	slab   []Bucket
 	bk     Bucketing
+	keys   []uint64
 }
 
 // BucketizeInto is Bucketize reusing sc's storage; the returned Bucketing
@@ -229,13 +232,12 @@ func (bk *Bucketing) DetectExplosion(opts ExplosionOptions) (*Bucket, bool) {
 }
 
 // SplitBucket evenly splits b into k micro-buckets (Algorithm 3's
-// SplitExplosionBucket): part sizes differ by at most one, node order is
-// preserved, and the node multiset is unchanged.
-func SplitBucket(b *Bucket, k int) ([]*Bucket, error) {
+// SplitExplosionBucket), cut as AppendSplit cuts them.
+func SplitBucket(b *Bucket, k int, g *graph.Graph) ([]*Bucket, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("bucket: split count %d < 1", k)
 	}
-	slab := AppendSplit(nil, b, k)
+	slab := AppendSplit(nil, nil, b, k, g)
 	parts := make([]*Bucket, len(slab))
 	for i := range slab {
 		parts[i] = &slab[i]
@@ -243,14 +245,27 @@ func SplitBucket(b *Bucket, k int) ([]*Bucket, error) {
 	return parts, nil
 }
 
-// AppendSplit appends b's k micro-buckets (as SplitBucket cuts them) to dst
-// and returns the extended slab — the form for callers that keep split parts
-// in reusable storage. k above the volume is clamped so no part is empty;
-// k < 1 appends nothing.
-func AppendSplit(dst []Bucket, b *Bucket, k int) []Bucket {
+// AppendSplit appends b's k micro-buckets to dst and returns the extended
+// slab — the form for callers that keep split parts in reusable storage.
+// Part sizes differ by at most one and the node multiset is unchanged. k
+// above the volume is clamped so no part is empty; k < 1 appends nothing.
+//
+// Seeds close in the graph share frontier nodes, so a part is cheaper when
+// its seeds are close: before cutting b into two or more parts, AppendSplit
+// sorts b's members (Nodes and Rows together, in place) into g's locality
+// order (graph.Graph.Locality), unless they are in it already — as every
+// part of an earlier split is. sc holds the sort keys; a nil scratch
+// allocates them. A nil graph cuts in member order.
+func AppendSplit(sc *Scratch, dst []Bucket, b *Bucket, k int, g *graph.Graph) []Bucket {
 	n := b.Volume()
 	if k > n {
 		k = n
+	}
+	if k > 1 && g != nil {
+		if sc == nil {
+			sc = &Scratch{}
+		}
+		sc.sortByLocality(b, g)
 	}
 	for i := 0; i < k; i++ {
 		lo := i * n / k
@@ -264,11 +279,42 @@ func AppendSplit(dst []Bucket, b *Bucket, k int) []Bucket {
 	return dst
 }
 
+// sortByLocality sorts b's members into g's locality order. Ranks are dense
+// and distinct, so a key is a member's rank above its row, and the sorted
+// keys give both back: the node from the order, the row from the low bits.
+func (sc *Scratch) sortByLocality(b *Bucket, g *graph.Graph) {
+	rank, order := g.Locality()
+	sorted := true
+	for i := 1; i < len(b.Nodes) && sorted; i++ {
+		sorted = rank[b.Nodes[i-1]] < rank[b.Nodes[i]]
+	}
+	if sorted {
+		return
+	}
+	withRows := len(b.Rows) == len(b.Nodes)
+	keys := sc.keys[:0]
+	for i, v := range b.Nodes {
+		key := uint64(rank[v]) << 32
+		if withRows {
+			key |= uint64(uint32(b.Rows[i]))
+		}
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for i, key := range keys {
+		b.Nodes[i] = order[key>>32]
+		if withRows {
+			b.Rows[i] = int32(uint32(key))
+		}
+	}
+	sc.keys = keys
+}
+
 // ReplaceWithSplit returns a new bucket list where target is replaced by its
-// k micro-buckets, keeping overall ordering (micro-buckets take the
-// target's position).
-func (bk *Bucketing) ReplaceWithSplit(target *Bucket, k int) (*Bucketing, error) {
-	parts, err := SplitBucket(target, k)
+// k micro-buckets (cut as AppendSplit cuts them in g's locality order),
+// keeping overall ordering (micro-buckets take the target's position).
+func (bk *Bucketing) ReplaceWithSplit(target *Bucket, k int, g *graph.Graph) (*Bucketing, error) {
+	parts, err := SplitBucket(target, k, g)
 	if err != nil {
 		return nil, err
 	}

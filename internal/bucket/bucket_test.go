@@ -117,7 +117,7 @@ func TestDetectExplosionSmallCases(t *testing.T) {
 
 func TestSplitBucketEven(t *testing.T) {
 	b := &Bucket{Degree: 10, Nodes: []graph.NodeID{1, 2, 3, 4, 5, 6, 7}}
-	parts, err := SplitBucket(b, 3)
+	parts, err := SplitBucket(b, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,10 @@ func TestSplitBucketEven(t *testing.T) {
 
 func TestSplitBucketEdgeCases(t *testing.T) {
 	b := &Bucket{Degree: 3, Nodes: []graph.NodeID{1, 2}}
-	if _, err := SplitBucket(b, 0); err == nil {
+	if _, err := SplitBucket(b, 0, nil); err == nil {
 		t.Error("want error for k=0")
 	}
-	parts, err := SplitBucket(b, 5)
+	parts, err := SplitBucket(b, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestReplaceWithSplit(t *testing.T) {
 	a := &Bucket{Degree: 1, Nodes: []graph.NodeID{1}}
 	target := &Bucket{Degree: 5, Nodes: []graph.NodeID{2, 3, 4, 5}}
 	bk := &Bucketing{F: 5, Buckets: []*Bucket{a, target}}
-	out, err := bk.ReplaceWithSplit(target, 2)
+	out, err := bk.ReplaceWithSplit(target, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestReplaceWithSplit(t *testing.T) {
 		t.Fatalf("total nodes = %d", out.TotalNodes())
 	}
 	other := &Bucket{Degree: 9}
-	if _, err := bk.ReplaceWithSplit(other, 2); err == nil {
+	if _, err := bk.ReplaceWithSplit(other, 2, nil); err == nil {
 		t.Error("want error for absent target")
 	}
 }
@@ -208,7 +208,7 @@ func TestQuickSplitInvariant(t *testing.T) {
 		}
 		b := &Bucket{Degree: 7, Nodes: nodes}
 		k := 1 + rng.Intn(12)
-		parts, err := SplitBucket(b, k)
+		parts, err := SplitBucket(b, k, nil)
 		if err != nil {
 			return false
 		}
@@ -236,4 +236,112 @@ func TestQuickSplitInvariant(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSplitCutsInLocalityOrder: on a real batch, a split's parts partition
+// the bucket, their sizes differ by at most one, each part ascends in the
+// graph's locality order and keeps every member's row; cutting a part again
+// keeps its members where they are.
+func TestSplitCutsInLocalityOrder(t *testing.T) {
+	b := arxivBatch(t, 2000, []int{10, 25})
+	target, ok := Bucketize(b).DetectExplosion(ExplosionOptions{})
+	if !ok {
+		t.Fatal("expected explosion")
+	}
+	members := map[graph.NodeID]bool{}
+	for _, v := range target.Nodes {
+		members[v] = true
+	}
+	rank, _ := b.Graph.Locality()
+	var sc Scratch
+	for _, k := range []int{2, 3, 7, 16} {
+		parts := AppendSplit(&sc, nil, target, k, b.Graph)
+		seen := map[graph.NodeID]bool{}
+		smallest, largest := target.Volume(), 0
+		for _, p := range parts {
+			smallest, largest = min(smallest, p.Volume()), max(largest, p.Volume())
+			for i, v := range p.Nodes {
+				if !members[v] || seen[v] {
+					t.Fatalf("k=%d: node %d is not the bucket's or is in two parts", k, v)
+				}
+				seen[v] = true
+				if r, _ := b.Position(v); r != p.Rows[i] {
+					t.Fatalf("k=%d: node %d carries row %d, Position %d", k, v, p.Rows[i], r)
+				}
+				if i > 0 && rank[p.Nodes[i-1]] >= rank[v] {
+					t.Fatalf("k=%d: part %d does not ascend in locality order", k, p.Part)
+				}
+			}
+		}
+		if len(seen) != len(members) || largest-smallest > 1 {
+			t.Fatalf("k=%d: parts cover %d of %d nodes, sizes %d..%d", k, len(seen), len(members), smallest, largest)
+		}
+		part := parts[0]
+		before := append([]graph.NodeID(nil), part.Nodes...)
+		AppendSplit(&sc, nil, &part, 2, b.Graph)
+		for i, v := range part.Nodes {
+			if before[i] != v {
+				t.Fatalf("k=%d: re-cutting a part reordered it", k)
+			}
+		}
+	}
+}
+
+// TestLocalityCutSharesFrontiers: on the clustered power-law generator, over
+// 20 batches, cutting the explosion bucket in locality order gives parts
+// whose 2-hop sampled subgraphs hold fewer nodes in sum than cutting it in
+// hop-0 order.
+func TestLocalityCutSharesFrontiers(t *testing.T) {
+	ds, err := datagen.Load("ogbn-arxiv", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	var hop0, local int
+	for i := 0; i < 20; i++ {
+		seeds, err := sampling.UniformSeeds(ds.Graph, 512, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sampling.SampleBatch(ds.Graph, seeds, []int{10, 25}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target, ok := Bucketize(b).DetectExplosion(ExplosionOptions{})
+		if !ok {
+			t.Fatal("expected explosion")
+		}
+		// The hop-0 cut first: the locality cut sorts target in place.
+		for _, p := range AppendSplit(nil, nil, target, 4, nil) {
+			hop0 += subgraphNodes(b, &p)
+		}
+		for _, p := range AppendSplit(nil, nil, target, 4, ds.Graph) {
+			local += subgraphNodes(b, &p)
+		}
+	}
+	t.Logf("summed micro-batch nodes: hop-0 cut %d, locality cut %d", hop0, local)
+	if local >= hop0 {
+		t.Fatalf("locality cut holds %d nodes, hop-0 cut %d", local, hop0)
+	}
+}
+
+// subgraphNodes counts the distinct nodes of p's sampled subgraph: its
+// members and every node its members reach through the batch's hops.
+func subgraphNodes(b *sampling.Batch, p *Bucket) int {
+	seen := map[graph.NodeID]bool{}
+	rows := append([]int32(nil), p.Rows...)
+	for _, v := range p.Nodes {
+		seen[v] = true
+	}
+	for h := range b.Hops {
+		var next []int32
+		for _, r := range rows {
+			for j, u := range b.Hops[h].Nbrs[r] {
+				seen[u] = true
+				next = append(next, b.Hops[h].NbrPos[r][j])
+			}
+		}
+		rows = next
+	}
+	return len(seen)
 }

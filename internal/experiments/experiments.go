@@ -1401,7 +1401,7 @@ func Ablations(opts Options) (*Table, error) {
 	// may exceed the budget on its own.
 	base := bucket.Bucketize(b)
 	if target, ok := base.DetectExplosion(bucket.ExplosionOptions{}); ok {
-		base, err = base.ReplaceWithSplit(target, aware.K)
+		base, err = base.ReplaceWithSplit(target, aware.K, b.Graph)
 		if err != nil {
 			return nil, err
 		}
@@ -1426,7 +1426,7 @@ func Ablations(opts Options) (*Table, error) {
 		if oversized == nil {
 			break
 		}
-		base, err = base.ReplaceWithSplit(oversized, parts)
+		base, err = base.ReplaceWithSplit(oversized, parts, b.Graph)
 		if err != nil {
 			return nil, err
 		}

@@ -26,6 +26,7 @@ type NodeID = int32
 type Graph struct {
 	offsets []int64 // len = n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
 	adj     []NodeID
+	loc     locality
 }
 
 // FromAdjacency builds a Graph from per-node neighbor lists. Each list is

@@ -476,7 +476,7 @@ func checkAccumulator(t testing.TB, rng *rand.Rand, b *sampling.Batch, spec Mode
 	e.ForwardOnly = rng.Intn(4) == 0
 	var pool []bucket.Bucket
 	for _, bu := range bucket.Bucketize(b).Buckets {
-		pool = bucket.AppendSplit(pool, bu, 1+rng.Intn(4))
+		pool = bucket.AppendSplit(nil, pool, bu, 1+rng.Intn(4), b.Graph)
 	}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	pool = pool[:1+rng.Intn(len(pool))]

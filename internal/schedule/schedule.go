@@ -274,13 +274,14 @@ func (s *search) record(plan *Plan) {
 	r.Event(obs.KindMark, "", "schedule/plan", plan.MaxEstimate(), 0, int64(plan.K))
 }
 
-// splitAt replaces working[i] by its k micro-buckets, cut into the scratch
-// slab, and reports how many parts that made. A slab that grows moves to a
-// new array; buckets already pointed at stay where they were, unchanged.
+// splitAt replaces working[i] by its k micro-buckets, cut in the graph's
+// locality order into the scratch slab, and reports how many parts that
+// made. A slab that grows moves to a new array; buckets already pointed at
+// stay where they were, unchanged.
 func (s *search) splitAt(i, k int) int {
 	sc := s.sc
 	from := len(sc.parts)
-	sc.parts = bucket.AppendSplit(sc.parts, sc.working[i], k)
+	sc.parts = bucket.AppendSplit(&sc.buckets, sc.parts, sc.working[i], k, s.b.Graph)
 	n := len(sc.parts) - from
 	end := len(sc.working)
 	sc.working = slices.Grow(sc.working, n-1)[:end+n-1]

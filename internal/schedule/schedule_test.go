@@ -223,7 +223,7 @@ func TestFirstFitGrouping(t *testing.T) {
 	base := bucket.Bucketize(b)
 	// First-fit needs the explosion bucket split to have any chance.
 	if target, ok := base.DetectExplosion(bucket.ExplosionOptions{}); ok {
-		base, err = base.ReplaceWithSplit(target, 8)
+		base, err = base.ReplaceWithSplit(target, 8, b.Graph)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func referenceSchedule(b *sampling.Batch, est *memest.Estimator, opts Options) (
 		plan := &Plan{K: k}
 		working := base
 		if target, ok := base.DetectExplosion(opts.Explosion); ok {
-			split, err := base.ReplaceWithSplit(target, k)
+			split, err := base.ReplaceWithSplit(target, k, b.Graph)
 			if err != nil {
 				return nil, err
 			}
@@ -378,7 +378,7 @@ func referenceSchedule(b *sampling.Batch, est *memest.Estimator, opts Options) (
 					return nil, err
 				}
 				if m > opts.MemLimit {
-					split, err := working.ReplaceWithSplit(bu, int(m/opts.MemLimit)+1)
+					split, err := working.ReplaceWithSplit(bu, int(m/opts.MemLimit)+1, b.Graph)
 					if err != nil {
 						return nil, err
 					}
