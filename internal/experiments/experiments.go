@@ -243,12 +243,6 @@ type expProfile struct {
 	hidden  int
 }
 
-// profileFor maps each dataset to batch size / budget, scaled per DESIGN.md
-// (paper GB -> simulated MB, node counts ~1000x down).
-func profileFor(name string) expProfile {
-	return profileScaled(name, 1)
-}
-
 // quickProfile halves batch sizes and budgets together for quick mode: OOM
 // boundaries and who-wins shapes are scale-invariant, iteration cost is not.
 func quickProfile(name string, opts Options) expProfile {
@@ -265,6 +259,8 @@ func profileScaled(name string, div int) expProfile {
 	return p
 }
 
+// rawProfile maps each dataset to batch size / budget, scaled per DESIGN.md
+// (paper GB -> simulated MB, node counts ~1000x down).
 func rawProfile(name string) expProfile {
 	switch name {
 	case "cora":

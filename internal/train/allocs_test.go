@@ -17,9 +17,10 @@ const RaceEnabled = raceEnabled
 // root BenchmarkRunIteration_ObsDisabled (cora, mean, K fixed at 4 under
 // 1 GB), BenchmarkRunIteration_SequentialLSTM (cora, LSTM, K searched under
 // 2 MB) and BenchmarkRunIteration_Pipelined (the mean configuration behind
-// the loader: prefetch depth 2, an 8 MB feature cache). One new allocation
-// per iteration fails it. A count below a ceiling passes: lower the ceiling in
-// the change that earns it.
+// the loader: prefetch depth 2, an 8 MB feature cache), plus a warm Evaluate
+// of the golden node list on the golden cora/mean budget (the forward-only
+// executor Infer shares). One new allocation per op fails it. A count below a
+// ceiling passes: lower the ceiling in the change that earns it.
 //
 // The sequential counts are exact after three iterations. The pipelined count
 // only settles about 700 iterations in, and the loader's goroutines run on
@@ -44,10 +45,12 @@ func TestRunIterationWarmAllocs(t *testing.T) {
 		warm    int
 		windows int
 		max     float64
+		eval    bool // the op is Evaluate over goldenNodes, not RunIteration
 	}{
-		{"mean", gnn.Mean, ds.FeatDim(), 256, device.GB, 4, false, 3, 1, 41},
-		{"lstm", gnn.LSTM, 64, 128, 2 * device.MB, 0, false, 3, 1, 61},
-		{"pipelined", gnn.Mean, ds.FeatDim(), 256, device.GB, 4, true, 800, 5, 40},
+		{"mean", gnn.Mean, ds.FeatDim(), 256, device.GB, 4, false, 3, 1, 41, false},
+		{"lstm", gnn.LSTM, 64, 128, 2 * device.MB, 0, false, 3, 1, 61, false},
+		{"pipelined", gnn.Mean, ds.FeatDim(), 256, device.GB, 4, true, 800, 5, 40, false},
+		{"evaluate", gnn.Mean, ds.FeatDim(), 256, 3 * device.MB / 2, 0, false, 3, 1, 15, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,16 +75,25 @@ func TestRunIterationWarmAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			nodes := goldenNodes(ds)
+			op := func() error {
+				if tc.eval {
+					_, _, err := s.Evaluate(nodes)
+					return err
+				}
+				_, err := s.RunIteration()
+				return err
+			}
 			for i := 0; i < tc.warm; i++ {
-				if _, err := s.RunIteration(); err != nil {
+				if err := op(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			windows := make([]float64, tc.windows)
 			for w := range windows {
 				windows[w] = testing.AllocsPerRun(20, func() {
-					if _, iterErr := s.RunIteration(); iterErr != nil && err == nil {
-						err = iterErr
+					if opErr := op(); opErr != nil && err == nil {
+						err = opErr
 					}
 				})
 			}
@@ -91,9 +103,9 @@ func TestRunIterationWarmAllocs(t *testing.T) {
 			sort.Float64s(windows)
 			allocs := windows[len(windows)/2]
 			if allocs > tc.max {
-				t.Errorf("warm iteration allocates %v times (windows %v), ceiling %v", allocs, windows, tc.max)
+				t.Errorf("warm op allocates %v times (windows %v), ceiling %v", allocs, windows, tc.max)
 			} else if allocs < tc.max {
-				t.Logf("warm iteration allocates %v times, below its ceiling %v: lower the ceiling", allocs, tc.max)
+				t.Logf("warm op allocates %v times, below its ceiling %v: lower the ceiling", allocs, tc.max)
 			}
 		})
 	}

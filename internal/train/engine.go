@@ -17,6 +17,7 @@ import (
 	"buffalo/internal/nn"
 	"buffalo/internal/obs"
 	"buffalo/internal/partition"
+	"buffalo/internal/pipeline"
 	"buffalo/internal/sampling"
 	"buffalo/internal/schedule"
 	"buffalo/internal/tensor"
@@ -31,13 +32,16 @@ type replica struct {
 }
 
 // engine is the iteration spine every execution path drives: Session and
-// DataParallel, each sequential or behind the pipelined loader, and the
-// forward-only InferenceSession all share this one copy of sampling, planning
-// (system switch + Buffalo K-search), memory estimation, micro-batch
-// construction, feature staging, charged compute, and phase/obs accounting.
-// The paths differ only in where plans come from (inline vs a background
-// planner stage) and how features reach the device (synchronous copies vs
-// prefetched async copies), which is the stager interface.
+// DataParallel, each sequential or behind the pipelined loader, share this
+// one copy of sampling, planning (system switch + Buffalo K-search), memory
+// estimation, micro-batch construction, feature staging, charged compute,
+// and phase/obs accounting. The training paths differ only in where plans
+// come from (inline vs a background planner stage) and how features reach
+// the device (synchronous copies vs prefetched async copies), which is the
+// stager interface. Forward-only work — Session.Evaluate and
+// InferenceSession.Infer — runs through one method, forward, which plans
+// with the ForwardOnly estimator and frees each layer once the next has
+// consumed it.
 type engine struct {
 	cfg  Config
 	data *datagen.Dataset
@@ -241,9 +245,10 @@ func (e *engine) activationBudget() int64 {
 }
 
 // planLimit is the memory cap every K-search plans against: 10% headroom
-// under the activation budget, because the analytical estimate carries a
-// few percent of error and transient buffers (loss, logits gradient) ride
-// on top of the activations.
+// under the activation budget for the analytical estimate's error. During
+// compute the ledger charges a micro-batch only its input features and one
+// activation charge per layer; loss, logits and backward buffers live in the
+// host arena, so nothing rides on top of what the estimate prices.
 func (e *engine) planLimit() int64 { return e.activationBudget() * 9 / 10 }
 
 // residentBase is the stable device-resident footprint plans ride on top of:
@@ -622,16 +627,16 @@ func (e *engine) addCompute(dev int, d time.Duration, kind obs.Kind) time.Durati
 	return d
 }
 
-// computeMicroBatch runs the device-side math of one micro-batch on replica
-// dev, whose input features are already resident: charged forward (layer 0
-// reading the feature table through mb's input list), loss, and — unless
-// forwardOnly (evaluation) — backward. The caller owns the feature
-// allocation; layer activations are charged and released here. correct is the
-// number of outputs classified right. Scaled compute time accrues on
-// perCompute[dev]; lastBwd[dev] records this micro-batch's backward duration
-// — after the iteration's final micro-batch it is the window the overlapped
-// reducer's bucket-readiness model spreads gradient completion over.
-func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBatch, perCompute, lastBwd []time.Duration, forwardOnly bool) (loss float32, correct int, microBytes int64, err error) {
+// computeMicroBatch runs the device-side math of one training micro-batch on
+// replica dev, whose input features are already resident: charged forward
+// (layer 0 reading the feature table through mb's input list), loss and
+// backward. The caller owns the feature allocation; layer activations are
+// charged and released here. correct is the number of outputs classified
+// right. Scaled compute time accrues on perCompute[dev]; lastBwd[dev] records
+// this micro-batch's backward duration — after the iteration's final
+// micro-batch it is the window the overlapped reducer's bucket-readiness
+// model spreads gradient completion over.
+func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBatch, perCompute, lastBwd []time.Duration) (loss float32, correct int, microBytes int64, err error) {
 	r := e.replicas[dev]
 	var layerAllocs []*device.Allocation
 	// Everything the forward and backward passes materialize is dead once the
@@ -654,27 +659,121 @@ func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBa
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("train: forward: %w", err)
 	}
-	labels := e.labelScratch(len(mb.Outputs))
-	for i, v := range mb.Outputs {
-		labels[i] = e.data.Labels[v]
-	}
-	scale := float32(len(mb.Outputs)) / float32(b.NumOutputNodes())
-	probs := e.arena.GetUninit(fwd.Logits.Rows, fwd.Logits.Cols) // written in full by CrossEntropyInto's SoftmaxRowsInto
-	mLoss, dLogits, err := nn.CrossEntropyInto(probs, fwd.Logits, labels, scale)
+	mLoss, dLogits, labels, err := e.crossEntropy(b, mb, fwd.Logits)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	perCompute[dev] += e.addCompute(dev, time.Since(tFwd), obs.KindForward)
-	if !forwardOnly {
-		tBwd := time.Now()
-		if _, err := r.model.Backward(fwd, dLogits); err != nil {
-			return 0, 0, 0, err
-		}
-		bwd := e.addCompute(dev, time.Since(tBwd), obs.KindBackward)
-		perCompute[dev] += bwd
-		lastBwd[dev] = bwd
+	tBwd := time.Now()
+	if _, err := r.model.Backward(fwd, dLogits); err != nil {
+		return 0, 0, 0, err
 	}
+	bwd := e.addCompute(dev, time.Since(tBwd), obs.KindBackward)
+	perCompute[dev] += bwd
+	lastBwd[dev] = bwd
 	return mLoss, nn.Correct(fwd.Logits, labels), e.featBytes(mb) + fwd.ActivationBytes(), nil
+}
+
+// forward runs the batch sampled into sc.batch forward only on replica 0: the
+// one path Session.Evaluate and InferenceSession.Infer share. It plans with
+// the ForwardOnly estimator against planLimit, then per group generates the
+// micro-batch into sc's scratch, charges and copies the input rows the cache
+// does not hold (every row when cache is nil), and runs ForwardTable. The
+// features are freed once layer 0 has run and layer l-2's activations before
+// layer l is charged, so the ledger holds at most the adjacent-pair window
+// the estimator priced. read sees each micro-batch's logits before the arena
+// reclaims them. res receives K, the predicted peak, the cache outcomes and
+// the plan, block-gen, gather, H2D and compute shares of the breakdown. The
+// plan span is named after the device ("serve" for an InferenceSession).
+func (e *engine) forward(sc *iterScratch, cache *pipeline.FeatureCache, res *InferResult, read func(mb *block.MicroBatch, logits *tensor.Matrix) error) error {
+	b := &sc.batch
+	est := &sc.est
+	if err := e.estimatorInto(est, b); err != nil {
+		return err
+	}
+	est.ForwardOnly = true
+	tP := time.Now()
+	plan, err := schedule.Schedule(b, est, schedule.Options{MemLimit: e.planLimit(), Obs: e.cfg.Obs, Scratch: &sc.sched})
+	res.Breakdown.Plan = time.Since(tP)
+	if err != nil {
+		return err
+	}
+	res.K = len(plan.Groups)
+	res.PredictedPeak = plan.MaxEstimate() + e.residentBase()
+	e.cfg.Obs.Span(obs.KindPlan, "", e.gpu0().Name(), res.Breakdown.Plan, plan.MaxEstimate(), int64(plan.K))
+
+	// feat holds a micro-batch's input rows until layer 0 has run; window[l%2]
+	// holds layer l's activations until layer l+2 is charged. release drops
+	// them all and the arena after each micro-batch and on every error path.
+	r := e.replicas[0]
+	var feat *device.Allocation
+	var window [2]*device.Allocation
+	release := func() {
+		freeSlot(&feat)
+		freeSlot(&window[0])
+		freeSlot(&window[1])
+		e.arena.Reset()
+	}
+	defer release()
+	charge := func(layer int, planned int64) error {
+		if layer >= 1 {
+			freeSlot(&feat)
+		}
+		freeSlot(&window[layer%2])
+		a, err := r.gpu.Alloc(layerTag(layer), planned)
+		if err != nil {
+			return err
+		}
+		window[layer%2] = a
+		return nil
+	}
+
+	// Groups execute one at a time, so one generation scratch and one node
+	// list serve them all.
+	if len(sc.gens) == 0 {
+		sc.gens = append(sc.gens, &block.GenScratch{})
+	}
+	sc.parts = ensureParts(sc.parts, 1)
+	for _, g := range plan.Groups {
+		tB := time.Now()
+		sc.parts[0] = g.AppendNodes(sc.parts[0][:0])
+		mb, err := block.GenerateInto(sc.gens[0], b, sc.parts[0], e.cfg.Obs)
+		dt := time.Since(tB)
+		res.Breakdown.BlockGen += dt
+		if err != nil {
+			return err
+		}
+		e.cfg.Obs.Span(obs.KindBlockGen, "", "fast", dt, mb.NumNodes(), int64(len(sc.parts[0])))
+
+		tG := time.Now()
+		featBytes := e.featBytes(mb)
+		if cache != nil {
+			inputs := mb.InputNodes()
+			misses := cache.Probe(inputs, e.data.Graph)
+			res.CacheHits += int64(len(inputs)) - misses
+			res.CacheMisses += misses
+			featBytes = misses * e.rowBytes
+		}
+		res.Breakdown.Gather += time.Since(tG)
+		if featBytes > 0 {
+			if feat, err = r.gpu.Alloc("features", featBytes); err != nil {
+				return fmt.Errorf("train: staging features: %w", err)
+			}
+			res.Breakdown.H2D += r.gpu.TransferH2D(featBytes)
+		}
+
+		tFwd := time.Now()
+		fwd, err := r.model.ForwardTable(mb, e.table, charge)
+		if err != nil {
+			return fmt.Errorf("train: forward: %w", err)
+		}
+		res.Breakdown.Compute += e.addCompute(0, time.Since(tFwd), obs.KindForward)
+		if err := read(mb, fwd.Logits); err != nil {
+			return err
+		}
+		release()
+	}
+	return nil
 }
 
 // executeIteration drives the execute half of one planned iteration through
@@ -727,7 +826,7 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 		if async && smb.hasCopy {
 			gpu.WaitTransfer(smb.done)
 		}
-		mLoss, mCorrect, bytes, cErr := e.computeMicroBatch(smb.dev, it.b, smb.mb, perCompute, lastBwd, false)
+		mLoss, mCorrect, bytes, cErr := e.computeMicroBatch(smb.dev, it.b, smb.mb, perCompute, lastBwd)
 		ex.release(smb)
 		if cErr != nil {
 			return nil, cErr
@@ -791,6 +890,27 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 	}
 	e.publishPoolStats()
 	return res, nil
+}
+
+// crossEntropy scores a micro-batch's logits against its outputs' labels,
+// scaled by the micro-batch's share of b's outputs so the micro-batch losses
+// sum to the batch mean. It returns the labels it scored against (valid until
+// the next call) and the logits gradient, which lives on the arena.
+func (e *engine) crossEntropy(b *sampling.Batch, mb *block.MicroBatch, logits *tensor.Matrix) (loss float32, dLogits *tensor.Matrix, labels []int32, err error) {
+	labels = e.labelScratch(len(mb.Outputs))
+	for i, v := range mb.Outputs {
+		labels[i] = e.data.Labels[v]
+	}
+	scale := float32(len(mb.Outputs)) / float32(b.NumOutputNodes())
+	probs := e.arena.GetUninit(logits.Rows, logits.Cols) // written in full by CrossEntropyInto's SoftmaxRowsInto
+	loss, dLogits, err = nn.CrossEntropyInto(probs, logits, labels, scale)
+	return loss, dLogits, labels, err
+}
+
+// freeSlot releases *a (nil is a no-op) and clears it, so a slot is freed once.
+func freeSlot(a **device.Allocation) {
+	(*a).Free()
+	*a = nil
 }
 
 // poolStats reports the counters of the hot path's one pool, the compute

@@ -12,7 +12,6 @@ import (
 	"buffalo/internal/memest"
 	"buffalo/internal/obs"
 	"buffalo/internal/pipeline"
-	"buffalo/internal/schedule"
 	"buffalo/internal/tensor"
 )
 
@@ -47,16 +46,11 @@ type InferenceSession struct {
 	cacheBudget int64
 
 	// Per-request scratch, reused across Infer calls (one request runs at a
-	// time per session): the iteration bundle (batch, estimator, scheduler
-	// scratch), one block-generation scratch (groups execute sequentially, so
-	// one suffices), the request dedup set, the per-group node buffer, and
-	// the layer-allocation slots.
-	sc          iterScratch
-	gen         block.GenScratch
-	seen        map[graph.NodeID]struct{}
-	seedsBuf    []graph.NodeID
-	nodesBuf    []graph.NodeID
-	layerAllocs []*device.Allocation
+	// time per session): the iteration bundle the forward-only executor plans
+	// and generates in, and the request dedup set.
+	sc       iterScratch
+	seen     map[graph.NodeID]struct{}
+	seedsBuf []graph.NodeID
 }
 
 // NewInferenceSession builds a forward-only session on a simulated GPU named
@@ -188,36 +182,14 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 	s.Cfg.Obs.Span(obs.KindSample, "", "serve", res.Breakdown.Sample,
 		int64(len(seeds)), int64(len(s.Cfg.Fanouts)))
 
-	est := &s.sc.est
-	if err := s.eng.estimatorInto(est, b); err != nil {
-		return nil, err
-	}
-	est.ForwardOnly = true
-	opts := schedule.Options{MemLimit: s.eng.planLimit(), Obs: s.Cfg.Obs, Scratch: &s.sc.sched}
-	tP := time.Now()
-	plan, err := schedule.Schedule(b, est, opts)
-	res.Breakdown.Plan = time.Since(tP)
+	err := s.eng.forward(&s.sc, s.cache, res, func(mb *block.MicroBatch, logits *tensor.Matrix) error {
+		for i, v := range mb.Outputs {
+			res.Classes[v] = argmaxRow(logits.Row(i))
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	res.K = len(plan.Groups)
-	res.PredictedPeak = plan.MaxEstimate() + s.eng.residentBase()
-	s.Cfg.Obs.Span(obs.KindPlan, "", "serve", res.Breakdown.Plan,
-		plan.MaxEstimate(), int64(plan.K))
-
-	for _, g := range plan.Groups {
-		tB := time.Now()
-		s.nodesBuf = g.AppendNodes(s.nodesBuf[:0])
-		mb, err := block.GenerateInto(&s.gen, b, s.nodesBuf, s.Cfg.Obs)
-		dt := time.Since(tB)
-		res.Breakdown.BlockGen += dt
-		if err != nil {
-			return nil, err
-		}
-		s.Cfg.Obs.Span(obs.KindBlockGen, "", "fast", dt, mb.NumNodes(), int64(len(s.nodesBuf)))
-		if err := s.executeInfer(mb, res); err != nil {
-			return nil, err
-		}
 	}
 
 	res.Peak = s.GPU.Stats().Peak
@@ -230,84 +202,6 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 	return res, nil
 }
 
-// executeInfer stages and computes one forward-only micro-batch: probe the
-// cache when present (hits are already device-resident under the cache
-// reservation and pay no H2D), charge the missed rows, forward with layer 0
-// reading the feature table in place and the early-free schedule the
-// ForwardOnly estimator prices (a layer's activations are released once the
-// next layer has consumed them, the features once layer 0 has), then argmax
-// the logits into res.Classes.
-func (s *InferenceSession) executeInfer(mb *block.MicroBatch, res *InferResult) error {
-	tG := time.Now()
-	defer s.eng.arena.Reset()
-	missBytes := s.eng.featBytes(mb)
-	if s.cache != nil {
-		inputs := mb.InputNodes()
-		misses := s.cache.Probe(inputs, s.Data.Graph)
-		res.CacheHits += int64(len(inputs)) - misses
-		res.CacheMisses += misses
-		missBytes = misses * s.eng.rowBytes
-	}
-	res.Breakdown.Gather += time.Since(tG)
-
-	var featAlloc *device.Allocation
-	if missBytes > 0 {
-		a, err := s.GPU.Alloc("serve/features", missBytes)
-		if err != nil {
-			return fmt.Errorf("train: staging features: %w", err)
-		}
-		featAlloc = a
-		res.Breakdown.H2D += s.GPU.TransferH2D(missBytes)
-	}
-	if cap(s.layerAllocs) < len(s.Model.Layers) {
-		s.layerAllocs = make([]*device.Allocation, len(s.Model.Layers))
-	}
-	layerAllocs := s.layerAllocs[:len(s.Model.Layers)]
-	for i := range layerAllocs {
-		layerAllocs[i] = nil
-	}
-	free := func(a **device.Allocation) {
-		if *a != nil {
-			(**a).Free()
-			*a = nil
-		}
-	}
-	defer func() {
-		for i := range layerAllocs {
-			free(&layerAllocs[i])
-		}
-		free(&featAlloc)
-	}()
-
-	tFwd := time.Now()
-	fwd, err := s.Model.ForwardTable(mb, s.eng.table, func(layer int, planned int64) error {
-		// Release what this layer no longer needs before charging it: the
-		// input features once layer 0 has run, layer l-2's activations once
-		// layer l-1 has. Freeing first keeps the ledger's peak equal to the
-		// adjacent-pair window the ForwardOnly estimator predicted.
-		if layer >= 1 {
-			free(&featAlloc)
-		}
-		if layer >= 2 {
-			free(&layerAllocs[layer-2])
-		}
-		a, err := s.GPU.Alloc(serveLayerTag(layer), planned)
-		if err != nil {
-			return err
-		}
-		layerAllocs[layer] = a
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("train: inference forward: %w", err)
-	}
-	res.Breakdown.Compute += s.eng.addCompute(0, time.Since(tFwd), obs.KindForward)
-	for i, v := range mb.Outputs {
-		res.Classes[v] = argmaxRow(fwd.Logits.Row(i))
-	}
-	return nil
-}
-
 // argmaxRow returns the index of the row's largest value.
 func argmaxRow(row []float32) int32 {
 	best := int32(0)
@@ -317,22 +211,6 @@ func argmaxRow(row []float32) int32 {
 		}
 	}
 	return best
-}
-
-// serveLayerTags precomputes the ledger tags for the depths real configs use;
-// serveLayerTag falls back to formatting for deeper (cold) models.
-var serveLayerTags = [8]string{
-	"serve/activations/layer0", "serve/activations/layer1",
-	"serve/activations/layer2", "serve/activations/layer3",
-	"serve/activations/layer4", "serve/activations/layer5",
-	"serve/activations/layer6", "serve/activations/layer7",
-}
-
-func serveLayerTag(l int) string {
-	if l < len(serveLayerTags) {
-		return serveLayerTags[l]
-	}
-	return coldTag("serve/activations/layer", l)
 }
 
 // dedupInto collapses duplicate request nodes into the session's reusable

@@ -29,10 +29,10 @@ import (
 	"buffalo/internal/gnn"
 	"buffalo/internal/graph"
 	"buffalo/internal/memest"
+	"buffalo/internal/nn"
 	"buffalo/internal/obs"
 	"buffalo/internal/pipeline"
 	"buffalo/internal/sampling"
-	"buffalo/internal/schedule"
 	"buffalo/internal/tensor"
 )
 
@@ -447,47 +447,36 @@ func (s *Session) PoolStats() tensor.PoolStats { return s.eng.poolStats() }
 
 // Evaluate runs inference (forward only, no gradients, no optimizer step)
 // over the given nodes and reports mean loss and accuracy. The evaluation
-// batch is built with the session's fanouts; memory is charged and released
-// like a training micro-batch, but Evaluate splits the nodes into
-// budget-sized micro-batches with the Buffalo scheduler regardless of the
-// configured system, since inference has no system-specific semantics.
+// batch is built with the session's fanouts and runs through the same
+// forward-only executor as InferenceSession.Infer: the ForwardOnly K-search
+// splits it into budget-sized micro-batches whatever the configured system,
+// since inference has no system-specific semantics, and each layer's
+// activations are released once the next layer has consumed them.
 func (s *Session) Evaluate(nodes []graph.NodeID) (loss float32, acc float64, err error) {
 	if len(nodes) == 0 {
 		return 0, 0, fmt.Errorf("train: Evaluate needs at least one node")
 	}
 	e := s.eng
-	b := &sampling.Batch{}
+	sc := e.getIterScratch()
+	b := &sc.batch
 	if err := e.stream.SampleInto(b, nodes); err != nil {
 		return 0, 0, err
 	}
-	est, err := e.estimator(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	plan, err := schedule.Schedule(b, est, schedule.Options{MemLimit: e.planLimit()})
-	if err != nil {
-		return 0, 0, err
-	}
-	it := &pipeIter{b: b, mbs: make([]*block.MicroBatch, len(plan.Groups))}
-	for i, g := range plan.Groups {
-		if it.mbs[i], err = block.Generate(b, g.Nodes()); err != nil {
-			return 0, 0, err
-		}
-	}
-	st := seqStager{e: e}
+	var res InferResult
 	correct := 0
-	for i := range it.mbs {
-		smb, err := st.stage(it, i)
+	err = e.forward(sc, nil, &res, func(mb *block.MicroBatch, logits *tensor.Matrix) error {
+		mLoss, _, labels, err := e.crossEntropy(b, mb, logits)
 		if err != nil {
-			return 0, 0, err
-		}
-		mLoss, mCorrect, _, err := e.computeMicroBatch(smb.dev, b, smb.mb, e.compute, nil, true)
-		st.release(smb)
-		if err != nil {
-			return 0, 0, err
+			return err
 		}
 		loss += mLoss
-		correct += mCorrect
+		correct += nn.Correct(logits, labels)
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	return loss, float64(correct) / float64(b.NumOutputNodes()), nil
+	acc = float64(correct) / float64(b.NumOutputNodes())
+	e.putIterScratch(sc)
+	return loss, acc, nil
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -655,9 +656,24 @@ func TestEvaluateHeldOut(t *testing.T) {
 	if _, err := s.TrainEpochs(10); err != nil {
 		t.Fatal(err)
 	}
+	// Evaluation must not touch gradients or parameters: replica 0's flat
+	// buffers hold the last training step's values and gradients, bit for bit.
+	flat := s.Model.Params.Flat()
+	values := append([]float32(nil), flat.Values()...)
+	grads := append([]float32(nil), flat.Grads()...)
 	after, accAfter, err := s.Evaluate(evalNodes[:300])
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, buf := range []struct {
+		name      string
+		got, want []float32
+	}{{"value", flat.Values(), values}, {"grad", flat.Grads(), grads}} {
+		for i := range buf.want {
+			if math.Float32bits(buf.got[i]) != math.Float32bits(buf.want[i]) {
+				t.Fatalf("Evaluate changed %s %d: %v -> %v", buf.name, i, buf.want[i], buf.got[i])
+			}
+		}
 	}
 	if after >= before {
 		t.Fatalf("held-out loss did not improve: %v -> %v", before, after)
@@ -665,12 +681,44 @@ func TestEvaluateHeldOut(t *testing.T) {
 	if accAfter <= accBefore {
 		t.Fatalf("held-out accuracy did not improve: %v -> %v", accBefore, accAfter)
 	}
-	// Evaluation must not touch gradients or parameters.
-	if s.Model.Params.GradMaxAbs() != 0 {
-		// TrainEpochs zeroes at iteration start; Evaluate must not add any.
-		t.Log("note: gradients nonzero (leftover from training step) — acceptable")
-	}
 	if _, _, err := s.Evaluate(nil); err == nil {
 		t.Fatal("want error for empty node set")
+	}
+}
+
+// TestEvaluateOOMReleases runs Evaluate on a device too small for its first
+// micro-batch. The plan reads a frozen activation budget that overstates the
+// device (as a pipelined session's would if its headroom shrank), so the
+// charge fails — at the features on the smaller device, at layer 0's
+// activations with the features live on the larger one. Evaluate must return
+// the OOM and leave only the resident footprint on the ledger.
+func TestEvaluateOOMReleases(t *testing.T) {
+	ds := loadData(t, "cora")
+	cfg := baseConfig(ds, Buffalo)
+	probe, err := NewSession(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := probe.GPU.Live()
+	probe.Close()
+	for _, tc := range []struct {
+		room int64
+		tag  string // the charge that fails
+	}{{device.MB / 16, "features"}, {device.MB, "activations/layer0"}} {
+		cfg.MemBudget = resident + tc.room
+		s, err := NewSession(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.eng.budgetOverride = device.GB
+		_, _, err = s.Evaluate(goldenNodes(ds))
+		var oom *device.OOMError
+		if !errors.As(err, &oom) || oom.Tag != tc.tag {
+			t.Errorf("room %d: want OOM charging %q, got %v", tc.room, tc.tag, err)
+		}
+		if live := s.GPU.Live(); live != resident {
+			t.Errorf("room %d: live %d after OOM, want the resident footprint %d", tc.room, live, resident)
+		}
+		s.Close()
 	}
 }
