@@ -83,14 +83,28 @@ func goldenNodes(ds *datagen.Dataset) []graph.NodeID {
 const goldenIters = 2
 
 // goldenIter writes one training iteration's recorded fields. The ledger peak
-// is written only where it is a pure function of the configuration.
-func goldenIter(w io.Writer, tag string, i int, r *IterationResult, peak bool) {
+// is written only where it is a pure function of the configuration, and so
+// are the H2D bytes the iteration copied (h2d < 0 leaves them out: a
+// pipelined run's copies depend on what its cache held when it staged).
+func goldenIter(w io.Writer, tag string, i int, r *IterationResult, peak bool, h2d int64) {
 	fmt.Fprintf(w, "%s it%d loss=%08x acc=%v K=%d pred=%d", tag, i,
 		math.Float32bits(r.Loss), r.Accuracy, r.K, r.PredictedPeak)
 	if peak {
 		fmt.Fprintf(w, " peak=%d", r.Peak)
 	}
+	if h2d >= 0 {
+		fmt.Fprintf(w, " h2d=%d", h2d)
+	}
 	fmt.Fprintln(w)
+}
+
+// transferred sums the host-to-device bytes the devices have copied so far.
+func transferred(gpus ...*device.GPU) int64 {
+	var n int64
+	for _, g := range gpus {
+		n += g.Stats().Transferred
+	}
+	return n
 }
 
 // goldenComm writes one data-parallel iteration's simulated interconnect
@@ -114,12 +128,14 @@ func runDataParallel(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer,
 		t.Fatal(err)
 	}
 	defer dp.Close()
+	gpus := []*device.GPU{dp.Cluster.GPU(0), dp.Cluster.GPU(1)}
 	for i := 0; i < goldenIters; i++ {
+		h2d := transferred(gpus...)
 		r, err := dp.RunIteration()
 		if err != nil {
 			t.Fatal(err)
 		}
-		goldenIter(w, tag, i, &r.IterationResult, !overlap)
+		goldenIter(w, tag, i, &r.IterationResult, !overlap, transferred(gpus...)-h2d)
 		goldenComm(w, tag, i, r, !overlap)
 	}
 }
@@ -140,11 +156,12 @@ var goldenModes = []struct {
 		}
 		defer s.Close()
 		for i := 0; i < goldenIters; i++ {
+			h2d := transferred(s.GPU)
 			r, err := s.RunIteration()
 			if err != nil {
 				t.Fatal(err)
 			}
-			goldenIter(w, "seq", i, r, true)
+			goldenIter(w, "seq", i, r, true, transferred(s.GPU)-h2d)
 			loss, acc, err := s.Evaluate(goldenNodes(ds))
 			if err != nil {
 				t.Fatal(err)
@@ -165,7 +182,7 @@ var goldenModes = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
-			goldenIter(w, "pipe", i, r, false)
+			goldenIter(w, "pipe", i, r, false, -1)
 		}
 	}},
 	{"allreduce", func(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer) {
@@ -201,7 +218,7 @@ var goldenModes = []struct {
 // golden file was written: loss bits, accuracy, K and predicted peaks
 // everywhere, ledger peaks where they are deterministic (sequential and
 // serving; a pipelined run's ledger peak depends on how far the prefetcher
-// got). Under -race the build has no vector kernels, so there the same file is
+// got), and the H2D bytes of every synchronously staged iteration. Under -race the build has no vector kernels, so there the same file is
 // the portable path's comparison. Regenerate with -update only for a change
 // that means to move numbers, and say why in CHANGES.md.
 //
