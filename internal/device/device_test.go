@@ -85,6 +85,32 @@ func TestDoubleFreePanics(t *testing.T) {
 	a.Free()
 }
 
+func TestAllocIntoReusesAFreedRecord(t *testing.T) {
+	g := NewGPU("test", 10)
+	var a Allocation
+	for i, size := range []int64{4, 7, 10} {
+		if err := g.AllocInto(&a, "slot", size); err != nil {
+			t.Fatal(err)
+		}
+		if g.Live() != size || a.Bytes != size || a.Tag != "slot" {
+			t.Fatalf("reservation %d: live %d, record %+v", i, g.Live(), a)
+		}
+		a.Free()
+	}
+	if err := g.AllocInto(&a, "big", 11); !IsOOM(err) || a.Tag != "slot" || g.Live() != 0 {
+		t.Fatalf("want OOM leaving the freed record alone, got %v, %+v, live %d", err, a, g.Live())
+	}
+	if err := g.AllocInto(&a, "slot", 3); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic reserving into a live record")
+		}
+	}()
+	_ = g.AllocInto(&a, "again", 1)
+}
+
 func TestFreeNilIsNoop(t *testing.T) {
 	var a *Allocation
 	a.Free() // must not panic

@@ -98,8 +98,8 @@ func TestTransferSyncAdvancesBothFronts(t *testing.T) {
 	}
 }
 
-// TestResetClocksRewindsOverlapState: ResetClocks (and Reset) zero the stall
-// clock and rewind both engine fronts with the other clocks.
+// TestResetClocksRewindsOverlapState: ResetClocks zeroes the stall clock and
+// rewinds both engine fronts with the other clocks.
 func TestResetClocksRewindsOverlapState(t *testing.T) {
 	g := overlapGPU()
 	done := g.TransferH2DAsync(1000)

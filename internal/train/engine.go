@@ -20,6 +20,7 @@ import (
 	"buffalo/internal/pipeline"
 	"buffalo/internal/sampling"
 	"buffalo/internal/schedule"
+	"buffalo/internal/stamp"
 	"buffalo/internal/tensor"
 )
 
@@ -81,6 +82,15 @@ type engine struct {
 	compute  []time.Duration
 	bwdLast  []time.Duration
 	labels   []int32
+
+	// carry[d] holds on replica d the input rows its last released
+	// micro-batch shares with its next one in the iteration (seqStager), nil
+	// when none. It points at carrySlot[d], the one ledger record each
+	// replica's carries reuse; carryTab counts the shared rows. Consumer
+	// goroutine only.
+	carry     []*device.Allocation
+	carrySlot []device.Allocation
+	carryTab  stamp.Table
 
 	// budgetOverride freezes the activation budget at pipeline construction:
 	// a background planner must not read the live ledger while the consumer's
@@ -189,20 +199,22 @@ func newEngine(ds *datagen.Dataset, cfg Config, replicas []replica, cluster *dev
 	}
 	spec := memest.SpecFromConfig(cfg.Model)
 	e := &engine{
-		cfg:      cfg,
-		data:     ds,
-		table:    ds.FeatureTable(cfg.Model.InDim),
-		flat0:    flat0,
-		stream:   sampling.NewStream(ds.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed),
-		clusterC: ds.Graph.ApproxClusteringCoefficient(cfg.Seed, 2000),
-		rowBytes: spec.FeatureRowBytes(),
-		spec:     spec,
-		replicas: replicas,
-		cluster:  cluster,
-		preStats: make([]device.Stats, n),
-		compute:  make([]time.Duration, n),
-		bwdLast:  make([]time.Duration, n),
-		arena:    tensor.NewArena(tensor.NewPool()),
+		cfg:       cfg,
+		data:      ds,
+		table:     ds.FeatureTable(cfg.Model.InDim),
+		flat0:     flat0,
+		stream:    sampling.NewStream(ds.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed),
+		clusterC:  ds.Graph.ApproxClusteringCoefficient(cfg.Seed, 2000),
+		rowBytes:  spec.FeatureRowBytes(),
+		spec:      spec,
+		replicas:  replicas,
+		cluster:   cluster,
+		preStats:  make([]device.Stats, n),
+		compute:   make([]time.Duration, n),
+		bwdLast:   make([]time.Duration, n),
+		carry:     make([]*device.Allocation, n),
+		carrySlot: make([]device.Allocation, n),
+		arena:     tensor.NewArena(tensor.NewPool()),
 	}
 	for _, r := range replicas {
 		r.model.SetArena(e.arena)
@@ -331,10 +343,12 @@ type pipeIter struct {
 	minFeat int64
 }
 
-// stagedMB is one staged micro-batch: its input-feature tensor's device bytes
-// reserved on replica dev and (for async stagers, on a cache miss) an H2D copy
-// in flight. The host side needs nothing staged: layer 0 reads the engine's
-// feature table through the micro-batch's input list.
+// stagedMB is one staged micro-batch: its input rows' device bytes reserved
+// on replica dev — carryIn for the rows the replica's previous micro-batch
+// left on the device, featAlloc for the rest — and (for async stagers, on a
+// cache miss) an H2D copy in flight. The host side needs nothing staged:
+// layer 0 reads the engine's feature table through the micro-batch's input
+// list.
 type stagedMB struct {
 	iter      *pipeIter
 	idx       int
@@ -342,41 +356,108 @@ type stagedMB struct {
 	last      bool
 	mb        *block.MicroBatch
 	featAlloc *device.Allocation
-	done      time.Duration // async copy completion position on the sim timeline
-	hasCopy   bool          // false when synchronous or fully cache-resident
+	carryIn   *device.Allocation // nil unless rows were carried (seqStager)
+	done      time.Duration      // async copy completion position on the sim timeline
+	hasCopy   bool               // false when synchronous or fully cache-resident
 }
 
 // stager supplies executeIteration with staged micro-batches: the feature
 // tensor's device bytes reserved on the target replica, and the H2D transfer
 // either already paid (synchronous staging) or issued (async, with done
-// carrying the completion position the engine waits on).
+// carrying the completion position the engine waits on). release gets ok
+// false when the micro-batch's compute failed, which ends the iteration.
 type stager interface {
 	stage(it *pipeIter, i int) (*stagedMB, error)
-	release(smb *stagedMB)
+	release(smb *stagedMB, ok bool)
 }
 
-// seqStager stages micro-batches inline: reserve the feature tensor on the
-// round-robin target replica and pay the synchronous copy immediately — the
-// sequential loading model of both Session and the non-pipelined
-// DataParallel.
+// seqStager stages micro-batches inline on the round-robin target replica
+// and pays the synchronous copy immediately — the sequential loading model
+// of both Session and the non-pipelined DataParallel. It copies only the
+// input rows the replica's previous micro-batch in the iteration (i-n under
+// round-robin over n replicas) did not already bring: releasing micro-batch
+// i keeps the rows it shares with i+n on the device as a "features/carry"
+// allocation, and staging i+n charges and copies the remaining rows as
+// "features". While a micro-batch computes the two hold exactly featBytes,
+// as one full copy would, and between micro-batches the ledger holds only
+// the carry, so no peak rises. No carry outlives its iteration or an error.
 type seqStager struct{ e *engine }
 
 func (s seqStager) stage(it *pipeIter, i int) (*stagedMB, error) {
-	dev := i % len(s.e.replicas)
-	gpu := s.e.replicas[dev].gpu
-	bytes := s.e.featBytes(it.mbs[i])
-	featAlloc, err := gpu.Alloc("features", bytes)
-	if err != nil {
-		return nil, fmt.Errorf("train: loading features: %w", err)
-	}
-	gpu.TransferH2D(bytes)
-	return &stagedMB{
+	e := s.e
+	dev := i % len(e.replicas)
+	gpu := e.replicas[dev].gpu
+	smb := &stagedMB{
 		iter: it, idx: i, dev: dev, last: i == len(it.mbs)-1,
-		mb: it.mbs[i], featAlloc: featAlloc,
-	}, nil
+		mb: it.mbs[i], carryIn: e.carry[dev],
+	}
+	e.carry[dev] = nil
+	var carried int64
+	if smb.carryIn != nil {
+		carried = smb.carryIn.Bytes
+	}
+	e.cfg.Obs.Event(obs.KindMark, gpu.Name(), "stage/carry", carried, 0, int64(i))
+	if fresh := e.featBytes(smb.mb) - carried; fresh > 0 {
+		featAlloc, err := gpu.Alloc("features", fresh)
+		if err != nil {
+			smb.carryIn.Free()
+			s.dropCarries()
+			return nil, fmt.Errorf("train: loading features: %w", err)
+		}
+		smb.featAlloc = featAlloc
+		gpu.TransferH2D(fresh)
+	}
+	return smb, nil
 }
 
-func (s seqStager) release(smb *stagedMB) { smb.featAlloc.Free() }
+func (s seqStager) release(smb *stagedMB, ok bool) {
+	e := s.e
+	smb.carryIn.Free()
+	smb.featAlloc.Free()
+	if !ok {
+		s.dropCarries()
+		return
+	}
+	next := smb.idx + len(e.replicas)
+	if next >= len(smb.iter.mbs) {
+		return
+	}
+	shared := e.sharedRows(smb.mb.InputNodes(), smb.iter.mbs[next].InputNodes())
+	if shared == 0 {
+		return
+	}
+	// The carry fits: it is no larger than the bytes just freed on this
+	// device, which only this goroutine allocates on. Were it refused, next
+	// would copy all of its rows. The slot is free: smb.carryIn, if any, was
+	// this replica's last carry.
+	slot := &e.carrySlot[smb.dev]
+	if err := e.replicas[smb.dev].gpu.AllocInto(slot, "features/carry", shared*e.rowBytes); err == nil {
+		e.carry[smb.dev] = slot
+	}
+}
+
+// dropCarries frees every replica's carry: the iteration is failing.
+func (s seqStager) dropCarries() {
+	for d := range s.e.carry {
+		freeSlot(&s.e.carry[d])
+	}
+}
+
+// sharedRows counts the nodes of next that prev also lists. Each input list
+// holds distinct nodes.
+func (e *engine) sharedRows(prev, next []graph.NodeID) int64 {
+	cells, ep := e.carryTab.Begin(e.data.NumNodes())
+	for _, v := range prev {
+		cells[v].Epoch = ep
+	}
+	var n int64
+	for _, v := range next {
+		if cells[v].Epoch == ep {
+			n++
+		}
+	}
+	return n
+}
 
 // planIteration runs the planning half of an iteration — the system plan
 // (Buffalo's K-search for buffalo) plus block generation for every group —
@@ -574,8 +655,9 @@ func (e *engine) labelScratch(n int) []int32 {
 	return e.labels[:n]
 }
 
-// featBytes is the device footprint of one micro-batch's input-feature tensor,
-// [len(InputNodes()) x InDim]: what staging reserves and copies to the device.
+// featBytes is the device footprint of one micro-batch's input rows,
+// [len(InputNodes()) x InDim]: what the device holds for them while the
+// micro-batch computes (seqStager copies only the share not carried over).
 // The host reads those rows from the feature table in place.
 func (e *engine) featBytes(mb *block.MicroBatch) int64 {
 	return int64(len(mb.InputNodes())) * e.rowBytes
@@ -827,7 +909,7 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 			gpu.WaitTransfer(smb.done)
 		}
 		mLoss, mCorrect, bytes, cErr := e.computeMicroBatch(smb.dev, it.b, smb.mb, perCompute, lastBwd)
-		ex.release(smb)
+		ex.release(smb, cErr == nil)
 		if cErr != nil {
 			return nil, cErr
 		}

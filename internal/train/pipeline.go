@@ -369,7 +369,7 @@ func (ps *pipeStager) stage(it *pipeIter, i int) (*stagedMB, error) {
 	return smb, nil
 }
 
-func (ps *pipeStager) release(smb *stagedMB) {
+func (ps *pipeStager) release(smb *stagedMB, _ bool) {
 	smb.featAlloc.Free()
 	ps.l.releaseStaged(smb.dev)
 }
@@ -396,7 +396,7 @@ func (l *loader) runIteration() (*MultiGPUResult, error) {
 		if ps.first != nil {
 			// executeIteration failed before staging micro-batch 0 (e.g.
 			// parameter replication): the popped item is ours to release.
-			ps.release(ps.first)
+			ps.release(ps.first, false)
 		}
 		return nil, err
 	}
