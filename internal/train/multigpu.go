@@ -168,6 +168,7 @@ func (dp *DataParallel) Shutdown() error {
 	if dp.ld != nil {
 		err = dp.ld.close()
 	}
+	dp.eng.dropCarries()
 	dp.freeFixed()
 	return err
 }

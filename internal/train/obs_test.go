@@ -142,7 +142,7 @@ func TestObsStageCarryMarks(t *testing.T) {
 		cfg := baseConfig(ds, Buffalo)
 		cfg.MicroBatches = 4
 		cfg.Obs = obs.NewRecorder(tr, nil)
-		e := testEngine(t, ds, cfg, gpus)
+		e, _ := testEngine(t, ds, cfg, gpus)
 		it := planNext(t, e)
 		var feat int64
 		for _, mb := range it.mbs {

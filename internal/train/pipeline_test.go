@@ -12,11 +12,12 @@ import (
 )
 
 // TestDataLoadingIsPerIterationDelta pins the delta-based phase accounting:
-// with the device clocks now cumulative across iterations, each iteration's
-// DataLoading must still be its own transfers only. The transfer model is
-// deterministic, so the same batch twice costs the same DataLoading twice —
-// and the cumulative clock holds their sum. A regression to assigning the
-// cumulative TransferTime would double the second iteration's phase.
+// with the device clocks cumulative across iterations, each iteration's
+// DataLoading must still be the modelled duration of its own copies only,
+// and the cumulative clock holds their sum. The same batch twice makes the
+// second iteration copy nothing — its one micro-batch's rows are all still
+// on the device as the first one's carry — so a regression to assigning the
+// cumulative TransferTime would show as a non-zero second phase.
 func TestDataLoadingIsPerIterationDelta(t *testing.T) {
 	ds := loadData(t, "cora")
 	s, err := NewSession(ds, baseConfig(ds, DGL))
@@ -28,24 +29,30 @@ func TestDataLoadingIsPerIterationDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := s.RunIterationOn(b)
-	if err != nil {
-		t.Fatal(err)
+	var results [2]*IterationResult
+	var copied [2]int64
+	for i := range results {
+		pre := s.GPU.Stats().Transferred
+		if results[i], err = s.RunIterationOn(b); err != nil {
+			t.Fatal(err)
+		}
+		copied[i] = s.GPU.Stats().Transferred - pre
+		var want time.Duration // no copy, no latency
+		if copied[i] > 0 {
+			want = s.GPU.TransferDuration(copied[i])
+		}
+		if got := results[i].Phases.DataLoading; got != want {
+			t.Fatalf("iteration %d copied %d bytes: DataLoading %v, want their modelled %v (cumulative clock leaking into the phase?)",
+				i, copied[i], got, want)
+		}
 	}
-	r2, err := s.RunIterationOn(b)
-	if err != nil {
-		t.Fatal(err)
+	if want := int64(len(b.Frontier(b.Layers()))) * s.eng.rowBytes; copied[0] != want || copied[1] != 0 {
+		t.Fatalf("same batch twice copied %d then %d bytes, want its %d input bytes then none",
+			copied[0], copied[1], want)
 	}
-	if r1.Phases.DataLoading <= 0 {
-		t.Fatal("no data-loading time recorded")
-	}
-	if r2.Phases.DataLoading != r1.Phases.DataLoading {
-		t.Fatalf("same batch, different DataLoading: %v then %v (cumulative clock leaking into the phase?)",
-			r1.Phases.DataLoading, r2.Phases.DataLoading)
-	}
-	if total := s.GPU.Stats().TransferTime; total != r1.Phases.DataLoading+r2.Phases.DataLoading {
+	if total := s.GPU.Stats().TransferTime; total != results[0].Phases.DataLoading+results[1].Phases.DataLoading {
 		t.Fatalf("cumulative transfer clock %v != sum of per-iteration phases %v",
-			total, r1.Phases.DataLoading+r2.Phases.DataLoading)
+			total, results[0].Phases.DataLoading+results[1].Phases.DataLoading)
 	}
 }
 
