@@ -17,6 +17,31 @@ var (
 	progErr  error
 )
 
+// LoadDir parses and type-checks one extra directory (e.g. a test fixture
+// under testdata) as importPath, resolving imports of module packages from
+// the already-loaded program. The package is returned but not added to
+// prog.Packages.
+func (p *Program) LoadDir(dir, importPath string) (*Package, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := p.parseDirAs(dir, importPath)
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	}
+	if err := p.check(pkg); err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+// Package returns the loaded package with the given import path, or nil.
+func (p *Program) Package(path string) *Package { return p.byPath[path] }
+
 // moduleProgram loads the repository module once for every test.
 func moduleProgram(t *testing.T) *Program {
 	t.Helper()

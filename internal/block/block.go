@@ -17,7 +17,7 @@
 //     edge, and a warm GenScratch builds a micro-batch without allocating.
 //     It is single-threaded on purpose: what used to be fanned out across
 //     cores was a map lookup per node, and is now a slice index.
-//   - GenerateNaive is the Betty/DGL-style baseline: it flattens the batch
+//   - GenerateNaiveTimed is the Betty/DGL-style baseline: it flattens the batch
 //     into one merged adjacency, then for every micro-batch layer rebuilds
 //     per-hop membership sets from the FULL batch and rediscovers each
 //     destination's sampled neighbors by checking every merged-adjacency
@@ -47,7 +47,7 @@ type Block struct {
 	Adj [][]int32
 
 	// adjFlat is the reused flat backing GenerateInto carves Adj[i] views
-	// from; unused by GenerateNaive.
+	// from; unused by GenerateNaiveTimed.
 	adjFlat []int32
 }
 
@@ -64,17 +64,6 @@ func (b *Block) NumEdges() int64 {
 		m += int64(len(a))
 	}
 	return m
-}
-
-// MaxDegree reports the largest per-destination neighbor count.
-func (b *Block) MaxDegree() int {
-	mx := 0
-	for _, a := range b.Adj {
-		if len(a) > mx {
-			mx = len(a)
-		}
-	}
-	return mx
 }
 
 // MicroBatch is the unit of GNN execution: a subset of the batch's output
@@ -277,14 +266,9 @@ var hopGatherNames = [...]string{
 	"gather/hop4", "gather/hop5", "gather/hop6", "gather/hop7",
 }
 
-// GenerateNaive builds the same micro-batch with the connection-check
-// baseline; see the package comment. The result is identical to Generate's.
-func GenerateNaive(batch *sampling.Batch, outputs []graph.NodeID) (*MicroBatch, error) {
-	mb, _, _, err := GenerateNaiveTimed(batch, outputs)
-	return mb, err
-}
-
-// GenerateNaiveTimed is GenerateNaive with the two phase durations Fig 11
+// GenerateNaiveTimed builds the same micro-batch as Generate with the
+// connection-check baseline (see the package comment); the result is
+// identical to Generate's. It also returns the two phase durations Fig 11
 // reports: checkTime covers the connection checks (flattening the batch and
 // rebuilding per-hop membership sets, repeated per micro-batch) and
 // buildTime covers block assembly (renumbering and adjacency construction).

@@ -448,7 +448,8 @@ func classFeatures(rng *rand.Rand, g *graph.Graph, labels []int32, classes, dim 
 }
 
 // Split deterministically partitions the node IDs into a training and a
-// held-out evaluation set with the given training fraction.
+// held-out evaluation set with the given training fraction. Only tests call
+// it; it stays as API of the Dataset type the root package re-exports.
 func (d *Dataset) Split(seed int64, trainFrac float64) (train, eval []graph.NodeID) {
 	n := d.NumNodes()
 	rng := rand.New(rand.NewSource(seed))

@@ -26,9 +26,8 @@ type Cluster struct {
 	linkLatency   time.Duration
 
 	// mu guards the comm clocks: the trainer's consumer goroutine accumulates
-	// them via the *Async launches and WaitReduce while observers (experiment
-	// reports, tests) may read them concurrently through CommTime and
-	// ExposedCommTime.
+	// them via the *Async launches and WaitReduce while observers may read
+	// them concurrently through CommTime and Collectives.
 	mu       sync.Mutex
 	commTime time.Duration
 	// commFront is the comm engine's busy-until position on the current
@@ -38,9 +37,6 @@ type Cluster struct {
 	// gradients gates the next iteration's backward, so the interconnect is
 	// always idle when a new iteration starts.
 	commFront time.Duration
-	// exposedComm accumulates the WaitReduce stalls: the share of commTime
-	// the training step could not hide behind compute tails.
-	exposedComm time.Duration
 	// bucketSeq numbers the async reduces of the current window for traces.
 	bucketSeq int64
 	// coll is the sharded collectives' share of commTime (all-reduce time is
@@ -182,7 +178,6 @@ func (c *Cluster) WaitReduce(at time.Duration) time.Duration {
 	if stall < 0 {
 		stall = 0
 	}
-	c.exposedComm += stall
 	c.commFront = 0
 	c.bucketSeq = 0
 	c.mu.Unlock()
@@ -193,20 +188,13 @@ func (c *Cluster) WaitReduce(at time.Duration) time.Duration {
 }
 
 // CommTime reports the interconnect's total busy time across every
-// collective launched.
+// collective launched. Only tests call it: it is the reference
+// TestZeRO1ShardedCollectiveAccounting checks the engine's per-iteration
+// Communication against.
 func (c *Cluster) CommTime() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.commTime
-}
-
-// ExposedCommTime reports the share of CommTime the training step waited
-// for: the sum of the WaitReduce stalls. CommTime minus ExposedCommTime is
-// what overlap hid.
-func (c *Cluster) ExposedCommTime() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.exposedComm
 }
 
 // CollectiveBreakdown splits the comm clock by collective family.
@@ -234,18 +222,4 @@ func (c *Cluster) Stats() []Stats {
 		out[i] = g.Stats()
 	}
 	return out
-}
-
-// ResetClocks zeroes every device clock and the interconnect clocks (busy,
-// exposed, the reduce-window front and the per-collective breakdown), leaving
-// peak watermarks alone. Unsafe while any device has an async transfer in
-// flight or a reduce window is open (see GPU.ResetClocks).
-func (c *Cluster) ResetClocks() {
-	c.mu.Lock()
-	c.commTime, c.exposedComm, c.commFront, c.bucketSeq = 0, 0, 0, 0
-	c.coll = CollectiveBreakdown{}
-	c.mu.Unlock()
-	for _, g := range c.gpus {
-		g.ResetClocks()
-	}
 }

@@ -91,16 +91,6 @@ type GPU struct {
 // Option configures a GPU.
 type Option func(*GPU)
 
-// WithBandwidth sets the simulated host-to-device bandwidth in bytes/second.
-func WithBandwidth(bytesPerSec float64) Option {
-	return func(g *GPU) { g.bandwidth = bytesPerSec }
-}
-
-// WithLatency sets the simulated per-transfer latency.
-func WithLatency(d time.Duration) Option {
-	return func(g *GPU) { g.latency = d }
-}
-
 // WithRecorder attaches an observability recorder (see internal/obs) to the
 // device: every alloc, free, OOM fault, transfer and compute accrual is
 // traced. A nil recorder disables recording at zero cost.
@@ -200,24 +190,19 @@ func (g *GPU) Live() int64 {
 	return g.live
 }
 
-// Peak returns the high-water mark since the last ResetPeak.
-func (g *GPU) Peak() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.peak
-}
-
-// ResetPeak sets the high-water mark to the current live bytes. It does NOT
-// touch the transfer/compute clocks (see ResetClocks): the training engine
-// rebases only the watermark each iteration and reads phases as clock
-// deltas, since a clock reset would corrupt a prefetcher's in-flight copies.
+// ResetPeak sets the high-water mark to the current live bytes. The
+// transfer/compute clocks are never reset: the training engine rebases only
+// the watermark each iteration and reads phases as clock deltas, since a
+// clock reset would corrupt a prefetcher's in-flight copies.
 func (g *GPU) ResetPeak() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.peak = g.live
 }
 
-// LiveAllocations returns a snapshot of outstanding allocations (diagnostic).
+// LiveAllocations returns a snapshot of outstanding allocations. Only tests
+// call it; it stays as the debugging tool for finding which tag holds the
+// ledger up (ROADMAP 8(a) and 11(a) use it).
 func (g *GPU) LiveAllocations() []Allocation {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -342,20 +327,4 @@ func (g *GPU) Stats() Stats {
 		ComputeTime:  g.computeTime,
 		StallTime:    g.stallTime,
 	}
-}
-
-// ResetClocks zeroes the transfer, compute and stall clocks and rewinds both
-// engine fronts to the timeline origin (per-iteration timing). It does NOT
-// touch the peak watermark (see ResetPeak). Never call it while an async
-// transfer is outstanding: a WaitTransfer against a completion position from
-// before the reset would see a phantom stall.
-func (g *GPU) ResetClocks() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.transferTime = 0
-	g.transferred = 0
-	g.computeTime = 0
-	g.stallTime = 0
-	g.copyFront = 0
-	g.computeFront = 0
 }

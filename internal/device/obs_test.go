@@ -44,8 +44,8 @@ func TestObsLedgerTraceExactReplay(t *testing.T) {
 	}
 
 	tl := obs.Reconstruct(tr.Events(), "gpu-obs")
-	if tl.Peak != g.Peak() {
-		t.Fatalf("timeline peak %d != ledger peak %d", tl.Peak, g.Peak())
+	if tl.Peak != g.Stats().Peak {
+		t.Fatalf("timeline peak %d != ledger peak %d", tl.Peak, g.Stats().Peak)
 	}
 	if tl.Final != g.Live() {
 		t.Fatalf("timeline final %d != ledger live %d", tl.Final, g.Live())
@@ -105,8 +105,8 @@ func TestObsConcurrentRecordingStress(t *testing.T) {
 	wg.Wait()
 
 	tl := obs.Reconstruct(tr.Events(), "gpu-obs")
-	if tl.Peak != g.Peak() {
-		t.Fatalf("replayed peak %d != ledger peak %d", tl.Peak, g.Peak())
+	if tl.Peak != g.Stats().Peak {
+		t.Fatalf("replayed peak %d != ledger peak %d", tl.Peak, g.Stats().Peak)
 	}
 	if tl.Final != g.Live() || tl.Final != 0 {
 		t.Fatalf("replayed final %d, ledger live %d, want 0", tl.Final, g.Live())
@@ -164,7 +164,7 @@ func TestObsClusterAllReduceRecorded(t *testing.T) {
 }
 
 // TestObsGPUResetAtomicity: ResetPeak drops the peak to live and leaves the
-// clocks, ResetClocks zeroes the clocks and leaves the peak.
+// clocks, and the rebased peak then grows from live again.
 func TestObsGPUResetAtomicity(t *testing.T) {
 	g := NewGPU("g", GB)
 	a, err := g.Alloc("x", 100)
@@ -189,9 +189,8 @@ func TestObsGPUResetAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Free()
-	g.ResetClocks()
-	if st := g.Stats(); st.Peak != 125 || st.TransferTime != 0 || st.Transferred != 0 || st.ComputeTime != 0 {
-		t.Fatalf("ResetClocks should leave the peak alone: %+v", st)
+	if st := g.Stats(); st.Peak != 125 || st.Transferred != 2<<20 {
+		t.Fatalf("rebased peak or clocks wrong: %+v", st)
 	}
 	a.Free()
 }

@@ -46,8 +46,8 @@ func TestLedgerStressExactAccounting(t *testing.T) {
 	if g.Live() != want {
 		t.Fatalf("phase 1: live = %d, want exactly %d", g.Live(), want)
 	}
-	if g.Peak() != want {
-		t.Fatalf("phase 1: peak = %d, want exactly %d (growth was monotonic)", g.Peak(), want)
+	if g.Stats().Peak != want {
+		t.Fatalf("phase 1: peak = %d, want exactly %d (growth was monotonic)", g.Stats().Peak, want)
 	}
 	if n := len(g.LiveAllocations()); n != workers*perWorker {
 		t.Fatalf("phase 1: %d live allocations, want %d", n, workers*perWorker)
@@ -68,8 +68,8 @@ func TestLedgerStressExactAccounting(t *testing.T) {
 	if g.Live() != 0 {
 		t.Fatalf("phase 2: live = %d, want 0", g.Live())
 	}
-	if g.Peak() != want {
-		t.Fatalf("phase 2: peak = %d, want %d (frees must not move the high-water mark)", g.Peak(), want)
+	if g.Stats().Peak != want {
+		t.Fatalf("phase 2: peak = %d, want %d (frees must not move the high-water mark)", g.Stats().Peak, want)
 	}
 	if n := len(g.LiveAllocations()); n != 0 {
 		t.Fatalf("phase 2: %d allocations still live", n)
@@ -109,11 +109,11 @@ func TestLedgerStressExactAccounting(t *testing.T) {
 		t.Fatalf("phase 3: live = %d after full drain, want 0", g.Live())
 	}
 	maxPeak := int64(workers) * int64(perWorker) * 4096
-	if g.Peak() <= 0 || g.Peak() > maxPeak {
-		t.Fatalf("phase 3: peak = %d outside (0, %d]", g.Peak(), maxPeak)
+	if g.Stats().Peak <= 0 || g.Stats().Peak > maxPeak {
+		t.Fatalf("phase 3: peak = %d outside (0, %d]", g.Stats().Peak, maxPeak)
 	}
-	if g.Peak() < 4096/2 {
-		t.Logf("suspiciously low churn peak: %d", g.Peak())
+	if g.Stats().Peak < 4096/2 {
+		t.Logf("suspiciously low churn peak: %d", g.Stats().Peak)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestLedgerStressCapacityBoundary(t *testing.T) {
 	if g.Live() != 0 {
 		t.Fatalf("live = %d after drain, want 0", g.Live())
 	}
-	if g.Peak() > capacity {
-		t.Fatalf("peak = %d exceeds capacity %d: the ledger admitted an over-capacity reservation", g.Peak(), capacity)
+	if g.Stats().Peak > capacity {
+		t.Fatalf("peak = %d exceeds capacity %d: the ledger admitted an over-capacity reservation", g.Stats().Peak, capacity)
 	}
 }

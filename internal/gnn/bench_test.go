@@ -147,7 +147,7 @@ func BenchmarkSAGEBackward(b *testing.B) {
 func BenchmarkMeanAggregate(b *testing.B) {
 	mb, table, _, _ := arxivMicroBatch(b)
 	blk := mb.Blocks[0]
-	dbs := bucketizeBlock(blk)
+	dbs := new(blockBuckets).bucketize(blk)
 	gathered := tensor.New(blk.NumSrc(), table.Cols)
 	for i, v := range mb.InputNodes() {
 		copy(gathered.Row(i), table.Row(int(v)))

@@ -169,19 +169,14 @@ func (r *ForwardResult) ActivationBytes() int64 {
 	return total
 }
 
-// Forward runs the model over a micro-batch. features holds one row per
-// mb.InputNodes() entry (the innermost source frontier); ForwardTable reads
-// the same rows from a whole feature table instead.
-func (m *Model) Forward(mb *block.MicroBatch, features *tensor.Matrix) (*ForwardResult, error) {
-	return m.ForwardWithHook(mb, features, nil)
-}
-
-// ForwardWithHook is Forward with a per-layer callback invoked with each
-// layer's planned activation bytes BEFORE that layer computes. The trainer
-// uses it to charge the simulated GPU layer by layer, so an out-of-memory
-// fault fires exactly where a CUDA allocation would fail — without paying
-// for compute the device could not have held. A non-nil error from the hook
-// aborts the pass.
+// ForwardWithHook runs the model over a micro-batch. features holds one row
+// per mb.InputNodes() entry (the innermost source frontier); ForwardTable
+// reads the same rows from a whole feature table instead. A non-nil hook is
+// invoked with each layer's planned activation bytes BEFORE that layer
+// computes. The trainer uses it to charge the simulated GPU layer by layer,
+// so an out-of-memory fault fires exactly where a CUDA allocation would fail
+// — without paying for compute the device could not have held. A non-nil
+// error from the hook aborts the pass.
 func (m *Model) ForwardWithHook(mb *block.MicroBatch, features *tensor.Matrix,
 	hook func(layer int, plannedBytes int64) error) (*ForwardResult, error) {
 	if len(mb.Blocks) != len(m.Layers) {
@@ -274,19 +269,13 @@ type degreeBucket struct {
 	rows   []int32 // destination indices within the block
 }
 
-// bucketizeBlock groups a block's destinations by degree, ascending.
-// This is Algorithm 1 line 5 applied inside a layer: identical degrees mean
-// identical tensor shapes, so each bucket runs as one batched aggregation
-// with zero padding waste.
-func bucketizeBlock(blk *block.Block) []degreeBucket {
-	var sc blockBuckets
-	return sc.bucketize(blk)
-}
-
-// blockBuckets is a reusable bucketizeBlock scratch. Each layer owns one:
-// the row slices it hands out alias the scratch's map values, which are
-// truncated and refilled on the next call — valid because a layer's forward
-// and backward both finish before the same layer bucketizes again (one
+// blockBuckets is the reusable scratch that groups a block's destinations by
+// degree, ascending. This is Algorithm 1 line 5 applied inside a layer:
+// identical degrees mean identical tensor shapes, so each bucket runs as one
+// batched aggregation with zero padding waste. Each layer owns one: the row
+// slices it hands out alias the scratch's map values, which are truncated
+// and refilled on the next call — valid because a layer's forward and
+// backward both finish before the same layer bucketizes again (one
 // micro-batch at a time per model).
 type blockBuckets struct {
 	byDeg   map[int][]int32

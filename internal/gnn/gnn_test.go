@@ -84,7 +84,7 @@ func TestForwardShapesAllModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", cfg.Arch, err)
 		}
-		res, err := m.Forward(mb, features)
+		res, err := m.ForwardWithHook(mb, features, nil)
 		if err != nil {
 			t.Fatalf("%v/%v forward: %v", cfg.Arch, cfg.Aggregator, err)
 		}
@@ -105,7 +105,7 @@ func TestForwardShapesAllModels(t *testing.T) {
 		if _, err := m.Backward(res, dLogits); err != nil {
 			t.Fatalf("%v backward: %v", cfg.Arch, err)
 		}
-		if m.Params.GradMaxAbs() == 0 {
+		if noGradSignal(m.Params) {
 			t.Fatalf("%v produced zero gradients", cfg.Arch)
 		}
 	}
@@ -122,7 +122,7 @@ func TestGradCheckAllModels(t *testing.T) {
 			t.Fatal(err)
 		}
 		loss := func() float64 {
-			res, err := m.Forward(mb, features)
+			res, err := m.ForwardWithHook(mb, features, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestGradCheckAllModels(t *testing.T) {
 			return float64(l)
 		}
 		m.Params.ZeroGrad()
-		res, err := m.Forward(mb, features)
+		res, err := m.ForwardWithHook(mb, features, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestInputGradient(t *testing.T) {
 		t.Fatal(err)
 	}
 	loss := func() float64 {
-		res, err := m.Forward(mb, features)
+		res, err := m.ForwardWithHook(mb, features, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestInputGradient(t *testing.T) {
 		}
 		return float64(l)
 	}
-	res, err := m.Forward(mb, features)
+	res, err := m.ForwardWithHook(mb, features, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestParamGradsIndependentOfInputGrad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := m.Forward(mb, features)
+			res, err := m.ForwardWithHook(mb, features, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +286,7 @@ func TestParamGradsIndependentOfInputGrad(t *testing.T) {
 			}
 			var out []*tensor.Matrix
 			for _, p := range m.Params.Params() {
-				if p.Grad.MaxAbs() == 0 {
+				if allZero(p.Grad) {
 					t.Errorf("%v/%v %s: zero gradient (inputGrad=%v)", cfg.Arch, cfg.Aggregator, p.Name, inputGrad)
 				}
 				out = append(out, p.Grad)
@@ -321,7 +321,7 @@ func TestBackwardSkipsLayer0InputGradTensors(t *testing.T) {
 		m.SetArena(arena)
 		checkouts := func(inputGrad bool) int {
 			defer arena.Reset()
-			res, err := m.Forward(mb, features)
+			res, err := m.ForwardWithHook(mb, features, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,7 +380,7 @@ func TestMicroBatchGradEqualsFullBatch(t *testing.T) {
 		}
 		// Full batch gradients.
 		m.Params.ZeroGrad()
-		res, err := m.Forward(mbFull, gatherFeat(mbFull.InputNodes()))
+		res, err := m.ForwardWithHook(mbFull, gatherFeat(mbFull.InputNodes()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +404,7 @@ func TestMicroBatchGradEqualsFullBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub, err := m.Forward(mb, gatherFeat(mb.InputNodes()))
+			sub, err := m.ForwardWithHook(mb, gatherFeat(mb.InputNodes()), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,7 +455,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 		var first, last float32
 		for step := 0; step < 30; step++ {
 			m.Params.ZeroGrad()
-			res, err := m.Forward(mb, features)
+			res, err := m.ForwardWithHook(mb, features, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,14 +485,14 @@ func TestForwardErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Forward(mb, features); err == nil {
+	if _, err := m.ForwardWithHook(mb, features, nil); err == nil {
 		t.Error("want error: 3-layer model on 2-block micro-batch")
 	}
 	m2, err := New(Config{Arch: SAGE, Aggregator: Mean, Layers: 2, InDim: 5, Hidden: 4, OutDim: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Forward(mb, features); err == nil {
+	if _, err := m2.ForwardWithHook(mb, features, nil); err == nil {
 		t.Error("want error: feature dim mismatch")
 	}
 }
@@ -574,7 +574,7 @@ func TestAggregatorMemoryOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Forward(mb, features)
+		res, err := m.ForwardWithHook(mb, features, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,7 +639,7 @@ func TestThreeLayerMicroBatchEquivalence(t *testing.T) {
 	}
 	// Full batch.
 	m.Params.ZeroGrad()
-	res, err := m.Forward(mbFull, gather(mbFull.InputNodes()))
+	res, err := m.ForwardWithHook(mbFull, gather(mbFull.InputNodes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +662,7 @@ func TestThreeLayerMicroBatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := m.Forward(mb, gather(mb.InputNodes()))
+		sub, err := m.ForwardWithHook(mb, gather(mb.InputNodes()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -705,7 +705,7 @@ func TestMultiHeadGAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Forward(mb, features)
+	res, err := m.ForwardWithHook(mb, features, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,18 +720,18 @@ func TestMultiHeadGAT(t *testing.T) {
 	if _, err := m.Backward(res, dLogits); err != nil {
 		t.Fatal(err)
 	}
-	if m.Params.GradMaxAbs() == 0 {
+	if noGradSignal(m.Params) {
 		t.Fatal("no gradient signal")
 	}
 	// Every head must carry gradient (heads are independent subnetworks).
 	for _, p := range m.Params.Params() {
-		if p.Grad.MaxAbs() == 0 {
+		if allZero(p.Grad) {
 			t.Errorf("parameter %s received no gradient", p.Name)
 		}
 	}
 	// Spot gradient check on the first weight of each head of layer 0.
 	loss := func() float64 {
-		r, err := m.Forward(mb, features)
+		r, err := m.ForwardWithHook(mb, features, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -798,7 +798,7 @@ func refSageLSTMForward(l *sageLayer, blk *block.Block, xsrc *tensor.Matrix) (*t
 	st := &refSageLSTM{l: l, blk: blk, xsrc: xsrc,
 		xdst:   tensor.FromSlice(nDst, l.in, xsrc.Data[:nDst*l.in]),
 		aggAll: tensor.New(nDst, l.in)}
-	for _, db := range bucketizeBlock(blk) {
+	for _, db := range new(blockBuckets).bucketize(blk) {
 		if db.degree == 0 {
 			continue
 		}
@@ -941,7 +941,7 @@ func TestLSTMProjectionHoistBitIdentical(t *testing.T) {
 			wantDX := d
 			var wantGrads []*tensor.Matrix
 			for _, p := range m.Params.Params() {
-				if p.Grad.MaxAbs() == 0 {
+				if allZero(p.Grad) {
 					t.Fatalf("%s: reference left %s without gradient", tc.name, p.Name)
 				}
 				wantGrads = append(wantGrads, p.Grad.Clone())
@@ -1032,7 +1032,7 @@ func TestLSTMWarmArenaAllocs(t *testing.T) {
 	// backward (6); per bucket of degree d > 1: d-1 recurrent products
 	// forward, d-1 recurrent gradients and one dWh backward.
 	gemms := 9
-	for _, db := range bucketizeBlock(blk) {
+	for _, db := range new(blockBuckets).bucketize(blk) {
 		if db.degree > 1 {
 			gemms += 2*(db.degree-1) + 1
 		}
@@ -1040,4 +1040,25 @@ func TestLSTMWarmArenaAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, step); allocs > float64(gemms) {
 		t.Errorf("warm forward+backward: %.0f allocs for %d GEMM calls", allocs, gemms)
 	}
+}
+
+// allZero reports whether every entry of m is zero: a backward pass that
+// produced no signal.
+func allZero(m *tensor.Matrix) bool {
+	for _, v := range m.Data {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// noGradSignal reports whether every gradient of ps is all zero.
+func noGradSignal(ps *nn.ParamSet) bool {
+	for _, p := range ps.Params() {
+		if !allZero(p.Grad) {
+			return false
+		}
+	}
+	return true
 }

@@ -19,7 +19,7 @@ func TestPoisonReachesMeanAggregate(t *testing.T) {
 	xsrc := p.Get(blk.NumSrc(), 5)
 	p.Put(xsrc) // use after release
 	aggAll := tensor.New(blk.NumDst(), 5)
-	meanFused(aggAll, bucketizeBlock(blk), blk, xsrc, nil, nil)
+	meanFused(aggAll, new(blockBuckets).bucketize(blk), blk, xsrc, nil, nil)
 	for r, nbrs := range blk.Adj {
 		for j, v := range aggAll.Row(r) {
 			if isNaN := math.IsNaN(float64(v)); isNaN != (len(nbrs) > 0) {

@@ -17,7 +17,7 @@ import (
 // the block's rows — which meanAggregate replaced and must keep the bits of.
 func meanReference(blk *block.Block, xsrc *tensor.Matrix) *tensor.Matrix {
 	aggAll := tensor.New(blk.NumDst(), xsrc.Cols)
-	for _, db := range bucketizeBlock(blk) {
+	for _, db := range new(blockBuckets).bucketize(blk) {
 		if db.degree == 0 {
 			continue
 		}
@@ -25,10 +25,17 @@ func meanReference(blk *block.Block, xsrc *tensor.Matrix) *tensor.Matrix {
 		for _, s := range gatherTimesteps(nil, nil, blk, db.rows, db.degree, xsrc, nil) {
 			agg.AddInPlace(s)
 		}
-		agg.Scale(1 / float32(db.degree))
+		scale(agg, 1/float32(db.degree))
 		scatterAddRows(aggAll, db.rows, agg)
 	}
 	return aggAll
+}
+
+// scale multiplies every element of m by alpha, one product per element.
+func scale(m *tensor.Matrix, alpha float32) {
+	for i := range m.Data {
+		m.Data[i] *= alpha
+	}
 }
 
 // meanFused runs the kernel over a block the way sageLayer.Forward does:
@@ -125,7 +132,7 @@ func TestMeanAggregateMatchesReference(t *testing.T) {
 	check := func(name string, blk *block.Block, xsrc *tensor.Matrix) *tensor.Matrix {
 		t.Helper()
 		got := tensor.New(blk.NumDst(), xsrc.Cols)
-		meanFused(got, bucketizeBlock(blk), blk, xsrc, nil, nil)
+		meanFused(got, new(blockBuckets).bucketize(blk), blk, xsrc, nil, nil)
 		requireSameBits(t, name, got, meanReference(blk, xsrc))
 		return got
 	}
@@ -164,7 +171,7 @@ func TestMeanAggregateMatchesReference(t *testing.T) {
 func TestMeanAggregateWarmZeroAllocs(t *testing.T) {
 	_, mb, features, _ := tinySetup(t, 73, 60, 12, 3, 8, []int{5})
 	blk := mb.Blocks[0]
-	dbs := bucketizeBlock(blk)
+	dbs := new(blockBuckets).bucketize(blk)
 	aggAll := tensor.New(blk.NumDst(), features.Cols)
 	if allocs := testing.AllocsPerRun(20, func() { meanFused(aggAll, dbs, blk, features, nil, nil) }); allocs != 0 {
 		t.Errorf("meanAggregate: %.0f allocs per block", allocs)
@@ -219,12 +226,12 @@ func (st *refSageMean) backward(dH *tensor.Matrix, needDX bool) *tensor.Matrix {
 	copy(dXsrc.Data, dXdst.Data)
 	dAggAll := tensor.New(dPre.Rows, l.in)
 	tensor.MatMulABTInto(dAggAll, dPre, l.wNeigh.Value, false)
-	for _, db := range bucketizeBlock(st.blk) {
+	for _, db := range new(blockBuckets).bucketize(st.blk) {
 		if db.degree == 0 {
 			continue
 		}
 		dAgg := gatherRows(nil, dAggAll, db.rows)
-		dAgg.Scale(1 / float32(db.degree))
+		scale(dAgg, 1/float32(db.degree))
 		for t := 0; t < db.degree; t++ {
 			for i, r := range db.rows {
 				drow := dXsrc.Row(int(st.blk.Adj[r][t]))
@@ -288,7 +295,7 @@ func TestMeanLayerBitIdenticalToMaterialised(t *testing.T) {
 			wantDX := d
 			var wantGrads []*tensor.Matrix
 			for _, p := range m.Params.Params() {
-				if p.Grad.MaxAbs() == 0 {
+				if allZero(p.Grad) {
 					t.Fatalf("%s: reference left %s without gradient", tc.name, p.Name)
 				}
 				wantGrads = append(wantGrads, p.Grad.Clone())

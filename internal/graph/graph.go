@@ -61,73 +61,25 @@ func FromAdjacency(lists [][]NodeID) *Graph {
 // FromEdges builds a Graph with n nodes from parallel edge endpoint slices.
 // Each edge (src[i], dst[i]) makes src[i] a neighbor (message source) of
 // dst[i]. When undirected is true the reverse direction is added too.
-// Duplicate edges collapse to one.
+// Duplicate edges collapse to one. Only tests call it: it is the builder the
+// tests of several packages share for small hand-written graphs.
 func FromEdges(n int, src, dst []NodeID, undirected bool) (*Graph, error) {
 	if len(src) != len(dst) {
 		return nil, fmt.Errorf("graph: src/dst length mismatch: %d vs %d", len(src), len(dst))
 	}
-	deg := make([]int64, n)
-	check := func(v NodeID) error {
-		if v < 0 || int(v) >= n {
-			return fmt.Errorf("graph: node %d out of range [0,%d)", v, n)
-		}
-		return nil
-	}
+	lists := make([][]NodeID, n)
 	for i := range src {
-		if err := check(src[i]); err != nil {
-			return nil, err
-		}
-		if err := check(dst[i]); err != nil {
-			return nil, err
-		}
-		deg[dst[i]]++
-		if undirected {
-			deg[src[i]]++
-		}
-	}
-	offsets := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
-	}
-	adj := make([]NodeID, offsets[n])
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for i := range src {
-		adj[cursor[dst[i]]] = src[i]
-		cursor[dst[i]]++
-		if undirected {
-			adj[cursor[src[i]]] = dst[i]
-			cursor[src[i]]++
-		}
-	}
-	g := &Graph{offsets: offsets, adj: adj}
-	g.sortAndDedup()
-	return g, nil
-}
-
-// sortAndDedup sorts every adjacency list and removes duplicate entries,
-// rebuilding offsets to stay dense.
-func (g *Graph) sortAndDedup() {
-	n := g.NumNodes()
-	newAdj := g.adj[:0]
-	newOffsets := make([]int64, n+1)
-	read := int64(0)
-	for v := 0; v < n; v++ {
-		end := g.offsets[v+1]
-		seg := g.adj[read:end]
-		read = end
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-		start := len(newAdj)
-		for i := range seg {
-			if i == 0 || seg[i] != seg[i-1] {
-				newAdj = append(newAdj, seg[i])
+		for _, v := range [2]NodeID{src[i], dst[i]} {
+			if v < 0 || int(v) >= n {
+				return nil, fmt.Errorf("graph: node %d out of range [0,%d)", v, n)
 			}
 		}
-		_ = start
-		newOffsets[v+1] = int64(len(newAdj))
+		lists[dst[i]] = append(lists[dst[i]], src[i])
+		if undirected {
+			lists[src[i]] = append(lists[src[i]], dst[i])
+		}
 	}
-	g.adj = newAdj
-	g.offsets = newOffsets
+	return FromAdjacency(lists), nil
 }
 
 // NumNodes reports the number of nodes.
@@ -148,7 +100,8 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether u is a neighbor (message source) of v.
+// HasEdge reports whether u is a neighbor (message source) of v. Only tests
+// call it: it is the edge oracle the tests of several packages share.
 func (g *Graph) HasEdge(v, u NodeID) bool {
 	nb := g.Neighbors(v)
 	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= u })

@@ -1,12 +1,13 @@
 // Package memest implements Buffalo's lightweight analytical memory model
 // (§IV-D): BucketMemEstimator predicts the device memory one output-layer
 // bucket's micro-batch would consume, and RedundancyAwareMemEstimator
-// predicts a bucket group's consumption via the redundancy-aware grouping
-// ratio of Eq. (1):
+// predicts a bucket group's consumption. The paper prices a group with the
+// redundancy-aware grouping ratio of Eq. (1),
 //
 //	R_group[i] = min(1, I_i / (O_i * D_i * C))
 //
-// applied as Eq. (2): M(group) = Σ_i M_est[i] * R_group[i].
+// applied as Eq. (2): M(group) = Σ_i M_est[i] * R_group[i]. This package
+// never evaluates R: it measures the distinct inputs I that R approximates.
 //
 // The per-bucket estimate mirrors, layer by layer and bucket by bucket, the
 // allocations internal/gnn actually makes: gathered neighbor tensors,
@@ -447,17 +448,6 @@ type GroupAcc struct {
 	hop0     float64 // output-layer bytes, summed in arrival order
 }
 
-// Outputs reports the output nodes added so far.
-func (a *GroupAcc) Outputs() int { return a.outputs }
-
-// Inputs reports I: the group's distinct hop-0 neighbors that are not
-// themselves outputs of the group.
-func (a *GroupAcc) Inputs() int { return a.frontier - a.outputs }
-
-// Hop1DegSum reports the exact sampled-degree sum of the group's hop-1
-// frontier (outputs carried over plus the distinct inputs).
-func (a *GroupAcc) Hop1DegSum() int64 { return a.degSum }
-
 // mark adds position p to the frontier if it is not a member yet. hop1 is
 // Hops[1].Nbrs, whose row p is the node's hop-1 adjacency; a one-layer model
 // has none and every degree is 0.
@@ -525,19 +515,6 @@ func (e *Estimator) AddBucket(a *GroupAcc, bk *bucket.Bucket) error {
 // in a: what GroupMem returns for the same buckets in the same order.
 func (e *Estimator) AccMem(a *GroupAcc) int64 {
 	return e.frontierBytes(a.hop0, a.frontier, float64(a.degSum))
-}
-
-// RGroup evaluates Eq. (1) for a bucket with I distinct input nodes, O
-// output nodes and degree D, using the profile's clustering coefficient.
-func (e *Estimator) RGroup(inputs, outputs, degree int) float64 {
-	if outputs == 0 || degree == 0 {
-		return 1
-	}
-	r := float64(inputs) / (float64(outputs) * float64(degree) * e.Prof.C)
-	if r > 1 {
-		return 1
-	}
-	return r
 }
 
 // GroupMem is the paper's RedundancyAwareMemEstimator (Eq. 2): the predicted

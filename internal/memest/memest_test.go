@@ -108,29 +108,13 @@ func TestAggregatorCostOrdering(t *testing.T) {
 	}
 }
 
-func TestRGroupBounds(t *testing.T) {
-	spec := ModelSpec{Arch: gnn.SAGE, Aggregator: gnn.Mean, Layers: 2, InDim: 8, Hidden: 8, OutDim: 4}
-	e, err := New(spec, Profile{AvgDeg: []float64{3, 3}, Frontier: []float64{10, 40, 160}, C: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := e.RGroup(1000, 10, 5); r != 1 {
-		t.Fatalf("R should clamp to 1, got %v", r)
-	}
-	if r := e.RGroup(5, 10, 5); r != 5.0/(10*5*0.5) {
-		t.Fatalf("R = %v", r)
-	}
-	if r := e.RGroup(5, 0, 5); r != 1 {
-		t.Fatalf("degenerate O=0 should give 1, got %v", r)
-	}
-	// Property: R in (0, 1] for positive inputs.
-	for i := 1; i < 50; i++ {
-		r := e.RGroup(i, 2*i, 3)
-		if r <= 0 || r > 1 {
-			t.Fatalf("R out of range: %v", r)
-		}
-	}
-}
+// Inputs reports I: the group's distinct hop-0 neighbors that are not
+// themselves outputs of the group.
+func (a *GroupAcc) Inputs() int { return a.frontier - a.outputs }
+
+// Hop1DegSum reports the exact sampled-degree sum of the group's hop-1
+// frontier (outputs carried over plus the distinct inputs).
+func (a *GroupAcc) Hop1DegSum() int64 { return a.degSum }
 
 // rowIndex maps each destination of a hop to its row, from Dst alone.
 func rowIndex(hop *sampling.HopAdj) map[graph.NodeID]int {
@@ -510,9 +494,9 @@ func checkAccumulator(t testing.TB, rng *rand.Rand, b *sampling.Batch, spec Mode
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acc.Outputs() != len(nodes) || acc.Inputs() != inputs || acc.Hop1DegSum() != degSum {
+		if acc.outputs != len(nodes) || acc.Inputs() != inputs || acc.Hop1DegSum() != degSum {
 			t.Fatalf("after %d buckets: accumulator (outputs %d, inputs %d, degSum %d), oracle (%d, %d, %d)",
-				i+1, acc.Outputs(), acc.Inputs(), acc.Hop1DegSum(), len(nodes), inputs, degSum)
+				i+1, acc.outputs, acc.Inputs(), acc.Hop1DegSum(), len(nodes), inputs, degSum)
 		}
 		oneShot, err := e.GroupMem(b, &group)
 		if err != nil {
@@ -641,8 +625,8 @@ func TestGroupAccumulatorHandBuiltBatch(t *testing.T) {
 					layers, d, acc.Inputs(), acc.Hop1DegSum(), inputs, degSum)
 			}
 		}
-		if acc.Outputs() != 4 || acc.Inputs() != 2 { // inputs: 20 and 21
-			t.Fatalf("%d layers: outputs %d inputs %d, want 4 and 2", layers, acc.Outputs(), acc.Inputs())
+		if acc.outputs != 4 || acc.Inputs() != 2 { // inputs: 20 and 21
+			t.Fatalf("%d layers: outputs %d inputs %d, want 4 and 2", layers, acc.outputs, acc.Inputs())
 		}
 		if want := int64([]int{0, 7}[layers-1]); acc.Hop1DegSum() != want {
 			t.Fatalf("%d layers: hop-1 degree sum %d, want %d", layers, acc.Hop1DegSum(), want)

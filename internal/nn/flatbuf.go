@@ -114,27 +114,12 @@ func (ps *ParamSet) Flatten(bucketBytes int64, shards int) (*FlatBuffer, error) 
 	return fb, nil
 }
 
-// Flat returns the set's flat buffer, nil when the set was never flattened.
-func (ps *ParamSet) Flat() *FlatBuffer { return ps.flat }
-
-// Values is the whole flat value buffer (padding included).
-func (fb *FlatBuffer) Values() []float32 { return fb.values }
-
-// Grads is the whole flat gradient buffer (padding included).
-func (fb *FlatBuffer) Grads() []float32 { return fb.grads }
-
-// Items returns the per-parameter index, ParamSet registration order.
-func (fb *FlatBuffer) Items() []FlatItem { return fb.items }
-
 // Buckets returns the bucket index: every bucket a contiguous [Off, Off+Len)
 // slice of the flat buffers, backward order, padded to the shard count.
 func (fb *FlatBuffer) Buckets() []GradBucket { return fb.bks }
 
 // TotalElems is the flat buffers' length: payload plus bucket-tail padding.
 func (fb *FlatBuffer) TotalElems() int { return len(fb.grads) }
-
-// Shards is the shard count the layout was built for.
-func (fb *FlatBuffer) Shards() int { return fb.shards }
 
 // ShardElems is the element count one replica owns under sharded collectives:
 // every bucket splits into equal shard pieces, so each replica's share of the

@@ -32,8 +32,8 @@ func TestFlattenIndexInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ps.Flat() != fb {
-				t.Fatalf("shards=%d bucketBytes=%d: Flat() does not return the flatten result", shards, bucketBytes)
+			if ps.flat != fb {
+				t.Fatalf("shards=%d bucketBytes=%d: Flatten did not install its result", shards, bucketBytes)
 			}
 			seen := make(map[int]bool)
 			covered := 0
@@ -51,7 +51,7 @@ func TestFlattenIndexInvariants(t *testing.T) {
 						t.Fatalf("shards=%d bucketBytes=%d: param %d in two buckets", shards, bucketBytes, pi)
 					}
 					seen[pi] = true
-					it := fb.Items()[pi]
+					it := fb.items[pi]
 					if it.Bucket != bi {
 						t.Fatalf("param %d: item bucket %d, membership bucket %d", pi, it.Bucket, bi)
 					}
@@ -110,21 +110,21 @@ func TestFlattenViewsAlias(t *testing.T) {
 				t.Fatalf("param %d grad[%d] changed across Flatten", pi, i)
 			}
 		}
-		it := fb.Items()[pi]
+		it := fb.items[pi]
 		// Mutate through the parameter view; observe in the flat buffer.
 		p.Grad.Data[0] = 42
-		if fb.Grads()[it.Offset] != 42 {
+		if fb.grads[it.Offset] != 42 {
 			t.Fatalf("param %d: grad write not visible in flat buffer", pi)
 		}
 		// Mutate the flat buffer; observe through the view.
-		fb.Values()[it.Offset+it.Size-1] = -7
+		fb.values[it.Offset+it.Size-1] = -7
 		if p.Value.Data[len(p.Value.Data)-1] != -7 {
 			t.Fatalf("param %d: flat value write not visible through view", pi)
 		}
 	}
 	// ZeroGrad on the flat set clears the whole buffer, views included.
 	ps.ZeroGrad()
-	for i, g := range fb.Grads() {
+	for i, g := range fb.grads {
 		if g != 0 {
 			t.Fatalf("flat grad[%d] = %v after ZeroGrad", i, g)
 		}
@@ -175,10 +175,10 @@ func TestFlatAccumulateBitIdentical(t *testing.T) {
 	for bi, b := range fbDst.Buckets() {
 		used := 0
 		for _, pi := range b.Indices {
-			used += fbDst.Items()[pi].Size
+			used += fbDst.items[pi].Size
 		}
 		for i := b.Off + used; i < b.Off+b.Len; i++ {
-			if fbDst.Grads()[i] != 0 || fbDst.Values()[i] != 0 {
+			if fbDst.grads[i] != 0 || fbDst.values[i] != 0 {
 				t.Fatalf("bucket %d padding elem %d is nonzero", bi, i)
 			}
 		}
@@ -227,8 +227,8 @@ func TestStepFlatMatchesStep(t *testing.T) {
 			}
 		}
 	}
-	if fullOpt.StateBytes() != int64(2*fbFull.TotalElems()*4) {
-		t.Fatalf("full-range flat Adam StateBytes %d, want %d", fullOpt.StateBytes(), 2*fbFull.TotalElems()*4)
+	if got, want := len(fullOpt.fm)+len(fullOpt.fv), 2*fbFull.TotalElems(); got != want {
+		t.Fatalf("full-range flat Adam holds %d moment elements, want %d", got, want)
 	}
 
 	for _, shards := range []int{2, 4} {
@@ -256,8 +256,8 @@ func TestStepFlatMatchesStep(t *testing.T) {
 		}
 		// Each shard optimizer holds moments for its shard alone: 1/shards
 		// of the full-range state.
-		if got, want := opts[0].StateBytes(), int64(2*fb.ShardElems()*4); got != want {
-			t.Fatalf("shards=%d: shard optimizer StateBytes %d, want %d", shards, got, want)
+		if got, want := len(opts[0].fm)+len(opts[0].fv), 2*fb.ShardElems(); got != want {
+			t.Fatalf("shards=%d: shard optimizer holds %d moment elements, want %d", shards, got, want)
 		}
 	}
 }

@@ -153,7 +153,7 @@ func TestAddGradsFromBucketMismatch(t *testing.T) {
 		return ps
 	}
 	ps := flat(bucketSet(t))
-	b := ps.Flat().Buckets()[0]
+	b := ps.flat.Buckets()[0]
 	other := &ParamSet{}
 	other.MustAdd(NewParam("w0", 8, 8))
 	cases := []struct {

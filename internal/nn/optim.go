@@ -46,10 +46,6 @@ func NewAdamShard(lr float32, lo, hi int) *Adam {
 	return a
 }
 
-// ShardRange reports the owned element range of a shard optimizer
-// ([0, 0) for a map-backed Adam).
-func (a *Adam) ShardRange() (lo, hi int) { return a.lo, a.hi }
-
 // StepFlat applies one Adam update over the optimizer's owned element range
 // of the flat buffer. The arithmetic per element is exactly Step's, so a
 // full-range StepFlat matches the map-backed Step bit for bit, and a set of
@@ -76,8 +72,9 @@ func (a *Adam) StepFlat(fb *FlatBuffer) {
 
 // Step applies one update from the current gradients over per-parameter
 // tensors. It does NOT zero them; callers control accumulation explicitly.
-// The engine steps flat buffers (StepFlat); Step stays as the reference
-// StepFlat's bit-identity test compares against.
+// The engine steps flat buffers (StepFlat). Only tests call Step: it is the
+// reference StepFlat's bit-identity test compares against, and the
+// optimizer the nn and gnn tests train unflattened parameter sets with.
 func (a *Adam) Step(ps *ParamSet) {
 	a.t++
 	c1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
@@ -98,15 +95,4 @@ func (a *Adam) Step(ps *ParamSet) {
 			p.Value.Data[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
 		}
 	}
-}
-
-// StateBytes reports the optimizer-state footprint (both moment buffers),
-// which the simulated GPU charges alongside parameters.
-func (a *Adam) StateBytes() int64 {
-	var b int64
-	for _, m := range a.m {
-		b += 2 * m.Bytes() // first and second moments have equal shapes
-	}
-	b += int64(len(a.fm)+len(a.fv)) * 4
-	return b
 }

@@ -95,7 +95,9 @@ func (ps *ParamSet) MustAdd(params ...*Param) {
 	}
 }
 
-// Params returns the registered parameters in registration order.
+// Params returns the registered parameters in registration order. The
+// engine works on the flat buffers instead; Adam.Step and the tests of
+// several packages walk the parameters through it.
 func (ps *ParamSet) Params() []*Param { return ps.params }
 
 // ZeroGrad clears every gradient accumulator.
@@ -195,16 +197,4 @@ func (ps *ParamSet) sameLayout(src *ParamSet) error {
 		return errFlatShape
 	}
 	return nil
-}
-
-// GradMaxAbs returns the largest absolute gradient entry across the set;
-// useful for tests asserting that backward passes actually produce signal.
-func (ps *ParamSet) GradMaxAbs() float32 {
-	var mx float32
-	for _, p := range ps.params {
-		if v := p.Grad.MaxAbs(); v > mx {
-			mx = v
-		}
-	}
-	return mx
 }

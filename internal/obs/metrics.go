@@ -364,7 +364,8 @@ func (m *Metrics) Snapshot() []MetricValue {
 // WriteJSONL writes the snapshot as one JSON object per line, sorted by
 // metric name — a byte-stable export for a given set of instrument values,
 // whatever order the instruments were registered in. Write and encode errors
-// propagate immediately.
+// propagate immediately. Only tests call it; it stays as API of the Metrics
+// type the root package re-exports.
 func (m *Metrics) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, v := range m.Snapshot() {

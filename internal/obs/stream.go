@@ -56,7 +56,9 @@ func (r *Recorder) Unsubscribe(t *Tap) {
 
 // Events returns the subscription channel. Events carry the tap's own
 // sequence numbers and timestamps (offsets from Subscribe time), assigned
-// before the drop decision so gaps in Seq reveal where drops happened.
+// before the drop decision so gaps in Seq reveal where drops happened. Only
+// tests read it; it stays as API of the Tap type the root package
+// re-exports, which a live subscriber cannot do without.
 func (t *Tap) Events() <-chan Event {
 	if t == nil {
 		return nil

@@ -100,7 +100,8 @@ func (t *Trace) Dropped() uint64 {
 }
 
 // Start returns the trace's epoch: the wall instant TS offsets are relative
-// to.
+// to. No caller in this repository uses it; it stays as API of the Trace
+// type the root package re-exports.
 func (t *Trace) Start() time.Time {
 	if t == nil {
 		return time.Time{}
@@ -109,7 +110,9 @@ func (t *Trace) Start() time.Time {
 }
 
 // Reset drops all retained events and dropped counts; the clock and
-// sequence numbers keep running so resets never reorder later events.
+// sequence numbers keep running so resets never reorder later events. Only
+// tests call it; it stays as API of the Trace type the root package
+// re-exports.
 func (t *Trace) Reset() {
 	if t == nil {
 		return

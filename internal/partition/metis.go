@@ -8,7 +8,6 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // WGraph is a weighted undirected graph in adjacency-list form, the input
@@ -64,19 +63,6 @@ func (g *WGraph) TotalNodeWeight() int64 {
 		t += w
 	}
 	return t
-}
-
-// EdgeCut computes the total weight of edges crossing parts.
-func (g *WGraph) EdgeCut(part []int) int64 {
-	var cut int64
-	for u := range g.Adj {
-		for _, e := range g.Adj[u] {
-			if int32(u) < e.To && part[u] != part[e.To] {
-				cut += e.Weight
-			}
-		}
-	}
-	return cut
 }
 
 // KWay partitions g into k parts of near-equal node weight while minimizing
@@ -377,33 +363,4 @@ func refine(g *WGraph, side []int, targetFrac float64) {
 		v := moves[i].v
 		side[v] = 1 - side[v]
 	}
-}
-
-// Balance reports max part node-weight over ideal (1.0 is perfect).
-func Balance(g *WGraph, part []int, k int) float64 {
-	weights := make([]int64, k)
-	for v, p := range part {
-		weights[p] += g.NodeWeight[v]
-	}
-	var mx int64
-	for _, w := range weights {
-		if w > mx {
-			mx = w
-		}
-	}
-	ideal := float64(g.TotalNodeWeight()) / float64(k)
-	if ideal == 0 {
-		return 1
-	}
-	return float64(mx) / ideal
-}
-
-// sortedParts is a test helper: part sizes, descending.
-func sortedParts(part []int, k int) []int {
-	sizes := make([]int, k)
-	for _, p := range part {
-		sizes[p]++
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
 }

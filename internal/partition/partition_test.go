@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,48 @@ import (
 	"buffalo/internal/graph"
 	"buffalo/internal/sampling"
 )
+
+// EdgeCut computes the total weight of edges crossing parts.
+func (g *WGraph) EdgeCut(part []int) int64 {
+	var cut int64
+	for u := range g.Adj {
+		for _, e := range g.Adj[u] {
+			if int32(u) < e.To && part[u] != part[e.To] {
+				cut += e.Weight
+			}
+		}
+	}
+	return cut
+}
+
+// Balance reports max part node-weight over ideal (1.0 is perfect).
+func Balance(g *WGraph, part []int, k int) float64 {
+	weights := make([]int64, k)
+	for v, p := range part {
+		weights[p] += g.NodeWeight[v]
+	}
+	var mx int64
+	for _, w := range weights {
+		if w > mx {
+			mx = w
+		}
+	}
+	ideal := float64(g.TotalNodeWeight()) / float64(k)
+	if ideal == 0 {
+		return 1
+	}
+	return float64(mx) / ideal
+}
+
+// sortedParts returns the part sizes, descending.
+func sortedParts(part []int, k int) []int {
+	sizes := make([]int, k)
+	for _, p := range part {
+		sizes[p]++
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	return sizes
+}
 
 // gridGraph builds a w x h grid: a classic partitioning benchmark with a
 // known good cut (a straight line).

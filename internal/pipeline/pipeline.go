@@ -1,15 +1,16 @@
 // Package pipeline provides the concurrency substrate of Buffalo's
-// asynchronous training loader: bounded hand-off queues with cancellation,
-// a stage-group lifecycle with first-error-wins failure and clean drain
-// semantics, and a degree-aware device-resident feature cache.
+// asynchronous training loader (internal/train's sampler → planner pool →
+// prefetcher stages): bounded hand-off queues, a sequence-number
+// resequencer, a stage group with first-error-wins failure, and a
+// degree-aware device-resident feature cache that the serving path shares.
 //
-// The package is deliberately independent of the training loop — stages are
-// plain functions, items are type parameters — so the same substrate can
-// drive the sampler → scheduler/block-gen → H2D → compute pipeline of
-// internal/train today and serving or multi-GPU loaders later. Everything
-// is stdlib-only and race-clean: queues are channels, the cache is a
-// mutex-guarded heap+map, and no code path calls into the device ledger
-// while holding a package lock.
+// Streams never end on their own: the loader stops every stage by
+// cancellation (Pipeline.Close) and then drains its lanes with
+// Queue.TryPop, so the package has no end-of-stream protocol. Stages are
+// plain functions and items are type parameters. Everything is stdlib-only
+// and race-clean: queues are channels, the cache is a mutex-guarded slab of
+// per-degree LRU lists, and no code path calls into the device ledger while
+// holding a package lock.
 package pipeline
 
 import (
@@ -29,8 +30,6 @@ type Pipeline struct {
 
 	mu  sync.Mutex
 	err error
-
-	closeOnce sync.Once
 }
 
 // New builds a pipeline whose stages are canceled when parent is canceled,
@@ -56,17 +55,14 @@ func (p *Pipeline) Go(name string, fn func(ctx context.Context) error) {
 	go func() {
 		defer p.wg.Done()
 		if err := fn(p.ctx); err != nil && !errors.Is(err, context.Canceled) {
-			p.Fail(fmt.Errorf("pipeline: stage %s: %w", name, err))
+			p.fail(fmt.Errorf("pipeline: stage %s: %w", name, err))
 		}
 	}()
 }
 
-// Fail records err as the pipeline's failure (first error wins, nil and
-// cancellation errors are ignored) and cancels every stage.
-func (p *Pipeline) Fail(err error) {
-	if err == nil || errors.Is(err, context.Canceled) {
-		return
-	}
+// fail records err as the pipeline's failure (first error wins) and cancels
+// every stage.
+func (p *Pipeline) fail(err error) {
 	p.mu.Lock()
 	if p.err == nil {
 		p.err = err
@@ -83,21 +79,11 @@ func (p *Pipeline) Err() error {
 	return p.err
 }
 
-// Wait blocks until every stage has returned — without canceling them —
-// and reports the first failure. Use Wait to let a pipeline run to
-// completion (stages signal end-of-stream by closing their output queues)
-// and Close to shut one down early. Close must still be called afterwards
-// to release the cancellation scope.
-func (p *Pipeline) Wait() error {
-	p.wg.Wait()
-	return p.Err()
-}
-
 // Close cancels every stage, waits for all of them to unwind, and returns
 // the first failure (nil on a clean shutdown). It is idempotent and safe to
 // call concurrently; every call observes the fully-drained state.
 func (p *Pipeline) Close() error {
-	p.closeOnce.Do(p.cancel)
+	p.cancel()
 	p.wg.Wait()
 	return p.Err()
 }

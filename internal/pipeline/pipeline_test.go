@@ -9,15 +9,14 @@ import (
 	"time"
 )
 
-// TestPipelineProducerConsumer: a two-stage pipeline moves every item and
-// shuts down cleanly with no leaked goroutines.
+// TestPipelineProducerConsumer: a two-stage pipeline moves every item in
+// order, and Close then shuts it down with no leaked goroutines.
 func TestPipelineProducerConsumer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	p := New(context.Background())
 	q := NewQueue[int](2, nil)
 	const n = 50
 	p.Go("producer", func(ctx context.Context) error {
-		defer q.Close()
 		for i := 0; i < n; i++ {
 			if err := q.Push(ctx, i); err != nil {
 				return err
@@ -26,20 +25,22 @@ func TestPipelineProducerConsumer(t *testing.T) {
 		return nil
 	})
 	got := make([]int, 0, n)
+	done := make(chan struct{})
 	p.Go("consumer", func(ctx context.Context) error {
-		for {
+		defer close(done)
+		for len(got) < n {
 			v, err := q.Pop(ctx)
-			if errors.Is(err, ErrClosed) {
-				return nil
-			}
 			if err != nil {
 				return err
 			}
 			got = append(got, v)
 		}
+		return nil
 	})
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("consumer did not receive every item")
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

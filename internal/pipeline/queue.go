@@ -2,33 +2,24 @@ package pipeline
 
 import (
 	"context"
-	"errors"
-	"sync"
 	"sync/atomic"
 
 	"buffalo/internal/obs"
 )
-
-// ErrClosed is returned by Pop when the queue is closed and drained, and by
-// Push after Close. It signals normal end-of-stream, not failure.
-var ErrClosed = errors.New("pipeline: queue closed")
 
 // Queue is a bounded FIFO hand-off between two pipeline stages. Push blocks
 // when the queue is full and Pop when it is empty, which is what paces the
 // producer: a sampler can run at most `capacity` items ahead of the
 // consumer, bounding host memory and staged device memory alike.
 //
-// The queue is safe for any number of concurrent pushers and poppers.
-// Close is idempotent; after Close, Pop drains the remaining items and then
-// reports ErrClosed. An optional depth gauge tracks the current backlog so
+// The queue is safe for any number of concurrent pushers and poppers. It is
+// never closed: stages stop by cancellation, and a shutdown drains what is
+// left with TryPop. An optional depth gauge tracks the current backlog so
 // traces can show where the pipeline bottlenecks.
 type Queue[T any] struct {
 	ch    chan T
 	depth atomic.Int64
 	gauge *obs.Gauge
-
-	closeOnce sync.Once
-	closed    chan struct{}
 }
 
 // NewQueue builds a queue holding at most capacity items (minimum 1).
@@ -38,39 +29,25 @@ func NewQueue[T any](capacity int, gauge *obs.Gauge) *Queue[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue[T]{
-		ch:     make(chan T, capacity),
-		gauge:  gauge,
-		closed: make(chan struct{}),
-	}
+	return &Queue[T]{ch: make(chan T, capacity), gauge: gauge}
 }
 
 // Push enqueues v, blocking while the queue is full. It returns ctx.Err()
-// if the context is canceled first, or ErrClosed if the queue was closed.
+// if the context is canceled first.
 func (q *Queue[T]) Push(ctx context.Context, v T) error {
-	// Fast-path refusal: a closed queue must not accept items even when the
-	// channel has spare capacity, so the consumer's drain is finite.
-	select {
-	case <-q.closed:
-		return ErrClosed
-	default:
-	}
 	select {
 	case q.ch <- v:
 		q.gauge.Set(q.depth.Add(1))
 		return nil
-	case <-q.closed:
-		return ErrClosed
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
 // Pop dequeues the oldest item, blocking while the queue is empty. It
-// returns ErrClosed once the queue is closed and fully drained, or
-// ctx.Err() if the context is canceled while waiting.
+// returns ctx.Err() if the context is canceled while waiting; an item that
+// is already queued is delivered even then.
 func (q *Queue[T]) Pop(ctx context.Context) (T, error) {
-	var zero T
 	select {
 	case v := <-q.ch:
 		q.gauge.Set(q.depth.Add(-1))
@@ -81,16 +58,8 @@ func (q *Queue[T]) Pop(ctx context.Context) (T, error) {
 	case v := <-q.ch:
 		q.gauge.Set(q.depth.Add(-1))
 		return v, nil
-	case <-q.closed:
-		// Closed while waiting: drain anything racing in.
-		select {
-		case v := <-q.ch:
-			q.gauge.Set(q.depth.Add(-1))
-			return v, nil
-		default:
-			return zero, ErrClosed
-		}
 	case <-ctx.Done():
+		var zero T
 		return zero, ctx.Err()
 	}
 }
@@ -108,18 +77,3 @@ func (q *Queue[T]) TryPop() (T, bool) {
 		return zero, false
 	}
 }
-
-// Close marks the queue closed. Blocked and future pushes fail with
-// ErrClosed; pops drain the backlog and then report ErrClosed. Idempotent
-// and safe to call concurrently with Push and Pop.
-func (q *Queue[T]) Close() {
-	q.closeOnce.Do(func() { close(q.closed) })
-}
-
-// Len reports the current backlog.
-func (q *Queue[T]) Len() int { return len(q.ch) }
-
-// Cap reports the queue's capacity — the bound the producer is paced
-// against. Reporting layers pair it with Len for a depth/capacity view of
-// each stage hand-off.
-func (q *Queue[T]) Cap() int { return cap(q.ch) }

@@ -23,8 +23,8 @@ func TestQueueFIFOAndDepthGauge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.Value() != 3 || q.Len() != 3 {
-		t.Fatalf("depth = gauge %d, len %d; want 3", g.Value(), q.Len())
+	if g.Value() != 3 {
+		t.Fatalf("depth gauge = %d; want 3", g.Value())
 	}
 	for i := 1; i <= 3; i++ {
 		v, err := q.Pop(ctx)
@@ -92,55 +92,74 @@ func TestQueueCancellationUnblocks(t *testing.T) {
 	}
 }
 
-// TestQueueCloseDrains: Close rejects new pushes immediately but lets the
-// consumer drain the backlog before reporting ErrClosed.
+// TestQueueCloseDrains: after Pipeline.Close has stopped the producer, the
+// backlog it staged drains with TryPop, in order, and TryPop then reports
+// false — the shutdown drain of the training loader's lanes.
 func TestQueueCloseDrains(t *testing.T) {
-	q := NewQueue[string](4, nil)
-	ctx := context.Background()
-	for _, s := range []string{"a", "b"} {
-		if err := q.Push(ctx, s); err != nil {
-			t.Fatal(err)
+	p := New(context.Background())
+	q := NewQueue[string](2, nil)
+	p.Go("producer", func(ctx context.Context) error {
+		for _, s := range []string{"a", "b", "c"} {
+			if err := q.Push(ctx, s); err != nil {
+				return err // "c" never fits: canceled by Close
+			}
 		}
+		return nil
+	})
+	deadline := time.Now().Add(2 * time.Second)
+	for len(q.ch) < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	q.Close()
-	q.Close() // idempotent
-	if err := q.Push(ctx, "c"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("push after close = %v, want ErrClosed", err)
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close() = %v, want nil", err)
 	}
 	for _, want := range []string{"a", "b"} {
-		v, err := q.Pop(ctx)
-		if err != nil || v != want {
-			t.Fatalf("drain pop = %q, %v; want %q", v, err, want)
+		if v, ok := q.TryPop(); !ok || v != want {
+			t.Fatalf("drain TryPop = %q, %v; want %q", v, ok, want)
 		}
-	}
-	if _, err := q.Pop(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("pop after drain = %v, want ErrClosed", err)
 	}
 	if v, ok := q.TryPop(); ok {
 		t.Fatalf("TryPop on drained queue returned %v", v)
 	}
 }
 
-// TestQueueCloseUnblocksWaiters: consumers blocked on an empty queue wake
-// with ErrClosed rather than hanging — the shutdown path must never leak a
-// goroutine parked in Pop.
+// TestQueueCloseUnblocksWaiters: stages parked in Pop on an empty queue and
+// in Push on a full one wake when Pipeline.Close cancels them, rather than
+// hanging — the shutdown path must never leak a goroutine parked on a queue.
 func TestQueueCloseUnblocksWaiters(t *testing.T) {
 	before := runtime.NumGoroutine()
-	q := NewQueue[int](1, nil)
-	done := make(chan error, 1)
-	go func() {
-		_, err := q.Pop(context.Background())
-		done <- err
-	}()
+	p := New(context.Background())
+	empty := NewQueue[int](1, nil)
+	full := NewQueue[int](1, nil)
+	if err := full.Push(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	p.Go("popper", func(ctx context.Context) error {
+		_, err := empty.Pop(ctx)
+		errs <- err
+		return err
+	})
+	p.Go("pusher", func(ctx context.Context) error {
+		err := full.Push(ctx, 1)
+		errs <- err
+		return err
+	})
 	time.Sleep(time.Millisecond)
-	q.Close()
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
 	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("pop = %v, want ErrClosed", err)
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close() = %v, want nil", err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("Pop did not unblock on Close")
+		t.Fatal("Close did not unblock the parked stages")
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("parked stage returned %v, want context.Canceled", err)
+		}
 	}
 	waitForGoroutines(t, before)
 }

@@ -24,17 +24,15 @@ import (
 // cannot deadlock: the blocking producers are by construction holding later
 // sequence numbers than the one being waited for.
 //
-// Safe for any number of concurrent producers and one or more consumers.
-// Close is idempotent; after Close, Pop drains deliverable items in order and
-// then reports ErrClosed.
+// Safe for any number of concurrent producers and one or more consumers. Like
+// Queue it is never closed: producers and consumers stop by cancellation.
 type Reorder[T any] struct {
 	mu      sync.Mutex
 	pending map[uint64]T
 	next    uint64 // lowest sequence number not yet delivered
 	window  uint64
-	closed  bool
 	// wake is closed-and-replaced whenever state changes that blocked
-	// waiters care about (an item arrived, the window advanced, Close):
+	// waiters care about (an item arrived, the window advanced):
 	// a broadcast without tracking individual waiters.
 	wake  chan struct{}
 	gauge *obs.Gauge
@@ -58,16 +56,11 @@ func NewReorder[T any](window int, gauge *obs.Gauge) *Reorder[T] {
 
 // Put inserts the item completed under seq, blocking while seq is more than
 // window-1 ahead of the next undelivered sequence number. It returns
-// ctx.Err() if the context is canceled while waiting, ErrClosed after Close,
-// and a hard error for a duplicate or already-delivered seq (a producer-pool
-// wiring bug).
+// ctx.Err() if the context is canceled while waiting, and a hard error for a
+// duplicate or already-delivered seq (a producer-pool wiring bug).
 func (r *Reorder[T]) Put(ctx context.Context, seq uint64, v T) error {
 	for {
 		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return ErrClosed
-		}
 		if seq < r.next {
 			r.mu.Unlock()
 			return fmt.Errorf("pipeline: reorder seq %d already delivered (next %d)", seq, r.next)
@@ -95,10 +88,7 @@ func (r *Reorder[T]) Put(ctx context.Context, seq uint64, v T) error {
 }
 
 // Pop delivers the next item in sequence order, blocking until it arrives.
-// It returns ErrClosed once the resequencer is closed and the next-in-order
-// item is not buffered (later items a canceled producer never completed are
-// discarded by the caller's drain), or ctx.Err() if the context is canceled
-// while waiting.
+// It returns ctx.Err() if the context is canceled while waiting.
 func (r *Reorder[T]) Pop(ctx context.Context) (T, error) {
 	var zero T
 	for {
@@ -112,10 +102,6 @@ func (r *Reorder[T]) Pop(ctx context.Context) (T, error) {
 			r.gauge.Set(n)
 			return v, nil
 		}
-		if r.closed {
-			r.mu.Unlock()
-			return zero, ErrClosed
-		}
 		wake := r.wake
 		r.mu.Unlock()
 		select {
@@ -124,46 +110,6 @@ func (r *Reorder[T]) Pop(ctx context.Context) (T, error) {
 			return zero, ctx.Err()
 		}
 	}
-}
-
-// TryPop delivers the next-in-order item without blocking. It reports false
-// when that item has not been Put yet — used by shutdown paths to drain and
-// release whatever the pool managed to complete before cancellation.
-func (r *Reorder[T]) TryPop() (T, bool) {
-	r.mu.Lock()
-	v, ok := r.pending[r.next]
-	if !ok {
-		r.mu.Unlock()
-		var zero T
-		return zero, false
-	}
-	delete(r.pending, r.next)
-	r.next++
-	n := int64(len(r.pending))
-	r.broadcastLocked()
-	r.mu.Unlock()
-	r.gauge.Set(n)
-	return v, true
-}
-
-// Close marks the resequencer closed: blocked and future Puts fail with
-// ErrClosed, Pops drain what is deliverable in order and then report
-// ErrClosed. Idempotent and safe to call concurrently with Put and Pop.
-func (r *Reorder[T]) Close() {
-	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		r.broadcastLocked()
-	}
-	r.mu.Unlock()
-}
-
-// Len reports the number of completed, undelivered items currently buffered
-// (including any buffered out-of-order ahead of a missing seq).
-func (r *Reorder[T]) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.pending)
 }
 
 // broadcastLocked wakes every blocked Put and Pop by closing the current wake

@@ -118,33 +118,6 @@ func TestReorderPoolRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReorderClose: Close fails blocked and future Puts, drains deliverable
-// items in order, then reports ErrClosed.
-func TestReorderClose(t *testing.T) {
-	r := NewReorder[int](4, nil)
-	ctx := context.Background()
-	if err := r.Put(ctx, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	blocked := make(chan error, 1)
-	go func() { blocked <- r.Put(ctx, 9, 9) }()
-	time.Sleep(10 * time.Millisecond)
-	r.Close()
-	if err := <-blocked; !errors.Is(err, ErrClosed) {
-		t.Fatalf("blocked Put after Close = %v, want ErrClosed", err)
-	}
-	if err := r.Put(ctx, 1, 1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Put after Close = %v, want ErrClosed", err)
-	}
-	if v, err := r.Pop(ctx); err != nil || v != 0 {
-		t.Fatalf("Pop after Close = %d, %v; want the drained 0", v, err)
-	}
-	if _, err := r.Pop(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Pop on drained closed reorder = %v, want ErrClosed", err)
-	}
-	r.Close() // idempotent
-}
-
 // TestReorderErrors: duplicate and already-delivered sequence numbers are
 // wiring bugs and fail loudly.
 func TestReorderErrors(t *testing.T) {
@@ -186,33 +159,5 @@ func TestReorderCtxCancel(t *testing.T) {
 	}
 	if err := <-putErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked Put under canceled ctx = %v, want context.Canceled", err)
-	}
-}
-
-// TestReorderTryPop covers the shutdown drain path.
-func TestReorderTryPop(t *testing.T) {
-	r := NewReorder[int](4, nil)
-	if _, ok := r.TryPop(); ok {
-		t.Fatal("TryPop on empty reorder must report false")
-	}
-	ctx := context.Background()
-	if err := r.Put(ctx, 1, 11); err != nil {
-		t.Fatal(err)
-	}
-	// seq 0 missing: 1 is buffered but not deliverable.
-	if _, ok := r.TryPop(); ok {
-		t.Fatal("TryPop must not deliver out of order")
-	}
-	if err := r.Put(ctx, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	for want := 10; want <= 11; want++ {
-		v, ok := r.TryPop()
-		if !ok || v != want {
-			t.Fatalf("TryPop = %d, %v; want %d", v, ok, want)
-		}
-	}
-	if r.Len() != 0 {
-		t.Fatalf("Len = %d after drain", r.Len())
 	}
 }

@@ -130,7 +130,8 @@ func (b *Batch) Position(v graph.NodeID) (int32, bool) {
 // every hop's NbrPos from Dst and Nbrs. It fails when the batch cannot carry
 // positions: a negative or repeated destination, a hop whose destinations are
 // not a prefix of the next hop's, or a neighbor the next hop's Dst does not
-// list.
+// list. Only tests call it: it is the builder the block, memest and sampling
+// tests share for hand-written batches.
 func (b *Batch) AssignPositions() error {
 	if len(b.Hops) == 0 {
 		return errNoFanouts
@@ -190,13 +191,6 @@ func (b *Batch) AssignPositions() error {
 		}
 	}
 	return nil
-}
-
-// AllNodes returns the distinct nodes appearing anywhere in the batch, sorted.
-func (b *Batch) AllNodes() []graph.NodeID {
-	out := slices.Clone(b.Frontier(b.Layers()))
-	slices.Sort(out)
-	return out
 }
 
 // NumEdges reports the total sampled adjacency entries across hops.

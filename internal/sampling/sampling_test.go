@@ -115,10 +115,6 @@ func TestFrontiers(t *testing.T) {
 	if len(f2) != 5 {
 		t.Fatalf("frontier2 = %v", f2)
 	}
-	all := b.AllNodes()
-	if len(all) != 5 { // {0,1,2,28,29}
-		t.Fatalf("AllNodes = %v", all)
-	}
 	if b.NumEdges() != 2+6 {
 		t.Fatalf("NumEdges = %d, want 8", b.NumEdges())
 	}

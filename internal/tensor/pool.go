@@ -257,7 +257,8 @@ func (a *Arena) Reset() {
 }
 
 // Outstanding reports how many matrices the arena currently holds checked
-// out (diagnostic; zero right after a Reset).
+// out (zero right after a Reset). Only tests call it: it is the leak check
+// the tensor and gnn tests share.
 func (a *Arena) Outstanding() int {
 	if a == nil {
 		return 0

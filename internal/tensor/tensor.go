@@ -78,7 +78,8 @@ func (m *Matrix) RowRange(lo, hi int) Matrix {
 	return Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. Only tests call it: it is the snapshot helper
+// the tests of several packages share.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
@@ -494,13 +495,6 @@ func MeanRowsInto(out []float32, src *Matrix, idx []int32) {
 	}
 }
 
-// Transpose returns a new matrix mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := New(m.Cols, m.Rows)
-	TransposeInto(t, m)
-	return t
-}
-
 // TransposeInto writes srcᵀ into dst [src.Cols x src.Rows]. It walks src in
 // strips of 16 rows, so every dst row takes 16 consecutive floats at a time:
 // one element per dst row would stride a whole row per write, and at a
@@ -529,21 +523,6 @@ func (m *Matrix) AddInPlace(other *Matrix) {
 	}
 }
 
-// AddScaled computes m += alpha * other elementwise.
-func (m *Matrix) AddScaled(other *Matrix, alpha float32) {
-	checkSameShape("AddScaled", m, other)
-	for i, v := range other.Data {
-		m.Data[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element by alpha.
-func (m *Matrix) Scale(alpha float32) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
-	}
-}
-
 // AddRowVector adds vec (1 x Cols) to every row of m (bias broadcast).
 func (m *Matrix) AddRowVector(vec *Matrix) {
 	if vec.Rows != 1 || vec.Cols != m.Cols {
@@ -569,20 +548,6 @@ func (m *Matrix) SumRowsInto(out *Matrix) {
 			out.Data[j] += v
 		}
 	}
-}
-
-// MaxAbs returns the maximum absolute element, or 0 for an empty matrix.
-func (m *Matrix) MaxAbs() float32 {
-	var mx float32
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
 }
 
 // SoftmaxRowsInto writes the numerically stable row-wise softmax of m into

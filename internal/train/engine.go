@@ -193,7 +193,7 @@ func newEngine(ds *datagen.Dataset, cfg Config, replicas []replica, cluster *dev
 	}
 	var flat0 *nn.FlatBuffer
 	for i, r := range replicas {
-		fb, err := r.model.Params.Flatten(cfg.bucketBytes(), shards)
+		fb, err := r.model.Params.Flatten(cfg.EffectiveBucketBytes(), shards)
 		if err != nil {
 			return nil, fmt.Errorf("train: flattening replica %d: %w", i, err)
 		}

@@ -119,9 +119,9 @@ func TestObsPhaseTotalsMatchSpanDurations(t *testing.T) {
 	// events to exactly the ledger's peak, and the scheduler's prediction is
 	// recorded against it.
 	tl := obs.Reconstruct(events, s.GPU.Name())
-	if tl.Peak != s.GPU.Peak() || tl.Peak != res.Peak {
+	if tl.Peak != s.GPU.Stats().Peak || tl.Peak != res.Peak {
 		t.Fatalf("timeline peak %d, ledger peak %d, result peak %d — want all equal",
-			tl.Peak, s.GPU.Peak(), res.Peak)
+			tl.Peak, s.GPU.Stats().Peak, res.Peak)
 	}
 	if res.PredictedPeak <= 0 {
 		t.Fatal("buffalo iteration did not record a predicted peak")

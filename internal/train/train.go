@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"buffalo/internal/block"
-	"buffalo/internal/bucket"
 	"buffalo/internal/datagen"
 	"buffalo/internal/device"
 	"buffalo/internal/gnn"
@@ -121,7 +120,9 @@ type Config struct {
 	// roughly one GPU vs one CPU core on dense float32 math. This is what
 	// keeps the Fig 5/11 phase ratios faithful — partitioning and block
 	// generation run at native speed on both platforms, while the GNN math
-	// the paper runs on CUDA cores must not be billed at CPU speed.
+	// the paper runs on CUDA cores must not be billed at CPU speed. No
+	// caller in this repository sets it; it stays because bench/README.md
+	// names it, until ROADMAP 1(a)'s modelled device clock replaces it.
 	GPUSpeedup float64
 	Seed       int64
 
@@ -191,18 +192,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// bucketBytes returns the configured gradient-bucket bound with its default.
-func (c Config) bucketBytes() int64 {
+// EffectiveBucketBytes reports the gradient-bucket bound the overlapped
+// reducer uses: BucketBytes, or its 32 KB default when unset. The engine
+// flattens parameters with it, and reporting layers (CLI, experiments) print
+// it as the resolved knob.
+func (c Config) EffectiveBucketBytes() int64 {
 	if c.BucketBytes > 0 {
 		return c.BucketBytes
 	}
 	return 32 << 10
 }
-
-// EffectiveBucketBytes reports the gradient-bucket bound the overlapped
-// reducer will use: BucketBytes, or its 32 KB default when unset. For
-// reporting layers (CLI, experiments) that print the resolved knob.
-func (c Config) EffectiveBucketBytes() int64 { return c.bucketBytes() }
 
 // gpuSpeedup returns the configured speedup with its default.
 func (c Config) gpuSpeedup() float64 {
@@ -424,7 +423,9 @@ type EpochResult struct {
 }
 
 // TrainEpochs runs n iterations (one sampled batch each) and returns the
-// per-iteration loss/accuracy trajectory — the Fig 17 convergence data.
+// per-iteration loss/accuracy trajectory — the Fig 17 convergence data. No
+// caller in this repository uses it; it stays as API of the Session type
+// the root package re-exports.
 func (s *Session) TrainEpochs(n int) ([]EpochResult, error) {
 	out := make([]EpochResult, 0, n)
 	for i := 0; i < n; i++ {
@@ -437,12 +438,6 @@ func (s *Session) TrainEpochs(n int) ([]EpochResult, error) {
 	return out, nil
 }
 
-// BucketVolumes is a convenience for Fig 4: the batch's output-layer bucket
-// volume distribution.
-func BucketVolumes(b *sampling.Batch) []int {
-	return bucket.Bucketize(b).Volumes()
-}
-
 // PoolStats reports the tensor-pool reuse counters of the session's compute
 // arena.
 func (s *Session) PoolStats() tensor.PoolStats { return s.eng.poolStats() }
@@ -453,7 +448,9 @@ func (s *Session) PoolStats() tensor.PoolStats { return s.eng.poolStats() }
 // forward-only executor as InferenceSession.Infer: the ForwardOnly K-search
 // splits it into budget-sized micro-batches whatever the configured system,
 // since inference has no system-specific semantics, and each layer's
-// activations are released once the next layer has consumed them.
+// activations are released once the next layer has consumed them. Only tests
+// call it in this repository; it stays as API of the Session type the root
+// package re-exports.
 func (s *Session) Evaluate(nodes []graph.NodeID) (loss float32, acc float64, err error) {
 	if len(nodes) == 0 {
 		return 0, 0, fmt.Errorf("train: Evaluate needs at least one node")

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"buffalo/internal/bucket"
 	"buffalo/internal/datagen"
 	"buffalo/internal/device"
 	"buffalo/internal/gnn"
@@ -344,6 +345,8 @@ func TestTrainEpochsConverges(t *testing.T) {
 	}
 }
 
+// TestBucketVolumes: the output-layer buckets of a session's sampled batch
+// (Fig 4's volume distribution) hold every seed exactly once.
 func TestBucketVolumes(t *testing.T) {
 	ds := loadData(t, "ogbn-arxiv")
 	cfg := baseConfig(ds, DGL)
@@ -357,7 +360,7 @@ func TestBucketVolumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vols := BucketVolumes(b)
+	vols := bucket.Bucketize(b).Volumes()
 	total := 0
 	for _, v := range vols {
 		total += v
@@ -668,19 +671,26 @@ func TestEvaluateHeldOut(t *testing.T) {
 	if _, err := s.TrainEpochs(10); err != nil {
 		t.Fatal(err)
 	}
-	// Evaluation must not touch gradients or parameters: replica 0's flat
-	// buffers hold the last training step's values and gradients, bit for bit.
-	flat := s.Model.Params.Flat()
-	values := append([]float32(nil), flat.Values()...)
-	grads := append([]float32(nil), flat.Grads()...)
+	// Evaluation must not touch gradients or parameters: replica 0's
+	// parameters hold the last training step's values and gradients, bit for
+	// bit.
+	snapshot := func() (values, grads []float32) {
+		for _, p := range s.Model.Params.Params() {
+			values = append(values, p.Value.Data...)
+			grads = append(grads, p.Grad.Data...)
+		}
+		return values, grads
+	}
+	values, grads := snapshot()
 	after, accAfter, err := s.Evaluate(evalNodes[:300])
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotValues, gotGrads := snapshot()
 	for _, buf := range []struct {
 		name      string
 		got, want []float32
-	}{{"value", flat.Values(), values}, {"grad", flat.Grads(), grads}} {
+	}{{"value", gotValues, values}, {"grad", gotGrads, grads}} {
 		for i := range buf.want {
 			if math.Float32bits(buf.got[i]) != math.Float32bits(buf.want[i]) {
 				t.Fatalf("Evaluate changed %s %d: %v -> %v", buf.name, i, buf.want[i], buf.got[i])
