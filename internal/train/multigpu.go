@@ -168,7 +168,7 @@ func (dp *DataParallel) Shutdown() error {
 	if dp.ld != nil {
 		err = dp.ld.close()
 	}
-	dp.eng.dropCarries()
+	dp.eng.dropResident()
 	dp.freeFixed()
 	return err
 }

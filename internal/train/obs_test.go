@@ -132,8 +132,8 @@ func TestObsPhaseTotalsMatchSpanDurations(t *testing.T) {
 }
 
 // TestObsStageCarryMarks: sequential staging marks every staged micro-batch
-// with the input bytes it found already on its device ("stage/carry"), so
-// over an iteration the carried bytes plus the H2D bytes add up to every
+// with the input bytes it found resident on its device ("stage/resident"),
+// so over an iteration the resident bytes plus the H2D bytes add up to every
 // micro-batch's input rows, on one replica and on two.
 func TestObsStageCarryMarks(t *testing.T) {
 	ds := loadData(t, "cora")
@@ -152,19 +152,19 @@ func TestObsStageCarryMarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		var marks int
-		var carried, copied int64
+		var found, copied int64
 		for _, ev := range tr.Events() {
 			switch {
-			case ev.Kind == obs.KindMark && ev.Name == "stage/carry":
+			case ev.Kind == obs.KindMark && ev.Name == "stage/resident":
 				marks++
-				carried += ev.Bytes
+				found += ev.Bytes
 			case ev.Kind == obs.KindTransferH2D:
 				copied += ev.Bytes
 			}
 		}
-		if marks != len(it.mbs) || carried == 0 || carried+copied != feat {
-			t.Fatalf("%d GPUs: %d stage/carry marks for K=%d, carried %d + copied %d bytes, want the %d input bytes",
-				gpus, marks, len(it.mbs), carried, copied, feat)
+		if marks != len(it.mbs) || found == 0 || found+copied != feat {
+			t.Fatalf("%d GPUs: %d stage/resident marks for K=%d, found %d + copied %d bytes, want the %d input bytes",
+				gpus, marks, len(it.mbs), found, copied, feat)
 		}
 	}
 }

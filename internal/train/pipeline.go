@@ -354,9 +354,6 @@ type pipeStager struct {
 	starved time.Duration
 }
 
-// begin has nothing to do: the loader keeps no rows across micro-batches.
-func (ps *pipeStager) begin(*pipeIter) {}
-
 func (ps *pipeStager) stage(it *pipeIter, i int) (*stagedMB, error) {
 	if ps.first != nil {
 		smb := ps.first

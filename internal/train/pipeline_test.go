@@ -16,7 +16,7 @@ import (
 // DataLoading must still be the modelled duration of its own copies only,
 // and the cumulative clock holds their sum. The same batch twice makes the
 // second iteration copy nothing — its one micro-batch's rows are all still
-// on the device as the first one's carry — so a regression to assigning the
+// resident on the device from the first — so a regression to assigning the
 // cumulative TransferTime would show as a non-zero second phase.
 func TestDataLoadingIsPerIterationDelta(t *testing.T) {
 	ds := loadData(t, "cora")
