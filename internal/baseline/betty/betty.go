@@ -21,6 +21,7 @@ import (
 	"buffalo/internal/memest"
 	"buffalo/internal/partition"
 	"buffalo/internal/sampling"
+	"buffalo/internal/schedule"
 )
 
 // Plan is Betty's partitioning result for one batch.
@@ -162,5 +163,5 @@ func FindPlan(b *sampling.Batch, est *memest.Estimator, memLimit int64, kMax int
 			return plan, nil
 		}
 	}
-	return nil, fmt.Errorf("betty: no feasible plan within K <= %d for budget %d bytes", kMax, memLimit)
+	return nil, fmt.Errorf("betty: %w within K <= %d for budget %d bytes", schedule.ErrInfeasible, kMax, memLimit)
 }

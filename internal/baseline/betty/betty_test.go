@@ -1,6 +1,7 @@
 package betty
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"buffalo/internal/graph"
 	"buffalo/internal/memest"
 	"buffalo/internal/sampling"
+	"buffalo/internal/schedule"
 )
 
 func setup(t testing.TB, seeds int) (*sampling.Batch, *memest.Estimator) {
@@ -158,11 +160,11 @@ func TestFindPlan(t *testing.T) {
 			t.Fatal("part exceeds budget")
 		}
 	}
-	if _, err := FindPlan(b, est, 0, 8, 1); err == nil {
-		t.Error("want error for zero budget")
+	if _, err := FindPlan(b, est, 0, 8, 1); err == nil || errors.Is(err, schedule.ErrInfeasible) {
+		t.Errorf("zero budget: got %v, want an invalid-budget error", err)
 	}
-	if _, err := FindPlan(b, est, 1, 4, 1); err == nil {
-		t.Error("want infeasible error for 1-byte budget")
+	if _, err := FindPlan(b, est, 1, 4, 1); !errors.Is(err, schedule.ErrInfeasible) {
+		t.Errorf("1-byte budget: got %v, want schedule.ErrInfeasible", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -154,11 +155,11 @@ func TestScheduleMinimizesK(t *testing.T) {
 
 func TestScheduleInfeasible(t *testing.T) {
 	b, est := setup(t, "ogbn-arxiv", 200, []int{10, 25}, gnn.LSTM)
-	if _, err := Schedule(b, est, Options{MemLimit: 1}); err == nil {
-		t.Fatal("1-byte budget cannot be feasible")
+	if _, err := Schedule(b, est, Options{MemLimit: 1}); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("1-byte budget: got %v, want ErrInfeasible", err)
 	}
-	if _, err := Schedule(b, est, Options{MemLimit: 0}); err == nil {
-		t.Fatal("want error for zero budget")
+	if _, err := Schedule(b, est, Options{MemLimit: 0}); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Fatalf("zero budget: got %v, want an invalid-option error", err)
 	}
 }
 
