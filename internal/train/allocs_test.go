@@ -110,3 +110,83 @@ func TestRunIterationWarmAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPoolRetentionFlatAfterWarmup holds the compute arena's pool to what a
+// caching allocator may keep: after warm-up, an iteration that allocates no
+// new buffer (no pool miss) retains exactly the bytes the one before did,
+// and a buffer is added only when a batch's micro-batches need a shape larger
+// than any retained one, which a seeded stream does rarely. It runs the LSTM
+// configuration of TestRunIterationWarmAllocs and a wide-frontier products
+// one (mean, 1024 seeds, fanouts 10/25, K searched under 24 MB). Measured
+// on these streams: the LSTM pool retains 5,544,676 bytes from iteration 49
+// until a new largest shape at 1066; products retains 3,187,756 from
+// iteration 18, then one more buffer at 118 and one at 371. A buffer retained
+// per iteration, or a miss per iteration from shapes the pool cannot reuse,
+// fails it.
+func TestPoolRetentionFlatAfterWarmup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine counts; the plain run holds them")
+	}
+	cases := []struct {
+		name, ds string
+		agg      gnn.Aggregator
+		inDim    int // 0: the dataset's width
+		batch    int
+		budget   int64
+		fanouts  []int
+		warm     int
+		window   int
+	}{
+		{"lstm", "cora", gnn.LSTM, 64, 128, 2 * device.MB, []int{5, 5}, 50, 100},
+		{"products", "ogbn-products", gnn.Mean, 0, 1024, 24 * device.MB, []int{10, 25}, 20, 100},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := loadData(t, tc.ds)
+			inDim := tc.inDim
+			if inDim == 0 {
+				inDim = ds.FeatDim()
+			}
+			s, err := NewSession(ds, Config{
+				System: Buffalo,
+				Model: gnn.Config{Arch: gnn.SAGE, Aggregator: tc.agg, Layers: 2,
+					InDim: inDim, Hidden: 16, OutDim: ds.NumClasses, Seed: 1},
+				Fanouts:   tc.fanouts,
+				BatchSize: tc.batch,
+				MemBudget: tc.budget,
+				Seed:      7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < tc.warm; i++ {
+				if _, err := s.RunIteration(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prev := s.PoolStats()
+			warmed := prev.RetainedBytes
+			steps := 0
+			for i := 0; i < tc.window; i++ {
+				if _, err := s.RunIteration(); err != nil {
+					t.Fatal(err)
+				}
+				st := s.PoolStats()
+				if st.RetainedBytes != prev.RetainedBytes {
+					if st.Misses == prev.Misses {
+						t.Fatalf("iteration %d: retained bytes %d → %d with no pool miss",
+							tc.warm+i+1, prev.RetainedBytes, st.RetainedBytes)
+					}
+					steps++
+				}
+				prev = st
+			}
+			if steps > 1 {
+				t.Errorf("retained bytes grew in %d of %d warm iterations (%d → %d bytes): the pool is not reusing its buffers",
+					steps, tc.window, warmed, prev.RetainedBytes)
+			}
+			t.Logf("retained %d bytes after warm-up, %d after %d more iterations", warmed, prev.RetainedBytes, tc.window)
+		})
+	}
+}
