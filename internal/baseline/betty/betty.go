@@ -8,8 +8,9 @@
 // them separately ("REG construction" and "METIS partition"); together they
 // are the ~46.8% of Betty's end-to-end time Buffalo eliminates. Betty's
 // memory estimation is bucket-local and linear — it does not model
-// redundancy between grouped buckets (the paper's §IV-D critique) — so its
-// K search overshoots relative to Buffalo's.
+// redundancy between grouped buckets (the paper's §IV-D critique) — so the
+// engine's K search, pricing Betty's parts with it, overshoots relative to
+// Buffalo's.
 package betty
 
 import (
@@ -21,7 +22,6 @@ import (
 	"buffalo/internal/memest"
 	"buffalo/internal/partition"
 	"buffalo/internal/sampling"
-	"buffalo/internal/schedule"
 )
 
 // Plan is Betty's partitioning result for one batch.
@@ -135,33 +135,4 @@ func EstimatePart(b *sampling.Batch, est *memest.Estimator, part []graph.NodeID)
 		total += est.BucketMem(volume, d)
 	}
 	return total
-}
-
-// FindPlan searches for the smallest K whose parts all fit memLimit under
-// Betty's linear estimate, mirroring how Buffalo's scheduler searches but
-// with Betty's partitioner and estimator. kMax bounds the search.
-func FindPlan(b *sampling.Batch, est *memest.Estimator, memLimit int64, kMax int, seed int64) (*Plan, error) {
-	if memLimit <= 0 {
-		return nil, fmt.Errorf("betty: memLimit must be positive")
-	}
-	if kMax <= 0 {
-		kMax = len(b.Seeds)
-	}
-	for k := 1; k <= kMax; k++ {
-		plan, err := Partition(b, k, seed)
-		if err != nil {
-			return nil, err
-		}
-		fits := true
-		for _, part := range plan.Parts {
-			if EstimatePart(b, est, part) > memLimit {
-				fits = false
-				break
-			}
-		}
-		if fits {
-			return plan, nil
-		}
-	}
-	return nil, fmt.Errorf("betty: %w within K <= %d for budget %d bytes", schedule.ErrInfeasible, kMax, memLimit)
 }

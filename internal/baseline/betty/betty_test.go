@@ -1,7 +1,6 @@
 package betty
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"buffalo/internal/graph"
 	"buffalo/internal/memest"
 	"buffalo/internal/sampling"
-	"buffalo/internal/schedule"
 )
 
 func setup(t testing.TB, seeds int) (*sampling.Batch, *memest.Estimator) {
@@ -145,29 +143,6 @@ func TestEstimatePartLinear(t *testing.T) {
 	}
 }
 
-func TestFindPlan(t *testing.T) {
-	b, est := setup(t, 600)
-	whole := EstimatePart(b, est, b.Seeds)
-	plan, err := FindPlan(b, est, whole/3, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.K < 3 {
-		t.Fatalf("third-budget should need K >= 3, got %d", plan.K)
-	}
-	for _, p := range plan.Parts {
-		if EstimatePart(b, est, p) > whole/3 {
-			t.Fatal("part exceeds budget")
-		}
-	}
-	if _, err := FindPlan(b, est, 0, 8, 1); err == nil || errors.Is(err, schedule.ErrInfeasible) {
-		t.Errorf("zero budget: got %v, want an invalid-budget error", err)
-	}
-	if _, err := FindPlan(b, est, 1, 4, 1); !errors.Is(err, schedule.ErrInfeasible) {
-		t.Errorf("1-byte budget: got %v, want schedule.ErrInfeasible", err)
-	}
-}
-
 // Betty must be a pure function of (batch, k, seed): the REG's edges reach
 // METIS in position order, not in a map's.
 func TestPartitionDeterministic(t *testing.T) {
@@ -200,6 +175,38 @@ func TestPartitionDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(again.Parts, first.Parts) {
 				t.Fatalf("%s: run %d partitions the same batch differently", c.dataset, run)
 			}
+		}
+	}
+}
+
+// TestPartitionUpToOnePartPerOutput: Betty partitions at every K up to the
+// output count — the engine's K-search walks that far when nothing fits.
+// The REG's uneven bisections leave some sides with fewer outputs than
+// parts (on this batch from K = 122); those parts stay empty and are
+// dropped, and every output still lands in exactly one part.
+func TestPartitionUpToOnePartPerOutput(t *testing.T) {
+	ds, err := datagen.Load("ogbn-arxiv", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &sampling.Batch{}
+	if err := sampling.NewStream(ds.Graph, 128, []int{10, 25}, 5).NextInto(b); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= len(b.Seeds); k++ {
+		plan, err := Partition(b, k, 7)
+		if err != nil {
+			t.Fatalf("k %d: %v", k, err)
+		}
+		seen := 0
+		for _, p := range plan.Parts {
+			if len(p) == 0 {
+				t.Fatalf("k %d: empty part kept", k)
+			}
+			seen += len(p)
+		}
+		if seen != len(b.Seeds) || plan.K > k {
+			t.Fatalf("k %d: %d parts cover %d of %d outputs", k, plan.K, seen, len(b.Seeds))
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -19,13 +20,10 @@ import (
 	"buffalo/internal/datagen"
 	"buffalo/internal/device"
 	"buffalo/internal/gnn"
-	"buffalo/internal/graph"
 	"buffalo/internal/memest"
 	"buffalo/internal/obs"
-	"buffalo/internal/partition"
 	"buffalo/internal/sampling"
 	"buffalo/internal/schedule"
-	"buffalo/internal/tensor"
 	"buffalo/internal/train"
 )
 
@@ -429,7 +427,9 @@ func wallConfigs(opts Options) []wallConfig {
 	return cfgs
 }
 
-// runWall measures one bar for one system; returns ("OOM", 0) on overflow.
+// runWall measures one bar for one system. Only the full-batch DGL bar may
+// overflow, which it reports as ("OOM", 0); any other system's OOM or
+// infeasible plan is returned as the error it is.
 func runWall(ds *datagen.Dataset, wc wallConfig, sys train.System, budget int64, batch int, opts Options) (string, int, error) {
 	cfg := train.Config{
 		System:    sys,
@@ -440,9 +440,12 @@ func runWall(ds *datagen.Dataset, wc wallConfig, sys train.System, budget int64,
 		Seed:      opts.Seed,
 		Obs:       opts.Obs,
 	}
+	overflow := func(err error) bool {
+		return sys == train.DGL && (device.IsOOM(err) || errors.Is(err, schedule.ErrInfeasible))
+	}
 	s, err := train.NewSession(ds, cfg)
 	if err != nil {
-		if device.IsOOM(err) {
+		if overflow(err) {
 			return "OOM", 0, nil
 		}
 		return "", 0, err
@@ -450,7 +453,7 @@ func runWall(ds *datagen.Dataset, wc wallConfig, sys train.System, budget int64,
 	defer s.Close()
 	res, err := s.RunIteration()
 	if err != nil {
-		if device.IsOOM(err) || errors.Is(err, schedule.ErrInfeasible) {
+		if overflow(err) {
 			return "OOM", 0, nil
 		}
 		return "", 0, err
@@ -958,32 +961,17 @@ func Fig16ComputeEfficiency(opts Options) (*Table, error) {
 		PaperClaim: "Buffalo needs fewer micro-batches (12 vs 14) and beats the best baseline by 36.4%",
 		Headers:    []string{"strategy", "K", "total-nodes", "time", "knodes/s"},
 	}
-	// One shared batch; every strategy must fit the same budget, searching
-	// its own minimum feasible K (Buffalo does this internally).
+	// One shared batch; every strategy searches its own smallest feasible K
+	// against the same budget inside the engine.
 	probe, err := sampleFor(ds, p, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	est, err := estimatorFor(ds, probe, model, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
 	var best float64
 	var buffaloEff float64
 	for _, sys := range []train.System{train.RandomP, train.RangeP, train.MetisP, train.Betty, train.Buffalo} {
-		cfg := train.Config{System: sys, Model: model, Fanouts: p.fanouts,
-			BatchSize: p.batch, MemBudget: p.budget, Seed: opts.Seed, Obs: opts.Obs}
-		switch sys {
-		case train.Buffalo, train.Betty:
-			// Both search K against the budget themselves.
-		default:
-			k, err := strategyMinK(probe, est, sys, p.budget*8/10, opts.Seed)
-			if err != nil {
-				return nil, err
-			}
-			cfg.MicroBatches = k
-		}
-		s, err := train.NewSession(ds, cfg)
+		s, err := train.NewSession(ds, train.Config{System: sys, Model: model, Fanouts: p.fanouts,
+			BatchSize: p.batch, MemBudget: p.budget, Seed: opts.Seed, Obs: opts.Obs})
 		if err != nil {
 			return nil, err
 		}
@@ -1005,72 +993,6 @@ func Fig16ComputeEfficiency(opts Options) (*Table, error) {
 			100*(buffaloEff/best-1)))
 	}
 	return t, nil
-}
-
-// strategyMinK finds the smallest K whose parts (estimated with the
-// redundancy-aware model, grouped by degree) all fit the budget for a
-// Random/Range/METIS partitioning.
-func strategyMinK(b *sampling.Batch, est *memest.Estimator, sys train.System, budget int64, seed int64) (int, error) {
-	var strat partition.Strategy
-	switch sys {
-	case train.RandomP:
-		strat = partition.Random{}
-	case train.RangeP:
-		strat = partition.Range{}
-	default:
-		strat = partition.Metis{}
-	}
-	for k := 1; k <= len(b.Seeds); k++ {
-		parts, err := strat.Partition(b, k, seed)
-		if err != nil {
-			return 0, err
-		}
-		fits := true
-		for _, part := range parts {
-			g, err := groupFromNodes(b, part)
-			if err != nil {
-				return 0, err
-			}
-			m, err := est.GroupMem(b, g)
-			if err != nil {
-				return 0, err
-			}
-			if m > budget {
-				fits = false
-				break
-			}
-		}
-		if fits {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: no feasible K for %s under %d bytes", sys, budget)
-}
-
-// groupFromNodes buckets an arbitrary output-node set by sampled degree so
-// the group estimator can price it. Buckets come out in ascending degree.
-func groupFromNodes(b *sampling.Batch, nodes []graph.NodeID) (*bucket.Group, error) {
-	hop := &b.Hops[0]
-	var byDeg []*bucket.Bucket
-	for _, v := range nodes {
-		r, ok := b.Position(v)
-		if !ok || int(r) >= len(hop.Dst) {
-			return nil, fmt.Errorf("experiments: node %d not an output", v)
-		}
-		d := len(hop.Nbrs[r])
-		for d >= len(byDeg) {
-			byDeg = append(byDeg, &bucket.Bucket{Degree: len(byDeg)})
-		}
-		byDeg[d].Nodes = append(byDeg[d].Nodes, v)
-		byDeg[d].Rows = append(byDeg[d].Rows, r)
-	}
-	g := &bucket.Group{}
-	for _, bu := range byDeg {
-		if bu.Volume() > 0 {
-			g.Buckets = append(g.Buckets, bu)
-		}
-	}
-	return g, nil
 }
 
 // ---- Fig 17 -----------------------------------------------------------------
@@ -1143,6 +1065,10 @@ func abs32(v float32) float32 {
 
 // Table3EstimationError reproduces Table III: the analytical estimator's
 // error against measured micro-batch memory, for LSTM and mean aggregators.
+// Each row is one Buffalo iteration with K pinned at table3K on a device
+// large enough that the pin is the only constraint; the engine reports each
+// micro-batch's planned estimate beside the features + activations its
+// ledger charged.
 func Table3EstimationError(opts Options) (*Table, error) {
 	t := &Table{
 		ID:         "table3",
@@ -1150,8 +1076,8 @@ func Table3EstimationError(opts Options) (*Table, error) {
 		PaperClaim: "error below ~10% on every dataset (0.16%-10.02%)",
 		Headers:    []string{"dataset", "aggregator", "K", "avg-err%", "max-err%"},
 	}
-	names := quickDatasets(opts)
-	for _, name := range names {
+	const table3K = 8
+	for _, name := range quickDatasets(opts) {
 		ds, err := load(name, opts.Seed)
 		if err != nil {
 			return nil, err
@@ -1162,65 +1088,30 @@ func Table3EstimationError(opts Options) (*Table, error) {
 			return nil, err
 		}
 		for _, agg := range []gnn.Aggregator{gnn.LSTM, gnn.Mean} {
-			cfg := sageConfig(ds, agg, 2, p.hidden)
-			est, err := estimatorFor(ds, b, cfg, opts.Seed)
+			s, err := train.NewSession(ds, train.Config{System: train.Buffalo,
+				Model: sageConfig(ds, agg, 2, p.hidden), Fanouts: p.fanouts, BatchSize: p.batch,
+				MemBudget: 64 * device.GB, MicroBatches: table3K, Seed: opts.Seed, Obs: opts.Obs})
 			if err != nil {
 				return nil, err
 			}
-			whole, err := est.BatchMem(b)
+			res, err := s.RunIterationOn(b)
+			s.Close()
 			if err != nil {
 				return nil, err
 			}
-			plan, err := schedule.Schedule(b, est, schedule.Options{MemLimit: whole / 4})
-			if err != nil {
-				return nil, err
-			}
-			model, err := gnn.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			table := ds.FeatureTable(cfg.InDim)
 			var sumErr, maxErr float64
-			for gi, g := range plan.Groups {
-				mbch, err := block.Generate(b, g.Nodes())
-				if err != nil {
-					return nil, err
-				}
-				actual, err := measureMicroBytes(table, model, mbch)
-				if err != nil {
-					return nil, err
-				}
-				e := 100 * absF(float64(plan.Estimates[gi])-float64(actual)) / float64(actual)
+			for i, est := range res.PerMicroEstimate {
+				actual := float64(res.PerMicroBytes[i])
+				e := 100 * math.Abs(float64(est)-actual) / actual
 				sumErr += e
-				if e > maxErr {
-					maxErr = e
-				}
+				maxErr = math.Max(maxErr, e)
 			}
-			t.AddRow(name, string(agg), plan.K,
-				fmt.Sprintf("%.1f", sumErr/float64(len(plan.Groups))),
+			t.AddRow(name, string(agg), res.K,
+				fmt.Sprintf("%.1f", sumErr/float64(res.K)),
 				fmt.Sprintf("%.1f", maxErr))
 		}
 	}
 	return t, nil
-}
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// measureMicroBytes runs a real forward pass, layer 0 reading the feature
-// table through the micro-batch's input list, and reports the features
-// tensor's device bytes (one table row per input node) + activation bytes
-// (Table III's ground truth).
-func measureMicroBytes(table *tensor.Matrix, model *gnn.Model, mbch *block.MicroBatch) (int64, error) {
-	res, err := model.ForwardTable(mbch, table, nil)
-	if err != nil {
-		return 0, err
-	}
-	return res.ActivationBytes() + int64(len(mbch.InputNodes()))*int64(table.Cols)*4, nil
 }
 
 // ---- Table IV ---------------------------------------------------------------

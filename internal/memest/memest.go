@@ -578,3 +578,31 @@ func TrainFixedBytes(paramAndGradBytes int64) int64 { return 2 * paramAndGradByt
 func ZeRO1FixedBytes(valueBytes, shardBytes int64) int64 {
 	return valueBytes + 3*shardBytes
 }
+
+// PartMem is GroupMem of an arbitrary set of b's outputs, bucketed by
+// sampled hop-0 degree in ascending order: the redundancy-aware price of a
+// part some other partitioner cut. A node that is not an output of b is an
+// error.
+func (e *Estimator) PartMem(b *sampling.Batch, nodes []graph.NodeID) (int64, error) {
+	hop := &b.Hops[0]
+	var byDeg []*bucket.Bucket
+	for _, v := range nodes {
+		r, ok := b.Position(v)
+		if !ok || int(r) >= len(hop.Dst) {
+			return 0, fmt.Errorf("memest: node %d is not an output", v)
+		}
+		d := len(hop.Nbrs[r])
+		for d >= len(byDeg) {
+			byDeg = append(byDeg, &bucket.Bucket{Degree: len(byDeg)})
+		}
+		byDeg[d].Nodes = append(byDeg[d].Nodes, v)
+		byDeg[d].Rows = append(byDeg[d].Rows, r)
+	}
+	g := &bucket.Group{}
+	for _, bu := range byDeg {
+		if bu.Volume() > 0 {
+			g.Buckets = append(g.Buckets, bu)
+		}
+	}
+	return e.GroupMem(b, g)
+}

@@ -316,6 +316,36 @@ func TestGroupMemSubLinear(t *testing.T) {
 	}
 }
 
+// TestPartMemOfEveryOutputIsBatchMem: an arbitrary part is bucketed by
+// sampled degree in ascending order, which for the whole output set is the
+// batch's own bucketing, so the two estimates agree exactly. A node that is
+// not an output is an error, not a price.
+func TestPartMemOfEveryOutputIsBatchMem(t *testing.T) {
+	for _, fanouts := range [][]int{{10, 25}, {5, 5}} {
+		ds, b := arxivBatch(t, 400, fanouts)
+		cfg := gnn.Config{Arch: gnn.SAGE, Aggregator: gnn.Mean, Layers: 2,
+			InDim: 32, Hidden: 32, OutDim: 8, Seed: 1}
+		e, err := New(SpecFromConfig(cfg), ProfileBatch(b, ds.Graph.ApproxClusteringCoefficient(1, 2000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := e.BatchMem(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := e.PartMem(b, b.Seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part != whole {
+			t.Fatalf("fanouts %v: PartMem of every output %d, BatchMem %d", fanouts, part, whole)
+		}
+		if _, err := e.PartMem(b, []graph.NodeID{-1}); err == nil {
+			t.Fatalf("fanouts %v: a node that is not an output was priced", fanouts)
+		}
+	}
+}
+
 func TestGroupMemErrorPaths(t *testing.T) {
 	_, b := arxivBatch(t, 100, []int{5, 5})
 	cfg := gnn.Config{Arch: gnn.SAGE, Aggregator: gnn.Mean, Layers: 2, InDim: 8, Hidden: 8, OutDim: 4, Seed: 1}

@@ -87,9 +87,10 @@ func KWay(g *WGraph, k int, seed int64) ([]int, error) {
 }
 
 // recursiveBisect splits the induced subgraph over nodes into k parts,
-// assigning part ids starting at base.
+// assigning part ids starting at base. With fewer nodes than parts a
+// degenerate split can leave a side empty; its parts stay empty.
 func recursiveBisect(g *WGraph, nodes []int32, k, base int, part []int, rng *rand.Rand) error {
-	if k == 1 {
+	if k == 1 || len(nodes) == 0 {
 		for _, v := range nodes {
 			part[v] = base
 		}

@@ -116,8 +116,9 @@ func (p *Plan) Imbalance() float64 {
 var errMemLimit = errors.New("schedule: MemLimit must be positive")
 
 // ErrInfeasible is the error every planner that searches K against a memory
-// limit wraps when no K up to its bound fits: Schedule here, and Betty's
-// FindPlan. Test for it with errors.Is.
+// limit wraps when no K up to its bound fits: Schedule here, and the
+// training engine's search for the partitioned baselines (Betty, Random,
+// Range, METIS). Test for it with errors.Is.
 var ErrInfeasible = errors.New("no feasible plan")
 
 // search is the state of one Schedule call: its inputs, and how much
@@ -175,7 +176,7 @@ func Schedule(b *sampling.Batch, est *memest.Estimator, opts Options) (*Plan, er
 		// No K below ceil(whole/limit) can be feasible — the total memory
 		// must spread across groups each holding at most the limit — so the
 		// incremental search starts at that lower bound.
-		k = int(m / opts.MemLimit)
+		k = int((m + opts.MemLimit - 1) / opts.MemLimit)
 		if k < 2 {
 			k = 2
 		}

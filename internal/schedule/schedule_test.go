@@ -352,6 +352,8 @@ func referenceSchedule(b *sampling.Batch, est *memest.Estimator, opts Options) (
 		if m <= opts.MemLimit {
 			return &Plan{K: 1, Groups: []*bucket.Group{whole}, Estimates: []int64{m}}, nil
 		}
+		// The floor, one below Schedule's ceiling where the two differ, so
+		// the plan comparison also checks that the ceiling skips no feasible K.
 		if k = int(m / opts.MemLimit); k < 2 {
 			k = 2
 		}
@@ -588,8 +590,8 @@ func (e *sweepEnv) replan(rec *obs.Recorder) (attempts int64, err error) {
 		if !plan.Exploded || plan.MaxEstimate() > limit {
 			return 0, fmt.Errorf("whole/%d: exploded %v, peak %d over limit %d", div, plan.Exploded, plan.MaxEstimate(), limit)
 		}
-		// The search starts at floor(whole/limit), or 2, and walks up to K.
-		attempts += 1 + int64(plan.K) - max(2, whole/limit) + 1
+		// The search starts at ceil(whole/limit), or 2, and walks up to K.
+		attempts += 1 + int64(plan.K) - max(2, (whole+limit-1)/limit) + 1
 	}
 	return attempts, nil
 }

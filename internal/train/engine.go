@@ -95,10 +95,14 @@ type engine struct {
 	// kWarm warm-starts the pipelined planner's K search at the most recently
 	// planned iteration's K minus one: consecutive batches are statistically
 	// alike, so re-proving every smaller K infeasible each iteration is
-	// wasted scheduling work. It is a hint, not state the plan depends on for
-	// correctness — with a plan-ahead pool several planner goroutines read
-	// and publish it concurrently, hence the atomic. Only consulted when
-	// budgetOverride is set.
+	// wasted scheduling work. The start is part of the plan, not only of its
+	// cost: a K below it is never tried, and feasibility is not monotone in
+	// K, so a warm search can keep a larger K than a cold one. A single
+	// planner reads the hint in sequence order, so its plans are a function
+	// of the stream; a plan-ahead pool's planners read and publish it
+	// concurrently (hence the atomic), so their plans can follow goroutine
+	// timing (ROADMAP 8(a′)). Only consulted when budgetOverride is set and
+	// K is searched.
 	kWarm atomic.Int64
 
 	// spec is the memory model's view of the configured model, fixed for the
@@ -136,8 +140,13 @@ type iterScratch struct {
 	gens  []*block.GenScratch
 	parts [][]graph.NodeID
 	mbs   []*block.MicroBatch
-	res   IterationResult
-	iter  pipeIter
+	// estimates is what the plan priced each part at: the scheduler's group
+	// estimates (aliasing sched) or a partitioned baseline's prices (in
+	// prices); nil for DGL and PyG, which price nothing.
+	estimates []int64
+	prices    []int64
+	res       IterationResult
+	iter      pipeIter
 }
 
 func (e *engine) getIterScratch() *iterScratch {
@@ -312,15 +321,83 @@ func (e *engine) runIterationOn(sc *iterScratch, b *sampling.Batch) (*MultiGPURe
 	return res, nil
 }
 
-// estimator builds the analytical memory model for a batch.
-func (e *engine) estimator(b *sampling.Batch) (*memest.Estimator, error) {
-	return memest.New(e.spec, memest.ProfileBatch(b, e.clusterC))
-}
-
-// estimatorInto is estimator rebinding a recycled estimator to b's profile in
-// place, keeping its warm measurement scratch.
+// estimatorInto binds a recycled estimator, the analytical memory model, to
+// b's profile in place, keeping its warm measurement scratch.
 func (e *engine) estimatorInto(est *memest.Estimator, b *sampling.Batch) error {
 	return memest.NewInto(est, e.spec, b, e.clusterC)
+}
+
+// searchParts is the K-search of the partitioned baselines (Betty, Random,
+// Range, METIS): partition at K = 1, 2, … and keep the first K whose every
+// part's price fits limit, or partition once at the K MicroBatches pins. It
+// returns the kept parts, leaves their prices in sc.estimates, and charges
+// only the kept partition's time. Nothing fitting wraps
+// schedule.ErrInfeasible.
+func (e *engine) searchParts(sc *iterScratch, b *sampling.Batch, limit int64, res *IterationResult) ([][]graph.NodeID, error) {
+	pinned := e.cfg.MicroBatches > 0
+	kMin, kMax := 1, len(b.Seeds)
+	if pinned {
+		kMin, kMax = e.cfg.MicroBatches, e.cfg.MicroBatches
+	}
+search:
+	for k := kMin; k <= kMax; k++ {
+		parts, regTime, partTime, err := e.partition(b, k)
+		if err != nil {
+			return nil, err
+		}
+		sc.prices = sc.prices[:0]
+		for _, part := range parts {
+			m, err := e.price(&sc.est, b, part)
+			if err != nil {
+				return nil, err
+			}
+			if m > limit && !pinned {
+				continue search
+			}
+			sc.prices = append(sc.prices, m)
+		}
+		res.Phases.REGConstruction += regTime
+		res.Phases.MetisPartition += partTime
+		e.cfg.Obs.Span(obs.KindPlan, "", string(e.cfg.System), regTime+partTime, 0, int64(len(parts)))
+		sc.estimates = sc.prices
+		return parts, nil
+	}
+	return nil, fmt.Errorf("train: %s: %w within K <= %d for budget %d bytes", e.cfg.System, schedule.ErrInfeasible, kMax, limit)
+}
+
+// partition splits b's outputs into k parts with the configured baseline's
+// partitioner, returning Betty's REG-construction time apart from the
+// partitioning time (Fig 11 reports them separately).
+func (e *engine) partition(b *sampling.Batch, k int) (parts [][]graph.NodeID, regTime, partTime time.Duration, err error) {
+	var strat partition.Strategy
+	switch e.cfg.System {
+	case Betty:
+		plan, err := betty.Partition(b, k, e.cfg.Seed)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return plan.Parts, plan.REGTime, plan.MetisTime, nil
+	case RandomP:
+		strat = partition.Random{}
+	case RangeP:
+		strat = partition.Range{}
+	default:
+		strat = partition.Metis{}
+	}
+	t0 := time.Now()
+	parts, err = strat.Partition(b, k, e.cfg.Seed)
+	return parts, 0, time.Since(t0), err
+}
+
+// price is what the partitioned baselines' K-search charges one part, the
+// one place the engine prices an arbitrary output set: Betty's linear
+// per-bucket estimate, or for Random, Range and METIS the redundancy-aware
+// estimate Buffalo plans with (memest.PartMem).
+func (e *engine) price(est *memest.Estimator, b *sampling.Batch, part []graph.NodeID) (int64, error) {
+	if e.cfg.System == Betty {
+		return betty.EstimatePart(b, est, part), nil
+	}
+	return est.PartMem(b, part)
 }
 
 // pipeIter is one planned iteration: its batch, the micro-batch blocks, and
@@ -472,10 +549,12 @@ func ensureParts(s [][]graph.NodeID, n int) [][]graph.NodeID {
 	return s[:n]
 }
 
-// plan produces the micro-batch output partitions per the configured system.
-// Buffalo's partitions are built inside sc and stay valid until the bundle's
-// next plan; the baseline systems return freshly built partitions.
+// plan produces the micro-batch output partitions per the configured system
+// and leaves what it priced each part at in sc.estimates. Buffalo's
+// partitions are built inside sc and stay valid until the bundle's next
+// plan; the baseline systems return freshly built partitions.
 func (e *engine) plan(sc *iterScratch, b *sampling.Batch, res *IterationResult) ([][]graph.NodeID, error) {
+	sc.estimates = nil
 	switch e.cfg.System {
 	case DGL, PyG:
 		sc.parts = ensureParts(sc.parts, 1)
@@ -531,48 +610,17 @@ func (e *engine) plan(sc *iterScratch, b *sampling.Batch, res *IterationResult) 
 		for i, g := range plan.Groups {
 			sc.parts[i] = g.AppendNodes(sc.parts[i][:0])
 		}
+		sc.estimates = plan.Estimates
 		return sc.parts[:len(plan.Groups)], nil
-	case Betty:
-		est, err := e.estimator(b)
-		if err != nil {
+	case Betty, RandomP, RangeP, MetisP:
+		if err := e.estimatorInto(&sc.est, b); err != nil {
 			return nil, err
 		}
-		var plan *betty.Plan
-		if e.cfg.MicroBatches > 0 {
-			plan, err = betty.Partition(b, e.cfg.MicroBatches, e.cfg.Seed)
-		} else {
-			plan, err = betty.FindPlan(b, est, e.activationBudget(), 0, e.cfg.Seed)
+		limit := e.planLimit()
+		if e.cfg.System == Betty {
+			limit = e.activationBudget()
 		}
-		if err != nil {
-			return nil, err
-		}
-		res.Phases.REGConstruction += plan.REGTime
-		res.Phases.MetisPartition += plan.MetisTime
-		e.cfg.Obs.Span(obs.KindPlan, "", string(Betty),
-			plan.REGTime+plan.MetisTime, 0, int64(len(plan.Parts)))
-		return plan.Parts, nil
-	case RandomP, RangeP, MetisP:
-		k := e.cfg.MicroBatches
-		if k < 1 {
-			k = 1
-		}
-		var strat partition.Strategy
-		switch e.cfg.System {
-		case RandomP:
-			strat = partition.Random{}
-		case RangeP:
-			strat = partition.Range{}
-		default:
-			strat = partition.Metis{}
-		}
-		t0 := time.Now()
-		parts, err := strat.Partition(b, k, e.cfg.Seed)
-		dt := time.Since(t0)
-		res.Phases.MetisPartition += dt
-		if err == nil {
-			e.cfg.Obs.Span(obs.KindPlan, "", string(e.cfg.System), dt, 0, int64(len(parts)))
-		}
-		return parts, err
+		return e.searchParts(sc, b, limit, res)
 	}
 	return nil, fmt.Errorf("train: unknown system %q", e.cfg.System)
 }
@@ -859,6 +907,14 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 		r.model.Params.ZeroGrad()
 	}
 
+	// Both per-micro-batch slices are carved from one allocation.
+	k := len(it.mbs)
+	per := make([]int64, k+len(it.sc.estimates))
+	res.PerMicroBytes = per[:k]
+	if len(it.sc.estimates) > 0 {
+		res.PerMicroEstimate = per[k:]
+		copy(res.PerMicroEstimate, it.sc.estimates)
+	}
 	perCompute := e.compute
 	lastBwd := e.bwdLast
 	for i := 0; i < n; i++ {
@@ -884,7 +940,7 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 		lossSum += mLoss
 		correct += mCorrect
 		counted += len(smb.mb.Outputs)
-		res.PerMicroBytes = append(res.PerMicroBytes, bytes)
+		res.PerMicroBytes[i] = bytes
 		res.TotalNodes += smb.mb.NumNodes()
 		e.cfg.Obs.Span(obs.KindMicroBatch, gpu.Name(), mbTag(i),
 			time.Since(tMB), bytes, int64(i))

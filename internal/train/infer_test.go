@@ -6,6 +6,7 @@ import (
 	"buffalo/internal/bucket"
 	"buffalo/internal/device"
 	"buffalo/internal/graph"
+	"buffalo/internal/memest"
 	"buffalo/internal/sampling"
 )
 
@@ -49,8 +50,8 @@ func TestForwardOnlyEstimateNotAboveTraining(t *testing.T) {
 	if err := sess.eng.stream.NextInto(b); err != nil {
 		t.Fatal(err)
 	}
-	est, err := sess.eng.estimator(b)
-	if err != nil {
+	est := &memest.Estimator{}
+	if err := sess.eng.estimatorInto(est, b); err != nil {
 		t.Fatal(err)
 	}
 	for _, bu := range bucket.Bucketize(b).Buckets {

@@ -30,8 +30,11 @@ type PipelineConfig struct {
 	// PlanAhead is the planner-pool width: how many planner goroutines run
 	// K-searches and block generation concurrently, each on its own sampled
 	// batch. A sequence-number reorder buffer re-serializes finished plans,
-	// so the consumer sees exactly the order the batches were sampled in —
-	// the pool changes timing, never the stream. 0 or 1 keeps the single
+	// so the consumer sees exactly the order the batches were sampled in.
+	// With K pinned (Config.MicroBatches > 0) the pool changes timing, never
+	// the plans. With K searched, each planner warm-starts from the K some
+	// planner last published, so a plan's K, and every loss after it, can
+	// depend on which planner finished first. 0 or 1 keeps the single
 	// background planner. Raising it is how one planner stage stops being
 	// the bottleneck past 2 replicas, at the cost of holding up to PlanAhead
 	// planned iterations in flight.
@@ -76,8 +79,10 @@ type seqBatch struct {
 // The loader reproduces the sequential paths' exact batch sequence for a
 // given Config.Seed — whatever the pool width, since the reorder buffer
 // delivers plans in dispatch order — so results are comparable batch for
-// batch; only the timing model (overlap, cache hits, planner concurrency)
-// differs. runIteration must be called from one goroutine.
+// batch. The planners plan against the budget frozen at construction and,
+// with K searched, warm-start the search (engine.kWarm): a single planner's
+// plans are then a function of the stream, a pool's can follow goroutine
+// timing. runIteration must be called from one goroutine.
 type loader struct {
 	eng  *engine
 	pcfg PipelineConfig

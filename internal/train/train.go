@@ -110,7 +110,9 @@ type Config struct {
 	// MemBudget is the simulated GPU capacity in bytes.
 	MemBudget int64
 	// MicroBatches fixes K (> 0) instead of letting the system search for
-	// the smallest feasible K against the budget.
+	// the smallest feasible K against the budget. Every partitioned system
+	// searches (Buffalo, Betty, Random, Range, METIS); DGL and PyG run the
+	// whole batch either way.
 	MicroBatches int
 	// LearningRate for the Adam optimizer; 0 defaults to 0.01.
 	LearningRate float32
@@ -272,6 +274,11 @@ type IterationResult struct {
 	// phases overlap compute and therefore do not extend the iteration.
 	Pipelined bool
 	Phases    Phases
+	// PerMicroEstimate is what the plan priced each micro-batch at, beside
+	// PerMicroBytes (Table III's error): Buffalo's group estimates, Betty's
+	// linear part estimates, the redundancy-aware estimates of Random, Range
+	// and METIS parts. Nil for DGL and PyG, which price nothing.
+	PerMicroEstimate []int64
 }
 
 // CriticalPath is the end-to-end time the training loop experiences for this

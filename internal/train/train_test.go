@@ -10,6 +10,9 @@ import (
 	"buffalo/internal/datagen"
 	"buffalo/internal/device"
 	"buffalo/internal/gnn"
+	"buffalo/internal/graph"
+	"buffalo/internal/sampling"
+	"buffalo/internal/schedule"
 )
 
 func loadData(t testing.TB, name string) *datagen.Dataset {
@@ -544,6 +547,92 @@ func TestBettyAutoK(t *testing.T) {
 	}
 	if res.K < 2 {
 		t.Fatalf("betty auto-K should split under a tight budget, got K=%d", res.K)
+	}
+}
+
+// TestPartitionedSystemsSearchK: with MicroBatches = 0 every partitioned
+// baseline searches its smallest fitting K inside the engine. On ogbn-arxiv
+// at 12 MB with batch 512 the whole batch does not fit: K = 1 OOMs. Each
+// system trains; each kept part fits its price and the result reports those
+// prices; some part of the K−1 partition does not fit; and a 1-byte limit
+// wraps schedule.ErrInfeasible. Betty prices with its linear estimate
+// against the activation budget, the others with the redundancy-aware
+// estimate against planLimit; that one refuses a node that is not an
+// output, where Betty's counts it as nothing.
+func TestPartitionedSystemsSearchK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine numerical workload; runs race-free in tier-1")
+	}
+	ds := loadData(t, "ogbn-arxiv")
+	for _, sys := range []System{Betty, RandomP, RangeP, MetisP} {
+		cfg := baseConfig(ds, sys)
+		cfg.BatchSize = 512
+		cfg.MemBudget = 12 * device.MB
+		s, err := NewSession(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.SampleBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunIterationOn(b)
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		e := s.eng
+		limit := e.planLimit()
+		if sys == Betty {
+			limit = e.activationBudget()
+		}
+		if res.K < 2 || len(res.PerMicroEstimate) != res.K {
+			t.Fatalf("%s: K %d with %d estimates, want K >= 2 and one estimate per part", sys, res.K, len(res.PerMicroEstimate))
+		}
+		sc := e.getIterScratch()
+		if err := e.estimatorInto(&sc.est, b); err != nil {
+			t.Fatal(err)
+		}
+		// maxPrice is the largest part price of b's partition at k.
+		maxPrice := func(k int) int64 {
+			parts, _, _, err := e.partition(b, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hi int64
+			for i, part := range parts {
+				m, err := e.price(&sc.est, b, part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == res.K && m != res.PerMicroEstimate[i] {
+					t.Fatalf("%s: part %d priced %d, result reports %d", sys, i, m, res.PerMicroEstimate[i])
+				}
+				hi = max(hi, m)
+			}
+			return hi
+		}
+		if m := maxPrice(res.K); m > limit {
+			t.Errorf("%s: kept K %d has a part priced %d over the limit %d", sys, res.K, m, limit)
+		}
+		if m := maxPrice(res.K - 1); m <= limit {
+			t.Errorf("%s: K %d already fits (largest part %d, limit %d), but the search kept K %d", sys, res.K-1, m, limit, res.K)
+		}
+		t.Logf("%s: K %d, largest part %d of limit %d", sys, res.K, maxPrice(res.K), limit)
+		if _, err := e.price(&sc.est, b, []graph.NodeID{-1}); (err == nil) != (sys == Betty) {
+			t.Errorf("%s: pricing a node that is not an output: err %v", sys, err)
+		}
+		// Nothing fits 1 byte, so the search walks every K; a 64-output
+		// batch keeps that walk short.
+		if err := sampling.NewStream(ds.Graph, 64, cfg.Fanouts, 5).NextInto(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.estimatorInto(&sc.est, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.searchParts(sc, b, 1, &IterationResult{}); !errors.Is(err, schedule.ErrInfeasible) {
+			t.Errorf("%s: 1-byte limit: got %v, want schedule.ErrInfeasible", sys, err)
+		}
+		s.Close()
 	}
 }
 

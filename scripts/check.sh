@@ -53,7 +53,12 @@
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
 #                      sizes, metric names checked against BENCHMARK.json
-#   8. go test -race   the full test suite under the race detector — the
+#   8. figures         Fig 13, Fig 16 and Table III at -quick -seed 3 through
+#                      cmd/experiments: any error fails the gate — a Buffalo
+#                      OOM or infeasible plan in Fig 13, a partitioned
+#                      system that finds no K in Fig 16. Fig 16 otherwise
+#                      runs only in the opt-in TestAllExperiments
+#   9. go test -race   the full test suite under the race detector — the
 #                      only race pass: the concurrent paths (obs recorder under
 #                      the ledger mutex, the async loader's stages and
 #                      shutdown, the plan-ahead pool and reorder buffer, the
@@ -117,6 +122,11 @@ echo "== bench module gate =="
 # bench/ replaces buffalo with ../, so this also proves every exported
 # function the benchmark calls still has the signature it was written against.
 (cd bench && go vet ./... && go test -count=1 ./...)
+
+echo "== figures =="
+for id in fig13 fig16 table3; do
+    go run ./cmd/experiments -run "$id" -quick -seed 3
+done
 
 echo "== go test -race =="
 # Race instrumentation slows the heavy suites several-fold and packages
