@@ -28,8 +28,8 @@
 // Multi-GPU: -gpus N runs data-parallel Buffalo over N simulated devices;
 // composed with -pipeline, one shared loader stages every replica's
 // micro-batches round-robin with a per-device feature cache. -plan-ahead W
-// widens the pipeline's planner stage to W concurrent workers behind a
-// reorder buffer (plans still arrive in sampling order); -comm-overlap
+// widens the pipeline's planner stage to W concurrent workers, dealt batches
+// round-robin (plans still arrive in sampling order); -comm-overlap
 // switches the gradient all-reduce to size-bounded buckets (-bucket-kb)
 // launched during the backward tail, reporting the exposed/hidden comm split.
 //
@@ -67,7 +67,7 @@ func main() {
 	pipelined := flag.Bool("pipeline", false, "load via the async prefetch pipeline (overlaps H2D with compute)")
 	prefetchDepth := flag.Int("prefetch-depth", 2, "micro-batches the pipeline may stage ahead of compute")
 	cacheBudgetMB := flag.Int64("cache-budget-mb", 0, "device MB reserved for the degree-aware feature cache (0 = off; implies -pipeline)")
-	planAhead := flag.Int("plan-ahead", 0, "planner-pool width: concurrent planner workers behind a reorder buffer (0/1 = single planner; implies -pipeline)")
+	planAhead := flag.Int("plan-ahead", 0, "planner-pool width: concurrent planner workers dealt batches round-robin (0/1 = single planner; implies -pipeline)")
 	commOverlap := flag.Bool("comm-overlap", false, "bucketed overlapped all-reduce: launch gradient buckets during the backward tail (multi-GPU)")
 	bucketKB := flag.Int64("bucket-kb", 0, "gradient bucket size in KB for -comm-overlap (0 = 32KB default)")
 	zero1 := flag.Bool("zero1", false, "ZeRO-1 optimizer sharding: reduce-scatter buckets, step the optimizer per shard, all-gather values, with 1/n-resident gradients and Adam moments per replica (multi-GPU; bit-identical losses)")

@@ -147,7 +147,7 @@ func DispatchPropagates(q *laneQueue, items []int) error {
 	return nil
 }
 
-// reorder mimics the planner pool's sequence-number reorder buffer: Put
+// reorder mimics a planner pool's sequence-number reorder buffer: Put
 // fails on a duplicate or out-of-window sequence (a planner bug) or on
 // shutdown, and Pop's error is the only way a consumer learns the pool
 // died. Dropping either turns a wedged planner pool into a silent hang.

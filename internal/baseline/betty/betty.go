@@ -4,19 +4,17 @@
 // (the REG — edge weight between two output nodes is the number of sampled
 // 1-hop neighbors they share), then partitions the REG with METIS.
 //
-// The two construction phases are timed separately because Fig 11 reports
-// them separately ("REG construction" and "METIS partition"); together they
-// are the ~46.8% of Betty's end-to-end time Buffalo eliminates. Betty's
-// memory estimation is bucket-local and linear — it does not model
-// redundancy between grouped buckets (the paper's §IV-D critique) — so the
-// engine's K search, pricing Betty's parts with it, overshoots relative to
-// Buffalo's.
+// The training engine times the two construction phases separately because
+// Fig 11 reports them separately ("REG construction" and "METIS
+// partition"); together they are the ~46.8% of Betty's end-to-end time
+// Buffalo eliminates. Betty's memory estimation is bucket-local and linear
+// — it does not model redundancy between grouped buckets (the paper's §IV-D
+// critique) — so the engine's K search, pricing Betty's parts with it,
+// overshoots relative to Buffalo's.
 package betty
 
 import (
-	"fmt"
 	"slices"
-	"time"
 
 	"buffalo/internal/graph"
 	"buffalo/internal/memest"
@@ -28,10 +26,6 @@ import (
 type Plan struct {
 	K     int
 	Parts [][]graph.NodeID
-
-	// Phase timings (Fig 11 components).
-	REGTime   time.Duration
-	MetisTime time.Duration
 }
 
 // regPairCap bounds the shared-neighbor pair enumeration per input node.
@@ -83,37 +77,15 @@ func BuildREG(b *sampling.Batch) *partition.WGraph {
 	return reg
 }
 
-// Partition builds the REG and METIS-partitions it into k parts, timing
-// both phases.
+// Partition builds the REG and METIS-partitions it into at most k
+// non-empty parts. The engine's K-search builds the REG once and
+// partitions it at every K with partition.Parts.
 func Partition(b *sampling.Batch, k int, seed int64) (*Plan, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("betty: k must be >= 1, got %d", k)
-	}
-	if k > len(b.Seeds) {
-		return nil, fmt.Errorf("betty: k=%d exceeds %d output nodes", k, len(b.Seeds))
-	}
-	t0 := time.Now()
-	reg := BuildREG(b)
-	regTime := time.Since(t0)
-
-	t1 := time.Now()
-	assign, err := partition.KWay(reg, k, seed)
+	parts, err := partition.Parts(b, BuildREG(b), k, seed)
 	if err != nil {
 		return nil, err
 	}
-	metisTime := time.Since(t1)
-
-	parts := make([][]graph.NodeID, k)
-	for i, p := range assign {
-		parts[p] = append(parts[p], b.Seeds[i])
-	}
-	out := parts[:0]
-	for _, p := range parts {
-		if len(p) > 0 {
-			out = append(out, p)
-		}
-	}
-	return &Plan{K: len(out), Parts: out, REGTime: regTime, MetisTime: metisTime}, nil
+	return &Plan{K: len(parts), Parts: parts}, nil
 }
 
 // EstimatePart is Betty's linear memory model: the sum of per-bucket

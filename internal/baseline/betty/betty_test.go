@@ -9,6 +9,7 @@ import (
 	"buffalo/internal/gnn"
 	"buffalo/internal/graph"
 	"buffalo/internal/memest"
+	"buffalo/internal/partition"
 	"buffalo/internal/sampling"
 )
 
@@ -109,8 +110,26 @@ func TestPartitionValid(t *testing.T) {
 	if total != len(b.Seeds) {
 		t.Fatalf("parts cover %d, want %d", total, len(b.Seeds))
 	}
-	if plan.REGTime <= 0 || plan.MetisTime <= 0 {
-		t.Fatal("phase timings must be recorded")
+}
+
+// TestOneREGServesEveryK: the engine's K-search builds the REG once and
+// partitions it at every K; each K's parts must be those Partition returns
+// from a fresh REG.
+func TestOneREGServesEveryK(t *testing.T) {
+	b, _ := setup(t, 200)
+	reg := BuildREG(b)
+	for k := 1; k <= len(b.Seeds); k += 13 {
+		parts, err := partition.Parts(b, reg, k, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Partition(b, k, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(parts, fresh.Parts) {
+			t.Fatalf("k %d: partitioning a reused REG differs from a fresh one", k)
+		}
 	}
 }
 

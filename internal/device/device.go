@@ -223,7 +223,7 @@ func (g *GPU) ResetPeak() {
 
 // LiveAllocations returns a snapshot of outstanding allocations. Only tests
 // call it; it stays as the debugging tool for finding which tag holds the
-// ledger up (ROADMAP 8(a) and 11(a) use it).
+// ledger up (ROADMAP 11(a) uses it).
 func (g *GPU) LiveAllocations() []Allocation {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -15,8 +15,8 @@ import (
 //
 // Every row runs the pipelined loader with the bucketed overlapped reduce;
 // "pool off" rows use one planner worker, "pool on" rows a plan-ahead pool
-// (width = replica count, capped at 4) behind the sequence-number reorder
-// buffer, so plans still arrive in sampling order. One extra row repeats the
+// (width = replica count, capped at 4) dealt batches round-robin, so plans
+// still arrive in sampling order. One extra row repeats the
 // largest common replica count with CommOverlap off — the monolithic
 // synchronous reduce — to price the overlap end to end.
 //

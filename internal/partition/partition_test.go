@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -170,6 +172,32 @@ func TestKWayEdgeCases(t *testing.T) {
 	}
 }
 
+// TestKWayLeavesGraphUnchanged: KWay only reads its graph — coarsening and
+// refinement work on induced copies — so one graph can be partitioned at
+// every K of a search (Betty's REG is built once per batch).
+func TestKWayLeavesGraphUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := gridGraph(12, 12)
+	for i := 0; i < 300; i++ {
+		g.AddEdge(int32(rng.Intn(g.NumNodes())), int32(rng.Intn(g.NumNodes())), 1+rng.Int63n(5))
+	}
+	for v := range g.NodeWeight {
+		g.NodeWeight[v] = 1 + rng.Int63n(3)
+	}
+	want := &WGraph{NodeWeight: slices.Clone(g.NodeWeight), Adj: make([][]WEdge, len(g.Adj))}
+	for v, adj := range g.Adj {
+		want.Adj[v] = slices.Clone(adj)
+	}
+	for k := 1; k <= g.NumNodes(); k += 7 {
+		if _, err := KWay(g, k, int64(k)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("KWay at k %d changed its graph", k)
+		}
+	}
+}
+
 func batchFor(t testing.TB, name string, seeds int) *sampling.Batch {
 	t.Helper()
 	ds, err := datagen.Load(name, 3)
@@ -209,20 +237,26 @@ func assertPartition(t *testing.T, b *sampling.Batch, parts [][]graph.NodeID) {
 	}
 }
 
+// strategies are the three output-node partitioners Fig 16 compares.
+var strategies = []struct {
+	name      string
+	partition func(b *sampling.Batch, k int, seed int64) ([][]graph.NodeID, error)
+}{{"random", Random{}.Partition}, {"range", Range{}.Partition}, {"metis", Metis{}.Partition}}
+
 func TestStrategies(t *testing.T) {
 	b := batchFor(t, "cora", 400)
-	for _, s := range []Strategy{Random{}, Range{}, Metis{}} {
-		parts, err := s.Partition(b, 4, 7)
+	for _, s := range strategies {
+		parts, err := s.partition(b, 4, 7)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
 		assertPartition(t, b, parts)
 		if len(parts) != 4 {
-			t.Fatalf("%s: %d parts, want 4", s.Name(), len(parts))
+			t.Fatalf("%s: %d parts, want 4", s.name, len(parts))
 		}
 		for _, p := range parts {
 			if len(p) < 50 || len(p) > 150 {
-				t.Fatalf("%s: part size %d far from 100", s.Name(), len(p))
+				t.Fatalf("%s: part size %d far from 100", s.name, len(p))
 			}
 		}
 	}
@@ -244,12 +278,12 @@ func TestRangeIsSorted(t *testing.T) {
 
 func TestStrategyErrors(t *testing.T) {
 	b := batchFor(t, "cora", 10)
-	for _, s := range []Strategy{Random{}, Range{}, Metis{}} {
-		if _, err := s.Partition(b, 0, 1); err == nil {
-			t.Errorf("%s: want error for k=0", s.Name())
+	for _, s := range strategies {
+		if _, err := s.partition(b, 0, 1); err == nil {
+			t.Errorf("%s: want error for k=0", s.name)
 		}
-		if _, err := s.Partition(b, 11, 1); err == nil {
-			t.Errorf("%s: want error for k > seeds", s.Name())
+		if _, err := s.partition(b, 11, 1); err == nil {
+			t.Errorf("%s: want error for k > seeds", s.name)
 		}
 	}
 }

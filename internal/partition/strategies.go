@@ -9,20 +9,14 @@ import (
 	"buffalo/internal/sampling"
 )
 
-// Strategy partitions a batch's output nodes into k parts (§V-H: all four
-// strategies operate on the subgraph that contains only output nodes).
-type Strategy interface {
-	Name() string
-	Partition(b *sampling.Batch, k int, seed int64) ([][]graph.NodeID, error)
-}
+// Random, Range and Metis each split a batch's output nodes into k parts
+// (§V-H: all four strategies, Betty's included, operate on the subgraph
+// that contains only output nodes).
 
 // Random deals the output nodes into k even parts after a seeded shuffle.
 type Random struct{}
 
-// Name implements Strategy.
-func (Random) Name() string { return "random" }
-
-// Partition implements Strategy.
+// Partition splits b's outputs into k parts.
 func (Random) Partition(b *sampling.Batch, k int, seed int64) ([][]graph.NodeID, error) {
 	if err := checkK(b, k); err != nil {
 		return nil, err
@@ -36,10 +30,7 @@ func (Random) Partition(b *sampling.Batch, k int, seed int64) ([][]graph.NodeID,
 // Range splits the sorted 1-D space of output-node IDs into k even chunks.
 type Range struct{}
 
-// Name implements Strategy.
-func (Range) Name() string { return "range" }
-
-// Partition implements Strategy.
+// Partition splits b's outputs into k parts.
 func (Range) Partition(b *sampling.Batch, k int, _ int64) ([][]graph.NodeID, error) {
 	if err := checkK(b, k); err != nil {
 		return nil, err
@@ -56,16 +47,23 @@ func (Range) Partition(b *sampling.Batch, k int, _ int64) ([][]graph.NodeID, err
 // phase.
 type Metis struct{}
 
-// Name implements Strategy.
-func (Metis) Name() string { return "metis" }
-
-// Partition implements Strategy.
+// Partition splits b's outputs into at most k non-empty parts. It checks k
+// before it builds the output graph.
 func (Metis) Partition(b *sampling.Batch, k int, seed int64) ([][]graph.NodeID, error) {
 	if err := checkK(b, k); err != nil {
 		return nil, err
 	}
-	wg := OutputGraph(b)
-	part, err := KWay(wg, k, seed)
+	return Parts(b, OutputGraph(b), k, seed)
+}
+
+// Parts k-way partitions g, a weighted graph over b's outputs in b.Seeds
+// order, and returns the outputs of each non-empty part. KWay only reads
+// g, so one graph serves every k of a search.
+func Parts(b *sampling.Batch, g *WGraph, k int, seed int64) ([][]graph.NodeID, error) {
+	if err := checkK(b, k); err != nil {
+		return nil, err
+	}
+	part, err := KWay(g, k, seed)
 	if err != nil {
 		return nil, err
 	}

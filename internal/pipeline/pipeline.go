@@ -1,8 +1,8 @@
 // Package pipeline provides the concurrency substrate of Buffalo's
 // asynchronous training loader (internal/train's sampler → planner pool →
-// prefetcher stages): bounded hand-off queues, a sequence-number
-// resequencer, a stage group with first-error-wins failure, and a
-// degree-aware device-resident feature cache that the serving path shares.
+// prefetcher stages): bounded hand-off queues, a stage group with
+// first-error-wins failure, and a degree-aware device-resident feature cache
+// that the serving path shares.
 //
 // Streams never end on their own: the loader stops every stage by
 // cancellation (Pipeline.Close) and then drains its lanes with

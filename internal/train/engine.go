@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"buffalo/internal/baseline/betty"
@@ -92,18 +91,6 @@ type engine struct {
 	// transient allocations fluctuate, or plans (and K) would depend on
 	// scheduling timing. Zero means "read the live ledger" (sequential mode).
 	budgetOverride int64
-	// kWarm warm-starts the pipelined planner's K search at the most recently
-	// planned iteration's K minus one: consecutive batches are statistically
-	// alike, so re-proving every smaller K infeasible each iteration is
-	// wasted scheduling work. The start is part of the plan, not only of its
-	// cost: a K below it is never tried, and feasibility is not monotone in
-	// K, so a warm search can keep a larger K than a cold one. A single
-	// planner reads the hint in sequence order, so its plans are a function
-	// of the stream; a plan-ahead pool's planners read and publish it
-	// concurrently (hence the atomic), so their plans can follow goroutine
-	// timing (ROADMAP 8(a′)). Only consulted when budgetOverride is set and
-	// K is searched.
-	kWarm atomic.Int64
 
 	// spec is the memory model's view of the configured model, fixed for the
 	// session (validated once in newEngine via memest.New).
@@ -145,6 +132,10 @@ type iterScratch struct {
 	// prices); nil for DGL and PyG, which price nothing.
 	estimates []int64
 	prices    []int64
+	// kSearched is the K Buffalo's search settled on (0 for the other
+	// systems), a pipelined planner's next warm start. Groups a K above
+	// the bucket count leaves empty are dropped, so it can exceed K.
+	kSearched int
 	res       IterationResult
 	iter      pipeIter
 }
@@ -307,7 +298,7 @@ func (e *engine) runIteration(ld *loader) (*MultiGPUResult, error) {
 // synchronous staging → recycle the scratch bundle. A failure drops every
 // replica's resident rows.
 func (e *engine) runIterationOn(sc *iterScratch, b *sampling.Batch) (*MultiGPUResult, error) {
-	it, err := e.planIteration(sc, b)
+	it, err := e.planIteration(sc, b, 0)
 	if err != nil {
 		e.dropResident()
 		return nil, err
@@ -329,19 +320,20 @@ func (e *engine) estimatorInto(est *memest.Estimator, b *sampling.Batch) error {
 
 // searchParts is the K-search of the partitioned baselines (Betty, Random,
 // Range, METIS): partition at K = 1, 2, … and keep the first K whose every
-// part's price fits limit, or partition once at the K MicroBatches pins. It
-// returns the kept parts, leaves their prices in sc.estimates, and charges
-// only the kept partition's time. Nothing fitting wraps
-// schedule.ErrInfeasible.
+// part's price fits limit, or partition once at the K MicroBatches pins.
+// Betty's REG is built once for the whole search. It returns the kept parts,
+// leaves their prices in sc.estimates, and charges the REG and only the kept
+// partition's time. Nothing fitting wraps schedule.ErrInfeasible.
 func (e *engine) searchParts(sc *iterScratch, b *sampling.Batch, limit int64, res *IterationResult) ([][]graph.NodeID, error) {
 	pinned := e.cfg.MicroBatches > 0
 	kMin, kMax := 1, len(b.Seeds)
 	if pinned {
 		kMin, kMax = e.cfg.MicroBatches, e.cfg.MicroBatches
 	}
+	reg, regTime := e.buildREG(b)
 search:
 	for k := kMin; k <= kMax; k++ {
-		parts, regTime, partTime, err := e.partition(b, k)
+		parts, partTime, err := e.split(b, reg, k)
 		if err != nil {
 			return nil, err
 		}
@@ -365,28 +357,33 @@ search:
 	return nil, fmt.Errorf("train: %s: %w within K <= %d for budget %d bytes", e.cfg.System, schedule.ErrInfeasible, kMax, limit)
 }
 
-// partition splits b's outputs into k parts with the configured baseline's
-// partitioner, returning Betty's REG-construction time apart from the
-// partitioning time (Fig 11 reports them separately).
-func (e *engine) partition(b *sampling.Batch, k int) (parts [][]graph.NodeID, regTime, partTime time.Duration, err error) {
-	var strat partition.Strategy
-	switch e.cfg.System {
-	case Betty:
-		plan, err := betty.Partition(b, k, e.cfg.Seed)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return plan.Parts, plan.REGTime, plan.MetisTime, nil
-	case RandomP:
-		strat = partition.Random{}
-	case RangeP:
-		strat = partition.Range{}
-	default:
-		strat = partition.Metis{}
+// buildREG builds and times Betty's REG over b's outputs; the other
+// systems partition without one (nil, 0).
+func (e *engine) buildREG(b *sampling.Batch) (*partition.WGraph, time.Duration) {
+	if e.cfg.System != Betty {
+		return nil, 0
 	}
 	t0 := time.Now()
-	parts, err = strat.Partition(b, k, e.cfg.Seed)
-	return parts, 0, time.Since(t0), err
+	reg := betty.BuildREG(b)
+	return reg, time.Since(t0)
+}
+
+// split partitions b's outputs into k parts with the configured baseline's
+// partitioner, Betty's over its REG reg, and times it (Fig 11 reports the
+// partitioning apart from the REG's construction).
+func (e *engine) split(b *sampling.Batch, reg *partition.WGraph, k int) (parts [][]graph.NodeID, partTime time.Duration, err error) {
+	t0 := time.Now()
+	switch e.cfg.System {
+	case Betty:
+		parts, err = partition.Parts(b, reg, k, e.cfg.Seed)
+	case RandomP:
+		parts, err = partition.Random{}.Partition(b, k, e.cfg.Seed)
+	case RangeP:
+		parts, err = partition.Range{}.Partition(b, k, e.cfg.Seed)
+	default:
+		parts, err = partition.Metis{}.Partition(b, k, e.cfg.Seed)
+	}
+	return parts, time.Since(t0), err
 }
 
 // price is what the partitioned baselines' K-search charges one part, the
@@ -423,13 +420,11 @@ type pipeIter struct {
 // engine's feature table through the micro-batch's input list.
 type stagedMB struct {
 	iter      *pipeIter
-	idx       int
 	dev       int // replica the micro-batch executes on
-	last      bool
 	mb        *block.MicroBatch
 	featAlloc *device.Allocation
-	done      time.Duration // async copy completion position on the sim timeline
 	hasCopy   bool          // false when synchronous or fully cache-resident
+	done      time.Duration // async copy completion position on the sim timeline
 }
 
 // stager supplies executeIteration with staged micro-batches: the feature
@@ -462,7 +457,7 @@ func (s seqStager) stage(it *pipeIter, i int) (*stagedMB, error) {
 	dev := i % len(e.replicas)
 	gpu := e.replicas[dev].gpu
 	set := &e.resident[dev]
-	smb := &stagedMB{iter: it, idx: i, dev: dev, last: i == len(it.mbs)-1, mb: it.mbs[i]}
+	smb := &stagedMB{iter: it, dev: dev, mb: it.mbs[i]}
 	in := smb.mb.InputNodes()
 	set.sync(gpu, e.rowBytes)
 	hits := set.take(in)
@@ -507,13 +502,13 @@ func (e *engine) dropResident() {
 // planIteration runs the planning half of an iteration — the system plan
 // (Buffalo's K-search for buffalo) plus block generation for every group —
 // and returns the iteration ready for staging and execution. Shared verbatim
-// by the inline sequential path and the background planner stage (which
-// additionally pins its OS thread and rescales the recorded phases, see
-// loader.planPinned).
-func (e *engine) planIteration(sc *iterScratch, b *sampling.Batch) (*pipeIter, error) {
+// by the inline sequential path, which passes kWarm 0, and the background
+// planner stage (which additionally pins its OS thread and rescales the
+// recorded phases, see loader.planPinned).
+func (e *engine) planIteration(sc *iterScratch, b *sampling.Batch, kWarm int) (*pipeIter, error) {
 	sc.res = IterationResult{}
 	res := &sc.res
-	parts, err := e.plan(sc, b, res)
+	parts, err := e.plan(sc, b, res, kWarm)
 	if err != nil {
 		return nil, err
 	}
@@ -553,8 +548,15 @@ func ensureParts(s [][]graph.NodeID, n int) [][]graph.NodeID {
 // and leaves what it priced each part at in sc.estimates. Buffalo's
 // partitions are built inside sc and stay valid until the bundle's next
 // plan; the baseline systems return freshly built partitions.
-func (e *engine) plan(sc *iterScratch, b *sampling.Batch, res *IterationResult) ([][]graph.NodeID, error) {
-	sc.estimates = nil
+//
+// kWarm > 1 warm-starts a searched Buffalo K at kWarm − 1: a pipelined
+// planner passes its previous plan's K, since consecutive batches are
+// statistically alike and re-proving every smaller K infeasible each
+// iteration is wasted scheduling work. The start is part of the plan, not
+// only of its cost: a K below it is never tried, and feasibility is not
+// monotone in K, so a warm search can keep a larger K than a cold one.
+func (e *engine) plan(sc *iterScratch, b *sampling.Batch, res *IterationResult, kWarm int) ([][]graph.NodeID, error) {
+	sc.estimates, sc.kSearched = nil, 0
 	switch e.cfg.System {
 	case DGL, PyG:
 		sc.parts = ensureParts(sc.parts, 1)
@@ -583,8 +585,8 @@ func (e *engine) plan(sc *iterScratch, b *sampling.Batch, res *IterationResult) 
 			}
 		}
 		kStart := e.cfg.MicroBatches
-		if kw := int(e.kWarm.Load()); e.budgetOverride > 0 && e.cfg.MicroBatches == 0 && kw > 1 {
-			kStart = kw - 1
+		if e.cfg.MicroBatches == 0 && kWarm > 1 {
+			kStart = kWarm - 1
 		}
 		plan, err := schedule.Schedule(b, est, schedule.Options{
 			MemLimit: limit,
@@ -598,7 +600,7 @@ func (e *engine) plan(sc *iterScratch, b *sampling.Batch, res *IterationResult) 
 		if err != nil {
 			return nil, err
 		}
-		e.kWarm.Store(int64(plan.K))
+		sc.kSearched = plan.K
 		// Predicted device peak = the winning group estimate riding on the
 		// fixed resident footprint.
 		res.PredictedPeak = plan.MaxEstimate() + e.residentBase()

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"buffalo/internal/device"
@@ -27,17 +27,17 @@ type PipelineConfig struct {
 	// ledger up front, so the scheduler's K-search sees the reduced
 	// headroom. 0 disables caching.
 	CacheBudget int64
-	// PlanAhead is the planner-pool width: how many planner goroutines run
-	// K-searches and block generation concurrently, each on its own sampled
-	// batch. A sequence-number reorder buffer re-serializes finished plans,
-	// so the consumer sees exactly the order the batches were sampled in.
-	// With K pinned (Config.MicroBatches > 0) the pool changes timing, never
-	// the plans. With K searched, each planner warm-starts from the K some
-	// planner last published, so a plan's K, and every loss after it, can
-	// depend on which planner finished first. 0 or 1 keeps the single
-	// background planner. Raising it is how one planner stage stops being
-	// the bottleneck past 2 replicas, at the cost of holding up to PlanAhead
-	// planned iterations in flight.
+	// PlanAhead is the planner-pool width W: how many planner goroutines run
+	// K-searches and block generation concurrently. The sampler deals batch
+	// n to planner n mod W and the prefetcher collects plans in the same
+	// rotation, so the consumer sees exactly the order the batches were
+	// sampled in. With K searched, planner w warm-starts each search from
+	// the K of its own previous plan (batch n from batch n−W), so a pool's
+	// plans are a function of (seed, config, W), and the single planner's
+	// at W = 1 or with K pinned (Config.MicroBatches > 0). 0 or 1 keeps the
+	// single background planner. Raising it is how one planner stage stops
+	// being the bottleneck past 2 replicas, at the cost of holding up to
+	// PlanAhead planned iterations in flight.
 	PlanAhead int
 }
 
@@ -57,39 +57,35 @@ func (c PipelineConfig) planAhead() int {
 	return c.PlanAhead
 }
 
-// seqBatch is a sampled batch — carried inside its iteration-scratch bundle —
-// tagged with its dispatch sequence number: the position the plan-ahead pool
-// must deliver its plan at, whatever order the planner workers finish in.
-type seqBatch struct {
-	seq uint64
-	sc  *iterScratch
-}
-
 // loader is the asynchronous three-stage front-end shared by the pipelined
 // Session (one replica) and the pipelined DataParallel (one loader feeding the
-// whole cluster): a sampler goroutine draws batches, a pool of PlanAhead
-// planner goroutines schedules them and generates blocks (finished plans
-// re-serialized by a sequence-number reorder buffer), and a prefetcher
-// goroutine stages each micro-batch's features on its round-robin target
-// device with an async copy, pushing the staged handle onto that replica's
-// bounded lane. By the time the consumer's compute reaches a micro-batch, its
-// transfer has (partly or fully) hidden behind earlier compute; per-device
-// degree-aware caches skip the copy for resident rows entirely.
+// whole cluster): a sampler goroutine draws batches and deals them
+// round-robin to a pool of PlanAhead planner goroutines, which schedule them
+// and generate blocks, and a prefetcher goroutine collects the plans in the
+// same rotation and stages each micro-batch's features on its round-robin
+// target device with an async copy, pushing the staged handle onto that
+// replica's bounded lane. By the time the consumer's compute reaches a
+// micro-batch, its transfer has (partly or fully) hidden behind earlier
+// compute; per-device degree-aware caches skip the copy for resident rows
+// entirely.
 //
 // The loader reproduces the sequential paths' exact batch sequence for a
-// given Config.Seed — whatever the pool width, since the reorder buffer
-// delivers plans in dispatch order — so results are comparable batch for
-// batch. The planners plan against the budget frozen at construction and,
-// with K searched, warm-start the search (engine.kWarm): a single planner's
-// plans are then a function of the stream, a pool's can follow goroutine
-// timing. runIteration must be called from one goroutine.
+// given Config.Seed — whatever the pool width, since batch n is planned by
+// planner n mod W and collected in that order — so results are comparable
+// batch for batch. The planners plan against the budget frozen at
+// construction and, with K searched, each warm-starts its search from its
+// own previous plan's K: the pool shares no state, so its plans are a
+// function of the stream and W. runIteration must be called from one
+// goroutine.
 type loader struct {
 	eng  *engine
-	pcfg PipelineConfig
-
-	pipe   *pipeline.Pipeline
-	batchQ *pipeline.Queue[seqBatch]
-	planR  *pipeline.Reorder[*pipeIter]
+	pipe *pipeline.Pipeline
+	// batches[w] and plans[w] are planner w's inbox and outbox, capacity 1
+	// each: batch n travels batches[n mod W] → planner w → plans[n mod W],
+	// so a pool of W holds at most W queued batches, W being planned and W
+	// finished plans.
+	batches []*pipeline.Queue[*iterScratch]
+	plans   []*pipeline.Queue[*pipeIter]
 	// ready[i] is replica i's lane of staged micro-batches: per-lane FIFO
 	// preserves the prefetcher's dispatch order, so a consumer draining lanes
 	// round-robin sees exactly the planned sequence. Each lane has its own
@@ -106,11 +102,15 @@ type loader struct {
 	caches      []*pipeline.FeatureCache
 	cacheAllocs []*device.Allocation
 
-	// stagedDev[i] tracks feature tensors currently alive on device i
-	// (staged or being consumed); room carries a wake-up each time the
-	// consumer frees one, so the prefetcher's headroom gate can re-check.
-	stagedDev []atomic.Int64
-	room      chan struct{}
+	// reserves[i] lists, oldest first, one entry per feature tensor alive on
+	// device i (staged or being consumed): the activation reserve of the
+	// iteration it belongs to. The consumer frees tensors in staging order,
+	// so releaseStaged drops the oldest entry. room carries a wake-up each
+	// time the consumer frees one, so the prefetcher's headroom gate can
+	// re-check.
+	mu       sync.Mutex
+	reserves [][]int64
+	room     chan struct{}
 
 	// windows is a ring of the last planAhead() iterations' execution spans
 	// (exposed copies + compute + exposed communication): with a pool of W
@@ -129,7 +129,7 @@ type loader struct {
 // releases everything the loader owns.
 func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 	n := len(eng.replicas)
-	l := &loader{eng: eng, pcfg: pcfg, stagedDev: make([]atomic.Int64, n)}
+	l := &loader{eng: eng, reserves: make([][]int64, n)}
 	cfg := eng.cfg
 	if pcfg.CacheBudget > 0 {
 		for i := 0; i < n; i++ {
@@ -154,8 +154,10 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 	m := cfg.Obs.Metrics()
 	planners := pcfg.planAhead()
 	l.windows = make([]time.Duration, planners)
-	l.batchQ = pipeline.NewQueue[seqBatch](planners, m.Gauge("pipeline/queue/batch"))
-	l.planR = pipeline.NewReorder[*pipeIter](planners, m.Gauge("pipeline/queue/plan"))
+	for w := 0; w < planners; w++ {
+		l.batches = append(l.batches, pipeline.NewQueue[*iterScratch](1, m.Gauge("pipeline/queue/batch/"+strconv.Itoa(w))))
+		l.plans = append(l.plans, pipeline.NewQueue[*pipeIter](1, m.Gauge("pipeline/queue/plan/"+strconv.Itoa(w))))
+	}
 	for i := 0; i < n; i++ {
 		l.ready = append(l.ready, pipeline.NewQueue[*stagedMB](pcfg.depth(), m.Gauge("pipeline/queue/ready/"+strconv.Itoa(i))))
 	}
@@ -163,42 +165,43 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 	stream := sampling.NewStream(eng.data.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed)
 	l.pipe = pipeline.New(context.Background())
 	l.pipe.Go("sampler", func(ctx context.Context) error {
-		for seq := uint64(0); ; seq++ {
+		for w := 0; ; w = (w + 1) % planners {
 			sc := eng.getIterScratch()
 			if err := eng.sample(stream, &sc.batch); err != nil {
 				return err
 			}
-			if err := l.batchQ.Push(ctx, seqBatch{seq: seq, sc: sc}); err != nil {
+			if err := l.batches[w].Push(ctx, sc); err != nil {
 				return err
 			}
 		}
 	})
-	// The planner pool: each worker pulls the next sampled batch, plans it
-	// (K-search + block generation), and inserts the plan under its dispatch
-	// sequence number. The reorder window equals the pool width, so a worker
-	// stuck on a hard batch back-pressures the rest instead of letting plans
-	// run unboundedly ahead; the in-order plan is always admitted, so the
-	// pool cannot deadlock (see pipeline.Reorder).
+	// The planner pool: worker w plans every W-th batch (K-search + block
+	// generation), warm-starting each K-search from its own previous plan.
+	// A worker stuck on a hard batch holds up the prefetcher, which collects
+	// in rotation; the other workers stop once their inbox and outbox are
+	// full, so nothing runs unboundedly ahead.
 	for w := 0; w < planners; w++ {
 		l.pipe.Go(fmt.Sprintf("planner/%d", w), func(ctx context.Context) error {
+			kWarm := 0
 			for {
-				sb, err := l.batchQ.Pop(ctx)
+				sc, err := l.batches[w].Pop(ctx)
 				if err != nil {
 					return err
 				}
-				it, err := l.planPinned(sb.sc)
+				it, err := l.planPinned(sc, kWarm)
 				if err != nil {
 					return err
 				}
-				if err := l.planR.Put(ctx, sb.seq, it); err != nil {
+				kWarm = sc.kSearched
+				if err := l.plans[w].Push(ctx, it); err != nil {
 					return err
 				}
 			}
 		})
 	}
 	l.pipe.Go("prefetch", func(ctx context.Context) error {
-		for {
-			it, err := l.planR.Pop(ctx)
+		for w := 0; ; w = (w + 1) % planners {
+			it, err := l.plans[w].Pop(ctx)
 			if err != nil {
 				return err
 			}
@@ -222,7 +225,8 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 }
 
 // planPinned runs the shared planning half (engine.planIteration) in the
-// planner stage.
+// planner stage, warm-starting a searched K from kWarm, the K of the
+// calling planner's previous plan (0 before its first).
 //
 // The shared planning code measures its phases with wall clocks, which is
 // accurate inline but inflated here: the planner goroutine time-shares the
@@ -230,13 +234,13 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 // cost. The goroutine therefore pins its OS thread and rescales the recorded
 // planning phases by its thread-CPU/wall ratio, recovering what the same work
 // costs uncontended — the number the sequential session would have measured.
-func (l *loader) planPinned(sc *iterScratch) (*pipeIter, error) {
+func (l *loader) planPinned(sc *iterScratch, kWarm int) (*pipeIter, error) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	cpu0, cpuOK := threadCPUNow()
 	wall0 := time.Now()
 
-	it, err := l.eng.planIteration(sc, &sc.batch)
+	it, err := l.eng.planIteration(sc, &sc.batch, kWarm)
 	if err != nil {
 		return nil, err
 	}
@@ -273,11 +277,13 @@ func scalePlanning(ph *Phases, cpu, wall time.Duration) {
 // The ready lanes bound how far staging runs ahead (Depth per lane); the
 // headroom gate here keeps it from starving the consumer: a staged tensor
 // only goes on-device while the room left on its device afterwards still
-// covers the plan's worst-case activations (which allocate concurrently with
-// this goroutine). When it does not, the stage waits for the consumer to
-// free a tensor and re-checks — overlap degrades to sequential staging on
-// tight budgets instead of OOMing. With nothing staged on the device it is
-// as empty as it gets, so the allocation either fits or the configuration
+// covers the worst-case activations (which allocate concurrently with this
+// goroutine) of every iteration with a tensor alive there — the consumer
+// may still be computing an earlier iteration whose groups are larger than
+// this one's. When it does not, the stage waits for the consumer to free a
+// tensor and re-checks — overlap degrades to sequential staging on tight
+// budgets instead of OOMing. With nothing staged on the device it is as
+// empty as it gets, so the allocation either fits or the configuration
 // genuinely does not (systems without an estimate prefetch optimistically
 // and hit the same terminal OOM). The wait is deadlock-free because staged
 // items are consumed in exactly the order they were staged: anything already
@@ -292,12 +298,17 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	if l.caches != nil {
 		missBytes = l.caches[dev].Probe(mb.InputNodes(), it.b.Graph) * e.rowBytes
 	}
-	// The consumer's concurrent appetite is its group's activations: the
+	// An iteration's concurrent appetite is its group's activations: the
 	// worst-case group estimate minus the smallest feature tensor it could
-	// be holding (already on the ledger).
-	reserve := it.res.PredictedPeak - e.residentBase() - it.minFeat
-	for reserve > 0 && l.stagedDev[dev].Load() > 0 &&
-		gpu.Capacity()-gpu.Live() < featBytes+reserve {
+	// be holding (already on the ledger), widened by the 10/9 margin
+	// planLimit keeps for the estimate's error.
+	reserve := (it.res.PredictedPeak - e.residentBase() - it.minFeat) * 10 / 9
+	for {
+		staged, held := l.heldReserve(dev)
+		need := max(reserve, held)
+		if need <= 0 || staged == 0 || gpu.Capacity()-gpu.Live() >= featBytes+need {
+			break
+		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -308,11 +319,10 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	if err != nil {
 		return nil, fmt.Errorf("train: prefetching features: %w", err)
 	}
-	l.stagedDev[dev].Add(1)
-	smb := &stagedMB{
-		iter: it, idx: idx, dev: dev, last: idx == len(it.mbs)-1,
-		mb: mb, featAlloc: featAlloc,
-	}
+	l.mu.Lock()
+	l.reserves[dev] = append(l.reserves[dev], reserve)
+	l.mu.Unlock()
+	smb := &stagedMB{iter: it, dev: dev, mb: mb, featAlloc: featAlloc}
 	if missBytes > 0 {
 		smb.done = gpu.TransferH2DAsync(missBytes)
 		smb.hasCopy = true
@@ -323,11 +333,26 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	return smb, nil
 }
 
-// releaseStaged returns one staged tensor's bytes to the loader: the count
-// drops and the prefetcher's headroom gate gets a wake-up. Called wherever a
-// staged featAlloc is freed.
+// heldReserve reports how many feature tensors are alive on device dev and
+// the largest activation reserve among their iterations.
+func (l *loader) heldReserve(dev int) (staged int, held int64) {
+	l.mu.Lock()
+	for _, r := range l.reserves[dev] {
+		held = max(held, r)
+	}
+	staged = len(l.reserves[dev])
+	l.mu.Unlock()
+	return staged, held
+}
+
+// releaseStaged returns one staged tensor's bytes to the loader: the
+// device's oldest reserve drops and the prefetcher's headroom gate gets a
+// wake-up. Called wherever a staged featAlloc is freed.
 func (l *loader) releaseStaged(dev int) {
-	l.stagedDev[dev].Add(-1)
+	l.mu.Lock()
+	r := l.reserves[dev]
+	l.reserves[dev] = r[:copy(r, r[1:])]
+	l.mu.Unlock()
 	select {
 	case l.room <- struct{}{}:
 	default:

@@ -276,3 +276,44 @@ func TestPipelinedCloseIdempotent(t *testing.T) {
 	}
 	waitForGoroutineBaseline(t, before)
 }
+
+// TestPrefetchGateReservesEveryLiveIteration: the prefetcher may stage a
+// micro-batch only while its device keeps room for the activations of every
+// iteration with a feature tensor alive there, estimate error margin
+// included — the consumer may still be computing an earlier iteration
+// whose groups are larger than the one being staged. With depth 2 and no
+// cache, no session may OOM: a single planner over 2 replicas on arxiv at
+// 12 MB (K 3) and at 20 MB, where K is 1 or 2 and each device holds tensors
+// of up to three iterations (8 sessions of 40 iterations each), and a
+// pipelined cora session at 6 MB (20 sessions of 3 iterations).
+func TestPrefetchGateReservesEveryLiveIteration(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine numerical workload; runs race-free in tier-1")
+	}
+	arxiv, cora := loadData(t, "ogbn-arxiv"), loadData(t, "cora")
+	for _, c := range []struct {
+		ds              *datagen.Dataset
+		budget          int64
+		gpus            int
+		sessions, iters int
+	}{
+		{arxiv, 12 * device.MB, 2, 8, 40},
+		{arxiv, 20 * device.MB, 2, 8, 40},
+		{cora, 6 * device.MB, 1, 20, 3},
+	} {
+		cfg := baseConfig(c.ds, Buffalo)
+		cfg.MemBudget = c.budget
+		for session := 0; session < c.sessions; session++ {
+			dp, err := NewDataParallelPipelined(c.ds, cfg, c.gpus, PipelineConfig{Depth: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < c.iters; i++ {
+				if _, err := dp.RunIteration(); err != nil {
+					t.Fatalf("%s at %d MB, session %d, iteration %d: %v", c.ds.Spec.Name, c.budget/device.MB, session, i, err)
+				}
+			}
+			dp.Close()
+		}
+	}
+}

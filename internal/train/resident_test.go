@@ -54,7 +54,7 @@ func planNext(t *testing.T, e *engine) *pipeIter {
 	if err := e.sample(e.stream, &sc.batch); err != nil {
 		t.Fatal(err)
 	}
-	it, err := e.planIteration(sc, &sc.batch)
+	it, err := e.planIteration(sc, &sc.batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

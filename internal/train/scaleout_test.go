@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,10 +115,10 @@ func TestCommOverlapHidesCommunication(t *testing.T) {
 	}
 }
 
-// TestPlanAheadLossParity: a plan-ahead pool re-serializes plans through the
-// reorder buffer, so the pipelined multi-GPU path keeps producing the
-// sequential path's exact batch order and losses — with overlapped reduces on
-// top, still bit-identical.
+// TestPlanAheadLossParity: a plan-ahead pool is dealt batches round-robin and
+// its plans are collected in the same rotation, so the pipelined multi-GPU
+// path keeps producing the sequential path's exact batch order and losses —
+// with overlapped reduces on top, still bit-identical.
 func TestPlanAheadLossParity(t *testing.T) {
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, Buffalo)
@@ -157,8 +158,8 @@ func TestPlanAheadLossParity(t *testing.T) {
 }
 
 // TestPlanAheadCancelMidPool: shutting down while several planner workers are
-// mid-K-search (and the reorder buffer holds undelivered plans) must unwind
-// every pool goroutine and leak nothing on any device.
+// mid-K-search (and their outboxes hold undelivered plans) must unwind every
+// pool goroutine and leak nothing on any device.
 func TestPlanAheadCancelMidPool(t *testing.T) {
 	before := pipelineGoroutineBaseline()
 	ds := loadData(t, "cora")
@@ -168,8 +169,8 @@ func TestPlanAheadCancelMidPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the pool get plans in flight (and block on the reorder window /
-	// lane backpressure) without ever consuming an iteration.
+	// Let the pool get plans in flight (and block on full outboxes / lane
+	// backpressure) without ever consuming an iteration.
 	time.Sleep(20 * time.Millisecond)
 	if err := dp.Shutdown(); err != nil {
 		t.Fatalf("shutdown of healthy plan-ahead pipeline: %v", err)
@@ -226,16 +227,16 @@ func TestPlanAheadReplicaOOM(t *testing.T) {
 }
 
 // TestPlanAheadSearchedKMatchesSinglePlanner: with K searched instead of
-// pinned, a pipelined planner starts its K-search one below the last K any
-// planner published (engine.kWarm), and settles on the larger of that start
-// and the batch's smallest feasible K. A single planner reads the hint in
-// delivery order; a pool reads whatever had been published when it began.
-// On arxiv under a 12 MB device, where K moves between 4 and 6, no batch's
-// plan depends on which of the recent hints it read, so a pool of three
-// delivers the single planner's K sequence and loss bits, with ZeRO-1 and
-// overlapped reduces on. Under tighter budgets it does not: the start then
-// decides K for some batches, and the pool's plans follow goroutine timing
-// (ROADMAP 8(a′)).
+// pinned, a pipelined planner starts its K-search one below the K of its own
+// previous plan, and settles on the larger of that start and the batch's
+// smallest feasible K. A single planner warm-starts batch n from batch n−1;
+// planner n mod W of a pool of W from batch n−W. On arxiv under a 12 MB
+// device, where K moves between 4 and 6, no batch's plan depends on which
+// of the recent plans it starts from, so a pool of three delivers the single
+// planner's K sequence and loss bits, with ZeRO-1 and overlapped reduces on.
+// Under tighter budgets the start decides K for some batches, and a pool's
+// plans differ from one planner's (TestPlanAheadPoolDeterministic holds
+// them fixed for the pool).
 func TestPlanAheadSearchedKMatchesSinglePlanner(t *testing.T) {
 	ds := loadData(t, "ogbn-arxiv")
 	cfg := baseConfig(ds, Buffalo)
@@ -275,4 +276,53 @@ func TestPlanAheadSearchedKMatchesSinglePlanner(t *testing.T) {
 		t.Fatalf("K was %d on every iteration: the warm start was never exercised", singleK[0])
 	}
 	t.Logf("K sequence %v", singleK)
+}
+
+// TestPlanAheadPoolDeterministic: the sampler deals batch n to planner
+// n mod W, and each planner warm-starts its K-search from its own previous
+// plan, so a pool's plans are a function of (seed, config, W). On arxiv
+// under a 4 MB device the warm start decides K for some batches; three
+// sessions of a pool of four must still deliver one K sequence and one
+// sequence of loss bits.
+func TestPlanAheadPoolDeterministic(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine numerical workload; runs race-free in tier-1")
+	}
+	ds := loadData(t, "ogbn-arxiv")
+	cfg := baseConfig(ds, Buffalo)
+	cfg.Model.Hidden = 16
+	cfg.BatchSize = 512
+	cfg.MemBudget = 4 * device.MB
+	cfg.CommOverlap = true
+	cfg.ZeRO1 = true
+	const iters = 40
+	run := func() (ks []int, losses []uint32) {
+		dp, err := NewDataParallelPipelined(ds, cfg, 2, PipelineConfig{Depth: 2, PlanAhead: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dp.Close()
+		for i := 0; i < iters; i++ {
+			r, err := dp.RunIteration()
+			if err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+			ks = append(ks, r.K)
+			losses = append(losses, math.Float32bits(r.Loss))
+		}
+		return ks, losses
+	}
+	firstK, firstLoss := run()
+	for session := 1; session < 3; session++ {
+		ks, losses := run()
+		for i := range ks {
+			if ks[i] != firstK[i] || losses[i] != firstLoss[i] {
+				t.Fatalf("session %d, iteration %d: K %d loss %#x, first session K %d loss %#x",
+					session, i, ks[i], losses[i], firstK[i], firstLoss[i])
+			}
+		}
+	}
+	if slices.Min(firstK) == slices.Max(firstK) {
+		t.Fatalf("K was %d on every iteration: the warm start was never exercised", firstK[0])
+	}
 }

@@ -550,6 +550,14 @@ func TestBettyAutoK(t *testing.T) {
 	}
 }
 
+// partition is one K of searchParts' walk on its own: b's outputs split
+// into k parts, Betty's over a REG built for this call.
+func (e *engine) partition(b *sampling.Batch, k int) (parts [][]graph.NodeID, regTime, partTime time.Duration, err error) {
+	reg, regTime := e.buildREG(b)
+	parts, partTime, err = e.split(b, reg, k)
+	return parts, regTime, partTime, err
+}
+
 // TestPartitionedSystemsSearchK: with MicroBatches = 0 every partitioned
 // baseline searches its smallest fitting K inside the engine. On ogbn-arxiv
 // at 12 MB with batch 512 the whole batch does not fit: K = 1 OOMs. Each

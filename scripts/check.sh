@@ -53,15 +53,17 @@
 #                      benchmark (bench/, a module of its own that `./...`
 #                      does not reach): every workload, both modes, tiny
 #                      sizes, metric names checked against BENCHMARK.json
-#   8. figures         Fig 13, Fig 16 and Table III at -quick -seed 3 through
-#                      cmd/experiments: any error fails the gate — a Buffalo
-#                      OOM or infeasible plan in Fig 13, a partitioned
-#                      system that finds no K in Fig 16. Fig 16 otherwise
+#   8. figures         Fig 13, Fig 16, Table III and scaleout at -quick
+#                      -seed 3 through cmd/experiments: any error fails the
+#                      gate — a Buffalo OOM or infeasible plan in Fig 13, a
+#                      partitioned system that finds no K in Fig 16, a
+#                      pipelined run that fails in scaleout (the one
+#                      experiment that runs PlanAhead > 1). Fig 16 otherwise
 #                      runs only in the opt-in TestAllExperiments
 #   9. go test -race   the full test suite under the race detector — the
 #                      only race pass: the concurrent paths (obs recorder under
 #                      the ledger mutex, the async loader's stages and
-#                      shutdown, the plan-ahead pool and reorder buffer, the
+#                      shutdown, the plan-ahead pool's per-planner queues, the
 #                      comm-engine clock, ZeRO-1 shard steps, the serving
 #                      batcher) are all tests of packages under ./...
 #
@@ -124,7 +126,7 @@ echo "== bench module gate =="
 (cd bench && go vet ./... && go test -count=1 ./...)
 
 echo "== figures =="
-for id in fig13 fig16 table3; do
+for id in fig13 fig16 table3 scaleout; do
     go run ./cmd/experiments -run "$id" -quick -seed 3
 done
 
