@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,6 +32,8 @@ type goldenModel struct {
 	agg    gnn.Aggregator
 	inDim  int // 0: the dataset's full feature width
 	budget int64
+	// systems also runs goldenSystems sequentially on this row.
+	systems bool
 }
 
 func (m goldenModel) name() string {
@@ -41,13 +44,14 @@ func (m goldenModel) name() string {
 }
 
 // goldenModels covers both datasets with every SAGE aggregator, plus GAT on
-// cora. The LSTM rows read 64 of the feature columns.
+// cora. The LSTM rows read 64 of the feature columns; the mean rows also run
+// every other system.
 var goldenModels = []goldenModel{
-	{ds: "cora", arch: gnn.SAGE, agg: gnn.Mean, budget: 3 * device.MB / 2},
+	{ds: "cora", arch: gnn.SAGE, agg: gnn.Mean, budget: 3 * device.MB / 2, systems: true},
 	{ds: "cora", arch: gnn.SAGE, agg: gnn.Pool, budget: 2 * device.MB},
 	{ds: "cora", arch: gnn.SAGE, agg: gnn.LSTM, inDim: 64, budget: 2 * device.MB},
 	{ds: "cora", arch: gnn.GAT, budget: 5 * device.MB / 4},
-	{ds: "ogbn-arxiv", arch: gnn.SAGE, agg: gnn.Mean, budget: 2 * device.MB},
+	{ds: "ogbn-arxiv", arch: gnn.SAGE, agg: gnn.Mean, budget: 2 * device.MB, systems: true},
 	{ds: "ogbn-arxiv", arch: gnn.SAGE, agg: gnn.Pool, budget: 3 * device.MB},
 	{ds: "ogbn-arxiv", arch: gnn.SAGE, agg: gnn.LSTM, inDim: 64, budget: 2 * device.MB},
 }
@@ -214,6 +218,43 @@ var goldenModes = []struct {
 	}},
 }
 
+// goldenSystems are the systems other than Buffalo, each run as a sequential
+// session: the partitioned ones search K at the row's budget, DGL and PyG
+// train the whole batch on a device wholeBudget times that size.
+var goldenSystems = []System{Betty, RandomP, RangeP, MetisP, DGL, PyG}
+
+const wholeBudget = 4
+
+// runSystems writes goldenIters sequential iterations of every goldenSystems
+// entry: loss bits, accuracy, K, the largest price the plan gave a part
+// (pred=, for the systems that price), the ledger peak and the H2D bytes.
+func runSystems(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer) {
+	for _, sys := range goldenSystems {
+		cfg := cfg
+		cfg.System = sys
+		if sys == DGL || sys == PyG {
+			cfg.MemBudget *= wholeBudget
+		}
+		s, err := NewSession(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < goldenIters; i++ {
+			h2d := transferred(s.GPU)
+			r, err := s.RunIteration()
+			if err != nil {
+				t.Fatalf("%s: %v", sys, err)
+			}
+			fmt.Fprintf(w, "seq/%s it%d loss=%08x acc=%v K=%d", sys, i, math.Float32bits(r.Loss), r.Accuracy, r.K)
+			if len(r.PerMicroEstimate) > 0 {
+				fmt.Fprintf(w, " pred=%d", slices.Max(r.PerMicroEstimate))
+			}
+			fmt.Fprintf(w, " peak=%d h2d=%d\n", r.Peak, transferred(s.GPU)-h2d)
+		}
+		s.Close()
+	}
+}
+
 // TestGoldenBits holds every execution path to the bits it produced when the
 // golden file was written: loss bits, accuracy, K and predicted peaks
 // everywhere, ledger peaks where they are deterministic (sequential and
@@ -238,14 +279,22 @@ func TestGoldenBits(t *testing.T) {
 				t.Parallel()
 				ds := loaded[m.ds]
 				cfg := goldenConfig(ds, m)
-				for _, mode := range goldenModes {
-					var out bytes.Buffer
-					mode.run(t, ds, cfg, &out)
+				emit := func(out *bytes.Buffer) {
 					for _, line := range strings.SplitAfter(out.String(), "\n") {
 						if line != "" {
 							rows[i].WriteString(m.name() + " " + line)
 						}
 					}
+				}
+				for _, mode := range goldenModes {
+					var out bytes.Buffer
+					mode.run(t, ds, cfg, &out)
+					emit(&out)
+				}
+				if m.systems {
+					var out bytes.Buffer
+					runSystems(t, ds, cfg, &out)
+					emit(&out)
 				}
 			})
 		}
