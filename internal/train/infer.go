@@ -39,10 +39,8 @@ type InferenceSession struct {
 	Model *gnn.Model
 	GPU   *device.GPU
 
-	eng         *engine
-	fixedAlloc  *device.Allocation // parameter values only
-	cache       *pipeline.FeatureCache
-	cacheAlloc  *device.Allocation
+	sessionCore
+	cache       *pipeline.FeatureCache // nil without a cache budget
 	cacheBudget int64
 
 	// Per-request scratch, reused across Infer calls (one request runs at a
@@ -58,68 +56,20 @@ type InferenceSession struct {
 // degree-aware feature cache. The model's parameter values are charged up
 // front; construction fails with an OOM error if they do not fit.
 func NewInferenceSession(ds *datagen.Dataset, cfg Config, cacheBudget int64) (*InferenceSession, error) {
-	if err := validateFor(ds, cfg); err != nil {
-		return nil, err
-	}
-	model, err := gnn.New(cfg.Model)
+	eng, err := newEngine(ds, cfg, setup{device: "serve", gpus: 1, serving: true, cacheBudget: cacheBudget})
 	if err != nil {
 		return nil, err
 	}
-	gpu := device.NewGPU("serve", cfg.MemBudget, device.WithRecorder(cfg.Obs))
-	alloc, err := gpu.Alloc("serve/model", model.Params.ValueBytes())
-	if err != nil {
-		return nil, fmt.Errorf("train: model does not fit the device: %w", err)
-	}
-	eng, err := newEngine(ds, cfg, []replica{{gpu: gpu, model: model}}, nil)
-	if err != nil {
-		alloc.Free()
-		return nil, err
-	}
-	s := &InferenceSession{
-		Cfg: cfg, Data: ds, Model: model, GPU: gpu,
-		eng:        eng,
-		fixedAlloc: alloc,
-	}
-	if cacheBudget > 0 {
-		cacheAlloc, err := gpu.Alloc("serve/feature-cache", cacheBudget)
-		if err != nil {
-			alloc.Free()
-			return nil, fmt.Errorf("train: feature cache does not fit the device: %w", err)
-		}
-		s.cacheAlloc = cacheAlloc
-		s.cache = pipeline.NewFeatureCache(cacheBudget, eng.rowBytes, cfg.Obs.Metrics())
-		s.cacheBudget = cacheBudget
+	r := eng.replicas[0]
+	s := &InferenceSession{Cfg: cfg, Data: ds, Model: r.model, GPU: r.gpu, sessionCore: sessionCore{eng}}
+	if eng.caches != nil {
+		s.cache, s.cacheBudget = eng.caches[0], cacheBudget
 	}
 	return s, nil
 }
 
-// Close releases the session's fixed device allocations.
-func (s *InferenceSession) Close() {
-	if s.cacheAlloc != nil {
-		s.cacheAlloc.Free()
-		s.cacheAlloc = nil
-	}
-	if s.fixedAlloc != nil {
-		s.fixedAlloc.Free()
-		s.fixedAlloc = nil
-	}
-}
-
 // CacheBudget reports the device bytes reserved for the feature cache.
 func (s *InferenceSession) CacheBudget() int64 { return s.cacheBudget }
-
-// CacheStats reports the feature cache's counters (zero-valued without a
-// cache).
-func (s *InferenceSession) CacheStats() pipeline.CacheStats {
-	if s.cache == nil {
-		return pipeline.CacheStats{}
-	}
-	return s.cache.Stats()
-}
-
-// PoolStats reports the tensor-pool reuse counters of the session's compute
-// arena.
-func (s *InferenceSession) PoolStats() tensor.PoolStats { return s.eng.poolStats() }
 
 // InferBreakdown is the per-phase wall time of one Infer call, the serving
 // analogue of Phases: host-side assembly (sample + plan + block gen +

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"buffalo/internal/device"
 	"buffalo/internal/obs"
 	"buffalo/internal/pipeline"
 	"buffalo/internal/sampling"
@@ -93,15 +92,6 @@ type loader struct {
 	// the pipeline starves.
 	ready []*pipeline.Queue[*stagedMB]
 
-	// caches[i] is replica i's feature cache (nil slice when caching is off),
-	// each with its own budget and residency: a replica only ever sees the
-	// micro-batches dispatched to it, so its cache converges on the hubs of
-	// its own traffic with no cross-device coherence to maintain. All report
-	// into one metrics registry, whose "pipeline/cache/*" counters therefore
-	// aggregate cluster-wide traffic.
-	caches      []*pipeline.FeatureCache
-	cacheAllocs []*device.Allocation
-
 	// reserves[i] lists, oldest first, one entry per feature tensor alive on
 	// device i (staged or being consumed): the activation reserve of the
 	// iteration it belongs to. The consumer frees tensors in staging order,
@@ -123,31 +113,18 @@ type loader struct {
 	winIdx  int
 }
 
-// newLoader starts the loader stages over the engine's replicas. Cache
-// budgets (if any) are charged to every device ledger immediately; a budget
-// a device cannot hold is an OOM error. close shuts the stages down and
-// releases everything the loader owns.
-func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
+// newLoader starts the loader stages over the engine's replicas, planning
+// against what the engine's reservations (fixed footprints and feature
+// caches) leave of each device. close shuts the stages down and releases
+// every staged feature tensor.
+func newLoader(eng *engine, pcfg PipelineConfig) *loader {
 	n := len(eng.replicas)
 	l := &loader{eng: eng, reserves: make([][]int64, n)}
 	cfg := eng.cfg
-	if pcfg.CacheBudget > 0 {
-		for i := 0; i < n; i++ {
-			a, err := eng.replicas[i].gpu.Alloc("feature-cache", pcfg.CacheBudget)
-			if err != nil {
-				for _, prev := range l.cacheAllocs {
-					prev.Free()
-				}
-				return nil, fmt.Errorf("train: reserving feature cache: %w", err)
-			}
-			l.cacheAllocs = append(l.cacheAllocs, a)
-			l.caches = append(l.caches, pipeline.NewFeatureCache(pcfg.CacheBudget, eng.rowBytes, cfg.Obs.Metrics()))
-		}
-	}
-	// Freeze the activation budget after the cache reservations: every plan
-	// sees the same headroom no matter what transients are live when the
-	// planner goroutine happens to run. The replicas are identical (same
-	// fixed footprint, same cache reservation), so device 0 stands for all.
+	// Freeze the activation budget: every plan sees the same headroom no
+	// matter what transients are live when the planner goroutine happens to
+	// run. The replicas are identical (same fixed footprint, same cache
+	// reservation), so device 0 stands for all.
 	eng.budgetOverride = eng.gpu0().Capacity() - eng.gpu0().Live()
 	l.room = make(chan struct{}, 1)
 
@@ -221,7 +198,7 @@ func newLoader(eng *engine, pcfg PipelineConfig) (*loader, error) {
 			}
 		}
 	})
-	return l, nil
+	return l
 }
 
 // planPinned runs the shared planning half (engine.planIteration) in the
@@ -295,8 +272,8 @@ func (l *loader) stageMicroBatch(ctx context.Context, it *pipeIter, idx, dev int
 	mb := it.mbs[idx]
 	featBytes := e.featBytes(mb)
 	missBytes := featBytes
-	if l.caches != nil {
-		missBytes = l.caches[dev].Probe(mb.InputNodes(), it.b.Graph) * e.rowBytes
+	if e.caches != nil {
+		missBytes = e.caches[dev].Probe(mb.InputNodes(), it.b.Graph) * e.rowBytes
 	}
 	// An iteration's concurrent appetite is its group's activations: the
 	// worst-case group estimate minus the smallest feature tensor it could
@@ -459,9 +436,9 @@ func (l *loader) runIteration() (*MultiGPUResult, error) {
 	return res, nil
 }
 
-// close stops the loader stages, waits for them to unwind, releases every
-// staged feature tensor and the cache reservations. Idempotent; returns the
-// first stage failure, if any (a clean shutdown returns nil).
+// close stops the loader stages, waits for them to unwind and releases every
+// staged feature tensor. Idempotent; returns the first stage failure, if any
+// (a clean shutdown returns nil).
 func (l *loader) close() error {
 	err := l.pipe.Close()
 	for _, lane := range l.ready {
@@ -474,36 +451,5 @@ func (l *loader) close() error {
 			l.releaseStaged(smb.dev)
 		}
 	}
-	for _, a := range l.cacheAllocs {
-		a.Free()
-	}
-	l.cacheAllocs = nil
 	return err
-}
-
-// perDeviceCacheStats snapshots each device's feature cache, index-aligned
-// with the replicas; nil when there is no loader or caching is off.
-func (l *loader) perDeviceCacheStats() []pipeline.CacheStats {
-	if l == nil || l.caches == nil {
-		return nil
-	}
-	out := make([]pipeline.CacheStats, len(l.caches))
-	for i, c := range l.caches {
-		out[i] = c.Stats()
-	}
-	return out
-}
-
-// cacheStats sums the per-device feature caches (zero value when there is no
-// loader or caching is off).
-func (l *loader) cacheStats() pipeline.CacheStats {
-	var agg pipeline.CacheStats
-	for _, st := range l.perDeviceCacheStats() {
-		agg.Entries += st.Entries
-		agg.UsedBytes += st.UsedBytes
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-	}
-	return agg
 }

@@ -56,7 +56,7 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 	runPipelined := func(cfg Config, pooled bool) []float32 {
 		// NewPipelinedSession in two steps, so the pools go before the
 		// prefetcher starts drawing from them.
-		s, err := NewSession(ds, cfg)
+		s, err := newSession(ds, cfg, 4<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,9 +64,7 @@ func TestPoolingBitIdenticalLosses(t *testing.T) {
 			s.eng.unpool()
 		}
 		defer s.Close()
-		if s.ld, err = newLoader(s.eng, PipelineConfig{Depth: 2, CacheBudget: 4 << 20}); err != nil {
-			t.Fatal(err)
-		}
+		s.eng.ld = newLoader(s.eng, PipelineConfig{Depth: 2})
 		out := make([]float32, iters)
 		for i := range out {
 			r, err := s.RunIteration()
