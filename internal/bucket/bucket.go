@@ -154,28 +154,16 @@ func (bk *Bucketing) TotalNodes() int {
 	return total
 }
 
-// ExplosionOptions tune DetectExplosion. The zero value uses the defaults.
 // Buckets are compared by memory weight — volume x degree, proportional to
 // the neighbor-embedding footprint message passing materializes — because
 // the cut-off bucket dominates memory well before it dominates node count.
-type ExplosionOptions struct {
-	// VolumeFactor flags the cut-off bucket when its memory weight exceeds
-	// this multiple of the median bucket's. Default 4.
-	VolumeFactor float64
-	// ShareThreshold flags the cut-off bucket when it holds more than this
-	// fraction of the total memory weight. Default 0.3.
-	ShareThreshold float64
-}
-
-func (o ExplosionOptions) withDefaults() ExplosionOptions {
-	if o.VolumeFactor == 0 {
-		o.VolumeFactor = 4
-	}
-	if o.ShareThreshold == 0 {
-		o.ShareThreshold = 0.3
-	}
-	return o
-}
+// DetectExplosion flags the cut-off bucket when its weight exceeds
+// explosionVolumeFactor times the median bucket's, or explosionShare of the
+// total weight.
+const (
+	explosionVolumeFactor = 4
+	explosionShare        = 0.3
+)
 
 // DetectExplosion reports whether the cut-off bucket — the highest-degree
 // bucket, where every node whose true degree reaches F lands after sampling
@@ -184,8 +172,7 @@ func (o ExplosionOptions) withDefaults() ExplosionOptions {
 // nodes. Power-law graphs trigger this (Fig 4.b); balanced distributions
 // like Cora's (Fig 4.a), whose dominant bucket sits mid-distribution and
 // whose top-degree bucket is small, do not.
-func (bk *Bucketing) DetectExplosion(opts ExplosionOptions) (*Bucket, bool) {
-	opts = opts.withDefaults()
+func (bk *Bucketing) DetectExplosion() (*Bucket, bool) {
 	if len(bk.Buckets) == 0 {
 		return nil, false
 	}
@@ -224,8 +211,8 @@ func (bk *Bucketing) DetectExplosion(opts ExplosionOptions) (*Bucket, bool) {
 			break
 		}
 	}
-	if float64(cutoffWeight) > opts.VolumeFactor*float64(median) ||
-		float64(cutoffWeight) > opts.ShareThreshold*float64(total) {
+	if float64(cutoffWeight) > explosionVolumeFactor*float64(median) ||
+		float64(cutoffWeight) > explosionShare*float64(total) {
 		return cutoff, true
 	}
 	return nil, false

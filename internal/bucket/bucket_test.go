@@ -72,7 +72,7 @@ func TestExplosionOnPowerLawGraph(t *testing.T) {
 	// reproducing Fig 4.b.
 	b := arxivBatch(t, 2000, []int{10, 25})
 	bk := Bucketize(b)
-	exploded, ok := bk.DetectExplosion(ExplosionOptions{})
+	exploded, ok := bk.DetectExplosion()
 	if !ok {
 		t.Fatalf("expected explosion; volumes = %v", bk.Volumes())
 	}
@@ -99,18 +99,18 @@ func TestNoExplosionOnBalancedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	bk := Bucketize(b)
-	if _, ok := bk.DetectExplosion(ExplosionOptions{}); ok {
+	if _, ok := bk.DetectExplosion(); ok {
 		t.Fatalf("cora should not explode; volumes = %v", bk.Volumes())
 	}
 }
 
 func TestDetectExplosionSmallCases(t *testing.T) {
 	bk := &Bucketing{F: 5, Buckets: []*Bucket{{Degree: 5, Nodes: make([]graph.NodeID, 100)}}}
-	if _, ok := bk.DetectExplosion(ExplosionOptions{}); !ok {
+	if _, ok := bk.DetectExplosion(); !ok {
 		t.Fatal("a single cut-off bucket holding everything is the maximal explosion")
 	}
 	empty := &Bucketing{F: 5}
-	if _, ok := empty.DetectExplosion(ExplosionOptions{}); ok {
+	if _, ok := empty.DetectExplosion(); ok {
 		t.Fatal("empty bucketing cannot explode")
 	}
 }
@@ -244,7 +244,7 @@ func TestQuickSplitInvariant(t *testing.T) {
 // keeps its members where they are.
 func TestSplitCutsInLocalityOrder(t *testing.T) {
 	b := arxivBatch(t, 2000, []int{10, 25})
-	target, ok := Bucketize(b).DetectExplosion(ExplosionOptions{})
+	target, ok := Bucketize(b).DetectExplosion()
 	if !ok {
 		t.Fatal("expected explosion")
 	}
@@ -307,7 +307,7 @@ func TestLocalityCutSharesFrontiers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		target, ok := Bucketize(b).DetectExplosion(ExplosionOptions{})
+		target, ok := Bucketize(b).DetectExplosion()
 		if !ok {
 			t.Fatal("expected explosion")
 		}

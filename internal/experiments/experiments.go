@@ -1288,7 +1288,7 @@ func Ablations(opts Options) (*Table, error) {
 	// the same pre-split treatment the scheduler applies: no single bucket
 	// may exceed the budget on its own.
 	base := bucket.Bucketize(b)
-	if target, ok := base.DetectExplosion(bucket.ExplosionOptions{}); ok {
+	if target, ok := base.DetectExplosion(); ok {
 		base, err = base.ReplaceWithSplit(target, aware.K, b.Graph)
 		if err != nil {
 			return nil, err

@@ -28,8 +28,6 @@ type Options struct {
 	// KStart forces the search to begin at a given K (used by experiments
 	// that sweep micro-batch counts); defaults to 1.
 	KStart int
-	// Explosion tunes bucket-explosion detection.
-	Explosion bucket.ExplosionOptions
 	// DisableRedundancy makes the group estimator use R_group = 1 (the
 	// ablation of Eq. 1: plain linear addition of bucket estimates).
 	DisableRedundancy bool
@@ -186,7 +184,7 @@ func Schedule(b *sampling.Batch, est *memest.Estimator, opts Options) (*Plan, er
 	// bucket — and whatever the oversized check splits it into — is the same
 	// at every K, so that prefix of the working list is built and probed
 	// once; each attempt truncates back to it and appends its own split.
-	target, exploded := base.DetectExplosion(opts.Explosion)
+	target, exploded := base.DetectExplosion()
 	fixed := base.Buckets
 	if exploded {
 		// DetectExplosion only ever flags the cut-off bucket, which the

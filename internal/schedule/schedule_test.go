@@ -223,7 +223,7 @@ func TestFirstFitGrouping(t *testing.T) {
 	budget := whole / 3
 	base := bucket.Bucketize(b)
 	// First-fit needs the explosion bucket split to have any chance.
-	if target, ok := base.DetectExplosion(bucket.ExplosionOptions{}); ok {
+	if target, ok := base.DetectExplosion(); ok {
 		base, err = base.ReplaceWithSplit(target, 8, b.Graph)
 		if err != nil {
 			t.Fatal(err)
@@ -361,7 +361,7 @@ func referenceSchedule(b *sampling.Batch, est *memest.Estimator, opts Options) (
 	for ; k <= kmax; k++ {
 		plan := &Plan{K: k}
 		working := base
-		if target, ok := base.DetectExplosion(opts.Explosion); ok {
+		if target, ok := base.DetectExplosion(); ok {
 			split, err := base.ReplaceWithSplit(target, k, b.Graph)
 			if err != nil {
 				return nil, err
