@@ -35,6 +35,7 @@ func (s *Server) batcher() {
 		}
 	}
 	for {
+		s.gAssembling.Set(int64(len(batch)))
 		if len(batch) == 0 {
 			select {
 			case p := <-s.reqs:

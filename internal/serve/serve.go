@@ -143,6 +143,9 @@ type Server struct {
 	// Shed requests by gate; mShed is their sum.
 	mShedIntake, mShedAdmission, mShedQueue         *obs.Counter
 	hLatency, hQueueWait, hAssembly, hH2D, hCompute *obs.Histogram
+	// gAssembling is the number of requests in the batch the batcher is
+	// coalescing ("serve/queue/assembling").
+	gAssembling *obs.Gauge
 }
 
 // NewServer wires a server over the session and starts its batcher and
@@ -188,6 +191,7 @@ func newServer(sess *train.InferenceSession, cfg Config) (*Server, error) {
 		s.hAssembly = reg.Histogram("serve/assembly_ns", obs.LatencyBuckets)
 		s.hH2D = reg.Histogram("serve/h2d_ns", obs.LatencyBuckets)
 		s.hCompute = reg.Histogram("serve/compute_ns", obs.LatencyBuckets)
+		s.gAssembling = reg.Gauge("serve/queue/assembling")
 	}
 	s.reservePerReq = cfg.ReservePerRequest
 	if s.reservePerReq <= 0 {

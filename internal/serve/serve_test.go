@@ -116,7 +116,7 @@ func TestCancelMidCoalesce(t *testing.T) {
 		_, err := srv.Infer(ctx, 5)
 		errc <- err
 	}()
-	time.Sleep(5 * time.Millisecond) // let the request reach the batcher
+	waitAssembling(t, srv, 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -127,6 +127,19 @@ func TestCancelMidCoalesce(t *testing.T) {
 	}
 	if r := srv.Stats().Responses; r != 0 {
 		t.Errorf("Responses = %d, want 0 (canceled request must not execute)", r)
+	}
+}
+
+// waitAssembling blocks until the batcher holds n requests in the batch it
+// is coalescing. The deadline only bounds a failing run.
+func waitAssembling(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for srv.gAssembling.Value() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("assembling batch holds %d requests, want %d", srv.gAssembling.Value(), n)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -148,7 +161,7 @@ func TestShutdownDrain(t *testing.T) {
 			_, errs[i] = srv.Infer(context.Background(), graph.NodeID(i))
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond) // all 8 in the assembling batch
+	waitAssembling(t, srv, n)
 	srv.Close()
 	wg.Wait()
 	for i, err := range errs {
@@ -237,13 +250,14 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 		srv.Close()
 		srv.Close() // idempotent
 	}
-	// Goroutine counts settle asynchronously; poll briefly.
+	// Close returns once the executor has closed done, so the goroutines
+	// are still exiting: yield to them until the count settles.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		runtime.Gosched()
 	}
 	t.Errorf("goroutines: %d before, %d after three server lifecycles", before, runtime.NumGoroutine())
 }
