@@ -60,7 +60,13 @@
 #                      pipelined run that fails in scaleout (the one
 #                      experiment that runs PlanAhead > 1). Fig 16 otherwise
 #                      runs only in the opt-in TestAllExperiments
-#   9. go test -race   the full test suite under the race detector — the
+#   9. contention      internal/serve and internal/pipeline five times at
+#                      each of -cpu 1, 2 and 4: their tests coordinate
+#                      goroutines, and a test that assumes another goroutine
+#                      made progress by now (a sleep) fails on a starved
+#                      scheduler. 4.6 s on a 2-CPU host with the test
+#                      binaries built
+#  10. go test -race   the full test suite under the race detector — the
 #                      only race pass: the concurrent paths (obs recorder under
 #                      the ledger mutex, the async loader's stages and
 #                      shutdown, the plan-ahead pool's per-planner queues, the
@@ -129,6 +135,9 @@ echo "== figures =="
 for id in fig13 fig16 table3 scaleout; do
     go run ./cmd/experiments -run "$id" -quick -seed 3
 done
+
+echo "== contention =="
+go test -count=5 -cpu 1,2,4 ./internal/serve ./internal/pipeline
 
 echo "== go test -race =="
 # Race instrumentation slows the heavy suites several-fold and packages
