@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -74,6 +76,55 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// datasetPins holds every registry dataset at seed 7, byte for byte: the
+// FNV-64a of its adjacency (offsets, then lists), of its feature bits and of
+// its labels, and the float64 bits of ApproxClusteringCoefficient(7, 2000).
+// A change to the generator, FromAdjacency or the clustering count that moves
+// any of them moves every K, plan and loss downstream.
+var datasetPins = map[string]struct{ adj, feat, labels, coef uint64 }{
+	"cora":          {0x76dbc4635ec646d9, 0x71e1a7074811abf1, 0x16319b3bceed9880, 0x3fd0b69f828b9d73},
+	"pubmed":        {0xaca8abddeee07539, 0x5923dac0737a7f99, 0x57ba556bfbffc1a7, 0x3faff10446d18d87},
+	"reddit":        {0x2b2429211dbd589f, 0xd19b4a3864a316ea, 0x53ee5cba29da0788, 0x3fe0cf748826c1ea},
+	"ogbn-arxiv":    {0x8055893782271d39, 0xd5914102f4077b6b, 0xe9982e14ce3af8b0, 0x3fc8107dc7ffc613},
+	"ogbn-products": {0xea62ce4f329d3912, 0x6c00ef8c367487f1, 0xd59b332bef35da1c, 0x3fd7332b6b56e57f},
+	"ogbn-papers":   {0x9852fda7407786ea, 0x6cb3306e29b6f4e7, 0x5079fc7bc5c61c5e, 0x3fb1c87e5b220e89},
+}
+
+// hashDataset returns the FNV-64a of ds's adjacency (the CSR offsets, then
+// the concatenated neighbour lists), feature bits and labels, little-endian.
+func hashDataset(ds *Dataset) (adj, feat, labels uint64) {
+	g := ds.Graph
+	h := fnv.New64a()
+	var buf []byte
+	var off int64
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	for v := 0; v < g.NumNodes(); v++ {
+		off += int64(g.Degree(graph.NodeID(v)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, u := range g.Neighbors(graph.NodeID(v)) {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
+		}
+	}
+	h.Write(buf)
+	adj = h.Sum64()
+	h.Reset()
+	buf = buf[:0]
+	for _, x := range ds.Features {
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+	}
+	h.Write(buf)
+	feat = h.Sum64()
+	h.Reset()
+	buf = buf[:0]
+	for _, l := range ds.Labels {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
+	}
+	h.Write(buf)
+	return adj, feat, h.Sum64()
+}
+
 func TestPowerLawFlagsMatchTableII(t *testing.T) {
 	for _, name := range Names() {
 		ds, err := Load(name, 7)
@@ -85,6 +136,12 @@ func TestPowerLawFlagsMatchTableII(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: IsPowerLaw = %v, Table II says %v (max deg %d, avg %.1f)",
 				name, got, want, ds.Graph.MaxDegree(), ds.Graph.AvgDegree())
+		}
+		adj, feat, labels := hashDataset(ds)
+		coef := math.Float64bits(ds.Graph.ApproxClusteringCoefficient(7, 2000))
+		if pin := datasetPins[name]; adj != pin.adj || feat != pin.feat || labels != pin.labels || coef != pin.coef {
+			t.Errorf("%s: adj %#x feat %#x labels %#x coef %#x, pinned %#x %#x %#x %#x",
+				name, adj, feat, labels, coef, pin.adj, pin.feat, pin.labels, pin.coef)
 		}
 	}
 }
