@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -43,7 +44,7 @@ func FromAdjacency(lists [][]NodeID) *Graph {
 		start := len(adj)
 		adj = append(adj, l...)
 		seg := adj[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(seg)
 		// Deduplicate in place.
 		w := 0
 		for i := range seg {
