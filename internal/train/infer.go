@@ -118,6 +118,9 @@ func (s *InferenceSession) Infer(nodes []graph.NodeID) (*InferResult, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("train: Infer needs at least one node")
 	}
+	if err := s.eng.checkOpen(); err != nil {
+		return nil, err
+	}
 	seeds := s.dedupInto(nodes)
 	t0 := time.Now()
 	s.GPU.ResetPeak()

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"errors"
 	"testing"
 
 	"buffalo/internal/device"
@@ -13,7 +14,9 @@ import (
 // kinds over cora and holds the engine's one set-up and teardown path to its
 // ledger contract. After one iteration (or request) and Close, every device
 // holds no live and no cached bytes, and a second Close changes nothing (a
-// double free would panic). Built at a budget where one reservation does not
+// double free would panic). After Close every entry point the kind has
+// (RunIteration, RunIterationOn, Evaluate, Infer) returns ErrClosed and
+// leaves every device's counters as they were. Built at a budget where one reservation does not
 // fit — the fixed footprint itself, a feature cache after the fixed
 // footprints, or ZeRO-1's shard buffers after the parameter values —
 // construction returns an OOM error at that reservation and every device it
@@ -29,25 +32,34 @@ func TestSessionKindsReleaseEveryReservation(t *testing.T) {
 	vals, fixed := m.Params.ValueBytes(), memest.TrainFixedBytes(m.Params.Bytes())
 	nodes := goldenNodes(ds)
 
-	// run is one built session: its devices, one iteration or request, and
-	// its Close.
+	// run is one built session: its devices, its entry points (the first is
+	// the iteration or request run before Close), and its Close.
 	type run struct {
 		gpus  []*device.GPU
-		step  func() error
+		calls []func() error
 		close func()
 	}
 	session := func(s *Session, err error) (run, error) {
 		if err != nil {
 			return run{}, err
 		}
-		return run{[]*device.GPU{s.GPU}, func() error { _, err := s.RunIteration(); return err }, s.Close}, nil
+		b, err := s.SampleBatch()
+		if err != nil {
+			s.Close()
+			return run{}, err
+		}
+		return run{[]*device.GPU{s.GPU}, []func() error{
+			func() error { _, err := s.RunIteration(); return err },
+			func() error { _, err := s.RunIterationOn(b); return err },
+			func() error { _, _, err := s.Evaluate(nodes); return err },
+		}, s.Close}, nil
 	}
 	dataParallel := func(dp *DataParallel, err error) (run, error) {
 		if err != nil {
 			return run{}, err
 		}
 		gpus := []*device.GPU{dp.Cluster.GPU(0), dp.Cluster.GPU(1)}
-		return run{gpus, func() error { _, err := dp.RunIteration(); return err }, dp.Close}, nil
+		return run{gpus, []func() error{func() error { _, err := dp.RunIteration(); return err }}, dp.Close}, nil
 	}
 	kinds := []struct {
 		name  string
@@ -79,7 +91,7 @@ func TestSessionKindsReleaseEveryReservation(t *testing.T) {
 			if err != nil {
 				return run{}, err
 			}
-			return run{[]*device.GPU{s.GPU}, func() error { _, err := s.Infer(nodes); return err }, s.Close}, nil
+			return run{[]*device.GPU{s.GPU}, []func() error{func() error { _, err := s.Infer(nodes); return err }}, s.Close}, nil
 		}, base.MemBudget, 2 * base.MemBudget, "serve/feature-cache", true},
 	}
 	empty := func(t *testing.T, when string, gpus []*device.GPU) {
@@ -96,7 +108,7 @@ func TestSessionKindsReleaseEveryReservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.step(); err != nil {
+			if err := r.calls[0](); err != nil {
 				r.close()
 				t.Fatal(err)
 			}
@@ -104,6 +116,20 @@ func TestSessionKindsReleaseEveryReservation(t *testing.T) {
 			empty(t, "after Close", r.gpus)
 			r.close()
 			empty(t, "after a second Close", r.gpus)
+			for i, call := range r.calls {
+				before := make([]device.Stats, len(r.gpus))
+				for j, g := range r.gpus {
+					before[j] = g.Stats()
+				}
+				if err := call(); !errors.Is(err, ErrClosed) {
+					t.Errorf("entry point %d after Close: err %v, want ErrClosed", i, err)
+				}
+				for j, g := range r.gpus {
+					if st := g.Stats(); st != before[j] {
+						t.Errorf("entry point %d after Close moved %s's counters: %+v, was %+v", i, g.Name(), st, before[j])
+					}
+				}
+			}
 
 			cfg := base
 			cfg.MemBudget = k.failBudget
