@@ -2,9 +2,9 @@ package train
 
 import (
 	"testing"
-	"time"
 
 	"buffalo/internal/device"
+	"buffalo/internal/obs"
 )
 
 // TestMultiGPUPipelinedLossParity: the pipelined data-parallel loader
@@ -65,12 +65,14 @@ func TestMultiGPUPipelinedCancelMidDispatch(t *testing.T) {
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, Buffalo)
 	cfg.MicroBatches = 4
-	dp, err := NewDataParallelPipelined(ds, cfg, 2, PipelineConfig{Depth: 2, CacheBudget: 2 * device.MB})
+	m := obs.NewMetrics()
+	cfg.Obs = obs.NewRecorder(nil, m)
+	pcfg := PipelineConfig{Depth: 2, CacheBudget: 2 * device.MB}
+	dp, err := NewDataParallelPipelined(ds, cfg, 2, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give the stages a moment to plan, stage, and block on lane backpressure.
-	time.Sleep(20 * time.Millisecond)
+	waitLoaderFull(t, m, pcfg, 2)
 	if err := dp.Shutdown(); err != nil {
 		t.Fatalf("shutdown of healthy mid-dispatch pipeline: %v", err)
 	}

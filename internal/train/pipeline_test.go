@@ -3,12 +3,14 @@ package train
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"buffalo/internal/datagen"
 	"buffalo/internal/device"
 	"buffalo/internal/gnn"
+	"buffalo/internal/obs"
 )
 
 // TestDataLoadingIsPerIterationDelta pins the delta-based phase accounting:
@@ -62,6 +64,31 @@ func pipelineGoroutineBaseline() int {
 	runtime.Gosched()
 	time.Sleep(5 * time.Millisecond)
 	return runtime.NumGoroutine()
+}
+
+// waitLoaderFull blocks until every queue of the loader pcfg built over
+// replicas devices reports full on its pipeline/queue/* depth gauge in m:
+// each planner's inbox and outbox hold one entry and each replica's ready
+// lane pcfg's depth, so the sampler, the planners and the prefetcher are all
+// at their backpressure. The deadline only bounds a failing run.
+func waitLoaderFull(t *testing.T, m *obs.Metrics, pcfg PipelineConfig, replicas int) {
+	t.Helper()
+	want := map[string]int64{}
+	for w := 0; w < pcfg.planAhead(); w++ {
+		want["pipeline/queue/batch/"+strconv.Itoa(w)] = 1
+		want["pipeline/queue/plan/"+strconv.Itoa(w)] = 1
+	}
+	for i := 0; i < replicas; i++ {
+		want["pipeline/queue/ready/"+strconv.Itoa(i)] = int64(pcfg.depth())
+	}
+	deadline := time.Now().Add(time.Minute)
+	for name, n := range want {
+		for g := m.Gauge(name); g.Value() != n; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue %s holds %d, want it full at %d", name, g.Value(), n)
+			}
+		}
+	}
 }
 
 func waitForGoroutineBaseline(t *testing.T, baseline int) {
@@ -210,12 +237,15 @@ func TestPipelinedCacheHitsOnSkewedGraph(t *testing.T) {
 func TestPipelinedCancelMidPrefetch(t *testing.T) {
 	before := pipelineGoroutineBaseline()
 	ds := loadData(t, "cora")
-	p, err := NewPipelinedSession(ds, baseConfig(ds, DGL), PipelineConfig{Depth: 3})
+	cfg := baseConfig(ds, DGL)
+	m := obs.NewMetrics()
+	cfg.Obs = obs.NewRecorder(nil, m)
+	pcfg := PipelineConfig{Depth: 3}
+	p, err := NewPipelinedSession(ds, cfg, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give the stages a moment to fill the queues and block on backpressure.
-	time.Sleep(20 * time.Millisecond)
+	waitLoaderFull(t, m, pcfg, 1)
 	if err := p.Shutdown(); err != nil {
 		t.Fatalf("close of healthy mid-flight pipeline: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"buffalo/internal/device"
+	"buffalo/internal/obs"
 )
 
 // TestCommOverlapLossBitIdentical: the bucketed overlapped all-reduce changes
@@ -165,13 +166,16 @@ func TestPlanAheadCancelMidPool(t *testing.T) {
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, Buffalo)
 	cfg.MicroBatches = 4
-	dp, err := NewDataParallelPipelined(ds, cfg, 2, PipelineConfig{Depth: 2, PlanAhead: 3})
+	m := obs.NewMetrics()
+	cfg.Obs = obs.NewRecorder(nil, m)
+	pcfg := PipelineConfig{Depth: 2, PlanAhead: 3}
+	dp, err := NewDataParallelPipelined(ds, cfg, 2, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the pool get plans in flight (and block on full outboxes / lane
-	// backpressure) without ever consuming an iteration.
-	time.Sleep(20 * time.Millisecond)
+	// Wait for the pool to have every plan in flight (full outboxes, full
+	// lanes) without ever consuming an iteration.
+	waitLoaderFull(t, m, pcfg, 2)
 	if err := dp.Shutdown(); err != nil {
 		t.Fatalf("shutdown of healthy plan-ahead pipeline: %v", err)
 	}

@@ -65,7 +65,10 @@
 #                      goroutines, and a test that assumes another goroutine
 #                      made progress by now (a sleep) fails on a starved
 #                      scheduler. 4.6 s on a 2-CPU host with the test
-#                      binaries built
+#                      binaries built. Then internal/train's pipelined,
+#                      plan-ahead and prefetch tests once at -cpu 1 (4.4 s):
+#                      five times at -cpu 1, 2 and 4 took 59-65 s there,
+#                      over this step's 60 s allowance
 #  10. go test -race   the full test suite under the race detector — the
 #                      only race pass: the concurrent paths (obs recorder under
 #                      the ledger mutex, the async loader's stages and
@@ -138,6 +141,7 @@ done
 
 echo "== contention =="
 go test -count=5 -cpu 1,2,4 ./internal/serve ./internal/pipeline
+go test -count=1 -cpu 1 -run 'Pipelined|PlanAhead|Prefetch' ./internal/train
 
 echo "== go test -race =="
 # Race instrumentation slows the heavy suites several-fold and packages
