@@ -266,18 +266,16 @@ func runSystems(t *testing.T, ds *datagen.Dataset, cfg Config, w io.Writer) {
 // The matrix rows are independent, so they run as parallel subtests; the
 // file is assembled in matrix order once all of them are done.
 func TestGoldenBits(t *testing.T) {
-	loaded := map[string]*datagen.Dataset{}
+	datasets := map[string]*datagen.Dataset{}
 	for _, m := range goldenModels {
-		if loaded[m.ds] == nil {
-			loaded[m.ds] = loadData(t, m.ds)
-		}
+		datasets[m.ds] = loadData(t, m.ds)
 	}
 	rows := make([]bytes.Buffer, len(goldenModels))
 	t.Run("matrix", func(t *testing.T) {
 		for i, m := range goldenModels {
 			t.Run(m.name(), func(t *testing.T) {
 				t.Parallel()
-				ds := loaded[m.ds]
+				ds := datasets[m.ds]
 				cfg := goldenConfig(ds, m)
 				emit := func(out *bytes.Buffer) {
 					for _, line := range strings.SplitAfter(out.String(), "\n") {

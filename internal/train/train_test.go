@@ -2,7 +2,11 @@ package train
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,13 +19,62 @@ import (
 	"buffalo/internal/schedule"
 )
 
+// loaded memoizes loadData: every test of the package shares one copy of each
+// dataset, which none may write. TestMain holds them to that.
+var loaded struct {
+	sync.Mutex
+	m map[string]*datagen.Dataset
+}
+
 func loadData(t testing.TB, name string) *datagen.Dataset {
 	t.Helper()
+	loaded.Lock()
+	defer loaded.Unlock()
+	if ds := loaded.m[name]; ds != nil {
+		return ds
+	}
 	ds, err := datagen.Load(name, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if loaded.m == nil {
+		loaded.m = map[string]*datagen.Dataset{}
+	}
+	loaded.m[name] = ds
 	return ds
+}
+
+// TestMain runs the package's tests, then regenerates every dataset loadData
+// shared and fails the run if a test wrote to its copy: the graph, the
+// features or the labels.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for name, ds := range loaded.m {
+		fresh, err := datagen.Load(name, 3)
+		if err == nil && !sameDataset(ds, fresh) {
+			err = fmt.Errorf("a test wrote to the shared %s dataset", name)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "train:", err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// sameDataset reports whether a and b hold the same graph, feature bits and
+// labels.
+func sameDataset(a, b *datagen.Dataset) bool {
+	if a.NumClasses != b.NumClasses || !slices.Equal(a.Labels, b.Labels) ||
+		featureHash(a.Features) != featureHash(b.Features) || a.Graph.NumNodes() != b.Graph.NumNodes() {
+		return false
+	}
+	for v := 0; v < a.Graph.NumNodes(); v++ {
+		if !slices.Equal(a.Graph.Neighbors(graph.NodeID(v)), b.Graph.Neighbors(graph.NodeID(v))) {
+			return false
+		}
+	}
+	return true
 }
 
 func baseConfig(ds *datagen.Dataset, sys System) Config {
