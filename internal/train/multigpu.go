@@ -73,6 +73,9 @@ func newDataParallel(ds *datagen.Dataset, cfg Config, gpus int, pcfg *PipelineCo
 // pipelined, otherwise sample → plan → execute inline with synchronous
 // staging.
 func (dp *DataParallel) RunIteration() (*MultiGPUResult, error) {
+	if err := dp.eng.checkOpen(); err != nil {
+		return nil, err
+	}
 	return dp.eng.runIteration()
 }
 
