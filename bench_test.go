@@ -128,8 +128,10 @@ func BenchmarkRunIteration_Sequential(b *testing.B) {
 
 // BenchmarkRunIteration_SequentialArxiv is the sequential iteration at the
 // paper's regime — ogbn-arxiv, batch 512, fanouts 10/25, K searched under a
-// 12 MB device — where the layer-0 GEMMs sit around parallelFlopThreshold, so
-// the row-parallel kernel path has a tracked number.
+// 12 MB device — where the layer-0 GEMMs read the feature table through the
+// row-indexed products and planning runs an inline K-search. The vector GEMMs
+// never fan out (DESIGN.md §6), so on an AVX2 host this tracks the one-thread
+// kernels; the row-parallel path runs only in portable builds.
 func BenchmarkRunIteration_SequentialArxiv(b *testing.B) {
 	st := fixtures(b)
 	s, err := train.NewSession(st.arxiv, train.Config{

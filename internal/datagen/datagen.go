@@ -386,17 +386,31 @@ func wattsStrogatz(rng *rand.Rand, n, k int, rewire float64) (*graph.Graph, erro
 	return graph.FromAdjacency(adj), nil
 }
 
-// relabel applies a random node-ID permutation to the graph.
+// relabel applies a random node-ID permutation to the graph. Both
+// generators build symmetric graphs (u lists v exactly when v lists u), so
+// node perm[u]'s new list is {perm[v] : v lists u}: visiting the new IDs w in
+// ascending order and appending w to the list of each of its neighbours' new
+// IDs fills every list already sorted, in O(edges), and FromAdjacency sorts
+// none of them again. Every list is carved from one array at the capacity
+// its degree sets, so an asymmetric graph could not write past its own list.
 func relabel(rng *rand.Rand, g *graph.Graph) *graph.Graph {
 	n := g.NumNodes()
 	perm := rng.Perm(n)
+	old := make([]int, n) // old[perm[v]] = v
+	for v, w := range perm {
+		old[w] = v
+	}
+	backing := make([]graph.NodeID, g.NumEdges())
 	lists := make([][]graph.NodeID, n)
-	for v := 0; v < n; v++ {
-		nv := perm[v]
-		nbs := g.Neighbors(graph.NodeID(v))
-		lists[nv] = make([]graph.NodeID, len(nbs))
-		for i, u := range nbs {
-			lists[nv][i] = graph.NodeID(perm[u])
+	off := 0
+	for v, w := range perm {
+		d := len(g.Neighbors(graph.NodeID(v)))
+		lists[w] = backing[off : off : off+d]
+		off += d
+	}
+	for w := range n {
+		for _, u := range g.Neighbors(graph.NodeID(old[w])) {
+			lists[perm[u]] = append(lists[perm[u]], graph.NodeID(w))
 		}
 	}
 	return graph.FromAdjacency(lists)

@@ -119,6 +119,8 @@ type Model struct {
 	Cfg    Config
 	Layers []Layer
 	Params *nn.ParamSet
+
+	res ForwardResult // every forward's result (see ForwardResult)
 }
 
 // New builds a model per the config with deterministic initialization.
@@ -151,7 +153,9 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// ForwardResult carries everything Backward needs.
+// ForwardResult carries everything Backward needs. It is the model's own,
+// like the layer caches it holds: each forward overwrites the one result its
+// model returns, so a result is valid until the model's next forward.
 type ForwardResult struct {
 	Logits *tensor.Matrix
 	caches []LayerCache
@@ -214,7 +218,11 @@ func (m *Model) ForwardTable(mb *block.MicroBatch, table *tensor.Matrix,
 // inputs themselves), every later layer its predecessor's output.
 func (m *Model) forward(mb *block.MicroBatch, x *tensor.Matrix, idx []int32,
 	hook func(layer int, plannedBytes int64) error) (*ForwardResult, error) {
-	res := &ForwardResult{caches: make([]LayerCache, len(m.Layers))}
+	res := &m.res
+	if cap(res.caches) < len(m.Layers) {
+		res.caches = make([]LayerCache, len(m.Layers))
+	}
+	res.Logits, res.caches = nil, res.caches[:len(m.Layers)]
 	for l, layer := range m.Layers {
 		if hook != nil {
 			if err := hook(l, layer.PlannedCacheBytes(mb.Blocks[l])); err != nil {

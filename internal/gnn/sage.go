@@ -194,9 +194,11 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix, idx []int32) 
 		// Every step's input is a gather of source rows and the projection is
 		// row-local, so each source row is projected once here and the buckets
 		// gather the projected rows. A transient like dAggAll: not in Bytes().
-		proj = l.arena.Get(nSrc, 4*l.in)
+		// proj is written in full by the non-accumulating product, and lstmX
+		// by the buckets' gathers, which between them cover every edge.
+		proj = l.arena.GetUninit(nSrc, 4*l.in)
 		l.lstm.ProjectInto(proj, xsrc, idx)
-		cache.lstmX = l.arena.Get(int(blk.NumEdges()), l.in)
+		cache.lstmX = l.arena.GetUninit(int(blk.NumEdges()), l.in)
 	}
 
 	// Algorithm 1 lines 6-8: one batched aggregation per degree bucket.
@@ -247,7 +249,7 @@ func (l *sageLayer) Forward(blk *block.Block, xsrc *tensor.Matrix, idx []int32) 
 			m := db.degree * len(db.rows)
 			x := cache.lstmX.RowRange(edge, edge+m)
 			gatherStacked(&x, blk, db.rows, db.degree, xsrc, idx)
-			z := l.arena.Get(m, 4*l.in)
+			z := l.arena.GetUninit(m, 4*l.in) // the gather writes every row
 			gatherStacked(z, blk, db.rows, db.degree, proj, nil)
 			bc.agg = l.lstm.Forward(&bc.lstm, l.arena, z, db.degree)
 			edge += m
@@ -303,10 +305,11 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 	// Neighbor path, per bucket.
 	dAggAll := l.arena.GetUninit(dPre.Rows, l.in) // written in full by the non-accumulating MatMulABTInto below
 	tensor.MatMulABTInto(dAggAll, dPre, l.wNeigh.Value, false)
-	var dzAll *tensor.Matrix // LSTM gate gradients, rows as in cache.lstmX
+	var dzAll, whT *tensor.Matrix // LSTM gate gradients, rows as in cache.lstmX; Whᵀ for every bucket
 	edge := 0
 	if l.agg == LSTM {
-		dzAll = l.arena.Get(cache.lstmX.Rows, 4*l.in)
+		dzAll = l.arena.GetUninit(cache.lstmX.Rows, 4*l.in) // every bucket's Backward overwrites its rows
+		whT = l.lstm.PackWh(l.arena)
 	}
 	for _, bc := range cache.buckets {
 		if bc.degree == 0 {
@@ -340,7 +343,7 @@ func (l *sageLayer) Backward(cacheI LayerCache, dH *tensor.Matrix, needDX bool) 
 		case LSTM:
 			m := bc.degree * len(bc.rows)
 			dz := dzAll.RowRange(edge, edge+m)
-			l.lstm.Backward(&bc.lstm, l.arena, dAgg, &dz)
+			l.lstm.Backward(&bc.lstm, l.arena, whT, dAgg, &dz)
 			edge += m
 			continue // the input side runs once for the layer, below
 		}

@@ -31,7 +31,8 @@ type Graph struct {
 }
 
 // FromAdjacency builds a Graph from per-node neighbor lists. Each list is
-// copied, sorted, and deduplicated; self-loops are preserved if present.
+// copied, sorted (unless it already is), and deduplicated; self-loops are
+// preserved if present.
 func FromAdjacency(lists [][]NodeID) *Graph {
 	n := len(lists)
 	offsets := make([]int64, n+1)
@@ -44,7 +45,9 @@ func FromAdjacency(lists [][]NodeID) *Graph {
 		start := len(adj)
 		adj = append(adj, l...)
 		seg := adj[start:]
-		slices.Sort(seg)
+		if !slices.IsSorted(seg) {
+			slices.Sort(seg)
+		}
 		// Deduplicate in place.
 		w := 0
 		for i := range seg {

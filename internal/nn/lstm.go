@@ -129,73 +129,53 @@ func (c *LSTMCell) Forward(cache *LSTMCache, a *tensor.Arena, z *tensor.Matrix, 
 	n := z.Rows / steps
 	cache.n, cache.steps, cache.x = n, steps, nil
 	cache.gates = z
-	cache.c, cache.tanhC, cache.h = a.Get(z.Rows, hd), a.Get(z.Rows, hd), a.Get(z.Rows, hd)
+	// Every step writes its rows of all three in full before any is read.
+	cache.c, cache.tanhC, cache.h = a.GetUninit(z.Rows, hd), a.GetUninit(z.Rows, hd), a.GetUninit(z.Rows, hd)
 	if len(cache.zero) < hd {
 		cache.zero = make([]float32, hd)
 	}
 	for t := 0; t < steps; t++ {
+		lo, hi := cache.block(t)
+		zt := z.RowRange(lo, hi)
 		if t > 0 {
-			lo, hi := cache.block(t)
-			zt, hPrev := z.RowRange(lo, hi), cache.h.RowRange(hi, hi+n)
+			hPrev := cache.h.RowRange(hi, hi+n)
 			tensor.MatMulInto(&zt, &hPrev, c.Wh.Value, true)
 		}
-		c.gatesForward(cache, t)
+		ct, tct, ht, cPrev := cache.c.RowRange(lo, hi), cache.tanhC.RowRange(lo, hi), cache.h.RowRange(lo, hi), cache.prev(t)
+		tensor.LSTMStepInto(&zt, c.B.Value, &cPrev, &ct, &tct, &ht)
 	}
 	cache.final = cache.h.RowRange(0, n)
 	return &cache.final
 }
 
-// gatesForward turns step t's rows of cache.gates from pre-activations
-// without bias into gate activations and fills the same rows of c, tanhC and
-// h. Per element it is the unfused sequence z += b; i,f,o = σ(z),
-// g = tanh(z); c = f⊙cPrev + i⊙g; h = o⊙tanh(c), each product rounded to
-// float32 before the add. σ and tanh are tensor.SigmoidInto and
-// tensor.TanhInto: math's float64 functions on the widened float32, rounded
-// once.
-func (c *LSTMCell) gatesForward(cache *LSTMCache, t int) {
-	n, hd := cache.n, c.Hidden
-	bias := c.B.Value.Data[:4*hd]
-	lo, hi := cache.block(t)
-	for r := lo; r < hi; r++ {
-		z := cache.gates.Data[r*4*hd : (r+1)*4*hd][:len(bias)]
-		for j, b := range bias {
-			z[j] += b
-		}
-		tensor.SigmoidInto(z[:2*hd], z[:2*hd]) // i|f
-		tensor.TanhInto(z[2*hd:3*hd], z[2*hd:3*hd])
-		tensor.SigmoidInto(z[3*hd:], z[3*hd:])
+// prev returns the cell state step t reads: step t-1's rows, or for step 0
+// the zero state as one row every row shares.
+func (c *LSTMCache) prev(t int) tensor.Matrix {
+	if t == 0 {
+		return tensor.Matrix{Rows: 1, Cols: c.h.Cols, Data: c.zero[:c.h.Cols]}
 	}
-	cp := cache.zero[:hd]
-	for r := lo; r < hi; r++ {
-		z := cache.gates.Data[r*4*hd : (r+1)*4*hd]
-		zi, zf, zg := z[:hd], z[hd:2*hd], z[2*hd:3*hd]
-		if t > 0 {
-			cp = cache.c.Data[(r+n)*hd : (r+n+1)*hd]
-		}
-		cn := cache.c.Data[r*hd : (r+1)*hd]
-		for j := range cn {
-			cn[j] = float32(zf[j]*cp[j]) + float32(zi[j]*zg[j])
-		}
-	}
-	tensor.TanhInto(cache.tanhC.Data[lo*hd:hi*hd], cache.c.Data[lo*hd:hi*hd])
-	for r := lo; r < hi; r++ {
-		zo := cache.gates.Data[r*4*hd+3*hd : (r+1)*4*hd]
-		tc := cache.tanhC.Data[r*hd : (r+1)*hd]
-		hn := cache.h.Data[r*hd : (r+1)*hd]
-		for j, tv := range tc {
-			hn[j] = zo[j] * tv
-		}
-	}
+	_, hi := c.block(t)
+	return c.c.RowRange(hi, hi+c.n)
+}
+
+// PackWh returns Whᵀ [4h x h] in a matrix from a, the operand Backward
+// multiplies every step's gate gradients by. A caller running Backward over
+// several batches between two optimizer steps packs it once for all of them.
+func (c *LSTMCell) PackWh(a *tensor.Arena) *tensor.Matrix {
+	whT := a.GetUninit(4*c.Hidden, c.Hidden)
+	tensor.TransposeInto(whT, c.Wh.Value)
+	return whT
 }
 
 // Backward backpropagates dhFinal (gradient of the last step's hidden state,
 // [n x hidden]) through the cached trajectory: it overwrites dz (stacked like
 // Forward's z) with the gradient of every step's gate pre-activations and
-// accumulates Wh's and the bias's gradients. The input side is the caller's:
-// ProjectBackward(dx, x, dz). Step 0 adds nothing to Wh's gradient — its
-// previous hidden state is the zero state — and nothing precedes it to read a
-// recurrent gradient. Working buffers come from a (nil: plain allocation).
-func (c *LSTMCell) Backward(cache *LSTMCache, a *tensor.Arena, dhFinal, dz *tensor.Matrix) {
+// accumulates Wh's and the bias's gradients. whT is PackWh's Whᵀ (unread for
+// a one-step batch). The input side is the caller's: ProjectBackward(dx, x, dz).
+// Step 0 adds nothing to Wh's gradient — its previous hidden state is the
+// zero state — and nothing precedes it to read a recurrent gradient. Working
+// buffers come from a (nil: plain allocation).
+func (c *LSTMCell) Backward(cache *LSTMCache, a *tensor.Arena, whT, dhFinal, dz *tensor.Matrix) {
 	T, n, hd := cache.steps, cache.n, c.Hidden
 	if T == 0 {
 		return
@@ -206,23 +186,28 @@ func (c *LSTMCell) Backward(cache *LSTMCache, a *tensor.Arena, dhFinal, dz *tens
 	if dz.Rows != T*n || dz.Cols != 4*hd {
 		panicLSTM("gate gradient vs [steps*n x 4h]", dz.Rows, dz.Cols, T*n, 4*hd)
 	}
+	if T > 1 && (whT == nil || whT.Rows != 4*hd || whT.Cols != hd) {
+		var rows, cols int
+		if whT != nil {
+			rows, cols = whT.Rows, whT.Cols
+		}
+		panicLSTM("packed Wh vs [4h x h]", rows, cols, 4*hd, hd)
+	}
 	dc := a.Get(n, hd)
-	bsum := a.Get(1, 4*hd)
+	bsum := a.GetUninit(1, 4*hd) // every step overwrites it
 	dh := dhFinal
-	var dhPrev, whT *tensor.Matrix
+	var dhPrev *tensor.Matrix
 	if T > 1 {
-		dhPrev = a.Get(n, hd)
-		// Whᵀ packed once for every step's dz @ Whᵀ: the same products summed
-		// from +0 over ascending k as MatMulABTInto's, without its per-call
-		// repack.
-		whT = a.GetUninit(4*hd, hd)
-		tensor.TransposeInto(whT, c.Wh.Value)
+		dhPrev = a.GetUninit(n, hd) // overwritten by each step's product
 	}
 	for t := T - 1; t >= 0; t-- {
-		c.gatesBackward(cache, t, dz, bsum, dc, dh)
+		lo, hi := cache.block(t)
+		dzt, zt, tct, cPrev := dz.RowRange(lo, hi), cache.gates.RowRange(lo, hi), cache.tanhC.RowRange(lo, hi), cache.prev(t)
+		tensor.LSTMStepBackwardInto(&dzt, dc, bsum, &zt, &tct, &cPrev, dh)
 		c.B.Grad.AddInPlace(bsum)
 		if t > 0 {
-			dzt := dz.RowRange(cache.block(t))
+			// The same products summed from +0 over ascending k as
+			// MatMulABTInto's, without its per-call repack of Wh.
 			tensor.MatMulInto(dhPrev, &dzt, whT, false)
 			dh = dhPrev
 		}
@@ -231,46 +216,6 @@ func (c *LSTMCell) Backward(cache *LSTMCache, a *tensor.Arena, dhFinal, dz *tens
 		// Wh.Grad += h_{t-1}ᵀ @ dz_t for t = T-1 .. 1: one sum over rows.
 		hPrev, dzs := cache.h.RowRange(n, T*n), dz.RowRange(0, (T-1)*n)
 		tensor.MatMulATBInto(c.Wh.Grad, &hPrev, &dzs, true)
-	}
-}
-
-// gatesBackward overwrites step t's rows of dz with the gradient of that
-// step's gate pre-activations and bsum with their column sums (rows added in
-// ascending order), and turns dc from the gradient flowing into this step's
-// cell state from the next step into the one flowing into the previous
-// step's. Per element: do = dh⊙tanh(c), dc += dh⊙o⊙(1-tanh²(c)), di = dc⊙g,
-// dg = dc⊙i, df = dc⊙cPrev, then each through its activation's derivative
-// taken from the output.
-func (c *LSTMCell) gatesBackward(cache *LSTMCache, t int, dz, bsum, dc, dh *tensor.Matrix) {
-	n, hd := cache.n, c.Hidden
-	bs := bsum.Data[:4*hd]
-	clear(bs)
-	cp := cache.zero[:hd]
-	lo, hi := cache.block(t)
-	for r := lo; r < hi; r++ {
-		g := cache.gates.Data[r*4*hd : (r+1)*4*hd]
-		gi, gf, gg, gO := g[:hd], g[hd:2*hd], g[2*hd:3*hd], g[3*hd:4*hd]
-		d := dz.Data[r*4*hd : (r+1)*4*hd]
-		di, df, dg, dO := d[:hd], d[hd:2*hd], d[2*hd:3*hd], d[3*hd:4*hd]
-		tc := cache.tanhC.Data[r*hd : (r+1)*hd]
-		if t > 0 {
-			cp = cache.c.Data[(r+n)*hd : (r+n+1)*hd]
-		}
-		dhr := dh.Data[(r-lo)*hd : (r-lo+1)*hd]
-		dcr := dc.Data[(r-lo)*hd : (r-lo+1)*hd]
-		for j := range hd {
-			iv, fv, gv, ov, tv := gi[j], gf[j], gg[j], gO[j], tc[j]
-			dtc := dhr[j] * ov
-			dcv := dcr[j] + dtc*(1-tv*tv)
-			di[j] = (dcv * gv) * (iv * (1 - iv))
-			df[j] = (dcv * cp[j]) * (fv * (1 - fv))
-			dg[j] = (dcv * iv) * (1 - gv*gv)
-			dO[j] = (dhr[j] * tv) * (ov * (1 - ov))
-			dcr[j] = dcv * fv
-		}
-		for j, v := range d {
-			bs[j] += v
-		}
 	}
 }
 
@@ -308,7 +253,7 @@ func (c *LSTMCell) BackwardSequence(cache *LSTMCache, dhFinal *tensor.Matrix) []
 		return dxs
 	}
 	dz, dx := tensor.New(T*n, 4*c.Hidden), tensor.New(T*n, c.In)
-	c.Backward(cache, nil, dhFinal, dz)
+	c.Backward(cache, nil, c.PackWh(nil), dhFinal, dz)
 	c.ProjectBackward(dx, cache.x, dz)
 	for t := range dxs {
 		step := dx.RowRange(cache.block(t))

@@ -639,7 +639,7 @@ func TestLSTMMatchesReferenceCell(t *testing.T) {
 							t.Fatalf("%s: cache bytes %d, want %d", name, got, want)
 						}
 						dz := arena.Get(T*n, 4*hidden)
-						cell.Backward(&cache, arena, dh, dz)
+						cell.Backward(&cache, arena, cell.PackWh(arena), dh, dz)
 						var dx *tensor.Matrix
 						if withDX {
 							dx = arena.Get(T*n, in)
@@ -684,10 +684,12 @@ func TestLSTMShapePanics(t *testing.T) {
 	xs := []*tensor.Matrix{randMat(rng, 2, 3), randMat(rng, 2, 3)}
 	_, cache := cell.RunSequence(xs)
 	cases := map[string]func(){
-		"dhFinal rows":    func() { cell.Backward(cache, nil, tensor.New(3, 4), tensor.New(4, 16)) },
-		"dhFinal cols":    func() { cell.Backward(cache, nil, tensor.New(2, 3), tensor.New(4, 16)) },
-		"dz rows":         func() { cell.Backward(cache, nil, tensor.New(2, 4), tensor.New(2, 16)) },
-		"dz cols":         func() { cell.Backward(cache, nil, tensor.New(2, 4), tensor.New(4, 4)) },
+		"dhFinal rows":    func() { cell.Backward(cache, nil, cell.PackWh(nil), tensor.New(3, 4), tensor.New(4, 16)) },
+		"dhFinal cols":    func() { cell.Backward(cache, nil, cell.PackWh(nil), tensor.New(2, 3), tensor.New(4, 16)) },
+		"dz rows":         func() { cell.Backward(cache, nil, cell.PackWh(nil), tensor.New(2, 4), tensor.New(2, 16)) },
+		"dz cols":         func() { cell.Backward(cache, nil, cell.PackWh(nil), tensor.New(2, 4), tensor.New(4, 4)) },
+		"packed Wh":       func() { cell.Backward(cache, nil, tensor.New(4, 16), tensor.New(2, 4), tensor.New(4, 16)) },
+		"no packed Wh":    func() { cell.Backward(cache, nil, nil, tensor.New(2, 4), tensor.New(4, 16)) },
 		"projection cols": func() { cell.Forward(&LSTMCache{}, nil, tensor.New(4, 4), 2) },
 		"projection rows": func() { cell.Forward(&LSTMCache{}, nil, tensor.New(5, 16), 2) },
 		"no steps":        func() { cell.Forward(&LSTMCache{}, nil, tensor.New(4, 16), 0) },

@@ -53,21 +53,12 @@ func NewAdamShard(lr float32, lo, hi int) *Adam {
 // iteration so their bias-correction clocks agree — matches a single
 // full-range step bit for bit. Padding elements carry zero gradients and
 // zero moments, so stepping over them leaves their zero values unchanged.
+// The loop is tensor.AdamInto's, vector where the build has it.
 func (a *Adam) StepFlat(fb *FlatBuffer) {
 	a.t++
 	c1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
 	c2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
-	values, grads := fb.values, fb.grads
-	fm, fv := a.fm, a.fv
-	for i := a.lo; i < a.hi; i++ {
-		g := grads[i]
-		j := i - a.lo
-		fm[j] = a.Beta1*fm[j] + (1-a.Beta1)*g
-		fv[j] = a.Beta2*fv[j] + (1-a.Beta2)*g*g
-		mh := fm[j] / c1
-		vh := fv[j] / c2
-		values[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
-	}
+	tensor.AdamInto(fb.values[a.lo:a.hi], fb.grads[a.lo:a.hi], a.fm, a.fv, a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)
 }
 
 // Step applies one update from the current gradients over per-parameter
@@ -88,8 +79,8 @@ func (a *Adam) Step(ps *ParamSet) {
 		}
 		v := a.v[p]
 		for i, g := range p.Grad.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
+			m.Data[i] = float32(a.Beta1*m.Data[i]) + float32((1-a.Beta1)*g)
+			v.Data[i] = float32(a.Beta2*v.Data[i]) + float32(float32((1-a.Beta2)*g)*g)
 			mh := m.Data[i] / c1
 			vh := v.Data[i] / c2
 			p.Value.Data[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)

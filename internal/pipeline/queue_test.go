@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,33 +63,34 @@ func TestQueuePushBlocksAtCapacity(t *testing.T) {
 }
 
 // TestQueueCancellationUnblocks: a canceled context releases both blocked
-// producers and blocked consumers with ctx.Err().
+// producers and blocked consumers with ctx.Err(): a consumer parked on an
+// empty queue and a producer parked on a full one both return
+// context.Canceled once the context they wait under is canceled.
 func TestQueueCancellationUnblocks(t *testing.T) {
-	q := NewQueue[int](1, nil)
+	empty, full := NewQueue[int](1, nil), NewQueue[int](1, nil)
+	if err := full.Push(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	wg.Add(2)
 	errs := make(chan error, 2)
 	go func() { // blocked consumer: queue empty
 		defer wg.Done()
-		_, err := q.Pop(ctx)
+		_, err := empty.Pop(ctx)
 		errs <- err
 	}()
-	go func() { // blocked producer: fill then overfill
+	go func() { // blocked producer: queue full
 		defer wg.Done()
-		time.Sleep(time.Millisecond)
-		_ = q.Push(context.Background(), 1)
-		// This push blocks only if the consumer already gave up; either
-		// outcome is fine — the point is cancellation can't deadlock it.
-		errs <- q.Push(ctx, 2)
+		errs <- full.Push(ctx, 2)
 	}()
-	time.Sleep(5 * time.Millisecond)
+	waitParked(t, 2)
 	cancel()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("want nil or context.Canceled, got %v", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
 		}
 	}
 }
@@ -97,7 +100,8 @@ func TestQueueCancellationUnblocks(t *testing.T) {
 // false — the shutdown drain of the training loader's lanes.
 func TestQueueCloseDrains(t *testing.T) {
 	p := New(context.Background())
-	q := NewQueue[string](2, nil)
+	depth := obs.NewMetrics().Gauge("pipeline/queue/test")
+	q := NewQueue[string](2, depth)
 	p.Go("producer", func(ctx context.Context) error {
 		for _, s := range []string{"a", "b", "c"} {
 			if err := q.Push(ctx, s); err != nil {
@@ -106,10 +110,7 @@ func TestQueueCloseDrains(t *testing.T) {
 		}
 		return nil
 	})
-	deadline := time.Now().Add(2 * time.Second)
-	for len(q.ch) < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitState(t, "the producer to fill the queue", func() bool { return depth.Value() == 2 })
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close() = %v, want nil", err)
 	}
@@ -145,7 +146,7 @@ func TestQueueCloseUnblocksWaiters(t *testing.T) {
 		errs <- err
 		return err
 	})
-	time.Sleep(time.Millisecond)
+	waitParked(t, 2)
 	closed := make(chan error, 1)
 	go func() { closed <- p.Close() }()
 	select {
@@ -164,16 +165,42 @@ func TestQueueCloseUnblocksWaiters(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// waitForGoroutines polls until the goroutine count returns to the given
+// waitForGoroutines waits until the goroutine count returns to the given
 // baseline (scheduling makes an instantaneous check flaky).
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline {
-			return
+	waitState(t, "the goroutine count to return to its baseline", func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// waitParked waits until n goroutines are parked in the select of a Queue's
+// Push or Pop, as the runtime's goroutine dump reports them: the state a test
+// wants a stage in before it cancels it.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	waitState(t, strconv.Itoa(n)+" goroutines to park in a queue", func() bool {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") &&
+				(strings.Contains(g, "pipeline.(*Queue[...]).Pop(") || strings.Contains(g, "pipeline.(*Queue[...]).Push(")) {
+				parked++
+			}
 		}
-		time.Sleep(time.Millisecond)
+		return parked >= n
+	})
+}
+
+// waitState yields the processor until cond holds. It never sleeps: every
+// other goroutine gets to run between two checks, so a state that needs
+// another goroutine's progress arrives as soon as the scheduler lets it, at
+// -cpu 1 too. The deadline only bounds a failing run.
+func waitState(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
 	}
-	t.Fatalf("goroutines leaked: now %d, baseline %d", runtime.NumGoroutine(), baseline)
 }

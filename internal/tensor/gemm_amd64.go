@@ -2,9 +2,10 @@
 
 package tensor
 
-// useVector routes the three GEMMs and MeanRowsInto through the AVX2 kernels
-// in gemm_amd64.s and rows_amd64.s (and, with haveFMA, the transcendental
-// maps through trans_amd64.s). It is set once, here, from the CPU probe;
+// useVector routes the three GEMMs, MeanRowsInto, AddRowVector, the LSTM step
+// and the Adam step through the AVX2 kernels in gemm_amd64.s, rows_amd64.s,
+// gates_amd64.s and adam_amd64.s (and, with haveFMA, the transcendental maps
+// through trans_amd64.s). It is set once, here, from the CPU probe;
 // only the tests write it, to run every kernel test against both paths. Builds
 // without the kernels (other architectures, and -race, whose detector cannot
 // see assembly loads and stores) take gemm_portable.go's false instead.
@@ -31,6 +32,18 @@ func meanRowsAVX2(out, src *float32, idx *int32, n, cols int, scale float32)
 
 //go:noescape
 func transAVX2(dst, src *float32, n, f int) int
+
+//go:noescape
+func addRowAVX2(m, vec *float32, rows, cols int)
+
+//go:noescape
+func gatesAVX2(out, gates, prev *float32, rows, hd, prevStride, op int)
+
+//go:noescape
+func gatesBackwardAVX2(dz, dc, bsum, gates, tanhC, prev, dh *float32, rows, hd, prevStride int)
+
+//go:noescape
+func adamAVX2(values, grads, m, v *float32, n int, beta1, oneMinusBeta1, beta2, oneMinusBeta2, c1, c2, lr, eps float32)
 
 func cpuHasAVX2() bool
 

@@ -523,15 +523,27 @@ func (m *Matrix) AddInPlace(other *Matrix) {
 	}
 }
 
-// AddRowVector adds vec (1 x Cols) to every row of m (bias broadcast).
+// AddRowVector adds vec (1 x Cols) to every row of m (bias broadcast). Where
+// the build has it and the CPU runs it (useVector), gates_amd64.s adds each
+// row's whole groups of eight columns (one VADDPS per element, the Go loop's
+// bits) and the Go loop the rest.
 func (m *Matrix) AddRowVector(vec *Matrix) {
-	if vec.Rows != 1 || vec.Cols != m.Cols {
+	if vec.Rows != 1 || vec.Cols != m.Cols || len(vec.Data) < vec.Cols || len(m.Data) < m.Rows*m.Cols {
 		panicShape("AddRowVector shape", vec.Rows, vec.Cols, m.Rows, m.Cols)
 	}
+	j0 := 0
+	if useVector && m.Rows > 0 && m.Cols >= 8 {
+		addRowAVX2(&m.Data[0], &vec.Data[0], m.Rows, m.Cols)
+		j0 = m.Cols &^ 7
+	}
+	if j0 == m.Cols {
+		return
+	}
+	v := vec.Data[:m.Cols]
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
-		for j := range row {
-			row[j] += vec.Data[j]
+		for j := j0; j < len(row); j++ {
+			row[j] += v[j]
 		}
 	}
 }

@@ -102,6 +102,15 @@ type engine struct {
 	compute  []time.Duration
 	bwdLast  []time.Duration
 	labels   []int32
+	// The device records of the reservations one micro-batch at a time holds
+	// (device.GPU.AllocInto): computeMicroBatch's layer charges, seqStager's
+	// staged micro-batch and its feature charge, and forward's features and
+	// two-layer activation window. Each is freed before it is reserved again.
+	layerRecs  []device.Allocation // one per model layer
+	staged     stagedMB
+	stagedFeat device.Allocation
+	fwdFeat    device.Allocation
+	fwdWindow  [2]device.Allocation
 
 	// resident[d] is the set of input rows idle on replica d's device
 	// (seqStager): what released micro-batches left there as cached bytes,
@@ -258,21 +267,22 @@ func newEngine(ds *datagen.Dataset, cfg Config, su setup) (*engine, error) {
 	}
 	spec := memest.SpecFromConfig(cfg.Model)
 	e := &engine{
-		cfg:      cfg,
-		data:     ds,
-		table:    ds.FeatureTable(cfg.Model.InDim),
-		flat0:    flat0,
-		stream:   sampling.NewStream(ds.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed),
-		clusterC: memest.ClampC(ds.Graph.ApproxClusteringCoefficient(cfg.Seed, 2000)),
-		rowBytes: spec.FeatureRowBytes(),
-		spec:     spec,
-		replicas: replicas,
-		cluster:  cluster,
-		preStats: make([]device.Stats, n),
-		compute:  make([]time.Duration, n),
-		bwdLast:  make([]time.Duration, n),
-		resident: make([]residentRows, n),
-		arena:    tensor.NewArena(tensor.NewPool()),
+		cfg:       cfg,
+		data:      ds,
+		table:     ds.FeatureTable(cfg.Model.InDim),
+		flat0:     flat0,
+		stream:    sampling.NewStream(ds.Graph, cfg.BatchSize, cfg.Fanouts, cfg.Seed),
+		clusterC:  memest.ClampC(ds.Graph.ApproxClusteringCoefficient(cfg.Seed, 2000)),
+		rowBytes:  spec.FeatureRowBytes(),
+		spec:      spec,
+		replicas:  replicas,
+		cluster:   cluster,
+		preStats:  make([]device.Stats, n),
+		compute:   make([]time.Duration, n),
+		bwdLast:   make([]time.Duration, n),
+		resident:  make([]residentRows, n),
+		layerRecs: make([]device.Allocation, cfg.Model.Layers),
+		arena:     tensor.NewArena(tensor.NewPool()),
 	}
 	for _, r := range replicas {
 		r.model.SetArena(e.arena)
@@ -652,18 +662,20 @@ func (s seqStager) stage(it *pipeIter, i int) (*stagedMB, error) {
 	dev := i % len(e.replicas)
 	gpu := e.replicas[dev].gpu
 	set := &e.resident[dev]
-	smb := &stagedMB{iter: it, dev: dev, mb: it.mbs[i]}
+	// One micro-batch is staged at a time, released before the next is
+	// staged: the engine's one record serves them all.
+	smb := &e.staged
+	*smb = stagedMB{iter: it, dev: dev, mb: it.mbs[i]}
 	in := smb.mb.InputNodes()
 	set.sync(gpu, e.rowBytes)
 	hits := set.take(in)
 	gpu.Uncache(hits * e.rowBytes)
 	e.cfg.Obs.Event(obs.KindMark, gpu.Name(), "stage/resident", hits*e.rowBytes, 0, int64(i))
-	featAlloc, err := gpu.Alloc("features", e.featBytes(smb.mb))
-	if err != nil {
+	if err := gpu.AllocInto(&e.stagedFeat, "features", e.featBytes(smb.mb)); err != nil {
 		e.dropResident()
 		return nil, fmt.Errorf("train: loading features: %w", err)
 	}
-	smb.featAlloc = featAlloc
+	smb.featAlloc = &e.stagedFeat
 	set.sync(gpu, e.rowBytes)
 	if miss := int64(len(in)) - hits; miss > 0 {
 		gpu.TransferH2D(miss * e.rowBytes)
@@ -933,22 +945,21 @@ func (e *engine) addCompute(dev int, d time.Duration, kind obs.Kind) time.Durati
 // model spreads gradient completion over.
 func (e *engine) computeMicroBatch(dev int, b *sampling.Batch, mb *block.MicroBatch, perCompute, lastBwd []time.Duration) (loss float32, correct int, microBytes int64, err error) {
 	r := e.replicas[dev]
-	var layerAllocs []*device.Allocation
+	charged := 0 // e.layerRecs[:charged] are live
 	// Everything the forward and backward passes materialize is dead once the
 	// scalars are out — reclaim the whole micro-batch's intermediates at once.
 	defer func() {
-		for _, a := range layerAllocs {
-			a.Free()
+		for i := range e.layerRecs[:charged] {
+			e.layerRecs[i].Free()
 		}
 		e.arena.Reset()
 	}()
 	tFwd := time.Now()
 	fwd, err := r.model.ForwardTable(mb, e.table, func(layer int, plannedBytes int64) error {
-		a, err := r.gpu.Alloc(layerTag(layer), plannedBytes)
-		if err != nil {
+		if err := r.gpu.AllocInto(&e.layerRecs[charged], layerTag(layer), plannedBytes); err != nil {
 			return err
 		}
-		layerAllocs = append(layerAllocs, a)
+		charged++
 		return nil
 	})
 	if err != nil {
@@ -1015,8 +1026,8 @@ func (e *engine) forward(sc *iterScratch, cache *pipeline.FeatureCache, res *Inf
 			freeSlot(&feat)
 		}
 		freeSlot(&window[layer%2])
-		a, err := r.gpu.Alloc(layerTag(layer), planned)
-		if err != nil {
+		a := &e.fwdWindow[layer%2]
+		if err := r.gpu.AllocInto(a, layerTag(layer), planned); err != nil {
 			return err
 		}
 		window[layer%2] = a
@@ -1051,9 +1062,10 @@ func (e *engine) forward(sc *iterScratch, cache *pipeline.FeatureCache, res *Inf
 		}
 		res.Breakdown.Gather += time.Since(tG)
 		if featBytes > 0 {
-			if feat, err = r.gpu.Alloc("features", featBytes); err != nil {
+			if err := r.gpu.AllocInto(&e.fwdFeat, "features", featBytes); err != nil {
 				return fmt.Errorf("train: staging features: %w", err)
 			}
+			feat = &e.fwdFeat
 			res.Breakdown.H2D += r.gpu.TransferH2D(featBytes)
 		}
 
@@ -1104,9 +1116,15 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 		r.model.Params.ZeroGrad()
 	}
 
-	// Both per-micro-batch slices are carved from one allocation.
+	// Both per-micro-batch slices are carved from one array, the result's own
+	// when it fits.
 	k := len(it.mbs)
-	per := make([]int64, k+len(it.sc.estimates))
+	per := res.perBuf[:]
+	if need := k + len(it.sc.estimates); need <= len(per) {
+		per = per[:need]
+	} else {
+		per = make([]int64, need)
+	}
 	res.PerMicroBytes = per[:k]
 	if len(it.sc.estimates) > 0 {
 		res.PerMicroEstimate = per[k:]
@@ -1159,7 +1177,7 @@ func (e *engine) executeIteration(it *pipeIter, ex stager, async bool) (*MultiGP
 		}
 	}
 	res.Phases.GPUCompute += maxCompute
-	res.PerGPUCompute = append([]time.Duration(nil), perCompute...)
+	res.PerGPUCompute = append(res.gpuBuf[:0], perCompute...)
 	var peak int64
 	var loading time.Duration
 	for i, r := range e.replicas {

@@ -34,6 +34,13 @@ type DataParallel struct {
 type MultiGPUResult struct {
 	IterationResult
 	PerGPUCompute []time.Duration
+
+	// perBuf and gpuBuf back PerMicroBytes with PerMicroEstimate, and
+	// PerGPUCompute, when they fit: an iteration of up to 16 micro-batches on
+	// up to 4 replicas costs its result one allocation, and every result
+	// still owns its slices.
+	perBuf [32]int64
+	gpuBuf [4]time.Duration
 }
 
 // NewDataParallel builds a sequential data-parallel run over gpus identical

@@ -61,7 +61,7 @@ func TestMultiGPUPipelinedLossParity(t *testing.T) {
 // iteration ever consumed) must unwind every stage goroutine and release
 // every staged byte on every device.
 func TestMultiGPUPipelinedCancelMidDispatch(t *testing.T) {
-	before := pipelineGoroutineBaseline()
+	before := pipelineGoroutineBaseline(t)
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, Buffalo)
 	cfg.MicroBatches = 4
@@ -90,7 +90,7 @@ func TestMultiGPUPipelinedCancelMidDispatch(t *testing.T) {
 // shared pipeline, surfaces through RunIteration, is reported again by
 // Shutdown, and leaks nothing on either device.
 func TestMultiGPUPipelinedReplicaOOM(t *testing.T) {
-	before := pipelineGoroutineBaseline()
+	before := pipelineGoroutineBaseline(t)
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, Buffalo)
 	cfg.MicroBatches = 4

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,12 +59,32 @@ func TestDataLoadingIsPerIterationDelta(t *testing.T) {
 	}
 }
 
-// pipelineGoroutineBaseline waits for stray goroutines from other tests to
-// settle, then returns the count to compare against after Close.
-func pipelineGoroutineBaseline() int {
-	runtime.Gosched()
-	time.Sleep(5 * time.Millisecond)
+// pipelineGoroutineBaseline waits until no goroutine an earlier test or
+// session started is still running — one still winding down would sit in the
+// baseline and hide a leak of its size — and returns the count to compare
+// against after Close. A goroutine that never exits (an earlier test's leak)
+// is waited on for 2 s and then counted, as it always was.
+func pipelineGoroutineBaseline(t *testing.T) int {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(2 * time.Second)
+	for strayGoroutines(buf) > 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
 	return runtime.NumGoroutine()
+}
+
+// strayGoroutines counts the goroutines, other than the caller's, that run
+// this module's code outside a test runner: what a session or a test's own go
+// statement left behind. buf holds the runtime's goroutine dump.
+func strayGoroutines(buf []byte) int {
+	stray := 0
+	for i, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if i > 0 && strings.Contains(g, "buffalo/") && !strings.Contains(g, "testing.tRunner") {
+			stray++
+		}
+	}
+	return stray
 }
 
 // waitLoaderFull blocks until every queue of the loader pcfg built over
@@ -91,16 +112,19 @@ func waitLoaderFull(t *testing.T, m *obs.Metrics, pcfg PipelineConfig, replicas 
 	}
 }
 
+// waitForGoroutineBaseline waits until the goroutine count is back at
+// baseline, yielding between checks rather than sleeping, so the goroutines
+// Close stopped exit as soon as the scheduler runs them. The deadline only
+// bounds a failing run.
 func waitForGoroutineBaseline(t *testing.T, baseline int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline {
-			return
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("pipeline leaked goroutines: %d, baseline %d", runtime.NumGoroutine(), baseline)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
-	t.Fatalf("pipeline leaked goroutines: %d, baseline %d", runtime.NumGoroutine(), baseline)
 }
 
 // TestPipelinedLossParityWithSequential: the pipelined session reproduces
@@ -235,7 +259,7 @@ func TestPipelinedCacheHitsOnSkewedGraph(t *testing.T) {
 // flight (no iteration ever consumed) must unwind every goroutine and
 // release every staged device byte.
 func TestPipelinedCancelMidPrefetch(t *testing.T) {
-	before := pipelineGoroutineBaseline()
+	before := pipelineGoroutineBaseline(t)
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, DGL)
 	m := obs.NewMetrics()
@@ -259,7 +283,7 @@ func TestPipelinedCancelMidPrefetch(t *testing.T) {
 // fit the device, the pipeline fails terminally — RunIteration surfaces the
 // OOM, and Close still releases everything.
 func TestPipelinedOOMDuringPrefetch(t *testing.T) {
-	before := pipelineGoroutineBaseline()
+	before := pipelineGoroutineBaseline(t)
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, DGL)
 	cfg.MemBudget = 1 * device.MB // model fits; a full batch's features do not
@@ -286,7 +310,7 @@ func TestPipelinedOOMDuringPrefetch(t *testing.T) {
 // TestPipelinedCloseIdempotent: Close twice (after real work) is safe and
 // returns the same outcome.
 func TestPipelinedCloseIdempotent(t *testing.T) {
-	before := pipelineGoroutineBaseline()
+	before := pipelineGoroutineBaseline(t)
 	ds := loadData(t, "cora")
 	p, err := NewPipelinedSession(ds, baseConfig(ds, Buffalo), PipelineConfig{CacheBudget: 4 * device.MB})
 	if err != nil {

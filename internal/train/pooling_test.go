@@ -209,7 +209,7 @@ func TestPoolingBitIdenticalServing(t *testing.T) {
 // stages unwind without leaking goroutines and the arena's pool comes back
 // with nothing checked out.
 func TestPoolingPipelineStress(t *testing.T) {
-	baseline := pipelineGoroutineBaseline()
+	baseline := pipelineGoroutineBaseline(t)
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, Buffalo)
 	cfg.MicroBatches = 4

@@ -162,7 +162,7 @@ func TestPlanAheadLossParity(t *testing.T) {
 // mid-K-search (and their outboxes hold undelivered plans) must unwind every
 // pool goroutine and leak nothing on any device.
 func TestPlanAheadCancelMidPool(t *testing.T) {
-	before := pipelineGoroutineBaseline()
+	before := pipelineGoroutineBaseline(t)
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, Buffalo)
 	cfg.MicroBatches = 4
@@ -192,7 +192,7 @@ func TestPlanAheadCancelMidPool(t *testing.T) {
 // — must surface the OOM through RunIteration, cancel every pool worker, and
 // leak neither device bytes nor goroutines.
 func TestPlanAheadReplicaOOM(t *testing.T) {
-	before := pipelineGoroutineBaseline()
+	before := pipelineGoroutineBaseline(t)
 	ds := loadData(t, "cora")
 	cfg := baseConfig(ds, Buffalo)
 	cfg.MicroBatches = 4

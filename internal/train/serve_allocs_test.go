@@ -22,7 +22,7 @@ func TestServeRequestWarmAllocs(t *testing.T) {
 	if train.RaceEnabled {
 		t.Skip("race instrumentation allocates on its own")
 	}
-	const max = 16
+	const max = 11
 	ds, err := datagen.Load("cora", 3)
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,12 @@
 #                      from the prose stays one command away. bench/ is not
 #                      scanned
 #   3. go vet          the stock toolchain analyzers (asmdecl holds
-#                      internal/tensor/{gemm,rows,trans}_amd64.s to their Go
-#                      declarations), then a GOARCH=arm64 build of everything
-#                      and vet of internal/tensor: the portable GEMM, row and
-#                      transcendental loops are the only path there, and no
-#                      amd64 run would notice them stop compiling
+#                      internal/tensor/{gemm,rows,trans,gates,adam}_amd64.s to
+#                      their Go declarations), then a GOARCH=arm64 build of
+#                      everything and vet of internal/tensor: the portable
+#                      GEMM, row, transcendental, LSTM-step and Adam loops are
+#                      the only path there, and no amd64 run would notice them
+#                      stop compiling
 #   4. buffalo-vet     the domain-aware suite (errcheck, locksafe) over
 #                      every module package; a //buffalo:vet-ignore that
 #                      suppresses nothing fails here too. The same command
@@ -38,12 +39,13 @@
 #                      cover the engine's uncleared probs; and the golden
 #                      bit-identity matrix (TestGoldenBits), whose every
 #                      number must survive the poison unchanged
-#   6. fuzz smoke      the nine native fuzz targets for 5 s each, beyond the
+#   6. fuzz smoke      the eleven native fuzz targets for 5 s each, beyond the
 #                      seed corpora tier-1 already runs: block.GenerateInto
 #                      against GenerateNaive (with the sampler's position
 #                      invariants), the tensor pool against its multiset
-#                      model, the vector GEMM kernels, the vector row kernel
-#                      and the vector exp/sigmoid/tanh kernel against the
+#                      model, the vector GEMM kernels, the vector row kernel,
+#                      the vector exp/sigmoid/tanh kernel, the vector LSTM
+#                      step kernels and the vector Adam step against the
 #                      portable loops, the row-indexed GEMMs against the
 #                      gathered products, the memest group accumulator
 #                      against the map oracle, the feature cache against
@@ -124,6 +126,8 @@ go test -run '^$' -fuzz '^FuzzPoolModel$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGEMMVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzMeanRowsVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzTransVectorVsPortable$' -fuzztime 5s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzLSTMStepVectorVsPortable$' -fuzztime 5s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzAdamVectorVsPortable$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzMatMulRowsVsGathered$' -fuzztime 5s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzGroupAccumulator$' -fuzztime 5s ./internal/memest
 go test -run '^$' -fuzz '^FuzzFeatureCacheModel$' -fuzztime 5s ./internal/pipeline
